@@ -448,11 +448,12 @@ fn solve_region_split(
             }
             Ok(x.iter().map(|&v| sol.is_set(v)).collect())
         }
-        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent)) => {
+        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_))) => {
             // As in the partitioner's `solve_two_way`: a greedy stand-in
-            // for an exhausted budget is a degradation, a greedy answer to
-            // a proven-infeasible ILP is the organic path.
-            if matches!(err, IlpError::NoIncumbent) {
+            // for an exhausted budget or an uncertified answer is a
+            // degradation, a greedy answer to a proven-infeasible ILP is
+            // the organic path.
+            if !matches!(err, IlpError::Infeasible) {
                 degraded.store(true, Ordering::Relaxed);
             }
             greedy_region_split(graph, tasks, &cap_low, &cap_high, &pin).ok_or_else(|| {

@@ -522,15 +522,16 @@ fn solve_two_way(
             }
             Ok(x.iter().map(|&v| sol.is_set(v)).collect())
         }
-        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent)) => {
+        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_))) => {
             // Best-effort greedy split before declaring the level
             // unsolvable. A proven-infeasible ILP reaches this arm on the
             // organic path (deterministic whatever the budget), but an
-            // exhausted budget (`NoIncumbent` past the heuristic rung)
-            // means the greedy stand-in replaces an answer the ILP would
+            // exhausted budget (`NoIncumbent` past the heuristic rung) or
+            // an answer its certificate rejected (`Uncertified`) means
+            // the greedy stand-in replaces an answer the ILP would
             // otherwise have produced — that substitution must carry the
             // degraded mark like any other ladder fallback.
-            if matches!(err, IlpError::NoIncumbent) {
+            if !matches!(err, IlpError::Infeasible) {
                 degraded.store(true, Ordering::Relaxed);
             }
             let weights: Vec<Resources> = here.iter().map(|&sn| coarse.nodes[sn]).collect();

@@ -19,8 +19,7 @@ use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp
 use crate::solution::{Solution, SolveStatus};
 
 /// Per-solve switches for the LP engine, threaded down from
-/// [`crate::SolverOptions`] (and its `TAPACS_PRESOLVE` / `TAPACS_LP_WARM`
-/// environment escape hatches).
+/// [`crate::SolverOptions`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SolveParams {
     /// Seed the incumbent with the greedy first-fit repair heuristic when
@@ -34,21 +33,6 @@ pub(crate) struct SolveParams {
     pub lp_engine: LpEngine,
     /// Oracle-parity contract for the sparse engine (see [`LpParity`]).
     pub lp_parity: LpParity,
-}
-
-impl SolveParams {
-    /// Defaults (everything on except the heuristic seed) with the
-    /// environment escape hatches applied — the configuration
-    /// [`Model::solve`](crate::Model::solve) runs under.
-    pub fn from_env() -> SolveParams {
-        SolveParams {
-            heuristic_seed: false,
-            presolve: crate::solver::env_flag("TAPACS_PRESOLVE").unwrap_or(true),
-            warm_lp: crate::solver::env_flag("TAPACS_LP_WARM").unwrap_or(true),
-            lp_engine: LpEngine::from_env(),
-            lp_parity: LpParity::from_env(),
-        }
-    }
 }
 
 /// A live node in the search tree, ordered so the node with the most

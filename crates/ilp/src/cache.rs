@@ -187,8 +187,12 @@ pub fn cache_dir_from_env() -> Option<PathBuf> {
 const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// Format version written and accepted by this build. Bump on any change
 /// to the entry encoding; old files are then rejected as stale instead of
-/// being misparsed. v2 added the [`Solution::degraded`] byte.
-const FILE_VERSION: u32 = 2;
+/// being misparsed. v2 added the [`Solution::degraded`] byte; v3 changes no
+/// byte of the layout but marks the renaming of the backends inside the
+/// keys (the unsuffixed name now means sparse + fast parity, the oracle
+/// modes carry `-exactlp`/`-denselp`), so a v2 file's exact-mode answers
+/// are rejected instead of being served under the new default's name.
+const FILE_VERSION: u32 = 3;
 
 /// Transient-IO retry attempts after the first failure.
 const IO_RETRIES: u32 = 3;

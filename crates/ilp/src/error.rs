@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::certificate::CertificateError;
+
 /// Errors reported by the LP/MIP solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IlpError {
@@ -18,6 +20,16 @@ pub enum IlpError {
     /// (the budget ran out), an external cancel aborts (the caller no
     /// longer wants the answer).
     Cancelled,
+    /// The solver produced an answer that the independent
+    /// [`certify`](crate::certify) check rejected against the original
+    /// model. Callers treat it like any other failed exact solve.
+    Uncertified(CertificateError),
+}
+
+impl From<CertificateError> for IlpError {
+    fn from(err: CertificateError) -> Self {
+        IlpError::Uncertified(err)
+    }
 }
 
 impl fmt::Display for IlpError {
@@ -30,6 +42,7 @@ impl fmt::Display for IlpError {
             }
             IlpError::InvalidModel(msg) => write!(f, "invalid model: {msg}"),
             IlpError::Cancelled => write!(f, "solve cancelled by caller"),
+            IlpError::Uncertified(why) => write!(f, "solution failed its certificate: {why}"),
         }
     }
 }

@@ -16,6 +16,9 @@
 //! [`HeuristicSolver`] used as a warm-start incumbent. [`SolverOptions`]
 //! selects a backend (and the process-wide [`SolveCache`] memoization) and
 //! is what the TAPA-CS compiler threads through its configuration structs.
+//! Whatever path produced it, every answer returned by
+//! [`Model::solve_with_options`] is re-checked against the original model
+//! by [`certify`].
 //!
 //! Node solves are *incremental*: each model is presolved once at the root
 //! (bound tightening, row removal, fixed columns, dual fixing), nodes
@@ -53,6 +56,7 @@
 mod branch_bound;
 mod cache;
 mod cancel;
+mod certificate;
 mod dense;
 mod error;
 mod expr;
@@ -73,6 +77,7 @@ pub use cache::{
     SOLVE_CACHE_FILE,
 };
 pub use cancel::CancellationToken;
+pub use certificate::{certify, CertificateError};
 pub use error::IlpError;
 pub use expr::LinExpr;
 pub use fault::{
@@ -86,5 +91,3 @@ pub use solver::{
     DegradingSolver, HeuristicSolver, SequentialSolver, Solver, SolverBackend, SolverOptions,
 };
 pub use stats::{SolveActivity, SolveStats};
-
-pub(crate) use simplex::LpOutcome;

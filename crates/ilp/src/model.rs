@@ -1,11 +1,10 @@
 use std::time::Duration;
 
-use crate::branch_bound;
 use crate::cancel::{effective_token, CancellationToken};
 use crate::error::IlpError;
 use crate::expr::LinExpr;
-use crate::simplex::{self, LpProblem, LpRow};
-use crate::solution::{Solution, SolveStatus};
+use crate::simplex::{LpProblem, LpRow};
+use crate::solution::Solution;
 
 /// Opaque handle to a model variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,7 +71,7 @@ pub(crate) struct Constraint {
 /// The defaults are tuned for the floorplanning instances produced by
 /// TAPA-CS (hundreds of binaries): optimality is proven when the search
 /// finishes, otherwise the best incumbent found before `time_limit` is
-/// returned with [`SolveStatus::Feasible`].
+/// returned with [`SolveStatus::Feasible`](crate::SolveStatus::Feasible).
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Wall-clock budget for branch and bound. `None` = unlimited.
@@ -325,7 +324,9 @@ impl Model {
         self.solve_with(&SolverConfig::default())
     }
 
-    /// Solves with an explicit configuration.
+    /// Solves with an explicit configuration: the sequential branch and
+    /// bound under otherwise default [`crate::SolverOptions`], without the
+    /// heuristic incumbent seed, the memo cache or the degradation ladder.
     ///
     /// If the model has no integer variables this is a single simplex solve.
     ///
@@ -333,59 +334,40 @@ impl Model {
     ///
     /// See [`Model::solve`].
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let integral = self.integral_vars();
-        if integral.is_empty() {
-            let lp = self.to_lp();
-            let token = config.deadline_token();
-            match simplex::solve(
-                &lp,
-                crate::LpEngine::from_env(),
-                crate::LpParity::from_env(),
-                token.clone(),
-            ) {
-                crate::LpOutcome::Optimal { values, objective, .. } => Ok(Solution {
-                    status: SolveStatus::Optimal,
-                    objective,
-                    values,
-                    nodes_explored: 0,
-                    best_bound: objective,
-                    degraded: false,
-                }),
-                crate::LpOutcome::Infeasible => Err(IlpError::Infeasible),
-                crate::LpOutcome::Unbounded => Err(IlpError::Unbounded),
-                // A pure LP has no incumbent to degrade to: external cancel
-                // aborts, deadline expiry reports a spent budget.
-                crate::LpOutcome::Cancelled => {
-                    if token.as_ref().is_some_and(CancellationToken::cancelled_externally) {
-                        Err(IlpError::Cancelled)
-                    } else {
-                        Err(IlpError::NoIncumbent)
-                    }
-                }
-            }
-        } else {
-            branch_bound::solve(self, &integral, config, branch_bound::SolveParams::from_env())
-        }
+        let options = crate::SolverOptions {
+            backend: crate::SolverBackend::Sequential,
+            warm_start: false,
+            cache: false,
+            degrade: false,
+            ..crate::SolverOptions::default()
+        };
+        self.solve_with_options(config, &options)
     }
 
     /// Solves through a configurable [`crate::Solver`] backend — see
     /// [`crate::SolverOptions`] for backend/thread selection and caching.
+    /// Every answer, fresh or replayed from the cache, is re-checked
+    /// against this model by [`crate::certify`] before it is returned.
     ///
     /// # Errors
     ///
-    /// See [`Model::solve`].
+    /// See [`Model::solve`]; additionally [`IlpError::Uncertified`] when
+    /// the backend's answer fails the certificate.
     pub fn solve_with_options(
         &self,
         config: &SolverConfig,
         options: &crate::SolverOptions,
     ) -> Result<Solution, IlpError> {
-        options.solver().solve(self, config)
+        let solution = options.solver().solve(self, config)?;
+        crate::certify(self, config, &solution)?;
+        Ok(solution)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveStatus;
 
     #[test]
     fn rejects_inverted_bounds() {

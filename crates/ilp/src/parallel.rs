@@ -573,7 +573,7 @@ pub struct ParallelSolver {
     pub warm_lp: bool,
     /// Which simplex engine runs the node LP relaxations.
     pub lp_engine: LpEngine,
-    /// Oracle-parity contract for the sparse engine (see [`LpParity`]).
+    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
     pub lp_parity: LpParity,
 }
 
@@ -602,12 +602,7 @@ impl crate::Solver for ParallelSolver {
         if !self.warm_lp {
             name.push_str("-coldlp");
         }
-        if self.lp_engine == LpEngine::Dense {
-            name.push_str("-denselp");
-        }
-        if self.lp_parity == LpParity::Fast {
-            name.push_str("+fastlp");
-        }
+        name.push_str(crate::solver::lp_name_suffix(self.lp_engine, self.lp_parity));
         name
     }
 

@@ -265,10 +265,11 @@ pub(crate) struct Revised<'a> {
     /// The factor prefix of the eta arrays is cache-worthy: truncate to it
     /// at drop and insert under the pending key.
     memo_live: bool,
-    /// The caller permits the fast kit — dual repair and the hybrid devex
-    /// switch, and through `devex_active` everything hanging off it — on
-    /// this solve. The branch-and-bound drivers clear it for the root and
-    /// for nodes early in the search order
+    /// The caller permits the fast kit — dual repair, the one-FTRAN
+    /// basic-value recompute and the hybrid devex switch, and through
+    /// `devex_active` everything hanging off it — on this solve. The
+    /// branch-and-bound drivers clear it for the root and for nodes early
+    /// in the search order
     /// ([`crate::node::FAST_KIT_AFTER_NODES`]): on small trees the kit's
     /// different optimal vertices are denser and grow the tree, so a small
     /// search is fastest replaying the exact trajectory bit for bit. On
@@ -277,10 +278,9 @@ pub(crate) struct Revised<'a> {
     kit_allowed: bool,
     /// The fast machinery is engaged for this solve (fast parity, after
     /// the hybrid threshold [`HYBRID_DEVEX_AFTER`] trips): devex pricing,
-    /// partial pricing, Forrest–Tomlin replacement, eager refactorization
-    /// and the raw-column basic-value recompute. Until then the solve
-    /// replays the exact-mode trajectory (dual repair aside) and the
-    /// devex weights stay at their unit reference.
+    /// partial pricing, Forrest–Tomlin replacement and the eager
+    /// refactorization budgets. Until then the solve prices with the
+    /// exact-mode rule and the devex weights stay at their unit reference.
     devex_active: bool,
     /// Rotating partial-pricing cursor into `cands` (devex scans only).
     price_cursor: usize,
@@ -303,6 +303,10 @@ pub(crate) struct Revised<'a> {
     pricing_switches: u64,
     partial_refreshes: u64,
     memo_hits: u64,
+    /// Eta-file passes spent recomputing basic values in
+    /// [`refactorize`](Self::refactorize): one per kit-on install, one plus
+    /// one per nonzero nonbasic column in the oracle order.
+    xb_ftrans: u64,
 }
 
 impl<'a> Revised<'a> {
@@ -405,6 +409,7 @@ impl<'a> Revised<'a> {
             pricing_switches: 0,
             partial_refreshes: 0,
             memo_hits: 0,
+            xb_ftrans: 0,
         }
     }
 
@@ -663,20 +668,28 @@ impl<'a> Revised<'a> {
         true
     }
 
+    /// The fast kit is engaged for this solve: fast parity, on a search
+    /// the drivers have judged big (see `kit_allowed`).
+    fn kit_on(&self) -> bool {
+        self.parity == LpParity::Fast && self.kit_allowed
+    }
+
     /// Refactorizes the current basis and recomputes the basic values from
     /// the (unchanged) nonbasic point:
-    /// `x_B = B⁻¹b − Σ_nonbasic (B⁻¹A_j)·x_j`. Under exact parity the
-    /// subtraction runs over *transformed* columns in ascending index — the
-    /// exact operation order of the dense oracle's install — so the two
-    /// engines start a warm solve from bit-identical basic values. Once the
-    /// hybrid switch has tripped (`devex_active`), the solve computes the
-    /// mathematically identical `x_B = B⁻¹(b − Σ_nonbasic A_j·x_j)`
-    /// instead: subtract the *raw* sparse columns first, then one FTRAN of
-    /// the residual — O(nnz) plus a single eta-file pass, where the oracle
-    /// order pays a full eta-file pass per nonbasic column. Pre-switch
-    /// solves keep the oracle order even under fast parity: its different
-    /// roundoff perturbs float ties and with them the downstream vertex
-    /// trajectory, which is exactly what the hybrid opening must not do.
+    /// `x_B = B⁻¹b − Σ_nonbasic (B⁻¹A_j)·x_j`. Kit-off solves (exact
+    /// parity, and the fast-parity root, first attempt and small trees)
+    /// run the subtraction over *transformed* columns in ascending index —
+    /// the exact operation order of the dense oracle's install — so the
+    /// two engines start a warm solve from bit-identical basic values, at
+    /// the price of a full eta-file pass per nonzero nonbasic column.
+    /// Kit-on solves compute the mathematically identical
+    /// `x_B = B⁻¹(b − Σ_nonbasic A_j·x_j)` instead: subtract the *raw*
+    /// sparse columns first, then **one** FTRAN of the residual — O(nnz)
+    /// plus a single eta-file pass, at install and at every mid-solve
+    /// refactorization alike. Its different roundoff can perturb float
+    /// ties and with them the vertex trajectory, which a kit-on search no
+    /// longer promises to replay; every choice stays a pure function of
+    /// the node, so thread-count invariance is untouched.
     fn refactorize(&mut self) -> bool {
         if !self.factorize_cached() {
             return false;
@@ -684,7 +697,7 @@ impl<'a> Revised<'a> {
         let mut rhs = std::mem::take(&mut self.rhs);
         rhs.clear();
         rhs.extend_from_slice(&self.sp.b);
-        if self.devex_active {
+        if self.kit_on() {
             for j in 0..self.sp.n {
                 if self.status[j] == ColStatus::Basic {
                     continue;
@@ -699,8 +712,10 @@ impl<'a> Revised<'a> {
                 }
             }
             self.ftran_dense(&mut rhs);
+            self.xb_ftrans += 1;
         } else {
             self.ftran_dense(&mut rhs);
+            self.xb_ftrans += 1;
             for j in 0..self.sp.n {
                 if self.status[j] == ColStatus::Basic {
                     continue;
@@ -715,6 +730,7 @@ impl<'a> Revised<'a> {
                 // consumed makes duplicate `touched` entries subtract
                 // nothing.
                 self.ftran_col_unsorted(j);
+                self.xb_ftrans += 1;
                 for idx in 0..self.touched.len() {
                     let r = self.touched[idx] as usize;
                     let wv = self.w[r];
@@ -751,8 +767,8 @@ impl<'a> Revised<'a> {
         // The eager fast-mode budgets engage with the rest of the hybrid
         // fast machinery (post-switch only): budget *timing* changes when
         // roundoff is reset, which perturbs float ties and with them the
-        // whole downstream vertex trajectory — pre-switch solves must
-        // replay the exact-mode trajectory bit for bit.
+        // whole downstream vertex trajectory — pre-switch solves keep the
+        // exact-mode schedule, which is what keeps their trees small.
         let (update_limit, fill_budget) = if self.devex_active {
             let factor_nnz = self.eta_ptr.get(self.factor_etas).copied().unwrap_or(0) as usize;
             (FAST_REFACTOR_UPDATES, (4 * (factor_nnz + self.sp.m)).max(FAST_REFACTOR_FILL_MIN))
@@ -1182,23 +1198,22 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// The hybrid switch: a fast-parity solve opens in exact-trajectory
-    /// mode — banded-Dantzig pricing, oracle refactorization order and
-    /// budgets, plain eta appends — so that, dual repair aside, it
-    /// replays the exact engine's vertex path bit for bit and keeps
-    /// branch-and-bound trees small. Only once its own pivot count —
-    /// phase 1, phase 2 and dual-repair pivots combined — crosses
-    /// [`HYBRID_DEVEX_AFTER`] has the solve proven itself long enough for
-    /// the fast machinery to pay, and the whole kit engages at once:
-    /// devex pricing with partial pricing, Forrest–Tomlin eta
-    /// replacement, eager refactorization and the raw-column basic-value
-    /// recompute. The decision reads nothing but per-solve state (plus
-    /// the caller's deterministic `kit_allowed` verdict), so it is
-    /// identical on every thread layout. Switching re-references the
-    /// devex framework to the switch vertex (unit weights).
+    /// The hybrid switch: a kit-on solve opens with the exact-mode
+    /// decision rules — banded-Dantzig pricing, the oracle's
+    /// refactorization budgets, plain eta appends — so that it follows
+    /// the exact engine's vertex path (up to the dual repair and the
+    /// install's roundoff) and keeps branch-and-bound trees small. Only
+    /// once its own pivot count — phase 1, phase 2 and dual-repair pivots
+    /// combined — crosses [`HYBRID_DEVEX_AFTER`] has the solve proven
+    /// itself long enough for the rest of the fast machinery to pay, and
+    /// it engages at once: devex pricing with partial pricing,
+    /// Forrest–Tomlin eta replacement and eager refactorization. The
+    /// decision reads nothing but per-solve state (plus the caller's
+    /// deterministic `kit_allowed` verdict), so it is identical on every
+    /// thread layout. Switching re-references the devex framework to the
+    /// switch vertex (unit weights).
     fn maybe_switch_pricing(&mut self) {
-        if self.parity == LpParity::Fast
-            && self.kit_allowed
+        if self.kit_on()
             && !self.devex_active
             && self.phase1_iters + self.phase2_iters >= HYBRID_DEVEX_AFTER
         {
@@ -1617,7 +1632,7 @@ impl EngineCore for Revised<'_> {
     }
 
     fn run(&mut self) -> RunOutcome {
-        if self.parity == LpParity::Fast && self.kit_allowed {
+        if self.kit_on() {
             self.dual_repair();
         }
         match self.phase1() {
@@ -2094,6 +2109,77 @@ mod tests {
         assert_eq!(e.devex_resets, 0, "no spurious devex reset after a flip");
         assert_eq!(e.lu_totals().unwrap()[6], 0, "reported counter agrees");
         assert_eq!(e.devex[1], 4.0, "leaving column inherits γ, no reset path taken");
+    }
+
+    /// A kit-on install recomputes the basic values as
+    /// `B⁻¹(b − Σ A_j x_j)` — raw columns subtracted, then exactly one
+    /// eta-file pass — where a kit-off install replays the oracle order at
+    /// one pass per nonzero nonbasic column. Same basis, same point: the
+    /// two must agree on `x_B` to roundoff.
+    #[test]
+    fn kit_on_install_recomputes_basic_values_with_one_ftran() {
+        // Two structural basics over three rows' worth of nonbasic weight:
+        // x2, x3 sit at their upper bound 10, so both columns are nonzero
+        // in the recompute; the third row keeps its logical basic.
+        let (lp, sp) = prep(
+            vec![
+                LpRow {
+                    coeffs: vec![(0, 2.0), (1, 1.0), (2, 0.5), (3, 0.25)],
+                    op: CmpOp::Le,
+                    rhs: 30.0,
+                },
+                LpRow {
+                    coeffs: vec![(0, 1.0), (1, 3.0), (2, 0.125), (3, 1.5)],
+                    op: CmpOp::Le,
+                    rhs: 40.0,
+                },
+                LpRow { coeffs: vec![(0, 1.0), (2, 1.0), (3, 1.0)], op: CmpOp::Le, rhs: 50.0 },
+            ],
+            4,
+            10.0,
+        );
+        let statuses = vec![
+            ColStatus::Basic,
+            ColStatus::Basic,
+            ColStatus::AtUpper,
+            ColStatus::AtUpper,
+            ColStatus::AtLower,
+            ColStatus::AtLower,
+            ColStatus::Basic,
+        ];
+        let install = |kit: bool| {
+            let mut e = Revised::new(
+                &sp,
+                &lp.lower,
+                &lp.upper,
+                crate::simplex::next_prep_id(),
+                LpParity::Fast,
+                kit,
+            );
+            assert!(e.install(&statuses), "kit={kit}");
+            (e.x.clone(), e.xb_ftrans)
+        };
+        let (x_on, passes_on) = install(true);
+        let (x_off, passes_off) = install(false);
+        assert_eq!(passes_on, 1, "kit-on: one FTRAN of the residual");
+        assert_eq!(passes_off, 3, "kit-off: B⁻¹b plus one pass per nonzero nonbasic column");
+        for (j, (on, off)) in x_on.iter().zip(&x_off).enumerate() {
+            assert!((on - off).abs() <= 1e-9, "x[{j}]: kit-on {on} vs kit-off {off}");
+        }
+        // The basics actually moved off zero, so the comparison is not
+        // vacuous: 2·x0 + x1 = 30 − 7.5, x0 + 3·x1 = 40 − 16.25.
+        assert!((x_on[0] - 8.75).abs() < 1e-9 && (x_on[1] - 5.0).abs() < 1e-9, "{x_on:?}");
+        // Exact parity ignores the kit flag and keeps the oracle order.
+        let mut e = Revised::new(
+            &sp,
+            &lp.lower,
+            &lp.upper,
+            crate::simplex::next_prep_id(),
+            LpParity::Exact,
+            true,
+        );
+        assert!(e.install(&statuses));
+        assert_eq!(e.xb_ftrans, 3);
     }
 
     /// Every install increments exactly one of `lu_factorizations` (fresh

@@ -18,8 +18,13 @@
 //! set, Dantzig pricing with Bland fallback, the anti-cycling guard that
 //! forces Bland's rule after [`DEGEN_BLAND_AFTER`] consecutive degenerate
 //! pivots, the bounded-variable ratio test and its tie-breaks — so they
-//! agree on verdicts and, in practice, on the entire branch-and-bound node
-//! tree. Two properties matter for branch and bound:
+//! agree on verdicts and, under the opt-in [`LpParity::Exact`] oracle mode,
+//! on the entire branch-and-bound node tree. The default
+//! [`LpParity::Fast`] keeps that replay only for searches below the
+//! kit-restart threshold; past it the sparse engine repairs children with
+//! the dual simplex and reorders arithmetic, and the answers are vouched
+//! for by [`certify`](crate::certify) instead of by replay. Two properties
+//! matter for branch and bound:
 //!
 //! * **Bounds are handled natively in the ratio test.** Finite lower/upper
 //!   bounds never materialize as extra constraint rows or split/shifted
@@ -181,41 +186,51 @@ impl LpEngine {
 /// Arithmetic-parity contract of the sparse engine against the dense
 /// tableau oracle.
 ///
-/// In [`LpParity::Exact`] mode (the default) every sparse solve replays the
-/// oracle's Gauss-Jordan operation for operation: same pivot rows,
-/// bit-identical basic values, identical branch-and-bound node trees. That
-/// contract is what the cross-engine differential tests and CI solve-count
-/// assertions rely on — but it forbids exactly the arithmetic that makes a
-/// revised simplex fast. [`LpParity::Fast`] drops bit equality for a
-/// bounded-objective contract (agreement to `1e-6`) and unlocks:
+/// [`LpParity::Fast`] is what every solve runs unless told otherwise. It
+/// holds the sparse engine to a bounded-objective contract (agreement with
+/// the oracle to `1e-6`) rather than bit equality, which is what permits:
 ///
+/// * a **dual-simplex repair** of warm-started branch-and-bound children
+///   in place of re-running phase 1;
 /// * **devex pricing** (a reference-framework steepest-edge approximation)
-///   in place of the banded Dantzig rule;
+///   in place of the banded Dantzig rule on long solves;
 /// * **Forrest–Tomlin-style eta replacement** — consecutive pivots on the
 ///   same row compose into one eta instead of appending, so the eta file
 ///   stops growing monotonically;
 /// * **fill-triggered mid-solve refactorization** (`eta_nnz` budget, not
 ///   just update count) with a single-FTRAN basic-value recompute.
 ///
-/// Fast mode stays fully deterministic: every entering/leaving choice is a
-/// pure function of the node's model and bounds, so results are
-/// bit-identical across `TAPACS_SOLVER_THREADS` values — only the
-/// *oracle-replay* guarantee is relaxed.
+/// That kit engages only once a search has passed the kit-restart
+/// threshold (384 expanded nodes); smaller searches replay the exact
+/// trajectory bit for bit. Fast
+/// mode stays fully deterministic: every entering/leaving choice is a pure
+/// function of the node's model and bounds, so results are bit-identical
+/// across `TAPACS_SOLVER_THREADS` values. Correctness of the answers does
+/// not rest on replay: every solution returned through
+/// [`Model::solve_with_options`](crate::Model::solve_with_options) is
+/// re-checked against the original model by [`certify`](crate::certify).
+///
+/// [`LpParity::Exact`] is the opt-in oracle mode: every sparse solve
+/// replays the dense tableau's Gauss-Jordan operation for operation — same
+/// pivot rows, bit-identical basic values, identical branch-and-bound node
+/// trees. The cross-engine differential tests and the CI solve-count
+/// assertions select it explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum LpParity {
-    /// Bit-identical oracle replay (default).
+    /// Bit-identical oracle replay (opt-in: `TAPACS_LP_PARITY=exact`).
     Exact,
-    /// Reordered arithmetic, bounded objective tolerance vs the oracle.
+    /// Reordered arithmetic, bounded objective tolerance vs the oracle
+    /// (default).
     Fast,
 }
 
 impl LpParity {
-    /// Reads `TAPACS_LP_PARITY` (`fast` relaxes oracle parity; any other
-    /// value, or unset, keeps the exact default).
+    /// Reads `TAPACS_LP_PARITY` (`exact` selects the oracle-replay mode;
+    /// any other value, or unset, keeps the fast default).
     pub fn from_env() -> LpParity {
         match std::env::var("TAPACS_LP_PARITY") {
-            Ok(v) if v.eq_ignore_ascii_case("fast") => LpParity::Fast,
-            _ => LpParity::Exact,
+            Ok(v) if v.trim().eq_ignore_ascii_case("exact") => LpParity::Exact,
+            _ => LpParity::Fast,
         }
     }
 }

@@ -147,16 +147,18 @@ pub(crate) fn greedy_repair(
     model.is_feasible(&point, 1e-6).then_some(point)
 }
 
-/// Standalone greedy point: solves the root LP, then [`greedy_repair`].
-/// Returns the point plus the root LP objective (a valid bound).
-pub(crate) fn heuristic_point(model: &Model, integral: &[usize]) -> Option<(Vec<f64>, f64)> {
-    let lp = model.to_lp();
-    let (relax, root_obj) =
-        match simplex::solve(&lp, LpEngine::from_env(), LpParity::from_env(), None) {
-            LpOutcome::Optimal { values, objective, .. } => (values, objective),
-            LpOutcome::Infeasible | LpOutcome::Unbounded | LpOutcome::Cancelled => return None,
-        };
-    greedy_repair(model, &lp, &relax, integral).map(|point| (point, root_obj))
+/// The LP half of a branch-and-bound backend's [`Solver::name`] — and so of
+/// the solve-cache key. The default pair (sparse engine, fast parity) is
+/// unsuffixed; the oracle engine and the oracle-replay parity each add a
+/// suffix, so an answer computed under either can never be served under
+/// the default's name.
+pub(crate) fn lp_name_suffix(engine: LpEngine, parity: LpParity) -> &'static str {
+    match (engine, parity) {
+        (LpEngine::Sparse, LpParity::Fast) => "",
+        (LpEngine::Dense, LpParity::Fast) => "-denselp",
+        (LpEngine::Sparse, LpParity::Exact) => "-exactlp",
+        (LpEngine::Dense, LpParity::Exact) => "-denselp-exactlp",
+    }
 }
 
 /// Best-first sequential branch and bound — the original TAPA-CS solve
@@ -172,7 +174,7 @@ pub struct SequentialSolver {
     pub warm_lp: bool,
     /// Which simplex engine runs the node LP relaxations.
     pub lp_engine: LpEngine,
-    /// Oracle-parity contract for the sparse engine (see [`LpParity`]).
+    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
     pub lp_parity: LpParity,
 }
 
@@ -200,12 +202,7 @@ impl Solver for SequentialSolver {
         if !self.warm_lp {
             name.push_str("-coldlp");
         }
-        if self.lp_engine == LpEngine::Dense {
-            name.push_str("-denselp");
-        }
-        if self.lp_parity == LpParity::Fast {
-            name.push_str("+fastlp");
-        }
+        name.push_str(lp_name_suffix(self.lp_engine, self.lp_parity));
         name
     }
 
@@ -232,8 +229,13 @@ impl Solver for SequentialSolver {
 /// the root LP objective as `best_bound`) or [`IlpError::NoIncumbent`] when
 /// the repair walk stalls. The branch-and-bound backends call the same
 /// heuristic internally for their warm start.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeuristicSolver;
+#[derive(Debug, Clone, Copy)]
+pub struct HeuristicSolver {
+    /// Which simplex engine solves the root relaxation.
+    pub lp_engine: LpEngine,
+    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
+    pub lp_parity: LpParity,
+}
 
 impl Solver for HeuristicSolver {
     fn name(&self) -> String {
@@ -246,17 +248,18 @@ impl Solver for HeuristicSolver {
             // Deliberately token-free: the heuristic is the degradation
             // ladder's last rung, so it must stay usable after a deadline
             // has already expired.
-            return solve_lp(model, LpEngine::from_env(), LpParity::from_env(), None);
+            return solve_lp(model, self.lp_engine, self.lp_parity, None);
         }
-        let Some((values, root_obj)) = heuristic_point(model, &integral) else {
-            // Distinguish "relaxation infeasible" from "repair stalled".
-            let lp = model.to_lp();
-            return match simplex::solve(&lp, LpEngine::from_env(), LpParity::from_env(), None) {
-                LpOutcome::Infeasible => Err(IlpError::Infeasible),
-                LpOutcome::Unbounded => Err(IlpError::Unbounded),
-                // Unreachable without a token; grouped with "no point found".
-                LpOutcome::Cancelled | LpOutcome::Optimal { .. } => Err(IlpError::NoIncumbent),
-            };
+        let lp = model.to_lp();
+        let (relax, root_obj) = match simplex::solve(&lp, self.lp_engine, self.lp_parity, None) {
+            LpOutcome::Optimal { values, objective, .. } => (values, objective),
+            LpOutcome::Infeasible => return Err(IlpError::Infeasible),
+            LpOutcome::Unbounded => return Err(IlpError::Unbounded),
+            // Unreachable without a token; grouped with "no point found".
+            LpOutcome::Cancelled => return Err(IlpError::NoIncumbent),
+        };
+        let Some(values) = greedy_repair(model, &lp, &relax, &integral) else {
+            return Err(IlpError::NoIncumbent);
         };
         let objective = model.objective.eval(&values);
         let proven = (objective - root_obj).abs() <= 1e-9 * objective.abs().max(1.0);
@@ -298,9 +301,10 @@ pub enum SolverBackend {
 ///   cold, the pre-PR-3 behaviour);
 /// * `TAPACS_LP_ENGINE` — `dense` swaps the sparse revised simplex for the
 ///   dense-tableau oracle engine;
-/// * `TAPACS_LP_PARITY` — `fast` relaxes the sparse engine's bit-identical
-///   oracle-replay contract to a ≤1e-6 objective tolerance in exchange for
-///   devex pricing and Forrest–Tomlin eta replacement (see [`LpParity`]);
+/// * `TAPACS_LP_PARITY` — `exact` opts the sparse engine back into
+///   replaying the dense oracle bit for bit; the default is the fast
+///   contract (≤1e-6 objective tolerance, dual repair, devex pricing,
+///   Forrest–Tomlin eta replacement — see [`LpParity`]);
 /// * `TAPACS_DEGRADE` — `0` disables the heuristic fallback on timeout
 ///   (see [`SolverOptions::degrade`]).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -323,7 +327,8 @@ pub struct SolverOptions {
     pub warm_lp: bool,
     /// Which simplex engine runs the LP relaxations (see [`LpEngine`]).
     pub lp_engine: LpEngine,
-    /// Oracle-parity contract for the sparse engine (see [`LpParity`]).
+    /// Arithmetic contract of the sparse engine: [`LpParity::Fast`] unless
+    /// `TAPACS_LP_PARITY=exact` (or the caller) asks for the oracle replay.
     pub lp_parity: LpParity,
     /// Graceful-degradation ladder: when the exact search times out with no
     /// incumbent, fall back to [`HeuristicSolver`] and mark the solution
@@ -405,6 +410,7 @@ impl SolverOptions {
     /// pure function of the exact backend, and degraded fallback points are
     /// never memoized as if they were that backend's answer.
     pub fn solver(&self) -> Box<dyn Solver> {
+        let heuristic = HeuristicSolver { lp_engine: self.lp_engine, lp_parity: self.lp_parity };
         let base: Box<dyn Solver> = match self.backend {
             SolverBackend::Sequential => Box::new(SequentialSolver {
                 warm_start: self.warm_start,
@@ -421,13 +427,13 @@ impl SolverOptions {
                 lp_engine: self.lp_engine,
                 lp_parity: self.lp_parity,
             }),
-            SolverBackend::Heuristic => Box::new(HeuristicSolver),
+            SolverBackend::Heuristic => Box::new(heuristic),
         };
         let cached: Box<dyn Solver> =
             if self.cache { Box::new(CachingSolver::new(base)) } else { base };
         // Wrapping the heuristic in itself would be pointless.
         if self.degrade && !matches!(self.backend, SolverBackend::Heuristic) {
-            Box::new(DegradingSolver::new(cached))
+            Box::new(DegradingSolver::new(cached, heuristic))
         } else {
             cached
         }
@@ -449,12 +455,14 @@ impl SolverOptions {
 /// [`SolverOptions::solver`]).
 pub struct DegradingSolver {
     inner: Box<dyn Solver>,
+    fallback: HeuristicSolver,
 }
 
 impl DegradingSolver {
-    /// Wraps `inner` in the degradation ladder.
-    pub fn new(inner: Box<dyn Solver>) -> Self {
-        Self { inner }
+    /// Wraps `inner` in the degradation ladder, with `fallback` as the
+    /// rung below it (configured with the same LP engine and parity).
+    pub fn new(inner: Box<dyn Solver>, fallback: HeuristicSolver) -> Self {
+        Self { inner, fallback }
     }
 }
 
@@ -475,7 +483,7 @@ impl Solver for DegradingSolver {
                 // The heuristic's own status is kept truthful (it may even
                 // prove optimality at the root); `degraded` alone records
                 // that the ladder produced this point.
-                let mut fallback = HeuristicSolver.solve(model, config)?;
+                let mut fallback = self.fallback.solve(model, config)?;
                 fallback.degraded = true;
                 Ok(fallback)
             }
@@ -506,7 +514,8 @@ mod tests {
     #[test]
     fn heuristic_finds_feasible_point() {
         let m = cover_model();
-        let sol = HeuristicSolver.solve(&m, &SolverConfig::default()).unwrap();
+        let heuristic = HeuristicSolver { lp_engine: LpEngine::Sparse, lp_parity: LpParity::Fast };
+        let sol = heuristic.solve(&m, &SolverConfig::default()).unwrap();
         assert!(m.is_feasible(&sol.values, 1e-6));
         // Bound comes from the LP root: 1.5 <= heuristic objective.
         assert!(sol.best_bound <= sol.objective + 1e-9);
@@ -545,7 +554,8 @@ mod tests {
 
     /// The solve cache keys on `Solver::name()`: the two parity modes run
     /// different pivot sequences under a budget, so their names — and hence
-    /// their cache keys — must never collide.
+    /// their cache keys — must never collide. The default (sparse + fast)
+    /// is the unsuffixed name; the oracle modes carry the suffixes.
     #[test]
     fn parity_modes_produce_distinct_solver_names() {
         use crate::{LpParity, ParallelSolver};
@@ -556,12 +566,69 @@ mod tests {
             (par(LpParity::Exact).name(), par(LpParity::Fast).name()),
         ] {
             assert_ne!(exact, fast);
-            assert_eq!(fast, format!("{exact}+fastlp"), "fast mode is the suffixed name");
-            assert!(!exact.contains("fastlp"), "exact name stays unsuffixed: {exact}");
+            assert_eq!(exact, format!("{fast}-exactlp"), "oracle mode is the suffixed name");
+            assert!(!fast.contains("exactlp"), "default name stays unsuffixed: {fast}");
         }
+        let dense = SequentialSolver {
+            lp_engine: LpEngine::Dense,
+            lp_parity: LpParity::Fast,
+            ..SequentialSolver::default()
+        };
+        assert!(dense.name().ends_with("-denselp"), "{}", dense.name());
         // Through SolverOptions (the compiler's path) the suffix survives
         // the caching wrapper, so disk entries split by parity too.
         let opts = |parity| SolverOptions { lp_parity: parity, ..SolverOptions::default() };
         assert_ne!(opts(LpParity::Exact).solver().name(), opts(LpParity::Fast).solver().name());
+    }
+
+    /// The last rung of the ladder must run the engine the caller asked
+    /// for, not whatever the environment says: a dense-engine fallback
+    /// records no factorization work, a sparse one does — both as the
+    /// `Heuristic` backend built by `SolverOptions::solver()` and as the
+    /// rung `DegradingSolver` falls to.
+    #[test]
+    fn heuristic_rung_honours_the_callers_lp_engine() {
+        use crate::stats::SolveActivity;
+        use std::sync::Arc;
+        let m = cover_model();
+        let cfg = SolverConfig::default();
+        let factorizations = |solver: &dyn Solver| {
+            let scope = Arc::new(SolveActivity::default());
+            let sol = SolveActivity::scoped(&scope, || solver.solve(&m, &cfg)).unwrap();
+            assert!(m.is_feasible(&sol.values, 1e-6));
+            (sol.degraded, scope.snapshot().lu_factorizations)
+        };
+        for (lp_engine, factorizes) in [(LpEngine::Sparse, true), (LpEngine::Dense, false)] {
+            let options = SolverOptions {
+                backend: SolverBackend::Heuristic,
+                cache: false,
+                lp_engine,
+                ..SolverOptions::default()
+            };
+            let (degraded, lu) = factorizations(options.solver().as_ref());
+            assert!(!degraded);
+            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via SolverOptions");
+
+            let ladder = DegradingSolver::new(
+                Box::new(FailingSolver),
+                HeuristicSolver { lp_engine, lp_parity: LpParity::Fast },
+            );
+            let (degraded, lu) = factorizations(&ladder);
+            assert!(degraded);
+            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via DegradingSolver");
+        }
+    }
+
+    /// An exact rung that always exhausts its budget.
+    struct FailingSolver;
+
+    impl Solver for FailingSolver {
+        fn name(&self) -> String {
+            "failing".into()
+        }
+
+        fn solve(&self, _: &Model, _: &SolverConfig) -> Result<Solution, IlpError> {
+            Err(IlpError::NoIncumbent)
+        }
     }
 }

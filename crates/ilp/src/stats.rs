@@ -55,19 +55,19 @@ pub struct SolveStats {
     /// The subset of [`refactor_triggers`](SolveStats::refactor_triggers)
     /// caused by eta-file fill rather than update count.
     pub refactor_fill_triggers: u64,
-    /// Devex reference-framework resets under `TAPACS_LP_PARITY=fast`
+    /// Devex reference-framework resets under fast parity
     /// (weights regrown past the stability ceiling and re-primed to 1).
     pub devex_resets: u64,
-    /// Forrest–Tomlin-style eta replacements under `TAPACS_LP_PARITY=fast`:
+    /// Forrest–Tomlin-style eta replacements under fast parity:
     /// pivots whose update eta *composed into* the previous same-row eta
     /// instead of appending, keeping the eta file from growing.
     pub ft_replacements: u64,
-    /// Hybrid-pricing switches under `TAPACS_LP_PARITY=fast`: node solves
+    /// Hybrid-pricing switches under fast parity (the default): node solves
     /// that outgrew the banded-Dantzig opening and switched to devex
     /// pricing mid-solve. A pure function of each node's iteration count,
     /// so the total is identical across `TAPACS_SOLVER_THREADS` values.
     pub pricing_switches: u64,
-    /// Partial-pricing wrap-arounds under `TAPACS_LP_PARITY=fast`: rotating
+    /// Partial-pricing wrap-arounds under fast parity: rotating
     /// section scans that exhausted the candidate list and restarted from
     /// the front (each wrap is one full-width pricing pass).
     pub partial_pricing_refreshes: u64,

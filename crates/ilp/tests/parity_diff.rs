@@ -1,13 +1,15 @@
 //! Differential tests: fast LP parity against the bit-exact baseline.
 //!
-//! `TAPACS_LP_PARITY=fast` licenses the sparse engine to deviate from the
+//! The default fast parity licenses the sparse engine to deviate from the
 //! dense oracle's arithmetic — devex pricing, Forrest–Tomlin eta
 //! replacement, dual-simplex warm re-solves, fill-triggered mid-solve
 //! refactorization. The contract it must still honor: on every model, both
 //! parities agree on the solve *status*, and — when optimal — on the
-//! objective to 1e-6, under every combination of presolve and node-LP warm
-//! starting. Random bounded models probe that contract here, for full
-//! branch-and-bound solves and for pure LPs (no integral variables).
+//! objective to 1e-6, under every combination of engine, presolve and
+//! node-LP warm starting, and every answer passes the independent
+//! [`certify`] check against the original model. Random bounded models
+//! probe that contract here, for full branch-and-bound solves and for pure
+//! LPs (no integral variables).
 //!
 //! Parities are pinned explicitly through [`SequentialSolver::lp_parity`],
 //! so the suite is independent of the `TAPACS_LP_PARITY` environment
@@ -15,7 +17,8 @@
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SequentialSolver, Solver, SolverConfig,
+    certify, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SequentialSolver, Solver,
+    SolverConfig,
 };
 
 /// A random bounded model: `nb` binaries plus box-bounded continuous
@@ -47,28 +50,27 @@ fn random_model(obj: &[i32], rows: &[(Vec<i32>, i32, bool)], nb: usize, maximize
     m
 }
 
-/// Solves `model` under one parity/presolve/warm configuration, reduced to
-/// a comparable verdict: `Ok(objective)` or `Err("infeasible")`. Any other
-/// error fails the test.
+/// Solves `model` under one engine/parity/presolve/warm configuration,
+/// reduced to a comparable verdict: `Ok(objective)` or `Err("infeasible")`.
+/// Any other error, or an answer the certificate rejects, fails the test.
 fn verdict(
     model: &Model,
+    lp_engine: LpEngine,
     parity: LpParity,
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver = SequentialSolver {
-        warm_start: true,
-        presolve,
-        warm_lp,
-        lp_engine: LpEngine::Sparse,
-        lp_parity: parity,
-    };
-    match solver.solve(model, &SolverConfig::default()) {
+    let solver =
+        SequentialSolver { warm_start: true, presolve, warm_lp, lp_engine, lp_parity: parity };
+    let config = SolverConfig::default();
+    match solver.solve(model, &config) {
         Ok(sol) => {
-            assert!(
-                model.is_feasible(&sol.values, 1e-6),
-                "infeasible point from parity={parity:?} presolve={presolve} warm={warm_lp}"
-            );
+            if let Err(why) = certify(model, &config, &sol) {
+                panic!(
+                    "uncertified answer from engine={lp_engine:?} parity={parity:?} \
+                     presolve={presolve} warm={warm_lp}: {why}"
+                );
+            }
             Ok(sol.objective)
         }
         Err(IlpError::Infeasible) => Err("infeasible"),
@@ -97,23 +99,26 @@ proptest! {
             .collect();
         let model = random_model(&obj, &rows, nb, maximize);
 
-        let baseline = verdict(&model, LpParity::Exact, true, true);
-        for parity in [LpParity::Exact, LpParity::Fast] {
-            for presolve in [true, false] {
-                for warm_lp in [true, false] {
-                    let got = verdict(&model, parity, presolve, warm_lp);
-                    match (&baseline, &got) {
-                        (Ok(a), Ok(b)) => prop_assert!(
-                            (a - b).abs() <= 1e-6,
-                            "objective mismatch: baseline {a} vs {b} \
-                             (parity={parity:?} presolve={presolve} warm={warm_lp})"
-                        ),
-                        (Err(_), Err(_)) => {}
-                        _ => prop_assert!(
-                            false,
-                            "status mismatch: baseline {baseline:?} vs {got:?} \
-                             (parity={parity:?} presolve={presolve} warm={warm_lp})"
-                        ),
+        let baseline = verdict(&model, LpEngine::Sparse, LpParity::Exact, true, true);
+        for engine in [LpEngine::Sparse, LpEngine::Dense] {
+            for parity in [LpParity::Exact, LpParity::Fast] {
+                for presolve in [true, false] {
+                    for warm_lp in [true, false] {
+                        let got = verdict(&model, engine, parity, presolve, warm_lp);
+                        match (&baseline, &got) {
+                            (Ok(a), Ok(b)) => prop_assert!(
+                                (a - b).abs() <= 1e-6,
+                                "objective mismatch: baseline {a} vs {b} (engine={engine:?} \
+                                 parity={parity:?} presolve={presolve} warm={warm_lp})"
+                            ),
+                            (Err(_), Err(_)) => {}
+                            _ => prop_assert!(
+                                false,
+                                "status mismatch: baseline {baseline:?} vs {got:?} \
+                                 (engine={engine:?} parity={parity:?} presolve={presolve} \
+                                 warm={warm_lp})"
+                            ),
+                        }
                     }
                 }
             }
@@ -138,15 +143,22 @@ proptest! {
             .map(|(c, rhs, le)| (c[..n].to_vec(), rhs, le))
             .collect();
         let model = random_model(&obj, &rows, 0, maximize);
-        let exact = verdict(&model, LpParity::Exact, true, true);
-        let fast = verdict(&model, LpParity::Fast, true, true);
-        match (&exact, &fast) {
-            (Ok(a), Ok(b)) => prop_assert!(
-                (a - b).abs() <= 1e-6,
-                "pure-LP objective mismatch: exact {a} vs fast {b}"
-            ),
-            (Err(_), Err(_)) => {}
-            _ => prop_assert!(false, "pure-LP status mismatch: {exact:?} vs {fast:?}"),
+        let exact = verdict(&model, LpEngine::Sparse, LpParity::Exact, true, true);
+        for (engine, parity) in
+            [(LpEngine::Sparse, LpParity::Fast), (LpEngine::Dense, LpParity::Exact)]
+        {
+            let other = verdict(&model, engine, parity, true, true);
+            match (&exact, &other) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    (a - b).abs() <= 1e-6,
+                    "pure-LP objective mismatch: exact {a} vs {engine:?}/{parity:?} {b}"
+                ),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(
+                    false,
+                    "pure-LP status mismatch: {exact:?} vs {engine:?}/{parity:?} {other:?}"
+                ),
+            }
         }
     }
 }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    IlpError, LinExpr, LpParity, Model, ParallelSolver, Sense, SequentialSolver, SolveActivity,
-    SolveStats, Solver, SolverConfig,
+    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, SequentialSolver,
+    SolveActivity, SolveStats, Solver, SolverConfig,
 };
 
 /// A random ≤-only knapsack-like model: always feasible (all-zeros works).
@@ -57,8 +57,15 @@ fn presolve_rich_model(values: &[u32], weights: &[u32], cap: u32, bound: u32) ->
 fn solve_fast_with_stats(m: &Model, threads: usize) -> (tapacs_ilp::Solution, SolveStats) {
     let handle = Arc::new(SolveActivity::default());
     let sol = SolveActivity::scoped(&handle, || {
-        ParallelSolver { threads, lp_parity: LpParity::Fast, ..Default::default() }
-            .solve(m, &SolverConfig::default())
+        // Engine and parity pinned: the kit lives in the sparse engine, and
+        // the CI legs that export `TAPACS_LP_ENGINE` must not redirect it.
+        ParallelSolver {
+            threads,
+            lp_engine: LpEngine::Sparse,
+            lp_parity: LpParity::Fast,
+            ..Default::default()
+        }
+        .solve(m, &SolverConfig::default())
     })
     .expect("fast-parity solve must succeed");
     (sol, handle.snapshot())
@@ -69,8 +76,10 @@ fn solve_fast_with_stats(m: &Model, threads: usize) -> (tapacs_ilp::Solution, So
 /// functions of the node, never of thread count or timing. A big
 /// symmetric tree (2·Σx ≤ odd cap forces every relaxation fractional)
 /// drives the search well past the kit-restart threshold, so the
-/// abandoned-attempt node count, the restarted tree and every pricing
-/// counter must come back identical at 1, 2 and 4 threads.
+/// abandoned-attempt node count, the restarted tree, every pricing
+/// counter, the pivots and the basis installs (which the restarted
+/// attempt recomputes with one FTRAN each) must come back identical at
+/// 1, 2 and 4 threads.
 #[test]
 fn fast_kit_restart_is_thread_invariant_on_a_big_tree() {
     let n = 15;
@@ -103,6 +112,21 @@ fn fast_kit_restart_is_thread_invariant_on_a_big_tree() {
         assert_eq!(
             stats_one.simplex_iterations, stats_t.simplex_iterations,
             "threads={threads} iterations"
+        );
+        // Basis installs under the kit-on one-FTRAN recompute. The split
+        // between fresh eliminations and memo replays is *not* compared:
+        // the factorization memo is per thread, so how many installs find
+        // a sibling's eta file depends on which worker ran which node —
+        // replays are bit-identical to fresh factorizations, so only the
+        // total is a function of the search.
+        assert_eq!(
+            stats_one.lu_factorizations + stats_one.memo_sibling_hits,
+            stats_t.lu_factorizations + stats_t.memo_sibling_hits,
+            "threads={threads} basis installs"
+        );
+        assert_eq!(
+            stats_one.refactor_triggers, stats_t.refactor_triggers,
+            "threads={threads} mid-solve refactorizations"
         );
     }
 }
@@ -257,6 +281,43 @@ proptest! {
                 stats_t.partial_pricing_refreshes);
             prop_assert_eq!(stats_one.simplex_iterations, stats_t.simplex_iterations,
                 "threads={} iteration counts diverged", threads);
+        }
+    }
+
+    /// The independent certificate accepts every answer of every LP
+    /// configuration — both engines, both parities, both branch-and-bound
+    /// backends — on both random model families of this file.
+    #[test]
+    fn certificate_accepts_every_engine_and_parity(
+        items in prop::collection::vec((1u32..50, 1u32..30), 2..9),
+        cap in 1u32..80,
+        bound in 0u32..2,
+    ) {
+        let values: Vec<u32> = items.iter().map(|(v, _)| *v).collect();
+        let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
+        let cfg = SolverConfig::default();
+        for m in [
+            knapsack_model(&values, &weights, cap).0,
+            presolve_rich_model(&values, &weights, cap, bound),
+        ] {
+            for lp_engine in [LpEngine::Sparse, LpEngine::Dense] {
+                for lp_parity in [LpParity::Fast, LpParity::Exact] {
+                    let backends: [(&str, Box<dyn Solver>); 2] = [
+                        ("sequential", Box::new(
+                            SequentialSolver { lp_engine, lp_parity, ..Default::default() },
+                        )),
+                        ("parallel", Box::new(
+                            ParallelSolver { threads: 2, lp_engine, lp_parity, ..Default::default() },
+                        )),
+                    ];
+                    for (name, solver) in backends {
+                        let sol = solver.solve(&m, &cfg).expect("all-zeros is feasible");
+                        let verdict = certify(&m, &cfg, &sol);
+                        prop_assert!(verdict.is_ok(),
+                            "{name} {lp_engine:?}/{lp_parity:?}: {verdict:?}");
+                    }
+                }
+            }
         }
     }
 

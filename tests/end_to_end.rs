@@ -160,3 +160,59 @@ fn all_flows_run_for_every_benchmark_quickly_at_f3() {
     }
     let _ = paper_flows(4);
 }
+
+/// The default LP path (fast parity, certified answers) buys exactly what
+/// the opt-in `Exact` oracle mode buys: on each of the four bundled apps
+/// the two compile to the same inter-FPGA cut width and the same achieved
+/// frequency (the 1e-6 relative contract of `reproduce bench`'s parity
+/// section), and neither needs the degradation ladder.
+#[test]
+fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
+    use tapa_cs::apps::{cnn, data, suite::paper_cluster};
+    use tapa_cs::core::{Compiler, CompilerConfig};
+    use tapa_cs::ilp::LpParity;
+    use tapa_cs::SolverOptions;
+
+    let flow = Flow::TapaCs { n_fpgas: 2 };
+    let apps = [
+        ("stencil", stencil::build(&stencil::StencilConfig::paper(64, 2))),
+        ("cnn", cnn::build(&cnn::CnnConfig { rows: 13, cols: 4, n_fpgas: 2 })),
+        (
+            "pagerank",
+            pagerank::build(&pagerank::PageRankConfig::paper(data::snap_networks()[0], 2)),
+        ),
+        // 12 of the paper's 18 blue modules per FPGA: a few thousand
+        // branch-and-bound nodes, enough to cross the kit-restart threshold
+        // (so the default really runs the dual repair and the one-FTRAN
+        // installs) without the full design's minutes in a debug build.
+        (
+            "knn",
+            knn::build(&knn::KnnConfig {
+                blue_per_fpga: 12,
+                ..knn::KnnConfig::paper(1_000_000, 2, 2)
+            }),
+        ),
+    ];
+    for (app, graph) in apps {
+        // Cache off: both sides are live solves, not replays.
+        let compile = |solver: SolverOptions| {
+            let config = CompilerConfig { solver, ..CompilerConfig::default() };
+            Compiler::with_config(paper_cluster(2), config)
+                .compile(&graph, flow)
+                .unwrap_or_else(|e| panic!("{app} failed: {e}"))
+        };
+        let default = compile(SolverOptions { cache: false, ..SolverOptions::default() });
+        let exact = compile(SolverOptions {
+            cache: false,
+            lp_parity: LpParity::Exact,
+            ..SolverOptions::default()
+        });
+        assert!(!default.degraded && !exact.degraded, "{app}: a compile degraded");
+        assert_eq!(
+            default.partition.cut_width_bits, exact.partition.cut_width_bits,
+            "{app}: cut width"
+        );
+        let (fd, fe) = (default.design_freq_mhz(), exact.design_freq_mhz());
+        assert!((fd - fe).abs() <= 1e-6 * fe.abs(), "{app}: frequency {fd} vs exact {fe}");
+    }
+}
