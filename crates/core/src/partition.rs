@@ -932,25 +932,21 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_backends_find_the_same_cut() {
-        use tapacs_ilp::{SolverBackend, SolverOptions};
+    fn one_and_four_solver_threads_find_the_same_cut() {
+        use tapacs_ilp::SolverOptions;
         let g = two_communities(6);
         let mut results = Vec::new();
-        for (backend, threads) in [
-            (SolverBackend::Sequential, 1),
-            (SolverBackend::Parallel, 1),
-            (SolverBackend::Parallel, 4),
-        ] {
+        for threads in [1, 4] {
             let cfg = PartitionConfig {
-                solver: SolverOptions { backend, threads, cache: false, ..Default::default() },
+                solver: SolverOptions { threads, cache: false, ..Default::default() },
                 ..Default::default()
             };
             let p = partition(&g, &cluster(2), 2, &cfg).unwrap();
             results.push(p.cut_width_bits);
         }
-        // The optimal cut (the 32-bit bridge) is unique; every backend must
-        // find it.
-        assert_eq!(results, vec![32, 32, 32]);
+        // The optimal cut (the 32-bit bridge) is unique; every thread count
+        // must find it.
+        assert_eq!(results, vec![32, 32]);
     }
 
     #[test]

@@ -734,7 +734,7 @@ impl Solver for CachingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Sense, SequentialSolver};
+    use crate::{ParallelSolver, Sense};
 
     /// The cache is process-global and the test harness runs tests
     /// concurrently; serialize the tests that clear it or count deltas.
@@ -754,7 +754,8 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(SequentialSolver::default()));
+        let solver =
+            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
         let cfg = SolverConfig::default();
 
         let first = solver.solve(&model(1.0), &cfg).unwrap();
@@ -791,7 +792,8 @@ mod tests {
     fn clear_resets_counters() {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
-        let solver = CachingSolver::new(Box::new(SequentialSolver::default()));
+        let solver =
+            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
         solver.solve(&model(1.0), &SolverConfig::default()).unwrap();
         cache.clear();
         let stats = cache.stats();

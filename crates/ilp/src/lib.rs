@@ -6,14 +6,15 @@
 //! a sparse revised two-phase primal simplex for the LP relaxation (with a
 //! dense-tableau oracle behind [`LpEngine::Dense`] /
 //! `TAPACS_LP_ENGINE=dense`) and a
-//! best-first branch-and-bound search for integrality, with
+//! round-based branch-and-bound search for integrality, with
 //! an anytime incumbent and a wall-clock deadline so large instances behave
 //! like a commercial solver under a time limit.
 //!
-//! Solving is pluggable through the [`Solver`] trait: the sequential branch
-//! and bound ([`SequentialSolver`]), a deterministic [`ParallelSolver`]
-//! that expands the open-node frontier on a worker pool, and a greedy
-//! [`HeuristicSolver`] used as a warm-start incumbent. [`SolverOptions`]
+//! Solving is pluggable through the [`Solver`] trait: the branch and bound
+//! ([`ParallelSolver`], deterministic for any thread count — it expands the
+//! open-node frontier in fixed-width rounds, on a worker pool when given
+//! more than one thread) and a greedy [`HeuristicSolver`] used as a
+//! warm-start incumbent and as the degradation fallback. [`SolverOptions`]
 //! selects a backend (and the process-wide [`SolveCache`] memoization) and
 //! is what the TAPA-CS compiler threads through its configuration structs.
 //! Whatever path produced it, every answer returned by
@@ -87,7 +88,5 @@ pub use model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
 pub use parallel::ParallelSolver;
 pub use simplex::{LpEngine, LpParity};
 pub use solution::{Solution, SolveStatus};
-pub use solver::{
-    DegradingSolver, HeuristicSolver, SequentialSolver, Solver, SolverBackend, SolverOptions,
-};
+pub use solver::{DegradingSolver, HeuristicSolver, Solver, SolverBackend, SolverOptions};
 pub use stats::{SolveActivity, SolveStats};

@@ -324,9 +324,10 @@ impl Model {
         self.solve_with(&SolverConfig::default())
     }
 
-    /// Solves with an explicit configuration: the sequential branch and
-    /// bound under otherwise default [`crate::SolverOptions`], without the
+    /// Solves with an explicit configuration: the branch and bound on one
+    /// thread under otherwise default [`crate::SolverOptions`], without the
     /// heuristic incumbent seed, the memo cache or the degradation ladder.
+    /// Same search, point for point, as the compiler's multi-threaded solves.
     ///
     /// If the model has no integer variables this is a single simplex solve.
     ///
@@ -335,7 +336,8 @@ impl Model {
     /// See [`Model::solve`].
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, IlpError> {
         let options = crate::SolverOptions {
-            backend: crate::SolverBackend::Sequential,
+            backend: crate::SolverBackend::Parallel,
+            threads: 1,
             warm_start: false,
             cache: false,
             degrade: false,

@@ -10,9 +10,6 @@
 
 use std::sync::Arc;
 
-use crate::cancel::CancellationToken;
-use crate::simplex::{Basis, LpOutcome, PreparedLp, FEAS_TOL};
-
 /// One branching decision: `var`'s lower (or upper) bound moved to `value`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BoundDelta {
@@ -68,105 +65,19 @@ impl BoundChain {
     }
 }
 
-/// One solved child of a branched node, in raw (not minimize-direction)
-/// objective terms.
-pub(crate) struct ChildNode {
-    pub objective: f64,
-    pub chain: Arc<BoundChain>,
-    pub relax: Vec<f64>,
-    pub basis: Arc<Basis>,
-}
-
-/// Outcome of expanding one node into its (up to two) children.
-pub(crate) enum Expanded {
-    /// Children in deterministic `[down, up]` order (infeasible ones
-    /// dropped). `timed_out` marks an expansion cut short by the deadline.
-    Children { children: Vec<ChildNode>, timed_out: bool },
-    /// A child LP was unbounded — modelling error, abort the solve.
-    Unbounded,
-}
-
 /// The fast-parity kit — dual repair plus the hybrid devex switch —
-/// engages only from this node ordinal onward (the deterministic
-/// position of the expanded node in the driver's search order: pop count
-/// sequentially, `Node::seq` in parallel; the root solve counts as node
-/// zero). Small trees — a few hundred nodes — are fastest replaying the
-/// exact trajectory bit for bit: the kit reaches *different* optimal
-/// vertices whose denser bases and perturbed branching values grow
-/// exactly those trees. On big searches (thousands to hundreds of
-/// thousands of nodes) the kit's per-child pivot savings dwarf that
-/// effect. Both drivers number nodes deterministically and
-/// thread-invariantly, so the cutover never depends on timing or
+/// engages only once a search has expanded this many nodes (counted at
+/// round boundaries; the root solve is node zero). Small trees — a few
+/// hundred nodes — are fastest replaying the exact trajectory bit for bit:
+/// the kit reaches *different* optimal vertices whose denser bases and
+/// perturbed branching values grow exactly those trees. On big searches
+/// (thousands to hundreds of thousands of nodes) the kit's per-child pivot
+/// savings dwarf that effect. The driver counts nodes deterministically
+/// and thread-invariantly, so the cutover never depends on timing or
 /// `TAPACS_SOLVER_THREADS`.
 pub(crate) const FAST_KIT_AFTER_NODES: usize = 384;
 
-/// Solves the two branching children of a node: `branch_var <= floor(v)`
-/// and `branch_var >= ceil(v)`, warm-started from the node's basis when
-/// given. Shared by the sequential and parallel drivers so their branching
-/// semantics (bound arithmetic, deadline handling, chain construction)
-/// cannot drift apart — the backend-equivalence proptests depend on that.
-///
-/// `fast_kit` gates the fast-parity kit for both child solves; the
-/// drivers derive it from [`FAST_KIT_AFTER_NODES`].
-///
-/// `lower`/`upper` are reusable scratch buffers; they come back holding the
-/// *node's* bounds (every per-child tweak is restored).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn expand_children(
-    prep: &PreparedLp<'_>,
-    chain: &Arc<BoundChain>,
-    warm: Option<&Basis>,
-    branch_var: usize,
-    branch_value: f64,
-    token: Option<&CancellationToken>,
-    lower: &mut Vec<f64>,
-    upper: &mut Vec<f64>,
-    fast_kit: bool,
-) -> Expanded {
-    let lp = prep.lp;
-    chain.resolve(&lp.lower, &lp.upper, lower, upper);
-    let j = branch_var;
-    let (node_lo, node_hi) = (lower[j], upper[j]);
-    let mut children = Vec::with_capacity(2);
-    for (is_upper, value) in [(true, branch_value.floor()), (false, branch_value.ceil())] {
-        let (lo, hi) =
-            if is_upper { (node_lo, value.min(node_hi)) } else { (value.max(node_lo), node_hi) };
-        // An empty child box is pruned with the same tolerance the solver's
-        // own bound-sanity check uses, so the two paths cannot disagree on
-        // which children exist.
-        if lo > hi + FEAS_TOL {
-            continue;
-        }
-        // Honor the token before *every* child LP solve, not only at node
-        // pops: a deep dive must not overshoot the deadline by a subtree.
-        if token.is_some_and(CancellationToken::is_cancelled) {
-            return Expanded::Children { children, timed_out: true };
-        }
-        lower[j] = lo;
-        upper[j] = hi;
-        let outcome = prep.solve_node(lower, upper, warm, fast_kit);
-        lower[j] = node_lo;
-        upper[j] = node_hi;
-        match outcome {
-            LpOutcome::Optimal { values, objective, basis } => {
-                children.push(ChildNode {
-                    objective,
-                    chain: BoundChain::child(chain, BoundDelta { var: j, is_upper, value }),
-                    relax: values,
-                    basis: Arc::new(basis),
-                });
-            }
-            LpOutcome::Infeasible => {}
-            LpOutcome::Unbounded => return Expanded::Unbounded,
-            // A cancelled child LP keeps the children solved so far; the
-            // driver treats the node like a deadline-truncated expansion.
-            LpOutcome::Cancelled => return Expanded::Children { children, timed_out: true },
-        }
-    }
-    Expanded::Children { children, timed_out: false }
-}
-
-/// Shared branching rule: the integral variable whose relaxation value is
+/// The branching rule: the integral variable whose relaxation value is
 /// the most fractional (beyond `tol`), or `None` when the point is
 /// integral on every listed coordinate.
 pub(crate) fn most_fractional(relax: &[f64], integral: &[usize], tol: f64) -> Option<usize> {

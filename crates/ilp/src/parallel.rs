@@ -1,4 +1,5 @@
-//! Deterministic parallel branch and bound.
+//! Deterministic round-based branch and bound — the crate's one search
+//! driver.
 //!
 //! The search runs in synchronous rounds: every round pops the best (up to)
 //! [`BATCH`] open nodes off the frontier, expands them concurrently on a
@@ -11,11 +12,13 @@
 //! incumbent is the minimum over the candidate set no matter how worker
 //! updates interleave.
 //!
-//! Node solves are incremental exactly as in the sequential search: one
-//! root presolve, sparse [`BoundChain`] deltas instead of cloned bound
-//! vectors, and child LPs warm-started from the parent [`Basis`]. Both the
-//! chain and the basis are pure functions of the node, so warm starts do
-//! not disturb the thread-count independence.
+//! Node solves are incremental: one root presolve (see
+//! [`crate::presolve`]), sparse [`BoundChain`] deltas instead of cloned
+//! bound vectors, and child LPs warm-started from the parent [`Basis`] so
+//! they typically re-solve in a handful of pivots instead of running both
+//! simplex phases from scratch. Both the chain and the basis are pure
+//! functions of the node, so warm starts do not disturb the thread-count
+//! independence.
 //!
 //! Only wall-clock expiry ([`SolverConfig::time_limit`]) can break this
 //! determinism, because the cut-off point then depends on machine speed.
@@ -27,26 +30,30 @@
 //! Round-based exploration does speculative work pure best-first would
 //! prune — the classic parallel branch-and-bound efficiency < 1. The
 //! leader-follower round (the best node expands first and its incumbent
-//! bars dominated followers) and the width ramp bound the overhead at
-//! roughly 20% of solve time on a single core; worker-count parallelism
-//! on the surviving followers, plus the concurrent bipartition recursion
-//! in the TAPA-CS core, pay it back on multi-core hosts. A sequential
-//! fallback at `threads == 1` would be cheaper there but is deliberately
-//! ruled out: it would make `threads: 1` and `threads: N` explore
-//! different traces, breaking the bit-identical-results guarantee the
-//! compiler's determinism tests pin.
+//! bars dominated followers) and the width ramp bound the overhead.
+//! Measured at one thread against the best-first driver this one replaced
+//! (README, "Solver backends", has the table): the same node count to
+//! 0.02 % on the knn benchmark workload, 6 % fewer on cnn, 2.35× more on
+//! the stencil DSE grid, whose bound plateaus make the FIFO `seq` tie order
+//! and follower speculation expensive (ROADMAP item 3 keeps that open).
+//! A best-first shortcut at `threads == 1` is deliberately ruled out: it
+//! would make `threads: 1` and `threads: N` explore different traces,
+//! breaking the bit-identical-results guarantee the compiler's determinism
+//! tests pin.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use crate::branch_bound::{cancel_error, objective_of, presolved_root, round_repair, SolveParams};
+use crate::branch_bound::{
+    cancel_error, granularity_tightener, objective_of, presolved_root, round_repair,
+};
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
-use crate::node::{expand_children, most_fractional, BoundChain, Expanded};
+use crate::node::{most_fractional, BoundChain, BoundDelta, FAST_KIT_AFTER_NODES};
 use crate::presolve::PresolvedLp;
-use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp};
+use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, FEAS_TOL};
 use crate::solution::{Solution, SolveStatus};
 
 /// Frontier nodes expanded per synchronous round. Fixed (never derived from
@@ -151,41 +158,55 @@ fn offer(shared: &Mutex<Option<Incumbent>>, obj: f64, values: &[f64]) {
     }
 }
 
-/// Everything an expansion slot needs, shared read-only across workers.
+/// Everything the attempts and expansion slots of one solve share: built
+/// once in [`ParallelSolver::solve`](crate::Solver::solve), read-only from
+/// then on (workers borrow it).
 struct SearchCtx<'a> {
+    /// The solver's own flags: incumbent seed, LP warm starts, engine, parity.
+    solver: &'a ParallelSolver,
+    /// [`ParallelSolver::threads`] with `0` resolved.
+    workers: usize,
+    model: &'a Model,
+    config: &'a SolverConfig,
     full_lp: &'a LpProblem,
     pre: &'a PresolvedLp,
+    /// One shared prepared form (sparse matrix for the default engine) for
+    /// the root and every node solve.
     prep: &'a PreparedLp<'a>,
-    model: &'a Model,
     integral: &'a [usize],
     red_integral: &'a [usize],
-    config: &'a SolverConfig,
-    params: SolveParams,
-    /// This attempt's fast-kit verdict (see the kit-restart scheme in
-    /// [`solve`]); constant per attempt, so every slot prices identically.
-    kit: bool,
-    /// Deadline/cancel token shared by every slot (see
-    /// [`SolverConfig::cancel`]); `None` when the solve is unbounded in time
-    /// and nobody can cancel it.
+    /// One token for the whole solve: the configured deadline fused with any
+    /// caller-supplied cancellation, polled at round boundaries, before every
+    /// child LP solve, and inside the simplex iteration loops. `None` when
+    /// the solve is unbounded in time and nobody can cancel it.
     token: Option<CancellationToken>,
 }
 
+impl SearchCtx<'_> {
+    /// Internally the search minimizes; maximize models flip sign on the way
+    /// in and (the flip being its own inverse) on the way out.
+    fn to_min(&self, obj: f64) -> f64 {
+        if self.full_lp.minimize {
+            obj
+        } else {
+            -obj
+        }
+    }
+}
+
 /// Expands one node: either reports an integral candidate (offered to the
-/// shared incumbent) or returns the branched children (solved through the
-/// shared [`expand_children`] helper, so the branching semantics match the
-/// sequential driver exactly). No pruning happens here — children are
-/// pruned deterministically at merge time. `lo_buf`/`hi_buf` are per-worker
-/// scratch buffers.
+/// shared incumbent) or returns the branched children. No pruning happens
+/// here — children are pruned deterministically at merge time. `kit` is the
+/// attempt's fast-kit verdict (constant per attempt, so every slot prices
+/// identically); `lo_buf`/`hi_buf` are per-worker scratch buffers.
 fn expand_node(
     ctx: &SearchCtx<'_>,
+    kit: bool,
     incumbent: &Mutex<Option<Incumbent>>,
     node: &Node,
     lo_buf: &mut Vec<f64>,
     hi_buf: &mut Vec<f64>,
 ) -> Expansion {
-    let lp = &ctx.pre.lp;
-    let to_min = |obj: f64| if lp.minimize { obj } else { -obj };
-
     let Some(j) = most_fractional(&node.relax, ctx.red_integral, ctx.config.int_tol) else {
         // Integral point: candidate incumbent (checked in full space).
         let mut reduced = node.relax.clone();
@@ -197,166 +218,121 @@ fn expand_node(
             values[k] = values[k].round();
         }
         if ctx.model.is_feasible(&values, 1e-6) {
-            let obj = to_min(objective_of(ctx.full_lp, &values));
+            let obj = ctx.to_min(objective_of(ctx.full_lp, &values));
             offer(incumbent, obj, &values);
         }
         return Expansion::Candidate;
     };
-
-    let warm = if ctx.params.warm_lp { Some(node.basis.as_ref()) } else { None };
-    let token = ctx.token.as_ref();
-    match expand_children(
-        ctx.prep,
-        &node.chain,
-        warm,
-        j,
-        node.relax[j],
-        token,
-        lo_buf,
-        hi_buf,
-        ctx.kit,
-    ) {
-        Expanded::Unbounded => Expansion::Unbounded,
-        Expanded::Children { children, timed_out } => Expansion::Children {
-            children: children
-                .into_iter()
-                .map(|c| Child {
-                    bound: to_min(c.objective),
-                    chain: c.chain,
-                    relax: c.relax,
-                    basis: c.basis,
-                })
-                .collect(),
-            timed_out,
-        },
-    }
+    expand_children(ctx, kit, node, j, lo_buf, hi_buf)
 }
 
-pub(crate) fn solve(
-    model: &Model,
-    integral: &[usize],
-    config: &SolverConfig,
-    threads: usize,
-    params: SolveParams,
-) -> Result<Solution, IlpError> {
-    let full_lp = model.to_lp();
-    // One token for the whole search: the configured deadline fused with any
-    // caller-supplied cancellation, polled at round boundaries, before every
-    // child LP solve, and inside the simplex iteration loops.
-    let token = config.deadline_token();
-
-    let (pre, red_integral) = presolved_root(&full_lp, integral, params.presolve)?;
-    let lp = &pre.lp;
-    // One shared prepared form (sparse matrix for the default engine) for
-    // the root and every node solve — workers borrow it read-only.
-    let mut prep = PreparedLp::new(lp, params.lp_engine, params.lp_parity);
-    prep.set_cancel(token.clone());
-
-    // Fast-parity kit restart, same two-attempt scheme as the sequential
-    // driver (see [`crate::node::FAST_KIT_AFTER_NODES`]): attempt one
-    // replays the exact trajectory; a tree crossing the node threshold
-    // restarts from the root with the full kit. The trigger is the
-    // expanded-node count at a round boundary — a pure function of the
-    // model, so the restart decision is thread-count invariant.
-    match search_once(
-        model,
-        integral,
-        config,
-        threads,
-        params,
-        &full_lp,
-        &pre,
-        &red_integral,
-        &prep,
-        &token,
-        false,
-    )? {
-        Some(sol) => Ok(sol),
-        None => Ok(search_once(
-            model,
-            integral,
-            config,
-            threads,
-            params,
-            &full_lp,
-            &pre,
-            &red_integral,
-            &prep,
-            &token,
-            true,
-        )?
-        .expect("a kit-enabled search never requests a restart")),
-    }
-}
-
-/// One round-synchronous attempt. Returns `Ok(None)` when the fast-parity
-/// kit is off and the tree crossed [`crate::node::FAST_KIT_AFTER_NODES`].
-#[allow(clippy::too_many_arguments)]
-fn search_once(
-    model: &Model,
-    integral: &[usize],
-    config: &SolverConfig,
-    threads: usize,
-    params: SolveParams,
-    full_lp: &LpProblem,
-    pre: &PresolvedLp,
-    red_integral: &[usize],
-    prep: &PreparedLp<'_>,
-    token: &Option<CancellationToken>,
+/// Solves the two branching children of `node` on `branch_var`:
+/// `branch_var <= floor(v)` and `branch_var >= ceil(v)`, warm-started from
+/// the node's basis unless [`ParallelSolver::warm_lp`] is off.
+///
+/// `lower`/`upper` are reusable scratch buffers; they come back holding the
+/// *node's* bounds (every per-child tweak is restored).
+fn expand_children(
+    ctx: &SearchCtx<'_>,
     kit: bool,
-) -> Result<Option<Solution>, IlpError> {
-    let lp = &pre.lp;
-    let workers = threads.max(1);
-    let to_min = |obj: f64| if full_lp.minimize { obj } else { -obj };
-    let from_min = |obj: f64| if full_lp.minimize { obj } else { -obj };
-    let restart_eligible =
-        !kit && params.lp_parity == LpParity::Fast && matches!(params.lp_engine, LpEngine::Sparse);
+    node: &Node,
+    branch_var: usize,
+    lower: &mut Vec<f64>,
+    upper: &mut Vec<f64>,
+) -> Expansion {
+    let lp = &ctx.pre.lp;
+    let warm = if ctx.solver.warm_lp { Some(node.basis.as_ref()) } else { None };
+    node.chain.resolve(&lp.lower, &lp.upper, lower, upper);
+    let j = branch_var;
+    let branch_value = node.relax[j];
+    let (node_lo, node_hi) = (lower[j], upper[j]);
+    let mut children = Vec::with_capacity(2);
+    for (is_upper, value) in [(true, branch_value.floor()), (false, branch_value.ceil())] {
+        let (lo, hi) =
+            if is_upper { (node_lo, value.min(node_hi)) } else { (value.max(node_lo), node_hi) };
+        // An empty child box is pruned with the same tolerance the solver's
+        // own bound-sanity check uses, so the two paths cannot disagree on
+        // which children exist.
+        if lo > hi + FEAS_TOL {
+            continue;
+        }
+        // Honor the token before *every* child LP solve, not only at round
+        // boundaries: a deep dive must not overshoot the deadline by a
+        // subtree.
+        if ctx.token.as_ref().is_some_and(CancellationToken::is_cancelled) {
+            return Expansion::Children { children, timed_out: true };
+        }
+        lower[j] = lo;
+        upper[j] = hi;
+        let outcome = ctx.prep.solve_node(lower, upper, warm, kit);
+        lower[j] = node_lo;
+        upper[j] = node_hi;
+        match outcome {
+            LpOutcome::Optimal { values, objective, basis } => {
+                children.push(Child {
+                    bound: ctx.to_min(objective),
+                    chain: BoundChain::child(&node.chain, BoundDelta { var: j, is_upper, value }),
+                    relax: values,
+                    basis: Arc::new(basis),
+                });
+            }
+            LpOutcome::Infeasible => {}
+            LpOutcome::Unbounded => return Expansion::Unbounded,
+            // A cancelled child LP keeps the children solved so far; the
+            // merge treats the node like a deadline-truncated expansion.
+            LpOutcome::Cancelled => return Expansion::Children { children, timed_out: true },
+        }
+    }
+    Expansion::Children { children, timed_out: false }
+}
 
-    // Root = node zero: the kit verdict covers it, same rule as the
-    // sequential driver.
-    let root = match prep.solve_node(&lp.lower, &lp.upper, None, kit) {
+/// One round-synchronous attempt with the fast-parity kit on or off.
+/// Returns `Ok(None)` when the kit is off and the tree crossed
+/// [`FAST_KIT_AFTER_NODES`] — the caller restarts with `kit: true`.
+fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpError> {
+    let (config, lp) = (ctx.config, &ctx.pre.lp);
+    let restart_eligible = !kit
+        && ctx.solver.lp_parity == LpParity::Fast
+        && matches!(ctx.solver.lp_engine, LpEngine::Sparse);
+
+    // The root is node zero of the search: the kit verdict covers it too,
+    // so a small tree replays the exact trajectory from its very first
+    // solve and a restarted search prices its root with the full kit.
+    let root = match ctx.prep.solve_node(&lp.lower, &lp.upper, None, kit) {
         LpOutcome::Optimal { values, objective, basis } => Node {
-            bound: to_min(objective),
+            bound: ctx.to_min(objective),
             seq: 0,
             chain: BoundChain::root(),
             relax: values,
             basis: Arc::new(basis),
         },
         LpOutcome::Infeasible => return Err(IlpError::Infeasible),
+        // The relaxation is unbounded. With all-finite integer bounds the
+        // MIP itself may still be bounded, but for our use cases this
+        // signals a modelling error.
         LpOutcome::Unbounded => return Err(IlpError::Unbounded),
-        LpOutcome::Cancelled => return Err(cancel_error(token.as_ref())),
+        // Cancelled before the root relaxation finished: there is nothing
+        // to fall back on yet.
+        LpOutcome::Cancelled => return Err(cancel_error(ctx.token.as_ref())),
     };
     let root_bound = root.bound;
 
+    // Seed the incumbent from the already-solved root relaxation, at zero
+    // extra LP solves: plain rounding, escalated to the greedy first-fit
+    // repair walk (the [`crate::HeuristicSolver`] heuristic) when
+    // [`ParallelSolver::warm_start`] is on and rounding alone is infeasible.
+    // Candidates live in the *original* variable space (postsolved).
     let incumbent: Mutex<Option<Incumbent>> = Mutex::new(None);
-    let full_relax = pre.postsolve(&root.relax);
-    if let Some(rounded) = round_repair(model, &full_relax, integral, config.int_tol) {
-        let obj = to_min(objective_of(full_lp, &rounded));
-        offer(&incumbent, obj, &rounded);
-    } else if params.heuristic_seed {
-        // Greedy first-fit repair on the already-solved root relaxation —
-        // the warm-start incumbent, at zero extra LP solves.
-        if let Some(repaired) = crate::solver::greedy_repair(model, full_lp, &full_relax, integral)
-        {
-            let obj = to_min(objective_of(full_lp, &repaired));
-            offer(&incumbent, obj, &repaired);
-        }
+    let full_relax = ctx.pre.postsolve(&root.relax);
+    let mut seed = round_repair(ctx.model, &full_relax, ctx.integral);
+    if seed.is_none() && ctx.solver.warm_start {
+        seed = crate::solver::greedy_repair(ctx.model, ctx.full_lp, &full_relax, ctx.integral);
+    }
+    if let Some(point) = seed {
+        offer(&incumbent, ctx.to_min(objective_of(ctx.full_lp, &point)), &point);
     }
 
-    let ctx = SearchCtx {
-        full_lp,
-        pre,
-        prep,
-        model,
-        integral,
-        red_integral,
-        config,
-        params,
-        kit,
-        token: token.clone(),
-    };
-
-    let tighten = crate::branch_bound::granularity_tightener(config.objective_granularity);
+    let tighten = granularity_tightener(config.objective_granularity);
 
     let mut heap = BinaryHeap::new();
     let mut next_seq = 1u64;
@@ -388,9 +364,11 @@ fn search_once(
         while batch.len() < width {
             let Some(top) = heap.peek() else { break };
             if let Some(io) = inc_obj {
-                // Same granularity-tightened pruning as the sequential
-                // search: only the comparison is tightened, never the
-                // stored bound, so heap order stays thread-count invariant.
+                // Prune against the granularity-tightened bound. Only
+                // this comparison is tightened — stored bounds (and thus
+                // heap order) stay raw, so tightening never changes which
+                // incumbent the search returns, only how early it stops
+                // proving.
                 if tighten(top.bound) >= io - config.mip_gap.max(1e-12) * io.abs().max(1.0) {
                     gap_closed = true;
                     break;
@@ -406,7 +384,7 @@ fn search_once(
         }
         best_open_bound = batch[0].bound;
         nodes += batch.len();
-        if restart_eligible && nodes >= crate::node::FAST_KIT_AFTER_NODES {
+        if restart_eligible && nodes >= FAST_KIT_AFTER_NODES {
             // The abandoned attempt's nodes still count as explored work.
             crate::stats::record(|a| a.record_bb_nodes(nodes as u64));
             return Ok(None);
@@ -415,7 +393,7 @@ fn search_once(
             budget_hit = true;
             break;
         }
-        if token.as_ref().is_some_and(CancellationToken::is_cancelled) {
+        if ctx.token.as_ref().is_some_and(CancellationToken::is_cancelled) {
             budget_hit = true;
             break;
         }
@@ -429,21 +407,27 @@ fn search_once(
         // thread-count independent.
         let mut results: Vec<Option<Expansion>> = Vec::new();
         results.resize_with(batch.len(), || None);
-        results[0] = Some(expand_node(&ctx, &incumbent, &batch[0], &mut lo_buf, &mut hi_buf));
+        results[0] = Some(expand_node(ctx, kit, &incumbent, &batch[0], &mut lo_buf, &mut hi_buf));
         let bar = incumbent.lock().unwrap().as_ref().map(|i| i.obj);
         let survives = |node: &Node| {
             bar.is_none_or(|io| {
                 tighten(node.bound) < io - config.mip_gap.max(1e-12) * io.abs().max(1.0)
             })
         };
-        let followers = batch.len() - 1;
-        let active = workers.min(followers);
-        if active <= 1 {
-            for (node, slot) in batch[1..].iter().zip(results[1..].iter_mut()) {
+        let expand_chunk = |nodes: &[Node],
+                            slots: &mut [Option<Expansion>],
+                            lo: &mut Vec<f64>,
+                            hi: &mut Vec<f64>| {
+            for (node, slot) in nodes.iter().zip(slots) {
                 if survives(node) {
-                    *slot = Some(expand_node(&ctx, &incumbent, node, &mut lo_buf, &mut hi_buf));
+                    *slot = Some(expand_node(ctx, kit, &incumbent, node, lo, hi));
                 }
             }
+        };
+        let followers = batch.len() - 1;
+        let active = ctx.workers.min(followers);
+        if active <= 1 {
+            expand_chunk(&batch[1..], &mut results[1..], &mut lo_buf, &mut hi_buf);
         } else {
             let chunk = followers.div_ceil(active);
             // Per-job activity scopes are thread-local: hand the caller's
@@ -455,27 +439,17 @@ fn search_once(
                     batch[1..].chunks(chunk).zip(results[1..].chunks_mut(chunk)).collect();
                 let (first_nodes, first_slots) = pairs.remove(0);
                 for (nodes_chunk, slots_chunk) in pairs {
-                    let (ctx, incumbent, survives) = (&ctx, &incumbent, &survives);
-                    let scope = scope.clone();
+                    let (expand_chunk, scope) = (&expand_chunk, scope.clone());
                     s.spawn(move || {
                         crate::stats::SolveActivity::scoped_opt(scope, || {
                             // One scratch pair per worker chunk, reused
                             // across its nodes.
                             let (mut lo, mut hi) = (Vec::new(), Vec::new());
-                            for (node, slot) in nodes_chunk.iter().zip(slots_chunk.iter_mut()) {
-                                if survives(node) {
-                                    *slot =
-                                        Some(expand_node(ctx, incumbent, node, &mut lo, &mut hi));
-                                }
-                            }
+                            expand_chunk(nodes_chunk, slots_chunk, &mut lo, &mut hi);
                         });
                     });
                 }
-                for (node, slot) in first_nodes.iter().zip(first_slots.iter_mut()) {
-                    if survives(node) {
-                        *slot = Some(expand_node(&ctx, &incumbent, node, &mut lo_buf, &mut hi_buf));
-                    }
-                }
+                expand_chunk(first_nodes, first_slots, &mut lo_buf, &mut hi_buf);
             });
         }
 
@@ -513,14 +487,15 @@ fn search_once(
         }
     }
 
-    // Node-tree size is the canary for pricing-rule regressions; record it
-    // for every finished search (same hook as the sequential driver).
+    // Node-tree size is the canary for pricing-rule regressions (a pricing
+    // change that reaches different LP vertices shows up here before it
+    // shows up in wall time), so every finished search records it.
     crate::stats::record(|a| a.record_bb_nodes(nodes as u64));
 
     // An external cancel aborts outright — the caller asked the job to stop,
     // so even an incumbent on hand is not returned. Deadline expiry instead
     // degrades to the anytime incumbent below.
-    if token.as_ref().is_some_and(CancellationToken::cancelled_externally) {
+    if ctx.token.as_ref().is_some_and(CancellationToken::cancelled_externally) {
         return Err(IlpError::Cancelled);
     }
 
@@ -532,12 +507,14 @@ fn search_once(
                     <= config.mip_gap.max(1e-9) * obj.abs().max(1.0) + 1e-9;
             Ok(Some(Solution {
                 status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
-                objective: from_min(obj),
+                objective: ctx.to_min(obj),
                 values,
                 nodes_explored: nodes,
-                best_bound: from_min(if exhausted { obj } else { best_open_bound }),
-                // Anytime result cut short by the budget: usable, but kept
-                // out of the persistent cache and Pareto frontiers.
+                best_bound: ctx.to_min(if exhausted { obj } else { best_open_bound }),
+                // A budget-truncated incumbent is an *anytime* result: how
+                // good it is depends on when the clock stopped. Marking it
+                // degraded keeps it out of the persistent solve cache and
+                // out of Pareto frontiers.
                 degraded: budget_hit && !proven,
             }))
         }
@@ -551,14 +528,14 @@ fn search_once(
     }
 }
 
-/// Best-first parallel branch and bound over the simplex LP relaxation.
+/// Round-based branch and bound over the simplex LP relaxation — the exact
+/// search behind [`crate::SolverBackend::Parallel`] and [`Model::solve`].
 ///
-/// Returns solutions with the same objective value as
-/// [`crate::SequentialSolver`] (both are exact searches under the same
-/// pruning margins) and is *value-deterministic*: for a given model and
-/// configuration the returned point is identical for every `threads` value,
-/// including 1 — a fixed per-round batch keeps the exploration trace
-/// independent of the worker count (see the module source for details).
+/// *Value-deterministic*: for a given model and configuration the returned
+/// point is identical for every `threads` value, including 1 — a fixed
+/// per-round batch keeps the exploration trace independent of the worker
+/// count (see the module source for details). At `threads: 1` no thread is
+/// ever spawned.
 #[derive(Debug, Clone)]
 pub struct ParallelSolver {
     /// Worker threads per solve. `0` means
@@ -617,19 +594,40 @@ impl crate::Solver for ParallelSolver {
                 config.deadline_token(),
             );
         }
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
+        let full_lp = model.to_lp();
+        let token = config.deadline_token();
+        let (pre, red_integral) = presolved_root(&full_lp, &integral, self.presolve)?;
+        let mut prep = PreparedLp::new(&pre.lp, self.lp_engine, self.lp_parity);
+        prep.set_cancel(token.clone());
+        let ctx = SearchCtx {
+            solver: self,
+            workers: crate::solver::resolve_threads(self.threads),
+            model,
+            config,
+            full_lp: &full_lp,
+            pre: &pre,
+            prep: &prep,
+            integral: &integral,
+            red_integral: &red_integral,
+            token,
         };
-        let params = SolveParams {
-            heuristic_seed: self.warm_start,
-            presolve: self.presolve,
-            warm_lp: self.warm_lp,
-            lp_engine: self.lp_engine,
-            lp_parity: self.lp_parity,
-        };
-        solve(model, &integral, config, threads, params)
+
+        // Fast-parity kit restart (see [`FAST_KIT_AFTER_NODES`]): the first
+        // attempt runs with the kit off — bit-exact replay of the exact
+        // trajectory, which is the fastest regime for small trees. If the
+        // tree crosses the node threshold the search has proven big, the
+        // attempt is abandoned and the whole search restarts with the kit on
+        // from the root, where its per-solve savings repay the ~threshold
+        // redone nodes many times over. The trigger is the expanded-node
+        // count at a round boundary — a pure function of the model, so the
+        // restart decision and the restarted trajectory are deterministic
+        // and thread-count invariant.
+        match search_once(&ctx, false)? {
+            Some(sol) => Ok(sol),
+            None => {
+                Ok(search_once(&ctx, true)?.expect("a kit-enabled search never requests a restart"))
+            }
+        }
     }
 }
 
@@ -654,15 +652,21 @@ mod tests {
         m
     }
 
+    /// The convenience path *is* the production driver: `Model::solve_with`
+    /// runs this search at one thread, so it returns the bit-identical
+    /// point and tree as an explicit four-thread solve.
     #[test]
-    fn matches_sequential_objective() {
+    fn model_solve_with_runs_this_driver() {
         let m = knapsack(12);
         let cfg = SolverConfig::default();
-        let seq = m.solve_with(&cfg).unwrap();
+        let convenience = m.solve_with(&cfg).unwrap();
         let par = ParallelSolver { threads: 4, warm_start: false, ..Default::default() }
             .solve(&m, &cfg)
             .unwrap();
-        assert!((seq.objective - par.objective).abs() < 1e-6);
+        assert_eq!(convenience.values, par.values);
+        assert_eq!(convenience.objective.to_bits(), par.objective.to_bits());
+        assert_eq!(convenience.nodes_explored, par.nodes_explored);
+        assert!(par.nodes_explored > 0, "the knapsack must actually branch");
     }
 
     #[test]

@@ -172,13 +172,20 @@ pub enum LpEngine {
     Dense,
 }
 
+/// Whether environment variable `name` spells `word`, ignoring ASCII case
+/// and surrounding whitespace — the one parse rule of the LP mode variables.
+fn env_spells(name: &str, word: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| v.trim().eq_ignore_ascii_case(word))
+}
+
 impl LpEngine {
     /// Reads `TAPACS_LP_ENGINE` (`dense` selects the oracle engine; any
     /// other value, or unset, selects the sparse default).
     pub fn from_env() -> LpEngine {
-        match std::env::var("TAPACS_LP_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => LpEngine::Dense,
-            _ => LpEngine::Sparse,
+        if env_spells("TAPACS_LP_ENGINE", "dense") {
+            LpEngine::Dense
+        } else {
+            LpEngine::Sparse
         }
     }
 }
@@ -228,9 +235,10 @@ impl LpParity {
     /// Reads `TAPACS_LP_PARITY` (`exact` selects the oracle-replay mode;
     /// any other value, or unset, keeps the fast default).
     pub fn from_env() -> LpParity {
-        match std::env::var("TAPACS_LP_PARITY") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("exact") => LpParity::Exact,
-            _ => LpParity::Fast,
+        if env_spells("TAPACS_LP_PARITY", "exact") {
+            LpParity::Exact
+        } else {
+            LpParity::Fast
         }
     }
 }

@@ -5,18 +5,18 @@
 //! subproblems independent. The [`Solver`] trait decouples *what* is solved
 //! ([`Model`] + [`SolverConfig`]) from *how*:
 //!
-//! * [`SequentialSolver`] — the classic best-first branch and bound.
-//! * [`crate::ParallelSolver`] — deterministic parallel branch and bound
-//!   (round-based frontier expansion on a worker pool).
+//! * [`crate::ParallelSolver`] — the branch and bound: deterministic
+//!   round-based frontier expansion, on a worker pool when given more than
+//!   one thread.
 //! * [`HeuristicSolver`] — greedy LP rounding with first-fit repair; fast,
-//!   feasibility-only. The branch-and-bound backends use its point as a
-//!   warm-start incumbent.
+//!   feasibility-only. The branch and bound uses its point as a warm-start
+//!   incumbent.
 //!
 //! [`SolverOptions`] is the caller-facing selection knob; it also powers the
-//! `TAPACS_SOLVER_BACKEND` / `TAPACS_SOLVER_THREADS` environment overrides
-//! that CI uses to force single-threaded runs.
+//! `TAPACS_SOLVER_THREADS` environment override that CI uses to force
+//! single-threaded runs.
 
-use crate::branch_bound::{self, cancel_error, SolveParams};
+use crate::branch_bound::cancel_error;
 use crate::cache::CachingSolver;
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
@@ -84,9 +84,8 @@ pub(crate) fn solve_lp(
 /// index order, taking the unit step that most reduces total constraint
 /// violation, until feasible or stuck. Fully deterministic.
 ///
-/// The branch-and-bound backends call this on their *already solved* root
-/// relaxation to seed the incumbent, so the warm start costs no extra LP
-/// solve.
+/// The branch and bound calls this on its *already solved* root relaxation
+/// to seed the incumbent, so the warm start costs no extra LP solve.
 pub(crate) fn greedy_repair(
     model: &Model,
     lp: &crate::simplex::LpProblem,
@@ -147,11 +146,11 @@ pub(crate) fn greedy_repair(
     model.is_feasible(&point, 1e-6).then_some(point)
 }
 
-/// The LP half of a branch-and-bound backend's [`Solver::name`] — and so of
-/// the solve-cache key. The default pair (sparse engine, fast parity) is
-/// unsuffixed; the oracle engine and the oracle-replay parity each add a
-/// suffix, so an answer computed under either can never be served under
-/// the default's name.
+/// The LP half of a backend's [`Solver::name`] — and so of the solve-cache
+/// key. The default pair (sparse engine, fast parity) is unsuffixed; the
+/// oracle engine and the oracle-replay parity each add a suffix, so an
+/// answer computed under either can never be served under the default's
+/// name.
 pub(crate) fn lp_name_suffix(engine: LpEngine, parity: LpParity) -> &'static str {
     match (engine, parity) {
         (LpEngine::Sparse, LpParity::Fast) => "",
@@ -161,74 +160,12 @@ pub(crate) fn lp_name_suffix(engine: LpEngine, parity: LpParity) -> &'static str
     }
 }
 
-/// Best-first sequential branch and bound — the original TAPA-CS solve
-/// path, now one backend among several.
-#[derive(Debug, Clone)]
-pub struct SequentialSolver {
-    /// Seed the incumbent with [`HeuristicSolver`]'s point before the
-    /// search starts.
-    pub warm_start: bool,
-    /// Run the root presolve (see [`SolverOptions::presolve`]).
-    pub presolve: bool,
-    /// Warm-start child LPs from the parent basis.
-    pub warm_lp: bool,
-    /// Which simplex engine runs the node LP relaxations.
-    pub lp_engine: LpEngine,
-    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
-    pub lp_parity: LpParity,
-}
-
-impl Default for SequentialSolver {
-    fn default() -> Self {
-        Self {
-            warm_start: true,
-            presolve: true,
-            warm_lp: true,
-            lp_engine: LpEngine::from_env(),
-            lp_parity: LpParity::from_env(),
-        }
-    }
-}
-
-impl Solver for SequentialSolver {
-    fn name(&self) -> String {
-        let mut name = String::from("sequential");
-        if self.warm_start {
-            name.push_str("+warm");
-        }
-        if !self.presolve {
-            name.push_str("-nopresolve");
-        }
-        if !self.warm_lp {
-            name.push_str("-coldlp");
-        }
-        name.push_str(lp_name_suffix(self.lp_engine, self.lp_parity));
-        name
-    }
-
-    fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let integral = model.integral_vars();
-        if integral.is_empty() {
-            // Honor the configured engine even on the pure-LP fast path.
-            return solve_lp(model, self.lp_engine, self.lp_parity, config.deadline_token());
-        }
-        let params = SolveParams {
-            heuristic_seed: self.warm_start,
-            presolve: self.presolve,
-            warm_lp: self.warm_lp,
-            lp_engine: self.lp_engine,
-            lp_parity: self.lp_parity,
-        };
-        branch_bound::solve(model, &integral, config, params)
-    }
-}
-
 /// Greedy LP-rounding + first-fit repair, packaged as a [`Solver`].
 ///
 /// Returns a *feasible* point fast (status [`SolveStatus::Feasible`], with
 /// the root LP objective as `best_bound`) or [`IlpError::NoIncumbent`] when
-/// the repair walk stalls. The branch-and-bound backends call the same
-/// heuristic internally for their warm start.
+/// the repair walk stalls. The branch and bound calls the same heuristic
+/// internally for its warm start.
 #[derive(Debug, Clone, Copy)]
 pub struct HeuristicSolver {
     /// Which simplex engine solves the root relaxation.
@@ -239,7 +176,7 @@ pub struct HeuristicSolver {
 
 impl Solver for HeuristicSolver {
     fn name(&self) -> String {
-        "heuristic".into()
+        format!("heuristic{}", lp_name_suffix(self.lp_engine, self.lp_parity))
     }
 
     fn solve(&self, model: &Model, _config: &SolverConfig) -> Result<Solution, IlpError> {
@@ -277,9 +214,7 @@ impl Solver for HeuristicSolver {
 /// Which [`Solver`] implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SolverBackend {
-    /// [`SequentialSolver`]: best-first branch and bound on one thread.
-    Sequential,
-    /// [`crate::ParallelSolver`]: deterministic parallel branch and bound.
+    /// [`crate::ParallelSolver`]: deterministic branch and bound, exact.
     Parallel,
     /// [`HeuristicSolver`]: greedy feasibility only (no optimality).
     Heuristic,
@@ -294,7 +229,6 @@ pub enum SolverBackend {
 /// [`SolverOptions::default`] honours these variables so CI can pin the
 /// solver without touching code:
 ///
-/// * `TAPACS_SOLVER_BACKEND` — `sequential`, `parallel` or `heuristic`;
 /// * `TAPACS_SOLVER_THREADS` — worker count (`0` = all cores);
 /// * `TAPACS_PRESOLVE` — `0` disables the root presolve;
 /// * `TAPACS_LP_WARM` — `0` disables LP warm starts (every node solves
@@ -350,14 +284,6 @@ impl Default for SolverOptions {
             lp_parity: LpParity::from_env(),
             degrade: true,
         };
-        if let Ok(backend) = std::env::var("TAPACS_SOLVER_BACKEND") {
-            match backend.trim().to_ascii_lowercase().as_str() {
-                "sequential" => options.backend = SolverBackend::Sequential,
-                "parallel" => options.backend = SolverBackend::Parallel,
-                "heuristic" => options.backend = SolverBackend::Heuristic,
-                _ => {}
-            }
-        }
         if let Ok(threads) = std::env::var("TAPACS_SOLVER_THREADS") {
             if let Ok(n) = threads.trim().parse::<usize>() {
                 options.threads = n;
@@ -376,12 +302,16 @@ impl Default for SolverOptions {
     }
 }
 
-impl SolverOptions {
-    /// The sequential backend (otherwise default options).
-    pub fn sequential() -> Self {
-        Self { backend: SolverBackend::Sequential, ..Self::default() }
+/// A configured worker count with `0` resolved to the machine's parallelism.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        threads
     }
+}
 
+impl SolverOptions {
     /// The parallel backend with an explicit worker count.
     pub fn parallel(threads: usize) -> Self {
         Self { backend: SolverBackend::Parallel, threads, ..Self::default() }
@@ -389,11 +319,7 @@ impl SolverOptions {
 
     /// Worker count with `0` resolved to the machine's parallelism.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        }
+        resolve_threads(self.threads)
     }
 
     /// Whether callers should also run *independent subproblems* (the two
@@ -412,13 +338,6 @@ impl SolverOptions {
     pub fn solver(&self) -> Box<dyn Solver> {
         let heuristic = HeuristicSolver { lp_engine: self.lp_engine, lp_parity: self.lp_parity };
         let base: Box<dyn Solver> = match self.backend {
-            SolverBackend::Sequential => Box::new(SequentialSolver {
-                warm_start: self.warm_start,
-                presolve: self.presolve,
-                warm_lp: self.warm_lp,
-                lp_engine: self.lp_engine,
-                lp_parity: self.lp_parity,
-            }),
             SolverBackend::Parallel => Box::new(crate::ParallelSolver {
                 threads: self.threads,
                 warm_start: self.warm_start,
@@ -495,7 +414,7 @@ impl Solver for DegradingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sense;
+    use crate::{ParallelSolver, Sense};
 
     fn cover_model() -> Model {
         // min x+y+z s.t. x+y>=1, y+z>=1, x+z>=1 (vertex cover of a triangle,
@@ -522,13 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_started_sequential_matches_cold() {
+    fn warm_started_search_matches_cold() {
         let m = cover_model();
         let cfg = SolverConfig::default();
-        let cold =
-            SequentialSolver { warm_start: false, ..Default::default() }.solve(&m, &cfg).unwrap();
-        let warm =
-            SequentialSolver { warm_start: true, ..Default::default() }.solve(&m, &cfg).unwrap();
+        let search = |warm_start| ParallelSolver { threads: 1, warm_start, ..Default::default() };
+        let cold = search(false).solve(&m, &cfg).unwrap();
+        let warm = search(true).solve(&m, &cfg).unwrap();
         assert!((cold.objective - warm.objective).abs() < 1e-6);
         assert!((cold.objective - 2.0).abs() < 1e-6);
     }
@@ -537,9 +455,7 @@ mod tests {
     fn options_build_every_backend() {
         let m = cover_model();
         let cfg = SolverConfig::default();
-        for backend in
-            [SolverBackend::Sequential, SolverBackend::Parallel, SolverBackend::Heuristic]
-        {
+        for backend in [SolverBackend::Parallel, SolverBackend::Heuristic] {
             let options = SolverOptions { backend, cache: false, ..SolverOptions::default() };
             let sol = options.solver().solve(&m, &cfg).unwrap();
             assert!(m.is_feasible(&sol.values, 1e-6), "{backend:?}");
@@ -558,27 +474,42 @@ mod tests {
     /// is the unsuffixed name; the oracle modes carry the suffixes.
     #[test]
     fn parity_modes_produce_distinct_solver_names() {
-        use crate::{LpParity, ParallelSolver};
-        let seq = |parity| SequentialSolver { lp_parity: parity, ..SequentialSolver::default() };
-        let par = |parity| ParallelSolver { lp_parity: parity, ..ParallelSolver::default() };
-        for (exact, fast) in [
-            (seq(LpParity::Exact).name(), seq(LpParity::Fast).name()),
-            (par(LpParity::Exact).name(), par(LpParity::Fast).name()),
-        ] {
-            assert_ne!(exact, fast);
-            assert_eq!(exact, format!("{fast}-exactlp"), "oracle mode is the suffixed name");
-            assert!(!fast.contains("exactlp"), "default name stays unsuffixed: {fast}");
-        }
-        let dense = SequentialSolver {
-            lp_engine: LpEngine::Dense,
-            lp_parity: LpParity::Fast,
-            ..SequentialSolver::default()
+        let names = |engine, parity| -> [String; 2] {
+            [
+                ParallelSolver { lp_engine: engine, lp_parity: parity, ..Default::default() }
+                    .name(),
+                HeuristicSolver { lp_engine: engine, lp_parity: parity }.name(),
+            ]
         };
-        assert!(dense.name().ends_with("-denselp"), "{}", dense.name());
+        let defaults = names(LpEngine::Sparse, LpParity::Fast);
+        assert_eq!(defaults[1], "heuristic");
+        for default in &defaults {
+            assert!(
+                !default.contains("exactlp") && !default.contains("denselp"),
+                "default name stays unsuffixed: {default}"
+            );
+        }
+        for (engine, parity, suffix) in [
+            (LpEngine::Sparse, LpParity::Exact, "-exactlp"),
+            (LpEngine::Dense, LpParity::Fast, "-denselp"),
+            (LpEngine::Dense, LpParity::Exact, "-denselp-exactlp"),
+        ] {
+            for (default, oracle) in defaults.iter().zip(names(engine, parity)) {
+                assert_eq!(oracle, format!("{default}{suffix}"), "oracle mode is the suffix");
+            }
+        }
         // Through SolverOptions (the compiler's path) the suffix survives
-        // the caching wrapper, so disk entries split by parity too.
-        let opts = |parity| SolverOptions { lp_parity: parity, ..SolverOptions::default() };
-        assert_ne!(opts(LpParity::Exact).solver().name(), opts(LpParity::Fast).solver().name());
+        // the caching wrapper, so disk entries split by parity too — for
+        // the heuristic backend as well.
+        for backend in [SolverBackend::Parallel, SolverBackend::Heuristic] {
+            let opts =
+                |parity| SolverOptions { backend, lp_parity: parity, ..SolverOptions::default() };
+            assert_ne!(
+                opts(LpParity::Exact).solver().name(),
+                opts(LpParity::Fast).solver().name(),
+                "{backend:?}"
+            );
+        }
     }
 
     /// The last rung of the ladder must run the engine the caller asked

@@ -77,9 +77,9 @@ pub struct SolveStats {
     /// Every install is exactly one of `lu_factorizations` /
     /// `memo_sibling_hits`, so the two always sum to installs.
     pub memo_sibling_hits: u64,
-    /// Branch-and-bound nodes expanded across all searches (both the
-    /// sequential and the deterministic-parallel driver). The fast-parity
-    /// node-tree guard compares this between parity modes.
+    /// Branch-and-bound nodes expanded across all searches, attempts
+    /// abandoned by the kit restart included. The fast-parity node-tree
+    /// guard compares this between parity modes.
     pub bb_nodes: u64,
     /// Models run through [`presolve`](crate::SolverOptions::presolve).
     pub presolve_runs: u64,

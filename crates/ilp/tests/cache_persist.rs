@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    CacheFileError, CachingSolver, LinExpr, Model, Sense, SequentialSolver, Solution, SolveCache,
+    CacheFileError, CachingSolver, LinExpr, Model, ParallelSolver, Sense, Solution, SolveCache,
     Solver, SolverConfig,
 };
 
@@ -62,7 +62,7 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(SequentialSolver::default()));
+        let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
         let ms = models(&items, &caps);
         let originals = solve_all(&solver, &ms);
 
@@ -104,7 +104,7 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(SequentialSolver::default()));
+        let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
         let ms = models(&items, &caps);
         let originals = solve_all(&solver, &ms);
 
@@ -184,7 +184,7 @@ fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
     let cache = SolveCache::global();
     cache.clear();
-    let solver = CachingSolver::new(Box::new(SequentialSolver::default()));
+    let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
     solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
     let path = tmp_file("stale-v2", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);

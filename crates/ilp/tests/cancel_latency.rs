@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use tapacs_ilp::{
-    CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SequentialSolver,
+    CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense,
     SolveActivity, Solver, SolverConfig,
 };
 
@@ -65,8 +65,9 @@ fn chunky_lp(n: usize, rows: usize) -> Model {
     m
 }
 
-fn solver(parity: LpParity) -> SequentialSolver {
-    SequentialSolver {
+fn solver(parity: LpParity) -> ParallelSolver {
+    ParallelSolver {
+        threads: 1,
         warm_start: true,
         presolve: false,
         warm_lp: true,

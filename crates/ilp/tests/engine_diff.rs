@@ -8,13 +8,13 @@
 //! must be feasible in the original model.
 //!
 //! The engines are constructed explicitly through
-//! [`SequentialSolver::lp_engine`], so the suite is independent of the
+//! [`ParallelSolver::lp_engine`], so the suite is independent of the
 //! `TAPACS_LP_ENGINE` environment toggle (and safe under parallel test
 //! threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SequentialSolver, Solver, SolverConfig,
+    IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, Solver, SolverConfig,
 };
 
 /// A random bounded model: `nb` binaries plus `nc` box-bounded continuous
@@ -54,7 +54,8 @@ fn verdict(
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver = SequentialSolver {
+    let solver = ParallelSolver {
+        threads: 1,
         warm_start: true,
         presolve,
         warm_lp,

@@ -11,13 +11,13 @@
 //! probe that contract here, for full branch-and-bound solves and for pure
 //! LPs (no integral variables).
 //!
-//! Parities are pinned explicitly through [`SequentialSolver::lp_parity`],
+//! Parities are pinned explicitly through [`ParallelSolver::lp_parity`],
 //! so the suite is independent of the `TAPACS_LP_PARITY` environment
 //! toggle (and safe under parallel test threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    certify, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SequentialSolver, Solver,
+    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, Solver,
     SolverConfig,
 };
 
@@ -60,8 +60,14 @@ fn verdict(
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver =
-        SequentialSolver { warm_start: true, presolve, warm_lp, lp_engine, lp_parity: parity };
+    let solver = ParallelSolver {
+        threads: 1,
+        warm_start: true,
+        presolve,
+        warm_lp,
+        lp_engine,
+        lp_parity: parity,
+    };
     let config = SolverConfig::default();
     match solver.solve(model, &config) {
         Ok(sol) => {

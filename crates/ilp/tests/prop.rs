@@ -4,11 +4,10 @@
 //! 1. Any returned solution is feasible.
 //! 2. A MIP optimum never beats its own LP relaxation bound.
 //! 3. For generated-feasible knapsacks, the solver never reports infeasible.
-//! 4. Optimal binary solutions are at least as good as any enumerated point
-//!    (exhaustive check on small instances).
-//! 5. Every solver backend — sequential, parallel at 1/2/4 threads, warm
-//!    started or not — agrees on the objective value, and the parallel
-//!    backend returns bit-identical points across thread counts.
+//! 4. Optimal binary solutions match exhaustive enumeration on small
+//!    instances — at 1 and 4 threads, heuristic incumbent seed on and off.
+//! 5. The branch and bound returns bit-identical points and trees across
+//!    thread counts.
 //! 6. The LP-engine toggles are semantically invisible: presolve-on vs
 //!    presolve-off and warm-started vs cold-started node solves agree on
 //!    the objective, and every returned point (postsolved back from the
@@ -18,9 +17,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, SequentialSolver,
-    SolveActivity, SolveStats, Solver, SolverConfig,
+    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, SolveActivity,
+    SolveStats, Solver, SolverConfig,
 };
+
+/// The branch and bound in the configurations the enumeration-oracle tests
+/// sweep: 1 and 4 threads, with and without the heuristic incumbent seed.
+fn driver_sweep() -> Vec<(String, ParallelSolver)> {
+    let mut sweep = Vec::new();
+    for threads in [1, 4] {
+        for warm_start in [false, true] {
+            let solver = ParallelSolver { threads, warm_start, ..Default::default() };
+            sweep.push((format!("threads={threads} warm_start={warm_start}"), solver));
+        }
+    }
+    sweep
+}
 
 /// A random ≤-only knapsack-like model: always feasible (all-zeros works).
 fn knapsack_model(values: &[u32], weights: &[u32], cap: u32) -> (Model, Vec<tapacs_ilp::VarId>) {
@@ -142,8 +154,6 @@ proptest! {
         let values: Vec<u32> = items.iter().map(|(v, _)| *v).collect();
         let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
         let (m, vars) = knapsack_model(&values, &weights, cap);
-        let sol = m.solve().expect("all-zeros is always feasible");
-        prop_assert!(m.is_feasible(&sol.values, 1e-6));
 
         // Exhaustive optimum for up to 2^10 points.
         let n = values.len();
@@ -155,12 +165,17 @@ proptest! {
                 best = best.max(v);
             }
         }
-        prop_assert!((sol.objective - best as f64).abs() < 1e-6,
-            "solver {} vs exhaustive {best}", sol.objective);
-        // Sanity: decision variables are 0/1.
-        for &v in &vars {
-            let x = sol.value(v);
-            prop_assert!((x - x.round()).abs() < 1e-6);
+        for (name, solver) in driver_sweep() {
+            let sol = solver.solve(&m, &SolverConfig::default())
+                .expect("all-zeros is always feasible");
+            prop_assert!(m.is_feasible(&sol.values, 1e-6), "{name} returned infeasible point");
+            prop_assert!((sol.objective - best as f64).abs() < 1e-6,
+                "{name}: solver {} vs exhaustive {best}", sol.objective);
+            // Sanity: decision variables are 0/1.
+            for &v in &vars {
+                let x = sol.value(v);
+                prop_assert!((x - x.round()).abs() < 1e-6);
+            }
         }
     }
 
@@ -208,50 +223,28 @@ proptest! {
         let half = total / 2;
         m.add_eq("bal", load, half as f64);
         m.set_objective(Sense::Minimize, LinExpr::new());
-        match m.solve() {
-            Ok(sol) => {
-                prop_assert!(m.is_feasible(&sol.values, 1e-6));
-                let got: f64 = vars.iter().zip(&sizes)
-                    .map(|(&v, &s)| sol.value(v) * s as f64).sum();
-                prop_assert!((got - half as f64).abs() < 1e-6);
-            }
-            Err(IlpError::Infeasible) => {
-                // Verify by exhaustion that no subset sums to `half`.
-                let n = sizes.len();
-                for mask in 0u32..(1 << n) {
-                    let s: u32 = (0..n).filter(|i| mask >> i & 1 == 1).map(|i| sizes[i]).sum();
-                    prop_assert!(s != half, "solver said infeasible but mask {mask:b} sums to {half}");
+        for (name, solver) in driver_sweep() {
+            match solver.solve(&m, &SolverConfig::default()) {
+                Ok(sol) => {
+                    prop_assert!(m.is_feasible(&sol.values, 1e-6), "{name}");
+                    let got: f64 = vars.iter().zip(&sizes)
+                        .map(|(&v, &s)| sol.value(v) * s as f64).sum();
+                    prop_assert!((got - half as f64).abs() < 1e-6, "{name}");
+                }
+                Err(IlpError::Infeasible) => {
+                    // Verify by exhaustion that no subset sums to `half`.
+                    let n = sizes.len();
+                    for mask in 0u32..(1 << n) {
+                        let s: u32 =
+                            (0..n).filter(|i| mask >> i & 1 == 1).map(|i| sizes[i]).sum();
+                        prop_assert!(s != half,
+                            "{name} said infeasible but mask {mask:b} sums to {half}");
+                    }
+                }
+                Err(other) => {
+                    return Err(TestCaseError::fail(format!("{name}: unexpected error {other}")))
                 }
             }
-            Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other}"))),
-        }
-    }
-
-    #[test]
-    fn all_backends_agree_on_the_objective(
-        items in prop::collection::vec((1u32..50, 1u32..30), 1..10),
-        cap in 1u32..100,
-    ) {
-        let values: Vec<u32> = items.iter().map(|(v, _)| *v).collect();
-        let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
-        let (m, _) = knapsack_model(&values, &weights, cap);
-        let cfg = SolverConfig::default();
-
-        let backends: Vec<(&str, Box<dyn Solver>)> = vec![
-            ("sequential", Box::new(SequentialSolver { warm_start: false, ..Default::default() })),
-            ("sequential+warm", Box::new(SequentialSolver::default())),
-            ("parallel-1", Box::new(ParallelSolver { threads: 1, warm_start: false, ..Default::default() })),
-            ("parallel-2", Box::new(ParallelSolver { threads: 2, warm_start: false, ..Default::default() })),
-            ("parallel-4", Box::new(ParallelSolver { threads: 4, warm_start: false, ..Default::default() })),
-            ("parallel-4+warm", Box::new(ParallelSolver { threads: 4, ..Default::default() })),
-        ];
-        let reference = backends[0].1.solve(&m, &cfg).expect("all-zeros is feasible");
-        for (name, solver) in &backends[1..] {
-            let sol = solver.solve(&m, &cfg)
-                .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-            prop_assert!(m.is_feasible(&sol.values, 1e-6), "{name} returned infeasible point");
-            prop_assert!((sol.objective - reference.objective).abs() < 1e-6,
-                "{name} objective {} vs sequential {}", sol.objective, reference.objective);
         }
     }
 
@@ -285,8 +278,8 @@ proptest! {
     }
 
     /// The independent certificate accepts every answer of every LP
-    /// configuration — both engines, both parities, both branch-and-bound
-    /// backends — on both random model families of this file.
+    /// configuration — both engines, both parities, inline and on spawned
+    /// workers — on both random model families of this file.
     #[test]
     fn certificate_accepts_every_engine_and_parity(
         items in prop::collection::vec((1u32..50, 1u32..30), 2..9),
@@ -302,19 +295,13 @@ proptest! {
         ] {
             for lp_engine in [LpEngine::Sparse, LpEngine::Dense] {
                 for lp_parity in [LpParity::Fast, LpParity::Exact] {
-                    let backends: [(&str, Box<dyn Solver>); 2] = [
-                        ("sequential", Box::new(
-                            SequentialSolver { lp_engine, lp_parity, ..Default::default() },
-                        )),
-                        ("parallel", Box::new(
-                            ParallelSolver { threads: 2, lp_engine, lp_parity, ..Default::default() },
-                        )),
-                    ];
-                    for (name, solver) in backends {
+                    for threads in [1, 2] {
+                        let solver =
+                            ParallelSolver { threads, lp_engine, lp_parity, ..Default::default() };
                         let sol = solver.solve(&m, &cfg).expect("all-zeros is feasible");
                         let verdict = certify(&m, &cfg, &sol);
                         prop_assert!(verdict.is_ok(),
-                            "{name} {lp_engine:?}/{lp_parity:?}: {verdict:?}");
+                            "threads={threads} {lp_engine:?}/{lp_parity:?}: {verdict:?}");
                     }
                 }
             }
@@ -352,11 +339,14 @@ proptest! {
         let m = presolve_rich_model(&values, &weights, cap, bound);
         let cfg = SolverConfig::default();
 
-        let engines: Vec<(&str, SequentialSolver)> = vec![
-            ("presolve+warm", SequentialSolver::default()),
-            ("presolve+cold", SequentialSolver { warm_lp: false, ..Default::default() }),
-            ("raw+warm", SequentialSolver { presolve: false, ..Default::default() }),
-            ("raw+cold", SequentialSolver { presolve: false, warm_lp: false, ..Default::default() }),
+        let engine = |presolve, warm_lp| {
+            ParallelSolver { threads: 1, presolve, warm_lp, ..Default::default() }
+        };
+        let engines: Vec<(&str, ParallelSolver)> = vec![
+            ("presolve+warm", engine(true, true)),
+            ("presolve+cold", engine(true, false)),
+            ("raw+warm", engine(false, true)),
+            ("raw+cold", engine(false, false)),
         ];
         let reference = engines[0].1.solve(&m, &cfg).expect("all-zeros is feasible");
         // Postsolve correctness: the returned point lives in the original
@@ -392,8 +382,9 @@ proptest! {
         };
         let m = build();
         let cfg = SolverConfig::default();
-        let with = SequentialSolver::default().solve(&m, &cfg);
-        let without = SequentialSolver { presolve: false, ..Default::default() }.solve(&m, &cfg);
+        let engine = |presolve| ParallelSolver { threads: 1, presolve, ..Default::default() };
+        let with = engine(true).solve(&m, &cfg);
+        let without = engine(false).solve(&m, &cfg);
         match (&with, &without) {
             (Ok(a), Ok(b)) => prop_assert!((a.objective - b.objective).abs() < 1e-6),
             (Err(IlpError::Infeasible), Err(IlpError::Infeasible)) => {}

@@ -12,9 +12,9 @@
 //!
 //! ## Crates
 //!
-//! * [`ilp`] — LP/MIP solver (simplex + pluggable sequential/parallel
-//!   branch-and-bound backends behind the [`Solver`] trait, with a
-//!   process-wide solve memo-cache).
+//! * [`ilp`] — LP/MIP solver (simplex + one deterministic, thread-count
+//!   invariant branch and bound and a greedy heuristic behind the
+//!   [`Solver`] trait, with a process-wide solve memo-cache).
 //! * [`fpga`] — device models, slot grids, HBM, the virtual place-and-route
 //!   timing model.
 //! * [`net`] — network topologies, transfer protocols, the AlveoLink model.
