@@ -5,70 +5,49 @@
 //! cargo run --release -p tapacs-bench --bin reproduce -- all    # full matrix
 //! cargo run --release -p tapacs-bench --bin reproduce -- table3 fig10 fig12
 //! cargo run --release -p tapacs-bench --bin reproduce -- list   # known names
-//! cargo run --release -p tapacs-bench --bin reproduce -- bench --json BENCH_9.json
 //! cargo run --release -p tapacs-bench --bin reproduce -- batch --smoke
 //! cargo run --release -p tapacs-bench --bin reproduce -- dse --smoke --cache-dir .tapacs-cache
 //! ```
+//!
+//! Compile time and quality of result are measured by the repo benchmark
+//! (`benchmarks/`, `BENCHMARK.json`), not here.
 
 use tapacs_bench::reproduce as r;
 
-/// `bench [--smoke] [--json <path>]`: the compile-time sweep, written to
-/// `path` when given, stdout otherwise.
-fn run_bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut json_path: Option<&str> = None;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => {
-                json_path =
-                    Some(it.next().ok_or("--json needs a file path (e.g. --json BENCH_4.json)")?);
-            }
-            other => return Err(format!("unknown bench option: {other}").into()),
-        }
-    }
-    let report = r::bench_json(smoke)?;
-    match json_path {
-        Some(path) => {
-            std::fs::write(path, &report)?;
-            println!("wrote {path}");
-        }
-        None => print!("{report}"),
-    }
-    Ok(())
-}
+type BoxError = Box<dyn std::error::Error>;
 
-/// `batch [--smoke]`: the sharded multi-design batch-compile demo.
-fn run_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut smoke = false;
-    for arg in args {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown batch option: {other}").into()),
-        }
-    }
-    print!("{}", r::batch(smoke)?);
-    Ok(())
-}
+/// One row of [`FLAGGED`]: `(name, usage, runner)`.
+type Flagged = (&'static str, &'static str, fn(&[String]) -> Result<(), BoxError>);
 
-/// `faults [--smoke]`: the deterministic fault-injection chaos sweep.
-fn run_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut smoke = false;
-    for arg in args {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => return Err(format!("unknown faults option: {other}").into()),
-        }
+/// The subcommands that take flags, so must be the first argument. Early
+/// dispatch, the "must be the first argument" error and `list` all read
+/// this table.
+const FLAGGED: &[Flagged] = &[
+    ("batch", "[--smoke]", |args| {
+        print!("{}", r::batch(smoke_flag("batch", args)?)?);
+        Ok(())
+    }),
+    ("dse", "[--smoke] [--cache-dir <dir>]", run_dse),
+    ("dse-search", "[--smoke] [--shards N] [--grid <spec>] [--cache-dir <dir>]", run_dse_search),
+    ("faults", "[--smoke]", |args| {
+        print!("{}", r::faults(smoke_flag("faults", args)?)?);
+        Ok(())
+    }),
+];
+
+/// The one flag of `batch` (the sharded multi-design batch-compile demo)
+/// and `faults` (the deterministic fault-injection chaos sweep).
+fn smoke_flag(command: &str, args: &[String]) -> Result<bool, BoxError> {
+    match args.iter().find(|arg| *arg != "--smoke") {
+        Some(other) => Err(format!("unknown {command} option: {other}").into()),
+        None => Ok(!args.is_empty()),
     }
-    print!("{}", r::faults(smoke)?);
-    Ok(())
 }
 
 /// `dse [--smoke] [--cache-dir <dir>]`: the design-space exploration sweep
 /// with the disk-persistent solve cache (`TAPACS_CACHE_DIR` is the
 /// fallback when the flag is absent).
-fn run_dse(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn run_dse(args: &[String]) -> Result<(), BoxError> {
     let mut smoke = false;
     let mut cache_dir: Option<&str> = None;
     let mut it = args.iter();
@@ -92,7 +71,7 @@ fn run_dse(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// rungs run as N real worker processes (this binary re-invoked through
 /// the hidden `dse-search-shard` subcommand), merging solve-cache shards
 /// between rungs.
-fn run_dse_search(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn run_dse_search(args: &[String]) -> Result<(), BoxError> {
     let mut smoke = false;
     let mut shards = 1usize;
     let mut grid: Option<String> = None;
@@ -130,117 +109,48 @@ fn run_dse_search(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), BoxError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden worker entry: one rung shard, spawned by `dse-search` itself.
-    if args.first().map(String::as_str) == Some("dse-search-shard") {
-        return tapacs_bench::dse_search::run_shard_worker(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("dse-search") {
-        return run_dse_search(&args[1..]);
-    }
-    // `bench` and `batch` take their own flags, so they dispatch before
-    // the multi-name experiment loop.
-    if args.first().map(String::as_str) == Some("bench") {
-        return run_bench(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("batch") {
-        return run_batch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("dse") {
-        return run_dse(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("faults") {
-        return run_faults(&args[1..]);
+    if let Some((first, rest)) = args.split_first() {
+        // Hidden worker entry: one rung shard, spawned by `dse-search` itself.
+        if first == "dse-search-shard" {
+            return tapacs_bench::dse_search::run_shard_worker(rest);
+        }
+        if let Some((_, _, run)) = FLAGGED.iter().find(|f| f.0 == first) {
+            return run(rest);
+        }
     }
     let wanted: Vec<&str> =
         if args.is_empty() { vec!["quick"] } else { args.iter().map(|s| s.as_str()).collect() };
 
     for w in wanted {
-        match w {
-            "list" => {
-                for name in r::EXPERIMENTS {
-                    println!("{name}");
-                }
+        if w == "list" {
+            let plain = r::EXPERIMENTS.iter().map(|row| row.0);
+            for name in ["quick", "all"].into_iter().chain(plain).chain(FLAGGED.iter().map(|f| f.0))
+            {
+                println!("{name}");
             }
-            "quick" => print!("{}", r::quick()),
-            "all" => {
-                print!("{}", r::quick());
-                println!("{}", r::table3()?);
-                println!("{}", r::freq_summary()?);
-                println!("{}", r::fig10()?);
-                println!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::Stencil)?);
-                println!("{}", r::fig12()?);
-                println!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::PageRank)?);
-                println!("{}", r::fig14()?);
-                println!("{}", r::fig15()?);
-                println!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::Knn)?);
-                println!("{}", r::fig17()?);
-                println!("{}", r::overhead()?);
-                println!("{}", r::ablation()?);
-                println!("{}", r::multinode()?);
-                println!("{}", r::solvers()?);
-                println!("{}", r::batch(false)?);
-                println!("{}", r::dse(false, None)?);
-                println!("{}", r::faults(false)?);
+        } else if w == "quick" {
+            print!("{}", r::quick());
+        } else if w == "all" {
+            for (_, _, render) in r::EXPERIMENTS {
+                println!("{}", render()?);
             }
-            "table1" => print!("{}", r::table1()),
-            "table2" => print!("{}", r::table2()),
-            "table3" => print!("{}", r::table3()?),
-            "table4" => print!("{}", r::table4()),
-            "table5" => print!("{}", r::table5()),
-            "table6" => print!("{}", r::table6()),
-            "table7" => print!("{}", r::table7()),
-            "table8" => print!("{}", r::table8()),
-            "table9" => print!("{}", r::table9()),
-            "table10" => print!("{}", r::table10()),
-            "fig8" => print!("{}", r::fig8()),
-            "fig10" => print!("{}", r::fig10()?),
-            "fig11" => print!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::Stencil)?),
-            "fig12" => print!("{}", r::fig12()?),
-            "fig13" => print!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::PageRank)?),
-            "fig14" => print!("{}", r::fig14()?),
-            "fig15" => print!("{}", r::fig15()?),
-            "fig16" => print!("{}", r::utilization_fig(tapacs_apps::suite::Benchmark::Knn)?),
-            "fig17" => print!("{}", r::fig17()?),
-            "freq" => print!("{}", r::freq_summary()?),
-            "overhead" => print!("{}", r::overhead()?),
-            "alveolink_overhead" => print!("{}", r::alveolink_overhead()),
-            "multinode" => print!("{}", r::multinode()?),
-            "packet_example" => print!("{}", r::packet_example()),
-            "ablation" => print!("{}", r::ablation()?),
-            "solvers" => print!("{}", r::solvers()?),
-            "bench" => {
-                return Err("bench must be the first argument (it takes flags): \
-                                   reproduce bench [--smoke] [--json <path>]"
-                    .into())
-            }
-            "batch" => {
-                return Err("batch must be the first argument (it takes flags): \
-                                   reproduce batch [--smoke]"
-                    .into())
-            }
-            "dse" => {
-                return Err("dse must be the first argument (it takes flags): \
-                                   reproduce dse [--smoke] [--cache-dir <dir>]"
-                    .into())
-            }
-            "dse-search" => {
-                return Err("dse-search must be the first argument (it takes flags): \
-                                   reproduce dse-search [--smoke] [--shards N] [--grid <spec>] [--cache-dir <dir>]"
-                    .into())
-            }
-            "faults" => {
-                return Err("faults must be the first argument (it takes flags): \
-                                   reproduce faults [--smoke]"
-                    .into())
-            }
-            other => {
-                return Err(format!(
-                    "unknown experiment: {other} (run `reproduce list` for the known names)"
-                )
-                .into())
-            }
+            println!("{}", r::batch(false)?);
+            println!("{}", r::dse(false, None)?);
+            println!("{}", r::faults(false)?);
+        } else if let Some((_, _, render)) = r::EXPERIMENTS.iter().find(|row| row.0 == w) {
+            print!("{}", render()?);
+        } else if let Some((name, usage, _)) = FLAGGED.iter().find(|f| f.0 == w) {
+            return Err(format!(
+                "{name} must be the first argument (it takes flags): reproduce {name} {usage}"
+            )
+            .into());
+        } else {
+            return Err(format!(
+                "unknown experiment: {w} (run `reproduce list` for the known names)"
+            )
+            .into());
         }
         println!();
     }

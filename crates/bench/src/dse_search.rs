@@ -289,7 +289,7 @@ fn run_rung_sharded(
 }
 
 /// Exhaustive-side reference for the comparison half of the experiment.
-pub enum Exhaustive {
+enum Exhaustive {
     /// Small grid, actually swept: signature + wall.
     Full {
         /// The exhaustive sweep's frontier signature.
@@ -329,15 +329,14 @@ fn sample_indices(n: usize, k: usize, mut seed: u64) -> Vec<usize> {
 }
 
 /// Runs the adaptive ladder over `spec` plus its exhaustive reference,
-/// both cold. The machine-readable core shared by the text experiment and
-/// `bench_json`. `worker` enables real multi-process shards (the
-/// `reproduce` binary passes its own path); without it, `shards > 1` uses
-/// the in-process shard emulation.
+/// both cold. `worker` enables real multi-process shards (the `reproduce`
+/// binary passes its own path); without it, `shards > 1` uses the
+/// in-process shard emulation.
 ///
 /// # Errors
 ///
 /// Compile failures, worker failures and cache-merge conflicts.
-pub fn run_search(
+fn run_search(
     spec: &str,
     shards: usize,
     dir: &Path,
@@ -362,6 +361,7 @@ pub fn run_search(
         Exhaustive::Extrapolated { sample: sample.len(), sample_wall, estimate }
     } else {
         let report = dse::explore(&grid);
+        ensure_none_degraded("exhaustive sweep", &report)?;
         Exhaustive::Full { signature: report.frontier_signature(), wall: report.wall }
     };
 
@@ -416,7 +416,23 @@ pub fn run_search(
         )
         .into());
     }
+    if matches!(exhaustive, Exhaustive::Full { .. }) {
+        ensure_none_degraded("adaptive ladder's final rung", &report.final_report)?;
+    }
     Ok((report, exhaustive, preloaded))
+}
+
+/// The small grids' frontiers are compared bit for bit, which means nothing
+/// once an ILP limit has bound — so that is the error, not the signature
+/// mismatch it would cause.
+fn ensure_none_degraded(what: &str, report: &dse::DseReport) -> Result<(), BoxError> {
+    match report.degraded() {
+        0 => Ok(()),
+        n => Err(format!(
+            "{what}: {n} point(s) degraded (an ILP limit bound), no frontier to compare"
+        )
+        .into()),
+    }
 }
 
 /// The printable frontier signature: verbatim for the small CI grids
@@ -560,57 +576,4 @@ pub fn dse_search(
         );
     }
     Ok(s)
-}
-
-/// The `"dse_search"` section of `bench_json`: rung-by-rung survivor
-/// counts, cache-resume hit rates and the exhaustive-vs-adaptive walls.
-///
-/// # Errors
-///
-/// Propagates [`run_search`] failures.
-pub fn bench_json_section(smoke: bool) -> Result<String, BoxError> {
-    let spec = if smoke { "stencil-smoke" } else { "stencil-10k" };
-    let dir = std::env::temp_dir().join(format!("tapacs-bench-dse-search-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let result = run_search(spec, 1, &dir, None);
-    let _ = std::fs::remove_dir_all(&dir);
-    let (report, exhaustive, _) = result?;
-
-    let mut rungs = String::new();
-    for (i, r) in report.rungs.iter().enumerate() {
-        let _ = writeln!(
-            rungs,
-            "      {{ \"rung\": {}, \"budget_s\": {:.3}, \"points\": {}, \"clean\": {}, \"budget_expired\": {}, \"promoted\": {}, \"resumed\": {}, \"cache_hit_rate\": {:.4}, \"wall_s\": {:.6} }}{}",
-            r.index,
-            r.budget.as_secs_f64(),
-            r.points,
-            r.clean,
-            r.budget_expired,
-            r.promoted,
-            r.resumed,
-            r.cache.hit_rate(),
-            r.wall.as_secs_f64(),
-            if i + 1 < report.rungs.len() { "," } else { "" },
-        );
-    }
-    // `frontier_matches_exhaustive` is `null` on the extrapolated path:
-    // nothing was compared, and claiming `true` would be a lie.
-    let (exh_wall, extrapolated, identical) = match &exhaustive {
-        Exhaustive::Full { signature, wall } => (
-            wall.as_secs_f64(),
-            false,
-            if signature == &report.frontier_signature() { "true" } else { "false" },
-        ),
-        Exhaustive::Extrapolated { estimate, .. } => (estimate.as_secs_f64(), true, "null"),
-    };
-    Ok(format!(
-        "  \"dse_search\": {{\n    \"grid\": \"{spec}\",\n    \"points\": {},\n    \"eta\": {},\n    \"total_compiles\": {},\n    \"adaptive_wall_s\": {:.6},\n    \"exhaustive_wall_s\": {:.6},\n    \"exhaustive_extrapolated\": {extrapolated},\n    \"adaptive_fraction_of_exhaustive\": {:.4},\n    \"resume_hit_rate\": {:.4},\n    \"frontier_matches_exhaustive\": {identical},\n    \"rungs\": [\n{rungs}    ]\n  }}",
-        report.grid_points,
-        report.eta,
-        report.total_compiles,
-        report.wall.as_secs_f64(),
-        exh_wall,
-        report.wall.as_secs_f64() / exh_wall.max(1e-9),
-        resume_hit_rate(&report),
-    ))
 }

@@ -6,10 +6,11 @@
 //!    the evaluated points.
 //! 2. End-to-end determinism: `dse::explore` produces the same frontier
 //!    signature for batch worker counts 1/2/4 (the programmatic equivalent
-//!    of `TAPACS_BATCH_THREADS`) and for shuffled grid enumeration orders.
+//!    of `TAPACS_BATCH_THREADS`), for solver thread counts 1/2/4 (of
+//!    `TAPACS_SOLVER_THREADS`) and for shuffled grid enumeration orders.
 
 use proptest::prelude::*;
-use tapacs_core::dse::{self, pareto_frontier, DseConfig, DseScore};
+use tapacs_core::dse::{self, pareto_frontier, DseConfig, DseReport, DseScore};
 use tapacs_fpga::{Device, Resources};
 use tapacs_graph::{Fifo, Task, TaskGraph};
 use tapacs_net::{Cluster, Topology};
@@ -123,13 +124,30 @@ fn chain_graph(pes: usize) -> TaskGraph {
     g
 }
 
+/// ILP time limit of the sweeps below: one that cannot bind (the benchmark
+/// harness's), because a signature compared across runs means nothing once
+/// a solve has been cut off by its wall-clock deadline.
+const LIMIT_S: f64 = 600.0;
+
 fn demo_config() -> DseConfig {
     let cluster = Cluster::single_node(Device::u55c(), 4, Topology::Ring);
     let mut cfg = DseConfig::new("props", chain_graph(6), cluster);
     cfg.cluster_shapes = vec![1, 2];
     cfg.partition_thresholds = vec![0.7, 0.9];
     cfg.slot_thresholds = vec![0.9];
+    cfg.base.partition.time_limit_s = LIMIT_S;
+    cfg.base.floorplan.time_limit_s = LIMIT_S;
     cfg
+}
+
+/// `dse::explore`, failing on a bound limit before anything is compared.
+fn explore_unbound(cfg: &DseConfig) -> DseReport {
+    let report = dse::explore(cfg);
+    let wall = report.wall.as_secs_f64();
+    let clean = report.outcomes.iter().all(|o| !o.degraded);
+    assert!(clean, "an ILP limit bound (degraded point):\n{}", report.render_table());
+    assert!(wall < LIMIT_S, "sweep took {wall:.0} s, past one ILP's {LIMIT_S} s limit");
+    report
 }
 
 /// The frontier signature is the determinism witness: invariant across
@@ -159,18 +177,33 @@ fn explore_scores_prunes_and_accounts_for_every_point() {
 #[test]
 fn explore_frontier_identical_across_threads_and_grid_orders() {
     let base = demo_config();
-    let reference = dse::explore(&base);
+    let reference = explore_unbound(&base);
     assert!(!reference.frontier.is_empty(), "{}", reference.render_table());
     let signature = reference.frontier_signature();
 
     for threads in [1usize, 2, 4] {
         let mut cfg = demo_config();
         cfg.threads = threads;
-        let report = dse::explore(&cfg);
+        let report = explore_unbound(&cfg);
         assert_eq!(
             report.frontier_signature(),
             signature,
             "frontier diverged at {threads} batch threads"
+        );
+    }
+
+    // Solver threads: pricing, dual ratio tests and refactorization
+    // triggers are pure functions of the node, never of timing. Cache off,
+    // so each count is a live solve rather than a replay of the first.
+    for threads in [1usize, 2, 4] {
+        let mut cfg = demo_config();
+        cfg.base.solver.threads = threads;
+        cfg.base.solver.cache = false;
+        let report = explore_unbound(&cfg);
+        assert_eq!(
+            report.frontier_signature(),
+            signature,
+            "frontier diverged at {threads} solver threads"
         );
     }
 
@@ -180,7 +213,7 @@ fn explore_frontier_identical_across_threads_and_grid_orders() {
     reversed.cluster_shapes.reverse();
     reversed.partition_thresholds.reverse();
     reversed.slot_thresholds.reverse();
-    let report = dse::explore(&reversed);
+    let report = explore_unbound(&reversed);
     assert_eq!(report.frontier_signature(), signature, "frontier depends on grid order");
     assert_eq!(report.outcomes.len(), reference.outcomes.len());
 }

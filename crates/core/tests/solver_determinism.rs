@@ -33,10 +33,21 @@ fn demo_graph(pe_count: usize) -> TaskGraph {
     g
 }
 
+/// Compiles under ILP limits that cannot bind (the benchmark harness's) and
+/// fails on a bound limit itself, before any caller compares designs: a
+/// search cut off by its deadline returns an anytime incumbent.
 fn compile_with(options: SolverOptions, flow: Flow) -> tapacs_core::CompiledDesign {
+    const LIMIT_S: f64 = 600.0;
     let cluster = Cluster::single_node(Device::u55c(), 4, Topology::Ring);
-    let config = CompilerConfig { solver: options, ..CompilerConfig::default() };
-    Compiler::with_config(cluster, config).compile(&demo_graph(8), flow).unwrap()
+    let mut config = CompilerConfig { solver: options, ..CompilerConfig::default() };
+    config.partition.time_limit_s = LIMIT_S;
+    config.floorplan.time_limit_s = LIMIT_S;
+    let t0 = std::time::Instant::now();
+    let design = Compiler::with_config(cluster, config).compile(&demo_graph(8), flow).unwrap();
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(!design.degraded, "an ILP limit bound (degraded design)");
+    assert!(wall < LIMIT_S, "compile took {wall:.0} s, past one ILP's {LIMIT_S} s limit");
+    design
 }
 
 fn assert_identical(a: &tapacs_core::CompiledDesign, b: &tapacs_core::CompiledDesign) {

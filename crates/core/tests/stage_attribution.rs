@@ -94,8 +94,15 @@ fn oversized_flow_fails_with_cluster_too_small_not_a_panic() {
 #[test]
 fn partition_override_skips_the_stage_and_is_used_verbatim() {
     let g = demo_graph(6, Resources::new(40_000, 80_000, 100, 200, 10));
-    let compiler = Compiler::new(cluster4());
+    // ILP limits that cannot bind: the bit-for-bit comparison at the end
+    // means nothing between two anytime incumbents.
+    const LIMIT_S: f64 = 600.0;
+    let mut config = CompilerConfig::default();
+    config.partition.time_limit_s = LIMIT_S;
+    config.floorplan.time_limit_s = LIMIT_S;
+    let compiler = Compiler::with_config(cluster4(), config);
     let flow = Flow::TapaCs { n_fpgas: 2 };
+    let t0 = std::time::Instant::now();
     let baseline = compiler.compile_staged(&g, flow);
     let seed = baseline.partition.clone().unwrap();
 
@@ -108,6 +115,9 @@ fn partition_override_skips_the_stage_and_is_used_verbatim() {
     assert_eq!(ctx.partition.as_ref().unwrap().assignment, seed.assignment);
     // Downstream output matches the baseline bit for bit.
     let (a, b) = (baseline.into_result().unwrap(), ctx.into_result().unwrap());
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(!a.degraded && !b.degraded, "an ILP limit bound (degraded design)");
+    assert!(wall < LIMIT_S, "two compiles took {wall:.0} s, past one ILP's {LIMIT_S} s limit");
     assert_eq!(a.slot_of_task, b.slot_of_task);
     assert_eq!(a.timing.freq_mhz, b.timing.freq_mhz);
 }

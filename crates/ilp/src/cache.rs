@@ -1,7 +1,7 @@
 //! Process-wide solve memo-cache, spillable to disk.
 //!
-//! The TAPA-CS benchmark sweeps (`reproduce all`, the Criterion benches)
-//! compile the same designs repeatedly, and the recursive bipartitioner
+//! The TAPA-CS benchmark sweeps (`reproduce all`, the DSE grids) compile
+//! the same designs repeatedly, and the recursive bipartitioner
 //! produces structurally identical subproblems across sweep points. Caching
 //! `canonical model → solution` turns those repeats into hash lookups.
 //!

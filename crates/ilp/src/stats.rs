@@ -7,8 +7,7 @@
 //! often a node re-solved from its parent basis instead of from scratch,
 //! and how much presolve shaved off each model — is aggregated here, in the
 //! same process-wide style as [`crate::SolveCache`]. `reproduce solvers`
-//! and `reproduce bench` read snapshots before/after a compile to report
-//! deltas.
+//! reads snapshots before/after a compile to report deltas.
 //!
 //! Snapshot deltas break down when several compiles run *concurrently*
 //! (the batch engine interleaves their solves on one set of process-global

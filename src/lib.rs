@@ -7,8 +7,8 @@
 //! evaluates the result on a discrete-event dataflow simulator.
 //!
 //! Reproduction of *TAPA-CS: Enabling Scalable Accelerator Design on
-//! Distributed HBM-FPGAs* (ASPLOS 2024). See `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Distributed HBM-FPGAs* (ASPLOS 2024). See `README.md` for the system
+//! inventory and how to regenerate the paper's tables and figures.
 //!
 //! ## Crates
 //!

@@ -76,20 +76,35 @@ proptest! {
         // the bit-identity below would no longer exercise genuinely
         // concurrent solving. One final cached run then covers the
         // replay path too.
+        // ILP limits that cannot bind (the benchmark harness's): a design
+        // cut off by its deadline is an anytime incumbent, not comparable.
+        const LIMIT_S: f64 = 600.0;
         let mut live = CompilerConfig::default();
         live.solver.cache = false;
+        live.partition.time_limit_s = LIMIT_S;
+        live.floorplan.time_limit_s = LIMIT_S;
 
         // Reference: a plain sequential compile() loop over the shuffled
         // list.
         let compiler = Compiler::with_config(cluster4(), live.clone());
+        let t0 = std::time::Instant::now();
         let reference: Vec<_> =
             jobs.iter().map(|j| compiler.compile(&j.graph, j.flow)).collect();
+        let wall = t0.elapsed().as_secs_f64();
+        prop_assert!(wall < LIMIT_S, "reference loop took {} s, past one ILP's limit", wall);
+        prop_assert!(reference.iter().flatten().all(|d| !d.degraded), "a reference ILP limit bound");
 
         for (threads, cache) in [(1usize, false), (2, false), (4, false), (2, true)] {
             let mut config = live.clone();
             config.solver.cache = cache;
             let outcome =
                 BatchCompiler::with_config(cluster4(), config).threads(threads).compile(jobs.clone());
+            let wall = outcome.report.wall.as_secs_f64();
+            prop_assert!(wall < LIMIT_S, "batch took {} s, past one ILP's limit", wall);
+            prop_assert!(
+                outcome.results.iter().flatten().all(|d| !d.degraded),
+                "an ILP limit bound at {} threads (cache {})", threads, cache
+            );
             prop_assert_eq!(outcome.results.len(), reference.len());
             for (i, (got, want)) in outcome.results.iter().zip(&reference).enumerate() {
                 match (got, want) {

@@ -34,7 +34,7 @@ fn frequency_ordering_holds_per_benchmark() {
         // The paper's robust claim: floorplanning + pipelining beats plain
         // Vitis. (TAPA-single vs TAPA-CS ordering can wobble by a few MHz
         // when the multi-FPGA configuration uses heavier wide-port
-        // modules; see EXPERIMENTS.md.)
+        // modules.)
         assert!(freqs[0] <= freqs[1] + 1e-6 && freqs[0] <= freqs[2] + 1e-6, "{bench:?}: {freqs:?}");
     }
 }
@@ -164,15 +164,25 @@ fn all_flows_run_for_every_benchmark_quickly_at_f3() {
 /// The default LP path (fast parity, certified answers) buys exactly what
 /// the opt-in `Exact` oracle mode buys: on each of the four bundled apps
 /// the two compile to the same inter-FPGA cut width and the same achieved
-/// frequency (the 1e-6 relative contract of `reproduce bench`'s parity
-/// section), and neither needs the degradation ladder.
+/// frequency (to 1e-6 relative), and neither needs the degradation ladder.
+/// The search itself is guarded too: fast may grow the branch-and-bound
+/// tree at most 1.5x over exact and spend at most 1.1x its simplex
+/// iterations (the PR 7 pagerank regression, 3x tree growth under
+/// always-on devex, fails here), and the dense-tableau oracle engine in
+/// exact mode solves exactly as many LPs as the sparse one.
+///
+/// Every compile runs under ILP limits that cannot bind and is checked for
+/// `degraded` and its wall *before* any counter is compared: a truncated
+/// search has no meaningful node count.
 #[test]
 fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
+    use std::sync::Arc;
     use tapa_cs::apps::{cnn, data, suite::paper_cluster};
     use tapa_cs::core::{Compiler, CompilerConfig};
-    use tapa_cs::ilp::LpParity;
+    use tapa_cs::ilp::{LpEngine, LpParity, SolveActivity};
     use tapa_cs::SolverOptions;
 
+    const LIMIT_S: f64 = 600.0;
     let flow = Flow::TapaCs { n_fpgas: 2 };
     let apps = [
         ("stencil", stencil::build(&stencil::StencilConfig::paper(64, 2))),
@@ -194,25 +204,54 @@ fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
         ),
     ];
     for (app, graph) in apps {
-        // Cache off: both sides are live solves, not replays.
-        let compile = |solver: SolverOptions| {
-            let config = CompilerConfig { solver, ..CompilerConfig::default() };
-            Compiler::with_config(paper_cluster(2), config)
-                .compile(&graph, flow)
-                .unwrap_or_else(|e| panic!("{app} failed: {e}"))
+        // Cache off: every side is a live solve, not a replay.
+        let compile = |mode: &str, solver: SolverOptions| {
+            let mut config = CompilerConfig { solver, ..CompilerConfig::default() };
+            config.partition.time_limit_s = LIMIT_S;
+            config.floorplan.time_limit_s = LIMIT_S;
+            let activity = Arc::new(SolveActivity::default());
+            let t0 = std::time::Instant::now();
+            let design = SolveActivity::scoped(&activity, || {
+                Compiler::with_config(paper_cluster(2), config).compile(&graph, flow)
+            })
+            .unwrap_or_else(|e| panic!("{app}/{mode} failed: {e}"));
+            let wall = t0.elapsed().as_secs_f64();
+            assert!(!design.degraded, "{app}/{mode}: an ILP limit bound (degraded design)");
+            assert!(wall < LIMIT_S, "{app}/{mode}: {wall:.0} s, past one ILP's {LIMIT_S} s limit");
+            (design, activity.snapshot())
         };
-        let default = compile(SolverOptions { cache: false, ..SolverOptions::default() });
-        let exact = compile(SolverOptions {
-            cache: false,
-            lp_parity: LpParity::Exact,
-            ..SolverOptions::default()
-        });
-        assert!(!default.degraded && !exact.degraded, "{app}: a compile degraded");
+        let live = SolverOptions { cache: false, ..SolverOptions::default() };
+        let (default, fast) = compile("default", live.clone());
+        let (exact, oracle) =
+            compile("exact", SolverOptions { lp_parity: LpParity::Exact, ..live.clone() });
+        let (dense, dense_oracle) = compile(
+            "dense-exact",
+            SolverOptions { lp_parity: LpParity::Exact, lp_engine: LpEngine::Dense, ..live },
+        );
         assert_eq!(
             default.partition.cut_width_bits, exact.partition.cut_width_bits,
             "{app}: cut width"
         );
-        let (fd, fe) = (default.design_freq_mhz(), exact.design_freq_mhz());
-        assert!((fd - fe).abs() <= 1e-6 * fe.abs(), "{app}: frequency {fd} vs exact {fe}");
+        let fe = exact.design_freq_mhz();
+        for (mode, f) in
+            [("default", default.design_freq_mhz()), ("dense", dense.design_freq_mhz())]
+        {
+            assert!((f - fe).abs() <= 1e-6 * fe.abs(), "{app}: {mode} frequency {f} vs exact {fe}");
+        }
+        assert!(
+            fast.bb_nodes as f64 <= 1.5 * oracle.bb_nodes as f64,
+            "{app}: fast parity grew the node tree past the documented bound \
+             ({} nodes vs exact {})",
+            fast.bb_nodes,
+            oracle.bb_nodes
+        );
+        assert!(
+            fast.simplex_iterations as f64 <= 1.1 * oracle.simplex_iterations as f64,
+            "{app}: fast parity spent more iterations than exact ({} vs {})",
+            fast.simplex_iterations,
+            oracle.simplex_iterations
+        );
+        assert!(oracle.lp_solves > 0, "{app}: no LP solved");
+        assert_eq!(oracle.lp_solves, dense_oracle.lp_solves, "{app}: sparse vs dense LP solves");
     }
 }
