@@ -684,19 +684,37 @@ mod tests {
     fn batch_matches_sequential_loop_bit_for_bit() {
         // Cache off so every batch run solves live — with a warm global
         // cache the comparison would only verify replay, not concurrent
-        // solving.
+        // solving. ILP limits that cannot bind, checked before any design
+        // is compared: a search cut off by its deadline returns an anytime
+        // incumbent, which differs between runs by scheduling alone.
+        const LIMIT_S: f64 = 600.0;
         let mut config = CompilerConfig::default();
         config.solver.cache = false;
+        config.partition.time_limit_s = LIMIT_S;
+        config.floorplan.time_limit_s = LIMIT_S;
+        let checked = |design: CompiledDesign, wall: Duration| {
+            assert!(!design.degraded, "an ILP limit bound (degraded design)");
+            assert!(wall.as_secs_f64() < LIMIT_S, "compile took {wall:?}, past one ILP's limit");
+            design
+        };
         let jobs = demo_jobs();
         let compiler = Compiler::with_config(cluster4(), config.clone());
-        let reference: Vec<_> =
-            jobs.iter().map(|j| compiler.compile(&j.graph, j.flow).unwrap()).collect();
+        let reference: Vec<_> = jobs
+            .iter()
+            .map(|j| {
+                let t0 = Instant::now();
+                let design = compiler.compile(&j.graph, j.flow).unwrap();
+                checked(design, t0.elapsed())
+            })
+            .collect();
         for threads in [1, 2, 3] {
             let outcome = BatchCompiler::with_config(cluster4(), config.clone())
                 .threads(threads)
                 .compile(jobs.clone());
-            for (r, want) in outcome.results.iter().zip(&reference) {
-                let got = r.as_ref().unwrap();
+            for ((r, job), want) in
+                outcome.results.into_iter().zip(&outcome.report.jobs).zip(&reference)
+            {
+                let got = checked(r.unwrap(), job.wall);
                 assert_eq!(got.placement.fpga_of_task, want.placement.fpga_of_task);
                 assert_eq!(got.slot_of_task, want.slot_of_task);
                 assert_eq!(got.timing.freq_mhz, want.timing.freq_mhz);

@@ -1,0 +1,698 @@
+//! The two-way split both floorplanning levels are made of (§4.3, §4.5).
+//!
+//! TAPA-CS floorplans twice — tasks onto FPGAs, then each FPGA's tasks onto
+//! its slot grid — and both times by the AutoBridge recursion: split the
+//! items between two halves of the target with one ILP, then split each
+//! half again until a half is a single device or slot. This module is that
+//! recursion and that ILP, once:
+//!
+//! * [`Split`] is one two-way problem as plain data. [`Split::solve`] builds
+//!   the model (binary side `x_v`, continuous `y_e ≥ |x_a − x_b|` per edge,
+//!   a `capH`/`capL` knapsack pair per resource kind, a balance pair on the
+//!   binding kind), solves it on the objective lattice of the edge-width
+//!   gcd, and falls back to the largest-first [`Split::greedy`] when the
+//!   ILP proves infeasibility or runs out of budget.
+//! * [`Level`] is what a caller adds: how a group of targets halves, which
+//!   group is a leaf, and the [`Split`] for a set of items. [`bisect`]
+//!   recurses over it; under [`SolverOptions::parallel_recursion`] the two
+//!   halves of a split — independent subproblems — run concurrently, the
+//!   paper's divide-and-conquer scalability argument applied to compile
+//!   time.
+//! * [`SplitLog`] records what the splits of one stage cost and whether any
+//!   of them was answered by something other than the ILP's own result.
+
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+use tapacs_fpga::{ResourceKind, Resources};
+use tapacs_ilp::{
+    CancellationToken, IlpError, LinExpr, Model, Sense, SolveActivity, SolverConfig, SolverOptions,
+    VarId,
+};
+
+use crate::error::CompileError;
+use crate::report::{aggregate_level_samples, LevelSolveStats};
+
+/// One thing to place: what it occupies and, when the chip layout dictates
+/// it, its side (`true` = high).
+pub(crate) struct Item {
+    pub resources: Resources,
+    pub pin: Option<bool>,
+}
+
+/// One half of the target.
+pub(crate) struct Side {
+    /// Capacity as the greedy fallback packs against it.
+    pub cap: Resources,
+    /// Capacity as the knapsack rows read it, per [`ResourceKind::ALL`].
+    /// The levels round differently (a device count scales in `f64`, a slot
+    /// region is rounded up to whole resources first), so the caller says.
+    pub rhs: [f64; ResourceKind::ALL.len()],
+}
+
+impl Side {
+    /// A side whose knapsack rows read the integer capacity as is.
+    pub fn exact(cap: Resources) -> Side {
+        Side { cap, rhs: ResourceKind::ALL.map(|kind| cap.get(kind) as f64) }
+    }
+}
+
+/// Balance rows: each side carries at least `(1 − slack) × share` of the
+/// unpinned load of `kind`. Without them a small design collapses onto one
+/// side (min-cut 0), defeating the paper's load balancing; pinned load sits
+/// where the layout dictates and is left out.
+pub(crate) struct Balance {
+    pub kind: ResourceKind,
+    pub share_low: f64,
+    pub share_high: f64,
+    pub slack: f64,
+}
+
+/// A two-way split problem: which `items` go high?
+pub(crate) struct Split {
+    pub items: Vec<Item>,
+    /// `(a, b, width)` over item positions, `a ≠ b` (see [`local_edges`]).
+    pub edges: Vec<(usize, usize, u64)>,
+    pub low: Side,
+    pub high: Side,
+    pub balance: Option<Balance>,
+}
+
+/// How a stage wants its splits solved.
+pub(crate) struct SolveSetup<'a> {
+    pub time_limit_s: f64,
+    pub solver: &'a SolverOptions,
+    pub cancel: &'a Option<CancellationToken>,
+}
+
+/// Euclidean gcd with `gcd(0, x) = x`, so it folds cleanly over a weight
+/// list starting from zero (an empty list yields 0 = "no lattice known").
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Largest-first ordering key of every greedy packer in this crate.
+pub(crate) fn size_key(r: &Resources) -> u64 {
+    r.lut + r.ff + 1000 * (r.bram + r.dsp + r.uram)
+}
+
+/// The resource kind that binds first: `argmax_k total_k / cap_k`.
+pub(crate) fn binding_kind(items: &[Item], cap: &Resources) -> Option<ResourceKind> {
+    let mut best = None;
+    let mut best_ratio = 0.0;
+    for kind in ResourceKind::ALL {
+        let capacity = cap.get(kind) as f64;
+        if capacity <= 0.0 {
+            continue;
+        }
+        let total: f64 = items.iter().map(|item| item.resources.get(kind) as f64).sum();
+        let ratio = total / capacity;
+        if total > 0.0 && ratio > best_ratio {
+            best_ratio = ratio;
+            best = Some(kind);
+        }
+    }
+    best
+}
+
+/// Restricts `edges`, given over ids `< universe`, to the group `ids`:
+/// endpoints become positions in `ids`, and edges that leave the group or
+/// loop on one item are dropped — neither can be cut. Order is kept, as it
+/// decides the model's column order.
+pub(crate) fn local_edges(
+    universe: usize,
+    ids: impl IntoIterator<Item = usize>,
+    edges: impl IntoIterator<Item = (usize, usize, u64)>,
+) -> Vec<(usize, usize, u64)> {
+    let mut local = vec![usize::MAX; universe];
+    for (i, id) in ids.into_iter().enumerate() {
+        local[id] = i;
+    }
+    edges
+        .into_iter()
+        .map(|(a, b, w)| (local[a], local[b], w))
+        .filter(|&(a, b, _)| a != usize::MAX && b != usize::MAX && a != b)
+        .collect()
+}
+
+impl Split {
+    /// The lattice every integer-feasible objective lives on: integral sides
+    /// force each cut indicator to 0 or 1, so the objective is a sum of edge
+    /// widths — a multiple of their gcd, which the solver prunes with.
+    fn objective_granularity(&self) -> u64 {
+        self.edges.iter().fold(0, |g, &(_, _, w)| gcd(g, w))
+    }
+
+    /// The ILP and its side variables, one per item.
+    fn model(&self) -> (Model, Vec<VarId>) {
+        let mut m = Model::new("two-way-split");
+        let mut x = Vec::with_capacity(self.items.len());
+        for (i, item) in self.items.iter().enumerate() {
+            let v = m.binary(format!("x{i}"));
+            if let Some(high) = item.pin {
+                m.add_eq(format!("pin{i}"), LinExpr::term(v, 1.0), if high { 1.0 } else { 0.0 });
+            }
+            x.push(v);
+        }
+
+        let mut objective = LinExpr::new();
+        for (e, &(a, b, width)) in self.edges.iter().enumerate() {
+            let y = m.continuous(format!("y{e}"), 0.0, 1.0);
+            m.add_ge(format!("c1_{e}"), LinExpr::term(y, 1.0) - x[a] + x[b], 0.0);
+            m.add_ge(format!("c2_{e}"), LinExpr::term(y, 1.0) - x[b] + x[a], 0.0);
+            objective.add_term(y, width as f64);
+        }
+
+        // High-side load of the items at `of`: as an expression, and the
+        // most it can be.
+        let load = |of: &[usize], kind: ResourceKind| -> (LinExpr, f64) {
+            let amount = |i: usize| self.items[i].resources.get(kind) as f64;
+            (
+                LinExpr::sum(of.iter().map(|&i| LinExpr::term(x[i], amount(i)))),
+                of.iter().map(|&i| amount(i)).sum(),
+            )
+        };
+        let all: Vec<usize> = (0..self.items.len()).collect();
+        let free: Vec<usize> =
+            all.iter().copied().filter(|&i| self.items[i].pin.is_none()).collect();
+
+        // Resource thresholds per side, per kind (equation 1). The low
+        // side's load is `total − high load`.
+        for (k, kind) in ResourceKind::ALL.into_iter().enumerate() {
+            let (load_high, total) = load(&all, kind);
+            m.add_le(format!("capH_{kind}"), load_high.clone(), self.high.rhs[k]);
+            m.add_ge(format!("capL_{kind}"), load_high, total - self.low.rhs[k]);
+        }
+
+        if let Some(balance) = &self.balance {
+            let (load_high, free_total) = load(&free, balance.kind);
+            if free_total > 0.0 {
+                let floor_high = free_total * balance.share_high * (1.0 - balance.slack);
+                let floor_low = free_total * balance.share_low * (1.0 - balance.slack);
+                m.add_ge("balH", load_high.clone(), floor_high);
+                m.add_le("balL", load_high, free_total - floor_low);
+            }
+        }
+
+        m.set_objective(Sense::Minimize, objective);
+        (m, x)
+    }
+
+    /// Solves the split: `true` = high side, `None` when not even the greedy
+    /// fallback finds a split under the capacities.
+    ///
+    /// The fallback answers for three ILP outcomes. A proven-infeasible
+    /// model is the organic path (deterministic whatever the budget). An
+    /// exhausted budget (`NoIncumbent` past the solver's own heuristic
+    /// rung) or an answer its certificate rejected (`Uncertified`) means
+    /// the stand-in replaces an answer the ILP would otherwise have
+    /// produced, so like the solver's own degraded answers it marks `log`:
+    /// the design must not be mistaken for a proven result.
+    pub fn solve(
+        &self,
+        setup: &SolveSetup<'_>,
+        log: &SplitLog,
+    ) -> Result<Option<Vec<bool>>, CompileError> {
+        let (model, x) = self.model();
+        let mut config = SolverConfig::with_time_limit(Duration::from_secs_f64(setup.time_limit_s));
+        config.objective_granularity = self.objective_granularity() as f64;
+        config.cancel = setup.cancel.clone();
+        match model.solve_with_options(&config, setup.solver) {
+            Ok(solution) => {
+                if solution.degraded {
+                    log.mark_degraded();
+                }
+                Ok(Some(x.iter().map(|&v| solution.is_set(v)).collect()))
+            }
+            Err(
+                err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_)),
+            ) => {
+                if !matches!(err, IlpError::Infeasible) {
+                    log.mark_degraded();
+                }
+                Ok(self.greedy())
+            }
+            Err(e) => Err(CompileError::Solver(e.to_string())),
+        }
+    }
+
+    /// Largest-first greedy split honouring pins: pinned items take their
+    /// side, then each free item goes to the emptier side that still has
+    /// room. `None` when some item does not fit where it must go.
+    fn greedy(&self) -> Option<Vec<bool>> {
+        let caps = [&self.low.cap, &self.high.cap];
+        let mut used = [Resources::ZERO; 2];
+        let mut side = vec![false; self.items.len()];
+        let mut order: Vec<usize> = (0..self.items.len()).collect();
+        order.sort_by_key(|&i| {
+            let item = &self.items[i];
+            (item.pin.is_none(), std::cmp::Reverse(size_key(&item.resources)))
+        });
+        for i in order {
+            let w = self.items[i].resources;
+            let fits = |s: usize| (used[s] + w).fits_within(caps[s], 1.0);
+            let fill = |s: usize| used[s].utilization(caps[s]).max();
+            let high = match self.items[i].pin {
+                Some(high) => high,
+                None if fits(0) && fits(1) => fill(1) < fill(0),
+                None => fits(1),
+            };
+            if !fits(high as usize) {
+                return None;
+            }
+            side[i] = high;
+            used[high as usize] += w;
+        }
+        Some(side)
+    }
+}
+
+/// What one stage's splits cost, and whether the design they produced is
+/// the ILP's own: a `(recursion depth, seconds)` sample per solve, and a
+/// degraded mark set when a budget — not a proof — decided some answer.
+#[derive(Default)]
+pub(crate) struct SplitLog {
+    samples: Mutex<Vec<(usize, f64)>>,
+    degraded: AtomicBool,
+    /// Marks of failed attempts that nothing has answered for yet.
+    unanswered: bool,
+}
+
+impl SplitLog {
+    fn sample(&self, depth: usize, wall_s: f64) {
+        self.samples.lock().unwrap_or_else(|e| e.into_inner()).push((depth, wall_s));
+    }
+
+    fn mark_degraded(&self) {
+        self.degraded.store(true, Ordering::Relaxed);
+    }
+
+    /// One recursive bisection of `items` over `group` (see [`bisect`]), or
+    /// `None` when some split on the way has no answer under its
+    /// capacities.
+    ///
+    /// A kept attempt adds its samples and its mark to the stage's. A failed
+    /// one drops its samples — no solve of it produced the design — and its
+    /// mark waits for what answers in its place: a later ILP attempt drops
+    /// it (a degraded *failed* attempt must not taint a clean later one), a
+    /// [greedy stand-in](Self::greedy_stand_in) keeps it.
+    pub fn attempt<L: Level>(
+        &mut self,
+        level: &L,
+        setup: &SolveSetup<'_>,
+        items: &[L::Item],
+        group: L::Group,
+    ) -> Result<Option<Placed<L>>, CompileError> {
+        let attempt = SplitLog::default();
+        let outcome = bisect(level, setup, items, group, 0, &attempt);
+        let degraded = attempt.degraded.into_inner();
+        match outcome {
+            Ok(pairs) => {
+                let samples = attempt.samples.into_inner().unwrap_or_else(|e| e.into_inner());
+                self.samples.get_mut().unwrap_or_else(|e| e.into_inner()).extend(samples);
+                *self.degraded.get_mut() |= degraded;
+                self.unanswered = false;
+                Ok(Some(pairs))
+            }
+            Err(CompileError::InsufficientResources { .. }) => {
+                self.unanswered |= degraded;
+                Ok(None)
+            }
+            Err(other) => Err(other),
+        }
+    }
+
+    /// A greedy packing answers for the attempts that failed. If a split of
+    /// theirs was truncated, that may be why they failed — a larger budget
+    /// would not have produced this design — so the design is degraded.
+    pub fn greedy_stand_in(&mut self) {
+        *self.degraded.get_mut() |= std::mem::take(&mut self.unanswered);
+    }
+
+    /// Per-depth solve statistics and the degraded mark.
+    pub fn finish(self) -> (Vec<LevelSolveStats>, bool) {
+        let samples = self.samples.into_inner().unwrap_or_else(|e| e.into_inner());
+        (aggregate_level_samples(samples), self.degraded.into_inner())
+    }
+}
+
+/// One floorplanning level as [`bisect`] sees it.
+pub(crate) trait Level: Sync {
+    /// What is placed (a supernode, a task).
+    type Item: Copy + Send + Sync;
+    /// A set of targets (a device range, a slot region).
+    type Group: Debug + Send;
+    /// One target (a device, a slot).
+    type Leaf: Copy + Send;
+
+    /// The target `group` stands for when it cannot be halved further.
+    fn leaf(&self, group: &Self::Group) -> Option<Self::Leaf>;
+
+    /// Halves `group` (low, high) and describes the split of `items`
+    /// between the halves, `Split::items` in the order of `items`.
+    fn split(&self, items: &[Self::Item], group: &Self::Group)
+        -> (Self::Group, Self::Group, Split);
+}
+
+/// Where a recursion put each item: `(item, leaf)` pairs.
+pub(crate) type Placed<L> = Vec<(<L as Level>::Item, <L as Level>::Leaf)>;
+
+/// Recursively splits `items` over `group` with one two-way ILP per split
+/// until every group is a leaf. Returns `(item, leaf)` pairs, low half
+/// first at every depth.
+///
+/// The two halves of a split are independent subproblems; under
+/// [`SolverOptions::parallel_recursion`] the low half runs on a scoped
+/// worker thread while this thread descends into the high half. Merging is
+/// a deterministic concatenation, so the result is identical to the
+/// sequential recursion.
+fn bisect<L: Level>(
+    level: &L,
+    setup: &SolveSetup<'_>,
+    items: &[L::Item],
+    group: L::Group,
+    depth: usize,
+    log: &SplitLog,
+) -> Result<Placed<L>, CompileError> {
+    if items.is_empty() {
+        return Ok(Vec::new());
+    }
+    if let Some(leaf) = level.leaf(&group) {
+        return Ok(items.iter().map(|&item| (item, leaf)).collect());
+    }
+
+    let t0 = Instant::now();
+    let (low, high, split) = level.split(items, &group);
+    let side = split.solve(setup, log)?.ok_or_else(|| CompileError::InsufficientResources {
+        detail: format!(
+            "no two-way split of {} items between {low:?} and {high:?} satisfies the resource \
+             thresholds",
+            items.len()
+        ),
+    })?;
+    log.sample(depth, t0.elapsed().as_secs_f64());
+
+    let half = |high: bool| -> Vec<L::Item> {
+        items.iter().zip(&side).filter(|&(_, &s)| s == high).map(|(&item, _)| item).collect()
+    };
+    let (low_items, high_items) = (half(false), half(true));
+
+    let concurrent = setup.solver.parallel_recursion()
+        && level.leaf(&low).is_none()
+        && level.leaf(&high).is_none()
+        && !low_items.is_empty()
+        && !high_items.is_empty();
+    let descend_low = || bisect(level, setup, &low_items, low, depth + 1, log);
+    let (low_pairs, high_pairs) = if concurrent {
+        // Per-job solve-activity scopes are thread-local; re-install the
+        // caller's scope on the worker so batch attribution stays correct.
+        let scope = SolveActivity::current_scope();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| SolveActivity::scoped_opt(scope, descend_low));
+            let high_pairs = bisect(level, setup, &high_items, high, depth + 1, log);
+            // Re-raise a worker panic with its original payload so the
+            // batch engine's job-level isolation can attribute it.
+            let low_pairs = worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            (low_pairs, high_pairs)
+        })
+    } else {
+        (descend_low(), bisect(level, setup, &high_items, high, depth + 1, log))
+    };
+    let mut pairs = low_pairs?;
+    pairs.extend(high_pairs?);
+    Ok(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::ops::Range;
+
+    use super::*;
+
+    fn lut(n: u64) -> Resources {
+        Resources::new(n, 0, 0, 0, 0)
+    }
+
+    fn free(n: u64) -> Item {
+        Item { resources: lut(n), pin: None }
+    }
+
+    fn pinned(n: u64, high: bool) -> Item {
+        Item { resources: lut(n), pin: Some(high) }
+    }
+
+    fn even(kind: ResourceKind, slack: f64) -> Option<Balance> {
+        Some(Balance { kind, share_low: 0.5, share_high: 0.5, slack })
+    }
+
+    /// Limits that cannot bind, or — `time_limit_s == 0` with the solver's
+    /// own heuristic rung off — one that binds before the first node.
+    fn options(threads: usize) -> SolverOptions {
+        SolverOptions { threads, cache: false, degrade: false, ..SolverOptions::default() }
+    }
+
+    fn solve(split: &Split, time_limit_s: f64) -> (Option<Vec<bool>>, bool) {
+        let log = SplitLog::default();
+        let solver = options(1);
+        let setup = SolveSetup { time_limit_s, solver: &solver, cancel: &None };
+        let side = split.solve(&setup, &log).unwrap();
+        (side, log.finish().1)
+    }
+
+    #[test]
+    fn pins_are_honoured_by_the_ilp_and_by_greedy() {
+        // The edge pulls the pinned pair together; the pins must win.
+        let split = Split {
+            items: vec![pinned(10, true), pinned(10, false), free(10), free(10)],
+            edges: vec![(0, 1, 512), (1, 2, 32), (2, 3, 32)],
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: even(ResourceKind::Lut, 0.35),
+        };
+        let (side, degraded) = solve(&split, 600.0);
+        let side = side.unwrap();
+        assert!(side[0] && !side[1], "ILP moved a pinned item: {side:?}");
+        assert!(!degraded);
+        let side = split.greedy().unwrap();
+        assert!(side[0] && !side[1], "greedy moved a pinned item: {side:?}");
+    }
+
+    #[test]
+    fn pinned_load_that_overflows_its_side_has_no_greedy_split() {
+        let split = Split {
+            items: vec![pinned(30, false), pinned(20, false), free(1)],
+            edges: Vec::new(),
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(400)),
+            balance: None,
+        };
+        assert!(split.greedy().is_none());
+        assert_eq!(solve(&split, 600.0), (None, false), "infeasible by proof, not by budget");
+    }
+
+    #[test]
+    fn balance_rows_range_over_free_items_only() {
+        // Two units pinned low, four free units, no slack: the free load
+        // must split 2|2 although that leaves the sides at 4|2 overall.
+        let split = Split {
+            items: vec![pinned(20, false), free(10), free(10), free(10), free(10)],
+            edges: Vec::new(),
+            low: Side::exact(lut(100)),
+            high: Side::exact(lut(100)),
+            balance: even(ResourceKind::Lut, 0.0),
+        };
+        let (model, _) = split.model();
+        assert!(model.is_feasible(&[0.0, 1.0, 1.0, 0.0, 0.0], 1e-9));
+        // 3|3 overall, but 1|3 of the free load.
+        assert!(!model.is_feasible(&[0.0, 1.0, 1.0, 1.0, 0.0], 1e-9));
+    }
+
+    #[test]
+    fn self_loop_and_out_of_group_edges_add_no_column() {
+        let all = [(1, 3, 8), (1, 1, 4), (1, 2, 4), (0, 4, 2), (3, 1, 6)];
+        let edges = local_edges(5, [1, 3], all);
+        assert_eq!(edges, vec![(0, 1, 8), (1, 0, 6)], "kept in order, in group positions");
+        let split = Split {
+            items: vec![free(10), free(10)],
+            edges,
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: None,
+        };
+        let (model, x) = split.model();
+        assert_eq!(x.len(), 2);
+        assert_eq!(model.num_vars(), 2 + 2, "one y per surviving edge");
+        // Two rows per edge and a capH/capL pair per resource kind.
+        assert_eq!(model.num_constraints(), 2 * 2 + 2 * ResourceKind::ALL.len());
+    }
+
+    #[test]
+    fn objective_granularity_is_the_gcd_of_the_edge_widths() {
+        let mut split = Split {
+            items: vec![free(10), free(10), free(10)],
+            edges: vec![(0, 1, 12), (1, 2, 18)],
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: None,
+        };
+        assert_eq!(split.objective_granularity(), 6);
+        split.edges.clear();
+        assert_eq!(split.objective_granularity(), 0, "no edges: no lattice known");
+    }
+
+    #[test]
+    fn greedy_after_a_proof_is_organic_and_after_a_budget_is_degraded() {
+        // 30 | 2 cannot be balanced to within 5 %, which the ILP proves;
+        // the greedy fallback knows no balance rows and answers.
+        let split = Split {
+            items: vec![free(30), free(2)],
+            edges: vec![(0, 1, 32)],
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: even(ResourceKind::Lut, 0.05),
+        };
+        assert_eq!(solve(&split, 600.0), (Some(vec![false, true]), false));
+        // The same answer for want of budget is a stand-in.
+        assert_eq!(solve(&split, 0.0), (Some(vec![false, true]), true));
+    }
+
+    /// A `rows × cols` grid of equal leaves holding a chain of LUT-only
+    /// items: 1 × 4 is the shape of a device range, 2 × 3 of the U55C.
+    struct Grid {
+        /// LUTs of item `i`, which a 32-bit edge joins to item `i + 1`.
+        loads: Vec<u64>,
+        leaf_cap: u64,
+        time_limit_s: f64,
+        solver: SolverOptions,
+        /// Panics when asked to split this group.
+        trap: Option<(Range<usize>, Range<usize>)>,
+    }
+
+    impl Grid {
+        /// Twelve quarter-leaf items under a limit that cannot bind.
+        fn roomy(threads: usize) -> Grid {
+            let solver = options(threads);
+            Grid { loads: vec![100; 12], leaf_cap: 400, time_limit_s: 600.0, solver, trap: None }
+        }
+
+        fn items(&self) -> Vec<usize> {
+            (0..self.loads.len()).collect()
+        }
+
+        fn setup(&self) -> SolveSetup<'_> {
+            SolveSetup { time_limit_s: self.time_limit_s, solver: &self.solver, cancel: &None }
+        }
+    }
+
+    impl Level for Grid {
+        type Item = usize;
+        type Group = (Range<usize>, Range<usize>);
+        type Leaf = (usize, usize);
+
+        fn leaf(&self, (rows, cols): &Self::Group) -> Option<(usize, usize)> {
+            (rows.len() * cols.len() == 1).then_some((rows.start, cols.start))
+        }
+
+        fn split(&self, here: &[usize], group: &Self::Group) -> (Self::Group, Self::Group, Split) {
+            assert!(self.trap.as_ref() != Some(group), "trapped at {group:?}");
+            let (rows, cols) = group.clone();
+            let (low, high) = if rows.len() >= cols.len() && rows.len() > 1 {
+                let mid = rows.start + rows.len() / 2;
+                ((rows.start..mid, cols.clone()), (mid..rows.end, cols))
+            } else {
+                let mid = cols.start + cols.len() / 2;
+                ((rows.clone(), cols.start..mid), (rows, mid..cols.end))
+            };
+            let leaves = |g: &Self::Group| (g.0.len() * g.1.len()) as u64;
+            let total = leaves(group) as f64;
+            let chain = (1..self.loads.len()).map(|i| (i - 1, i, 32));
+            let split = Split {
+                items: here.iter().map(|&i| free(self.loads[i])).collect(),
+                edges: local_edges(self.loads.len(), here.iter().copied(), chain),
+                low: Side::exact(lut(self.leaf_cap * leaves(&low))),
+                high: Side::exact(lut(self.leaf_cap * leaves(&high))),
+                balance: Some(Balance {
+                    kind: ResourceKind::Lut,
+                    share_low: leaves(&low) as f64 / total,
+                    share_high: leaves(&high) as f64 / total,
+                    slack: 0.35,
+                }),
+            };
+            (low, high, split)
+        }
+    }
+
+    #[test]
+    fn recursion_returns_the_same_pairs_in_the_same_order_at_one_and_four_threads() {
+        for (rows, cols) in [(1, 4), (2, 3)] {
+            let run = |threads| {
+                let grid = Grid::roomy(threads);
+                let log = SplitLog::default();
+                let pairs =
+                    bisect(&grid, &grid.setup(), &grid.items(), (0..rows, 0..cols), 0, &log)
+                        .unwrap();
+                let (stats, degraded) = log.finish();
+                assert!(!degraded, "an ILP limit bound");
+                (pairs, stats.iter().map(|s| (s.level, s.solves)).collect::<Vec<_>>())
+            };
+            let (sequential, levels) = run(1);
+            assert_eq!(sequential.len(), 12);
+            assert_eq!(levels[0], (0, 1), "one top split");
+            assert_eq!(run(4), (sequential, levels), "{rows}×{cols}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_worker_half_resurfaces_with_its_payload() {
+        // 0..4 splits into 0..2 | 2..4; the low half runs on the worker.
+        let grid = Grid { trap: Some((0..1, 0..2)), ..Grid::roomy(4) };
+        let log = SplitLog::default();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            bisect(&grid, &grid.setup(), &grid.items(), (0..1, 0..4), 0, &log)
+                .map(|pairs| pairs.len())
+        }));
+        let payload = caught.expect_err("the worker's panic must not be swallowed");
+        let message = payload.downcast_ref::<String>().expect("the worker's own payload");
+        assert!(message.contains("trapped at (0..1, 0..2)"), "{message}");
+    }
+
+    #[test]
+    fn a_failed_attempts_mark_counts_only_when_a_greedy_stand_in_answers_for_it() {
+        // Out of budget every split is the greedy's: {100, 79} | {86, 86, 21}
+        // over 2 | 2 leaves, whose high half then has no 1 | 1 split. The
+        // ILP splits {100, 86} | {86, 79, 21} and on to single leaves.
+        let stranded = |time_limit_s| Grid {
+            loads: vec![100, 86, 86, 79, 21],
+            leaf_cap: 100,
+            time_limit_s,
+            ..Grid::roomy(1)
+        };
+        let four = (0..1, 0..4);
+        let items = stranded(0.0).items();
+
+        let attempt = |log: &mut SplitLog, time_limit_s| {
+            let grid = stranded(time_limit_s);
+            log.attempt(&grid, &grid.setup(), &items, four.clone()).unwrap()
+        };
+
+        let mut log = SplitLog::default();
+        assert!(attempt(&mut log, 0.0).is_none());
+        assert_eq!(attempt(&mut log, 600.0).unwrap().len(), 5);
+        log.greedy_stand_in(); // nothing is left for it to answer for
+        let (stats, degraded) = log.finish();
+        assert!(!degraded, "a later ILP attempt answered; the failed one must not taint it");
+        assert_eq!(stats.iter().map(|s| s.solves).sum::<usize>(), 3, "the kept attempt's only");
+
+        let mut log = SplitLog::default();
+        assert!(attempt(&mut log, 0.0).is_none());
+        log.greedy_stand_in();
+        let (stats, degraded) = log.finish();
+        assert!(degraded && stats.is_empty());
+    }
+}

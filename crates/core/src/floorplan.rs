@@ -2,8 +2,10 @@
 //!
 //! Each FPGA is presented to the scheduler as a grid of slots delimited by
 //! dies and hard IPs (2×3 on the U55C). The floorplanner recursively
-//! bisects the grid region with the same two-way ILP used across FPGAs,
-//! minimizing the equation-4 cost
+//! bisects the grid region with the same two-way ILP used across FPGAs —
+//! the same code: `bisect.rs` owns the model, its greedy fallback and the
+//! recursion, and this file says how a region halves, what it holds and
+//! which tasks the chip layout pins — minimizing the equation-4 cost
 //! `Σ e.width × (|Δrow| + |Δcol|)` while keeping every slot under the
 //! routable threshold.
 //!
@@ -24,18 +26,18 @@
 //! nearest channels, avoiding the lateral-routing congestion the paper
 //! warns about.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use tapacs_fpga::{Device, ResourceKind, Resources, SlotId};
+use tapacs_fpga::{Device, Resources, SlotId};
 use tapacs_graph::{TaskGraph, TaskId, TaskKind};
-use tapacs_ilp::{IlpError, LinExpr, Model, Sense, SolverConfig, SolverOptions};
+use tapacs_ilp::SolverOptions;
 
+use crate::bisect::{
+    binding_kind, local_edges, size_key, Balance, Item, Level, Side, SolveSetup, Split, SplitLog,
+};
 use crate::error::CompileError;
-use crate::partition::gcd;
-use crate::report::{aggregate_level_samples, LevelSolveStats};
+use crate::report::LevelSolveStats;
 
 /// Tuning knobs for the intra-FPGA floorplanner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -115,6 +117,7 @@ impl Region {
 
 /// Per-FPGA floorplanning context.
 struct FpgaCtx<'a> {
+    graph: &'a TaskGraph,
     device: &'a Device,
     cfg: &'a FloorplanConfig,
     /// Networking-IP footprint reserved in the QSFP corner slot.
@@ -171,8 +174,9 @@ pub fn floorplan(
     assert_eq!(assignment.len(), graph.num_tasks(), "assignment must cover the graph");
     let start = Instant::now();
     let mut slot_of_task = vec![SlotId::new(0, 0); graph.num_tasks()];
-    let mut all_samples = Vec::new();
-    let degraded = AtomicBool::new(false);
+    let mut log = SplitLog::default();
+    let setup =
+        SolveSetup { time_limit_s: cfg.time_limit_s, solver: &cfg.solver, cancel: &cfg.cancel };
 
     for fpga in 0..n_fpgas {
         let tasks: Vec<TaskId> =
@@ -181,29 +185,23 @@ pub fn floorplan(
             continue;
         }
         let reserved = reserved_qsfp.get(fpga).copied().unwrap_or(Resources::ZERO);
-        let ctx = FpgaCtx { device, cfg, reserved };
+        let ctx = FpgaCtx { graph, device, cfg, reserved };
         let full = Region { row_lo: 0, row_hi: device.rows(), col_lo: 0, col_hi: device.cols() };
-        // Per-FPGA sample buffer: kept only when bisection produced the
-        // placement, so solve_stats never reports work whose result was
-        // discarded for the greedy fallback (matching the partitioner).
-        let samples = Mutex::new(Vec::new());
-        match place_region(graph, &ctx, &tasks, full, 0, &samples, &degraded) {
-            Ok(pairs) => {
+        match log.attempt(&ctx, &setup, &tasks, full)? {
+            Some(pairs) => {
                 for (t, slot) in pairs {
                     slot_of_task[t.index()] = slot;
                 }
-                all_samples.extend(samples.into_inner().unwrap_or_else(|e| e.into_inner()));
             }
-            Err(CompileError::InsufficientResources { .. }) => {
-                // Recursive bisection has no lookahead: a feasible row split
-                // can still be slot-infeasible (the platform slot is
-                // weaker). Fall back to direct greedy slot packing before
-                // giving up.
-                greedy_slots(graph, &ctx, &tasks, &mut slot_of_task)?;
+            // Recursive bisection has no lookahead: a feasible row split
+            // can still be slot-infeasible (the platform slot is weaker).
+            // Fall back to direct greedy slot packing before giving up.
+            None => {
+                greedy_slots(&ctx, &tasks, &mut slot_of_task)?;
+                log.greedy_stand_in();
             }
-            Err(other) => return Err(other),
         }
-        refine_fpga(graph, &ctx, &tasks, &mut slot_of_task);
+        refine_fpga(&ctx, &tasks, &mut slot_of_task);
     }
 
     // Per-slot usage accounting.
@@ -214,370 +212,126 @@ pub fn floorplan(
         slot_used[assignment[id.index()]][s.row * device.cols() + s.col] += t.resources;
     }
 
-    Ok(Floorplan {
-        slot_of_task,
-        slot_used,
-        runtime: start.elapsed(),
-        solve_stats: aggregate_level_samples(all_samples),
-        degraded: degraded.load(Ordering::Relaxed),
-    })
+    let (solve_stats, degraded) = log.finish();
+    Ok(Floorplan { slot_of_task, slot_used, runtime: start.elapsed(), solve_stats, degraded })
 }
 
-/// Recursively bisects `region`, assigning `tasks` to slots. Returns
-/// `(task, slot)` pairs.
-///
-/// Like the inter-FPGA bisection, the two half-regions are independent once
-/// the split is solved, so under [`SolverOptions::parallel_recursion`] the
-/// low half is placed on a scoped worker thread while this thread places
-/// the high half; the merge is a deterministic concatenation.
-fn place_region(
-    graph: &TaskGraph,
-    ctx: &FpgaCtx<'_>,
-    tasks: &[TaskId],
-    region: Region,
-    level: usize,
-    samples: &Mutex<Vec<(usize, f64)>>,
-    degraded: &AtomicBool,
-) -> Result<Vec<(TaskId, SlotId)>, CompileError> {
-    if tasks.is_empty() {
-        return Ok(Vec::new());
-    }
-    if region.single() {
-        let slot = SlotId::new(region.row_lo, region.col_lo);
-        return Ok(tasks.iter().map(|&t| (t, slot)).collect());
+/// The intra-FPGA level of the recursive bisection: one FPGA's tasks over
+/// regions of its slot grid.
+impl Level for FpgaCtx<'_> {
+    type Item = TaskId;
+    type Group = Region;
+    type Leaf = SlotId;
+
+    fn leaf(&self, region: &Region) -> Option<SlotId> {
+        region.single().then(|| SlotId::new(region.row_lo, region.col_lo))
     }
 
-    // Split along the longer dimension (rows first: die boundaries are the
-    // expensive ones).
-    let split_rows = region.rows() >= region.cols() && region.rows() > 1;
-    let (low, high) = if split_rows {
-        let mid = region.row_lo + region.rows() / 2;
-        (Region { row_hi: mid, ..region }, Region { row_lo: mid, ..region })
-    } else {
-        let mid = region.col_lo + region.cols() / 2;
-        (Region { col_hi: mid, ..region }, Region { col_lo: mid, ..region })
-    };
-
-    // Pin memory tasks toward the HBM shoreline and network endpoints
-    // toward the QSFP row when this split decides that dimension. Rows are
-    // split low/high, so when the region contains the HBM row it is in the
-    // low half, and when it contains the top row it is in the high half.
-    let device = ctx.device;
-    let region_has_hbm = region.row_lo <= device.hbm_row() && device.hbm_row() < region.row_hi;
-    // Hard-pinning memory adapters to the shoreline half only works while
-    // they fit there; otherwise they spill one die up (longer AXI paths,
-    // paid for via congestion) rather than making the floorplan infeasible.
-    let mem_load: Resources = tasks
-        .iter()
-        .filter(|&&t| graph.task(t).kind.is_memory())
-        .map(|&t| graph.task(t).resources)
-        .sum();
-    let mem_fits_low = mem_load.fits_within(&ctx.region_capacity(&low), 0.85);
-    let pin = |t: &TaskKind| -> Option<bool> {
-        if !split_rows {
-            return None;
-        }
-        match t {
-            TaskKind::HbmRead { .. } | TaskKind::HbmWrite { .. }
-                if region_has_hbm && mem_fits_low =>
-            {
-                Some(false)
-            }
-            // Network endpoints stay off the crowded HBM shoreline but may
-            // use any upper die (the QSFP fabric reaches them all).
-            TaskKind::NetSend | TaskKind::NetRecv if region_has_hbm && region.rows() > 1 => {
-                Some(true)
-            }
-            _ => None,
-        }
-    };
-
-    let t0 = Instant::now();
-    let side = solve_region_split(graph, ctx, tasks, &low, &high, pin, degraded)?;
-    samples.lock().unwrap_or_else(|e| e.into_inner()).push((level, t0.elapsed().as_secs_f64()));
-    let mut low_tasks = Vec::new();
-    let mut high_tasks = Vec::new();
-    for (&t, &s) in tasks.iter().zip(&side) {
-        if s {
-            high_tasks.push(t);
+    fn split(&self, tasks: &[TaskId], region: &Region) -> (Region, Region, Split) {
+        let (graph, region) = (self.graph, *region);
+        // Split along the longer dimension (rows first: die boundaries are
+        // the expensive ones).
+        let split_rows = region.rows() >= region.cols() && region.rows() > 1;
+        let (low, high) = if split_rows {
+            let mid = region.row_lo + region.rows() / 2;
+            (Region { row_hi: mid, ..region }, Region { row_lo: mid, ..region })
         } else {
-            low_tasks.push(t);
-        }
-    }
-
-    let concurrent = ctx.cfg.solver.parallel_recursion()
-        && !low.single()
-        && !high.single()
-        && !low_tasks.is_empty()
-        && !high_tasks.is_empty();
-    let (low_pairs, high_pairs) = if concurrent {
-        // Per-job solve-activity scopes are thread-local; re-install the
-        // caller's scope on the worker so batch attribution stays correct.
-        let scope = tapacs_ilp::SolveActivity::current_scope();
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                tapacs_ilp::SolveActivity::scoped_opt(scope, || {
-                    place_region(graph, ctx, &low_tasks, low, level + 1, samples, degraded)
-                })
-            });
-            let high_pairs =
-                place_region(graph, ctx, &high_tasks, high, level + 1, samples, degraded);
-            // Re-raise a worker panic with its original payload so the
-            // batch engine's job-level isolation can attribute it.
-            let low_pairs = match worker.join() {
-                Ok(pairs) => pairs,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (low_pairs, high_pairs)
-        })
-    } else {
-        (
-            place_region(graph, ctx, &low_tasks, low, level + 1, samples, degraded),
-            place_region(graph, ctx, &high_tasks, high, level + 1, samples, degraded),
-        )
-    };
-    let mut pairs = low_pairs?;
-    pairs.extend(high_pairs?);
-    Ok(pairs)
-}
-
-/// Two-way ILP split of `tasks` between `low` and `high` regions.
-fn solve_region_split(
-    graph: &TaskGraph,
-    ctx: &FpgaCtx<'_>,
-    tasks: &[TaskId],
-    low: &Region,
-    high: &Region,
-    pin: impl Fn(&TaskKind) -> Option<bool>,
-    degraded: &AtomicBool,
-) -> Result<Vec<bool>, CompileError> {
-    let cfg = ctx.cfg;
-    let mut m = Model::new("intra-fpga-bisection");
-    let mut local = std::collections::HashMap::new();
-    let mut x = Vec::with_capacity(tasks.len());
-    let mut pinned_low = Resources::ZERO;
-    let mut pinned_high = Resources::ZERO;
-    let mut free = Vec::new();
-    for (i, &t) in tasks.iter().enumerate() {
-        local.insert(t, i);
-        let v = m.binary(format!("x{}", t.index()));
-        match pin(&graph.task(t).kind) {
-            Some(side) => {
-                m.add_eq(
-                    format!("pin{}", t.index()),
-                    LinExpr::term(v, 1.0),
-                    if side { 1.0 } else { 0.0 },
-                );
-                if side {
-                    pinned_high += graph.task(t).resources;
-                } else {
-                    pinned_low += graph.task(t).resources;
-                }
-            }
-            None => free.push(i),
-        }
-        x.push(v);
-    }
-
-    // Cut objective over edges internal to this task set. Every integral
-    // assignment forces each cut indicator to 0 or 1, so the objective of
-    // any integer-feasible point is a sum of edge widths — a multiple of
-    // their gcd, which the solver exploits as a bound-tightening lattice.
-    let mut objective = LinExpr::new();
-    let mut width_gcd: u64 = 0;
-    for (fid, f) in graph.fifos() {
-        let (Some(&a), Some(&b)) = (local.get(&f.src), local.get(&f.dst)) else {
-            continue;
+            let mid = region.col_lo + region.cols() / 2;
+            (Region { col_hi: mid, ..region }, Region { col_lo: mid, ..region })
         };
-        if a == b {
-            continue;
-        }
-        let y = m.continuous(format!("y{}", fid.index()), 0.0, 1.0);
-        m.add_ge(format!("c1_{}", fid.index()), LinExpr::term(y, 1.0) - x[a] + x[b], 0.0);
-        m.add_ge(format!("c2_{}", fid.index()), LinExpr::term(y, 1.0) - x[b] + x[a], 0.0);
-        objective.add_term(y, f.width_bits as f64);
-        width_gcd = gcd(width_gcd, f.width_bits as u64);
-    }
+        let (cap_low, cap_high) = (self.region_capacity(&low), self.region_capacity(&high));
 
-    let cap_low = ctx.region_capacity(low);
-    let cap_high = ctx.region_capacity(high);
-    for kind in ResourceKind::ALL {
-        let total: f64 = tasks.iter().map(|&t| graph.task(t).resources.get(kind) as f64).sum();
-        let load_high = LinExpr::sum(
-            tasks
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| LinExpr::term(x[i], graph.task(t).resources.get(kind) as f64)),
-        );
-        m.add_le(format!("capH_{kind}"), load_high.clone(), cap_high.get(kind) as f64);
-        m.add_ge(format!("capL_{kind}"), load_high, total - cap_low.get(kind) as f64);
-    }
+        // Pin memory tasks toward the HBM shoreline and network endpoints
+        // toward the QSFP row when this split decides that dimension. Rows
+        // are split low/high, so when the region contains the HBM row it is
+        // in the low half, and when it contains the top row it is in the
+        // high half.
+        let hbm_row = self.device.hbm_row();
+        let splits_off_hbm_row = split_rows && region.row_lo <= hbm_row && hbm_row < region.row_hi;
+        // Hard-pinning memory adapters to the shoreline half only works
+        // while they fit there; otherwise they spill one die up (longer AXI
+        // paths, paid for via congestion) rather than making the floorplan
+        // infeasible.
+        let mem_load: Resources = tasks
+            .iter()
+            .map(|&t| graph.task(t))
+            .filter(|task| task.kind.is_memory())
+            .map(|task| task.resources)
+            .sum();
+        let mem_fits_low = mem_load.fits_within(&cap_low, 0.85);
+        // Network endpoints stay off the crowded HBM shoreline but may use
+        // any upper die (the QSFP fabric reaches them all).
+        let pin = |kind: &TaskKind| {
+            if !splits_off_hbm_row {
+                None
+            } else if kind.is_memory() {
+                mem_fits_low.then_some(false)
+            } else {
+                kind.is_network().then_some(true)
+            }
+        };
+        let items: Vec<Item> = tasks
+            .iter()
+            .map(|&t| graph.task(t))
+            .map(|task| Item { resources: task.resources, pin: pin(&task.kind) })
+            .collect();
 
-    // Balance the *unpinned* load across the halves in proportion to their
-    // remaining capacity (congestion costs frequency). Pinned load sits
-    // where the chip layout dictates; free logic spreads.
-    if let Some(kind) = binding_kind_of(graph, tasks, &(cap_low + cap_high)) {
-        let free_total: f64 =
-            free.iter().map(|&i| graph.task(tasks[i]).resources.get(kind) as f64).sum();
-        if free_total > 0.0 {
-            let rem_low = (cap_low.get(kind) as f64 - pinned_low.get(kind) as f64).max(0.0);
-            let rem_high = (cap_high.get(kind) as f64 - pinned_high.get(kind) as f64).max(0.0);
-            if rem_low + rem_high > 0.0 {
+        // Balance the *unpinned* load across the halves in proportion to
+        // the capacity the pinned load leaves them (congestion costs
+        // frequency): pinned load sits where the chip layout dictates, free
+        // logic spreads.
+        let balance = binding_kind(&items, &(cap_low + cap_high)).and_then(|kind| {
+            let remaining = |cap: &Resources, side: bool| {
+                let pinned: Resources =
+                    items.iter().filter(|i| i.pin == Some(side)).map(|i| i.resources).sum();
+                (cap.get(kind) as f64 - pinned.get(kind) as f64).max(0.0)
+            };
+            let (rem_low, rem_high) = (remaining(&cap_low, false), remaining(&cap_high, true));
+            (rem_low + rem_high > 0.0).then(|| {
                 let share_high = rem_high / (rem_low + rem_high);
-                let load_free_high = LinExpr::sum(free.iter().map(|&i| {
-                    LinExpr::term(x[i], graph.task(tasks[i]).resources.get(kind) as f64)
-                }));
-                let floor_high = free_total * share_high * (1.0 - cfg.balance_slack);
-                let floor_low = free_total * (1.0 - share_high) * (1.0 - cfg.balance_slack);
-                m.add_ge("balH", load_free_high.clone(), floor_high);
-                m.add_le("balL", load_free_high, free_total - floor_low);
-            }
-        }
-    }
-
-    m.set_objective(Sense::Minimize, objective);
-    let mut solver_cfg = SolverConfig::with_time_limit(Duration::from_secs_f64(cfg.time_limit_s));
-    solver_cfg.objective_granularity = width_gcd as f64;
-    solver_cfg.cancel = cfg.cancel.clone();
-    match m.solve_with_options(&solver_cfg, &cfg.solver) {
-        Ok(sol) => {
-            // Propagate the degradation ladder's mark (see the
-            // partitioner's `solve_two_way`).
-            if sol.degraded {
-                degraded.store(true, Ordering::Relaxed);
-            }
-            Ok(x.iter().map(|&v| sol.is_set(v)).collect())
-        }
-        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_))) => {
-            // As in the partitioner's `solve_two_way`: a greedy stand-in
-            // for an exhausted budget or an uncertified answer is a
-            // degradation, a greedy answer to a proven-infeasible ILP is
-            // the organic path.
-            if !matches!(err, IlpError::Infeasible) {
-                degraded.store(true, Ordering::Relaxed);
-            }
-            greedy_region_split(graph, tasks, &cap_low, &cap_high, &pin).ok_or_else(|| {
-                CompileError::InsufficientResources {
-                    detail: format!(
-                        "no feasible slot split: {} tasks into rows {}..{}/{}..{}",
-                        tasks.len(),
-                        low.row_lo,
-                        low.row_hi,
-                        high.row_lo,
-                        high.row_hi
-                    ),
-                }
+                let slack = self.cfg.balance_slack;
+                Balance { kind, share_low: 1.0 - share_high, share_high, slack }
             })
-        }
-        Err(e) => Err(CompileError::Solver(e.to_string())),
+        });
+        let edges = local_edges(
+            graph.num_tasks(),
+            tasks.iter().map(|t| t.index()),
+            graph.fifos().map(|(_, f)| (f.src.index(), f.dst.index(), f.width_bits as u64)),
+        );
+        let split =
+            Split { items, edges, low: Side::exact(cap_low), high: Side::exact(cap_high), balance };
+        (low, high, split)
     }
 }
 
-/// The resource kind that binds first for this task set.
-fn binding_kind_of(graph: &TaskGraph, tasks: &[TaskId], cap: &Resources) -> Option<ResourceKind> {
-    let mut best = None;
-    let mut best_ratio = 0.0;
-    for kind in ResourceKind::ALL {
-        let capacity = cap.get(kind) as f64;
-        if capacity <= 0.0 {
-            continue;
-        }
-        let total: f64 = tasks.iter().map(|&t| graph.task(t).resources.get(kind) as f64).sum();
-        let ratio = total / capacity;
-        if total > 0.0 && ratio > best_ratio {
-            best_ratio = ratio;
-            best = Some(kind);
-        }
-    }
-    best
-}
-
-/// Largest-first greedy fallback for a region split, honouring pins.
-/// `true` = high side.
-fn greedy_region_split(
-    graph: &TaskGraph,
-    tasks: &[TaskId],
-    cap_low: &Resources,
-    cap_high: &Resources,
-    pin: &impl Fn(&TaskKind) -> Option<bool>,
-) -> Option<Vec<bool>> {
-    let mut side = vec![false; tasks.len()];
-    let mut used_low = Resources::ZERO;
-    let mut used_high = Resources::ZERO;
-    let mut free: Vec<usize> = Vec::new();
-    for (i, &t) in tasks.iter().enumerate() {
-        match pin(&graph.task(t).kind) {
-            Some(true) => {
-                side[i] = true;
-                used_high += graph.task(t).resources;
-            }
-            Some(false) => used_low += graph.task(t).resources,
-            None => free.push(i),
-        }
-    }
-    if !used_low.fits_within(cap_low, 1.0) || !used_high.fits_within(cap_high, 1.0) {
-        return None;
-    }
-    free.sort_by_key(|&i| {
-        let r = graph.task(tasks[i]).resources;
-        std::cmp::Reverse(r.lut + r.ff + 1000 * (r.bram + r.dsp + r.uram))
-    });
-    for i in free {
-        let w = graph.task(tasks[i]).resources;
-        let fits_l = (used_low + w).fits_within(cap_low, 1.0);
-        let fits_h = (used_high + w).fits_within(cap_high, 1.0);
-        let frac_l = used_low.utilization(cap_low).max();
-        let frac_h = used_high.utilization(cap_high).max();
-        match (fits_l, fits_h) {
-            (true, true) => {
-                if frac_h < frac_l {
-                    side[i] = true;
-                    used_high += w;
-                } else {
-                    used_low += w;
-                }
-            }
-            (true, false) => used_low += w,
-            (false, true) => {
-                side[i] = true;
-                used_high += w;
-            }
-            (false, false) => return None,
-        }
-    }
-    Some(side)
+/// Whether the chip layout lets a task of `kind` sit in `slot`: memory
+/// adapters on the HBM shoreline or one die above it, network endpoints
+/// anywhere off the shoreline.
+fn slot_allowed(kind: &TaskKind, slot: SlotId, device: &Device) -> bool {
+    let hbm_row = device.hbm_row();
+    (!kind.is_memory() || slot.row <= hbm_row + 1) && (!kind.is_network() || slot.row != hbm_row)
 }
 
 /// Direct first-fit-decreasing slot packing honouring physical pins. Used
 /// when recursive bisection fails on lookahead.
 fn greedy_slots(
-    graph: &TaskGraph,
     ctx: &FpgaCtx<'_>,
     tasks: &[TaskId],
     slot_of_task: &mut [SlotId],
 ) -> Result<(), CompileError> {
-    let device = ctx.device;
+    let (graph, device) = (ctx.graph, ctx.device);
     let slots: Vec<SlotId> = device.slots().collect();
     let caps: Vec<Resources> = slots.iter().map(|&s| ctx.slot_capacity(s)).collect();
     let mut used = vec![Resources::ZERO; slots.len()];
     let mut order: Vec<TaskId> = tasks.to_vec();
-    order.sort_by_key(|&t| {
-        let r = graph.task(t).resources;
-        std::cmp::Reverse(r.lut + r.ff + 1000 * (r.bram + r.dsp + r.uram))
-    });
+    order.sort_by_key(|&t| std::cmp::Reverse(size_key(&graph.task(t).resources)));
     for t in order {
         let res = graph.task(t).resources;
-        let allowed = |s: SlotId| match graph.task(t).kind {
-            // Memory adapters sit on the shoreline or one die above it.
-            TaskKind::HbmRead { .. } | TaskKind::HbmWrite { .. } => s.row <= device.hbm_row() + 1,
-            TaskKind::NetSend | TaskKind::NetRecv => s.row != device.hbm_row(),
-            _ => true,
-        };
         let is_mem = graph.task(t).kind.is_memory();
         let mut best: Option<usize> = None;
         let mut best_key = (usize::MAX, f64::INFINITY);
         for (i, &s) in slots.iter().enumerate() {
-            if !allowed(s) {
+            if !slot_allowed(&graph.task(t).kind, s, device) {
                 continue;
             }
             if !(used[i] + res).fits_within(&caps[i], ctx.cfg.slot_threshold) {
@@ -615,17 +369,11 @@ fn congestion(u: f64) -> f64 {
 /// Greedy refinement with the true equation-4 objective *plus* a congestion
 /// term: move one task to another slot when it lowers
 /// `Σ width × Manhattan + κ Σ congestion(slot)`.
-fn refine_fpga(
-    graph: &TaskGraph,
-    ctx: &FpgaCtx<'_>,
-    tasks: &[TaskId],
-    slot_of_task: &mut [SlotId],
-) {
+fn refine_fpga(ctx: &FpgaCtx<'_>, tasks: &[TaskId], slot_of_task: &mut [SlotId]) {
     // Weight that makes ~1 percentage point of congestion comparable to
     // rerouting a 512-bit FIFO across one extra hop.
     const KAPPA: f64 = 2.0e5;
-    let device = ctx.device;
-    let cfg = ctx.cfg;
+    let (graph, device, cfg) = (ctx.graph, ctx.device, ctx.cfg);
     let n_slots = device.num_slots();
     let idx = |s: SlotId| s.row * device.cols() + s.col;
     let mut used = vec![Resources::ZERO; n_slots];
@@ -664,19 +412,8 @@ fn refine_fpga(
             let mut best = cur;
             let mut best_delta = -1e-9;
             for cand in device.slots() {
-                if cand == cur {
+                if cand == cur || !slot_allowed(kind, cand, device) {
                     continue;
-                }
-                match kind {
-                    TaskKind::HbmRead { .. } | TaskKind::HbmWrite { .. }
-                        if cand.row > device.hbm_row() + 1 =>
-                    {
-                        continue
-                    }
-                    TaskKind::NetSend | TaskKind::NetRecv if cand.row == device.hbm_row() => {
-                        continue
-                    }
-                    _ => {}
                 }
                 let after_cand = used[idx(cand)] + res;
                 if !after_cand.fits_within(&caps[idx(cand)], cfg.slot_threshold) {
@@ -738,7 +475,7 @@ pub fn floorplan_naive(
 
     for fpga in 0..n_fpgas {
         let reserved = reserved_qsfp.get(fpga).copied().unwrap_or(Resources::ZERO);
-        let ctx = FpgaCtx { device, cfg, reserved };
+        let ctx = FpgaCtx { graph, device, cfg, reserved };
         let slots: Vec<SlotId> = device.slots().collect();
         let caps: Vec<Resources> = slots.iter().map(|&s| ctx.slot_capacity(s)).collect();
         let idx = |s: SlotId| s.row * device.cols() + s.col;
@@ -747,26 +484,13 @@ pub fn floorplan_naive(
         let mut order: Vec<TaskId> =
             graph.task_ids().filter(|t| assignment[t.index()] == fpga).collect();
         order.sort_by_key(|t| {
-            let pinned = matches!(
-                graph.task(*t).kind,
-                TaskKind::HbmRead { .. }
-                    | TaskKind::HbmWrite { .. }
-                    | TaskKind::NetSend
-                    | TaskKind::NetRecv
-            );
-            (!pinned, t.index())
+            let kind = &graph.task(*t).kind;
+            (!(kind.is_memory() || kind.is_network()), t.index())
         });
         for t in order {
             let res = graph.task(t).resources;
-            let allowed = |s: SlotId| match graph.task(t).kind {
-                TaskKind::HbmRead { .. } | TaskKind::HbmWrite { .. } => {
-                    s.row <= device.hbm_row() + 1
-                }
-                TaskKind::NetSend | TaskKind::NetRecv => s.row != device.hbm_row(),
-                _ => true,
-            };
             let Some(&slot) = slots.iter().find(|&&s| {
-                allowed(s)
+                slot_allowed(&graph.task(t).kind, s, device)
                     && (slot_used[fpga][idx(s)] + res)
                         .fits_within(&caps[idx(s)], cfg.slot_threshold)
             }) else {

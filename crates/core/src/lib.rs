@@ -9,16 +9,19 @@
 //! 2. **Task extraction & parallel synthesis** — [`estimate`] provides
 //!    per-module resource profiles when the app does not carry measured
 //!    ones.
-//! 3. **Inter-FPGA floorplanning** — [`partition`]: an ILP over the cluster
-//!    topology minimizing `Σ e.width × dist(F_i,F_j) × λ` under per-resource
-//!    thresholds (equations 1–2), with multilevel coarsening + refinement
-//!    for large designs.
+//! 3. **Inter-FPGA floorplanning** — [`partition`]: recursive two-way ILP
+//!    partitioning of the device range, then refinement against the
+//!    cluster topology's `Σ e.width × dist(F_i,F_j) × λ` under per-resource
+//!    thresholds (equations 1–2), with multilevel coarsening for large
+//!    designs. The two-way split — model, greedy fallback, recursion — is
+//!    the private `bisect` module, which step 5 runs too.
 //! 4. **Inter-FPGA communication logic insertion** — [`comm`]: cut FIFOs
 //!    are split through AlveoLink send/recv endpoint tasks and the per-port
 //!    IP overhead is charged to each FPGA.
-//! 5. **Intra-FPGA floorplanning** — [`floorplan`]: recursive two-way ILP
-//!    partitioning of each FPGA's slot grid (equation 4), HBM readers
-//!    pinned to the bottom die, network endpoints to the QSFP die.
+//! 5. **Intra-FPGA floorplanning** — [`floorplan`]: the same recursive
+//!    two-way ILP partitioning (the same `bisect` code as step 3) over each
+//!    FPGA's slot grid (equation 4), HBM readers pinned to the bottom die,
+//!    network endpoints to the QSFP die.
 //! 6. **Interconnect pipelining** — [`pipeline`]: registers on every
 //!    slot-crossing wire plus cut-set latency balancing of reconvergent
 //!    paths (§4.6).
@@ -51,6 +54,7 @@ pub mod pnr;
 pub mod report;
 pub mod stage;
 
+mod bisect;
 mod error;
 
 pub use batch::{BatchCompiler, BatchOutcome, BatchReport, CompileJob, JobReport, StageTotal};

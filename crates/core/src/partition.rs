@@ -15,28 +15,27 @@
 //! 1. **coarsen** by heavy-edge matching until at most
 //!    [`PartitionConfig::coarsen_to`] supernodes remain (the 493-module CNN
 //!    grid shrinks to under a hundred),
-//! 2. **recursive two-way ILP bisection** over device index ranges using
-//!    the pluggable [`tapacs_ilp`] solver backends (cut width linearized
-//!    with one continuous variable per edge). Bipartitioning makes the two
-//!    halves of every level *independent*, so under
-//!    [`SolverOptions::parallel_recursion`] they are solved concurrently on
-//!    scoped threads — the paper's divide-and-conquer scalability argument,
-//!    applied to compile time,
+//! 2. **recursive two-way ILP bisection** over device index ranges — the
+//!    crate's one split-and-recurse (`bisect.rs`), the same model and
+//!    driver the intra-FPGA floorplanner runs over slot regions; this file
+//!    only says how a device range halves and what a group of devices holds,
 //! 3. **project & refine** on the full graph: Kernighan–Lin-style single
 //!    task moves evaluated against the *true* topology distance and λ.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use tapacs_fpga::Resources;
+use tapacs_fpga::{ResourceKind, Resources};
 use tapacs_graph::{algo, TaskGraph, TaskId};
-use tapacs_ilp::{IlpError, LinExpr, Model, Sense, SolverConfig, SolverOptions};
+use tapacs_ilp::SolverOptions;
 use tapacs_net::{AlveoLink, Cluster, FpgaId};
 
+use crate::bisect::{
+    binding_kind, local_edges, size_key, Balance, Item, Level, Side, SolveSetup, Split, SplitLog,
+};
 use crate::error::CompileError;
-use crate::report::{aggregate_level_samples, LevelSolveStats};
+use crate::report::LevelSolveStats;
 
 /// Tuning knobs for the inter-FPGA partitioner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -153,7 +152,8 @@ pub fn partition(
                 ),
             });
         }
-        return Ok(finish(graph, cluster, vec![0; graph.num_tasks()], 1, start, Vec::new(), false));
+        let assignment = vec![0; graph.num_tasks()];
+        return Ok(finish(graph, cluster, assignment, 1, start, SplitLog::default()));
     }
 
     // Aggregate feasibility first: fail fast with a useful message.
@@ -175,46 +175,33 @@ pub fn partition(
     // progressively tighter balance before falling back to a greedy
     // multiway packing.
     let mut assignment = vec![0usize; graph.num_tasks()];
+    let mut log = SplitLog::default();
     let mut solved = false;
-    let mut solve_stats = Vec::new();
-    let mut degraded = false;
-    for slack in [cfg.balance_slack, cfg.balance_slack * 0.4, 0.05] {
-        let tighter = PartitionConfig { balance_slack: slack, ..cfg.clone() };
-        let all: Vec<usize> = (0..coarse.nodes.len()).collect();
-        let samples = Mutex::new(Vec::new());
-        // Fresh flag per attempt: a degraded *failed* attempt must not
-        // taint a clean later one.
-        let attempt_degraded = AtomicBool::new(false);
-        match bisect(&coarse, &all, 0..n_fpgas, &cap, &tighter, 0, &samples, &attempt_degraded) {
-            Ok(pairs) => {
-                let mut coarse_assign = vec![0usize; coarse.nodes.len()];
-                for (sn, device) in pairs {
-                    coarse_assign[sn] = device;
+    let all: Vec<usize> = (0..coarse.nodes.len()).collect();
+    let setup =
+        SolveSetup { time_limit_s: cfg.time_limit_s, solver: &cfg.solver, cancel: &cfg.cancel };
+    for balance_slack in [cfg.balance_slack, cfg.balance_slack * 0.4, 0.05] {
+        let level = DeviceRange { coarse: &coarse, cap: &cap, cfg, balance_slack };
+        if let Some(pairs) = log.attempt(&level, &setup, &all, 0..n_fpgas)? {
+            for (sn, device) in pairs {
+                for &t in &coarse.members[sn] {
+                    assignment[t.index()] = device;
                 }
-                for (sn, tasks) in coarse.members.iter().enumerate() {
-                    for &t in tasks {
-                        assignment[t.index()] = coarse_assign[sn];
-                    }
-                }
-                let samples = samples.into_inner().unwrap_or_else(|e| e.into_inner());
-                solve_stats = aggregate_level_samples(samples);
-                degraded = attempt_degraded.load(Ordering::Relaxed);
-                solved = true;
-                break;
             }
-            Err(CompileError::InsufficientResources { .. }) => continue,
-            Err(other) => return Err(other),
+            solved = true;
+            break;
         }
     }
     if !solved {
         assignment = greedy_multiway(graph, n_fpgas, &cap, cfg.threshold)?;
+        log.greedy_stand_in();
     }
     refine(graph, cluster, n_fpgas, &cap, cfg, &mut assignment);
 
     // Final feasibility repair + check.
     repair(graph, n_fpgas, &cap, cfg.threshold, &mut assignment)?;
 
-    Ok(finish(graph, cluster, assignment, n_fpgas, start, solve_stats, degraded))
+    Ok(finish(graph, cluster, assignment, n_fpgas, start, log))
 }
 
 fn finish(
@@ -223,9 +210,9 @@ fn finish(
     assignment: Vec<usize>,
     n_fpgas: usize,
     start: Instant,
-    solve_stats: Vec<LevelSolveStats>,
-    degraded: bool,
+    log: SplitLog,
 ) -> InterPartition {
+    let (solve_stats, degraded) = log.finish();
     let mut used = vec![Resources::ZERO; n_fpgas];
     for (id, t) in graph.tasks() {
         used[assignment[id.index()]] += t.resources;
@@ -357,247 +344,53 @@ impl Coarse {
 // ILP bisection
 // --------------------------------------------------------------------------
 
-/// Recursively splits the supernodes in `here` across the device range with
-/// a two-way ILP per level, until every group is a single device. Returns
-/// `(supernode, device)` pairs.
-///
-/// The two halves of each split are independent subproblems; under
-/// [`SolverOptions::parallel_recursion`] the left half runs on a scoped
-/// worker thread while this thread descends into the right half. Merging is
-/// a deterministic concatenation, so the result is identical to the
-/// sequential recursion.
-#[allow(clippy::too_many_arguments)]
-fn bisect(
-    coarse: &Coarse,
-    here: &[usize],
-    range: std::ops::Range<usize>,
-    cap: &Resources,
-    cfg: &PartitionConfig,
-    level: usize,
-    samples: &Mutex<Vec<(usize, f64)>>,
-    degraded: &AtomicBool,
-) -> Result<Vec<(usize, usize)>, CompileError> {
-    let len = range.len();
-    if len <= 1 || here.is_empty() {
-        return Ok(here.iter().map(|&sn| (sn, range.start)).collect());
-    }
-    let mid = range.start + len / 2;
-    let left = range.start..mid;
-    let right = mid..range.end;
-
-    let t0 = Instant::now();
-    let side = solve_two_way(coarse, here, left.len(), right.len(), cap, cfg, degraded)?;
-    samples.lock().unwrap_or_else(|e| e.into_inner()).push((level, t0.elapsed().as_secs_f64()));
-
-    let mut left_sns = Vec::new();
-    let mut right_sns = Vec::new();
-    for (&sn, &s) in here.iter().zip(&side) {
-        if s {
-            right_sns.push(sn);
-        } else {
-            left_sns.push(sn);
-        }
-    }
-
-    let concurrent = cfg.solver.parallel_recursion()
-        && left.len() > 1
-        && right.len() > 1
-        && !left_sns.is_empty()
-        && !right_sns.is_empty();
-    let (left_pairs, right_pairs) = if concurrent {
-        // Per-job solve-activity scopes are thread-local; re-install the
-        // caller's scope on the worker so batch attribution stays correct.
-        let scope = tapacs_ilp::SolveActivity::current_scope();
-        std::thread::scope(|s| {
-            let worker = s.spawn(|| {
-                tapacs_ilp::SolveActivity::scoped_opt(scope, || {
-                    bisect(coarse, &left_sns, left.clone(), cap, cfg, level + 1, samples, degraded)
-                })
-            });
-            let right_pairs =
-                bisect(coarse, &right_sns, right, cap, cfg, level + 1, samples, degraded);
-            // Re-raise a worker panic with its original payload so the
-            // batch engine's job-level isolation can attribute it.
-            let left_pairs = match worker.join() {
-                Ok(pairs) => pairs,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (left_pairs, right_pairs)
-        })
-    } else {
-        (
-            bisect(coarse, &left_sns, left, cap, cfg, level + 1, samples, degraded),
-            bisect(coarse, &right_sns, right, cap, cfg, level + 1, samples, degraded),
-        )
-    };
-    let mut pairs = left_pairs?;
-    pairs.extend(right_pairs?);
-    Ok(pairs)
+/// The inter-FPGA level of the recursive bisection: supernodes over a range
+/// of devices, each device holding `threshold × cap`.
+struct DeviceRange<'a> {
+    coarse: &'a Coarse,
+    cap: &'a Resources,
+    cfg: &'a PartitionConfig,
+    /// This attempt's slack, in place of the configured one.
+    balance_slack: f64,
 }
 
-/// Two-way ILP: returns `true` for supernodes on the right side.
-fn solve_two_way(
-    coarse: &Coarse,
-    here: &[usize],
-    left_devices: usize,
-    right_devices: usize,
-    cap: &Resources,
-    cfg: &PartitionConfig,
-    degraded: &AtomicBool,
-) -> Result<Vec<bool>, CompileError> {
-    let mut m = Model::new("inter-fpga-bisection");
-    let mut local = vec![usize::MAX; coarse.nodes.len()];
-    let mut x = Vec::with_capacity(here.len());
-    for (i, &sn) in here.iter().enumerate() {
-        local[sn] = i;
-        x.push(m.binary(format!("x{sn}")));
+impl Level for DeviceRange<'_> {
+    type Item = usize;
+    type Group = Range<usize>;
+    type Leaf = usize;
+
+    fn leaf(&self, range: &Range<usize>) -> Option<usize> {
+        (range.len() <= 1).then_some(range.start)
     }
 
-    // Cut indicators for edges inside this group. As in the floorplanner's
-    // split, integral assignments force every indicator to 0 or 1, so
-    // feasible objectives live on the lattice of the edge-weight gcd.
-    let mut objective = LinExpr::new();
-    let mut weight_gcd: u64 = 0;
-    for &(a, b, w) in &coarse.edges {
-        let (la, lb) = (local[a], local[b]);
-        if la == usize::MAX || lb == usize::MAX {
-            continue;
-        }
-        let y = m.continuous(format!("y{a}_{b}"), 0.0, 1.0);
-        m.add_ge(format!("c1_{a}_{b}"), LinExpr::term(y, 1.0) - x[la] + x[lb], 0.0);
-        m.add_ge(format!("c2_{a}_{b}"), LinExpr::term(y, 1.0) - x[lb] + x[la], 0.0);
-        objective.add_term(y, w as f64);
-        weight_gcd = gcd(weight_gcd, w);
-    }
-
-    // Resource thresholds per side, per kind (equation 1).
-    use tapacs_fpga::ResourceKind;
-    for kind in ResourceKind::ALL {
-        let total: f64 = here.iter().map(|&sn| coarse.nodes[sn].get(kind) as f64).sum();
-        let cap_one = cap.get(kind) as f64 * cfg.threshold;
-        let right_cap = cap_one * right_devices as f64;
-        let left_cap = cap_one * left_devices as f64;
-        let load_right = LinExpr::sum(
-            here.iter()
-                .enumerate()
-                .map(|(i, &sn)| LinExpr::term(x[i], coarse.nodes[sn].get(kind) as f64)),
+    fn split(&self, here: &[usize], range: &Range<usize>) -> (Range<usize>, Range<usize>, Split) {
+        let (cap, cfg) = (self.cap, self.cfg);
+        let mid = range.start + range.len() / 2;
+        let (left, right) = (range.start..mid, mid..range.end);
+        let items: Vec<Item> =
+            here.iter().map(|&sn| Item { resources: self.coarse.nodes[sn], pin: None }).collect();
+        let side = |devices: usize| Side {
+            cap: (*cap * devices as u64).scale(cfg.threshold),
+            rhs: ResourceKind::ALL.map(|k| cap.get(k) as f64 * cfg.threshold * devices as f64),
+        };
+        // Compute load balanced in proportion to the device counts
+        // ("ensuring the compute-load between the multiple FPGAs is
+        // balanced", §4.1).
+        let devices = range.len() as f64;
+        let balance = binding_kind(&items, cap).map(|kind| Balance {
+            kind,
+            share_low: left.len() as f64 / devices,
+            share_high: right.len() as f64 / devices,
+            slack: self.balance_slack,
+        });
+        let edges = local_edges(
+            self.coarse.nodes.len(),
+            here.iter().copied(),
+            self.coarse.edges.iter().copied(),
         );
-        m.add_le(format!("capR_{kind}"), load_right.clone(), right_cap);
-        // Left load = total - right load ≤ left_cap.
-        m.add_ge(format!("capL_{kind}"), load_right, total - left_cap);
+        let split = Split { items, edges, low: side(left.len()), high: side(right.len()), balance };
+        (left, right, split)
     }
-
-    // Compute-load balance on the binding resource kind: without this, a
-    // small design would trivially collapse onto one device (min-cut = 0),
-    // defeating the paper's load-balancing objective.
-    if let Some(kind) = binding_kind(coarse, here, cap) {
-        let total: f64 = here.iter().map(|&sn| coarse.nodes[sn].get(kind) as f64).sum();
-        let devices = (left_devices + right_devices) as f64;
-        let right_share = right_devices as f64 / devices;
-        let left_share = left_devices as f64 / devices;
-        let load_right = LinExpr::sum(
-            here.iter()
-                .enumerate()
-                .map(|(i, &sn)| LinExpr::term(x[i], coarse.nodes[sn].get(kind) as f64)),
-        );
-        let floor_r = total * right_share * (1.0 - cfg.balance_slack);
-        let floor_l = total * left_share * (1.0 - cfg.balance_slack);
-        m.add_ge("balR", load_right.clone(), floor_r);
-        // Left load ≥ floor_l  ⇔  right load ≤ total − floor_l.
-        m.add_le("balL", load_right, total - floor_l);
-    }
-
-    m.set_objective(Sense::Minimize, objective);
-    let mut solver_cfg = SolverConfig::with_time_limit(Duration::from_secs_f64(cfg.time_limit_s));
-    solver_cfg.objective_granularity = weight_gcd as f64;
-    solver_cfg.cancel = cfg.cancel.clone();
-    match m.solve_with_options(&solver_cfg, &cfg.solver) {
-        Ok(sol) => {
-            // The degradation ladder turns a timed-out ILP into a heuristic
-            // incumbent marked `degraded`; propagate the mark so the
-            // partition (and ultimately the DSE point) is not mistaken for
-            // a proven result.
-            if sol.degraded {
-                degraded.store(true, Ordering::Relaxed);
-            }
-            Ok(x.iter().map(|&v| sol.is_set(v)).collect())
-        }
-        Err(err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_))) => {
-            // Best-effort greedy split before declaring the level
-            // unsolvable. A proven-infeasible ILP reaches this arm on the
-            // organic path (deterministic whatever the budget), but an
-            // exhausted budget (`NoIncumbent` past the heuristic rung) or
-            // an answer its certificate rejected (`Uncertified`) means
-            // the greedy stand-in replaces an answer the ILP would
-            // otherwise have produced — that substitution must carry the
-            // degraded mark like any other ladder fallback.
-            if !matches!(err, IlpError::Infeasible) {
-                degraded.store(true, Ordering::Relaxed);
-            }
-            let weights: Vec<Resources> = here.iter().map(|&sn| coarse.nodes[sn]).collect();
-            greedy_two_way(&weights, cap, left_devices, right_devices, cfg.threshold).ok_or(
-                CompileError::InsufficientResources {
-                    detail: "no two-way split satisfies the resource thresholds".into(),
-                },
-            )
-        }
-        Err(e) => Err(CompileError::Solver(e.to_string())),
-    }
-}
-
-/// Euclidean gcd with `gcd(0, x) = x`, so it folds cleanly over a weight
-/// list starting from zero (an empty list yields 0 = "no lattice known").
-pub(crate) fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Largest-first greedy two-way split; returns `None` when some item fits
-/// neither side. `true` = right side.
-fn greedy_two_way(
-    weights: &[Resources],
-    cap: &Resources,
-    left_devices: usize,
-    right_devices: usize,
-    threshold: f64,
-) -> Option<Vec<bool>> {
-    let cap_left = (*cap * left_devices as u64).scale(threshold);
-    let cap_right = (*cap * right_devices as u64).scale(threshold);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| {
-        let r = weights[i];
-        std::cmp::Reverse(r.lut + r.ff + 1000 * (r.bram + r.dsp + r.uram))
-    });
-    let mut used_left = Resources::ZERO;
-    let mut used_right = Resources::ZERO;
-    let mut side = vec![false; weights.len()];
-    for i in order {
-        let w = weights[i];
-        let fits_l = (used_left + w).fits_within(&cap_left, 1.0);
-        let fits_r = (used_right + w).fits_within(&cap_right, 1.0);
-        let frac_l = used_left.utilization(&cap_left).max();
-        let frac_r = used_right.utilization(&cap_right).max();
-        match (fits_l, fits_r) {
-            (true, true) => {
-                if frac_r < frac_l {
-                    side[i] = true;
-                    used_right += w;
-                } else {
-                    used_left += w;
-                }
-            }
-            (true, false) => used_left += w,
-            (false, true) => {
-                side[i] = true;
-                used_right += w;
-            }
-            (false, false) => return None,
-        }
-    }
-    Some(side)
 }
 
 /// Greedy multiway packing fallback: largest-first onto the least-loaded
@@ -609,10 +402,7 @@ fn greedy_multiway(
     threshold: f64,
 ) -> Result<Vec<usize>, CompileError> {
     let mut order: Vec<TaskId> = graph.task_ids().collect();
-    order.sort_by_key(|t| {
-        let r = graph.task(*t).resources;
-        std::cmp::Reverse(r.lut + r.ff + 1000 * (r.bram + r.dsp + r.uram))
-    });
+    order.sort_by_key(|t| std::cmp::Reverse(size_key(&graph.task(*t).resources)));
     let mut used = vec![Resources::ZERO; n_fpgas];
     let mut assignment = vec![0usize; graph.num_tasks()];
     for t in order {
@@ -640,30 +430,6 @@ fn greedy_multiway(
     Ok(assignment)
 }
 
-/// The resource kind that binds first: `argmax_k total_k / cap_k`.
-fn binding_kind(
-    coarse: &Coarse,
-    here: &[usize],
-    cap: &Resources,
-) -> Option<tapacs_fpga::ResourceKind> {
-    use tapacs_fpga::ResourceKind;
-    let mut best = None;
-    let mut best_ratio = 0.0;
-    for kind in ResourceKind::ALL {
-        let capacity = cap.get(kind) as f64;
-        if capacity <= 0.0 {
-            continue;
-        }
-        let total: f64 = here.iter().map(|&sn| coarse.nodes[sn].get(kind) as f64).sum();
-        let ratio = total / capacity;
-        if total > 0.0 && ratio > best_ratio {
-            best_ratio = ratio;
-            best = Some(kind);
-        }
-    }
-    best
-}
-
 // --------------------------------------------------------------------------
 // Refinement & repair
 // --------------------------------------------------------------------------
@@ -684,7 +450,6 @@ fn refine(
     }
     // Balance floor on the full graph's binding kind: moves must not
     // strip a device below its fair share.
-    use tapacs_fpga::ResourceKind;
     let binding = ResourceKind::ALL.into_iter().filter(|k| cap.get(*k) > 0).max_by(|a, b| {
         let ta: u64 = graph.tasks().map(|(_, t)| t.resources.get(*a)).sum();
         let tb: u64 = graph.tasks().map(|(_, t)| t.resources.get(*b)).sum();
@@ -934,19 +699,56 @@ mod tests {
     #[test]
     fn one_and_four_solver_threads_find_the_same_cut() {
         use tapacs_ilp::SolverOptions;
+        // An ILP limit that cannot bind, checked before the designs are
+        // compared: a search cut off by its deadline returns an anytime
+        // incumbent, which is not a function of the model alone.
+        const LIMIT_S: f64 = 600.0;
         let g = two_communities(6);
-        let mut results = Vec::new();
-        for threads in [1, 4] {
+        let run = |threads| {
             let cfg = PartitionConfig {
                 solver: SolverOptions { threads, cache: false, ..Default::default() },
+                time_limit_s: LIMIT_S,
                 ..Default::default()
             };
             let p = partition(&g, &cluster(2), 2, &cfg).unwrap();
-            results.push(p.cut_width_bits);
-        }
+            assert!(!p.degraded, "the ILP limit bound (degraded partition)");
+            assert!(p.runtime.as_secs_f64() < LIMIT_S, "took {:?}, past the limit", p.runtime);
+            p
+        };
+        let (one, four) = (run(1), run(4));
         // The optimal cut (the 32-bit bridge) is unique; every thread count
-        // must find it.
-        assert_eq!(results, vec![32, 32]);
+        // must find it, and by the same assignment.
+        assert_eq!((one.cut_width_bits, four.cut_width_bits), (32, 32));
+        assert_eq!(one.assignment, four.assignment);
+    }
+
+    #[test]
+    fn greedy_multiway_after_budget_truncated_attempts_is_degraded() {
+        use tapacs_ilp::SolverOptions;
+        // Five LUT-only tasks at 100/86/86/79/21 % of one device's budget
+        // `T × cap`. No budget and no heuristic rung: every split comes
+        // back `NoIncumbent` and is answered by the two-way greedy, which
+        // at 2|2 devices packs {100, 79} | {86, 86, 21} and then cannot
+        // split the high half 1|1 (86 + 21 > 100) — in all three slack
+        // attempts, as the greedy knows no balance. The flat largest-first
+        // packing then fits 79 + 21 on the fourth device. The ILP, given
+        // time, splits {100, 86} | {86, 79, 21}: the design returned here is
+        // one a larger budget would not have produced.
+        let cl = cluster(4);
+        let cfg = PartitionConfig {
+            solver: SolverOptions { degrade: false, cache: false, ..Default::default() },
+            time_limit_s: 0.0,
+            ..Default::default()
+        };
+        let unit = (usable_capacity(&cl, 4).lut as f64 * cfg.threshold) as u64 / 100;
+        let mut g = TaskGraph::new("stranded");
+        for (i, percent) in [100, 86, 86, 79, 21].into_iter().enumerate() {
+            g.add_task(Task::compute(format!("t{i}"), Resources::new(percent * unit, 0, 0, 0, 0)));
+        }
+        let p = partition(&g, &cl, 4, &cfg).unwrap();
+        assert!(p.solve_stats.is_empty(), "no bisection attempt may have survived");
+        assert_eq!(p.assignment[3], p.assignment[4], "flat packing pairs 79 with 21");
+        assert!(p.degraded, "a greedy stand-in for budget-truncated attempts must be flagged");
     }
 
     #[test]
