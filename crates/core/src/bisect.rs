@@ -12,6 +12,19 @@
 //!   binding kind), solves it on the objective lattice of the edge-width
 //!   gcd, and falls back to the largest-first [`Split::greedy`] when the
 //!   ILP proves infeasibility or runs out of budget.
+//! * Symmetry rows (`sym{r}`, after the balance pair): free items with an
+//!   equal resource vector, a pinned neighbour and an equal multiset of
+//!   (neighbour, width) — a pinned neighbour seen only by its side — are
+//!   interchangeable, so consecutive members of each class are ordered
+//!   `x[c_k] ≥ x[c_{k+1}]`. Swapping two members (and their `y`s) maps any
+//!   split to one of equal cut, so some optimum satisfies the rows: the
+//!   optimum, the lattice and the certificate stand, only which equal-cut
+//!   point comes back changes. Without them knn's 18 pinned HBM readers
+//!   and 18 identical consumers cost 187,666 nodes of a symmetric plateau
+//!   (2,154 with). The scope is pin-induced classes only: classes of free
+//!   neighbours (stencil readers feeding one merge) shrink `dse-cold`'s
+//!   tree too, but move its equal-cut ties to +4.6 % wirelength — that
+//!   waits for a tie-break objective (ROADMAP item 4 (f)).
 //! * [`Level`] is what a caller adds: how a group of targets halves, which
 //!   group is a leaf, and the [`Split`] for a set of items. [`bisect`]
 //!   recurses over it; under [`SolverOptions::parallel_recursion`] the two
@@ -21,6 +34,7 @@
 //! * [`SplitLog`] records what the splits of one stage cost and whether any
 //!   of them was answered by something other than the ILP's own result.
 
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -149,6 +163,49 @@ impl Split {
         self.edges.iter().fold(0, |g, &(_, _, w)| gcd(g, w))
     }
 
+    /// The free items the pins make interchangeable: classes of two or
+    /// more, each in ascending position order, ordered by first member.
+    /// Members share a resource vector, have a pinned neighbour, and see
+    /// the same multiset of (neighbour, width), where a pinned neighbour is
+    /// told apart only by its side and a free one by its position. Two
+    /// adjacent items never match: each would have to neighbour itself.
+    fn pinned_symmetry_classes(&self) -> Vec<Vec<usize>> {
+        if self.items.iter().all(|item| item.pin.is_none()) {
+            return Vec::new();
+        }
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        enum Neighbour {
+            Pinned(bool),
+            Free(usize),
+        }
+        let neighbour = |i: usize| match self.items[i].pin {
+            Some(high) => Neighbour::Pinned(high),
+            None => Neighbour::Free(i),
+        };
+        let mut around = vec![Vec::new(); self.items.len()];
+        for &(a, b, width) in &self.edges {
+            around[a].push((neighbour(b), width));
+            around[b].push((neighbour(a), width));
+        }
+
+        let mut class_of = HashMap::new();
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (i, mut seen) in around.into_iter().enumerate() {
+            let pinned_neighbour = seen.iter().any(|(n, _)| matches!(n, Neighbour::Pinned(_)));
+            if self.items[i].pin.is_some() || !pinned_neighbour {
+                continue;
+            }
+            seen.sort_unstable();
+            let class = *class_of.entry((self.items[i].resources, seen)).or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[class].push(i);
+        }
+        classes.retain(|class| class.len() > 1);
+        classes
+    }
+
     /// The ILP and its side variables, one per item.
     fn model(&self) -> (Model, Vec<VarId>) {
         let mut m = Model::new("two-way-split");
@@ -198,6 +255,12 @@ impl Split {
                 m.add_ge("balH", load_high.clone(), floor_high);
                 m.add_le("balL", load_high, free_total - floor_low);
             }
+        }
+
+        // Interchangeable items take the high side in position order.
+        let classes = self.pinned_symmetry_classes();
+        for (r, pair) in classes.iter().flat_map(|class| class.windows(2)).enumerate() {
+            m.add_ge(format!("sym{r}"), LinExpr::term(x[pair[0]], 1.0) - x[pair[1]], 0.0);
         }
 
         m.set_objective(Sense::Minimize, objective);
@@ -433,6 +496,8 @@ fn bisect<L: Level>(
 mod tests {
     use std::ops::Range;
 
+    use proptest::prelude::*;
+
     use super::*;
 
     fn lut(n: u64) -> Resources {
@@ -544,6 +609,184 @@ mod tests {
         assert_eq!(split.objective_granularity(), 6);
         split.edges.clear();
         assert_eq!(split.objective_granularity(), 0, "no edges: no lattice known");
+    }
+
+    /// `pins` pinned items, then free `consumers`, each consumer joined by
+    /// `(pinned item, width)` edges and to nothing else.
+    fn fan_out(pins: &[bool], consumers: &[(u64, &[(usize, u64)])]) -> Split {
+        let mut items: Vec<Item> = pins.iter().map(|&high| pinned(10, high)).collect();
+        let mut edges = Vec::new();
+        for &(load, to_pins) in consumers {
+            edges.extend(to_pins.iter().map(|&(pin, width)| (pin, items.len(), width)));
+            items.push(free(load));
+        }
+        Split {
+            items,
+            edges,
+            low: Side::exact(lut(1000)),
+            high: Side::exact(lut(1000)),
+            balance: None,
+        }
+    }
+
+    #[test]
+    fn symmetry_classes_need_equal_resources_pinned_sides_and_widths() {
+        let classes = |split: Split| split.pinned_symmetry_classes();
+        let low: &[(usize, u64)] = &[(0, 32)];
+        // A pinned neighbour is told apart by its side only: two low pins
+        // are one neighbour.
+        assert_eq!(classes(fan_out(&[false], &[(10, low), (10, low)])), vec![vec![1, 2]]);
+        assert_eq!(classes(fan_out(&[false, false], &[(10, low), (10, &[(1, 32)])])), [[2, 3]]);
+
+        let none: Vec<Vec<usize>> = Vec::new();
+        assert_eq!(classes(fan_out(&[false], &[(10, low), (20, low)])), none, "resources");
+        assert_eq!(classes(fan_out(&[false, true], &[(10, low), (10, &[(1, 32)])])), none, "side");
+        assert_eq!(classes(fan_out(&[false], &[(10, low), (10, &[(0, 64)])])), none, "width");
+        assert_eq!(classes(fan_out(&[false], &[(10, low), (10, &[(0, 32); 2])])), none, "count");
+
+        // Equal free neighbourhoods without a pinned neighbour: no class.
+        let mut hub = fan_out(&[false], &[(10, &[]), (10, &[]), (10, &[])]);
+        hub.edges = vec![(3, 1, 32), (3, 2, 32)];
+        assert_eq!(classes(hub), none, "no pinned neighbour");
+    }
+
+    #[test]
+    fn adjacent_items_never_share_a_class() {
+        let mut split = fan_out(&[false], &[(10, &[(0, 32)]), (10, &[(0, 32)])]);
+        split.edges.push((1, 2, 32));
+        assert!(split.pinned_symmetry_classes().is_empty());
+    }
+
+    #[test]
+    fn splits_without_pins_get_no_symmetry_rows() {
+        // A hub feeding identical leaves is symmetric, but no pin induces
+        // it — and no partition split has pins.
+        let split = Split {
+            items: vec![free(10), free(10), free(10), free(10)],
+            edges: vec![(0, 1, 32), (0, 2, 32), (0, 3, 32)],
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: None,
+        };
+        assert!(split.pinned_symmetry_classes().is_empty());
+        let (model, _) = split.model();
+        assert_eq!(model.num_constraints(), 2 * 3 + 2 * ResourceKind::ALL.len());
+    }
+
+    #[test]
+    fn a_class_of_k_members_adds_k_minus_one_ordering_rows() {
+        for k in 2..=5 {
+            let split = fan_out(&[false], &vec![(10, &[(0, 32)][..]); k]);
+            assert_eq!(split.pinned_symmetry_classes(), vec![(1..=k).collect::<Vec<_>>()]);
+            let (model, x) = split.model();
+            let rows_without = 1 + 2 * k + 2 * ResourceKind::ALL.len();
+            assert_eq!(model.num_constraints(), rows_without + k - 1, "k = {k}");
+            // x, then one y per edge, which is cut exactly when its
+            // consumer is high.
+            let point = |high: usize| {
+                let sides = (0..=k).map(|i| f64::from(u8::from(i == high)));
+                sides.clone().chain(sides.skip(1)).collect::<Vec<_>>()
+            };
+            assert_eq!(x.len(), k + 1);
+            assert!(model.is_feasible(&point(1), 1e-9), "the first member goes high first");
+            assert!(!model.is_feasible(&point(k), 1e-9), "the last member may not lead");
+        }
+    }
+
+    /// The cheapest cut over every side assignment of the free items that
+    /// the capacity and balance rows admit, enumerated without the model;
+    /// `None` when none is admitted.
+    fn exhaustive_min_cut(split: &Split) -> Option<u64> {
+        const TOL: f64 = 1e-6;
+        let n = split.items.len();
+        let free: Vec<usize> = (0..n).filter(|&i| split.items[i].pin.is_none()).collect();
+        let amount = |i: usize, kind: ResourceKind| split.items[i].resources.get(kind) as f64;
+        (0u32..1 << free.len())
+            .filter_map(|mask| {
+                let mut high: Vec<bool> = split.items.iter().map(|i| i.pin == Some(true)).collect();
+                for (bit, &i) in free.iter().enumerate() {
+                    high[i] = mask >> bit & 1 == 1;
+                }
+                let loads = |of: &[usize], kind| {
+                    let total: f64 = of.iter().map(|&i| amount(i, kind)).sum();
+                    let up: f64 = of.iter().filter(|&&i| high[i]).map(|&i| amount(i, kind)).sum();
+                    (up, total - up)
+                };
+                let all: Vec<usize> = (0..n).collect();
+                let fits = ResourceKind::ALL.into_iter().enumerate().all(|(k, kind)| {
+                    let (up, down) = loads(&all, kind);
+                    up <= split.high.rhs[k] + TOL && down <= split.low.rhs[k] + TOL
+                });
+                let balanced = split.balance.as_ref().is_none_or(|b| {
+                    let (up, down) = loads(&free, b.kind);
+                    let total = up + down;
+                    up >= total * b.share_high * (1.0 - b.slack) - TOL
+                        && down >= total * b.share_low * (1.0 - b.slack) - TOL
+                });
+                let cut = split.edges.iter().filter(|&&(a, b, _)| high[a] != high[b]);
+                (fits && balanced).then(|| cut.map(|&(_, _, width)| width).sum())
+            })
+            .min()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Ordering rows drop only equal-cut mirror images: on random small
+        /// splits — a few pins, consumer groups of 2–5 copies with equal
+        /// pinned-neighbour edges, a shared free hub — the ILP's optimum is
+        /// the exhaustive one.
+        #[test]
+        fn symmetry_rows_keep_the_exhaustive_optimum(
+            pins in prop::collection::vec((1u64..5, any::<bool>()), 1..4),
+            groups in prop::collection::vec((1u64..5, 2usize..6, 0usize..3, 1u64..5, 1u64..5), 1..4),
+            hub in (1u64..5, 0usize..3, 0u64..3),
+            caps in (40u64..111, 40u64..111),
+            balance in (any::<bool>(), 30u64..71, 0u64..51),
+        ) {
+            let mut items: Vec<Item> = pins.iter().map(|&(load, high)| pinned(10 * load, high)).collect();
+            let at_hub = items.len();
+            items.push(free(10 * hub.0));
+            let mut edges = Vec::new();
+            if hub.2 > 0 {
+                edges.push((hub.1 % pins.len(), at_hub, 32 * hub.2));
+            }
+            for &(load, copies, pin, pin_width, hub_width) in &groups {
+                for _ in 0..copies.min(12 - items.len()) {
+                    edges.push((pin % pins.len(), items.len(), 32 * pin_width));
+                    edges.push((items.len(), at_hub, 32 * hub_width));
+                    items.push(free(10 * load));
+                }
+            }
+            let total: u64 = items.iter().map(|item| item.resources.lut).sum();
+            let share_high = balance.1 as f64 / 100.0;
+            let split = Split {
+                items,
+                edges,
+                low: Side::exact(lut(total * caps.0 / 100)),
+                high: Side::exact(lut(total * caps.1 / 100)),
+                balance: balance.0.then(|| Balance {
+                    kind: ResourceKind::Lut,
+                    share_low: 1.0 - share_high,
+                    share_high,
+                    slack: balance.2 as f64 / 100.0,
+                }),
+            };
+            prop_assert!(!split.pinned_symmetry_classes().is_empty(), "no class to order");
+
+            let (model, _) = split.model();
+            let mut config = SolverConfig::with_time_limit(Duration::from_secs(600));
+            config.objective_granularity = split.objective_granularity() as f64;
+            let ilp = match model.solve_with_options(&config, &options(1)) {
+                Ok(solution) => {
+                    prop_assert!(!solution.degraded, "an ILP limit bound");
+                    Some(solution.objective.round() as u64)
+                }
+                Err(IlpError::Infeasible) => None,
+                Err(e) => return Err(TestCaseError::fail(format!("solve failed: {e}"))),
+            };
+            prop_assert_eq!(ilp, exhaustive_min_cut(&split));
+        }
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //!   floorplanner must not lump free logic into one die even when that
 //!   would be cut-optimal.
 //!
+//! Free tasks the pins make interchangeable get symmetry rows (`bisect.rs`).
+//!
 //! After placement, HBM *channel binding exploration* reassigns reader/
 //! writer channels so that each column's modules bind to that column's
 //! nearest channels, avoiding the lateral-routing congestion the paper

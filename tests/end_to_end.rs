@@ -161,6 +161,45 @@ fn all_flows_run_for_every_benchmark_quickly_at_f3() {
     let _ = paper_flows(4);
 }
 
+/// ILP limits that cannot bind (README "Testing pyramid").
+const LIMIT_S: f64 = 600.0;
+
+/// Compiles `graph` for `n_fpgas` FPGAs under [`LIMIT_S`] ILP limits and
+/// returns the design with the solve activity it took. Asserts `degraded`
+/// and the wall *before* any counter is compared: a truncated search has
+/// no meaningful node count.
+fn compile_unbound(
+    label: &str,
+    graph: &tapa_cs::graph::TaskGraph,
+    n_fpgas: usize,
+    solver: tapa_cs::SolverOptions,
+) -> (tapa_cs::core::CompiledDesign, tapa_cs::ilp::SolveStats) {
+    use std::sync::Arc;
+    use tapa_cs::apps::suite::paper_cluster;
+    use tapa_cs::core::{Compiler, CompilerConfig};
+    use tapa_cs::ilp::SolveActivity;
+
+    let mut config = CompilerConfig { solver, ..CompilerConfig::default() };
+    config.partition.time_limit_s = LIMIT_S;
+    config.floorplan.time_limit_s = LIMIT_S;
+    let activity = Arc::new(SolveActivity::default());
+    let t0 = std::time::Instant::now();
+    let design = SolveActivity::scoped(&activity, || {
+        Compiler::with_config(paper_cluster(n_fpgas), config)
+            .compile(graph, Flow::TapaCs { n_fpgas })
+    })
+    .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(!design.degraded, "{label}: an ILP limit bound (degraded design)");
+    assert!(wall < LIMIT_S, "{label}: {wall:.0} s, past one ILP's {LIMIT_S} s limit");
+    (design, activity.snapshot())
+}
+
+/// Cache off: every compile is a live solve, not a replay.
+fn live_solver() -> tapa_cs::SolverOptions {
+    tapa_cs::SolverOptions { cache: false, ..tapa_cs::SolverOptions::default() }
+}
+
 /// The default LP path (fast parity, certified answers) buys exactly what
 /// the opt-in `Exact` oracle mode buys: on each of the four bundled apps
 /// the two compile to the same inter-FPGA cut width and the same achieved
@@ -170,20 +209,12 @@ fn all_flows_run_for_every_benchmark_quickly_at_f3() {
 /// iterations (the PR 7 pagerank regression, 3x tree growth under
 /// always-on devex, fails here), and the dense-tableau oracle engine in
 /// exact mode solves exactly as many LPs as the sparse one.
-///
-/// Every compile runs under ILP limits that cannot bind and is checked for
-/// `degraded` and its wall *before* any counter is compared: a truncated
-/// search has no meaningful node count.
 #[test]
 fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
-    use std::sync::Arc;
-    use tapa_cs::apps::{cnn, data, suite::paper_cluster};
-    use tapa_cs::core::{Compiler, CompilerConfig};
-    use tapa_cs::ilp::{LpEngine, LpParity, SolveActivity};
+    use tapa_cs::apps::{cnn, data};
+    use tapa_cs::ilp::{LpEngine, LpParity};
     use tapa_cs::SolverOptions;
 
-    const LIMIT_S: f64 = 600.0;
-    let flow = Flow::TapaCs { n_fpgas: 2 };
     let apps = [
         ("stencil", stencil::build(&stencil::StencilConfig::paper(64, 2))),
         ("cnn", cnn::build(&cnn::CnnConfig { rows: 13, cols: 4, n_fpgas: 2 })),
@@ -191,10 +222,15 @@ fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
             "pagerank",
             pagerank::build(&pagerank::PageRankConfig::paper(data::snap_networks()[0], 2)),
         ),
-        // 12 of the paper's 18 blue modules per FPGA: a few thousand
-        // branch-and-bound nodes, enough to cross the kit-restart threshold
-        // (so the default really runs the dual repair and the one-FTRAN
-        // installs) without the full design's minutes in a debug build.
+        // 12 of the paper's 18 blue modules per FPGA: the pinned HBM
+        // readers and their interchangeable consumers, a few hundred
+        // branch-and-bound nodes since the symmetry rows (PR 25) — below
+        // the kit-restart threshold, so the dual repair and the one-FTRAN
+        // installs are not exercised here; `crates/ilp/tests/prop.rs::
+        // fast_kit_restart_is_thread_invariant_on_a_big_tree` proves the
+        // restart fires. (The paper's 4-FPGA knn would cross it, at
+        // 1.504x exact's nodes — past this test's bound: each sub-split
+        // pays for a discarded 384-node kit-off attempt; ROADMAP 2(iii).)
         (
             "knn",
             knn::build(&knn::KnnConfig {
@@ -204,29 +240,18 @@ fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
         ),
     ];
     for (app, graph) in apps {
-        // Cache off: every side is a live solve, not a replay.
-        let compile = |mode: &str, solver: SolverOptions| {
-            let mut config = CompilerConfig { solver, ..CompilerConfig::default() };
-            config.partition.time_limit_s = LIMIT_S;
-            config.floorplan.time_limit_s = LIMIT_S;
-            let activity = Arc::new(SolveActivity::default());
-            let t0 = std::time::Instant::now();
-            let design = SolveActivity::scoped(&activity, || {
-                Compiler::with_config(paper_cluster(2), config).compile(&graph, flow)
-            })
-            .unwrap_or_else(|e| panic!("{app}/{mode} failed: {e}"));
-            let wall = t0.elapsed().as_secs_f64();
-            assert!(!design.degraded, "{app}/{mode}: an ILP limit bound (degraded design)");
-            assert!(wall < LIMIT_S, "{app}/{mode}: {wall:.0} s, past one ILP's {LIMIT_S} s limit");
-            (design, activity.snapshot())
-        };
-        let live = SolverOptions { cache: false, ..SolverOptions::default() };
-        let (default, fast) = compile("default", live.clone());
+        let compile =
+            |mode: &str, solver| compile_unbound(&format!("{app}/{mode}"), &graph, 2, solver);
+        let (default, fast) = compile("default", live_solver());
         let (exact, oracle) =
-            compile("exact", SolverOptions { lp_parity: LpParity::Exact, ..live.clone() });
+            compile("exact", SolverOptions { lp_parity: LpParity::Exact, ..live_solver() });
         let (dense, dense_oracle) = compile(
             "dense-exact",
-            SolverOptions { lp_parity: LpParity::Exact, lp_engine: LpEngine::Dense, ..live },
+            SolverOptions {
+                lp_parity: LpParity::Exact,
+                lp_engine: LpEngine::Dense,
+                ..live_solver()
+            },
         );
         assert_eq!(
             default.partition.cut_width_bits, exact.partition.cut_width_bits,
@@ -253,5 +278,32 @@ fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
         );
         assert!(oracle.lp_solves > 0, "{app}: no LP solved");
         assert_eq!(oracle.lp_solves, dense_oracle.lp_solves, "{app}: sparse vs dense LP solves");
+    }
+}
+
+/// knn's floorplan splits pin the HBM readers to the shoreline and leave
+/// their identical consumers free; the pin-induced symmetry rows keep the
+/// search from walking every way to choose which consumers go up. Over
+/// {2, 3, 4} FPGAs × {8, 12, 18} blue modules per FPGA no compile may need
+/// more than 10,000 branch-and-bound nodes (at most 4,462 with the rows;
+/// 375,486 without them on the 4-FPGA, 18-blue design), and the cut stays
+/// the K-sized partial result streams: 64 bits per FPGA boundary.
+#[test]
+fn knn_trees_stay_small_at_the_k_sized_cut_across_fpgas_and_blue_modules() {
+    for n_fpgas in [2, 3, 4] {
+        for blue_per_fpga in [8, 12, 18] {
+            let graph = knn::build(&knn::KnnConfig {
+                blue_per_fpga,
+                ..knn::KnnConfig::paper(1_000_000, 2, n_fpgas)
+            });
+            let label = format!("knn/F{n_fpgas}/{blue_per_fpga} blue");
+            let (design, activity) = compile_unbound(&label, &graph, n_fpgas, live_solver());
+            assert!(activity.bb_nodes <= 10_000, "{label}: {} nodes", activity.bb_nodes);
+            assert_eq!(
+                design.partition.cut_width_bits,
+                64 * (n_fpgas as u64 - 1),
+                "{label}: cut width"
+            );
+        }
     }
 }
