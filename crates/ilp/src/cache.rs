@@ -191,8 +191,13 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// byte of the layout but marks the renaming of the backends inside the
 /// keys (the unsuffixed name now means sparse + fast parity, the oracle
 /// modes carry `-exactlp`/`-denselp`), so a v2 file's exact-mode answers
-/// are rejected instead of being served under the new default's name.
-const FILE_VERSION: u32 = 3;
+/// are rejected instead of being served under the new default's name. v4
+/// changes no byte either: kit-on solves switched to the logicals-first
+/// factorization order, whose different roundoff can return another
+/// equal-cut design for the same model bytes, so a v3 file's answers would
+/// make a warm sweep disagree with a cold one. The rule is the suffixes'
+/// rule: a change of LP arithmetic gets its own keys.
+const FILE_VERSION: u32 = 4;
 
 /// Transient-IO retry attempts after the first failure.
 const IO_RETRIES: u32 = 3;

@@ -65,7 +65,8 @@ impl BoundChain {
     }
 }
 
-/// The fast-parity kit — dual repair plus the hybrid devex switch —
+/// The fast-parity kit — dual repair, the one-FTRAN basis install, the
+/// logicals-first factorization order and the hybrid devex switch —
 /// engages only once a search has expanded this many nodes (counted at
 /// round boundaries; the root solve is node zero). Small trees — a few
 /// hundred nodes — are fastest replaying the exact trajectory bit for bit:

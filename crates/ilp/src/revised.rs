@@ -5,13 +5,17 @@
 //! basis as an *eta file*: a sequence of elementary Gauss-Jordan operators
 //! such that applying them in order (FTRAN) computes `B⁻¹v` and applying
 //! them transposed in reverse (BTRAN) computes `B⁻ᵀv`. Installing a basis
-//! factorizes it by sparse elimination with partial pivoting — processing
-//! columns in ascending index exactly like the dense oracle's Gauss-Jordan,
-//! so both engines claim the same pivot rows — and every simplex pivot
-//! appends one more eta. After [`REFACTOR_UPDATES`] update etas the chain
-//! is refactorized from scratch (a deterministic trigger, so parallel
-//! drivers replay identical arithmetic), which also re-snaps the basic
-//! values and sheds accumulated drift.
+//! factorizes it by sparse elimination with partial pivoting, and every
+//! simplex pivot appends one more eta. Kit-off solves (exact parity, and
+//! fast parity's root and small trees) process the basic columns in
+//! ascending index exactly like the dense oracle's Gauss-Jordan, so both
+//! engines claim the same pivot rows. Kit-on solves, which no longer
+//! replay the oracle, eliminate the basic logicals first: each claims its
+//! own row for free, and the factor keeps at most one eta per basic
+//! structural. After [`REFACTOR_UPDATES`] update etas the chain is
+//! refactorized from scratch (a deterministic trigger, so parallel drivers
+//! replay identical arithmetic), which also re-snaps the basic values and
+//! sheds accumulated drift.
 //!
 //! The payoff is asymptotic: a branch-and-bound child whose basis is
 //! mostly logical columns factorizes in O(nnz of the structural basics)
@@ -104,17 +108,22 @@ const PARTIAL_SECTION_MIN: usize = 64;
 const FACTOR_MEMO_ENTRIES: usize = 6;
 
 /// A memoized factorization: the eta file and row assignment produced by
-/// [`Revised::factorize`] for one `(model, basic set)` pair. The key is
-/// the *basic set* — not the full status vector — because the elimination
-/// reads nothing else: two bases that differ only in which bound their
-/// nonbasic columns sit at (the bound-flip-only children the fast-parity
-/// dual repair commonly produces) factorize to bit-identical arrays.
-/// Replaying an entry therefore yields exactly the floats a fresh
-/// factorization would compute.
+/// [`Revised::factorize`] for one `(model, elimination order, basic set)`
+/// key. The key holds the *basic set* — not the full status vector —
+/// because the elimination reads nothing else besides its order: two bases
+/// that differ only in which bound their nonbasic columns sit at (the
+/// bound-flip-only children the fast-parity dual repair commonly produces)
+/// factorize to bit-identical arrays. The order is a key field because one
+/// model is solved both kit-off and kit-on on the same thread (the
+/// driver's kit restart), and the two orders factorize one basic set to
+/// different arrays. Replaying an entry therefore yields exactly the
+/// floats a fresh factorization would compute.
 #[derive(Default)]
 struct FactorEntry {
     prep_id: u64,
-    /// Ascending basic column indices — the key half that varies.
+    /// [`Revised::logicals_first`] of the solve that factorized it.
+    logicals_first: bool,
+    /// Ascending basic column indices — the key part that varies most.
     basics: Vec<u32>,
     basis: Vec<usize>,
     eta_pos: Vec<u32>,
@@ -126,20 +135,28 @@ struct FactorEntry {
     stamp: u64,
 }
 
-/// Per-thread multi-entry factorization memo with LRU eviction. A hit
-/// *removes* the entry (its arrays go on loan to the solve, which returns
-/// its final factor prefix at drop), so back-to-back sibling installs
-/// recycle one allocation instead of copying eta files around.
+/// Per-thread multi-entry factorization memo with LRU eviction, keyed on
+/// (model, elimination order, basic set). A hit *removes* the entry (its
+/// arrays go on loan to the solve, which returns its final factor prefix
+/// at drop), so back-to-back sibling installs recycle one allocation
+/// instead of copying eta files around.
 #[derive(Default)]
 struct FactorCache {
     entries: Vec<FactorEntry>,
     clock: u64,
 }
 
+impl FactorEntry {
+    fn has_key(&self, prep_id: u64, logicals_first: bool, basics: &[u32]) -> bool {
+        self.prep_id == prep_id && self.logicals_first == logicals_first && self.basics == basics
+    }
+}
+
 impl FactorCache {
-    /// Removes and returns the entry for `(prep_id, basics)`, if present.
-    fn take(&mut self, prep_id: u64, basics: &[u32]) -> Option<FactorEntry> {
-        let idx = self.entries.iter().position(|e| e.prep_id == prep_id && e.basics == basics)?;
+    /// Removes and returns the entry for `(prep_id, logicals_first,
+    /// basics)`, if present.
+    fn take(&mut self, prep_id: u64, logicals_first: bool, basics: &[u32]) -> Option<FactorEntry> {
+        let idx = self.entries.iter().position(|e| e.has_key(prep_id, logicals_first, basics))?;
         Some(self.entries.swap_remove(idx))
     }
 
@@ -148,8 +165,10 @@ impl FactorCache {
     fn insert(&mut self, mut entry: FactorEntry) {
         self.clock += 1;
         entry.stamp = self.clock;
-        if let Some(slot) =
-            self.entries.iter().position(|e| e.prep_id == entry.prep_id && e.basics == entry.basics)
+        if let Some(slot) = self
+            .entries
+            .iter()
+            .position(|e| e.has_key(entry.prep_id, entry.logicals_first, &entry.basics))
         {
             self.entries[slot] = entry;
         } else if self.entries.len() < FACTOR_MEMO_ENTRIES {
@@ -266,10 +285,10 @@ pub(crate) struct Revised<'a> {
     /// at drop and insert under the pending key.
     memo_live: bool,
     /// The caller permits the fast kit — dual repair, the one-FTRAN
-    /// basic-value recompute and the hybrid devex switch, and through
-    /// `devex_active` everything hanging off it — on this solve. The
-    /// branch-and-bound drivers clear it for the root and for nodes early
-    /// in the search order
+    /// basic-value recompute, the logicals-first factorization order and
+    /// the hybrid devex switch, and through `devex_active` everything
+    /// hanging off it — on this solve. The branch-and-bound drivers clear
+    /// it for the root and for nodes early in the search order
     /// ([`crate::node::FAST_KIT_AFTER_NODES`]): on small trees the kit's
     /// different optimal vertices are denser and grow the tree, so a small
     /// search is fastest replaying the exact trajectory bit for bit. On
@@ -440,37 +459,15 @@ impl<'a> Revised<'a> {
     /// ascending — the scan order the ratio test and the factorization's
     /// pivot search rely on for dense-oracle-identical tie-breaking.
     fn ftran_col(&mut self, j: usize) {
-        self.touched.clear();
-        let (rows, vals) = self.sp.col(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            self.w[r as usize] = v;
-            self.touched.push(r);
-        }
-        for e in 0..self.n_etas() {
-            let pos = self.eta_pos[e] as usize;
-            let wp = self.w[pos];
-            if wp == 0.0 {
-                continue;
-            }
-            let t = wp * self.eta_inv[e];
-            self.w[pos] = t;
-            let (s, e) = (self.eta_ptr[e] as usize, self.eta_ptr[e + 1] as usize);
-            for (&rr, &val) in self.eta_row[s..e].iter().zip(&self.eta_val[s..e]) {
-                let r = rr as usize;
-                if self.w[r] == 0.0 {
-                    // New fill (or a cancelled entry — dedup below).
-                    self.touched.push(rr);
-                }
-                self.w[r] -= val * t;
-            }
-        }
+        self.ftran_col_unsorted(j);
         self.touched.sort_unstable();
         self.touched.dedup();
     }
 
     /// Like [`ftran_col`](Self::ftran_col) but leaves `touched` unsorted and
-    /// possibly duplicated — enough for consumers that only need the set of
-    /// nonzero rows, not a deterministic scan order.
+    /// possibly duplicated (a cancelled entry that fills again is pushed
+    /// twice) — enough for consumers that only need the set of nonzero
+    /// rows, not a deterministic scan order.
     fn ftran_col_unsorted(&mut self, j: usize) {
         self.touched.clear();
         let (rows, vals) = self.sp.col(j);
@@ -553,14 +550,21 @@ impl<'a> Revised<'a> {
     }
 
     /// Factorizes the basic set of `self.status` into a fresh eta file:
-    /// columns in ascending index, each FTRANed through the etas built so
-    /// far, claiming the unclaimed row with the largest magnitude (ties to
-    /// the smallest row index, floor `TOL.refactor`) — the same elimination
-    /// order and pivot choice as the dense oracle's Gauss-Jordan, in sparse
-    /// form. A basic *logical* column that reaches its own unclaimed row
-    /// untouched claims it with an empty eta, so the all-logical cold basis
-    /// (and the mostly-logical bases of warm-started children) factorizes
-    /// in O(nnz of the structural basics).
+    /// basic columns in the solve's elimination order (see
+    /// [`logicals_first`](Self::logicals_first)), each FTRANed through the
+    /// etas built so far, claiming the unclaimed row with the largest
+    /// magnitude (ties to the smallest row index, floor `TOL.refactor`).
+    /// Kit-off solves eliminate in ascending index — the same order and
+    /// pivot choice as the dense oracle's Gauss-Jordan, in sparse form. A
+    /// basic *logical* column that reaches its own unclaimed row untouched
+    /// claims it with an empty eta, so the all-logical cold basis (and the
+    /// mostly-logical bases of warm-started children) factorizes in O(nnz
+    /// of the structural basics). Kit-on solves eliminate the basic
+    /// logicals first, so *every* one of them claims its own row that way,
+    /// and the structurals after them are transformed only by each other:
+    /// at most one eta per basic structural, where the oracle order pushes
+    /// each late logical through the structural etas that claimed its row
+    /// and stores the dense result.
     fn factorize(&mut self) -> bool {
         let m = self.sp.m;
         self.eta_pos.clear();
@@ -572,8 +576,11 @@ impl<'a> Revised<'a> {
         self.factor_etas = 0;
         self.used.fill(false);
         self.lu_factorizations += 1;
+        let (n_struct, n) = (self.sp.n_struct, self.sp.n);
+        let (first, then) =
+            if self.logicals_first() { (n_struct..n, 0..n_struct) } else { (0..n, 0..0) };
         let mut n_basic = 0usize;
-        for j in 0..self.sp.n {
+        for j in first.chain(then) {
             if self.status[j] != ColStatus::Basic {
                 continue;
             }
@@ -612,14 +619,15 @@ impl<'a> Revised<'a> {
     }
 
     /// [`factorize`](Self::factorize) with the per-thread multi-entry
-    /// memo: if any cached factorization is of this model and *basic set*,
-    /// its eta file and row assignment are replayed verbatim — the same
-    /// floats a fresh factorization would produce, since the elimination
-    /// reads nothing but the basic columns. Keying on the basic set (not
-    /// the full status vector) is what lets a child whose dual repair was
-    /// bound-flips-only replay its parent's factorization, and the
-    /// multi-entry depth keeps sibling installs hitting even when other
-    /// node expansions interleave on the thread.
+    /// memo: if any cached factorization is of this model, elimination
+    /// order and *basic set*, its eta file and row assignment are replayed
+    /// verbatim — the same floats a fresh factorization would produce,
+    /// since the elimination reads nothing but the basic columns and its
+    /// order. Keying on the basic set (not the full status vector) is what
+    /// lets a child whose dual repair was bound-flips-only replay its
+    /// parent's factorization, and the multi-entry depth keeps sibling
+    /// installs hitting even when other node expansions interleave on the
+    /// thread.
     ///
     /// Every call increments exactly one of `lu_factorizations` (fresh
     /// elimination attempted, successful or singular) or `memo_hits`
@@ -632,7 +640,7 @@ impl<'a> Revised<'a> {
                 key.push(j as u32);
             }
         }
-        if let Some(mut entry) = self.cache.take(self.prep_id, &key) {
+        if let Some(mut entry) = self.cache.take(self.prep_id, self.logicals_first(), &key) {
             // Steal the memoized eta file wholesale instead of copying it;
             // update etas only ever append past `factor_etas`, so `drop`
             // can truncate the file back to the factor prefix and return
@@ -672,6 +680,15 @@ impl<'a> Revised<'a> {
     /// the drivers have judged big (see `kit_allowed`).
     fn kit_on(&self) -> bool {
         self.parity == LpParity::Fast && self.kit_allowed
+    }
+
+    /// This solve's factorizations eliminate the basic logicals before the
+    /// basic structurals ([`factorize`](Self::factorize)). Kit-on solves
+    /// only: they no longer promise to replay the oracle, while kit-off
+    /// solves keep its ascending order bit for bit. The order is fixed for
+    /// the solve's lifetime and is part of the factorization-memo key.
+    fn logicals_first(&self) -> bool {
+        self.kit_on()
     }
 
     /// Refactorizes the current basis and recomputes the basic values from
@@ -1535,8 +1552,8 @@ impl Drop for Revised<'_> {
     /// scratch slot for the next solve to reuse. If this solve's eta file
     /// holds a live factorization — fresh or replayed — it is truncated
     /// back to its factor prefix (update etas only ever append past it)
-    /// and inserted into the cache under the basic set it factorized, for
-    /// sibling and bound-flip-child installs to hit.
+    /// and inserted into the cache under the elimination order and basic
+    /// set it factorized, for sibling and bound-flip-child installs to hit.
     fn drop(&mut self) {
         if self.memo_live {
             let fe = self.factor_etas;
@@ -1548,6 +1565,7 @@ impl Drop for Revised<'_> {
             self.eta_val.truncate(cut);
             self.cache.insert(FactorEntry {
                 prep_id: self.prep_id,
+                logicals_first: self.logicals_first(),
                 basics: std::mem::take(&mut self.pending_basics),
                 basis: std::mem::take(&mut self.pending_basis),
                 eta_pos: std::mem::take(&mut self.eta_pos),
@@ -1715,46 +1733,63 @@ mod tests {
         assert_eq!(e.lu_totals().unwrap()[1], 0, "no fill for logical columns");
     }
 
+    /// Both elimination orders factorize a basis whose logical's row a
+    /// structural would claim first in the oracle order: FTRAN and BTRAN
+    /// must invert it either way.
     #[test]
     fn ftran_btran_invert_each_other() {
         let (lp, sp) = prep(
             vec![
                 LpRow { coeffs: vec![(0, 2.0), (1, 1.0)], op: CmpOp::Eq, rhs: 3.0 },
                 LpRow { coeffs: vec![(0, 1.0), (1, 3.0)], op: CmpOp::Eq, rhs: 4.0 },
+                LpRow { coeffs: vec![(0, 1.0), (1, 1.0)], op: CmpOp::Le, rhs: 10.0 },
             ],
             2,
             10.0,
         );
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Exact,
-            true,
-        );
-        // Make both structural columns basic (a 2×2 nonsingular basis).
-        let statuses =
-            vec![ColStatus::Basic, ColStatus::Basic, ColStatus::AtLower, ColStatus::AtLower];
-        assert!(e.install(&statuses));
-        // FTRAN of basis column i must reproduce the unit vector of the
-        // row that column claimed.
-        for (row, &col) in e.basis.clone().iter().enumerate() {
-            e.ftran_col(col);
-            for i in 0..sp.m {
-                let expect = if i == row { 1.0 } else { 0.0 };
-                assert!((e.w[i] - expect).abs() < 1e-12, "col {col} row {i}: {}", e.w[i]);
+        // Both structurals and row 0's logical basic (a 3×3 nonsingular
+        // basis).
+        let mut statuses = vec![ColStatus::AtLower; sp.n];
+        statuses[..3].fill(ColStatus::Basic);
+        let mut assignments = Vec::new();
+        for kit in [false, true] {
+            let mut e = Revised::new(
+                &sp,
+                &lp.lower,
+                &lp.upper,
+                crate::simplex::next_prep_id(),
+                LpParity::Fast,
+                kit,
+            );
+            assert!(e.install(&statuses), "kit={kit}");
+            // FTRAN of basis column i must reproduce the unit vector of the
+            // row that column claimed.
+            for (row, &col) in e.basis.clone().iter().enumerate() {
+                e.ftran_col(col);
+                for i in 0..sp.m {
+                    let expect = if i == row { 1.0 } else { 0.0 };
+                    assert!(
+                        (e.w[i] - expect).abs() < 1e-12,
+                        "kit={kit} col {col} row {i}: {}",
+                        e.w[i]
+                    );
+                }
+                e.clear_w();
             }
-            e.clear_w();
+            // BTRAN: y = B⁻ᵀ v ⇔ Bᵀ y = v, checked via y·A_col = v[row(col)].
+            e.y.copy_from_slice(&[5.0, -7.0, 3.0]);
+            let v = e.y.clone();
+            e.btran();
+            for (row, &col) in e.basis.clone().iter().enumerate() {
+                let dot = e.price_col(col);
+                assert!((dot - v[row]).abs() < 1e-9, "kit={kit} col {col}: {dot} vs {}", v[row]);
+            }
+            assignments.push(e.basis.clone());
         }
-        // BTRAN: y = B⁻ᵀ v ⇔ Bᵀ y = v, checked via y·A_col = v[row(col)].
-        e.y.copy_from_slice(&[5.0, -7.0]);
-        let v = e.y.clone();
-        e.btran();
-        for (row, &col) in e.basis.clone().iter().enumerate() {
-            let dot = e.price_col(col);
-            assert!((dot - v[row]).abs() < 1e-9, "col {col}: {dot} vs {}", v[row]);
-        }
+        // Not vacuous: the oracle order lets x0 claim row 0, logicals-first
+        // leaves row 0 to its logical.
+        assert_eq!(assignments[0][0], 0, "kit-off: x0 claims row 0");
+        assert_eq!(assignments[1][0], 2, "kit-on: row 0's logical claims it");
     }
 
     #[test]
@@ -2226,5 +2261,124 @@ mod tests {
             "two installs on this engine: counters sum to installs attempted"
         );
         assert_eq!(e.lu_totals().unwrap()[10], 1, "reported counter agrees");
+    }
+
+    /// Two structurals over four rows, each with its largest entry in a row
+    /// whose logical is basic too: the shape where the two elimination
+    /// orders part. Returns the model and that basis (x0, x1, s0, s1).
+    fn structurals_over_basic_logicals() -> (LpProblem, SparseLp, Vec<ColStatus>) {
+        let (lp, sp) = prep(
+            vec![
+                LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 10.0 },
+                LpRow { coeffs: vec![(1, 1.0)], op: CmpOp::Le, rhs: 10.0 },
+                LpRow { coeffs: vec![(0, 0.5), (1, 0.25)], op: CmpOp::Le, rhs: 10.0 },
+                LpRow { coeffs: vec![(0, 0.25), (1, 0.5)], op: CmpOp::Le, rhs: 10.0 },
+            ],
+            2,
+            10.0,
+        );
+        let mut statuses = vec![ColStatus::AtLower; sp.n];
+        statuses[..4].fill(ColStatus::Basic);
+        (lp, sp, statuses)
+    }
+
+    /// The factor an install left in `e`, floats as bit patterns, plus its
+    /// row assignment: what two factorizations share when one replays the
+    /// other.
+    #[derive(Debug, PartialEq)]
+    struct FactorBits {
+        pos: Vec<u32>,
+        inv: Vec<u64>,
+        ptr: Vec<u32>,
+        row: Vec<u32>,
+        val: Vec<u64>,
+        basis: Vec<usize>,
+    }
+
+    fn factor_bits(e: &Revised) -> FactorBits {
+        assert_eq!(e.n_etas(), e.factor_etas, "no update etas yet");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        FactorBits {
+            pos: e.eta_pos.clone(),
+            inv: bits(&e.eta_inv),
+            ptr: e.eta_ptr.clone(),
+            row: e.eta_row.clone(),
+            val: bits(&e.eta_val),
+            basis: e.basis.clone(),
+        }
+    }
+
+    /// Logicals first, every basic logical claims its own row with an
+    /// elided identity eta, so a kit-on factor stores at most one eta per
+    /// basic structural. The oracle order lets each structural claim a
+    /// logical's row first and then stores that logical's dense transform.
+    #[test]
+    fn kit_on_factor_stores_at_most_one_eta_per_basic_structural() {
+        let (lp, sp, statuses) = structurals_over_basic_logicals();
+        let k = statuses[..sp.n_struct].iter().filter(|&&s| s == ColStatus::Basic).count();
+        let factor = |kit: bool| {
+            let mut e = Revised::new(
+                &sp,
+                &lp.lower,
+                &lp.upper,
+                crate::simplex::next_prep_id(),
+                LpParity::Fast,
+                kit,
+            );
+            assert!(e.install(&statuses), "kit={kit}");
+            (e.n_etas(), e.lu_fill_nnz)
+        };
+        let (etas_on, fill_on) = factor(true);
+        let (etas_off, fill_off) = factor(false);
+        assert!(etas_on <= k, "kit-on: {etas_on} etas for {k} basic structurals");
+        assert!(etas_off > etas_on, "kit-off: {etas_off} etas, kit-on {etas_on}");
+        assert!(fill_on < fill_off, "fill: kit-on {fill_on}, kit-off {fill_off}");
+    }
+
+    /// Kit-off fast parity keeps the oracle's elimination order: its factor
+    /// equals exact parity's bit for bit, which is what lets small trees
+    /// replay the exact search.
+    #[test]
+    fn kit_off_factor_equals_exact_parity_bit_for_bit() {
+        let (lp, sp, statuses) = structurals_over_basic_logicals();
+        let factor = |parity: LpParity, kit: bool| {
+            let mut e = Revised::new(
+                &sp,
+                &lp.lower,
+                &lp.upper,
+                crate::simplex::next_prep_id(),
+                parity,
+                kit,
+            );
+            assert!(e.install(&statuses), "{parity:?} kit={kit}");
+            factor_bits(&e)
+        };
+        let exact = factor(LpParity::Exact, true);
+        assert_eq!(factor(LpParity::Fast, false), exact);
+        assert_ne!(factor(LpParity::Fast, true), exact, "the orders part on this basis");
+    }
+
+    /// The memo key carries the elimination order. A kit restart solves
+    /// one model kit-off, then kit-on, on one thread: the kit-on install of
+    /// a basic set the kit-off solve left in the memo must factorize afresh
+    /// in its own order, never replay the oracle-order file, or the answer
+    /// would depend on what the thread solved before.
+    #[test]
+    fn memo_key_separates_the_elimination_orders() {
+        let (lp, sp, statuses) = structurals_over_basic_logicals();
+        let prep_id = crate::simplex::next_prep_id();
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, false);
+        assert!(e.install(&statuses));
+        drop(e);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
+        assert!(e.install(&statuses));
+        assert_eq!((e.memo_hits, e.lu_factorizations), (0, 1), "kit-on must not replay kit-off");
+        let after_kit_off = factor_bits(&e);
+        drop(e);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
+        e.cache = FactorCache::default();
+        assert!(e.install(&statuses));
+        assert_eq!((e.memo_hits, e.lu_factorizations), (0, 1), "empty memo: a fresh factor");
+        assert_eq!(after_kit_off, factor_bits(&e));
     }
 }

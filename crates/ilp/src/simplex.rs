@@ -432,8 +432,9 @@ impl<'a> PreparedLp<'a> {
     }
 
     /// [`solve_warm`](Self::solve_warm) with the branch-and-bound drivers'
-    /// per-node control over the fast-parity kit (dual repair plus the
-    /// hybrid devex switch). The drivers pass `fast_kit: false` for the
+    /// per-node control over the fast-parity kit (dual repair, the
+    /// one-FTRAN basis install, the logicals-first factorization order and
+    /// the hybrid devex switch). The drivers pass `fast_kit: false` for the
     /// root and the opening stretch of a search (a node ordinal below
     /// [`crate::node::FAST_KIT_AFTER_NODES`]): small searches are already
     /// fast under the exact trajectory, and the kit's different — and

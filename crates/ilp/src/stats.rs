@@ -71,7 +71,8 @@ pub struct SolveStats {
     /// the front (each wrap is one full-width pricing pass).
     pub partial_pricing_refreshes: u64,
     /// Basis installs served by replaying a memoized factorization (same
-    /// basic set, same model) instead of eliminating from scratch —
+    /// basic set, model and elimination order) instead of eliminating from
+    /// scratch —
     /// branch-and-bound siblings and bound-flip-only children hit this.
     /// Every install is exactly one of `lu_factorizations` /
     /// `memo_sibling_hits`, so the two always sum to installs.

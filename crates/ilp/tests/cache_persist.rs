@@ -175,10 +175,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// A well-formed file of the previous format version — written when the
-/// unsuffixed backend name still meant *exact* parity — must be rejected
-/// as `BadVersion`, not merged: its keys would otherwise serve exact-mode
-/// answers under the name the fast default now uses.
+/// A well-formed file of the previous format version — written before
+/// kit-on solves factorized logicals first — must be rejected as
+/// `BadVersion`, not merged: its model bytes are unchanged, so its keys
+/// would otherwise serve the old arithmetic's equal-cut designs and make a
+/// warm sweep disagree with a cold one.
 #[test]
 fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
@@ -186,21 +187,21 @@ fn previous_version_file_is_rejected_as_stale() {
     cache.clear();
     let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
     solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
-    let path = tmp_file("stale-v2", 0);
+    let path = tmp_file("stale-v3", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
 
     // Header: 8-byte magic, then the little-endian u32 version.
     let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "this build writes format version 3");
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "this build writes format version 4");
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     let body = bytes.len() - 8;
     let seal = fnv1a64(&bytes[..body]).to_le_bytes();
     bytes[body..].copy_from_slice(&seal);
     std::fs::write(&path, &bytes).unwrap();
 
     let target = SolveCache::new();
-    let err = target.load_from(&path).expect_err("a v2 file must not load");
-    assert!(matches!(err, CacheFileError::BadVersion { found: 2, expected: 3 }), "{err}");
+    let err = target.load_from(&path).expect_err("a v3 file must not load");
+    assert!(matches!(err, CacheFileError::BadVersion { found: 3, expected: 4 }), "{err}");
     assert_eq!(target.stats().entries, 0, "rejection must not merge anything");
     let quarantined = PathBuf::from(format!("{}.quarantined", path.display()));
     assert!(quarantined.exists() && !path.exists(), "stale file is moved aside");
