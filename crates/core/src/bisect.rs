@@ -24,7 +24,7 @@
 //!   (2,154 with). The scope is pin-induced classes only: classes of free
 //!   neighbours (stencil readers feeding one merge) shrink `dse-cold`'s
 //!   tree too, but move its equal-cut ties to +4.6 % wirelength — that
-//!   waits for a tie-break objective (ROADMAP item 4 (f)).
+//!   waits for a tie-break objective (ROADMAP item 2).
 //! * [`Level`] is what a caller adds: how a group of targets halves, which
 //!   group is a leaf, and the [`Split`] for a set of items. [`bisect`]
 //!   recurses over it; under [`SolverOptions::parallel_recursion`] the two

@@ -195,9 +195,12 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// changes no byte either: kit-on solves switched to the logicals-first
 /// factorization order, whose different roundoff can return another
 /// equal-cut design for the same model bytes, so a v3 file's answers would
-/// make a warm sweep disagree with a cold one. The rule is the suffixes'
-/// rule: a change of LP arithmetic gets its own keys.
-const FILE_VERSION: u32 = 4;
+/// make a warm sweep disagree with a cold one. v5 changes no byte either:
+/// kit-off attempts over LPs of more than 128 rows restart with the kit on
+/// sooner, so a split that used to finish kit-off may now answer kit-on
+/// with another equal-cut design. The rule is the suffixes' rule: a change
+/// of LP arithmetic gets its own keys.
+const FILE_VERSION: u32 = 5;
 
 /// Transient-IO retry attempts after the first failure.
 const IO_RETRIES: u32 = 3;

@@ -68,15 +68,35 @@ impl BoundChain {
 /// The fast-parity kit — dual repair, the one-FTRAN basis install, the
 /// logicals-first factorization order and the hybrid devex switch —
 /// engages only once a search has expanded this many nodes (counted at
-/// round boundaries; the root solve is node zero). Small trees — a few
-/// hundred nodes — are fastest replaying the exact trajectory bit for bit:
-/// the kit reaches *different* optimal vertices whose denser bases and
-/// perturbed branching values grow exactly those trees. On big searches
-/// (thousands to hundreds of thousands of nodes) the kit's per-child pivot
-/// savings dwarf that effect. The driver counts nodes deterministically
-/// and thread-invariantly, so the cutover never depends on timing or
+/// round boundaries; the root solve is node zero), or fewer on wide LPs
+/// (see [`FAST_KIT_ROW_NODES`]). Small trees — a few hundred nodes — are
+/// fastest replaying the exact trajectory bit for bit: the kit reaches
+/// *different* optimal vertices whose denser bases and perturbed branching
+/// values grow exactly those trees. On big searches (thousands to hundreds
+/// of thousands of nodes) the kit's per-child pivot savings dwarf that
+/// effect. The driver counts nodes deterministically and
+/// thread-invariantly, so the cutover never depends on timing or
 /// `TAPACS_SOLVER_THREADS`.
 pub(crate) const FAST_KIT_AFTER_NODES: usize = 384;
+
+/// The kit-off attempt's budget in row-nodes: expanded nodes times the
+/// presolved LP's row count. A kit-off node costs roughly in proportion to
+/// its LP's rows (on a 2-vCPU host, ≈0.05 ms at 36 rows and ≈6.5 ms at
+/// 384 rows of the bundled floorplanning splits), so a flat
+/// node threshold charges a wide LP's discarded replay prefix ten times
+/// what it charges a narrow one. LPs of at most 128 rows keep the full
+/// [`FAST_KIT_AFTER_NODES`] replay; wider ones restart proportionally
+/// sooner (384 rows: after 128 nodes).
+pub(crate) const FAST_KIT_ROW_NODES: usize = FAST_KIT_AFTER_NODES * 128;
+
+/// The expanded-node count at which a kit-off attempt over an LP of `rows`
+/// presolved rows is abandoned for a kit-on restart:
+/// `min(FAST_KIT_AFTER_NODES, FAST_KIT_ROW_NODES / rows)`, never below 1.
+/// A pure function of the model, so the restart stays deterministic and
+/// thread-invariant.
+pub(crate) fn kit_restart_after(rows: usize) -> usize {
+    FAST_KIT_AFTER_NODES.min(FAST_KIT_ROW_NODES / rows.max(1)).max(1)
+}
 
 /// The branching rule: the integral variable whose relaxation value is
 /// the most fractional (beyond `tol`), or `None` when the point is
@@ -112,6 +132,19 @@ mod tests {
         // Sibling state is untouched: resolving `b` sees only its own path.
         b.resolve(&[0.0, 0.0], &[10.0, 10.0], &mut lo, &mut hi);
         assert_eq!(hi, vec![3.0, 10.0]);
+    }
+
+    #[test]
+    fn kit_restart_point_scales_with_lp_rows() {
+        for rows in [0, 1, 36, 128] {
+            assert_eq!(kit_restart_after(rows), FAST_KIT_AFTER_NODES, "{rows} rows");
+        }
+        assert_eq!(kit_restart_after(129), 381);
+        assert_eq!(kit_restart_after(384), 128);
+        assert_eq!(kit_restart_after(396), 124);
+        for rows in [FAST_KIT_ROW_NODES, FAST_KIT_ROW_NODES + 1, usize::MAX] {
+            assert_eq!(kit_restart_after(rows), 1, "{rows} rows: never 0");
+        }
     }
 
     #[test]

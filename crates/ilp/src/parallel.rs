@@ -51,7 +51,7 @@ use crate::branch_bound::{
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
-use crate::node::{most_fractional, BoundChain, BoundDelta, FAST_KIT_AFTER_NODES};
+use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta};
 use crate::presolve::PresolvedLp;
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, FEAS_TOL};
 use crate::solution::{Solution, SolveStatus};
@@ -287,13 +287,15 @@ fn expand_children(
 }
 
 /// One round-synchronous attempt with the fast-parity kit on or off.
-/// Returns `Ok(None)` when the kit is off and the tree crossed
-/// [`FAST_KIT_AFTER_NODES`] — the caller restarts with `kit: true`.
+/// Returns `Ok(None)` when the kit is off and the tree reached
+/// [`kit_restart_after`] for the presolved LP's row count — the caller
+/// restarts with `kit: true`.
 fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpError> {
     let (config, lp) = (ctx.config, &ctx.pre.lp);
     let restart_eligible = !kit
         && ctx.solver.lp_parity == LpParity::Fast
         && matches!(ctx.solver.lp_engine, LpEngine::Sparse);
+    let restart_after = kit_restart_after(lp.rows.len());
 
     // The root is node zero of the search: the kit verdict covers it too,
     // so a small tree replays the exact trajectory from its very first
@@ -384,7 +386,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         }
         best_open_bound = batch[0].bound;
         nodes += batch.len();
-        if restart_eligible && nodes >= FAST_KIT_AFTER_NODES {
+        if restart_eligible && nodes >= restart_after {
             // The abandoned attempt's nodes still count as explored work.
             crate::stats::record(|a| a.record_bb_nodes(nodes as u64));
             return Ok(None);
@@ -612,16 +614,20 @@ impl crate::Solver for ParallelSolver {
             token,
         };
 
-        // Fast-parity kit restart (see [`FAST_KIT_AFTER_NODES`]): the first
+        // Fast-parity kit restart (see [`kit_restart_after`]): the first
         // attempt runs with the kit off — bit-exact replay of the exact
         // trajectory, which is the fastest regime for small trees. If the
-        // tree crosses the node threshold the search has proven big, the
+        // tree reaches the restart point the search has proven big, the
         // attempt is abandoned and the whole search restarts with the kit on
-        // from the root, where its per-solve savings repay the ~threshold
-        // redone nodes many times over. The trigger is the expanded-node
-        // count at a round boundary — a pure function of the model, so the
+        // from the root, where its per-solve savings repay the redone nodes
+        // many times over. The restart point is 384 nodes, fewer on LPs of
+        // more than 128 rows, whose kit-off nodes cost proportionally more.
+        // The trigger is the expanded-node count at a round boundary against
+        // the presolved row count — a pure function of the model, so the
         // restart decision and the restarted trajectory are deterministic
-        // and thread-count invariant.
+        // and thread-count invariant. The restarted attempt reads nothing
+        // of the abandoned one, so the restart point decides only *whether*
+        // a search restarts, never what a restarted search returns.
         match search_once(&ctx, false)? {
             Some(sol) => Ok(sol),
             None => {
@@ -678,6 +684,53 @@ mod tests {
             let t = ParallelSolver { threads, ..Default::default() }.solve(&m, &cfg).unwrap();
             assert_eq!(one.values, t.values, "threads={threads} diverged");
             assert_eq!(one.nodes_explored, t.nodes_explored);
+        }
+    }
+
+    /// A kit-off attempt over a wide LP is abandoned at its row-node
+    /// budget, not at the flat 384 nodes. The model is a symmetric
+    /// knapsack (2·Σx ≤ odd cap keeps every relaxation fractional, so the
+    /// tree is big) padded with non-redundant triple rows until the
+    /// presolved LP is past 128 rows. The abandoned attempt's nodes are
+    /// what `bb_nodes` holds beyond the returned tree; a round adds at most
+    /// [`BATCH`] nodes, so they land within `BATCH - 1` of the budget.
+    #[test]
+    fn wide_lp_kit_off_attempt_stops_at_the_row_node_budget() {
+        let n = 15;
+        let mut m = Model::new("wide-sym");
+        let vars: Vec<_> = (0..n).map(|i| m.binary(format!("x{i}"))).collect();
+        m.add_le("cap", LinExpr::sum(vars.iter().map(|&x| LinExpr::term(x, 2.0))), n as f64);
+        for a in 0..n {
+            for b in a + 1..n {
+                for c in (b + 1..n).filter(|c| (a + 2 * b + 3 * c) % 2 == 0) {
+                    let row = LinExpr::sum([vars[a], vars[b], vars[c]].map(LinExpr::from));
+                    m.add_le(format!("t{a}_{b}_{c}"), row, 2.5);
+                }
+            }
+        }
+        m.set_objective(Sense::Maximize, LinExpr::sum(vars.iter().map(|&x| LinExpr::from(x))));
+
+        let (pre, _) = presolved_root(&m.to_lp(), &m.integral_vars(), true).unwrap();
+        let rows = pre.lp.rows.len();
+        let budget = kit_restart_after(rows);
+        assert!(budget < crate::node::FAST_KIT_AFTER_NODES, "{rows} presolved rows");
+        for threads in [1, 4] {
+            let handle = Arc::new(crate::SolveActivity::default());
+            let sol = crate::SolveActivity::scoped(&handle, || {
+                ParallelSolver {
+                    threads,
+                    lp_engine: LpEngine::Sparse,
+                    lp_parity: LpParity::Fast,
+                    ..Default::default()
+                }
+                .solve(&m, &SolverConfig::default())
+            })
+            .unwrap();
+            let abandoned = handle.snapshot().bb_nodes - sol.nodes_explored as u64;
+            assert!(
+                (budget as u64..budget as u64 + BATCH as u64).contains(&abandoned),
+                "threads={threads}: abandoned {abandoned} nodes, budget {budget} ({rows} rows)"
+            );
         }
     }
 

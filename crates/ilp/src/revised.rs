@@ -204,6 +204,7 @@ struct RevScratch {
     eta_val: Vec<f64>,
     w: Vec<f64>,
     touched: Vec<u32>,
+    mark: Vec<u64>,
     y: Vec<f64>,
     used: Vec<bool>,
     cands: Vec<u32>,
@@ -220,6 +221,12 @@ struct RevScratch {
 thread_local! {
     static SCRATCH: std::cell::RefCell<RevScratch> =
         std::cell::RefCell::new(RevScratch::default());
+}
+
+/// Sets row `r`'s bit in a touched-row bitmap.
+#[inline]
+fn mark_row(mark: &mut [u64], r: u32) {
+    mark[(r >> 6) as usize] |= 1 << (r & 63);
 }
 
 pub(crate) struct Revised<'a> {
@@ -246,6 +253,9 @@ pub(crate) struct Revised<'a> {
     /// FTRAN scratch (kept all-zero between uses) and the rows it touched.
     w: Vec<f64>,
     touched: Vec<u32>,
+    /// Touched-row bitmap, one bit per row (kept all-zero between uses):
+    /// FTRAN marks every row it writes, then gathers `touched` from it.
+    mark: Vec<u64>,
     /// BTRAN scratch (the pricing vector `y`).
     y: Vec<f64>,
     /// Row-claimed scratch for the factorization.
@@ -287,9 +297,11 @@ pub(crate) struct Revised<'a> {
     /// The caller permits the fast kit — dual repair, the one-FTRAN
     /// basic-value recompute, the logicals-first factorization order and
     /// the hybrid devex switch, and through `devex_active` everything
-    /// hanging off it — on this solve. The branch-and-bound drivers clear
-    /// it for the root and for nodes early in the search order
-    /// ([`crate::node::FAST_KIT_AFTER_NODES`]): on small trees the kit's
+    /// hanging off it — on this solve. The branch-and-bound driver clears
+    /// it for every solve of a search's first attempt, root included, and
+    /// sets it only after that attempt reached its restart point
+    /// ([`crate::node::kit_restart_after`]: 384 nodes, fewer on LPs of more
+    /// than 128 rows) and the search restarted: on small trees the kit's
     /// different optimal vertices are denser and grow the tree, so a small
     /// search is fastest replaying the exact trajectory bit for bit. On
     /// large trees the per-solve savings dominate. Exact parity ignores
@@ -360,6 +372,8 @@ impl<'a> Revised<'a> {
         sc.w.clear();
         sc.w.resize(m, 0.0);
         sc.touched.clear();
+        sc.mark.clear();
+        sc.mark.resize(m.div_ceil(64), 0);
         sc.y.clear();
         sc.y.resize(m, 0.0);
         sc.used.clear();
@@ -396,6 +410,7 @@ impl<'a> Revised<'a> {
             factor_etas: 0,
             w: std::mem::take(&mut sc.w),
             touched: std::mem::take(&mut sc.touched),
+            mark: std::mem::take(&mut sc.mark),
             y: std::mem::take(&mut sc.y),
             used: std::mem::take(&mut sc.used),
             cands: std::mem::take(&mut sc.cands),
@@ -455,41 +470,46 @@ impl<'a> Revised<'a> {
 
     /// Sparse FTRAN of matrix column `j` into `self.w` (which must be
     /// all-zero on entry): scatters the column, applies the eta file, and
-    /// leaves `self.touched` holding every possibly-nonzero row, sorted
-    /// ascending — the scan order the ratio test and the factorization's
-    /// pivot search rely on for dense-oracle-identical tie-breaking.
+    /// leaves `self.touched` holding every row the transform wrote (a
+    /// superset of the nonzeros: a row can cancel to exactly zero) once
+    /// each, ascending — the scan order the ratio test and the
+    /// factorization's pivot search rely on for dense-oracle-identical
+    /// tie-breaking. Every write sets its row's bit in `self.mark` without
+    /// a branch on the value, and `touched` is gathered from the set bits:
+    /// O(m/64) words instead of a sort.
     fn ftran_col(&mut self, j: usize) {
-        self.ftran_col_unsorted(j);
-        self.touched.sort_unstable();
-        self.touched.dedup();
-    }
-
-    /// Like [`ftran_col`](Self::ftran_col) but leaves `touched` unsorted and
-    /// possibly duplicated (a cancelled entry that fills again is pushed
-    /// twice) — enough for consumers that only need the set of nonzero
-    /// rows, not a deterministic scan order.
-    fn ftran_col_unsorted(&mut self, j: usize) {
-        self.touched.clear();
+        let (w, mark) = (&mut self.w, &mut self.mark);
         let (rows, vals) = self.sp.col(j);
         for (&r, &v) in rows.iter().zip(vals) {
-            self.w[r as usize] = v;
-            self.touched.push(r);
+            w[r as usize] = v;
+            mark_row(mark, r);
         }
-        for e in 0..self.n_etas() {
+        for e in 0..self.eta_pos.len() {
             let pos = self.eta_pos[e] as usize;
-            let wp = self.w[pos];
+            let wp = w[pos];
             if wp == 0.0 {
                 continue;
             }
             let t = wp * self.eta_inv[e];
-            self.w[pos] = t;
+            w[pos] = t;
             let (s, e) = (self.eta_ptr[e] as usize, self.eta_ptr[e + 1] as usize);
-            for (&rr, &val) in self.eta_row[s..e].iter().zip(&self.eta_val[s..e]) {
-                let r = rr as usize;
-                if self.w[r] == 0.0 {
-                    self.touched.push(rr);
-                }
-                self.w[r] -= val * t;
+            for (&r, &val) in self.eta_row[s..e].iter().zip(&self.eta_val[s..e]) {
+                mark_row(mark, r);
+                w[r as usize] -= val * t;
+            }
+        }
+        self.gather_touched();
+    }
+
+    /// Rebuilds `self.touched` from the rows set in `self.mark`, in
+    /// ascending order, leaving the bitmap all-zero for the next use.
+    fn gather_touched(&mut self) {
+        self.touched.clear();
+        for (base, word) in (0u32..).step_by(64).zip(self.mark.iter_mut()) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.touched.push(base | bits.trailing_zeros());
+                bits &= bits - 1;
             }
         }
     }
@@ -741,22 +761,17 @@ impl<'a> Revised<'a> {
                 if xj == 0.0 {
                     continue;
                 }
-                // Row order within one column's subtraction never mixes
-                // accumulators, so the unsorted transform is bit-identical
-                // to the oracle's row sweep; zeroing `w` as rows are
-                // consumed makes duplicate `touched` entries subtract
-                // nothing.
-                self.ftran_col_unsorted(j);
+                // Each row's subtraction has its own accumulator, so the
+                // row order cannot change a bit of the oracle's sweep.
+                self.ftran_col(j);
                 self.xb_ftrans += 1;
-                for idx in 0..self.touched.len() {
-                    let r = self.touched[idx] as usize;
-                    let wv = self.w[r];
+                for &r in &self.touched {
+                    let wv = self.w[r as usize];
                     if wv != 0.0 {
-                        rhs[r] -= wv * xj;
-                        self.w[r] = 0.0;
+                        rhs[r as usize] -= wv * xj;
                     }
                 }
-                self.touched.clear();
+                self.clear_w();
             }
         }
         for i in 0..self.sp.m {
@@ -1191,19 +1206,18 @@ impl<'a> Revised<'a> {
             return false;
         }
         // Fold the old eta's entries into `w`, scaled by wp (see above).
+        // push_eta walks `touched` verbatim, so re-gather it over both row
+        // sets: each row once, ascending.
+        for &r in &self.touched {
+            mark_row(&mut self.mark, r);
+        }
         let (s, e) = (self.eta_ptr[last] as usize, self.eta_ptr[last + 1] as usize);
         for idx in s..e {
-            let r = self.eta_row[idx] as usize;
-            if self.w[r] == 0.0 {
-                self.touched.push(self.eta_row[idx]);
-            }
-            self.w[r] += self.eta_val[idx] * wp;
+            let r = self.eta_row[idx];
+            mark_row(&mut self.mark, r);
+            self.w[r as usize] += self.eta_val[idx] * wp;
         }
-        // `touched` may now repeat rows (an old-eta row that had cancelled
-        // to exactly zero in `w` was re-pushed); push_eta walks it verbatim,
-        // so dedup before building the composed eta.
-        self.touched.sort_unstable();
-        self.touched.dedup();
+        self.gather_touched();
         // Pop the old eta and push the composition in its place.
         self.eta_pos.pop();
         self.eta_inv.pop();
@@ -1589,6 +1603,7 @@ impl Drop for Revised<'_> {
             eta_val: std::mem::take(&mut self.eta_val),
             w: std::mem::take(&mut self.w),
             touched: std::mem::take(&mut self.touched),
+            mark: std::mem::take(&mut self.mark),
             y: std::mem::take(&mut self.y),
             used: std::mem::take(&mut self.used),
             cands: std::mem::take(&mut self.cands),
@@ -1790,6 +1805,100 @@ mod tests {
         // leaves row 0 to its logical.
         assert_eq!(assignments[0][0], 0, "kit-off: x0 claims row 0");
         assert_eq!(assignments[1][0], 2, "kit-on: row 0's logical claims it");
+    }
+
+    /// `ftran_col` hands the ratio test and the pivot search every row it
+    /// wrote exactly once, in ascending order, whatever the eta file does.
+    /// The files are random over 150 rows (three bitmap words), with
+    /// power-of-two entries so rows cancel to exactly zero, after a fixed
+    /// pair of etas that cancels one of column 0's rows and then refills
+    /// it. The values must equal the dense FTRAN's bit for bit, and every
+    /// row left out of `touched` must be zero.
+    #[test]
+    fn ftran_touched_rows_are_ascending_unique_and_cover_the_nonzeros() {
+        let m = 150;
+        let (cancel_row, refill_row) = (3usize, 100usize);
+        let mut rows: Vec<LpRow> =
+            (0..m).map(|_| LpRow { coeffs: Vec::new(), op: CmpOp::Le, rhs: 1.0 }).collect();
+        rows[cancel_row].coeffs.push((0, 1.0));
+        rows[refill_row].coeffs.push((0, 1.0));
+        for j in 1..6 {
+            for k in 0..5 {
+                let coef = [1.0, -1.0, 0.5][(j + k) % 3];
+                rows[(j * 29 + k * 41) % m].coeffs.push((j, coef));
+            }
+        }
+        let (lp, sp) = prep(rows, 6, 1.0);
+        let mut e = Revised::new(
+            &sp,
+            &lp.lower,
+            &lp.upper,
+            crate::simplex::next_prep_id(),
+            LpParity::Fast,
+            true,
+        );
+        let push = |e: &mut Revised, pos: usize, pivot: f64, entries: &[(usize, f64)]| {
+            e.touched.clear();
+            e.w[pos] = pivot;
+            e.touched.push(pos as u32);
+            for &(r, v) in entries {
+                e.w[r] = v;
+                e.touched.push(r as u32);
+            }
+            e.push_eta(pos);
+            e.clear_w();
+        };
+        let check = |e: &mut Revised, j: usize| {
+            let mut dense = vec![0.0; m];
+            let (col_rows, col_vals) = sp.col(j);
+            for (&r, &v) in col_rows.iter().zip(col_vals) {
+                dense[r as usize] = v;
+            }
+            e.ftran_dense(&mut dense);
+            e.ftran_col(j);
+            assert!(e.touched.windows(2).all(|p| p[0] < p[1]), "col {j}: {:?}", e.touched);
+            for (r, &v) in dense.iter().enumerate() {
+                assert_eq!(e.w[r].to_bits(), v.to_bits(), "col {j} row {r}");
+                if v != 0.0 {
+                    assert!(e.touched.binary_search(&(r as u32)).is_ok(), "col {j}: row {r}");
+                }
+            }
+            e.clear_w();
+            assert!(e.w.iter().all(|&v| v == 0.0) && e.mark.iter().all(|&b| b == 0));
+        };
+        // w = e₃ + e₁₀₀ from column 0; the first eta zeroes row 100
+        // (1 − 1·1), the second writes it again (0 − 1·0.5).
+        push(&mut e, cancel_row, 1.0, &[(refill_row, 1.0)]);
+        push(&mut e, cancel_row, 2.0, &[(refill_row, 1.0)]);
+        e.ftran_col(0);
+        assert_eq!(e.touched, vec![cancel_row as u32, refill_row as u32]);
+        assert_eq!((e.w[cancel_row], e.w[refill_row]), (0.5, -0.5));
+        e.clear_w();
+        check(&mut e, 0);
+
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let values = [1.0, -1.0, 0.5, 2.0, -0.5];
+        for _ in 0..60 {
+            let pos = next(m);
+            let pivot = values[next(values.len())];
+            let mut entries: Vec<(usize, f64)> = Vec::new();
+            for _ in 0..next(12) {
+                let r = next(m);
+                if r != pos && entries.iter().all(|&(q, _)| q != r) {
+                    entries.push((r, values[next(values.len())]));
+                }
+            }
+            push(&mut e, pos, pivot, &entries);
+            for _ in 0..3 {
+                check(&mut e, next(sp.n));
+            }
+        }
     }
 
     #[test]

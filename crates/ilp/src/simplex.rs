@@ -207,9 +207,9 @@ impl LpEngine {
 /// * **fill-triggered mid-solve refactorization** (`eta_nnz` budget, not
 ///   just update count) with a single-FTRAN basic-value recompute.
 ///
-/// That kit engages only once a search has passed the kit-restart
-/// threshold (384 expanded nodes); smaller searches replay the exact
-/// trajectory bit for bit. Fast
+/// That kit engages only once a search has reached the kit-restart point
+/// (384 expanded nodes, or `384 × 128 / rows` on LPs of more than 128
+/// rows); smaller searches replay the exact trajectory bit for bit. Fast
 /// mode stays fully deterministic: every entering/leaving choice is a pure
 /// function of the node's model and bounds, so results are bit-identical
 /// across `TAPACS_SOLVER_THREADS` values. Correctness of the answers does
@@ -436,13 +436,14 @@ impl<'a> PreparedLp<'a> {
     /// one-FTRAN basis install, the logicals-first factorization order and
     /// the hybrid devex switch). The drivers pass `fast_kit: false` for the
     /// root and the opening stretch of a search (a node ordinal below
-    /// [`crate::node::FAST_KIT_AFTER_NODES`]): small searches are already
-    /// fast under the exact trajectory, and the kit's different — and
-    /// typically denser — optimal vertices grow exactly those trees. Only
-    /// once a search has proven big do the kit's per-solve savings
-    /// amortize. The flag is a pure function of the node's position in
-    /// the search order, so thread-count invariance is untouched. Exact
-    /// parity ignores it entirely.
+    /// [`crate::node::kit_restart_after`] of the LP's row count): small
+    /// searches are already fast under the exact trajectory, and the kit's
+    /// different — and typically denser — optimal vertices grow exactly
+    /// those trees. Only once a search has proven big do the kit's
+    /// per-solve savings amortize. The flag is a pure function of the
+    /// node's position in the search order and the LP's width, so
+    /// thread-count invariance is untouched. Exact parity ignores it
+    /// entirely.
     pub(crate) fn solve_node(
         &self,
         lower: &[f64],

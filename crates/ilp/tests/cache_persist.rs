@@ -176,10 +176,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// A well-formed file of the previous format version — written before
-/// kit-on solves factorized logicals first — must be rejected as
-/// `BadVersion`, not merged: its model bytes are unchanged, so its keys
-/// would otherwise serve the old arithmetic's equal-cut designs and make a
-/// warm sweep disagree with a cold one.
+/// wide-LP kit-off attempts restarted at their row-node budget — must be
+/// rejected as `BadVersion`, not merged: its model bytes are unchanged, so
+/// its keys would otherwise serve the old restart rule's equal-cut designs
+/// and make a warm sweep disagree with a cold one.
 #[test]
 fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
@@ -187,21 +187,21 @@ fn previous_version_file_is_rejected_as_stale() {
     cache.clear();
     let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
     solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
-    let path = tmp_file("stale-v3", 0);
+    let path = tmp_file("stale-v4", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
 
     // Header: 8-byte magic, then the little-endian u32 version.
     let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "this build writes format version 4");
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "this build writes format version 5");
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
     let body = bytes.len() - 8;
     let seal = fnv1a64(&bytes[..body]).to_le_bytes();
     bytes[body..].copy_from_slice(&seal);
     std::fs::write(&path, &bytes).unwrap();
 
     let target = SolveCache::new();
-    let err = target.load_from(&path).expect_err("a v3 file must not load");
-    assert!(matches!(err, CacheFileError::BadVersion { found: 3, expected: 4 }), "{err}");
+    let err = target.load_from(&path).expect_err("a v4 file must not load");
+    assert!(matches!(err, CacheFileError::BadVersion { found: 4, expected: 5 }), "{err}");
     assert_eq!(target.stats().entries, 0, "rejection must not merge anything");
     let quarantined = PathBuf::from(format!("{}.quarantined", path.display()));
     assert!(quarantined.exists() && !path.exists(), "stale file is moved aside");

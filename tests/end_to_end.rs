@@ -229,8 +229,9 @@ fn default_parity_matches_the_exact_oracle_on_every_bundled_app() {
         // installs are not exercised here; `crates/ilp/tests/prop.rs::
         // fast_kit_restart_is_thread_invariant_on_a_big_tree` proves the
         // restart fires. (The paper's 4-FPGA knn would cross it, at
-        // 1.504x exact's nodes — past this test's bound: each sub-split
-        // pays for a discarded 384-node kit-off attempt; ROADMAP 2(iii).)
+        // 1.504x exact's nodes — past this test's bound: each sub-split's
+        // LP has at most 128 rows, so it keeps the full 384-node kit-off
+        // attempt and discards it at the restart; ROADMAP item 4(ii).)
         (
             "knn",
             knn::build(&knn::KnnConfig {
