@@ -207,33 +207,49 @@ impl Split {
     }
 
     /// The ILP and its side variables, one per item.
+    ///
+    /// Every row is built term by term in ascending variable order (the
+    /// sides `x` first, then the cut indicators `y`), so each term is a
+    /// plain append to its row.
     fn model(&self) -> (Model, Vec<VarId>) {
         let mut m = Model::new("two-way-split");
         let mut x = Vec::with_capacity(self.items.len());
-        for (i, item) in self.items.iter().enumerate() {
-            let v = m.binary(format!("x{i}"));
+        for item in &self.items {
+            let v = m.binary("x");
             if let Some(high) = item.pin {
-                m.add_eq(format!("pin{i}"), LinExpr::term(v, 1.0), if high { 1.0 } else { 0.0 });
+                m.add_eq("pin", LinExpr::term(v, 1.0), if high { 1.0 } else { 0.0 });
             }
             x.push(v);
         }
 
         let mut objective = LinExpr::new();
-        for (e, &(a, b, width)) in self.edges.iter().enumerate() {
-            let y = m.continuous(format!("y{e}"), 0.0, 1.0);
-            m.add_ge(format!("c1_{e}"), LinExpr::term(y, 1.0) - x[a] + x[b], 0.0);
-            m.add_ge(format!("c2_{e}"), LinExpr::term(y, 1.0) - x[b] + x[a], 0.0);
+        for &(a, b, width) in &self.edges {
+            let y = m.continuous("y", 0.0, 1.0);
+            // `y − x[from] + x[to] ≥ 0`, its terms in variable order.
+            let cut_row = |from: usize, to: usize| {
+                let mut row = LinExpr::new();
+                if from < to {
+                    row.add_term(x[from], -1.0).add_term(x[to], 1.0);
+                } else {
+                    row.add_term(x[to], 1.0).add_term(x[from], -1.0);
+                }
+                row.add_term(y, 1.0);
+                row
+            };
+            m.add_ge("c1", cut_row(a, b), 0.0);
+            m.add_ge("c2", cut_row(b, a), 0.0);
             objective.add_term(y, width as f64);
         }
 
-        // High-side load of the items at `of`: as an expression, and the
-        // most it can be.
+        // High-side load of the items at `of` (ascending): as an
+        // expression, and the most it can be.
         let load = |of: &[usize], kind: ResourceKind| -> (LinExpr, f64) {
             let amount = |i: usize| self.items[i].resources.get(kind) as f64;
-            (
-                LinExpr::sum(of.iter().map(|&i| LinExpr::term(x[i], amount(i)))),
-                of.iter().map(|&i| amount(i)).sum(),
-            )
+            let mut expr = LinExpr::new();
+            for &i in of {
+                expr.add_term(x[i], amount(i));
+            }
+            (expr, of.iter().map(|&i| amount(i)).sum())
         };
         let all: Vec<usize> = (0..self.items.len()).collect();
         let free: Vec<usize> =
@@ -243,8 +259,8 @@ impl Split {
         // side's load is `total − high load`.
         for (k, kind) in ResourceKind::ALL.into_iter().enumerate() {
             let (load_high, total) = load(&all, kind);
-            m.add_le(format!("capH_{kind}"), load_high.clone(), self.high.rhs[k]);
-            m.add_ge(format!("capL_{kind}"), load_high, total - self.low.rhs[k]);
+            m.add_le("capH", load_high.clone(), self.high.rhs[k]);
+            m.add_ge("capL", load_high, total - self.low.rhs[k]);
         }
 
         if let Some(balance) = &self.balance {
@@ -259,8 +275,10 @@ impl Split {
 
         // Interchangeable items take the high side in position order.
         let classes = self.pinned_symmetry_classes();
-        for (r, pair) in classes.iter().flat_map(|class| class.windows(2)).enumerate() {
-            m.add_ge(format!("sym{r}"), LinExpr::term(x[pair[0]], 1.0) - x[pair[1]], 0.0);
+        for pair in classes.iter().flat_map(|class| class.windows(2)) {
+            let mut row = LinExpr::term(x[pair[0]], 1.0);
+            row.add_term(x[pair[1]], -1.0);
+            m.add_ge("sym", row, 0.0);
         }
 
         m.set_objective(Sense::Minimize, objective);

@@ -383,14 +383,17 @@ fn refine_fpga(ctx: &FpgaCtx<'_>, tasks: &[TaskId], slot_of_task: &mut [SlotId])
         used[idx(slot_of_task[t.index()])] += graph.task(t).resources;
     }
     let caps: Vec<Resources> = device.slots().map(|s| ctx.slot_capacity(s)).collect();
-    let in_set: std::collections::HashSet<TaskId> = tasks.iter().copied().collect();
+    let mut in_set = vec![false; slot_of_task.len()];
+    for &t in tasks {
+        in_set[t.index()] = true;
+    }
 
     let wirelength = |t: TaskId, slot: SlotId, slot_of_task: &[SlotId]| -> f64 {
         let mut c = 0.0;
         for &f in graph.out_fifos(t).iter().chain(graph.in_fifos(t)) {
             let fifo = graph.fifo(f);
             let other = if fifo.src == t { fifo.dst } else { fifo.src };
-            if other == t || !in_set.contains(&other) {
+            if other == t || !in_set[other.index()] {
                 continue;
             }
             c += fifo.width_bits as f64 * slot.manhattan(&slot_of_task[other.index()]) as f64;

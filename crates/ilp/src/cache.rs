@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::IlpError;
-use crate::model::{CmpOp, Model, Sense, SolverConfig, VarKind};
+use crate::model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
 use crate::solution::{Solution, SolveStatus};
 use crate::solver::Solver;
 
@@ -199,7 +199,10 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// kit-off attempts over LPs of more than 128 rows restart with the kit on
 /// sooner, so a split that used to finish kit-off may now answer kit-on
 /// with another equal-cut design. The rule is the suffixes' rule: a change
-/// of LP arithmetic gets its own keys.
+/// of LP arithmetic gets its own keys. Storing expressions and rows as
+/// sorted term vectors instead of maps did not bump it: the key is written
+/// from the same terms in the same ascending order, byte for byte
+/// (`canonical_key_bytes_are_pinned`), and no answer changed.
 const FILE_VERSION: u32 = 5;
 
 /// Transient-IO retry attempts after the first failure.
@@ -634,8 +637,8 @@ impl SolveCache {
 }
 
 /// Canonical byte encoding of `(backend, config, model)`. Structurally
-/// identical models encode identically regardless of variable/constraint
-/// names (names are diagnostic only and excluded on purpose).
+/// identical models encode identically: the builders' labels are not even
+/// stored.
 fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
     let mut key = Vec::with_capacity(
         64 + backend.len() + 17 * model.num_vars() + 32 * model.num_constraints(),
@@ -663,13 +666,15 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
         Sense::Minimize => 0,
         Sense::Maximize => 1,
     });
-    let mut objective: Vec<(usize, f64)> =
-        model.objective.iter().map(|(v, c)| (v.index(), c)).collect();
-    objective.sort_unstable_by_key(|&(i, _)| i);
-    key.extend_from_slice(&model.objective.constant().to_bits().to_le_bytes());
-    for (index, coeff) in objective {
-        key.extend_from_slice(&index.to_le_bytes());
+    // Terms are encoded in ascending variable order, the order in which
+    // expressions and rows keep them.
+    let push_term = |key: &mut Vec<u8>, var: VarId, coeff: f64| {
+        key.extend_from_slice(&var.index().to_le_bytes());
         key.extend_from_slice(&coeff.to_bits().to_le_bytes());
+    };
+    key.extend_from_slice(&model.objective.constant().to_bits().to_le_bytes());
+    for (var, coeff) in model.objective.iter() {
+        push_term(&mut key, var, coeff);
     }
     key.push(0xfe);
 
@@ -691,12 +696,8 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
             CmpOp::Eq => 2,
         });
         key.extend_from_slice(&constraint.rhs.to_bits().to_le_bytes());
-        let mut terms: Vec<(usize, f64)> =
-            constraint.expr.iter().map(|(v, c)| (v.index(), c)).collect();
-        terms.sort_unstable_by_key(|&(i, _)| i);
-        for (index, coeff) in terms {
-            key.extend_from_slice(&index.to_le_bytes());
-            key.extend_from_slice(&coeff.to_bits().to_le_bytes());
+        for &(var, coeff) in &constraint.terms {
+            push_term(&mut key, var, coeff);
         }
         key.push(0xfc);
     }
@@ -794,6 +795,26 @@ mod tests {
         let gran = SolverConfig { objective_granularity: 64.0, ..SolverConfig::default() };
         let d = canonical_key("seq", &model(1.0), &gran);
         assert_ne!(a, d);
+    }
+
+    /// Pins the persisted key format: persisted cache files are looked up
+    /// by these bytes, so a representation change underneath `Model` must
+    /// not move one of them without a `FILE_VERSION` bump. The model mixes
+    /// every key section: all three variable kinds, an equality, a `≥` row
+    /// whose terms arrive out of variable order with a folded constant, a
+    /// merged term, and a maximize objective with an offset.
+    #[test]
+    fn canonical_key_bytes_are_pinned() {
+        let mut m = Model::new("golden");
+        let x = m.binary("x");
+        let y = m.integer("y", -2.0, 7.0);
+        let z = m.continuous("z", 0.0, 2.5);
+        m.add_eq("e", 2.0 * z + x - 0.5 * y, 3.0);
+        m.add_ge("g", 1.25 * y + 3.0 * x + 2.0 - z + 0.75 * y, 4.0);
+        m.add_le("l", x + y, 6.0);
+        m.set_objective(Sense::Maximize, 4.0 * z + 5.0 * x - y + 1.5);
+        let key = canonical_key("seq", &m, &SolverConfig::default());
+        assert_eq!((key.len(), fnv1a64(&key)), (321, 16_875_555_773_097_714_251));
     }
 
     #[test]

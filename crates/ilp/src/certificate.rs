@@ -159,8 +159,7 @@ pub fn certify(
         }
     }
     for (row, c) in model.constraints.iter().enumerate() {
-        // `add_constraint` folded the expression's constant into `rhs`.
-        let activity = c.expr.eval(values) - c.expr.constant();
+        let activity = c.activity(values);
         let (lo, hi) = match c.op {
             CmpOp::Le => (f64::NEG_INFINITY, c.rhs + FEAS_TOL),
             CmpOp::Ge => (c.rhs - FEAS_TOL, f64::INFINITY),

@@ -1,9 +1,16 @@
-use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 use crate::model::VarId;
 
 /// A linear expression `Σ cᵢ·xᵢ + k` over model variables.
+///
+/// The terms are a vector sorted by variable, with the merge rules of a
+/// `VarId → coefficient` map: adding a term accumulates `c += coeff` onto
+/// the variable's coefficient in the order the additions arrive, a
+/// coefficient that falls below `1e-300` in magnitude is dropped, and
+/// iteration runs in ascending variable order. Appending a variable past
+/// the last one is a plain push, so expressions built in variable order
+/// (every row of the bisection model) never search or shift.
 ///
 /// Expressions are built with ordinary operators:
 ///
@@ -19,8 +26,18 @@ use crate::model::VarId;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
-    terms: BTreeMap<VarId, f64>,
+    terms: Vec<(VarId, f64)>,
     constant: f64,
+}
+
+/// Whether an accumulated coefficient is dropped from its expression.
+fn negligible(c: f64) -> bool {
+    c.abs() < 1e-300
+}
+
+/// `Σ cᵢ·values[xᵢ]` over sorted terms, a missing value reading as 0.
+pub(crate) fn dot(terms: &[(VarId, f64)], values: &[f64]) -> f64 {
+    terms.iter().map(|(v, c)| c * values.get(v.index()).copied().unwrap_or(0.0)).sum()
 }
 
 impl LinExpr {
@@ -31,7 +48,7 @@ impl LinExpr {
 
     /// An expression consisting of a single constant.
     pub fn constant_term(k: f64) -> Self {
-        Self { terms: BTreeMap::new(), constant: k }
+        Self { terms: Vec::new(), constant: k }
     }
 
     /// An expression consisting of a single weighted variable.
@@ -43,12 +60,23 @@ impl LinExpr {
 
     /// Adds `coeff · var` to the expression, merging with any existing term.
     pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
-        if coeff != 0.0 {
-            let c = self.terms.entry(var).or_insert(0.0);
-            *c += coeff;
-            if c.abs() < 1e-300 {
-                self.terms.remove(&var);
+        if coeff == 0.0 {
+            return self;
+        }
+        let at = match self.terms.last() {
+            Some(&(last, _)) if last >= var => self.terms.binary_search_by_key(&var, |&(v, _)| v),
+            _ => Err(self.terms.len()),
+        };
+        match at {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if negligible(self.terms[i].1) {
+                    self.terms.remove(i);
+                }
             }
+            // A fresh term starts from `0.0 + coeff`, which is `coeff`.
+            Err(i) if !negligible(coeff) => self.terms.insert(i, (var, coeff)),
+            Err(_) => {}
         }
         self
     }
@@ -61,7 +89,7 @@ impl LinExpr {
 
     /// The coefficient of `var` (0 if absent).
     pub fn coeff(&self, var: VarId) -> f64 {
-        self.terms.get(&var).copied().unwrap_or(0.0)
+        self.terms.binary_search_by_key(&var, |&(v, _)| v).map_or(0.0, |i| self.terms[i].1)
     }
 
     /// The constant offset of the expression.
@@ -71,7 +99,12 @@ impl LinExpr {
 
     /// Iterates over `(variable, coefficient)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
+    }
+
+    /// The sorted terms, without the constant.
+    pub(crate) fn into_terms(self) -> Vec<(VarId, f64)> {
+        self.terms
     }
 
     /// Number of variables with non-zero coefficient.
@@ -87,12 +120,7 @@ impl LinExpr {
     /// Evaluates the expression against a dense value vector indexed by
     /// variable id.
     pub fn eval(&self, values: &[f64]) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|(v, c)| c * values.get(v.index()).copied().unwrap_or(0.0))
-                .sum::<f64>()
+        self.constant + dot(&self.terms, values)
     }
 
     /// Sums an iterator of expressions.
@@ -154,7 +182,7 @@ impl Sub for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> Self {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c = -*c;
         }
         self.constant = -self.constant;
@@ -165,7 +193,7 @@ impl Neg for LinExpr {
 impl Mul<f64> for LinExpr {
     type Output = LinExpr;
     fn mul(mut self, k: f64) -> Self {
-        for c in self.terms.values_mut() {
+        for (_, c) in &mut self.terms {
             *c *= k;
         }
         self.constant *= k;
@@ -297,6 +325,117 @@ mod tests {
         let y = m.binary("y");
         let e = 2.0 * x + 3.0 * y + 1.0;
         assert_eq!(e.eval(&[1.0, 2.0]), 9.0);
+    }
+
+    /// The map semantics the sorted vector must reproduce bit for bit.
+    #[derive(Default)]
+    struct Reference {
+        terms: std::collections::BTreeMap<usize, f64>,
+        constant: f64,
+    }
+
+    impl Reference {
+        fn add_term(&mut self, var: usize, coeff: f64) {
+            if coeff != 0.0 {
+                let c = self.terms.entry(var).or_insert(0.0);
+                *c += coeff;
+                if c.abs() < 1e-300 {
+                    self.terms.remove(&var);
+                }
+            }
+        }
+
+        fn add(&mut self, rhs: &Reference, sign: f64) {
+            for (&v, &c) in &rhs.terms {
+                self.add_term(v, sign * c);
+            }
+            self.constant += sign * rhs.constant;
+        }
+
+        fn scale(&mut self, k: f64) {
+            self.terms.values_mut().for_each(|c| *c *= k);
+            self.constant *= k;
+        }
+
+        fn eval(&self, values: &[f64]) -> f64 {
+            self.constant + self.terms.iter().map(|(&v, c)| c * values[v]).sum::<f64>()
+        }
+    }
+
+    #[test]
+    fn sorted_terms_match_a_map_accumulator_bit_for_bit() {
+        const VARS: usize = 12;
+        // Exact cancellations (±1), rounding residues (0.1 + 0.2 − 0.3),
+        // sums that land below 1e-300 (2e-300 − 1.5e-300), sub-threshold
+        // inputs and both zeros.
+        const COEFFS: [f64; 14] =
+            [1.0, -1.0, 2.5, -0.5, 3.0, 0.1, 0.2, -0.3, 2e-300, -1.5e-300, 7e-301, 0.0, -0.0, -4.0];
+        const SCALES: [f64; 6] = [-1.0, 0.5, 3.0, 1e-200, 0.0, -0.25];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+
+        let mut m = Model::new("t");
+        let x: Vec<VarId> = (0..VARS).map(|_| m.binary("x")).collect();
+        let values: Vec<f64> = (0..VARS).map(|i| 0.75 * i as f64 - 2.0).collect();
+        let bits = |e: &LinExpr| -> Vec<(usize, u64)> {
+            e.iter().map(|(v, c)| (v.index(), c.to_bits())).collect()
+        };
+        let ref_bits = |r: &Reference| -> Vec<(usize, u64)> {
+            r.terms.iter().map(|(&v, c)| (v, c.to_bits())).collect()
+        };
+
+        for _ in 0..300 {
+            let (mut e, mut r) = (LinExpr::new(), Reference::default());
+            for _ in 0..40 {
+                match next(6) {
+                    0 | 1 => {
+                        let (v, c) = (next(VARS), COEFFS[next(COEFFS.len())]);
+                        e.add_term(x[v], c);
+                        r.add_term(v, c);
+                    }
+                    op @ (2 | 3) => {
+                        let (mut other, mut other_ref) = (LinExpr::new(), Reference::default());
+                        for _ in 0..next(5) {
+                            let (v, c) = (next(VARS), COEFFS[next(COEFFS.len())]);
+                            other.add_term(x[v], c);
+                            other_ref.add_term(v, c);
+                        }
+                        let k = COEFFS[next(COEFFS.len())];
+                        other.add_constant(k);
+                        other_ref.constant += k;
+                        if op == 2 {
+                            e += other;
+                            r.add(&other_ref, 1.0);
+                        } else {
+                            e -= other;
+                            r.add(&other_ref, -1.0);
+                        }
+                    }
+                    4 => {
+                        e = -e;
+                        r.scale(-1.0);
+                    }
+                    _ => {
+                        let k = SCALES[next(SCALES.len())];
+                        e = e * k;
+                        r.scale(k);
+                    }
+                }
+                assert_eq!(bits(&e), ref_bits(&r));
+                assert_eq!(e.len(), r.terms.len());
+                assert_eq!(e.constant().to_bits(), r.constant.to_bits());
+                for (i, &v) in x.iter().enumerate() {
+                    let want = r.terms.get(&i).copied().unwrap_or(0.0);
+                    assert_eq!(e.coeff(v).to_bits(), want.to_bits());
+                }
+                assert_eq!(e.eval(&values).to_bits(), r.eval(&values).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::time::Duration;
 
 use crate::cancel::{effective_token, CancellationToken};
 use crate::error::IlpError;
-use crate::expr::LinExpr;
+use crate::expr::{dot, LinExpr};
 use crate::simplex::{LpProblem, LpRow};
 use crate::solution::Solution;
 
@@ -50,20 +50,26 @@ pub enum Sense {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    #[allow(dead_code)]
-    pub name: String,
     pub kind: VarKind,
     pub lower: f64,
     pub upper: f64,
 }
 
+/// One row `Σ aᵢ·xᵢ op rhs`. The builder expression's constant is already
+/// folded into `rhs`, so the terms carry none.
 #[derive(Debug, Clone)]
 pub(crate) struct Constraint {
-    #[allow(dead_code)]
-    pub name: String,
-    pub expr: LinExpr,
+    /// `(variable, coefficient)` in ascending variable order.
+    pub terms: Vec<(VarId, f64)>,
     pub op: CmpOp,
     pub rhs: f64,
+}
+
+impl Constraint {
+    /// The row activity `Σ aᵢ·xᵢ` at a dense point.
+    pub fn activity(&self, values: &[f64]) -> f64 {
+        dot(&self.terms, values)
+    }
 }
 
 /// Knobs controlling the branch-and-bound search.
@@ -130,6 +136,12 @@ impl SolverConfig {
 
 /// A mixed-integer linear program under construction.
 ///
+/// The `name` each builder takes (variables, rows) is an annotation for
+/// the call site's reader: the model does not store it (only
+/// [`Model::add_var`]'s bound error quotes it), and two models that differ
+/// only in labels are the same model, down to their solve-cache keys.
+/// Passing a `&'static str` keeps a hot builder free of allocation.
+///
 /// See the [crate-level docs](crate) for a full example.
 #[derive(Debug, Clone)]
 pub struct Model {
@@ -179,7 +191,7 @@ impl Model {
             )));
         }
         let id = VarId(self.vars.len());
-        self.vars.push(Variable { name: name.into(), kind, lower, upper });
+        self.vars.push(Variable { kind, lower, upper });
         Ok(id)
     }
 
@@ -224,9 +236,9 @@ impl Model {
 
     /// Adds a constraint with an explicit operator. The expression's constant
     /// term is folded into the right-hand side.
-    pub fn add_constraint(&mut self, name: impl Into<String>, expr: LinExpr, op: CmpOp, rhs: f64) {
-        let k = expr.constant();
-        self.constraints.push(Constraint { name: name.into(), expr, op, rhs: rhs - k });
+    pub fn add_constraint(&mut self, _name: impl Into<String>, expr: LinExpr, op: CmpOp, rhs: f64) {
+        let rhs = rhs - expr.constant();
+        self.constraints.push(Constraint { terms: expr.into_terms(), op, rhs });
     }
 
     /// Sets the objective function and direction.
@@ -268,7 +280,7 @@ impl Model {
             .constraints
             .iter()
             .map(|c| LpRow {
-                coeffs: c.expr.iter().map(|(v, k)| (v.index(), k)).collect(),
+                coeffs: c.terms.iter().map(|&(v, k)| (v.index(), k)).collect(),
                 op: c.op,
                 rhs: c.rhs,
             })
@@ -301,7 +313,7 @@ impl Model {
             }
         }
         for c in &self.constraints {
-            let lhs = c.expr.eval(values) - c.expr.constant();
+            let lhs = c.activity(values);
             let ok = match c.op {
                 CmpOp::Le => lhs <= c.rhs + tol,
                 CmpOp::Ge => lhs >= c.rhs - tol,
@@ -387,6 +399,29 @@ mod tests {
         m.set_objective(Sense::Maximize, x.into());
         let sol = m.solve().unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-7);
+    }
+
+    /// A row's activity is `Σ aᵢ·xᵢ` alone: the constant folded into `rhs`
+    /// must not round it. `x + 1e10 ≤ 1e10` at `x = 9.6e-7` is within
+    /// `1e-6`, but `(1e10 + x) − 1e10` reads 1.9e-6.
+    #[test]
+    fn row_activity_excludes_the_folded_constant() {
+        let mut m = Model::new("offset");
+        let x = m.continuous("x", 0.0, 1.0);
+        m.add_le("c", LinExpr::term(x, 1.0) + 1e10, 1e10);
+        let point = [9.6e-7];
+        assert_eq!(m.constraints[0].activity(&point), 9.6e-7);
+        assert!(m.is_feasible(&point, 1e-6));
+        assert!(!m.is_feasible(&[1.1e-6], 1e-6));
+        let answer = Solution {
+            status: SolveStatus::Feasible,
+            objective: 0.0,
+            values: point.to_vec(),
+            nodes_explored: 0,
+            best_bound: 0.0,
+            degraded: false,
+        };
+        crate::certify(&m, &SolverConfig::default(), &answer).unwrap();
     }
 
     #[test]

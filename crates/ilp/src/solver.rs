@@ -106,7 +106,7 @@ pub(crate) fn greedy_repair(
             .constraints
             .iter()
             .map(|c| {
-                let lhs = c.expr.eval(vals) - c.expr.constant();
+                let lhs = c.activity(vals);
                 match c.op {
                     crate::CmpOp::Le => (lhs - c.rhs).max(0.0),
                     crate::CmpOp::Ge => (c.rhs - lhs).max(0.0),
