@@ -134,10 +134,8 @@ pub fn dse_grid(bench: Benchmark, smoke: bool) -> DseConfig {
 }
 
 /// Named grids for the adaptive successive-halving explorer (`reproduce
-/// dse-search`). The name — not a serialized blob — is the contract
-/// between the parent driver and its out-of-process shard workers: a
-/// worker rebuilds the identical grid from the spec string and addresses
-/// points by grid index, so the two sides only ever exchange indices.
+/// dse-search`), selected by `--grid <spec>`. A name always rebuilds the
+/// identical grid, so two runs of one name are bit-comparable.
 ///
 /// * `stencil-smoke` / `stencil-full`: the [`dse_grid`] CI grids (4 and
 ///   24 points) — small enough that the ladder must reproduce the

@@ -28,7 +28,7 @@ const FLAGGED: &[Flagged] = &[
         Ok(())
     }),
     ("dse", "[--smoke] [--cache-dir <dir>]", run_dse),
-    ("dse-search", "[--smoke] [--shards N] [--grid <spec>] [--cache-dir <dir>]", run_dse_search),
+    ("dse-search", "[--smoke] [--grid <spec>] [--cache-dir <dir>]", run_dse_search),
     ("faults", "[--smoke]", |args| {
         print!("{}", r::faults(smoke_flag("faults", args)?)?);
         Ok(())
@@ -66,23 +66,17 @@ fn run_dse(args: &[String]) -> Result<(), BoxError> {
     Ok(())
 }
 
-/// `dse-search [--smoke] [--shards N] [--grid <spec>] [--cache-dir <dir>]`:
-/// the adaptive successive-halving DSE ladder. With `--shards N > 1` the
-/// rungs run as N real worker processes (this binary re-invoked through
-/// the hidden `dse-search-shard` subcommand), merging solve-cache shards
-/// between rungs.
+/// `dse-search [--smoke] [--grid <spec>] [--cache-dir <dir>]`: the
+/// adaptive successive-halving DSE ladder against the exhaustive sweep
+/// (`TAPACS_CACHE_DIR` is the fallback when `--cache-dir` is absent).
 fn run_dse_search(args: &[String]) -> Result<(), BoxError> {
     let mut smoke = false;
-    let mut shards = 1usize;
     let mut grid: Option<String> = None;
     let mut cache_dir: Option<&str> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--shards" => {
-                shards = it.next().ok_or("--shards needs a count (e.g. --shards 2)")?.parse()?;
-            }
             "--grid" => {
                 grid =
                     Some(it.next().ok_or("--grid needs a spec (e.g. --grid stencil-10k)")?.clone());
@@ -95,15 +89,12 @@ fn run_dse_search(args: &[String]) -> Result<(), BoxError> {
             other => return Err(format!("unknown dse-search option: {other}").into()),
         }
     }
-    let worker = std::env::current_exe()?;
     print!(
         "{}",
         tapacs_bench::dse_search::dse_search(
             smoke,
-            shards,
             grid.as_deref(),
             cache_dir.map(std::path::Path::new),
-            Some(&worker),
         )?
     );
     Ok(())
@@ -112,10 +103,6 @@ fn run_dse_search(args: &[String]) -> Result<(), BoxError> {
 fn main() -> Result<(), BoxError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some((first, rest)) = args.split_first() {
-        // Hidden worker entry: one rung shard, spawned by `dse-search` itself.
-        if first == "dse-search-shard" {
-            return tapacs_bench::dse_search::run_shard_worker(rest);
-        }
         if let Some((_, _, run)) = FLAGGED.iter().find(|f| f.0 == first) {
             return run(rest);
         }

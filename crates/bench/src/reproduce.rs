@@ -841,6 +841,65 @@ pub fn batch(smoke: bool) -> Result<String, Box<dyn std::error::Error>> {
     Ok(s)
 }
 
+/// A DSE experiment's persistence directory, resolved `--cache-dir` flag →
+/// `TAPACS_CACHE_DIR` → an ephemeral per-process temp dir. The ephemeral
+/// one still proves the disk round trip; it just cannot span runs, and
+/// [`CacheDir::finish`] removes it again.
+pub(crate) struct CacheDir {
+    /// The resolved directory (created by [`CacheDir::resolve`]).
+    pub(crate) dir: std::path::PathBuf,
+    /// Where `dir` came from: `--cache-dir`, `TAPACS_CACHE_DIR` or
+    /// `ephemeral`.
+    pub(crate) source: &'static str,
+}
+
+impl CacheDir {
+    /// Resolves and creates the directory; `tag` names the ephemeral one.
+    pub(crate) fn resolve(flag: Option<&std::path::Path>, tag: &str) -> std::io::Result<Self> {
+        let (dir, source) = match (flag, tapacs_ilp::cache_dir_from_env()) {
+            (Some(d), _) => (d.to_path_buf(), "--cache-dir"),
+            (None, Some(d)) => (d, "TAPACS_CACHE_DIR"),
+            (None, None) => (
+                std::env::temp_dir().join(format!("tapacs-{tag}-{}", std::process::id())),
+                "ephemeral",
+            ),
+        };
+        std::fs::create_dir_all(&dir)?;
+        Ok(Self { dir, source })
+    }
+
+    /// The solve-cache file inside the directory.
+    pub(crate) fn file(&self) -> std::path::PathBuf {
+        tapacs_ilp::SolveCache::file_in(&self.dir)
+    }
+
+    /// Loads the persisted cache file, when there is one, into the global
+    /// solve cache and returns its entry count. A rejected file (corrupt,
+    /// truncated, stale version) is noted in `log` and downgrades to a
+    /// cold start: an experiment never fails on bad cache state.
+    pub(crate) fn preload(&self, log: &mut String) -> u64 {
+        let file = self.file();
+        if !file.exists() {
+            return 0;
+        }
+        tapacs_ilp::SolveCache::global().load_from(&file).unwrap_or_else(|e| {
+            let _ = writeln!(log, "persisted cache rejected ({e}); starting cold");
+            0
+        })
+    }
+
+    /// Removes an ephemeral directory, noting in `log` how to keep one.
+    pub(crate) fn finish(self, log: &mut String) {
+        if self.source == "ephemeral" {
+            let _ = std::fs::remove_dir_all(&self.dir);
+            let _ = writeln!(
+                log,
+                "(ephemeral cache dir removed; pass --cache-dir or set TAPACS_CACHE_DIR to persist across runs)"
+            );
+        }
+    }
+}
+
 /// Design-space exploration over the batch engine with the disk-persistent
 /// solve cache (`reproduce dse`): sweeps cluster shapes × partition
 /// thresholds × slot ceilings over one design as a single batch, prunes to
@@ -853,14 +912,15 @@ pub fn batch(smoke: bool) -> Result<String, Box<dyn std::error::Error>> {
 ///
 /// # Errors
 ///
-/// Propagates cache-persistence I/O failures; compile failures of
+/// Cache-persistence I/O failures, and a frontier that differs between
+/// the two sweeps (a determinism violation). Compile failures of
 /// individual grid points are part of the report, not errors.
 pub fn dse(
     smoke: bool,
     cache_dir: Option<&std::path::Path>,
 ) -> Result<String, Box<dyn std::error::Error>> {
     use tapacs_core::dse::explore;
-    use tapacs_ilp::{cache_dir_from_env, SolveCache};
+    use tapacs_ilp::SolveCache;
 
     let config = suite::dse_grid(Benchmark::Stencil, smoke);
     let cache = SolveCache::global();
@@ -868,34 +928,11 @@ pub fn dse(
     // the reported hit rates are attributable to this sweep + the disk.
     cache.clear();
 
-    // Persistence directory: flag → environment → ephemeral temp dir (the
-    // demo still proves the disk round trip, it just cannot span runs).
-    let (dir, source) = match cache_dir {
-        Some(d) => (d.to_path_buf(), "--cache-dir"),
-        None => match cache_dir_from_env() {
-            Some(d) => (d, "TAPACS_CACHE_DIR"),
-            None => (
-                std::env::temp_dir().join(format!("tapacs-dse-cache-{}", std::process::id())),
-                "ephemeral",
-            ),
-        },
-    };
-    std::fs::create_dir_all(&dir)?;
-    let file = SolveCache::file_in(&dir);
-
+    let dir = CacheDir::resolve(cache_dir, "dse-cache")?;
+    let file = dir.file();
     let mut s = String::from("Design-space exploration over the batch engine\n");
-    let _ = writeln!(s, "cache file: {} ({source})", file.display());
-    let mut preloaded = 0u64;
-    if file.exists() {
-        // A rejected file (corrupt, truncated, stale version) downgrades
-        // to a cold start — exploration must never fail on bad cache state.
-        match cache.load_from(&file) {
-            Ok(n) => preloaded = n,
-            Err(e) => {
-                let _ = writeln!(s, "persisted cache rejected ({e}); starting cold");
-            }
-        }
-    }
+    let _ = writeln!(s, "cache file: {} ({})", file.display(), dir.source);
+    let preloaded = dir.preload(&mut s);
 
     let first = explore(&config);
     s.push_str(&first.render_table());
@@ -926,20 +963,19 @@ pub fn dse(
         second.cache.hits,
         second.cache.misses,
     );
-    let identical = first.frontier_signature() == second.frontier_signature();
-    let _ = writeln!(s, "frontier signature: {}", first.frontier_signature());
-    let _ = writeln!(
-        s,
-        "bit-identical Pareto frontier across both sweeps: {}",
-        if identical { "yes" } else { "NO — DETERMINISM VIOLATION" },
-    );
-    if source == "ephemeral" {
-        let _ = std::fs::remove_file(&file);
-        let _ = std::fs::remove_dir(&dir);
-        let _ = writeln!(
-            s,
-            "(ephemeral cache dir removed; pass --cache-dir or set TAPACS_CACHE_DIR to persist across runs)"
-        );
+    let (signature, rerun) = (first.frontier_signature(), second.frontier_signature());
+    let identical = signature == rerun;
+    if identical {
+        let _ = writeln!(s, "frontier signature: {signature}");
+        let _ = writeln!(s, "bit-identical Pareto frontier across both sweeps: yes");
+    }
+    dir.finish(&mut s);
+    if !identical {
+        return Err(format!(
+            "bit-identical Pareto frontier across both sweeps: NO — DETERMINISM VIOLATION \
+             (first sweep {signature}, re-run {rerun})"
+        )
+        .into());
     }
     Ok(s)
 }

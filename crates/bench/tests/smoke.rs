@@ -144,35 +144,19 @@ fn dse_second_run_against_persisted_cache_starts_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The acceptance path: two `reproduce dse-search --smoke` runs against
+/// one cache dir each match the exhaustive frontier bit for bit, report
+/// the cache-resume hit rate and the exhaustive-vs-adaptive wall, agree on
+/// the frontier signature, and the second run resumes from the first
+/// run's persisted cache.
 #[test]
-fn dse_search_smoke_matches_exhaustive_with_emulated_shards() {
-    let _serial = GLOBAL_COUNTERS.lock().unwrap();
-    let dir = std::env::temp_dir().join(format!("tapacs-dse-search-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // worker = None → the 2 shards run through the in-process emulation,
-    // still persisting and merging per-shard cache files.
-    let out = tapacs_bench::dse_search::dse_search(true, 2, None, Some(&dir), None)
-        .expect("dse-search smoke must run");
-    assert!(out.contains("adaptive DSE"), "{out}");
-    assert!(out.contains("matches exhaustive frontier: yes (bit-identical)"), "{out}");
-    assert!(out.contains("cache-resume hit rate"), "{out}");
-    assert!(out.contains("conflicts: 0"), "{out}");
-    assert!(out.contains("exhaustive vs adaptive wall:"), "{out}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The acceptance path: two sharded `reproduce dse-search --smoke
-/// --shards 2` runs against one cache dir spawn real worker processes,
-/// agree on the frontier signature bit for bit, and the second run
-/// resumes from the first run's persisted shards.
-#[test]
-fn dse_search_sharded_runs_agree_and_resume_from_disk() {
+fn dse_search_runs_agree_and_resume_from_disk() {
     let _serial = GLOBAL_COUNTERS.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("tapacs-dse-search-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let run = || {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(["dse-search", "--smoke", "--shards", "2", "--cache-dir", dir.to_str().unwrap()])
+            .args(["dse-search", "--smoke", "--cache-dir", dir.to_str().unwrap()])
             .output()
             .expect("reproduce binary must run");
         assert!(
@@ -186,14 +170,45 @@ fn dse_search_sharded_runs_agree_and_resume_from_disk() {
     let second = run();
     assert!(first.contains("persisted cache preloaded: 0 entries"), "{first}");
     assert!(!second.contains("persisted cache preloaded: 0 entries"), "{second}");
-    assert!(second.contains("matches exhaustive frontier: yes (bit-identical)"), "{second}");
+    for out in [&first, &second] {
+        assert!(out.contains("adaptive DSE"), "{out}");
+        assert!(out.contains("matches exhaustive frontier: yes (bit-identical)"), "{out}");
+        assert!(out.contains("cache-resume hit rate (rungs >= 2): "), "{out}");
+        assert!(!out.contains("cache-resume hit rate (rungs >= 2): 0.0%"), "{out}");
+        assert!(out.contains("exhaustive vs adaptive wall:"), "{out}");
+    }
     let signature = |out: &str| {
         out.lines()
             .find(|l| l.starts_with("frontier signature: "))
             .expect("signature line")
             .to_string()
     };
-    assert_eq!(signature(&first), signature(&second), "frontier diverged across sharded runs");
+    assert_eq!(signature(&first), signature(&second), "frontier diverged across runs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A corrupt persisted cache file is reported and downgrades both DSE
+/// experiments to a cold start instead of failing them or passing silently.
+#[test]
+fn dse_experiments_report_a_rejected_cache_file_and_run_cold() {
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("tapacs-dse-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = tapacs_ilp::SolveCache::file_in(&dir);
+    let rejected = "persisted cache rejected (solve-cache file is truncated); starting cold";
+
+    std::fs::write(&file, b"garbage").unwrap();
+    let out = tapacs_bench::dse_search::dse_search(true, None, Some(&dir))
+        .expect("dse-search must run cold on a rejected cache file");
+    assert!(out.contains(rejected), "{out}");
+    assert!(out.contains("persisted cache preloaded: 0 entries"), "{out}");
+    assert!(out.contains("matches exhaustive frontier: yes (bit-identical)"), "{out}");
+
+    std::fs::write(&file, b"garbage").unwrap();
+    let out = r::dse(true, Some(&dir)).expect("dse must run cold on a rejected cache file");
+    assert!(out.contains(rejected), "{out}");
+    assert!(out.contains("disk warm start: no (cold cache)"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

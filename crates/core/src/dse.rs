@@ -419,7 +419,11 @@ impl DseReport {
 /// the order of `indices` plus the raw [`BatchReport`]. Shared by the
 /// exhaustive [`explore`] (all points, no budget) and the adaptive
 /// [`search`] rungs (survivors only, rung budget).
-pub(crate) fn compile_indexed(
+///
+/// # Panics
+///
+/// When an index lies outside the grid.
+pub fn compile_indexed(
     config: &DseConfig,
     indices: &[usize],
     budget: Option<Duration>,

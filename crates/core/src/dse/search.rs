@@ -25,7 +25,7 @@
 //! * ties are broken by a **seeded total order** (an FNV-1a hash of the
 //!   point label mixed with [`SearchConfig::seed`], with the unique label
 //!   itself as the final key), so promotion is bit-reproducible across
-//!   thread counts, shard counts and grid enumeration orders;
+//!   thread counts and grid enumeration orders;
 //! * a **degraded point is never promoted**: a heuristic incumbent must
 //!   not claim a rung slot on the strength of a score the solver never
 //!   proved. Budget-expired points (deadline tripped, design completed
@@ -46,27 +46,12 @@
 //! its low-budget solves as cache hits and spends the new budget only on
 //! the work the old budget could not afford. Rung ≥ 2 hit rates are
 //! reported per rung precisely to make that resume visible.
-//!
-//! # Sharding
-//!
-//! A rung's points can be split round-robin across `N` shards. Each shard
-//! runs as its own batch and persists its cache shard
-//! (`solve-cache.shard-<i>.bin`) into [`SearchConfig::cache_dir`]; shards
-//! are then merged between rungs via [`SolveCache::merge_from`], whose
-//! conflict counters ([`CacheStats::merge_conflicts`]) must stay zero —
-//! solves are deterministic, so two shards can never disagree. The
-//! in-process executor here runs shards sequentially against the shared
-//! process cache (bit-identical results, exercised merge machinery); the
-//! `reproduce dse-search --shards N` experiment runs them as real worker
-//! processes over the same split/promote/merge code path.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use tapacs_ilp::{CacheStats, SolveCache};
 
-use crate::batch::BatchReport;
 use crate::dse::{compile_indexed, report_from_outcomes, DseConfig, DseOutcome, DseReport};
 
 /// Tuning knobs of the successive-halving ladder.
@@ -82,7 +67,8 @@ pub struct SearchConfig {
     /// effective effort). The ladder is `base, base×eta, …` capped here.
     pub max_budget: Duration,
     /// Seed of the promotion tie-break. Two runs with the same seed (and
-    /// grid) promote identically; changing it only permutes exact ties.
+    /// grid) promote identically at any batch thread count; changing it
+    /// only permutes exact ties.
     pub seed: u64,
     /// Promotion floor: a rung never promotes fewer than this many clean
     /// points (when it has them), so the ladder cannot collapse below a
@@ -92,11 +78,6 @@ pub struct SearchConfig {
     /// rung before it is dropped as pathological. Bounds the worst-case
     /// spend on a point that never finishes.
     pub max_resumes: u32,
-    /// Shards per rung (≤ 1 = unsharded). See the module docs.
-    pub shards: usize,
-    /// Directory for cache shard files; `None` disables shard persistence
-    /// (shards still split the rung, the merge step is skipped).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for SearchConfig {
@@ -108,8 +89,6 @@ impl Default for SearchConfig {
             seed: 0x7a7a_c5c5,
             min_survivors: 2,
             max_resumes: 2,
-            shards: 1,
-            cache_dir: None,
         }
     }
 }
@@ -149,14 +128,11 @@ pub struct RungSpec {
 pub struct RungOutcome {
     /// `(grid index, outcome)` per evaluated point.
     pub outcomes: Vec<(usize, DseOutcome)>,
-    /// Worker threads the rung's batches used.
+    /// Worker threads the rung's batch used.
     pub threads: usize,
     /// Solve-cache lookup delta attributed to this rung (resume hits show
     /// up here from rung 1 on).
     pub cache: CacheStats,
-    /// Shard-merge conflicts observed while merging this rung's shards
-    /// (must stay 0; surfaced loudly in reports).
-    pub merge_conflicts: u64,
     /// Wall-clock of the whole rung.
     pub wall: Duration,
 }
@@ -184,8 +160,6 @@ pub struct RungReport {
     pub resumed: usize,
     /// Solve-cache delta of this rung.
     pub cache: CacheStats,
-    /// Shard-merge conflicts observed in this rung (must stay 0).
-    pub merge_conflicts: u64,
     /// Wall-clock of this rung.
     pub wall: Duration,
 }
@@ -201,8 +175,6 @@ pub struct SearchReport {
     pub eta: usize,
     /// Promotion tie-break seed used.
     pub seed: u64,
-    /// Shards per rung.
-    pub shards: usize,
     /// Per-rung accounting, in ladder order.
     pub rungs: Vec<RungReport>,
     /// The final rung's outcomes as a regular [`DseReport`] — same
@@ -222,17 +194,12 @@ impl SearchReport {
         self.final_report.frontier_signature()
     }
 
-    /// Total shard-merge conflicts across all rungs (must be 0).
-    pub fn merge_conflicts(&self) -> u64 {
-        self.rungs.iter().map(|r| r.merge_conflicts).sum()
-    }
-
     /// ASCII rendering: the rung ladder, then the final frontier table.
     pub fn render_table(&self) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "adaptive DSE `{}`: {} grid point(s), eta {}, {} shard(s), seed {:#x}\n",
-            self.name, self.grid_points, self.eta, self.shards, self.seed
+            "adaptive DSE `{}`: {} grid point(s), eta {}, seed {:#x}\n",
+            self.name, self.grid_points, self.eta, self.seed
         );
         s.push_str(
             "  rung  budget(s)  points  clean  expired  degraded  failed  promoted  resumed  hit-rate  wall(s)\n",
@@ -256,11 +223,10 @@ impl SearchReport {
         }
         let _ = writeln!(
             s,
-            "ladder: {} compile(s) over {} rung(s) in {:.3}s; shard-merge conflicts: {}",
+            "ladder: {} compile(s) over {} rung(s) in {:.3}s",
             self.total_compiles,
             self.rungs.len(),
             self.wall.as_secs_f64(),
-            self.merge_conflicts(),
         );
         // Per-point rows stop being readable (and start being megabytes)
         // on generated grids; wide finals get the deduplicated summary.
@@ -355,95 +321,25 @@ pub fn promote(
     promotion
 }
 
-/// Round-robin split of a rung's grid indices across `shards` workers.
-/// Deterministic, order-preserving within each shard, and every index
-/// lands in exactly one shard.
-pub fn shard_split(indices: &[usize], shards: usize) -> Vec<Vec<usize>> {
-    let shards = shards.max(1).min(indices.len().max(1));
-    let mut split = vec![Vec::with_capacity(indices.len() / shards + 1); shards];
-    for (i, &idx) in indices.iter().enumerate() {
-        split[i % shards].push(idx);
-    }
-    split
-}
-
-/// File name of shard `i`'s persisted cache inside the search cache dir.
-pub fn shard_cache_file(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("solve-cache.shard-{shard}.bin"))
-}
-
-/// Compiles one shard of a rung: the given grid indices under `budget`.
-/// Thin public wrapper over the batch path so out-of-process shard
-/// workers (`reproduce dse-search-shard`) run exactly the in-process
-/// code. Outcomes come back in `indices` order.
-pub fn compile_rung_shard(
-    grid: &DseConfig,
-    indices: &[usize],
-    budget: Option<Duration>,
-) -> (Vec<DseOutcome>, BatchReport) {
-    compile_indexed(grid, indices, budget)
-}
-
-/// The in-process rung executor: shards sequentially against the shared
-/// process cache, persisting and merging shard cache files when a cache
-/// dir is configured.
-fn run_rung_in_process(
-    grid: &DseConfig,
-    cfg: &SearchConfig,
-    spec: &RungSpec,
-    survivors: &[usize],
-) -> RungOutcome {
-    let cache = SolveCache::global();
-    let before = cache.stats();
+/// The in-process rung executor: the rung's survivors as one batch under
+/// the rung budget, against the shared process cache.
+fn run_rung_in_process(grid: &DseConfig, spec: &RungSpec, survivors: &[usize]) -> RungOutcome {
+    let before = SolveCache::global().stats();
     let t0 = Instant::now();
     let budget = (!spec.is_final).then_some(spec.budget);
-
-    let mut outcomes = Vec::with_capacity(survivors.len());
-    let mut threads = 1;
-    let shards = shard_split(survivors, cfg.shards);
-    for (s, shard) in shards.iter().enumerate() {
-        if shard.is_empty() {
-            continue;
-        }
-        let (shard_outcomes, report) = compile_indexed(grid, shard, budget);
-        threads = threads.max(report.threads);
-        outcomes.extend(shard.iter().copied().zip(shard_outcomes));
-        if let (Some(dir), true) = (&cfg.cache_dir, shards.len() > 1) {
-            // Persist this shard's view; ignore IO trouble (the search
-            // still has every entry in the shared process cache).
-            let _ = cache.save_to(&shard_cache_file(dir, s));
-        }
-    }
-
-    // Merge the shard files back — a no-op for content here (the process
-    // cache already holds everything) but the exact merge path the
-    // multi-process driver relies on, conflict accounting included.
-    let mut merge_conflicts = 0;
-    if let Some(dir) = &cfg.cache_dir {
-        if shards.len() > 1 {
-            for s in 0..shards.len() {
-                if let Ok(merge) = cache.merge_from(&shard_cache_file(dir, s)) {
-                    merge_conflicts += merge.conflicts;
-                }
-            }
-        }
-    }
-
+    let (outcomes, report) = compile_indexed(grid, survivors, budget);
     RungOutcome {
-        outcomes,
-        threads,
-        cache: cache.stats().since(&before),
-        merge_conflicts,
+        outcomes: survivors.iter().copied().zip(outcomes).collect(),
+        threads: report.threads,
+        cache: SolveCache::global().stats().since(&before),
         wall: t0.elapsed(),
     }
 }
 
 /// Runs the successive-halving ladder with a caller-supplied rung
-/// executor (the multi-process `reproduce dse-search` driver plugs in
-/// process-spawning here; [`explore_adaptive`] plugs in the in-process
-/// one). The driver — budgets, promotion, resume bookkeeping, reporting —
-/// is identical either way, which is what makes 1-vs-N-shard runs
-/// bit-comparable.
+/// executor ([`explore_adaptive`] plugs in the in-process one; tests
+/// substitute synthetic executors). The driver — budgets, promotion,
+/// resume bookkeeping, reporting — is identical either way.
 pub fn explore_adaptive_with<F>(
     grid: &DseConfig,
     cfg: &SearchConfig,
@@ -465,8 +361,8 @@ where
         let is_final = r + 1 == budgets.len() || survivors.is_empty();
         let spec = RungSpec { index: rungs.len(), budget: budgets[r], is_final };
         let mut out = run_rung(&spec, &survivors);
-        // Deterministic downstream processing regardless of shard/thread
-        // interleaving: everything keys off the grid index order.
+        // Deterministic downstream processing regardless of the executor's
+        // order: everything keys off the grid index order.
         out.outcomes.sort_unstable_by_key(|(idx, _)| *idx);
         total_compiles += out.outcomes.len();
 
@@ -492,7 +388,6 @@ where
                 promoted: 0,
                 resumed: 0,
                 cache: out.cache,
-                merge_conflicts: out.merge_conflicts,
                 wall: out.wall,
             });
             let outcomes = out.outcomes.clone();
@@ -524,7 +419,6 @@ where
             promoted: promo.promoted.len(),
             resumed: resumed.len(),
             cache: out.cache,
-            merge_conflicts: out.merge_conflicts,
             wall: out.wall,
         });
 
@@ -548,7 +442,6 @@ where
                 outcomes: Vec::new(),
                 threads: 1,
                 cache: CacheStats::default(),
-                merge_conflicts: 0,
                 wall: Duration::ZERO,
             },
             Vec::new(),
@@ -568,7 +461,6 @@ where
         grid_points: grid.num_points(),
         eta: cfg.eta.max(2),
         seed: cfg.seed,
-        shards: cfg.shards.max(1),
         rungs,
         final_report,
         total_compiles,
@@ -576,11 +468,8 @@ where
     }
 }
 
-/// Runs the full adaptive ladder in-process (sequential shards against
-/// the shared process cache). See the module docs; the multi-process
-/// variant lives in the `reproduce dse-search` experiment.
+/// Runs the full adaptive ladder in-process, one batch per rung against
+/// the shared process cache. See the module docs.
 pub fn explore_adaptive(grid: &DseConfig, cfg: &SearchConfig) -> SearchReport {
-    explore_adaptive_with(grid, cfg, |spec, survivors| {
-        run_rung_in_process(grid, cfg, spec, survivors)
-    })
+    explore_adaptive_with(grid, cfg, |spec, survivors| run_rung_in_process(grid, spec, survivors))
 }

@@ -11,8 +11,8 @@
 //!    pure function of `(outcomes, eta, seed)`.
 //! 3. Compiled end-to-end determinism: `explore_adaptive` reproduces the
 //!    exhaustive frontier signature bit-identically across batch worker
-//!    counts 1/2/4 and 1-vs-2 emulated shards, with a nonzero
-//!    cache-resume hit rate on the promotion rung.
+//!    counts 1/2/4, with a nonzero cache-resume hit rate on the promotion
+//!    rung.
 
 use std::time::Duration;
 
@@ -82,7 +82,6 @@ fn synthetic_rung(survivors: &[usize], outcome_of: impl Fn(usize) -> DseOutcome)
         outcomes: survivors.iter().map(|&i| (i, outcome_of(i))).collect(),
         threads: 1,
         cache: CacheStats::default(),
-        merge_conflicts: 0,
         wall: Duration::ZERO,
     }
 }
@@ -97,8 +96,6 @@ fn ladder_config(eta: usize, seed: u64) -> SearchConfig {
         seed,
         min_survivors: 1,
         max_resumes: 2,
-        shards: 1,
-        cache_dir: None,
     }
 }
 
@@ -301,11 +298,10 @@ fn assert_unbound(report: &dse::DseReport, wall: Duration) {
 }
 
 /// Budgets that cannot bind: nothing expires, so the ladder must reproduce
-/// the exhaustive frontier bit-identically — across batch worker counts
-/// and emulated shard counts — and the promotion rung must replay cached
-/// solves.
+/// the exhaustive frontier bit-identically across batch worker counts, and
+/// the promotion rung must replay cached solves.
 #[test]
-fn compiled_ladder_matches_exhaustive_across_threads_and_shards() {
+fn compiled_ladder_matches_exhaustive_across_batch_threads() {
     let exhaustive = dse::explore(&compiled_grid());
     assert_unbound(&exhaustive, exhaustive.wall);
     assert!(!exhaustive.frontier.is_empty(), "{}", exhaustive.render_table());
@@ -322,24 +318,20 @@ fn compiled_ladder_matches_exhaustive_across_threads_and_shards() {
 
     let mut resume_rung_hits = 0u64;
     for threads in [1usize, 2, 4] {
-        for shards in [1usize, 2] {
-            let mut grid = compiled_grid();
-            grid.threads = threads;
-            let cfg = SearchConfig { shards, ..search.clone() };
-            let report = explore_adaptive(&grid, &cfg);
-            let expired: usize = report.rungs.iter().map(|r| r.budget_expired).sum();
-            assert_eq!(expired, 0, "generous budgets must not expire");
-            assert_unbound(&report.final_report, report.wall);
-            assert_eq!(
-                report.frontier_signature(),
-                signature,
-                "ladder diverged at {threads} threads, {shards} shard(s)\n{}",
-                report.render_table()
-            );
-            assert!(report.rungs.len() >= 2, "expected a multi-rung ladder");
-            assert_eq!(report.merge_conflicts(), 0);
-            resume_rung_hits += report.rungs.last().unwrap().cache.hits;
-        }
+        let mut grid = compiled_grid();
+        grid.threads = threads;
+        let report = explore_adaptive(&grid, &search);
+        let expired: usize = report.rungs.iter().map(|r| r.budget_expired).sum();
+        assert_eq!(expired, 0, "generous budgets must not expire");
+        assert_unbound(&report.final_report, report.wall);
+        assert_eq!(
+            report.frontier_signature(),
+            signature,
+            "ladder diverged at {threads} threads\n{}",
+            report.render_table()
+        );
+        assert!(report.rungs.len() >= 2, "expected a multi-rung ladder");
+        resume_rung_hits += report.rungs.last().unwrap().cache.hits;
     }
     // Promoted points resume from the solve cache: the final rung replays
     // earlier rungs' solves as hits (global in-process cache).

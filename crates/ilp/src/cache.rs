@@ -68,14 +68,6 @@ pub struct CacheStats {
     /// Entries written out to persisted cache files
     /// ([`SolveCache::save_to`]), cumulative.
     pub stores: u64,
-    /// Shard-merge operations completed ([`SolveCache::merge_from`]),
-    /// cumulative.
-    pub merges: u64,
-    /// Entries whose key collided during a merge with a *different*
-    /// solution encoding. Solves are deterministic, so any nonzero count
-    /// points at a real bug (mixed builds, mixed configs) — callers
-    /// surface it loudly.
-    pub merge_conflicts: u64,
 }
 
 impl CacheStats {
@@ -101,24 +93,8 @@ impl CacheStats {
             entries: self.entries,
             loads: self.loads.saturating_sub(earlier.loads),
             stores: self.stores.saturating_sub(earlier.stores),
-            merges: self.merges.saturating_sub(earlier.merges),
-            merge_conflicts: self.merge_conflicts.saturating_sub(earlier.merge_conflicts),
         }
     }
-}
-
-/// Outcome of one [`SolveCache::merge_from`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheMerge {
-    /// Entries newly inserted from the shard file.
-    pub inserted: u64,
-    /// Entries whose key was already present with the identical solution
-    /// encoding (the expected case for overlapping shards).
-    pub duplicates: u64,
-    /// Entries whose key was already present with a *different* solution
-    /// encoding. The existing entry wins; see
-    /// [`CacheStats::merge_conflicts`].
-    pub conflicts: u64,
 }
 
 /// Why a persisted cache file was rejected. Every variant is a graceful
@@ -350,8 +326,6 @@ pub struct SolveCache {
     misses: AtomicU64,
     loads: AtomicU64,
     stores: AtomicU64,
-    merges: AtomicU64,
-    merge_conflicts: AtomicU64,
 }
 
 impl Default for SolveCache {
@@ -370,8 +344,6 @@ impl SolveCache {
             misses: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            merge_conflicts: AtomicU64::new(0),
         }
     }
 
@@ -405,8 +377,6 @@ impl SolveCache {
             entries: self.inner.lock().unwrap().len(),
             loads: self.loads.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            merge_conflicts: self.merge_conflicts.load(Ordering::Relaxed),
         }
     }
 
@@ -418,8 +388,6 @@ impl SolveCache {
         self.misses.store(0, Ordering::Relaxed);
         self.loads.store(0, Ordering::Relaxed);
         self.stores.store(0, Ordering::Relaxed);
-        self.merges.store(0, Ordering::Relaxed);
-        self.merge_conflicts.store(0, Ordering::Relaxed);
     }
 
     /// The conventional cache-file path inside `dir` (see
@@ -568,71 +536,6 @@ impl SolveCache {
         drop(guard);
         self.loads.fetch_add(merged, Ordering::Relaxed);
         Ok(merged)
-    }
-
-    /// Merges a *shard* cache file into this cache — the cross-process
-    /// companion to [`SolveCache::load_from`] used by the sharded adaptive
-    /// DSE: each worker process persists its own shard, and the driver
-    /// merges all shards between rungs.
-    ///
-    /// Unlike `load_from`, a key collision is checked instead of blindly
-    /// overwritten: solves are deterministic, so the same key must carry
-    /// the same solution bytes in every shard. Identical collisions count
-    /// as [`CacheMerge::duplicates`]; a mismatch keeps the existing entry,
-    /// counts as [`CacheMerge::conflicts`] and bumps the cumulative
-    /// [`CacheStats::merge_conflicts`] (debug builds assert, because a
-    /// conflict means two shards disagreed about a deterministic solve).
-    ///
-    /// Validation, IO retry and quarantine behave exactly like
-    /// `load_from`; a rejected file merges nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheFileError`] for unreadable, truncated, corrupt or
-    /// version-incompatible files.
-    pub fn merge_from(&self, path: &Path) -> Result<CacheMerge, CacheFileError> {
-        let entries = match with_io_retry(|| Self::read_entries(path)) {
-            Ok(entries) => entries,
-            Err(e) => {
-                if !matches!(e, CacheFileError::Io(_)) {
-                    quarantine(path);
-                }
-                return Err(e);
-            }
-        };
-
-        let mut merge = CacheMerge::default();
-        let mut guard = self.inner.lock().unwrap();
-        for (key, solution) in entries {
-            match guard.get(&key) {
-                Some(existing) => {
-                    let mut ours = Vec::new();
-                    let mut theirs = Vec::new();
-                    encode_solution(&mut ours, existing);
-                    encode_solution(&mut theirs, &solution);
-                    if ours == theirs {
-                        merge.duplicates += 1;
-                    } else {
-                        debug_assert!(
-                            false,
-                            "solve-cache merge conflict: same key, different solution bytes"
-                        );
-                        merge.conflicts += 1;
-                    }
-                }
-                None => {
-                    if guard.len() < MAX_ENTRIES {
-                        guard.insert(key, solution);
-                        merge.inserted += 1;
-                    }
-                }
-            }
-        }
-        drop(guard);
-        self.loads.fetch_add(merge.inserted, Ordering::Relaxed);
-        self.merges.fetch_add(1, Ordering::Relaxed);
-        self.merge_conflicts.fetch_add(merge.conflicts, Ordering::Relaxed);
-        Ok(merge)
     }
 }
 
@@ -936,82 +839,6 @@ mod tests {
         std::fs::write(&path, &good).unwrap();
         assert_eq!(target.load_from(&path).unwrap(), 2);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn merge_from_counts_inserts_duplicates_and_conflicts() {
-        // Shard A: models 1..3; shard B overlaps on model 2 and adds 3.
-        let a = populated_cache(2);
-        let b = SolveCache::new();
-        for i in 1..3 {
-            let m = model(1.0 + i as f64);
-            let sol = m.solve().unwrap();
-            b.insert(canonical_key("seq", &m, &SolverConfig::default()), sol);
-        }
-        let path = tmp_file("merge-shard");
-        b.save_to(&path).unwrap();
-
-        let merge = a.merge_from(&path).unwrap();
-        assert_eq!(merge, CacheMerge { inserted: 1, duplicates: 1, conflicts: 0 });
-        let stats = a.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!((stats.merges, stats.merge_conflicts), (1, 0));
-        assert_eq!(stats.loads, 1, "only newly inserted entries count as loads");
-
-        // Re-merging the same shard is pure duplicates.
-        let again = a.merge_from(&path).unwrap();
-        assert_eq!(again, CacheMerge { inserted: 0, duplicates: 2, conflicts: 0 });
-        assert_eq!(a.stats().merges, 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// A conflicting shard (same key, different solution bytes) must keep
-    /// the existing entry and count the conflict. Only exercised in
-    /// release-style builds: debug builds assert on conflicts by design.
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "debug builds assert on merge conflicts")]
-    fn merge_conflict_keeps_existing_entry() {
-        let m = model(1.0);
-        let key = canonical_key("seq", &m, &SolverConfig::default());
-        let good = m.solve().unwrap();
-
-        let ours = SolveCache::new();
-        ours.insert(key.clone(), good.clone());
-
-        let theirs = SolveCache::new();
-        let mut tampered = good.clone();
-        tampered.objective += 1.0;
-        theirs.insert(key.clone(), tampered);
-        let path = tmp_file("merge-conflict");
-        theirs.save_to(&path).unwrap();
-
-        let merge = ours.merge_from(&path).unwrap();
-        assert_eq!(merge, CacheMerge { inserted: 0, duplicates: 0, conflicts: 1 });
-        assert_eq!(ours.stats().merge_conflicts, 1);
-        let kept = ours.inner.lock().unwrap().get(&key).cloned().unwrap();
-        assert_eq!(kept.objective, good.objective, "existing entry wins");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn merge_from_rejects_corrupt_files_without_merging() {
-        let shard = populated_cache(2);
-        let path = tmp_file("merge-corrupt");
-        shard.save_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let target = SolveCache::new();
-        let err = target.merge_from(&path).expect_err("corrupt shard");
-        assert!(!matches!(err, CacheFileError::Io(_)), "{err}");
-        let stats = target.stats();
-        assert_eq!((stats.entries, stats.merges, stats.merge_conflicts), (0, 0, 0));
-        let _ = std::fs::remove_file(&path);
-        let mut q = path.as_os_str().to_os_string();
-        q.push(".quarantined");
-        let _ = std::fs::remove_file(std::path::Path::new(&q));
     }
 
     #[test]

@@ -74,8 +74,7 @@ mod sparse;
 mod stats;
 
 pub use cache::{
-    cache_dir_from_env, CacheFileError, CacheMerge, CacheStats, CachingSolver, SolveCache,
-    SOLVE_CACHE_FILE,
+    cache_dir_from_env, CacheFileError, CacheStats, CachingSolver, SolveCache, SOLVE_CACHE_FILE,
 };
 pub use cancel::CancellationToken;
 pub use certificate::{certify, CertificateError};
