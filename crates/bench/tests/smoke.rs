@@ -144,13 +144,34 @@ fn dse_second_run_against_persisted_cache_starts_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The in-process path: `dse_search` on the smoke grid renders the
+/// adaptive DSE table, matches the exhaustive frontier bit for bit and
+/// reports the cache-resume hit rate and the exhaustive-vs-adaptive wall.
+/// (The name dates from when rungs ran through an in-process shard
+/// emulation; each rung is now one in-process batch.)
+#[test]
+fn dse_search_smoke_matches_exhaustive_with_emulated_shards() {
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    let dir = std::env::temp_dir().join(format!("tapacs-dse-search-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = tapacs_bench::dse_search::dse_search(true, None, Some(&dir))
+        .expect("dse-search smoke must run");
+    assert!(out.contains("adaptive DSE"), "{out}");
+    assert!(out.contains("matches exhaustive frontier: yes (bit-identical)"), "{out}");
+    assert!(out.contains("cache-resume hit rate (rungs >= 2): "), "{out}");
+    assert!(!out.contains("cache-resume hit rate (rungs >= 2): 0.0%"), "{out}");
+    assert!(out.contains("exhaustive vs adaptive wall:"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The acceptance path: two `reproduce dse-search --smoke` runs against
 /// one cache dir each match the exhaustive frontier bit for bit, report
 /// the cache-resume hit rate and the exhaustive-vs-adaptive wall, agree on
 /// the frontier signature, and the second run resumes from the first
-/// run's persisted cache.
+/// run's persisted cache. (The name dates from when each run spread its
+/// rungs over shard worker processes; each run is now one process.)
 #[test]
-fn dse_search_runs_agree_and_resume_from_disk() {
+fn dse_search_sharded_runs_agree_and_resume_from_disk() {
     let _serial = GLOBAL_COUNTERS.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("tapacs-dse-search-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
