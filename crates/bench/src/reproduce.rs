@@ -856,9 +856,12 @@ pub(crate) struct CacheDir {
 impl CacheDir {
     /// Resolves and creates the directory; `tag` names the ephemeral one.
     pub(crate) fn resolve(flag: Option<&std::path::Path>, tag: &str) -> std::io::Result<Self> {
-        let (dir, source) = match (flag, tapacs_ilp::cache_dir_from_env()) {
+        // The one environment variable the workspace reads: a deployment
+        // path, resolved here at the binary edge.
+        let env = std::env::var_os("TAPACS_CACHE_DIR").filter(|v| !v.is_empty());
+        let (dir, source) = match (flag, env) {
             (Some(d), _) => (d.to_path_buf(), "--cache-dir"),
-            (None, Some(d)) => (d, "TAPACS_CACHE_DIR"),
+            (None, Some(d)) => (d.into(), "TAPACS_CACHE_DIR"),
             (None, None) => (
                 std::env::temp_dir().join(format!("tapacs-{tag}-{}", std::process::id())),
                 "ephemeral",
@@ -1033,7 +1036,7 @@ pub fn faults(smoke: bool) -> Result<String, Box<dyn std::error::Error>> {
         }
     }));
 
-    // The fixed seeded spec (the `TAPACS_FAULTS` grammar): cnn/F2 panics
+    // The fixed seeded spec (the `FaultRegistry::parse` grammar): cnn/F2 panics
     // mid-compile, every pagerank job's ILP deadline is forced to zero
     // (the degradation ladder takes over), stencil-i64/F4 fails at its
     // first stage (full mode only — smoke has no F4 jobs), and the first

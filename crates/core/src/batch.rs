@@ -24,8 +24,8 @@
 //!   deterministic and jobs share no mutable state beyond the (replay-safe)
 //!   solve cache.
 //!
-//! `TAPACS_BATCH_THREADS` pins the queue's worker count from the
-//! environment (CI uses `1` to cross-check determinism).
+//! The queue runs on all cores unless [`BatchCompiler::threads`] pins its
+//! worker count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -338,24 +338,19 @@ pub struct BatchCompiler {
 }
 
 impl BatchCompiler {
-    /// A batch compiler with default configuration. The worker count
-    /// honours `TAPACS_BATCH_THREADS` when set (`0` or unset = all cores).
+    /// A batch compiler with default configuration, on all cores.
     pub fn new(cluster: Cluster) -> Self {
         Self::with_config(cluster, CompilerConfig::default())
     }
 
-    /// A batch compiler with an explicit default configuration.
+    /// A batch compiler with an explicit default configuration, on all
+    /// cores.
     pub fn with_config(cluster: Cluster, config: CompilerConfig) -> Self {
-        let threads = std::env::var("TAPACS_BATCH_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        Self { cluster, config, threads }
+        Self { cluster, config, threads: 0 }
     }
 
     /// Pins the worker-thread count (`0` =
-    /// [`std::thread::available_parallelism`]), overriding the
-    /// environment.
+    /// [`std::thread::available_parallelism`]).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -378,9 +373,9 @@ impl BatchCompiler {
     /// queue and the per-job parallel branch and bound defaulting to "all
     /// cores", an evaluation sweep would otherwise run `workers × cores`
     /// runnable threads. The cap only applies to auto (`threads == 0`)
-    /// solver options — an explicit pin (including `TAPACS_SOLVER_THREADS`)
-    /// is respected — and cannot change any result: the parallel backend
-    /// is bit-identical for every thread count.
+    /// solver options — an explicit pin is respected — and cannot change
+    /// any result: the parallel backend is bit-identical for every thread
+    /// count.
     fn run_job(
         &self,
         job: &CompileJob,
@@ -795,7 +790,8 @@ mod tests {
 
     #[test]
     fn env_pins_worker_count() {
-        // `threads()` overrides whatever the constructor read from the env.
+        // The constructors start on all cores; `threads()` pins the count.
+        assert_eq!(BatchCompiler::new(cluster4()).threads, 0);
         let b = BatchCompiler::new(cluster4()).threads(1);
         assert_eq!(b.resolved_threads(8), 1);
         let many = BatchCompiler::new(cluster4()).threads(16);

@@ -88,8 +88,8 @@ pub struct DseConfig {
     /// Base compiler configuration every point starts from (per-point
     /// thresholds are overlaid on a clone).
     pub base: CompilerConfig,
-    /// Batch worker-thread count (`0` = `TAPACS_BATCH_THREADS` / all
-    /// cores, the [`BatchCompiler`] default).
+    /// Batch worker-thread count (`0` = all cores, the [`BatchCompiler`]
+    /// default).
     pub threads: usize,
 }
 

@@ -5,9 +5,9 @@
 //!    point, and the frontier (as a set) is invariant under permutation of
 //!    the evaluated points.
 //! 2. End-to-end determinism: `dse::explore` produces the same frontier
-//!    signature for batch worker counts 1/2/4 (the programmatic equivalent
-//!    of `TAPACS_BATCH_THREADS`), for solver thread counts 1/2/4 (of
-//!    `TAPACS_SOLVER_THREADS`) and for shuffled grid enumeration orders.
+//!    signature for batch worker counts 1/2/4 (`DseConfig::threads`), for
+//!    solver thread counts 1/2/4 (`SolverOptions::threads`) and for
+//!    shuffled grid enumeration orders.
 
 use proptest::prelude::*;
 use tapacs_core::dse::{self, pareto_frontier, DseConfig, DseReport, DseScore};
@@ -151,8 +151,7 @@ fn explore_unbound(cfg: &DseConfig) -> DseReport {
 }
 
 /// The frontier signature is the determinism witness: invariant across
-/// batch worker counts (1/2/4, what the `TAPACS_BATCH_THREADS` CI legs
-/// pin) and across grid enumeration orders.
+/// batch worker counts (1/2/4) and across grid enumeration orders.
 #[test]
 fn explore_scores_prunes_and_accounts_for_every_point() {
     let report = dse::explore(&demo_config());

@@ -24,8 +24,6 @@
 //! over everything before it. A truncated, bit-flipped or
 //! version-incompatible file is rejected with [`CacheFileError`] — never a
 //! panic, never a partial merge — and the caller simply runs cold.
-//! `TAPACS_CACHE_DIR` (see [`cache_dir_from_env`]) is the conventional
-//! location callers persist into.
 //!
 //! # Robustness
 //!
@@ -153,12 +151,6 @@ impl From<std::io::Error> for CacheFileError {
 /// directory (see [`SolveCache::file_in`]).
 pub const SOLVE_CACHE_FILE: &str = "solve-cache.bin";
 
-/// The cache directory from the `TAPACS_CACHE_DIR` environment variable
-/// (`None` when unset or empty).
-pub fn cache_dir_from_env() -> Option<PathBuf> {
-    std::env::var_os("TAPACS_CACHE_DIR").filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
 /// Magic tag opening every persisted cache file.
 const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// Format version written and accepted by this build. Bump on any change
@@ -211,8 +203,8 @@ fn with_io_retry<T>(
 }
 
 /// Injected IO failure hook for the cache paths (`cacheio@load` /
-/// `cacheio@save` in the `TAPACS_FAULTS` grammar). No-op unless a fault
-/// registry is armed.
+/// `cacheio@save` in the `FaultRegistry::parse` grammar). No-op unless a
+/// fault registry is armed.
 fn injected_io(site: &str) -> Result<(), CacheFileError> {
     if crate::fault::fault_fires(crate::fault::FaultKind::CacheIo, site) {
         return Err(CacheFileError::Io(std::io::Error::other(format!(

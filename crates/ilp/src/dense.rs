@@ -1,4 +1,4 @@
-//! The dense-tableau simplex engine (`TAPACS_LP_ENGINE=dense`).
+//! The dense-tableau simplex engine ([`LpEngine::Dense`](crate::LpEngine::Dense)).
 //!
 //! This is the original implementation, kept verbatim as the differential-
 //! testing oracle for the sparse revised engine: it maintains the full
@@ -9,8 +9,8 @@
 //! helpers in [`simplex`](crate::simplex).
 //!
 //! The [`LpParity`](crate::LpParity) switch does not reach this engine: the
-//! dense tableau *is* the exact reference that `TAPACS_LP_PARITY=exact`
-//! replays, so it has no fast path — devex pricing, Forrest–Tomlin eta
+//! dense tableau *is* the exact reference that
+//! [`LpParity::Exact`](crate::LpParity::Exact) replays, so it has no fast path — devex pricing, Forrest–Tomlin eta
 //! replacement and the dual-simplex warm re-solve live only in the sparse
 //! engine.
 

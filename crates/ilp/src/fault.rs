@@ -1,9 +1,10 @@
 //! Seeded, deterministic fault injection for chaos testing.
 //!
-//! `TAPACS_FAULTS=<seed>:<spec>(;<spec>)*` arms a process-wide registry
-//! that the pipeline consults at well-defined *sites* (a batch job about
-//! to compile, a pipeline stage about to run, a cache file about to be
-//! read or written). Each spec is:
+//! [`install_faults`] arms a process-wide registry, parsed from
+//! `<seed>:<spec>(;<spec>)*` by [`FaultRegistry::parse`], that the
+//! pipeline consults at well-defined *sites* (a batch job about to
+//! compile, a pipeline stage about to run, a cache file about to be read
+//! or written). Each spec is:
 //!
 //! ```text
 //! <kind><selector>[*<count>]
@@ -21,14 +22,13 @@
 //!
 //! Selection is a pure function of `(seed, kind, site key)` — never of
 //! thread interleaving or wall clock — so a faulted sweep is bit-identical
-//! across `TAPACS_BATCH_THREADS` settings and an experiment can *predict*
-//! exactly which jobs will fault (see [`FaultRegistry::selects`]). The
+//! across batch worker counts and an experiment can *predict* exactly
+//! which jobs will fault (see [`FaultRegistry::selects`]). The
 //! transient budget is the one piece of mutable state; it is keyed per
 //! `(spec, site)` so its draining is also schedule-independent.
 //!
-//! With `TAPACS_FAULTS` unset the registry is absent and every probe is a
-//! single relaxed atomic load — the machinery compiles in but costs
-//! nothing in production.
+//! Until a registry is installed every probe is a single atomic load —
+//! the machinery compiles in but costs nothing in production.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -200,55 +200,30 @@ impl FaultRegistry {
     }
 }
 
-/// `true` once anything has been installed (including an explicit "no
-/// faults"), so the fast path is one relaxed load.
+/// `true` while a registry is installed, so the disarmed fast path is one
+/// atomic load.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static REGISTRY: RwLock<Option<Arc<FaultRegistry>>> = RwLock::new(None);
-static INITIALIZED: AtomicBool = AtomicBool::new(false);
 
-/// Installs (or clears, with `None`) the process-wide registry. Tests and
-/// the chaos experiment use this to arm faults without mutating the
-/// environment.
+/// Installs (or clears, with `None`) the process-wide registry — the only
+/// way faults are armed.
 pub fn install_faults(reg: Option<Arc<FaultRegistry>>) {
     let mut guard = REGISTRY.write().unwrap_or_else(|e| e.into_inner());
     ARMED.store(reg.is_some(), Ordering::Release);
-    INITIALIZED.store(true, Ordering::Release);
     *guard = reg;
 }
 
-/// The active registry: `TAPACS_FAULTS` parsed once on first use unless
-/// [`install_faults`] was called first. `None` means no faults are armed.
-/// A malformed env value panics — silently ignoring a chaos spec would
-/// make an experiment pass vacuously.
+/// The registry [`install_faults`] armed; `None` means no faults are armed.
 pub fn fault_registry() -> Option<Arc<FaultRegistry>> {
-    if INITIALIZED.load(Ordering::Acquire) {
-        if !ARMED.load(Ordering::Acquire) {
-            return None;
-        }
-        return REGISTRY.read().unwrap_or_else(|e| e.into_inner()).clone();
+    if !ARMED.load(Ordering::Acquire) {
+        return None;
     }
-    // An empty (or whitespace) value is the conventional way to force the
-    // variable off in a matrix of environments; only non-empty specs parse.
-    let parsed =
-        std::env::var("TAPACS_FAULTS").ok().filter(|spec| !spec.trim().is_empty()).map(|spec| {
-            Arc::new(FaultRegistry::parse(&spec).unwrap_or_else(|e| panic!("TAPACS_FAULTS: {e}")))
-        });
-    let mut guard = REGISTRY.write().unwrap_or_else(|e| e.into_inner());
-    if !INITIALIZED.load(Ordering::Acquire) {
-        ARMED.store(parsed.is_some(), Ordering::Release);
-        INITIALIZED.store(true, Ordering::Release);
-        *guard = parsed;
-    }
-    drop(guard);
-    fault_registry()
+    REGISTRY.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 /// One-line probe for injection sites: does a fault of `kind` fire at
 /// `site` right now? Costs one relaxed load when nothing is armed.
 pub fn fault_fires(kind: FaultKind, site: &str) -> bool {
-    if INITIALIZED.load(Ordering::Acquire) && !ARMED.load(Ordering::Acquire) {
-        return false;
-    }
     fault_registry().is_some_and(|r| r.fires(kind, site))
 }
 

@@ -4,11 +4,10 @@
 //! floorplanner as integer linear programs (the paper solves them with
 //! python-MIP or Gurobi). This crate is the reproduction's solver substrate:
 //! a sparse revised two-phase primal simplex for the LP relaxation (with a
-//! dense-tableau oracle behind [`LpEngine::Dense`] /
-//! `TAPACS_LP_ENGINE=dense`) and a
-//! round-based branch-and-bound search for integrality, with
-//! an anytime incumbent and a wall-clock deadline so large instances behave
-//! like a commercial solver under a time limit.
+//! dense-tableau oracle behind [`LpEngine::Dense`]) and a round-based
+//! branch-and-bound search for integrality, with an anytime incumbent and
+//! a wall-clock deadline so large instances behave like a commercial
+//! solver under a time limit.
 //!
 //! Solving is pluggable through the [`Solver`] trait: the branch and bound
 //! ([`ParallelSolver`], deterministic for any thread count — it expands the
@@ -26,8 +25,9 @@
 //! store sparse bound deltas instead of cloned bound vectors, and every
 //! child LP warm-starts from its parent's bounded-variable simplex basis.
 //! Engine activity (iterations, warm-start hits, presolve reductions) is
-//! observable through [`SolveActivity`]/[`SolveStats`]; `TAPACS_PRESOLVE=0`
-//! and `TAPACS_LP_WARM=0` switch the new machinery off.
+//! observable through [`SolveActivity`]/[`SolveStats`];
+//! [`SolverOptions::presolve`] and [`SolverOptions::warm_lp`] switch the
+//! new machinery off.
 //!
 //! # Example
 //!
@@ -73,9 +73,7 @@ mod solver;
 mod sparse;
 mod stats;
 
-pub use cache::{
-    cache_dir_from_env, CacheFileError, CacheStats, CachingSolver, SolveCache, SOLVE_CACHE_FILE,
-};
+pub use cache::{CacheFileError, CacheStats, CachingSolver, SolveCache, SOLVE_CACHE_FILE};
 pub use cancel::CancellationToken;
 pub use certificate::{certify, CertificateError};
 pub use error::IlpError;

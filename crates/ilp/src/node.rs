@@ -75,8 +75,8 @@ impl BoundChain {
 /// values grow exactly those trees. On big searches (thousands to hundreds
 /// of thousands of nodes) the kit's per-child pivot savings dwarf that
 /// effect. The driver counts nodes deterministically and
-/// thread-invariantly, so the cutover never depends on timing or
-/// `TAPACS_SOLVER_THREADS`.
+/// thread-invariantly, so the cutover never depends on timing or the
+/// worker count.
 pub(crate) const FAST_KIT_AFTER_NODES: usize = 384;
 
 /// The kit-off attempt's budget in row-nodes: expanded nodes times the

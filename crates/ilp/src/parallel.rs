@@ -563,8 +563,8 @@ impl Default for ParallelSolver {
             warm_start: true,
             presolve: true,
             warm_lp: true,
-            lp_engine: LpEngine::from_env(),
-            lp_parity: LpParity::from_env(),
+            lp_engine: LpEngine::Sparse,
+            lp_parity: LpParity::Fast,
         }
     }
 }

@@ -11,8 +11,8 @@
 //!   appends one eta per pivot, and refactorizes on a deterministic
 //!   update-count trigger. Iteration cost is O(nnz), not O(m·n).
 //! * [`dense`](crate::dense) — the original dense-tableau implementation,
-//!   kept behind `TAPACS_LP_ENGINE=dense` as the differential-testing
-//!   oracle for the sparse path.
+//!   kept behind [`LpEngine::Dense`] as the differential-testing oracle
+//!   for the sparse path.
 //!
 //! Both engines share every numerical decision rule — the [`Tolerances`]
 //! set, Dantzig pricing with Bland fallback, the anti-cycling guard that
@@ -168,26 +168,8 @@ pub enum LpEngine {
     /// Sparse revised simplex with product-form basis updates (default).
     Sparse,
     /// Dense-tableau simplex — the original engine, kept as the
-    /// differential-testing oracle (`TAPACS_LP_ENGINE=dense`).
+    /// differential-testing oracle.
     Dense,
-}
-
-/// Whether environment variable `name` spells `word`, ignoring ASCII case
-/// and surrounding whitespace — the one parse rule of the LP mode variables.
-fn env_spells(name: &str, word: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v.trim().eq_ignore_ascii_case(word))
-}
-
-impl LpEngine {
-    /// Reads `TAPACS_LP_ENGINE` (`dense` selects the oracle engine; any
-    /// other value, or unset, selects the sparse default).
-    pub fn from_env() -> LpEngine {
-        if env_spells("TAPACS_LP_ENGINE", "dense") {
-            LpEngine::Dense
-        } else {
-            LpEngine::Sparse
-        }
-    }
 }
 
 /// Arithmetic-parity contract of the sparse engine against the dense
@@ -212,7 +194,7 @@ impl LpEngine {
 /// rows); smaller searches replay the exact trajectory bit for bit. Fast
 /// mode stays fully deterministic: every entering/leaving choice is a pure
 /// function of the node's model and bounds, so results are bit-identical
-/// across `TAPACS_SOLVER_THREADS` values. Correctness of the answers does
+/// across worker-thread counts. Correctness of the answers does
 /// not rest on replay: every solution returned through
 /// [`Model::solve_with_options`](crate::Model::solve_with_options) is
 /// re-checked against the original model by [`certify`](crate::certify).
@@ -224,23 +206,11 @@ impl LpEngine {
 /// assertions select it explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum LpParity {
-    /// Bit-identical oracle replay (opt-in: `TAPACS_LP_PARITY=exact`).
+    /// Bit-identical oracle replay (opt-in).
     Exact,
     /// Reordered arithmetic, bounded objective tolerance vs the oracle
     /// (default).
     Fast,
-}
-
-impl LpParity {
-    /// Reads `TAPACS_LP_PARITY` (`exact` selects the oracle-replay mode;
-    /// any other value, or unset, keeps the fast default).
-    pub fn from_env() -> LpParity {
-        if env_spells("TAPACS_LP_PARITY", "exact") {
-            LpParity::Exact
-        } else {
-            LpParity::Fast
-        }
-    }
 }
 
 /// How one simplex run ended (engine-internal verdict).
@@ -1064,13 +1034,20 @@ mod tests {
 
     #[test]
     fn engine_from_env_defaults_to_sparse() {
-        // Unset or unknown values select the sparse default (the test runner
-        // may run with the variable exported; only assert the parse rule).
-        assert_eq!(LpEngine::Sparse, {
-            match "anything" {
-                v if v.eq_ignore_ascii_case("dense") => LpEngine::Dense,
-                _ => LpEngine::Sparse,
-            }
-        });
+        // The defaults are constants whatever the process environment
+        // holds: the sparse engine on the fast parity, for the branch and
+        // bound and for the heuristic `SolverOptions` builds.
+        let parallel = crate::ParallelSolver::default();
+        assert_eq!((parallel.lp_engine, parallel.lp_parity), (LpEngine::Sparse, LpParity::Fast));
+        let heuristic = crate::SolverOptions {
+            backend: crate::SolverBackend::Heuristic,
+            cache: false,
+            degrade: false,
+            ..crate::SolverOptions::default()
+        }
+        .solver();
+        let sparse_fast =
+            crate::HeuristicSolver { lp_engine: LpEngine::Sparse, lp_parity: LpParity::Fast };
+        assert_eq!(heuristic.name(), crate::Solver::name(&sparse_fast));
     }
 }

@@ -12,9 +12,7 @@
 //!   feasibility-only. The branch and bound uses its point as a warm-start
 //!   incumbent.
 //!
-//! [`SolverOptions`] is the caller-facing selection knob; it also powers the
-//! `TAPACS_SOLVER_THREADS` environment override that CI uses to force
-//! single-threaded runs.
+//! [`SolverOptions`] is the caller-facing selection knob.
 
 use crate::branch_bound::cancel_error;
 use crate::cache::CachingSolver;
@@ -23,17 +21,6 @@ use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
 use crate::simplex::{self, LpEngine, LpOutcome, LpParity};
 use crate::solution::{Solution, SolveStatus};
-
-/// Parses a boolean environment flag (`0/false/off/no` vs `1/true/on/yes`);
-/// unset or unrecognized values return `None`.
-pub(crate) fn env_flag(name: &str) -> Option<bool> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" | "off" | "no" => Some(false),
-        "1" | "true" | "on" | "yes" => Some(true),
-        _ => None,
-    }
-}
 
 /// A mixed-integer solve strategy.
 ///
@@ -222,25 +209,8 @@ pub enum SolverBackend {
 
 /// Backend selection threaded through the TAPA-CS configuration structs
 /// (`PartitionConfig` / `FloorplanConfig` / `CompilerConfig` in the core
-/// crate).
-///
-/// # Environment overrides
-///
-/// [`SolverOptions::default`] honours these variables so CI can pin the
-/// solver without touching code:
-///
-/// * `TAPACS_SOLVER_THREADS` — worker count (`0` = all cores);
-/// * `TAPACS_PRESOLVE` — `0` disables the root presolve;
-/// * `TAPACS_LP_WARM` — `0` disables LP warm starts (every node solves
-///   cold, the pre-PR-3 behaviour);
-/// * `TAPACS_LP_ENGINE` — `dense` swaps the sparse revised simplex for the
-///   dense-tableau oracle engine;
-/// * `TAPACS_LP_PARITY` — `exact` opts the sparse engine back into
-///   replaying the dense oracle bit for bit; the default is the fast
-///   contract (≤1e-6 objective tolerance, dual repair, devex pricing,
-///   Forrest–Tomlin eta replacement — see [`LpParity`]);
-/// * `TAPACS_DEGRADE` — `0` disables the heuristic fallback on timeout
-///   (see [`SolverOptions::degrade`]).
+/// crate). The fields are the whole surface: no environment variable
+/// overrides [`SolverOptions::default`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SolverOptions {
     /// Backend to run.
@@ -262,43 +232,29 @@ pub struct SolverOptions {
     /// Which simplex engine runs the LP relaxations (see [`LpEngine`]).
     pub lp_engine: LpEngine,
     /// Arithmetic contract of the sparse engine: [`LpParity::Fast`] unless
-    /// `TAPACS_LP_PARITY=exact` (or the caller) asks for the oracle replay.
+    /// the caller asks for the [`LpParity::Exact`] oracle replay.
     pub lp_parity: LpParity,
     /// Graceful-degradation ladder: when the exact search times out with no
     /// incumbent, fall back to [`HeuristicSolver`] and mark the solution
     /// [`Solution::degraded`] instead of failing the solve. External
-    /// cancellation still aborts. Disable with `TAPACS_DEGRADE=0`.
+    /// cancellation still aborts. `false` makes budget exhaustion fail the
+    /// solve.
     pub degrade: bool,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        let mut options = Self {
+        Self {
             backend: SolverBackend::Parallel,
             threads: 0,
             warm_start: true,
             cache: true,
             presolve: true,
             warm_lp: true,
-            lp_engine: LpEngine::from_env(),
-            lp_parity: LpParity::from_env(),
+            lp_engine: LpEngine::Sparse,
+            lp_parity: LpParity::Fast,
             degrade: true,
-        };
-        if let Ok(threads) = std::env::var("TAPACS_SOLVER_THREADS") {
-            if let Ok(n) = threads.trim().parse::<usize>() {
-                options.threads = n;
-            }
         }
-        if let Some(presolve) = env_flag("TAPACS_PRESOLVE") {
-            options.presolve = presolve;
-        }
-        if let Some(warm_lp) = env_flag("TAPACS_LP_WARM") {
-            options.warm_lp = warm_lp;
-        }
-        if let Some(degrade) = env_flag("TAPACS_DEGRADE") {
-            options.degrade = degrade;
-        }
-        options
     }
 }
 

@@ -64,7 +64,7 @@ pub struct SolveStats {
     /// Hybrid-pricing switches under fast parity (the default): node solves
     /// that outgrew the banded-Dantzig opening and switched to devex
     /// pricing mid-solve. A pure function of each node's iteration count,
-    /// so the total is identical across `TAPACS_SOLVER_THREADS` values.
+    /// so the total is identical across worker-thread counts.
     pub pricing_switches: u64,
     /// Partial-pricing wrap-arounds under fast parity: rotating
     /// section scans that exhausted the candidate list and restarted from

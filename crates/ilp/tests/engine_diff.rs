@@ -8,9 +8,8 @@
 //! must be feasible in the original model.
 //!
 //! The engines are constructed explicitly through
-//! [`ParallelSolver::lp_engine`], so the suite is independent of the
-//! `TAPACS_LP_ENGINE` environment toggle (and safe under parallel test
-//! threads).
+//! [`ParallelSolver::lp_engine`] (which keeps the suite safe under
+//! parallel test threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{

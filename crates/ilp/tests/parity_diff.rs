@@ -11,9 +11,8 @@
 //! probe that contract here, for full branch-and-bound solves and for pure
 //! LPs (no integral variables).
 //!
-//! Parities are pinned explicitly through [`ParallelSolver::lp_parity`],
-//! so the suite is independent of the `TAPACS_LP_PARITY` environment
-//! toggle (and safe under parallel test threads).
+//! Parities are pinned explicitly through [`ParallelSolver::lp_parity`]
+//! (which keeps the suite safe under parallel test threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{

@@ -69,8 +69,7 @@ fn presolve_rich_model(values: &[u32], weights: &[u32], cap: u32, bound: u32) ->
 fn solve_fast_with_stats(m: &Model, threads: usize) -> (tapacs_ilp::Solution, SolveStats) {
     let handle = Arc::new(SolveActivity::default());
     let sol = SolveActivity::scoped(&handle, || {
-        // Engine and parity pinned: the kit lives in the sparse engine, and
-        // the CI legs that export `TAPACS_LP_ENGINE` must not redirect it.
+        // Engine and parity pinned: the kit lives in the sparse engine.
         ParallelSolver {
             threads,
             lp_engine: LpEngine::Sparse,

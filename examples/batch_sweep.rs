@@ -8,8 +8,9 @@
 //!
 //! ```sh
 //! cargo run --release --example batch_sweep
-//! TAPACS_BATCH_THREADS=1 cargo run --release --example batch_sweep  # pinned
 //! ```
+//!
+//! The queue runs on all cores; `BatchCompiler::threads(n)` pins it.
 
 use tapa_cs::apps::suite::{build_for, default_param, paper_cluster, suite_config, Benchmark};
 use tapa_cs::core::{BatchCompiler, CompileJob, Flow, Stage};
