@@ -116,7 +116,7 @@ impl SolverActivityReport {
         );
         let _ = writeln!(
             s,
-            "search: {} B&B nodes, {} pricing switches, {} partial refreshes, {} memo sibling hits",
+            "search: {} B&B nodes, {} pricing switches, {} partial refreshes, {} restored sibling installs",
             self.simplex.bb_nodes,
             self.simplex.pricing_switches,
             self.simplex.partial_pricing_refreshes,
@@ -387,7 +387,7 @@ mod tests {
         assert!(table.contains("30 eta updates (120 nnz), 1 refactor triggers"), "{table}");
         assert!(
             table.contains(
-                "21 B&B nodes, 2 pricing switches, 9 partial refreshes, 5 memo sibling hits"
+                "21 B&B nodes, 2 pricing switches, 9 partial refreshes, 5 restored sibling installs"
             ),
             "{table}"
         );

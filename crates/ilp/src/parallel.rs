@@ -228,7 +228,8 @@ fn expand_node(
 
 /// Solves the two branching children of `node` on `branch_var`:
 /// `branch_var <= floor(v)` and `branch_var >= ceil(v)`, warm-started from
-/// the node's basis unless [`ParallelSolver::warm_lp`] is off.
+/// the node's basis unless [`ParallelSolver::warm_lp`] is off. Both come
+/// from one install of that basis ([`PreparedLp::solve_children`]).
 ///
 /// `lower`/`upper` are reusable scratch buffers; they come back holding the
 /// *node's* bounds (every per-child tweak is restored).
@@ -246,7 +247,8 @@ fn expand_children(
     let j = branch_var;
     let branch_value = node.relax[j];
     let (node_lo, node_hi) = (lower[j], upper[j]);
-    let mut children = Vec::with_capacity(2);
+    let mut deltas = Vec::with_capacity(2);
+    let mut boxes = Vec::with_capacity(2);
     for (is_upper, value) in [(true, branch_value.floor()), (false, branch_value.ceil())] {
         let (lo, hi) =
             if is_upper { (node_lo, value.min(node_hi)) } else { (value.max(node_lo), node_hi) };
@@ -256,22 +258,20 @@ fn expand_children(
         if lo > hi + FEAS_TOL {
             continue;
         }
-        // Honor the token before *every* child LP solve, not only at round
-        // boundaries: a deep dive must not overshoot the deadline by a
-        // subtree.
-        if ctx.token.as_ref().is_some_and(CancellationToken::is_cancelled) {
-            return Expansion::Children { children, timed_out: true };
-        }
-        lower[j] = lo;
-        upper[j] = hi;
-        let outcome = ctx.prep.solve_node(lower, upper, warm, kit);
-        lower[j] = node_lo;
-        upper[j] = node_hi;
+        deltas.push(BoundDelta { var: j, is_upper, value });
+        boxes.push((lo, hi));
+    }
+    // Honor the token before *every* child LP solve, not only at round
+    // boundaries: a deep dive must not overshoot the deadline by a subtree.
+    let cancelled = || ctx.token.as_ref().is_some_and(CancellationToken::is_cancelled);
+    let outcomes = ctx.prep.solve_children(lower, upper, warm, kit, j, &boxes, cancelled);
+    let mut children = Vec::with_capacity(2);
+    for (delta, outcome) in deltas.into_iter().zip(outcomes) {
         match outcome {
             LpOutcome::Optimal { values, objective, basis } => {
                 children.push(Child {
                     bound: ctx.to_min(objective),
-                    chain: BoundChain::child(&node.chain, BoundDelta { var: j, is_upper, value }),
+                    chain: BoundChain::child(&node.chain, delta),
                     relax: values,
                     basis: Arc::new(basis),
                 });

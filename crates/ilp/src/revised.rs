@@ -100,96 +100,10 @@ const PARTIAL_SECTIONS: usize = 8;
 /// and costs cursor bookkeeping).
 const PARTIAL_SECTION_MIN: usize = 64;
 
-/// Entries kept in the per-thread factorization memo. Sized for the
-/// branch-and-bound expansion pattern: down/up children installing the
-/// same parent basis back-to-back need one entry, interleaved expansions
-/// of a few frontier nodes (the parallel driver's round batches) need a
-/// handful more. Measured hit rates plateau well before this depth.
-const FACTOR_MEMO_ENTRIES: usize = 6;
-
-/// A memoized factorization: the eta file and row assignment produced by
-/// [`Revised::factorize`] for one `(model, elimination order, basic set)`
-/// key. The key holds the *basic set* — not the full status vector —
-/// because the elimination reads nothing else besides its order: two bases
-/// that differ only in which bound their nonbasic columns sit at (the
-/// bound-flip-only children the fast-parity dual repair commonly produces)
-/// factorize to bit-identical arrays. The order is a key field because one
-/// model is solved both kit-off and kit-on on the same thread (the
-/// driver's kit restart), and the two orders factorize one basic set to
-/// different arrays. Replaying an entry therefore yields exactly the
-/// floats a fresh factorization would compute.
-#[derive(Default)]
-struct FactorEntry {
-    prep_id: u64,
-    /// [`Revised::logicals_first`] of the solve that factorized it.
-    logicals_first: bool,
-    /// Ascending basic column indices — the key part that varies most.
-    basics: Vec<u32>,
-    basis: Vec<usize>,
-    eta_pos: Vec<u32>,
-    eta_inv: Vec<f64>,
-    eta_ptr: Vec<u32>,
-    eta_row: Vec<u32>,
-    eta_val: Vec<f64>,
-    /// LRU clock at last insert.
-    stamp: u64,
-}
-
-/// Per-thread multi-entry factorization memo with LRU eviction, keyed on
-/// (model, elimination order, basic set). A hit *removes* the entry (its
-/// arrays go on loan to the solve, which returns its final factor prefix
-/// at drop), so back-to-back sibling installs recycle one allocation
-/// instead of copying eta files around.
-#[derive(Default)]
-struct FactorCache {
-    entries: Vec<FactorEntry>,
-    clock: u64,
-}
-
-impl FactorEntry {
-    fn has_key(&self, prep_id: u64, logicals_first: bool, basics: &[u32]) -> bool {
-        self.prep_id == prep_id && self.logicals_first == logicals_first && self.basics == basics
-    }
-}
-
-impl FactorCache {
-    /// Removes and returns the entry for `(prep_id, logicals_first,
-    /// basics)`, if present.
-    fn take(&mut self, prep_id: u64, logicals_first: bool, basics: &[u32]) -> Option<FactorEntry> {
-        let idx = self.entries.iter().position(|e| e.has_key(prep_id, logicals_first, basics))?;
-        Some(self.entries.swap_remove(idx))
-    }
-
-    /// Inserts `entry`, replacing a same-key entry or evicting the least
-    /// recently inserted one at capacity.
-    fn insert(&mut self, mut entry: FactorEntry) {
-        self.clock += 1;
-        entry.stamp = self.clock;
-        if let Some(slot) = self
-            .entries
-            .iter()
-            .position(|e| e.has_key(entry.prep_id, entry.logicals_first, &entry.basics))
-        {
-            self.entries[slot] = entry;
-        } else if self.entries.len() < FACTOR_MEMO_ENTRIES {
-            self.entries.push(entry);
-        } else {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("cache at capacity is non-empty");
-            self.entries[lru] = entry;
-        }
-    }
-}
-
 /// Per-thread reusable solve state. A B&B run performs hundreds of
 /// thousands of node solves, each a fresh [`Revised`]; recycling the
-/// buffers (and the factorization memo) between them removes the dozen
-/// allocations plus zero-fills a solve would otherwise pay.
+/// buffers between them removes the dozen allocations plus zero-fills a
+/// solve would otherwise pay.
 #[derive(Default)]
 struct RevScratch {
     lower: Vec<f64>,
@@ -212,10 +126,9 @@ struct RevScratch {
     devex: Vec<f64>,
     dual_d: Vec<f64>,
     dual_alpha: Vec<f64>,
-    cache: FactorCache,
-    key_buf: Vec<u32>,
-    pending_basics: Vec<u32>,
-    pending_basis: Vec<usize>,
+    saved_x: Vec<f64>,
+    saved_status: Vec<ColStatus>,
+    saved_basis: Vec<usize>,
 }
 
 thread_local! {
@@ -227,6 +140,14 @@ thread_local! {
 #[inline]
 fn mark_row(mark: &mut [u64], r: u32) {
     mark[(r >> 6) as usize] |= 1 << (r & 63);
+}
+
+/// A column with bounds `[lo, hi]` can move, so pricing scans it: its
+/// span is not below the pivot tolerance (`span <= pivot` → pinned; an
+/// ill-posed NaN span counts as movable).
+fn movable(lo: f64, hi: f64) -> bool {
+    let pinned = hi - lo <= TOL.pivot;
+    !pinned
 }
 
 pub(crate) struct Revised<'a> {
@@ -280,20 +201,14 @@ pub(crate) struct Revised<'a> {
     /// [`LpParity`]): exact replays the dense oracle bit for bit, fast
     /// unlocks devex pricing, eta replacement and eager refactorization.
     parity: LpParity,
-    /// The owning [`PreparedLp`](crate::simplex::PreparedLp)'s unique id —
-    /// the model half of the factorization-memo key.
-    prep_id: u64,
-    cache: FactorCache,
-    /// Scratch for computing the basic-set memo key (recycled per install).
-    key_buf: Vec<u32>,
-    /// Key and row assignment of the eta file's current factor prefix —
-    /// snapshotted at factorization (or replay) time, stored into the
-    /// cache at drop when `memo_live`.
-    pending_basics: Vec<u32>,
-    pending_basis: Vec<usize>,
-    /// The factor prefix of the eta arrays is cache-worthy: truncate to it
-    /// at drop and insert under the pending key.
-    memo_live: bool,
+    /// The point, statuses and row assignment an install computed, kept by
+    /// `save_install` for [`restore`](Self::restore).
+    saved_x: Vec<f64>,
+    saved_status: Vec<ColStatus>,
+    saved_basis: Vec<usize>,
+    /// The saved install still matches the eta file's factor prefix: set
+    /// by `save_install`, cleared by every factorization.
+    saved: bool,
     /// The caller permits the fast kit — dual repair, the one-FTRAN
     /// basic-value recompute, the logicals-first factorization order and
     /// the hybrid devex switch, and through `devex_active` everything
@@ -333,7 +248,9 @@ pub(crate) struct Revised<'a> {
     ft_replacements: u64,
     pricing_switches: u64,
     partial_refreshes: u64,
-    memo_hits: u64,
+    /// Installs served by [`restore`](Self::restore) instead of a
+    /// factorization (reported as `memo_sibling_hits`).
+    restores: u64,
     /// Eta-file passes spent recomputing basic values in
     /// [`refactorize`](Self::refactorize): one per kit-on install, one plus
     /// one per nonzero nonbasic column in the oracle order.
@@ -345,7 +262,6 @@ impl<'a> Revised<'a> {
         sp: &'a SparseLp,
         lower: &[f64],
         upper: &[f64],
-        prep_id: u64,
         parity: LpParity,
         kit_allowed: bool,
     ) -> Revised<'a> {
@@ -388,10 +304,7 @@ impl<'a> Revised<'a> {
         }
         sc.cands.clear();
         for j in 0..n {
-            // Matches the old inline skip (`span <= pivot` → pinned), with
-            // an ill-posed NaN span also treated as movable.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(sc.upper[j] - sc.lower[j] <= TOL.pivot) {
+            if movable(sc.lower[j], sc.upper[j]) {
                 sc.cands.push(j as u32);
             }
         }
@@ -419,12 +332,10 @@ impl<'a> Revised<'a> {
             dual_d: std::mem::take(&mut sc.dual_d),
             dual_alpha: std::mem::take(&mut sc.dual_alpha),
             parity,
-            prep_id,
-            cache: std::mem::take(&mut sc.cache),
-            key_buf: std::mem::take(&mut sc.key_buf),
-            pending_basics: std::mem::take(&mut sc.pending_basics),
-            pending_basis: std::mem::take(&mut sc.pending_basis),
-            memo_live: false,
+            saved_x: std::mem::take(&mut sc.saved_x),
+            saved_status: std::mem::take(&mut sc.saved_status),
+            saved_basis: std::mem::take(&mut sc.saved_basis),
+            saved: false,
             kit_allowed,
             devex_active: false,
             price_cursor: 0,
@@ -442,7 +353,7 @@ impl<'a> Revised<'a> {
             ft_replacements: 0,
             pricing_switches: 0,
             partial_refreshes: 0,
-            memo_hits: 0,
+            restores: 0,
             xb_ftrans: 0,
         }
     }
@@ -594,6 +505,7 @@ impl<'a> Revised<'a> {
         self.eta_row.clear();
         self.eta_val.clear();
         self.factor_etas = 0;
+        self.saved = false;
         self.used.fill(false);
         self.lu_factorizations += 1;
         let (n_struct, n) = (self.sp.n_struct, self.sp.n);
@@ -638,64 +550,6 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// [`factorize`](Self::factorize) with the per-thread multi-entry
-    /// memo: if any cached factorization is of this model, elimination
-    /// order and *basic set*, its eta file and row assignment are replayed
-    /// verbatim — the same floats a fresh factorization would produce,
-    /// since the elimination reads nothing but the basic columns and its
-    /// order. Keying on the basic set (not the full status vector) is what
-    /// lets a child whose dual repair was bound-flips-only replay its
-    /// parent's factorization, and the multi-entry depth keeps sibling
-    /// installs hitting even when other node expansions interleave on the
-    /// thread.
-    ///
-    /// Every call increments exactly one of `lu_factorizations` (fresh
-    /// elimination attempted, successful or singular) or `memo_hits`
-    /// (replay) — the two counters sum to installs attempted.
-    fn factorize_cached(&mut self) -> bool {
-        let mut key = std::mem::take(&mut self.key_buf);
-        key.clear();
-        for j in 0..self.sp.n {
-            if self.status[j] == ColStatus::Basic {
-                key.push(j as u32);
-            }
-        }
-        if let Some(mut entry) = self.cache.take(self.prep_id, self.logicals_first(), &key) {
-            // Steal the memoized eta file wholesale instead of copying it;
-            // update etas only ever append past `factor_etas`, so `drop`
-            // can truncate the file back to the factor prefix and return
-            // it under the pending key. The entry leaves the cache while
-            // its arrays are on loan (its slots now hold our stale file,
-            // freed with it).
-            std::mem::swap(&mut self.eta_pos, &mut entry.eta_pos);
-            std::mem::swap(&mut self.eta_inv, &mut entry.eta_inv);
-            std::mem::swap(&mut self.eta_ptr, &mut entry.eta_ptr);
-            std::mem::swap(&mut self.eta_row, &mut entry.eta_row);
-            std::mem::swap(&mut self.eta_val, &mut entry.eta_val);
-            std::mem::swap(&mut self.basis, &mut entry.basis);
-            self.factor_etas = self.n_etas();
-            std::mem::swap(&mut self.pending_basics, &mut key);
-            self.key_buf = key;
-            self.pending_basis.clone_from(&self.basis);
-            self.memo_live = true;
-            self.memo_hits += 1;
-            return true;
-        }
-        self.memo_live = false;
-        if !self.factorize() {
-            self.key_buf = key;
-            return false;
-        }
-        // Snapshot the small key/value halves now (pivots will mutate both
-        // `status` and `basis`); the eta arrays themselves move over in
-        // `drop`, once the solve is done with them.
-        std::mem::swap(&mut self.pending_basics, &mut key);
-        self.key_buf = key;
-        self.pending_basis.clone_from(&self.basis);
-        self.memo_live = true;
-        true
-    }
-
     /// The fast kit is engaged for this solve: fast parity, on a search
     /// the drivers have judged big (see `kit_allowed`).
     fn kit_on(&self) -> bool {
@@ -706,7 +560,7 @@ impl<'a> Revised<'a> {
     /// basic structurals ([`factorize`](Self::factorize)). Kit-on solves
     /// only: they no longer promise to replay the oracle, while kit-off
     /// solves keep its ascending order bit for bit. The order is fixed for
-    /// the solve's lifetime and is part of the factorization-memo key.
+    /// the solve's lifetime.
     fn logicals_first(&self) -> bool {
         self.kit_on()
     }
@@ -728,7 +582,7 @@ impl<'a> Revised<'a> {
     /// longer promises to replay; every choice stays a pure function of
     /// the node, so thread-count invariance is untouched.
     fn refactorize(&mut self) -> bool {
-        if !self.factorize_cached() {
+        if !self.factorize() {
             return false;
         }
         let mut rhs = std::mem::take(&mut self.rhs);
@@ -779,6 +633,57 @@ impl<'a> Revised<'a> {
         }
         self.rhs = rhs;
         true
+    }
+
+    /// Returns the engine to its saved install with column `j`'s bounds
+    /// moved to `[lo, hi]`: the state `Revised::new` plus `install` would
+    /// build under those bounds, bit for bit, without the factorization or
+    /// the basic-value recompute. This holds because `j` is basic in the
+    /// saved basis: an install reads the bounds of nonbasic columns only,
+    /// so the only traces `j`'s bounds leave are the bounds themselves and
+    /// `j`'s membership in `cands`. The counters restart as a new engine's
+    /// would, with the restore counted in `restores`.
+    pub(crate) fn restore(&mut self, j: usize, lo: f64, hi: f64) {
+        debug_assert!(self.saved && self.saved_status[j] == ColStatus::Basic);
+        self.x.copy_from_slice(&self.saved_x);
+        self.status.copy_from_slice(&self.saved_status);
+        self.basis.copy_from_slice(&self.saved_basis);
+        let fe = self.factor_etas;
+        let cut = self.eta_ptr[fe] as usize;
+        self.eta_pos.truncate(fe);
+        self.eta_inv.truncate(fe);
+        self.eta_ptr.truncate(fe + 1);
+        self.eta_row.truncate(cut);
+        self.eta_val.truncate(cut);
+        self.devex.fill(1.0);
+        self.devex_active = false;
+        self.price_cursor = 0;
+        self.degen_streak = 0;
+        self.phase1_iters = 0;
+        self.phase2_iters = 0;
+        self.cancel.rewind();
+        self.lower[j] = lo;
+        self.upper[j] = hi;
+        let moves = movable(lo, hi);
+        match self.cands.binary_search(&(j as u32)) {
+            Ok(at) if !moves => {
+                self.cands.remove(at);
+            }
+            Err(at) if moves => self.cands.insert(at, j as u32),
+            _ => {}
+        }
+        self.lu_factorizations = 0;
+        self.lu_fill_nnz = 0;
+        self.eta_updates = 0;
+        self.eta_nnz = 0;
+        self.refactor_triggers = 0;
+        self.refactor_fill_triggers = 0;
+        self.devex_resets = 0;
+        self.ft_replacements = 0;
+        self.pricing_switches = 0;
+        self.partial_refreshes = 0;
+        self.restores = 1;
+        self.xb_ftrans = 0;
     }
 
     /// Off-pivot nonzeros stored by the update etas (everything past the
@@ -1562,34 +1467,9 @@ impl<'a> Revised<'a> {
 }
 
 impl Drop for Revised<'_> {
-    /// Returns every buffer (and the factorization cache) to the thread's
-    /// scratch slot for the next solve to reuse. If this solve's eta file
-    /// holds a live factorization — fresh or replayed — it is truncated
-    /// back to its factor prefix (update etas only ever append past it)
-    /// and inserted into the cache under the elimination order and basic
-    /// set it factorized, for sibling and bound-flip-child installs to hit.
+    /// Returns every buffer to the thread's scratch slot for the next
+    /// solve to reuse.
     fn drop(&mut self) {
-        if self.memo_live {
-            let fe = self.factor_etas;
-            self.eta_pos.truncate(fe);
-            self.eta_inv.truncate(fe);
-            self.eta_ptr.truncate(fe + 1);
-            let cut = self.eta_ptr.last().copied().unwrap_or(0) as usize;
-            self.eta_row.truncate(cut);
-            self.eta_val.truncate(cut);
-            self.cache.insert(FactorEntry {
-                prep_id: self.prep_id,
-                logicals_first: self.logicals_first(),
-                basics: std::mem::take(&mut self.pending_basics),
-                basis: std::mem::take(&mut self.pending_basis),
-                eta_pos: std::mem::take(&mut self.eta_pos),
-                eta_inv: std::mem::take(&mut self.eta_inv),
-                eta_ptr: std::mem::take(&mut self.eta_ptr),
-                eta_row: std::mem::take(&mut self.eta_row),
-                eta_val: std::mem::take(&mut self.eta_val),
-                stamp: 0,
-            });
-        }
         let sc = RevScratch {
             lower: std::mem::take(&mut self.lower),
             upper: std::mem::take(&mut self.upper),
@@ -1611,10 +1491,9 @@ impl Drop for Revised<'_> {
             devex: std::mem::take(&mut self.devex),
             dual_d: std::mem::take(&mut self.dual_d),
             dual_alpha: std::mem::take(&mut self.dual_alpha),
-            cache: std::mem::take(&mut self.cache),
-            key_buf: std::mem::take(&mut self.key_buf),
-            pending_basics: std::mem::take(&mut self.pending_basics),
-            pending_basis: std::mem::take(&mut self.pending_basis),
+            saved_x: std::mem::take(&mut self.saved_x),
+            saved_status: std::mem::take(&mut self.saved_status),
+            saved_basis: std::mem::take(&mut self.saved_basis),
         };
         SCRATCH.with(|c| *c.borrow_mut() = sc);
     }
@@ -1664,6 +1543,21 @@ impl EngineCore for Revised<'_> {
         self.cancel.arm(Some(cancel));
     }
 
+    /// Keeps the point, the statuses and the row assignment the install
+    /// just computed, for [`restore`](Self::restore). The eta file needs no
+    /// copy: pivots only append past its factor prefix, and a
+    /// factorization, which replaces the prefix, drops the saved install.
+    fn save_install(&mut self) {
+        self.saved_x.clone_from(&self.x);
+        self.saved_status.clone_from(&self.status);
+        self.saved_basis.clone_from(&self.basis);
+        self.saved = true;
+    }
+
+    fn can_restore(&self) -> bool {
+        self.saved
+    }
+
     fn run(&mut self) -> RunOutcome {
         if self.kit_on() {
             self.dual_repair();
@@ -1695,7 +1589,7 @@ impl EngineCore for Revised<'_> {
             self.ft_replacements,
             self.pricing_switches,
             self.partial_refreshes,
-            self.memo_hits,
+            self.restores,
         ])
     }
 }
@@ -1704,7 +1598,7 @@ impl EngineCore for Revised<'_> {
 mod tests {
     use super::*;
     use crate::model::CmpOp;
-    use crate::simplex::{LpProblem, LpRow};
+    use crate::simplex::{Basis, LpProblem, LpRow, PreparedLp};
 
     fn prep(rows: Vec<LpRow>, n: usize, upper: f64) -> (LpProblem, SparseLp) {
         let lp = LpProblem {
@@ -1730,14 +1624,7 @@ mod tests {
             2,
             10.0,
         );
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Exact,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         // All-logical basis: every column claims its own row with an
@@ -1768,14 +1655,7 @@ mod tests {
         statuses[..3].fill(ColStatus::Basic);
         let mut assignments = Vec::new();
         for kit in [false, true] {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                LpParity::Fast,
-                kit,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
             assert!(e.install(&statuses), "kit={kit}");
             // FTRAN of basis column i must reproduce the unit vector of the
             // row that column claimed.
@@ -1829,14 +1709,7 @@ mod tests {
             }
         }
         let (lp, sp) = prep(rows, 6, 1.0);
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Fast,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
         let push = |e: &mut Revised, pos: usize, pivot: f64, entries: &[(usize, f64)]| {
             e.touched.clear();
             e.w[pos] = pivot;
@@ -1911,14 +1784,7 @@ mod tests {
         {
             let (lp, sp) =
                 prep(vec![LpRow { coeffs: vec![(0, 0.5)], op: CmpOp::Le, rhs: 5.0 }], 1, 10.0);
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                parity,
-                true,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
             // The eager fast budget only engages post-switch.
             e.devex_active = parity == LpParity::Fast;
             let cold = e.cold_statuses();
@@ -1934,13 +1800,14 @@ mod tests {
                 e.push_eta(0);
                 e.clear_w();
             }
+            e.save_install();
             assert!(e.refactor_if_due());
             assert_eq!(e.refactor_triggers, 1, "{parity:?}");
             assert_eq!(e.refactor_fill_triggers, 0, "{parity:?}: count trigger, not fill");
-            // The memo only captures the eta file when the engine is
-            // dropped, so an in-lifetime rebuild factorizes (and counts)
-            // afresh.
+            // A rebuild factorizes (and counts) afresh, and its new factor
+            // prefix leaves nothing for a sibling to restore.
             assert_eq!(e.lu_factorizations, factorizations_before + 1, "{parity:?}");
+            assert!(!e.can_restore(), "{parity:?}: a refactorization drops the saved install");
             assert_eq!(e.n_etas() - e.factor_etas, 0, "{parity:?}: update chain reset");
         }
     }
@@ -1952,8 +1819,7 @@ mod tests {
         let rows: Vec<LpRow> =
             (0..m).map(|_| LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 1e9 }).collect();
         let (lp, sp) = prep(rows, 1, 10.0);
-        let mut e =
-            Revised::new(&sp, &lp.lower, &lp.upper, crate::simplex::next_prep_id(), parity, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
         // Fast-mode budgets only engage once the hybrid switch has tripped.
         e.devex_active = parity == LpParity::Fast;
         let cold = e.cold_statuses();
@@ -2013,14 +1879,7 @@ mod tests {
             1,
             10.0,
         );
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Fast,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         assert_eq!(e.n_etas(), 0, "all-logical basis: empty factor prefix");
@@ -2061,14 +1920,7 @@ mod tests {
                 1,
                 10.0,
             );
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                parity,
-                true,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
             for pos in [0usize, 1] {
@@ -2105,14 +1957,7 @@ mod tests {
         // (x0 = 4 > 3) but leaves every reduced cost dual feasible.
         lp.upper[0] = 3.0;
         for parity in [LpParity::Fast, LpParity::Exact] {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                parity,
-                true,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
             assert!(e.install(&parent));
             assert_eq!(e.x[0], 4.0, "{parity:?}: warm basic value precedes repair");
             assert!(matches!(e.run(), RunOutcome::Optimal), "{parity:?}");
@@ -2145,14 +1990,7 @@ mod tests {
             objective_offset: 0.0,
         };
         let sp = SparseLp::build(&lp);
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Fast,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         // Cold logical basis prices d₀ = −1 at lower: run() must fall
@@ -2186,14 +2024,7 @@ mod tests {
         };
         let sp = SparseLp::build(&lp);
         for kit in [true, false] {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                LpParity::Fast,
-                kit,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
             assert!(matches!(e.run(), RunOutcome::Optimal), "kit={kit}");
@@ -2225,14 +2056,7 @@ mod tests {
     fn flip_reprimes_devex_weight_without_spurious_reset() {
         let (lp, sp) =
             prep(vec![LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 8.0 }], 1, 10.0);
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Fast,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         e.devex_active = true;
@@ -2292,14 +2116,7 @@ mod tests {
             ColStatus::Basic,
         ];
         let install = |kit: bool| {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                LpParity::Fast,
-                kit,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
             assert!(e.install(&statuses), "kit={kit}");
             (e.x.clone(), e.xb_ftrans)
         };
@@ -2314,62 +2131,184 @@ mod tests {
         // vacuous: 2·x0 + x1 = 30 − 7.5, x0 + 3·x1 = 40 − 16.25.
         assert!((x_on[0] - 8.75).abs() < 1e-9 && (x_on[1] - 5.0).abs() < 1e-9, "{x_on:?}");
         // Exact parity ignores the kit flag and keeps the oracle order.
-        let mut e = Revised::new(
-            &sp,
-            &lp.lower,
-            &lp.upper,
-            crate::simplex::next_prep_id(),
-            LpParity::Exact,
-            true,
-        );
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, true);
         assert!(e.install(&statuses));
         assert_eq!(e.xb_ftrans, 3);
     }
 
-    /// Every install increments exactly one of `lu_factorizations` (fresh
-    /// elimination attempted) or `memo_hits` (replay of a cached eta
-    /// file): the two counters must sum to the installs attempted, so the
-    /// bench report attributes the factorization floor honestly.
+    /// Every install increments exactly one of `lu_factorizations` (a
+    /// factorization) or `restores` (a sibling's install restored), so the
+    /// two sum to the installs and the bench report attributes the
+    /// factorization floor honestly. A node with two children installs its
+    /// basis once: the first child factorizes it, the second restores it.
     #[test]
     fn memo_hit_accounting_sums_to_installs() {
-        let (lp, sp) = prep(
-            vec![
-                LpRow { coeffs: vec![(0, 2.0), (1, 1.0)], op: CmpOp::Eq, rhs: 3.0 },
-                LpRow { coeffs: vec![(0, 1.0), (1, 3.0)], op: CmpOp::Eq, rhs: 4.0 },
-            ],
-            2,
-            10.0,
-        );
-        let statuses =
-            vec![ColStatus::Basic, ColStatus::Basic, ColStatus::AtLower, ColStatus::AtLower];
-        let prep_id = crate::simplex::next_prep_id();
-        // First engine: the cache has never seen this model, so the
-        // install runs the elimination.
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
-        assert!(e.install(&statuses));
-        assert_eq!((e.lu_factorizations, e.memo_hits), (1, 0));
-        // Dropping returns the factor prefix to the thread's memo.
-        drop(e);
-        // Second engine, same model and basic set: the install replays
-        // the memoized eta file instead of eliminating afresh.
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
-        assert!(e.install(&statuses));
-        assert_eq!(
-            (e.lu_factorizations, e.memo_hits),
-            (0, 1),
-            "a replay must count as a hit, not a factorization"
-        );
-        // A *different* basic set on the same engine misses (the hit took
-        // the entry on loan) and eliminates afresh.
+        let (lp, sp, warm, j) = branched_knapsack();
+        let prep = PreparedLp::new(&lp, crate::LpEngine::Sparse, LpParity::Fast);
+        let boxes = [(0.0, 0.0), (1.0, 3.0)];
+        let count = |children: bool| {
+            let scope = std::sync::Arc::new(crate::SolveActivity::default());
+            crate::SolveActivity::scoped(&scope, || {
+                let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
+                if children {
+                    let outs = prep.solve_children(
+                        &mut lower,
+                        &mut upper,
+                        Some(&warm),
+                        true,
+                        j,
+                        &boxes,
+                        || false,
+                    );
+                    assert_eq!(outs.len(), 2);
+                } else {
+                    for (lo, hi) in boxes {
+                        (lower[j], upper[j]) = (lo, hi);
+                        prep.solve_node(&lower, &upper, Some(&warm), true);
+                    }
+                }
+            });
+            let s = scope.snapshot();
+            assert_eq!((s.warm_attempts, s.warm_hits, s.lp_solves), (2, 2, 2), "{s:?}");
+            (s.lu_factorizations, s.memo_sibling_hits)
+        };
+        assert_eq!(count(false), (2, 0), "two solves: two factorizations");
+        assert_eq!(count(true), (1, 1), "two children: one factorization, one restore");
+        // On one engine: the install counts a factorization, the restore a
+        // hit and nothing else.
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        assert!(e.install(&warm.status));
+        assert_eq!((e.lu_factorizations, e.restores), (1, 0));
+        e.save_install();
+        assert!(matches!(e.run(), RunOutcome::Optimal));
+        assert!(e.can_restore());
+        e.restore(j, 1.0, 3.0);
+        let lu = e.lu_totals().unwrap();
+        assert_eq!((lu[0], lu[10]), (0, 1), "reported counters agree");
+        assert_eq!(lu.iter().sum::<u64>(), 1, "a restore counts nothing but itself");
+    }
+
+    /// A maximize knapsack whose LP optimum leaves `x2 = 2/3` basic, with
+    /// `x2 ∈ [0, 3]`: its down child pins `x2` at 0, its up child leaves it
+    /// movable in `[1, 3]`. Returns the LP, its matrix, the optimal basis
+    /// and the branched column.
+    fn branched_knapsack() -> (LpProblem, SparseLp, Basis, usize) {
+        let lp = LpProblem {
+            n_vars: 3,
+            lower: vec![0.0; 3],
+            upper: vec![1.0, 1.0, 3.0],
+            rows: vec![LpRow {
+                coeffs: vec![(0, 10.0), (1, 20.0), (2, 30.0)],
+                op: CmpOp::Le,
+                rhs: 50.0,
+            }],
+            objective: vec![60.0, 100.0, 120.0],
+            minimize: false,
+            objective_offset: 0.0,
+        };
+        let sp = SparseLp::build(&lp);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, false);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
-        assert_eq!((e.lu_factorizations, e.memo_hits), (1, 1));
-        assert_eq!(
-            e.lu_factorizations + e.memo_hits,
-            2,
-            "two installs on this engine: counters sum to installs attempted"
-        );
-        assert_eq!(e.lu_totals().unwrap()[10], 1, "reported counter agrees");
+        assert!(matches!(e.run(), RunOutcome::Optimal));
+        assert_eq!(e.status[2], ColStatus::Basic);
+        assert!((e.x[2] - 2.0 / 3.0).abs() < 1e-12, "x2 = {}", e.x[2]);
+        let warm = Basis { status: e.status.clone() };
+        drop(e);
+        (lp, sp, warm, 2)
+    }
+
+    /// Everything an install leaves in an engine, floats as bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct InstallBits {
+        lower: Vec<u64>,
+        upper: Vec<u64>,
+        x: Vec<u64>,
+        status: Vec<ColStatus>,
+        factor: FactorBits,
+        factor_etas: usize,
+        cands: Vec<u32>,
+        devex: Vec<u64>,
+        devex_active: bool,
+        price_cursor: usize,
+        degen_streak: u32,
+        counters: [u64; 11],
+        iters: (u64, u64),
+    }
+
+    fn install_bits(e: &Revised) -> InstallBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        InstallBits {
+            lower: bits(&e.lower),
+            upper: bits(&e.upper),
+            x: bits(&e.x),
+            status: e.status.clone(),
+            factor: factor_bits(e),
+            factor_etas: e.factor_etas,
+            cands: e.cands.clone(),
+            devex: bits(&e.devex),
+            devex_active: e.devex_active,
+            price_cursor: e.price_cursor,
+            degen_streak: e.degen_streak,
+            counters: e.lu_totals().unwrap(),
+            iters: e.iters(),
+        }
+    }
+
+    /// Restoring a node's install for its second child leaves the engine
+    /// in the state a fresh engine installing the same basis under that
+    /// child's bounds reaches, bit for bit: point, statuses, row
+    /// assignment, every eta array, `cands`, the devex weights and the
+    /// pricing state, including what a long first child leaves. Both
+    /// orders of the two children, so each box is restored into once; the
+    /// down box (`lo == hi`) drops the branched column from `cands`, the up
+    /// box puts it back. Every parity and kit setting, because the kit
+    /// changes the elimination order and the basic-value recompute.
+    #[test]
+    fn restore_equals_a_fresh_install_under_the_siblings_bounds() {
+        let (lp, sp, warm, j) = branched_knapsack();
+        let down = (0.0, 0.0);
+        let up = (1.0, 3.0);
+        let with_box = |(lo, hi): (f64, f64)| {
+            let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
+            (lower[j], upper[j]) = (lo, hi);
+            (lower, upper)
+        };
+        for (parity, kit) in
+            [(LpParity::Exact, true), (LpParity::Fast, false), (LpParity::Fast, true)]
+        {
+            for (first, second) in [(down, up), (up, down)] {
+                let (lower, upper) = with_box(second);
+                let mut fresh = Revised::new(&sp, &lower, &upper, parity, kit);
+                assert!(fresh.install(&warm.status));
+                let mut counters = [0u64; 11];
+                counters[10] = 1;
+                let mut expect = install_bits(&fresh);
+                expect.counters = counters;
+                drop(fresh);
+
+                let (lower, upper) = with_box(first);
+                let mut e = Revised::new(&sp, &lower, &upper, parity, kit);
+                assert!(e.install(&warm.status));
+                e.save_install();
+                assert!(matches!(e.run(), RunOutcome::Optimal));
+                let (p1, p2) = e.iters();
+                assert!(p1 + p2 > 0, "{parity:?} kit={kit}: the first child must pivot");
+                assert!(e.can_restore());
+                // What a long first child leaves behind: this one is too
+                // short to switch to devex pricing or to stall.
+                if parity == LpParity::Fast {
+                    e.devex_active = true;
+                    e.devex[0] = 5.0;
+                }
+                (e.price_cursor, e.degen_streak) = (3, 2);
+                e.restore(j, second.0, second.1);
+                let what = format!("{parity:?} kit={kit} first={first:?}");
+                assert_eq!(install_bits(&e), expect, "{what}");
+                let movable = second.1 > second.0;
+                assert_eq!(e.cands.contains(&(j as u32)), movable, "{what}");
+            }
+        }
     }
 
     /// Two structurals over four rows, each with its largest entry in a row
@@ -2426,14 +2365,7 @@ mod tests {
         let (lp, sp, statuses) = structurals_over_basic_logicals();
         let k = statuses[..sp.n_struct].iter().filter(|&&s| s == ColStatus::Basic).count();
         let factor = |kit: bool| {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                LpParity::Fast,
-                kit,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
             assert!(e.install(&statuses), "kit={kit}");
             (e.n_etas(), e.lu_fill_nnz)
         };
@@ -2451,43 +2383,12 @@ mod tests {
     fn kit_off_factor_equals_exact_parity_bit_for_bit() {
         let (lp, sp, statuses) = structurals_over_basic_logicals();
         let factor = |parity: LpParity, kit: bool| {
-            let mut e = Revised::new(
-                &sp,
-                &lp.lower,
-                &lp.upper,
-                crate::simplex::next_prep_id(),
-                parity,
-                kit,
-            );
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, kit);
             assert!(e.install(&statuses), "{parity:?} kit={kit}");
             factor_bits(&e)
         };
         let exact = factor(LpParity::Exact, true);
         assert_eq!(factor(LpParity::Fast, false), exact);
         assert_ne!(factor(LpParity::Fast, true), exact, "the orders part on this basis");
-    }
-
-    /// The memo key carries the elimination order. A kit restart solves
-    /// one model kit-off, then kit-on, on one thread: the kit-on install of
-    /// a basic set the kit-off solve left in the memo must factorize afresh
-    /// in its own order, never replay the oracle-order file, or the answer
-    /// would depend on what the thread solved before.
-    #[test]
-    fn memo_key_separates_the_elimination_orders() {
-        let (lp, sp, statuses) = structurals_over_basic_logicals();
-        let prep_id = crate::simplex::next_prep_id();
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, false);
-        assert!(e.install(&statuses));
-        drop(e);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
-        assert!(e.install(&statuses));
-        assert_eq!((e.memo_hits, e.lu_factorizations), (0, 1), "kit-on must not replay kit-off");
-        let after_kit_off = factor_bits(&e);
-        drop(e);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, prep_id, LpParity::Fast, true);
-        e.cache = FactorCache::default();
-        assert!(e.install(&statuses));
-        assert_eq!((e.memo_hits, e.lu_factorizations), (0, 1), "empty memo: a fresh factor");
-        assert_eq!(after_kit_off, factor_bits(&e));
     }
 }

@@ -254,6 +254,12 @@ impl CancelProbe {
         self.ticks += 1;
         poll && tok.is_cancelled()
     }
+
+    /// Restarts the poll count, keeping the token: the probe a new engine
+    /// would carry.
+    pub fn rewind(&mut self) {
+        self.ticks = 0;
+    }
 }
 
 /// One ratio-test result, shared by both engines.
@@ -276,8 +282,9 @@ impl Step {
 }
 
 /// What [`drive`] needs from an engine: install a basis, run the two
-/// phases, and expose the solution state. Engines are single-use — `drive`
-/// constructs a fresh one per installation attempt.
+/// phases, and expose the solution state. `drive` constructs a fresh engine
+/// per installation attempt; only a sibling's restored install
+/// ([`PreparedLp::solve_children`]) runs an engine twice.
 pub(crate) trait EngineCore {
     /// The all-logical starting basis for the current bounds.
     fn cold_statuses(&self) -> Vec<ColStatus>;
@@ -294,6 +301,14 @@ pub(crate) trait EngineCore {
     fn iters(&self) -> (u64, u64);
     /// Current point and statuses (for [`extract_outcome`]).
     fn solution(&self) -> (&[f64], &[ColStatus]);
+    /// Keeps the install just made, for a sibling to restore. Engines
+    /// without a factorization to share (dense) keep nothing.
+    fn save_install(&mut self) {}
+    /// The saved install can still be restored: no factorization has
+    /// replaced it since.
+    fn can_restore(&self) -> bool {
+        false
+    }
     /// Factorization counters accumulated by this engine instance, in
     /// [`SolveActivity::record_lu`](crate::stats) argument order; `None`
     /// for engines without a factorization (dense).
@@ -342,11 +357,14 @@ pub(crate) fn extract_outcome(
         RunOutcome::Optimal => {
             let mut values = x[..lp.n_vars].to_vec();
             for (j, v) in values.iter_mut().enumerate() {
-                // Clamp tiny bound violations from roundoff.
-                *v = v.clamp(
-                    if lower[j].is_finite() { lower[j] } else { *v },
-                    if upper[j].is_finite() { upper[j] } else { *v },
-                );
+                // Clamp tiny bound violations from roundoff, one side at a
+                // time: a column with one finite bound can end past it, and
+                // an infinite side never binds.
+                if *v < lower[j] {
+                    *v = lower[j];
+                } else if *v > upper[j] {
+                    *v = upper[j];
+                }
             }
             let objective = lp.objective_offset
                 + values.iter().zip(&lp.objective).map(|(x, c)| x * c).sum::<f64>();
@@ -358,23 +376,17 @@ pub(crate) fn extract_outcome(
 /// An LP prepared for repeated node solves: the borrowed problem plus the
 /// engine-specific immutable state that every solve shares. For the sparse
 /// engine that is the scaled CSC matrix — built **once** per model, because
-/// branch and bound only ever changes bounds, never the matrix.
+/// branch and bound only ever changes bounds, never the matrix. Nothing a
+/// solve computes outlives it: the two children of a branched node share
+/// one install ([`solve_children`](Self::solve_children)), and every other
+/// solve factorizes its own basis.
 pub(crate) struct PreparedLp<'a> {
     pub lp: &'a LpProblem,
     engine: LpEngine,
     parity: LpParity,
     sparse: Option<SparseLp>,
-    /// Process-unique id, the model half of the sparse engine's
-    /// per-thread factorization-memo key.
-    id: u64,
     /// Cooperative cancellation, polled inside every engine's pivot loops.
     cancel: Option<CancellationToken>,
-}
-
-/// A process-unique id for anything that keys per-thread caches by model.
-pub(crate) fn next_prep_id() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 impl<'a> PreparedLp<'a> {
@@ -385,7 +397,7 @@ impl<'a> PreparedLp<'a> {
             LpEngine::Sparse => Some(SparseLp::build(lp)),
             LpEngine::Dense => None,
         };
-        PreparedLp { lp, engine, parity, sparse, id: next_prep_id(), cancel: None }
+        PreparedLp { lp, engine, parity, sparse, cancel: None }
     }
 
     /// Arms cooperative cancellation for every subsequent
@@ -421,21 +433,93 @@ impl<'a> PreparedLp<'a> {
         warm: Option<&Basis>,
         fast_kit: bool,
     ) -> LpOutcome {
+        self.solve_with(lower, upper, warm, fast_kit, None)
+    }
+
+    /// [`solve_node`](Self::solve_node) with `drive`'s sibling slot, which
+    /// only the sparse engine fills.
+    fn solve_with<'s>(
+        &'s self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        fast_kit: bool,
+        sibling: Option<&mut Option<revised::Revised<'s>>>,
+    ) -> LpOutcome {
         debug_assert_eq!(lower.len(), self.lp.n_vars);
         debug_assert_eq!(upper.len(), self.lp.n_vars);
+        let cancel = self.cancel.as_ref();
         match (self.engine, &self.sparse) {
-            (LpEngine::Dense, _) => {
-                drive(self.lp, lower, upper, warm, self.cancel.as_ref(), || {
-                    dense::Tableau::build(self.lp, lower, upper)
-                })
-            }
+            (LpEngine::Dense, _) => drive(self.lp, lower, upper, warm, cancel, None, || {
+                dense::Tableau::build(self.lp, lower, upper)
+            }),
             (LpEngine::Sparse, Some(sp)) => {
-                drive(self.lp, lower, upper, warm, self.cancel.as_ref(), || {
-                    revised::Revised::new(sp, lower, upper, self.id, self.parity, fast_kit)
+                drive(self.lp, lower, upper, warm, cancel, sibling, || {
+                    revised::Revised::new(sp, lower, upper, self.parity, fast_kit)
                 })
             }
             (LpEngine::Sparse, None) => unreachable!("sparse engine always prepares a matrix"),
         }
+    }
+
+    /// Solves the children of a node branched on column `j`, in `boxes`
+    /// order: child `k` is the node's bounds (`lower`/`upper`) with `j`
+    /// moved to `boxes[k]`. Each outcome equals what
+    /// [`solve_node`](Self::solve_node) returns for that child, bit for
+    /// bit, and so do the counters, except that a restored install counts
+    /// in `memo_sibling_hits` where `solve_node` would factorize.
+    ///
+    /// `cancelled` is polled before every child; a tripped poll ends the
+    /// list with [`LpOutcome::Cancelled`], as does a cancelled solve. An
+    /// unbounded child ends it too. `lower`/`upper` come back holding the
+    /// node's bounds.
+    ///
+    /// On the sparse engine, with `warm` given and `j` basic in it, the
+    /// node's basis is installed once: the first child that needs it
+    /// installs it, and the next restores that install
+    /// ([`Revised::restore`](revised::Revised::restore)) instead of
+    /// factorizing the same basis again. `j` is fractional at the node, so
+    /// it is basic there, and the children's installs differ only in its
+    /// bounds. A child whose solve refactorized or stalled leaves nothing
+    /// to restore, and the next one installs afresh. The dense oracle
+    /// installs once per child.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn solve_children(
+        &self,
+        lower: &mut [f64],
+        upper: &mut [f64],
+        warm: Option<&Basis>,
+        fast_kit: bool,
+        j: usize,
+        boxes: &[(f64, f64)],
+        cancelled: impl Fn() -> bool,
+    ) -> Vec<LpOutcome> {
+        let (node_lo, node_hi) = (lower[j], upper[j]);
+        // A sibling can restore the node's install only when `j` is basic
+        // in it; `drive` keeps the installed engine in `kept` in between.
+        let share = warm.is_some_and(|b| b.status.get(j) == Some(&ColStatus::Basic));
+        let mut kept: Option<revised::Revised> = None;
+        let mut outcomes = Vec::with_capacity(boxes.len());
+        for &(lo, hi) in boxes {
+            if cancelled() {
+                outcomes.push(LpOutcome::Cancelled);
+                break;
+            }
+            lower[j] = lo;
+            upper[j] = hi;
+            if let Some(e) = &mut kept {
+                e.restore(j, lo, hi);
+            }
+            let out = self.solve_with(lower, upper, warm, fast_kit, share.then_some(&mut kept));
+            let last = matches!(out, LpOutcome::Unbounded | LpOutcome::Cancelled);
+            outcomes.push(out);
+            if last {
+                break;
+            }
+        }
+        lower[j] = node_lo;
+        upper[j] = node_hi;
+        outcomes
     }
 }
 
@@ -459,12 +543,19 @@ pub(crate) fn solve(
 /// fallbacks can no longer overcount hits the way the per-engine
 /// bookkeeping once did ([`SolverActivityReport`](crate::SolveStats) reads
 /// these counters).
+///
+/// `sibling` carries one install of `warm` between the children of a
+/// branched node ([`PreparedLp::solve_children`]). An engine found there
+/// already holds that install, restored to this child's bounds, and is
+/// run instead of a fresh install. A fresh install is saved, and a warm
+/// run that leaves it restorable puts its engine back for the next child.
 fn drive<E: EngineCore>(
     lp: &LpProblem,
     lower: &[f64],
     upper: &[f64],
     warm: Option<&Basis>,
     cancel: Option<&CancellationToken>,
+    mut sibling: Option<&mut Option<E>>,
     mut make: impl FnMut() -> E,
 ) -> LpOutcome {
     // Quick bound sanity: an empty box is infeasible.
@@ -496,8 +587,13 @@ fn drive<E: EngineCore>(
     };
     if let Some(basis) = warm {
         stats::record(|a| a.record_warm_attempt());
-        let mut e = make();
-        if e.install(&basis.status) {
+        let kept = sibling.as_mut().and_then(|s| s.take());
+        let restored = kept.is_some();
+        let mut e = kept.unwrap_or_else(&mut make);
+        if restored || e.install(&basis.status) {
+            if !restored && sibling.is_some() {
+                e.save_install();
+            }
             let out = e.run();
             add_lu(&e, &mut lu);
             if matches!(out, RunOutcome::Cancelled) {
@@ -523,7 +619,11 @@ fn drive<E: EngineCore>(
                     }
                 });
                 let (x, status) = e.solution();
-                return extract_outcome(lp, lower, upper, x, status, out);
+                let out = extract_outcome(lp, lower, upper, x, status, out);
+                if let Some(slot) = sibling.filter(|_| e.can_restore()) {
+                    *slot = Some(e);
+                }
+                return out;
             }
             let (p1, p2) = e.iters();
             wasted_p1 = p1;
@@ -558,7 +658,7 @@ fn drive<E: EngineCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::SolveActivity;
+    use crate::stats::{SolveActivity, SolveStats};
     use std::sync::Arc;
 
     fn lp(
@@ -1049,5 +1149,181 @@ mod tests {
         let sparse_fast =
             crate::HeuristicSolver { lp_engine: LpEngine::Sparse, lp_parity: LpParity::Fast };
         assert_eq!(heuristic.name(), crate::Solver::name(&sparse_fast));
+    }
+
+    /// A column with one finite bound can end past it by roundoff: here
+    /// `x ∈ [0, ∞)` lands at `0.3 − 0.1 − 0.2 = −2.8e-17`. The clamp must
+    /// move that side alone; clamping against `[0, x]` panicked with
+    /// `min > max`.
+    #[test]
+    fn roundoff_past_a_one_sided_bound_is_clamped_without_a_panic() {
+        let mut m = crate::Model::new("one-sided");
+        let x = m.continuous("x", 0.0, f64::INFINITY);
+        let y = m.continuous("y", 0.0, 1.0);
+        let z = m.continuous("z", 0.0, 1.0);
+        m.add_eq("mix", 1.0 * x + 0.1 * y + 0.2 * z, 0.3);
+        m.set_objective(crate::Sense::Maximize, 1.0 * y + 1.0 * z);
+        let sol = m.solve().unwrap();
+        assert_eq!(sol.value(x).to_bits(), 0.0f64.to_bits());
+        assert_eq!((sol.value(y), sol.value(z)), (1.0, 1.0));
+        assert!((sol.objective - 2.0).abs() < 1e-12);
+    }
+
+    /// What a solve returned, floats as bit patterns.
+    #[derive(Debug, PartialEq)]
+    enum OutcomeBits {
+        Optimal { values: Vec<u64>, objective: u64, basis: Vec<ColStatus> },
+        Infeasible,
+        Unbounded,
+        Cancelled,
+    }
+
+    fn outcome_bits(out: &LpOutcome) -> OutcomeBits {
+        match out {
+            LpOutcome::Optimal { values, objective, basis } => OutcomeBits::Optimal {
+                values: values.iter().map(|v| v.to_bits()).collect(),
+                objective: objective.to_bits(),
+                basis: basis.status.clone(),
+            },
+            LpOutcome::Infeasible => OutcomeBits::Infeasible,
+            LpOutcome::Unbounded => OutcomeBits::Unbounded,
+            LpOutcome::Cancelled => OutcomeBits::Cancelled,
+        }
+    }
+
+    /// Solves the children of `basis`'s node on column `j` with
+    /// `solve_children` and with one `solve_node` call per child, each
+    /// under its own stats scope, and checks the outcomes agree bit for
+    /// bit. Returns both runs' counters.
+    fn children_both_ways(
+        prep: &PreparedLp,
+        basis: &Basis,
+        kit: bool,
+        j: usize,
+        boxes: &[(f64, f64)],
+    ) -> (SolveStats, SolveStats) {
+        let lp = prep.lp;
+        let scoped = |f: &mut dyn FnMut() -> Vec<LpOutcome>| {
+            let scope = Arc::new(SolveActivity::default());
+            let outs = SolveActivity::scoped(&scope, f);
+            (outs.iter().map(outcome_bits).collect::<Vec<_>>(), scope.snapshot())
+        };
+        let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
+        let (together, stats_together) = scoped(&mut || {
+            prep.solve_children(&mut lower, &mut upper, Some(basis), kit, j, boxes, || false)
+        });
+        assert_eq!((lower.as_slice(), upper.as_slice()), (&lp.lower[..], &lp.upper[..]));
+        let (apart, stats_apart) = scoped(&mut || {
+            let mut outs = Vec::new();
+            for &(lo, hi) in boxes {
+                let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
+                (lower[j], upper[j]) = (lo, hi);
+                outs.push(prep.solve_node(&lower, &upper, Some(basis), kit));
+            }
+            outs
+        });
+        assert_eq!(together, apart, "kit={kit} j={j} boxes={boxes:?}");
+        (stats_together, stats_apart)
+    }
+
+    /// The two runs did the same solves and the same pivots, and installed
+    /// the same number of bases.
+    fn assert_same_solves(together: &SolveStats, apart: &SolveStats) {
+        let installs = |s: &SolveStats| s.lu_factorizations + s.memo_sibling_hits;
+        assert_eq!(installs(together), installs(apart), "{together:?} vs {apart:?}");
+        let pivots = |s: &SolveStats| {
+            (s.lp_solves, s.simplex_iterations, s.warm_attempts, s.warm_hits, s.eta_updates)
+        };
+        assert_eq!(pivots(together), pivots(apart), "{together:?} vs {apart:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `solve_children` returns what one `solve_node` call per child
+        /// returns — value bits, objective bits and bases — on random
+        /// bounded LPs branched at their optimum on the most fractional
+        /// basic column, on every engine and parity, kit on and off.
+        #[test]
+        fn solve_children_matches_independent_solves(
+            n in 2usize..8,
+            rows in 1usize..5,
+            coeffs in proptest::collection::vec(-6i32..30, 32..33),
+            rhs in proptest::collection::vec(5u32..60, 4..5),
+            costs in proptest::collection::vec(1u32..40, 8..9),
+            uppers in proptest::collection::vec(1u32..4, 8..9),
+        ) {
+            let p = lp(
+                n,
+                vec![0.0; n],
+                uppers[..n].iter().map(|&u| u as f64).collect(),
+                (0..rows)
+                    .map(|r| LpRow {
+                        coeffs: (0..n).map(|j| (j, coeffs[r * 8 + j] as f64)).collect(),
+                        op: CmpOp::Le,
+                        rhs: rhs[r] as f64,
+                    })
+                    .collect(),
+                costs[..n].iter().map(|&c| c as f64).collect(),
+                false,
+            );
+            for (engine, parity) in CONFIGS {
+                let prep = PreparedLp::new(&p, engine, parity);
+                let LpOutcome::Optimal { values, basis, .. } =
+                    prep.solve_warm(&p.lower, &p.upper, None)
+                else {
+                    panic!("{engine:?}: a ≤-only LP with x = 0 feasible and bounded x");
+                };
+                let fractional = |j: &usize| (values[*j] - values[*j].round()).abs() > 1e-6;
+                let Some(j) = (0..n).filter(fractional).max_by(|&a, &b| {
+                    let frac = |j: usize| (values[j] - values[j].round()).abs();
+                    frac(a).total_cmp(&frac(b)).then(b.cmp(&a))
+                }) else {
+                    continue;
+                };
+                proptest::prop_assert_eq!(basis.status[j], ColStatus::Basic);
+                let v = values[j];
+                let boxes = [(p.lower[j], v.floor()), (v.ceil(), p.upper[j])];
+                for kit in [false, true] {
+                    let (together, apart) = children_both_ways(&prep, &basis, kit, j, &boxes);
+                    assert_same_solves(&together, &apart);
+                    proptest::prop_assert_eq!(apart.memo_sibling_hits, 0);
+                }
+            }
+        }
+    }
+
+    /// When the first child's solve refactorizes mid-solve, its eta file
+    /// no longer holds the node's install, so the second child installs
+    /// afresh: no restore is counted, every counter equals two independent
+    /// solves', and the outcomes still agree. The warm basis is the optimum
+    /// of `max Σ x` over 150 columns; the children minimize `Σ x` from it,
+    /// a solve long enough (well past 112 pivots) to trip the hybrid switch
+    /// and then the fast-parity update-count trigger.
+    #[test]
+    fn solve_children_installs_afresh_after_a_mid_solve_refactorization() {
+        let n = 150;
+        let mut rows = vec![LpRow { coeffs: vec![(0, 1.0), (1, 1.0)], op: CmpOp::Le, rhs: 1.5 }];
+        // `0.5·x_i ≤ 0.5`, not `x_i ≤ 1`: a logical entering a unit row
+        // would pivot on 1 with no fill, an identity eta the file never
+        // stores, and the update count would never grow.
+        rows.extend((1..n).map(|i| LpRow { coeffs: vec![(i, 0.5)], op: CmpOp::Le, rhs: 0.5 }));
+        let mut objective = vec![1.0; n];
+        objective[0] = 0.5;
+        let parent = lp(n, vec![0.0; n], vec![10.0; n], rows, objective, false);
+        let basis =
+            optimal_basis(PreparedLp::new(&parent, LpEngine::Sparse, LpParity::Exact).solve_warm(
+                &parent.lower,
+                &parent.upper,
+                None,
+            ));
+        assert_eq!(basis.status[0], ColStatus::Basic, "x0 = 0.5 is basic");
+        let children = LpProblem { objective: vec![1.0; n], minimize: true, ..parent };
+        let prep = PreparedLp::new(&children, LpEngine::Sparse, LpParity::Fast);
+        let boxes = [(0.0, 0.0), (1.0, 10.0)];
+        let (together, apart) = children_both_ways(&prep, &basis, true, 0, &boxes);
+        assert!(together.refactor_triggers > 0, "the first child must refactorize: {together:?}");
+        assert_eq!(together.memo_sibling_hits, 0, "nothing left to restore");
+        assert_eq!(together, apart);
     }
 }

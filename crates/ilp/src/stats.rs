@@ -70,12 +70,12 @@ pub struct SolveStats {
     /// section scans that exhausted the candidate list and restarted from
     /// the front (each wrap is one full-width pricing pass).
     pub partial_pricing_refreshes: u64,
-    /// Basis installs served by replaying a memoized factorization (same
-    /// basic set, model and elimination order) instead of eliminating from
-    /// scratch —
-    /// branch-and-bound siblings and bound-flip-only children hit this.
-    /// Every install is exactly one of `lu_factorizations` /
-    /// `memo_sibling_hits`, so the two always sum to installs.
+    /// Basis installs served by restoring a sibling's install instead of
+    /// factorizing: the second child of a branched node restores the
+    /// node's basis the first child installed. Every install is exactly
+    /// one of `lu_factorizations` / `memo_sibling_hits`, so the two always
+    /// sum to installs, and each is a function of the search alone (the
+    /// same at every thread count).
     pub memo_sibling_hits: u64,
     /// Branch-and-bound nodes expanded across all searches, attempts
     /// abandoned by the kit restart included. The fast-parity node-tree
