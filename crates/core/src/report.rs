@@ -116,11 +116,12 @@ impl SolverActivityReport {
         );
         let _ = writeln!(
             s,
-            "search: {} B&B nodes, {} pricing switches, {} partial refreshes, {} restored sibling installs",
+            "search: {} B&B nodes, {} pricing switches, {} partial refreshes, {} restored sibling installs, {} children range-pruned before their LP",
             self.simplex.bb_nodes,
             self.simplex.pricing_switches,
             self.simplex.partial_pricing_refreshes,
             self.simplex.memo_sibling_hits,
+            self.simplex.range_pruned,
         );
         let _ = writeln!(
             s,
@@ -374,6 +375,7 @@ mod tests {
                 partial_pricing_refreshes: 9,
                 memo_sibling_hits: 5,
                 bb_nodes: 21,
+                range_pruned: 4,
             },
         };
         let table = report.render_table();
@@ -391,6 +393,7 @@ mod tests {
             ),
             "{table}"
         );
+        assert!(table.contains("4 children range-pruned before their LP"), "{table}");
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Returns [`IlpError::InvalidModel`] if `lower > upper` or a bound is NaN.
+    /// Returns [`IlpError::InvalidModel`] if `lower > upper`, a bound is NaN,
+    /// or the bounds hold no real value (`lower == +∞` or `upper == −∞`).
     pub fn add_var(
         &mut self,
         name: impl Into<String>,
@@ -187,6 +188,12 @@ impl Model {
         if lower > upper {
             return Err(IlpError::InvalidModel(format!(
                 "variable {:?} has lower bound {lower} > upper bound {upper}",
+                name.into()
+            )));
+        }
+        if lower == f64::INFINITY || upper == f64::NEG_INFINITY {
+            return Err(IlpError::InvalidModel(format!(
+                "variable {:?} has no real value in [{lower}, {upper}]",
                 name.into()
             )));
         }
@@ -326,12 +333,41 @@ impl Model {
         true
     }
 
+    /// Rejects data no search can give a verdict on: a row or objective
+    /// coefficient (or the objective's constant) that is not finite, or a
+    /// NaN right-hand side. An infinite right-hand side stays legal: the
+    /// row is then vacuous or unsatisfiable, which the search decides.
+    /// [`Model::solve_with_options`], which every `Model::solve*` runs,
+    /// checks this before it starts, so the engines (and the branch and
+    /// bound's row-activity proof) only see finite coefficients.
+    fn check_finite(&self) -> Result<(), IlpError> {
+        let invalid = |what: String| Err(IlpError::InvalidModel(what));
+        for (i, c) in self.constraints.iter().enumerate() {
+            if c.rhs.is_nan() {
+                return invalid(format!("row {i} has a NaN right-hand side"));
+            }
+            if let Some(&(v, a)) = c.terms.iter().find(|(_, a)| !a.is_finite()) {
+                return invalid(format!("row {i} has coefficient {a} on variable {}", v.index()));
+            }
+        }
+        if let Some((v, a)) = self.objective.iter().find(|(_, a)| !a.is_finite()) {
+            return invalid(format!("objective has coefficient {a} on variable {}", v.index()));
+        }
+        let k = self.objective.constant();
+        if !k.is_finite() {
+            return invalid(format!("objective has constant {k}"));
+        }
+        Ok(())
+    }
+
     /// Solves with default [`SolverConfig`].
     ///
     /// # Errors
     ///
     /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
-    /// [`IlpError::NoIncumbent`] per the outcome of the search.
+    /// [`IlpError::NoIncumbent`] per the outcome of the search;
+    /// [`IlpError::InvalidModel`] before any search when a row or objective
+    /// coefficient is not finite or a right-hand side is NaN.
     pub fn solve(&self) -> Result<Solution, IlpError> {
         self.solve_with(&SolverConfig::default())
     }
@@ -372,6 +408,7 @@ impl Model {
         config: &SolverConfig,
         options: &crate::SolverOptions,
     ) -> Result<Solution, IlpError> {
+        self.check_finite()?;
         let solution = options.solver().solve(self, config)?;
         crate::certify(self, config, &solution)?;
         Ok(solution)
@@ -388,6 +425,65 @@ mod tests {
         let mut m = Model::new("bad");
         let err = m.add_var("x", VarKind::Continuous, 2.0, 1.0).unwrap_err();
         assert!(matches!(err, IlpError::InvalidModel(_)));
+    }
+
+    /// Bounds that hold no real value are rejected when the variable is
+    /// added, not left to the search, which has no point to return.
+    #[test]
+    fn rejects_bounds_with_no_real_value() {
+        let mut m = Model::new("bad");
+        for (lo, hi) in [(f64::NEG_INFINITY, f64::NEG_INFINITY), (f64::INFINITY, f64::INFINITY)] {
+            let err = m.add_var("x", VarKind::Continuous, lo, hi).unwrap_err();
+            assert!(matches!(err, IlpError::InvalidModel(_)), "[{lo}, {hi}]: {err:?}");
+        }
+        assert_eq!(m.num_vars(), 0);
+        // Half-infinite and free boxes stay legal.
+        m.add_var("y", VarKind::Continuous, f64::NEG_INFINITY, 0.0).unwrap();
+        m.add_var("z", VarKind::Continuous, 0.0, f64::INFINITY).unwrap();
+        m.add_var("w", VarKind::Continuous, f64::NEG_INFINITY, f64::INFINITY).unwrap();
+    }
+
+    /// Non-finite coefficients and NaN right-hand sides are typed errors
+    /// from both solve entries, never an `Infeasible` or `Uncertified`
+    /// verdict: a caller such as the bisection reads `Infeasible` as "no
+    /// split exists" and takes its unflagged greedy fallback.
+    #[test]
+    fn non_finite_model_data_is_an_invalid_model() {
+        type Build = fn(&mut Model, VarId, VarId);
+        let cases: [(&str, Build); 5] = [
+            ("x <= NaN", |m, x, _| m.add_le("c", x.into(), f64::NAN)),
+            ("inf*x + y <= 1", |m, x, y| m.add_le("c", LinExpr::term(x, f64::INFINITY) + y, 1.0)),
+            ("NaN*x row", |m, x, y| m.add_ge("c", LinExpr::term(x, f64::NAN) + y, 0.0)),
+            ("NaN*x objective", |m, x, y| m.set_objective(Sense::Minimize, f64::NAN * x + y)),
+            ("objective constant inf", |m, x, _| {
+                m.set_objective(Sense::Maximize, LinExpr::from(x) + f64::INFINITY)
+            }),
+        ];
+        for (name, build) in cases {
+            let mut m = Model::new(name);
+            let x = m.binary("x");
+            let y = m.continuous("y", 0.0, 4.0);
+            m.set_objective(Sense::Maximize, x + y);
+            build(&mut m, x, y);
+            let options = crate::SolverOptions::default();
+            for got in [m.solve(), m.solve_with_options(&SolverConfig::default(), &options)] {
+                assert!(matches!(got, Err(IlpError::InvalidModel(_))), "{name}: {got:?}");
+            }
+        }
+    }
+
+    /// An infinite right-hand side is legal data: `x ≤ +∞` is vacuous and
+    /// `x ≥ +∞` unsatisfiable.
+    #[test]
+    fn infinite_right_hand_sides_stay_legal() {
+        let mut m = Model::new("inf-rhs");
+        let x = m.integer("x", 0.0, 3.0);
+        m.add_le("vacuous", x.into(), f64::INFINITY);
+        m.add_ge("vacuous too", x.into(), f64::NEG_INFINITY);
+        m.set_objective(Sense::Maximize, x.into());
+        assert_eq!(m.solve().unwrap().objective, 3.0);
+        m.add_ge("unsatisfiable", x.into(), f64::INFINITY);
+        assert_eq!(m.solve().unwrap_err(), IlpError::Infeasible);
     }
 
     #[test]

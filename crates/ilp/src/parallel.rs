@@ -18,7 +18,11 @@
 //! they typically re-solve in a handful of pivots instead of running both
 //! simplex phases from scratch. Both the chain and the basis are pure
 //! functions of the node, so warm starts do not disturb the thread-count
-//! independence.
+//! independence. Before any child LP, presolve's row-activity proof runs
+//! once more over the child's box, on the rows of the branched column
+//! only (a column → rows index built once per solve): a child it condemns
+//! is dropped without an LP, exactly as its `Infeasible` LP outcome would
+//! have dropped it, so the search visits the same nodes in the same order.
 //!
 //! Only wall-clock expiry ([`SolverConfig::time_limit`]) can break this
 //! determinism, because the cut-off point then depends on machine speed.
@@ -52,7 +56,7 @@ use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
 use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta};
-use crate::presolve::PresolvedLp;
+use crate::presolve::{activity_range, PresolvedLp};
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, FEAS_TOL};
 use crate::solution::{Solution, SolveStatus};
 
@@ -175,6 +179,10 @@ struct SearchCtx<'a> {
     prep: &'a PreparedLp<'a>,
     integral: &'a [usize],
     red_integral: &'a [usize],
+    /// Column → rows index of `pre.lp`: the rows each reduced column
+    /// appears in, ascending. Built once per solve; the child range proof
+    /// ([`SearchCtx::range_infeasible`]) reads only the branched column's.
+    col_rows: Vec<Vec<usize>>,
     /// One token for the whole solve: the configured deadline fused with any
     /// caller-supplied cancellation, polled at round boundaries, before every
     /// child LP solve, and inside the simplex iteration loops. `None` when
@@ -192,12 +200,47 @@ impl SearchCtx<'_> {
             -obj
         }
     }
+
+    /// Whether presolve's row-activity proof ([`activity_range`]) condemns
+    /// the child of a node with bounds `lower`/`upper` that moves column
+    /// `j` to `[lo, hi]`. Only `j`'s rows are tested: the node's LP was
+    /// feasible and the child differs from it in `j`'s bounds alone.
+    /// `lower`/`upper` come back unchanged.
+    fn range_infeasible(
+        &self,
+        lower: &mut [f64],
+        upper: &mut [f64],
+        j: usize,
+        (lo, hi): (f64, f64),
+    ) -> bool {
+        let (node_lo, node_hi) = (lower[j], upper[j]);
+        (lower[j], upper[j]) = (lo, hi);
+        let rows = &self.pre.lp.rows;
+        let condemned = self.col_rows[j].iter().any(|&i| {
+            let row = &rows[i];
+            activity_range(&row.coeffs, row.op, row.rhs, lower, upper).is_none()
+        });
+        (lower[j], upper[j]) = (node_lo, node_hi);
+        condemned
+    }
+}
+
+/// The rows each column of `lp` appears in, ascending.
+fn column_rows(lp: &LpProblem) -> Vec<Vec<usize>> {
+    let mut index = vec![Vec::new(); lp.n_vars];
+    for (i, row) in lp.rows.iter().enumerate() {
+        for &(j, _) in &row.coeffs {
+            index[j].push(i);
+        }
+    }
+    index
 }
 
 /// Expands one node: either reports an integral candidate (offered to the
-/// shared incumbent) or returns the branched children. No pruning happens
-/// here — children are pruned deterministically at merge time. `kit` is the
-/// attempt's fast-kit verdict (constant per attempt, so every slot prices
+/// shared incumbent) or returns the branched children. No bound pruning
+/// happens here — children are pruned against the incumbent
+/// deterministically at merge time; infeasible children are simply absent
+/// ([`expand_children`]). `kit` is the attempt's fast-kit verdict (constant per attempt, so every slot prices
 /// identically); `lo_buf`/`hi_buf` are per-worker scratch buffers.
 fn expand_node(
     ctx: &SearchCtx<'_>,
@@ -231,6 +274,14 @@ fn expand_node(
 /// the node's basis unless [`ParallelSolver::warm_lp`] is off. Both come
 /// from one install of that basis ([`PreparedLp::solve_children`]).
 ///
+/// A child never reaches an LP when its box is empty or when presolve's
+/// row-activity proof condemns one of `branch_var`'s rows over that box
+/// ([`SearchCtx::range_infeasible`], counted in
+/// [`SolveStats::range_pruned`](crate::SolveStats::range_pruned)). Either
+/// way its LP would have come back [`LpOutcome::Infeasible`], which pushes
+/// nothing, so dropping it changes no node, `seq` or incumbent of the
+/// search; only the LP work counters move.
+///
 /// `lower`/`upper` are reusable scratch buffers; they come back holding the
 /// *node's* bounds (every per-child tweak is restored).
 fn expand_children(
@@ -249,6 +300,7 @@ fn expand_children(
     let (node_lo, node_hi) = (lower[j], upper[j]);
     let mut deltas = Vec::with_capacity(2);
     let mut boxes = Vec::with_capacity(2);
+    let mut range_pruned = 0u64;
     for (is_upper, value) in [(true, branch_value.floor()), (false, branch_value.ceil())] {
         let (lo, hi) =
             if is_upper { (node_lo, value.min(node_hi)) } else { (value.max(node_lo), node_hi) };
@@ -258,8 +310,15 @@ fn expand_children(
         if lo > hi + FEAS_TOL {
             continue;
         }
+        if ctx.range_infeasible(lower, upper, j, (lo, hi)) {
+            range_pruned += 1;
+            continue;
+        }
         deltas.push(BoundDelta { var: j, is_upper, value });
         boxes.push((lo, hi));
+    }
+    if range_pruned > 0 {
+        crate::stats::record(|a| a.record_range_pruned(range_pruned));
     }
     // Honor the token before *every* child LP solve, not only at round
     // boundaries: a deep dive must not overshoot the deadline by a subtree.
@@ -611,6 +670,7 @@ impl crate::Solver for ParallelSolver {
             prep: &prep,
             integral: &integral,
             red_integral: &red_integral,
+            col_rows: column_rows(&pre.lp),
             token,
         };
 

@@ -134,12 +134,7 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
         // Row passes: empty, singleton, activity-based.
         for row in rows.iter_mut().filter(|r| r.alive) {
             if row.coeffs.is_empty() {
-                let ok = match row.op {
-                    CmpOp::Le => row.rhs >= -feas_slack(row.rhs),
-                    CmpOp::Ge => row.rhs <= feas_slack(row.rhs),
-                    CmpOp::Eq => row.rhs.abs() <= feas_slack(row.rhs),
-                };
-                if !ok {
+                if activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper).is_none() {
                     return PresolveOutcome::Infeasible;
                 }
                 row.alive = false;
@@ -175,27 +170,11 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
                 continue;
             }
 
-            // Activity range from the bounds, coefficient-wise.
-            let mut min_act = 0.0f64;
-            let mut max_act = 0.0f64;
-            for &(j, a) in &row.coeffs {
-                let (lo_c, hi_c) = if a > 0.0 {
-                    (a * lower[j], a * upper[j])
-                } else {
-                    (a * upper[j], a * lower[j])
-                };
-                min_act += lo_c;
-                max_act += hi_c;
-            }
-            let slack = feas_slack(row.rhs);
-            let violated = match row.op {
-                CmpOp::Le => min_act > row.rhs + slack,
-                CmpOp::Ge => max_act < row.rhs - slack,
-                CmpOp::Eq => min_act > row.rhs + slack || max_act < row.rhs - slack,
-            };
-            if violated {
+            let Some((min_act, max_act)) =
+                activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper)
+            else {
                 return PresolveOutcome::Infeasible;
-            }
+            };
             let redundant = match row.op {
                 CmpOp::Le => max_act.is_finite() && max_act <= row.rhs + REDUNDANT_TOL,
                 CmpOp::Ge => min_act.is_finite() && min_act >= row.rhs - REDUNDANT_TOL,
@@ -294,12 +273,7 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
             }
         });
         if row.coeffs.is_empty() {
-            let ok = match row.op {
-                CmpOp::Le => row.rhs >= -feas_slack(row.rhs),
-                CmpOp::Ge => row.rhs <= feas_slack(row.rhs),
-                CmpOp::Eq => row.rhs.abs() <= feas_slack(row.rhs),
-            };
-            if !ok {
+            if activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper).is_none() {
                 return PresolveOutcome::Infeasible;
             }
             row.alive = false;
@@ -341,10 +315,50 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
     PresolveOutcome::Reduced(PresolvedLp { lp: reduced, kept, fixed, n_original: n })
 }
 
-/// Feasibility slack scaled to the row magnitude: generous when *proving*
-/// infeasibility (a false negative only costs simplex work).
-fn feas_slack(rhs: f64) -> f64 {
-    TOL.infeasible * (1.0 + rhs.abs())
+/// The coefficient-wise activity range `[min, max]` of `Σ aⱼ·xⱼ` over the
+/// box `lower ≤ x ≤ upper`, or `None` when that range alone proves
+/// `Σ aⱼ·xⱼ op rhs` unsatisfiable everywhere in the box.
+///
+/// This is the one definition of a provably infeasible row: presolve's
+/// row passes run it at the root, and the branch and bound runs it on
+/// every branched child before the child's LP (`parallel.rs`), so it must
+/// never condemn a box whose LP phase 1 would accept. The coefficients
+/// must be finite (`Model::solve_with_options` rejects others up front),
+/// so `min` is finite or `−∞` and `max` finite or `+∞`.
+///
+/// The range must miss `rhs` by more than a slack that is generous when
+/// *proving* infeasibility (a false negative only costs simplex work):
+/// `TOL.infeasible` relative to `1 + |rhs|`, and never less than
+/// `TOL.infeasible` in the units of the LP the engines solve, which divide
+/// a row by its largest coefficient magnitude when that exceeds 1
+/// ([`row_scale`](crate::sparse::row_scale)). Without the second term the
+/// row `−4000·x₀ − 2·x₁ + x₂ ≥ 0` over `x₀ = 0`, `x₁ ≥ 0`, `x₂ ≤ −2e-6`
+/// would be condemned, while phase 1 sees a violation of 5e-10 in the
+/// scaled row and calls the LP feasible.
+pub(crate) fn activity_range(
+    coeffs: &[(usize, f64)],
+    op: CmpOp,
+    rhs: f64,
+    lower: &[f64],
+    upper: &[f64],
+) -> Option<(f64, f64)> {
+    let mut min_act = 0.0f64;
+    let mut max_act = 0.0f64;
+    let mut peak = 0.0f64;
+    for &(j, a) in coeffs {
+        let (lo_c, hi_c) =
+            if a > 0.0 { (a * lower[j], a * upper[j]) } else { (a * upper[j], a * lower[j]) };
+        min_act += lo_c;
+        max_act += hi_c;
+        peak = peak.max(a.abs());
+    }
+    let slack = TOL.infeasible * (1.0 + rhs.abs()).max(peak);
+    let violated = match op {
+        CmpOp::Le => min_act > rhs + slack,
+        CmpOp::Ge => max_act < rhs - slack,
+        CmpOp::Eq => min_act > rhs + slack || max_act < rhs - slack,
+    };
+    (!violated).then_some((min_act, max_act))
 }
 
 fn round_integral_bounds(j: usize, lower: &mut [f64], upper: &mut [f64]) {
@@ -359,6 +373,7 @@ fn round_integral_bounds(j: usize, lower: &mut [f64], upper: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::{LpEngine, LpOutcome, LpParity, PreparedLp};
 
     fn base_lp(n: usize, rows: Vec<LpRow>, objective: Vec<f64>, minimize: bool) -> LpProblem {
         LpProblem {
@@ -507,6 +522,134 @@ mod tests {
         lp.lower[0] = 1.5;
         lp.upper[0] = 1.5;
         assert!(matches!(presolve(&lp, &[true]), PresolveOutcome::Infeasible));
+    }
+
+    /// Fractional offsets for the random node boxes below: integral boxes,
+    /// halves and quarters, and offsets far below one unit, where an
+    /// unscaled slack and the row-scaled LP's tolerance can part ways.
+    const OFFSETS: [f64; 9] = [0.0, 0.0, 0.0, 0.5, 0.25, 3e-6, 4e-5, -2e-6, -5e-5];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Whenever [`activity_range`] condemns a row over a node box, the
+        /// LP on that box is infeasible by the engines' own verdict: sparse
+        /// fast (kit on and off), sparse exact and dense, cold and warm
+        /// from the basis of a parent box that differs in one column's
+        /// bound, as a branched child does. Models are small with integer
+        /// coefficients and ≤, ≥ and = rows; a quarter of the rows carry
+        /// one coefficient of at least 1e3 with rhs 0.
+        #[test]
+        fn range_proof_condemns_only_lp_infeasible_boxes(
+            n in 2usize..7,
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(-4i32..5, 6..7), 0u8..3, -6i32..7, 0u8..4, 0usize..6),
+                1..5,
+            ),
+            bounds in proptest::collection::vec(
+                (-2i32..3, 0i32..3, 0usize..OFFSETS.len(), 0usize..OFFSETS.len()),
+                6..7,
+            ),
+            costs in proptest::collection::vec(-5i32..6, 6..7),
+            (branch, widen, down) in (0usize..6, 1i32..3, 0u8..2),
+        ) {
+            let rows: Vec<LpRow> = rows
+                .into_iter()
+                .map(|(a, op, rhs, big, col)| {
+                    let mut coeffs: Vec<(usize, f64)> =
+                        (0..n).filter(|&j| a[j] != 0).map(|j| (j, a[j] as f64)).collect();
+                    let mut rhs = rhs as f64;
+                    if big == 0 {
+                        let c = col % n;
+                        let sign = if a[c] < 0 { -1.0 } else { 1.0 };
+                        let large = (c, sign * 1e3 * (1 + a[c].unsigned_abs()) as f64);
+                        coeffs.retain(|&(j, _)| j != c);
+                        coeffs.push(large);
+                        coeffs.sort_by_key(|&(j, _)| j);
+                        rhs = 0.0;
+                    }
+                    if coeffs.is_empty() {
+                        coeffs.push((0, 1.0));
+                    }
+                    let op = [CmpOp::Le, CmpOp::Ge, CmpOp::Eq][op as usize];
+                    LpRow { coeffs, op, rhs }
+                })
+                .collect();
+            let lower: Vec<f64> =
+                (0..n).map(|j| bounds[j].0 as f64 + OFFSETS[bounds[j].2]).collect();
+            let upper: Vec<f64> = (0..n)
+                .map(|j| {
+                    let hi = (bounds[j].0 + bounds[j].1) as f64 + OFFSETS[bounds[j].3];
+                    hi.max(lower[j])
+                })
+                .collect();
+            let condemned = rows
+                .iter()
+                .any(|r| activity_range(&r.coeffs, r.op, r.rhs, &lower, &upper).is_none());
+            if !condemned {
+                return Ok(());
+            }
+            let objective = costs[..n].iter().map(|&c| c as f64).collect();
+            let problem = LpProblem { n_vars: n, lower: lower.clone(), upper: upper.clone(),
+                rows, objective, minimize: true, objective_offset: 0.0 };
+            // The parent box: the child's with one column widened by one
+            // bound, as `x ≤ k` / `x ≥ k` children are cut from a node.
+            let (mut parent_lo, mut parent_hi) = (lower.clone(), upper.clone());
+            let j = branch % n;
+            if down == 0 {
+                parent_hi[j] += widen as f64;
+            } else {
+                parent_lo[j] -= widen as f64;
+            }
+            let configs = [
+                (LpEngine::Sparse, LpParity::Fast, false),
+                (LpEngine::Sparse, LpParity::Fast, true),
+                (LpEngine::Sparse, LpParity::Exact, false),
+                (LpEngine::Dense, LpParity::Exact, false),
+            ];
+            for (engine, parity, kit) in configs {
+                let prep = PreparedLp::new(&problem, engine, parity);
+                let parent = match prep.solve_node(&parent_lo, &parent_hi, None, kit) {
+                    LpOutcome::Optimal { basis, .. } => Some(basis),
+                    _ => None,
+                };
+                for warm in [None, parent.as_ref()] {
+                    let out = prep.solve_node(&lower, &upper, warm, kit);
+                    proptest::prop_assert!(
+                        matches!(out, LpOutcome::Infeasible),
+                        "{engine:?}/{parity:?} kit={kit} warm={}: condemned box \
+                         [{lower:?}, {upper:?}] solved {out:?} on {problem:?}",
+                        warm.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A miss past the rhs-relative slack alone is not condemned while
+    /// every engine solves the LP: `−4000·x₀ − 2·x₁ + x₂ ≥ 0` misses by
+    /// 2e-6 over `x₀ = 0`, `x₁ ∈ [0, 2]`, `x₂ ∈ [−1, −2e-6]`, which is
+    /// 5e-10 in the row the engines see (divided by 4000), far inside
+    /// phase 1's 1e-6.
+    #[test]
+    fn a_miss_below_the_scaled_phase_one_threshold_is_not_condemned() {
+        let row =
+            LpRow { coeffs: vec![(0, -4000.0), (1, -2.0), (2, 1.0)], op: CmpOp::Ge, rhs: 0.0 };
+        let (lower, upper) = (vec![0.0, 0.0, -1.0], vec![0.0, 2.0, -2e-6]);
+        assert_eq!(
+            activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper),
+            Some((-5.0, -2e-6))
+        );
+        let mut lp = base_lp(3, vec![row], vec![-3.0, 0.0, 3.0], true);
+        (lp.lower, lp.upper) = (lower, upper);
+        for engine in [LpEngine::Sparse, LpEngine::Dense] {
+            let out = PreparedLp::new(&lp, engine, LpParity::Fast)
+                .solve_node(&lp.lower, &lp.upper, None, false);
+            assert!(matches!(out, LpOutcome::Optimal { .. }), "{engine:?}: {out:?}");
+        }
+        // Missing by 1e-6 in the scaled row's units is condemned.
+        let upper = vec![0.0, 2.0, -4000.0 * 1.01e-6];
+        assert_eq!(activity_range(&lp.rows[0].coeffs, CmpOp::Ge, 0.0, &lp.lower, &upper), None);
     }
 
     #[test]

@@ -81,6 +81,13 @@ pub struct SolveStats {
     /// abandoned by the kit restart included. The fast-parity node-tree
     /// guard compares this between parity modes.
     pub bb_nodes: u64,
+    /// Branched children dropped before their LP because one row's
+    /// coefficient-wise activity range over the child's box cannot meet
+    /// the row (presolve's own infeasibility proof, run on the rows of the
+    /// branched column). Each would have been an `Infeasible` LP solve, so
+    /// the drop saves exactly that solve and moves no search decision; a
+    /// function of the search alone, the same at every thread count.
+    pub range_pruned: u64,
     /// Models run through [`presolve`](crate::SolverOptions::presolve).
     pub presolve_runs: u64,
     /// Constraint rows removed as empty, singleton or redundant.
@@ -134,6 +141,7 @@ impl SolveStats {
                 + other.partial_pricing_refreshes,
             memo_sibling_hits: self.memo_sibling_hits + other.memo_sibling_hits,
             bb_nodes: self.bb_nodes + other.bb_nodes,
+            range_pruned: self.range_pruned + other.range_pruned,
             presolve_runs: self.presolve_runs + other.presolve_runs,
             presolve_rows_removed: self.presolve_rows_removed + other.presolve_rows_removed,
             presolve_cols_fixed: self.presolve_cols_fixed + other.presolve_cols_fixed,
@@ -168,6 +176,7 @@ impl SolveStats {
                 .saturating_sub(earlier.partial_pricing_refreshes),
             memo_sibling_hits: self.memo_sibling_hits.saturating_sub(earlier.memo_sibling_hits),
             bb_nodes: self.bb_nodes.saturating_sub(earlier.bb_nodes),
+            range_pruned: self.range_pruned.saturating_sub(earlier.range_pruned),
             presolve_runs: self.presolve_runs.saturating_sub(earlier.presolve_runs),
             presolve_rows_removed: self
                 .presolve_rows_removed
@@ -202,6 +211,7 @@ pub struct SolveActivity {
     partial_pricing_refreshes: AtomicU64,
     memo_sibling_hits: AtomicU64,
     bb_nodes: AtomicU64,
+    range_pruned: AtomicU64,
     presolve_runs: AtomicU64,
     presolve_rows_removed: AtomicU64,
     presolve_cols_fixed: AtomicU64,
@@ -292,6 +302,7 @@ impl SolveActivity {
             partial_pricing_refreshes: self.partial_pricing_refreshes.load(Ordering::Relaxed),
             memo_sibling_hits: self.memo_sibling_hits.load(Ordering::Relaxed),
             bb_nodes: self.bb_nodes.load(Ordering::Relaxed),
+            range_pruned: self.range_pruned.load(Ordering::Relaxed),
             presolve_runs: self.presolve_runs.load(Ordering::Relaxed),
             presolve_rows_removed: self.presolve_rows_removed.load(Ordering::Relaxed),
             presolve_cols_fixed: self.presolve_cols_fixed.load(Ordering::Relaxed),
@@ -318,6 +329,7 @@ impl SolveActivity {
         self.partial_pricing_refreshes.store(0, Ordering::Relaxed);
         self.memo_sibling_hits.store(0, Ordering::Relaxed);
         self.bb_nodes.store(0, Ordering::Relaxed);
+        self.range_pruned.store(0, Ordering::Relaxed);
         self.presolve_runs.store(0, Ordering::Relaxed);
         self.presolve_rows_removed.store(0, Ordering::Relaxed);
         self.presolve_cols_fixed.store(0, Ordering::Relaxed);
@@ -354,6 +366,11 @@ impl SolveActivity {
     /// (recorded once per search by both B&B drivers).
     pub(crate) fn record_bb_nodes(&self, nodes: u64) {
         self.bb_nodes.fetch_add(nodes, Ordering::Relaxed);
+    }
+
+    /// Adds one expansion's range-pruned children.
+    pub(crate) fn record_range_pruned(&self, children: u64) {
+        self.range_pruned.fetch_add(children, Ordering::Relaxed);
     }
 
     pub(crate) fn record_warm_attempt(&self) {
@@ -459,6 +476,7 @@ mod tests {
         act.record_presolve(2, 1, 3);
         act.record_lu(&[2, 17, 4, 9, 1, 1, 3, 6, 2, 5, 4]);
         act.record_bb_nodes(13);
+        act.record_range_pruned(6);
         let s = act.snapshot();
         assert_eq!(s.lp_solves, 1);
         assert_eq!(s.simplex_iterations, 12);
@@ -477,6 +495,7 @@ mod tests {
         assert_eq!(s.partial_pricing_refreshes, 5);
         assert_eq!(s.memo_sibling_hits, 4);
         assert_eq!(s.bb_nodes, 13);
+        assert_eq!(s.range_pruned, 6);
         act.clear();
         assert_eq!(act.snapshot(), SolveStats::default());
     }
@@ -496,6 +515,7 @@ mod tests {
             partial_pricing_refreshes: 10,
             memo_sibling_hits: 7,
             bb_nodes: 20,
+            range_pruned: 9,
             ..Default::default()
         };
         let b = SolveStats {
@@ -511,6 +531,7 @@ mod tests {
             partial_pricing_refreshes: 4,
             memo_sibling_hits: 5,
             bb_nodes: 8,
+            range_pruned: 3,
             ..Default::default()
         };
         let m = a.merged(&b);
@@ -523,6 +544,7 @@ mod tests {
         assert_eq!(m.partial_pricing_refreshes, 14);
         assert_eq!(m.memo_sibling_hits, 12);
         assert_eq!(m.bb_nodes, 28);
+        assert_eq!(m.range_pruned, 12);
         let d = a.since(&b);
         assert_eq!(d.lu_factorizations, 3);
         assert_eq!(d.lu_fill_nnz, 30);
@@ -534,5 +556,6 @@ mod tests {
         assert_eq!(d.partial_pricing_refreshes, 6);
         assert_eq!(d.memo_sibling_hits, 2);
         assert_eq!(d.bb_nodes, 12);
+        assert_eq!(d.range_pruned, 6);
     }
 }

@@ -12,6 +12,9 @@
 //!    presolve-off and warm-started vs cold-started node solves agree on
 //!    the objective, and every returned point (postsolved back from the
 //!    reduced space) is feasible in the *original* variable space.
+//! 7. Children dropped before their LP by the row-activity proof
+//!    (`SolveStats::range_pruned`) leave the optimum where exhaustive
+//!    enumeration puts it, and their count is thread-invariant.
 
 use std::sync::Arc;
 
@@ -43,6 +46,21 @@ fn knapsack_model(values: &[u32], weights: &[u32], cap: u32) -> (Model, Vec<tapa
     let value = LinExpr::sum(vars.iter().zip(values).map(|(&v, &c)| LinExpr::term(v, c as f64)));
     m.set_objective(Sense::Maximize, value);
     (m, vars)
+}
+
+/// The exhaustive optimum of [`knapsack_model`]'s instance (up to 2^10
+/// points in the proptests).
+fn exhaustive_knapsack(values: &[u32], weights: &[u32], cap: u32) -> u64 {
+    let n = values.len();
+    let mut best = 0u64;
+    for mask in 0u32..(1 << n) {
+        let w: u64 = (0..n).filter(|i| mask >> i & 1 == 1).map(|i| weights[i] as u64).sum();
+        if w <= cap as u64 {
+            let v: u64 = (0..n).filter(|i| mask >> i & 1 == 1).map(|i| values[i] as u64).sum();
+            best = best.max(v);
+        }
+    }
+    best
 }
 
 /// A model built to exercise every presolve pass: a knapsack body plus
@@ -139,6 +157,41 @@ fn fast_kit_restart_is_thread_invariant_on_a_big_tree() {
             stats_one.refactor_triggers, stats_t.refactor_triggers,
             "threads={threads} mid-solve refactorizations"
         );
+        assert_eq!(
+            stats_one.range_pruned, stats_t.range_pruned,
+            "threads={threads} range-pruned children"
+        );
+    }
+}
+
+/// A tight knapsack: every item weighs about half the capacity, so a
+/// child that forces a second item in overloads the capacity row and is
+/// dropped before its LP by the row-activity proof. The optimum still
+/// equals exhaustive enumeration on every driver configuration, with one
+/// `range_pruned` count at every thread count.
+#[test]
+fn tight_knapsack_range_prunes_children_and_keeps_the_optimum() {
+    let weights = [45, 46, 47, 48, 49, 51, 52, 53];
+    let values = [46, 48, 47, 50, 52, 53, 55, 54];
+    let cap = 100;
+    let (m, _) = knapsack_model(&values, &weights, cap);
+    let best = exhaustive_knapsack(&values, &weights, cap);
+    let mut pruned = Vec::new();
+    for (name, solver) in driver_sweep() {
+        let handle = Arc::new(SolveActivity::default());
+        let sol = SolveActivity::scoped(&handle, || solver.solve(&m, &SolverConfig::default()))
+            .expect("all-zeros is feasible");
+        assert!(m.is_feasible(&sol.values, 1e-6), "{name} returned an infeasible point");
+        assert_eq!(sol.objective, best as f64, "{name}: solver vs exhaustive");
+        let stats = handle.snapshot();
+        assert!(stats.range_pruned > 0, "{name}: no child was range-pruned ({stats:?})");
+        pruned.push((solver.warm_start, stats.range_pruned));
+    }
+    // The sweep runs 1 then 4 threads per seed setting: equal counts.
+    for warm_start in [false, true] {
+        let counts: Vec<u64> =
+            pruned.iter().filter(|(w, _)| *w == warm_start).map(|&(_, n)| n).collect();
+        assert!(counts.windows(2).all(|w| w[0] == w[1]), "warm_start={warm_start}: {counts:?}");
     }
 }
 
@@ -154,16 +207,7 @@ proptest! {
         let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
         let (m, vars) = knapsack_model(&values, &weights, cap);
 
-        // Exhaustive optimum for up to 2^10 points.
-        let n = values.len();
-        let mut best = 0u64;
-        for mask in 0u32..(1 << n) {
-            let w: u64 = (0..n).filter(|i| mask >> i & 1 == 1).map(|i| weights[i] as u64).sum();
-            if w <= cap as u64 {
-                let v: u64 = (0..n).filter(|i| mask >> i & 1 == 1).map(|i| values[i] as u64).sum();
-                best = best.max(v);
-            }
-        }
+        let best = exhaustive_knapsack(&values, &weights, cap);
         for (name, solver) in driver_sweep() {
             let sol = solver.solve(&m, &SolverConfig::default())
                 .expect("all-zeros is always feasible");
@@ -276,6 +320,8 @@ proptest! {
                 "threads={} iteration counts diverged", threads);
             prop_assert_eq!(stats_one.lu_factorizations, stats_t.lu_factorizations);
             prop_assert_eq!(stats_one.memo_sibling_hits, stats_t.memo_sibling_hits);
+            prop_assert_eq!(stats_one.range_pruned, stats_t.range_pruned,
+                "threads={} range-pruned children diverged", threads);
         }
     }
 
