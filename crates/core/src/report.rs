@@ -125,6 +125,11 @@ impl SolverActivityReport {
         );
         let _ = writeln!(
             s,
+            "frontier: {} candidate nodes stored as packed integral points",
+            self.simplex.candidate_nodes,
+        );
+        let _ = writeln!(
+            s,
             "presolve: {} runs, {} rows removed, {} cols fixed, {} bounds tightened",
             self.simplex.presolve_runs,
             self.simplex.presolve_rows_removed,
@@ -376,6 +381,7 @@ mod tests {
                 memo_sibling_hits: 5,
                 bb_nodes: 21,
                 range_pruned: 4,
+                candidate_nodes: 8,
             },
         };
         let table = report.render_table();
@@ -394,6 +400,7 @@ mod tests {
             "{table}"
         );
         assert!(table.contains("4 children range-pruned before their LP"), "{table}");
+        assert!(table.contains("8 candidate nodes stored as packed integral points"), "{table}");
     }
 
     #[test]

@@ -132,6 +132,26 @@ impl SolverConfig {
     pub(crate) fn deadline_token(&self) -> Option<CancellationToken> {
         effective_token(self.cancel.as_ref(), self.time_limit)
     }
+
+    /// Rejects settings under which the search would return wrong answers:
+    /// an `int_tol` outside `[0, 0.5)` (NaN calls every point integral, a
+    /// negative one every integer fractional, and from 0.5 on rounding
+    /// can leave its integer), a NaN or negative `mip_gap`, and an
+    /// `objective_granularity` that is NaN, negative or infinite.
+    fn check(&self) -> Result<(), IlpError> {
+        let invalid = |what: String| Err(IlpError::InvalidModel(what));
+        if !(0.0..0.5).contains(&self.int_tol) {
+            return invalid(format!("int_tol {} is outside [0, 0.5)", self.int_tol));
+        }
+        if !(0.0..=f64::INFINITY).contains(&self.mip_gap) {
+            return invalid(format!("mip_gap {} is NaN or negative", self.mip_gap));
+        }
+        let g = self.objective_granularity;
+        if !(0.0..f64::INFINITY).contains(&g) {
+            return invalid(format!("objective_granularity {g} is not finite and non-negative"));
+        }
+        Ok(())
+    }
 }
 
 /// A mixed-integer linear program under construction.
@@ -367,7 +387,10 @@ impl Model {
     /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
     /// [`IlpError::NoIncumbent`] per the outcome of the search;
     /// [`IlpError::InvalidModel`] before any search when a row or objective
-    /// coefficient is not finite or a right-hand side is NaN.
+    /// coefficient is not finite or a right-hand side is NaN, or when the
+    /// [`SolverConfig`] holds an `int_tol` outside `[0, 0.5)`, a NaN or
+    /// negative `mip_gap`, or a NaN, negative or infinite
+    /// `objective_granularity`.
     pub fn solve(&self) -> Result<Solution, IlpError> {
         self.solve_with(&SolverConfig::default())
     }
@@ -409,6 +432,7 @@ impl Model {
         options: &crate::SolverOptions,
     ) -> Result<Solution, IlpError> {
         self.check_finite()?;
+        config.check()?;
         let solution = options.solver().solve(self, config)?;
         crate::certify(self, config, &solution)?;
         Ok(solution)
@@ -470,6 +494,77 @@ mod tests {
                 assert!(matches!(got, Err(IlpError::InvalidModel(_))), "{name}: {got:?}");
             }
         }
+    }
+
+    /// The search's tolerances are checked like the model's data: each
+    /// setting below used to return a wrong answer or burn the node budget
+    /// (NaN `int_tol` took the rounded LP point 7 as `Optimal` on a knapsack
+    /// whose optimum is 9; `int_tol = -1` branched on integral columns).
+    #[test]
+    fn solver_config_values_that_give_wrong_answers_are_rejected() {
+        let mut m = Model::new("knapsack");
+        let [a, b, c] = [m.binary("a"), m.binary("b"), m.binary("c")];
+        m.add_le("cap", 2.0 * a + 3.0 * b + c, 5.0);
+        m.set_objective(Sense::Maximize, 5.0 * a + 4.0 * b + 3.0 * c);
+        let bad: [(&str, SolverConfig); 10] = [
+            ("int_tol", SolverConfig { int_tol: f64::NAN, ..Default::default() }),
+            ("int_tol", SolverConfig { int_tol: f64::INFINITY, ..Default::default() }),
+            ("int_tol", SolverConfig { int_tol: f64::NEG_INFINITY, ..Default::default() }),
+            ("int_tol", SolverConfig { int_tol: -1.0, ..Default::default() }),
+            ("int_tol", SolverConfig { int_tol: 0.5, ..Default::default() }),
+            ("mip_gap", SolverConfig { mip_gap: f64::NAN, ..Default::default() }),
+            ("mip_gap", SolverConfig { mip_gap: -1e-9, ..Default::default() }),
+            (
+                "objective_granularity",
+                SolverConfig { objective_granularity: f64::NAN, ..Default::default() },
+            ),
+            (
+                "objective_granularity",
+                SolverConfig { objective_granularity: -1.0, ..Default::default() },
+            ),
+            (
+                "objective_granularity",
+                SolverConfig { objective_granularity: f64::INFINITY, ..Default::default() },
+            ),
+        ];
+        let options = crate::SolverOptions::default();
+        for (field, config) in bad {
+            for got in [m.solve_with(&config), m.solve_with_options(&config, &options)] {
+                match got {
+                    Err(IlpError::InvalidModel(why)) => assert!(why.contains(field), "{why}"),
+                    other => panic!("{field} in {config:?}: {other:?}"),
+                }
+            }
+        }
+        // The edges of the legal ranges still solve.
+        let exact = SolverConfig { int_tol: 0.0, mip_gap: 0.0, ..Default::default() };
+        assert_eq!(m.solve_with(&exact).unwrap().objective, 9.0);
+        let loose = SolverConfig {
+            mip_gap: f64::INFINITY,
+            objective_granularity: 1.0,
+            ..Default::default()
+        };
+        assert!(m.is_feasible(&m.solve_with(&loose).unwrap().values, 1e-6));
+    }
+
+    /// `int_tol = 0.4` is legal, and takes the root LP point `b = 2/3` as
+    /// integral: its rounded point `(1, 1, 1)` breaks the capacity row, so
+    /// that node's bound (10⅔) stays open. Without the heuristic seed no
+    /// incumbent exists; with it the seed's 7 comes back unproven and
+    /// degraded instead of marked `Optimal`.
+    #[test]
+    fn a_coarse_int_tol_leaves_its_unroundable_node_open() {
+        let mut m = Model::new("knapsack");
+        let [a, b, c] = [m.binary("a"), m.binary("b"), m.binary("c")];
+        m.add_le("cap", 2.0 * a + 3.0 * b + c, 5.0);
+        m.set_objective(Sense::Maximize, 5.0 * a + 4.0 * b + 3.0 * c);
+        let config = SolverConfig { int_tol: 0.4, ..Default::default() };
+        assert_eq!(m.solve_with(&config).unwrap_err(), IlpError::NoIncumbent);
+        let sol = m.solve_with_options(&config, &crate::SolverOptions::default()).unwrap();
+        assert_eq!(sol.status, SolveStatus::Feasible, "{sol:?}");
+        assert!(sol.degraded, "{sol:?}");
+        assert_eq!(sol.objective, 7.0);
+        assert!((sol.best_bound - 32.0 / 3.0).abs() < 1e-9, "the open node's bound: {sol:?}");
     }
 
     /// An infinite right-hand side is legal data: `x ≤ +∞` is vacuous and

@@ -5,8 +5,9 @@
 //! bound, nodes now store a [`BoundDelta`] chained to the parent through an
 //! [`Arc`] — resolving a node's bounds is one copy of the root vectors plus
 //! one walk up the (depth-length) chain, and sibling subtrees share their
-//! prefix. The same `Arc` plumbing carries the parent's optimal
-//! [`Basis`](crate::simplex::Basis) for warm-starting the child LP solves.
+//! prefix. Only nodes that will branch hold a chain link: a node whose LP
+//! point is integral is never branched on, so it keeps neither a chain nor
+//! a basis, just its point packed by [`PackedPoint`].
 
 use std::sync::Arc;
 
@@ -115,9 +116,116 @@ pub(crate) fn most_fractional(relax: &[f64], integral: &[usize], tol: f64) -> Op
     branch_var
 }
 
+/// A point stored with a 2-bit code per entry: bit-exact `+0.0`, bit-exact
+/// `1.0`, or *raw*, whose `f64` bits follow the code words in entry order.
+/// Lossless for every value (`-0.0`, NaN payloads and `1 ± 1 ulp` are raw),
+/// and a 0/1 point of `n` entries costs `⌈n / 32⌉` words instead of `n`.
+/// The entry count is not stored; [`unpack`](Self::unpack) takes it back.
+#[derive(Debug)]
+pub(crate) struct PackedPoint(Box<[u64]>);
+
+impl PackedPoint {
+    const ZERO: u64 = 0;
+    const ONE: u64 = 1;
+    const RAW: u64 = 2;
+
+    fn code(v: f64) -> u64 {
+        match v.to_bits() {
+            0 => Self::ZERO,
+            b if b == 1f64.to_bits() => Self::ONE,
+            _ => Self::RAW,
+        }
+    }
+
+    pub fn pack(values: &[f64]) -> PackedPoint {
+        let code_words = values.len().div_ceil(32);
+        let raw = values.iter().filter(|&&v| Self::code(v) == Self::RAW).count();
+        let mut words = Vec::with_capacity(code_words + raw);
+        words.resize(code_words, 0);
+        for (i, &v) in values.iter().enumerate() {
+            let code = Self::code(v);
+            if code == Self::RAW {
+                words.push(v.to_bits());
+            }
+            words[i / 32] |= code << (2 * (i % 32));
+        }
+        PackedPoint(words.into_boxed_slice())
+    }
+
+    /// The `n` values [`pack`](Self::pack) was given, bit for bit.
+    pub fn unpack(&self, n: usize) -> Vec<f64> {
+        let (codes, raw) = self.0.split_at(n.div_ceil(32));
+        let mut raw = raw.iter();
+        let values: Vec<f64> = (0..n)
+            .map(|i| match (codes[i / 32] >> (2 * (i % 32))) & 3 {
+                Self::ZERO => 0.0,
+                Self::ONE => 1.0,
+                _ => f64::from_bits(*raw.next().expect("one raw word per raw code")),
+            })
+            .collect();
+        debug_assert!(raw.next().is_none(), "unpacked with the wrong entry count");
+        values
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Bit patterns next to the two coded values and at the raw path's
+    /// edges: signed zeros, `1 ± 1 ulp`, subnormals, huge and non-finite
+    /// values. Generated entries draw from these or from uniform `f64` bits.
+    const EDGES: [f64; 15] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f64::from_bits(0x3FF0_0000_0000_0001),
+        f64::from_bits(0x3FEF_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE / 3.0,
+        -f64::MIN_POSITIVE / 7.0,
+        5e-324,
+        f64::MAX,
+        1e300,
+        -4.5e15,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    fn entry() -> impl Strategy<Value = f64> {
+        (0..2 * EDGES.len(), any::<u64>())
+            .prop_map(|(k, bits)| EDGES.get(k).copied().unwrap_or(f64::from_bits(bits)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every entry comes back with its exact bits, whatever the mix of
+        /// coded and raw entries and however many code words it spans.
+        #[test]
+        fn packed_points_round_trip_bit_for_bit(
+            values in proptest::collection::vec(entry(), 0..100),
+        ) {
+            let back = PackedPoint::pack(&values).unpack(values.len());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&values));
+        }
+    }
+
+    #[test]
+    fn a_zero_one_point_packs_into_its_code_words() {
+        let point: Vec<f64> = (0..35).map(|i| (i % 3 == 0) as u8 as f64).collect();
+        let packed = PackedPoint::pack(&point);
+        assert_eq!(packed.0.len(), 2, "35 codes, no raw entry");
+        assert_eq!(packed.unpack(35), point);
+        let mut mixed = point.clone();
+        mixed[7] = -0.0;
+        mixed[34] = 0.5;
+        assert_eq!(PackedPoint::pack(&mixed).0.len(), 4, "two raw entries");
+    }
 
     #[test]
     fn chain_resolution_applies_all_ancestors() {

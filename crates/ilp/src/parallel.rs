@@ -24,6 +24,15 @@
 //! is dropped without an LP, exactly as its `Infeasible` LP outcome would
 //! have dropped it, so the search visits the same nodes in the same order.
 //!
+//! An open node holds only what its expansion reads ([`Node`]). The
+//! branching column is a pure function of the LP point, so it is picked
+//! when the node is created: a fractional node keeps its chain, its basis
+//! and that column's value, and its point is dropped. An integral node is
+//! expanded only to be offered as an incumbent, so it keeps its point,
+//! packed losslessly ([`PackedPoint`]), and no chain or basis. On the weak
+//! bisection relaxations most open nodes are integral, and the frontier is
+//! what bounds the search's memory.
+//!
 //! Only wall-clock expiry ([`SolverConfig::time_limit`]) can break this
 //! determinism, because the cut-off point then depends on machine speed.
 //! Every branch-and-bound solver has that caveat; TAPA-CS's bisection ILPs
@@ -55,7 +64,7 @@ use crate::branch_bound::{
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
-use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta};
+use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta, PackedPoint};
 use crate::presolve::{activity_range, PresolvedLp};
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, FEAS_TOL};
 use crate::solution::{Solution, SolveStatus};
@@ -64,18 +73,64 @@ use crate::solution::{Solution, SolveStatus};
 /// the worker count) so the search is deterministic across thread counts.
 const BATCH: usize = 4;
 
-/// An open node. `seq` is the deterministic push order, used to break bound
-/// ties so the heap pop order is a total order.
+/// An open node, holding only what its expansion reads. `seq` is the
+/// deterministic push order (the root is 0; a child gets its `seq` when the
+/// merge pushes it), used to break bound ties so the heap pop order is a
+/// total order.
 struct Node {
     /// LP relaxation bound in *minimize* direction.
     bound: f64,
     seq: u64,
+    state: NodeState,
+}
+
+/// What expanding a node needs, decided once from its LP point when the
+/// node is created ([`Node::new`]).
+enum NodeState {
+    /// A fractional LP point: expansion branches.
+    Branch(Branch),
+    /// An integral LP point in *reduced* space: expansion offers it as an
+    /// incumbent and branches on nothing, so it keeps no chain and no basis.
+    Candidate(PackedPoint),
+}
+
+/// A fractional node's branching state: its LP point is not kept.
+struct Branch {
     /// Sparse bound state (deltas back to the presolved root).
     chain: Arc<BoundChain>,
-    /// Fractional LP point in *reduced* space (picks the branching var).
-    relax: Vec<f64>,
-    /// This node's optimal basis — the children's warm start.
-    basis: Arc<Basis>,
+    /// This node's optimal basis — its children's warm start.
+    basis: Box<Basis>,
+    /// The branching column ([`most_fractional`]) in *reduced* space.
+    var: usize,
+    /// Its LP value, which the children's bounds round down and up.
+    value: f64,
+}
+
+impl Node {
+    /// The node an optimal LP outcome opens. `chain` runs only for a
+    /// branching node; its `seq` is 0 until the merge assigns one.
+    fn new(
+        ctx: &SearchCtx<'_>,
+        objective: f64,
+        relax: &[f64],
+        basis: Basis,
+        chain: impl FnOnce() -> Arc<BoundChain>,
+    ) -> Node {
+        let state = match most_fractional(relax, ctx.red_integral, ctx.config.int_tol) {
+            Some(var) => NodeState::Branch(Branch {
+                chain: chain(),
+                basis: Box::new(basis),
+                var,
+                value: relax[var],
+            }),
+            None => NodeState::Candidate(PackedPoint::pack(relax)),
+        };
+        Node { bound: ctx.to_min(objective), seq: 0, state }
+    }
+
+    fn is_candidate(&self) -> bool {
+        matches!(self.state, NodeState::Candidate(_))
+    }
 }
 
 impl PartialEq for Node {
@@ -101,14 +156,6 @@ impl Ord for Node {
     }
 }
 
-/// A child produced by expanding a node; gets its `seq` at merge time.
-struct Child {
-    bound: f64,
-    chain: Arc<BoundChain>,
-    relax: Vec<f64>,
-    basis: Arc<Basis>,
-}
-
 /// Outcome of expanding one batch slot. Pure function of the node (modulo
 /// deadline expiry), so slots can be computed on any worker without
 /// affecting the result.
@@ -116,9 +163,16 @@ enum Expansion {
     /// The node's relaxation was integral: a candidate incumbent (already
     /// offered to the shared incumbent by the worker).
     Candidate,
+    /// The node's relaxation was integral to `int_tol`, but its rounded
+    /// point fails the model's own rows at `1e-6` (the LP point was feasible
+    /// only to the row-scaled tolerance). Nothing is offered and nothing is
+    /// left to branch on, so the node's `bound` stays open: the search
+    /// cannot count the tree as exhausted below it.
+    Unresolved { bound: f64 },
     /// Children in deterministic `[down, up]` order (infeasible ones
-    /// dropped). `timed_out` marks an expansion cut short by the deadline.
-    Children { children: Vec<Child>, timed_out: bool },
+    /// dropped), each with `seq` 0. `timed_out` marks an expansion cut
+    /// short by the deadline.
+    Children { children: Vec<Node>, timed_out: bool },
     /// A child LP was unbounded — modelling error, abort the solve.
     Unbounded,
 }
@@ -225,6 +279,15 @@ impl SearchCtx<'_> {
     }
 }
 
+/// Adds one search attempt's expanded and candidate node counts to the
+/// activity counters.
+fn record_search(nodes: usize, candidates: u64) {
+    crate::stats::record(|a| {
+        a.record_bb_nodes(nodes as u64);
+        a.record_candidate_nodes(candidates);
+    });
+}
+
 /// The rows each column of `lp` appears in, ascending.
 fn column_rows(lp: &LpProblem) -> Vec<Vec<usize>> {
     let mut index = vec![Vec::new(); lp.n_vars];
@@ -237,7 +300,8 @@ fn column_rows(lp: &LpProblem) -> Vec<Vec<usize>> {
 }
 
 /// Expands one node: either reports an integral candidate (offered to the
-/// shared incumbent) or returns the branched children. No bound pruning
+/// shared incumbent, or [`Expansion::Unresolved`] when its rounded point is
+/// infeasible) or returns the branched children. No bound pruning
 /// happens here — children are pruned against the incumbent
 /// deterministically at merge time; infeasible children are simply absent
 /// ([`expand_children`]). `kit` is the attempt's fast-kit verdict (constant per attempt, so every slot prices
@@ -250,32 +314,35 @@ fn expand_node(
     lo_buf: &mut Vec<f64>,
     hi_buf: &mut Vec<f64>,
 ) -> Expansion {
-    let Some(j) = most_fractional(&node.relax, ctx.red_integral, ctx.config.int_tol) else {
-        // Integral point: candidate incumbent (checked in full space).
-        let mut reduced = node.relax.clone();
-        for &k in ctx.red_integral {
-            reduced[k] = reduced[k].round();
-        }
-        let mut values = ctx.pre.postsolve(&reduced);
-        for &k in ctx.integral {
-            values[k] = values[k].round();
-        }
-        if ctx.model.is_feasible(&values, 1e-6) {
-            let obj = ctx.to_min(objective_of(ctx.full_lp, &values));
-            offer(incumbent, obj, &values);
-        }
-        return Expansion::Candidate;
+    let point = match &node.state {
+        NodeState::Branch(branch) => return expand_children(ctx, kit, branch, lo_buf, hi_buf),
+        NodeState::Candidate(point) => point,
     };
-    expand_children(ctx, kit, node, j, lo_buf, hi_buf)
+    // Integral point: candidate incumbent (checked in full space).
+    let mut reduced = point.unpack(ctx.pre.lp.n_vars);
+    for &k in ctx.red_integral {
+        reduced[k] = reduced[k].round();
+    }
+    let mut values = ctx.pre.postsolve(&reduced);
+    for &k in ctx.integral {
+        values[k] = values[k].round();
+    }
+    if !ctx.model.is_feasible(&values, 1e-6) {
+        return Expansion::Unresolved { bound: node.bound };
+    }
+    let obj = ctx.to_min(objective_of(ctx.full_lp, &values));
+    offer(incumbent, obj, &values);
+    Expansion::Candidate
 }
 
-/// Solves the two branching children of `node` on `branch_var`:
-/// `branch_var <= floor(v)` and `branch_var >= ceil(v)`, warm-started from
-/// the node's basis unless [`ParallelSolver::warm_lp`] is off. Both come
-/// from one install of that basis ([`PreparedLp::solve_children`]).
+/// Solves the two branching children of a fractional node on its column
+/// `j = branch.var` at LP value `v = branch.value`: `j <= floor(v)` and
+/// `j >= ceil(v)`, warm-started from the node's basis unless
+/// [`ParallelSolver::warm_lp`] is off. Both come from one install of that
+/// basis ([`PreparedLp::solve_children`]).
 ///
 /// A child never reaches an LP when its box is empty or when presolve's
-/// row-activity proof condemns one of `branch_var`'s rows over that box
+/// row-activity proof condemns one of `j`'s rows over that box
 /// ([`SearchCtx::range_infeasible`], counted in
 /// [`SolveStats::range_pruned`](crate::SolveStats::range_pruned)). Either
 /// way its LP would have come back [`LpOutcome::Infeasible`], which pushes
@@ -287,16 +354,14 @@ fn expand_node(
 fn expand_children(
     ctx: &SearchCtx<'_>,
     kit: bool,
-    node: &Node,
-    branch_var: usize,
+    branch: &Branch,
     lower: &mut Vec<f64>,
     upper: &mut Vec<f64>,
 ) -> Expansion {
     let lp = &ctx.pre.lp;
-    let warm = if ctx.solver.warm_lp { Some(node.basis.as_ref()) } else { None };
-    node.chain.resolve(&lp.lower, &lp.upper, lower, upper);
-    let j = branch_var;
-    let branch_value = node.relax[j];
+    let warm = if ctx.solver.warm_lp { Some(branch.basis.as_ref()) } else { None };
+    branch.chain.resolve(&lp.lower, &lp.upper, lower, upper);
+    let (j, branch_value) = (branch.var, branch.value);
     let (node_lo, node_hi) = (lower[j], upper[j]);
     let mut deltas = Vec::with_capacity(2);
     let mut boxes = Vec::with_capacity(2);
@@ -328,12 +393,9 @@ fn expand_children(
     for (delta, outcome) in deltas.into_iter().zip(outcomes) {
         match outcome {
             LpOutcome::Optimal { values, objective, basis } => {
-                children.push(Child {
-                    bound: ctx.to_min(objective),
-                    chain: BoundChain::child(&node.chain, delta),
-                    relax: values,
-                    basis: Arc::new(basis),
-                });
+                children.push(Node::new(ctx, objective, &values, basis, || {
+                    BoundChain::child(&branch.chain, delta)
+                }));
             }
             LpOutcome::Infeasible => {}
             LpOutcome::Unbounded => return Expansion::Unbounded,
@@ -359,14 +421,10 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     // The root is node zero of the search: the kit verdict covers it too,
     // so a small tree replays the exact trajectory from its very first
     // solve and a restarted search prices its root with the full kit.
-    let root = match ctx.prep.solve_node(&lp.lower, &lp.upper, None, kit) {
-        LpOutcome::Optimal { values, objective, basis } => Node {
-            bound: ctx.to_min(objective),
-            seq: 0,
-            chain: BoundChain::root(),
-            relax: values,
-            basis: Arc::new(basis),
-        },
+    let (root, root_relax) = match ctx.prep.solve_node(&lp.lower, &lp.upper, None, kit) {
+        LpOutcome::Optimal { values, objective, basis } => {
+            (Node::new(ctx, objective, &values, basis, BoundChain::root), values)
+        }
         LpOutcome::Infeasible => return Err(IlpError::Infeasible),
         // The relaxation is unbounded. With all-finite integer bounds the
         // MIP itself may still be bounded, but for our use cases this
@@ -384,7 +442,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     // [`ParallelSolver::warm_start`] is on and rounding alone is infeasible.
     // Candidates live in the *original* variable space (postsolved).
     let incumbent: Mutex<Option<Incumbent>> = Mutex::new(None);
-    let full_relax = ctx.pre.postsolve(&root.relax);
+    let full_relax = ctx.pre.postsolve(&root_relax);
     let mut seed = round_repair(ctx.model, &full_relax, ctx.integral);
     if seed.is_none() && ctx.solver.warm_start {
         seed = crate::solver::greedy_repair(ctx.model, ctx.full_lp, &full_relax, ctx.integral);
@@ -397,7 +455,11 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
 
     let mut heap = BinaryHeap::new();
     let mut next_seq = 1u64;
+    let mut candidates = u64::from(root.is_candidate());
     heap.push(root);
+    // The least bound of the [`Expansion::Unresolved`] nodes: open for
+    // good, since nothing can branch them closed.
+    let mut unresolved: Option<f64> = None;
 
     // Main-thread scratch bound buffers (leader + single-worker rounds);
     // spawned workers carry their own pair per chunk.
@@ -447,7 +509,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         nodes += batch.len();
         if restart_eligible && nodes >= restart_after {
             // The abandoned attempt's nodes still count as explored work.
-            crate::stats::record(|a| a.record_bb_nodes(nodes as u64));
+            record_search(nodes, candidates);
             return Ok(None);
         }
         if nodes > config.max_nodes {
@@ -522,21 +584,20 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
             match expansion {
                 Expansion::Unbounded => return Err(IlpError::Unbounded),
                 Expansion::Candidate => {}
+                Expansion::Unresolved { bound } => {
+                    unresolved = Some(unresolved.map_or(bound, |b| b.min(bound)));
+                }
                 Expansion::Children { children, timed_out } => {
                     if timed_out {
                         budget_hit = true;
                     }
-                    for child in children {
+                    for mut child in children {
                         let dominated =
                             merged_obj.is_some_and(|best| tighten(child.bound) >= best - 1e-12);
                         if !dominated {
-                            heap.push(Node {
-                                bound: child.bound,
-                                seq: next_seq,
-                                chain: child.chain,
-                                relax: child.relax,
-                                basis: child.basis,
-                            });
+                            child.seq = next_seq;
+                            candidates += u64::from(child.is_candidate());
+                            heap.push(child);
                             next_seq += 1;
                         }
                     }
@@ -551,7 +612,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     // Node-tree size is the canary for pricing-rule regressions (a pricing
     // change that reaches different LP vertices shows up here before it
     // shows up in wall time), so every finished search records it.
-    crate::stats::record(|a| a.record_bb_nodes(nodes as u64));
+    record_search(nodes, candidates);
 
     // An external cancel aborts outright — the caller asked the job to stop,
     // so even an incumbent on hand is not returned. Deadline expiry instead
@@ -560,8 +621,20 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         return Err(IlpError::Cancelled);
     }
 
-    let exhausted = heap.is_empty() && !budget_hit;
-    match incumbent.into_inner().unwrap() {
+    let incumbent = incumbent.into_inner().unwrap();
+    // An unresolved bound the incumbent dominates is closed exactly as the
+    // batch pop would have closed it; any other keeps the search open.
+    let unresolved = unresolved.filter(|&b| {
+        incumbent
+            .as_ref()
+            .is_none_or(|i| tighten(b) < i.obj - config.mip_gap.max(1e-12) * i.obj.abs().max(1.0))
+    });
+    let heap_closed = heap.is_empty() && !budget_hit;
+    let exhausted = heap_closed && unresolved.is_none();
+    if let Some(b) = unresolved {
+        best_open_bound = if heap_closed { b } else { best_open_bound.min(b) };
+    }
+    match incumbent {
         Some(Incumbent { obj, values }) => {
             let proven = exhausted
                 || (obj - best_open_bound).abs()
@@ -575,8 +648,9 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
                 // A budget-truncated incumbent is an *anytime* result: how
                 // good it is depends on when the clock stopped. Marking it
                 // degraded keeps it out of the persistent solve cache and
-                // out of Pareto frontiers.
-                degraded: budget_hit && !proven,
+                // out of Pareto frontiers. So is one that an unresolved
+                // node's bound leaves unproven.
+                degraded: (budget_hit || unresolved.is_some()) && !proven,
             }))
         }
         None => {
@@ -700,7 +774,7 @@ impl crate::Solver for ParallelSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinExpr, Sense, Solver, SolverConfig};
+    use crate::{LinExpr, Sense, SolveStatus, Solver, SolverConfig};
 
     fn knapsack(n: usize) -> Model {
         let mut m = Model::new("pk");
@@ -791,6 +865,100 @@ mod tests {
                 (budget as u64..budget as u64 + BATCH as u64).contains(&abandoned),
                 "threads={threads}: abandoned {abandoned} nodes, budget {budget} ({rows} rows)"
             );
+        }
+    }
+
+    /// A frontier of tens of thousands of open nodes pays this per node
+    /// on top of what it points to, so it may not grow past the 56 bytes
+    /// a node took when each one held a point, a basis and a chain link.
+    #[test]
+    fn a_node_stays_within_56_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 56, "{} bytes", std::mem::size_of::<Node>());
+    }
+
+    /// A min-cut bisection built like the compiler's two-way split: binary
+    /// sides `x`, cut indicators `y ≥ |x_a − x_b|` weighted by edge width,
+    /// and a two-sided balance row. The root bound is 0 (every `x` at ½),
+    /// so the search climbs a plateau where most LP points are integral.
+    fn plateau_bisection(items: usize) -> Model {
+        let mut m = Model::new("plateau");
+        let x: Vec<_> = (0..items).map(|_| m.binary("x")).collect();
+        let edges: Vec<(usize, usize)> = (0..items)
+            .flat_map(|i| [(i, (i + 1) % items), (i, (i + 3) % items), (i, (i * 7 + 2) % items)])
+            .filter(|&(a, b)| a < b)
+            .collect();
+        let mut objective = LinExpr::new();
+        for (k, &(a, b)) in edges.iter().enumerate() {
+            let y = m.continuous("y", 0.0, 1.0);
+            m.add_ge("c1", y - x[a] + x[b], 0.0);
+            m.add_ge("c2", y - x[b] + x[a], 0.0);
+            objective.add_term(y, (32 * (1 + k % 3)) as f64);
+        }
+        let load = |i: usize| (3 + (i * 5) % 7) as f64;
+        let total: f64 = (0..items).map(load).sum();
+        let high = LinExpr::sum(x.iter().enumerate().map(|(i, &v)| LinExpr::term(v, load(i))));
+        m.add_ge("balH", high.clone(), 0.45 * total);
+        m.add_le("balL", high, 0.55 * total);
+        m.set_objective(Sense::Minimize, objective);
+        m
+    }
+
+    /// Integral LP points are stored as packed candidates (no basis, no
+    /// chain), and the search that reads them back is the same at every
+    /// thread count: point, objective bits, tree and LP work.
+    #[test]
+    fn plateau_candidates_are_stored_packed_and_thread_invariant() {
+        let m = plateau_bisection(14);
+        let config = SolverConfig { objective_granularity: 32.0, ..SolverConfig::default() };
+        let mut runs = Vec::new();
+        for threads in [1, 2, 4] {
+            let handle = Arc::new(crate::SolveActivity::default());
+            let sol = crate::SolveActivity::scoped(&handle, || {
+                ParallelSolver { threads, warm_start: false, ..Default::default() }
+                    .solve(&m, &config)
+            })
+            .unwrap();
+            assert_eq!(sol.status, SolveStatus::Optimal);
+            assert!(!sol.degraded);
+            crate::certify(&m, &config, &sol).unwrap();
+            let stats = handle.snapshot();
+            assert!(stats.candidate_nodes > 0, "threads={threads}: no candidate node ({stats:?})");
+            runs.push((threads, sol, stats));
+        }
+        let (_, one, one_stats) = &runs[0];
+        assert!(one.nodes_explored > 20, "the plateau must branch: {}", one.nodes_explored);
+        for (threads, sol, stats) in &runs[1..] {
+            assert_eq!(sol.values, one.values, "threads={threads}");
+            assert_eq!(sol.objective.to_bits(), one.objective.to_bits(), "threads={threads}");
+            assert_eq!(sol.nodes_explored, one.nodes_explored, "threads={threads}");
+            assert_eq!(stats.lp_solves, one_stats.lp_solves, "threads={threads}");
+            assert_eq!(stats.candidate_nodes, one_stats.candidate_nodes, "threads={threads}");
+        }
+    }
+
+    /// `c·x + y ≥ r` with `x` binary and `y ∈ [0, 10]`, minimizing
+    /// `c·x + 10·y`: the optimum is `x = 0, y = r` at `10·r`. The root LP
+    /// point `x = r / c` is integral to `int_tol`, but rounds to `x = 0,
+    /// y = 0`, which breaks the row. That node may not be dropped as if
+    /// its subtree were searched: without the heuristic seed there is no
+    /// incumbent, with it the seed's `x = 1` comes back unproven and
+    /// degraded, never `Optimal`, and the bound never claims more than the
+    /// true optimum.
+    #[test]
+    fn an_unroundable_integral_point_keeps_its_bound_open() {
+        for (c, r) in [(1e6, 0.1), (1e5, 0.05), (5e4, 0.02), (1e3, 1e-4)] {
+            let mut m = Model::new("unroundable");
+            let x = m.binary("x");
+            let y = m.continuous("y", 0.0, 10.0);
+            m.add_ge("row", c * x + y, r);
+            m.set_objective(Sense::Minimize, c * x + 10.0 * y);
+            let config = SolverConfig::default();
+            assert_eq!(m.solve_with(&config).unwrap_err(), IlpError::NoIncumbent, "c={c} r={r}");
+            let sol = m.solve_with_options(&config, &crate::SolverOptions::default()).unwrap();
+            assert_eq!(sol.status, SolveStatus::Feasible, "c={c} r={r}: {sol:?}");
+            assert!(sol.degraded, "c={c} r={r}: {sol:?}");
+            assert_eq!(sol.values, [1.0, 0.0], "the heuristic seed");
+            assert!(sol.best_bound <= 10.0 * r + 1e-9, "c={c} r={r}: {sol:?}");
         }
     }
 

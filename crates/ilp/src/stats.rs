@@ -88,6 +88,12 @@ pub struct SolveStats {
     /// the drop saves exactly that solve and moves no search decision; a
     /// function of the search alone, the same at every thread count.
     pub range_pruned: u64,
+    /// Integral LP points pushed onto a branch-and-bound frontier, the
+    /// root included: open nodes that hold a packed candidate point
+    /// instead of a basis and a bound chain. Attempts abandoned by the kit
+    /// restart count too; a function of the search alone, the same at
+    /// every thread count.
+    pub candidate_nodes: u64,
     /// Models run through [`presolve`](crate::SolverOptions::presolve).
     pub presolve_runs: u64,
     /// Constraint rows removed as empty, singleton or redundant.
@@ -142,6 +148,7 @@ impl SolveStats {
             memo_sibling_hits: self.memo_sibling_hits + other.memo_sibling_hits,
             bb_nodes: self.bb_nodes + other.bb_nodes,
             range_pruned: self.range_pruned + other.range_pruned,
+            candidate_nodes: self.candidate_nodes + other.candidate_nodes,
             presolve_runs: self.presolve_runs + other.presolve_runs,
             presolve_rows_removed: self.presolve_rows_removed + other.presolve_rows_removed,
             presolve_cols_fixed: self.presolve_cols_fixed + other.presolve_cols_fixed,
@@ -177,6 +184,7 @@ impl SolveStats {
             memo_sibling_hits: self.memo_sibling_hits.saturating_sub(earlier.memo_sibling_hits),
             bb_nodes: self.bb_nodes.saturating_sub(earlier.bb_nodes),
             range_pruned: self.range_pruned.saturating_sub(earlier.range_pruned),
+            candidate_nodes: self.candidate_nodes.saturating_sub(earlier.candidate_nodes),
             presolve_runs: self.presolve_runs.saturating_sub(earlier.presolve_runs),
             presolve_rows_removed: self
                 .presolve_rows_removed
@@ -212,6 +220,7 @@ pub struct SolveActivity {
     memo_sibling_hits: AtomicU64,
     bb_nodes: AtomicU64,
     range_pruned: AtomicU64,
+    candidate_nodes: AtomicU64,
     presolve_runs: AtomicU64,
     presolve_rows_removed: AtomicU64,
     presolve_cols_fixed: AtomicU64,
@@ -303,6 +312,7 @@ impl SolveActivity {
             memo_sibling_hits: self.memo_sibling_hits.load(Ordering::Relaxed),
             bb_nodes: self.bb_nodes.load(Ordering::Relaxed),
             range_pruned: self.range_pruned.load(Ordering::Relaxed),
+            candidate_nodes: self.candidate_nodes.load(Ordering::Relaxed),
             presolve_runs: self.presolve_runs.load(Ordering::Relaxed),
             presolve_rows_removed: self.presolve_rows_removed.load(Ordering::Relaxed),
             presolve_cols_fixed: self.presolve_cols_fixed.load(Ordering::Relaxed),
@@ -330,6 +340,7 @@ impl SolveActivity {
         self.memo_sibling_hits.store(0, Ordering::Relaxed);
         self.bb_nodes.store(0, Ordering::Relaxed);
         self.range_pruned.store(0, Ordering::Relaxed);
+        self.candidate_nodes.store(0, Ordering::Relaxed);
         self.presolve_runs.store(0, Ordering::Relaxed);
         self.presolve_rows_removed.store(0, Ordering::Relaxed);
         self.presolve_cols_fixed.store(0, Ordering::Relaxed);
@@ -371,6 +382,11 @@ impl SolveActivity {
     /// Adds one expansion's range-pruned children.
     pub(crate) fn record_range_pruned(&self, children: u64) {
         self.range_pruned.fetch_add(children, Ordering::Relaxed);
+    }
+
+    /// Adds one search attempt's candidate nodes.
+    pub(crate) fn record_candidate_nodes(&self, nodes: u64) {
+        self.candidate_nodes.fetch_add(nodes, Ordering::Relaxed);
     }
 
     pub(crate) fn record_warm_attempt(&self) {
@@ -477,6 +493,7 @@ mod tests {
         act.record_lu(&[2, 17, 4, 9, 1, 1, 3, 6, 2, 5, 4]);
         act.record_bb_nodes(13);
         act.record_range_pruned(6);
+        act.record_candidate_nodes(11);
         let s = act.snapshot();
         assert_eq!(s.lp_solves, 1);
         assert_eq!(s.simplex_iterations, 12);
@@ -496,6 +513,7 @@ mod tests {
         assert_eq!(s.memo_sibling_hits, 4);
         assert_eq!(s.bb_nodes, 13);
         assert_eq!(s.range_pruned, 6);
+        assert_eq!(s.candidate_nodes, 11);
         act.clear();
         assert_eq!(act.snapshot(), SolveStats::default());
     }
@@ -516,6 +534,7 @@ mod tests {
             memo_sibling_hits: 7,
             bb_nodes: 20,
             range_pruned: 9,
+            candidate_nodes: 15,
             ..Default::default()
         };
         let b = SolveStats {
@@ -532,6 +551,7 @@ mod tests {
             memo_sibling_hits: 5,
             bb_nodes: 8,
             range_pruned: 3,
+            candidate_nodes: 4,
             ..Default::default()
         };
         let m = a.merged(&b);
@@ -545,6 +565,7 @@ mod tests {
         assert_eq!(m.memo_sibling_hits, 12);
         assert_eq!(m.bb_nodes, 28);
         assert_eq!(m.range_pruned, 12);
+        assert_eq!(m.candidate_nodes, 19);
         let d = a.since(&b);
         assert_eq!(d.lu_factorizations, 3);
         assert_eq!(d.lu_fill_nnz, 30);
@@ -557,5 +578,6 @@ mod tests {
         assert_eq!(d.memo_sibling_hits, 2);
         assert_eq!(d.bb_nodes, 12);
         assert_eq!(d.range_pruned, 6);
+        assert_eq!(d.candidate_nodes, 11);
     }
 }
