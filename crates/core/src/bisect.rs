@@ -210,9 +210,19 @@ impl Split {
     ///
     /// Every row is built term by term in ascending variable order (the
     /// sides `x` first, then the cut indicators `y`), so each term is a
-    /// plain append to its row.
+    /// plain append to its row. The columns, the rows and each long row
+    /// (objective, capacity, balance) are sized up front to what they
+    /// receive, so none of them regrows.
     fn model(&self) -> (Model, Vec<VarId>) {
-        let mut m = Model::new("two-way-split");
+        let classes = self.pinned_symmetry_classes();
+        let pins = self.items.iter().filter(|item| item.pin.is_some()).count();
+        let rows = pins
+            + 2 * self.edges.len()
+            + 2 * ResourceKind::ALL.len()
+            + if self.balance.is_some() { 2 } else { 0 }
+            + classes.iter().map(|class| class.len() - 1).sum::<usize>();
+        let mut m =
+            Model::with_capacity("two-way-split", self.items.len() + self.edges.len(), rows);
         let mut x = Vec::with_capacity(self.items.len());
         for item in &self.items {
             let v = m.binary("x");
@@ -222,12 +232,13 @@ impl Split {
             x.push(v);
         }
 
-        let mut objective = LinExpr::new();
+        let mut objective =
+            LinExpr::with_capacity(self.edges.iter().filter(|&&(_, _, w)| w != 0).count());
         for &(a, b, width) in &self.edges {
             let y = m.continuous("y", 0.0, 1.0);
             // `y − x[from] + x[to] ≥ 0`, its terms in variable order.
             let cut_row = |from: usize, to: usize| {
-                let mut row = LinExpr::new();
+                let mut row = LinExpr::with_capacity(3);
                 if from < to {
                     row.add_term(x[from], -1.0).add_term(x[to], 1.0);
                 } else {
@@ -245,7 +256,7 @@ impl Split {
         // expression, and the most it can be.
         let load = |of: &[usize], kind: ResourceKind| -> (LinExpr, f64) {
             let amount = |i: usize| self.items[i].resources.get(kind) as f64;
-            let mut expr = LinExpr::new();
+            let mut expr = LinExpr::with_capacity(of.iter().filter(|&&i| amount(i) != 0.0).count());
             for &i in of {
                 expr.add_term(x[i], amount(i));
             }
@@ -274,7 +285,6 @@ impl Split {
         }
 
         // Interchangeable items take the high side in position order.
-        let classes = self.pinned_symmetry_classes();
         for pair in classes.iter().flat_map(|class| class.windows(2)) {
             let mut row = LinExpr::term(x[pair[0]], 1.0);
             row.add_term(x[pair[1]], -1.0);
@@ -301,7 +311,10 @@ impl Split {
         log: &SplitLog,
     ) -> Result<Option<Vec<bool>>, CompileError> {
         let (model, x) = self.model();
-        let mut config = SolverConfig::with_time_limit(Duration::from_secs_f64(setup.time_limit_s));
+        // The compiler rejects a NaN or negative limit before its first
+        // stage; one past what a `Duration` holds (+∞, 1e30) is no limit.
+        let time_limit = Duration::try_from_secs_f64(setup.time_limit_s).ok();
+        let mut config = SolverConfig { time_limit, ..SolverConfig::default() };
         config.objective_granularity = self.objective_granularity() as f64;
         config.cancel = setup.cancel.clone();
         match model.solve_with_options(&config, setup.solver) {

@@ -95,6 +95,33 @@ impl Default for CompilerConfig {
     }
 }
 
+impl CompilerConfig {
+    /// Rejects a NaN or negative number among the stage configurations'
+    /// thresholds, slacks and time limits, naming the field. A threshold
+    /// or a time limit of +∞ stands (the latter, like one too large for a
+    /// [`std::time::Duration`], is no limit).
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::InvalidConfig`] for the first offending field.
+    pub fn check(&self) -> Result<(), CompileError> {
+        let (p, f) = (&self.partition, &self.floorplan);
+        let fields = [
+            ("partition.threshold", p.threshold),
+            ("partition.time_limit_s", p.time_limit_s),
+            ("partition.balance_slack", p.balance_slack),
+            ("floorplan.slot_threshold", f.slot_threshold),
+            ("floorplan.time_limit_s", f.time_limit_s),
+            ("floorplan.balance_slack", f.balance_slack),
+            ("single_fpga_threshold", self.single_fpga_threshold),
+        ];
+        match fields.into_iter().find(|&(_, value)| value.is_nan() || value < 0.0) {
+            Some((field, value)) => Err(CompileError::InvalidConfig { field, value }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// A fully compiled design: every artifact of the seven-step pipeline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompiledDesign {
@@ -225,6 +252,7 @@ impl Compiler {
         let valid = graph
             .validate()
             .map_err(CompileError::from)
+            .and_then(|()| self.config.check())
             .and_then(|()| {
                 let available = self.cluster.total_fpgas();
                 if n >= 1 && n <= available {

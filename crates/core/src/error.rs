@@ -55,6 +55,15 @@ pub enum CompileError {
         /// Human-readable description of the mismatch.
         detail: String,
     },
+    /// A number in the compiler configuration is NaN or negative (see
+    /// [`crate::CompilerConfig::check`]). Checked before the first stage,
+    /// so no stage turns it into a panic.
+    InvalidConfig {
+        /// The field, as `stage.field` (`partition.time_limit_s`).
+        field: &'static str,
+        /// The value it held.
+        value: f64,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -79,6 +88,9 @@ impl fmt::Display for CompileError {
             },
             CompileError::InvalidOverride { detail } => {
                 write!(f, "invalid stage override: {detail}")
+            }
+            CompileError::InvalidConfig { field, value } => {
+                write!(f, "invalid compiler configuration: {field} = {value} (must be a number >= 0)")
             }
         }
     }

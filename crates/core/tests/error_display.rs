@@ -51,6 +51,20 @@ fn invalid_override_carries_the_detail() {
 }
 
 #[test]
+fn invalid_config_names_the_field_and_its_value() {
+    let e = CompileError::InvalidConfig { field: "partition.time_limit_s", value: f64::NAN };
+    assert_eq!(
+        e.to_string(),
+        "invalid compiler configuration: partition.time_limit_s = NaN (must be a number >= 0)"
+    );
+    let e = CompileError::InvalidConfig { field: "floorplan.slot_threshold", value: -0.5 };
+    assert_eq!(
+        e.to_string(),
+        "invalid compiler configuration: floorplan.slot_threshold = -0.5 (must be a number >= 0)"
+    );
+}
+
+#[test]
 fn compile_error_is_a_std_error() {
     // The pipeline returns these through `Box<dyn Error>` in the binary.
     let e: Box<dyn std::error::Error> = Box::new(CompileError::Solver("x".into()));

@@ -3,6 +3,7 @@
 //! inspectable, overrides skip stages, and cluster-size violations fail
 //! per-compile instead of panicking.
 
+use tapacs_apps::{stencil, suite};
 use tapacs_core::{CompileError, CompileOverrides, Compiler, CompilerConfig, Flow, Stage};
 use tapacs_fpga::{Device, Resources};
 use tapacs_graph::{Fifo, Task, TaskGraph};
@@ -178,4 +179,65 @@ fn pipelining_override_toggles_registers_independently_of_the_flow() {
         .into_result()
         .unwrap();
     assert!(on.pipeline.total_register_bits > 0);
+}
+
+/// Hostile budgets and thresholds fail in Validate with the field named,
+/// before a stage can panic on them (`Duration::from_secs_f64` on a time
+/// limit, `Resources::scale` on a NaN slot threshold). A time limit of +∞,
+/// or one too large for a `Duration`, is no limit.
+#[test]
+fn nan_or_negative_config_numbers_fail_validation_naming_the_field() {
+    type Set = fn(&mut CompilerConfig, f64);
+    let fields: [(&str, Set); 7] = [
+        ("partition.threshold", |c, v| c.partition.threshold = v),
+        ("partition.time_limit_s", |c, v| c.partition.time_limit_s = v),
+        ("partition.balance_slack", |c, v| c.partition.balance_slack = v),
+        ("floorplan.slot_threshold", |c, v| c.floorplan.slot_threshold = v),
+        ("floorplan.time_limit_s", |c, v| c.floorplan.time_limit_s = v),
+        ("floorplan.balance_slack", |c, v| c.floorplan.balance_slack = v),
+        ("single_fpga_threshold", |c, v| c.single_fpga_threshold = v),
+    ];
+    for (name, set) in fields {
+        for value in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let mut config = CompilerConfig::default();
+            set(&mut config, value);
+            match config.check() {
+                Err(CompileError::InvalidConfig { field, .. }) => assert_eq!(field, name),
+                other => panic!("{name} = {value}: {other:?}"),
+            }
+        }
+    }
+
+    // The probes end to end, on stencil at F2.
+    let graph = stencil::build(&stencil::StencilConfig::paper(64, 2));
+    let flow = Flow::TapaCs { n_fpgas: 2 };
+    let compile = |set: Set, value: f64| {
+        let mut config = CompilerConfig::default();
+        config.solver.threads = 1;
+        set(&mut config, value);
+        Compiler::with_config(suite::paper_cluster(2), config).compile_staged(&graph, flow)
+    };
+    let probes = [
+        ("partition.time_limit_s", fields[1].1),
+        ("floorplan.time_limit_s", fields[4].1),
+        ("floorplan.slot_threshold", fields[3].1),
+    ];
+    for (name, set) in probes {
+        for value in [-1.0, f64::NAN] {
+            let ctx = compile(set, value);
+            assert_eq!(ctx.failed_stage(), Some(Stage::Validate), "{name} = {value}");
+            let err = ctx.into_result().unwrap_err();
+            assert!(
+                matches!(err, CompileError::InvalidConfig { field, .. } if field == name),
+                "{name} = {value}: {err}"
+            );
+            assert!(err.to_string().contains(name), "{err}");
+        }
+    }
+    for set in [fields[1].1, fields[4].1] {
+        for value in [f64::INFINITY, 1e30] {
+            let design = compile(set, value).into_result().expect("an unbounded limit compiles");
+            assert!(!design.degraded, "{value}: no limit cannot bind");
+        }
+    }
 }

@@ -20,8 +20,9 @@
 //! (the `reproduce dse` design-space exploration, CI) start warm across
 //! *processes*, not just within one. The format is deliberately strict: a
 //! magic tag, a format version, the entries sorted by key (so identical
-//! caches serialize to identical bytes), and a trailing FNV-1a checksum
-//! over everything before it. A truncated, bit-flipped or
+//! caches serialize to identical bytes), and a trailing 64-bit checksum
+//! over everything before it (FNV-1a's xor-and-multiply step applied to
+//! little-endian `u64` words). A truncated, bit-flipped or
 //! version-incompatible file is rejected with [`CacheFileError`] — never a
 //! panic, never a partial merge — and the caller simply runs cold.
 //!
@@ -35,9 +36,12 @@
 //! [`SolveCache::save_to`] writes a fresh valid file, and the sweep simply
 //! runs cold. Degraded solutions (see [`Solution::degraded`]) are never
 //! inserted: a fallback point must not masquerade as the exact backend's
-//! answer on the next warm run.
+//! answer on the next warm run. A stored answer that fails its certificate
+//! when served is dropped and solved afresh, so one bad entry costs one
+//! re-solve, not a degraded answer on every later lookup.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -170,8 +174,11 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// of LP arithmetic gets its own keys. Storing expressions and rows as
 /// sorted term vectors instead of maps did not bump it: the key is written
 /// from the same terms in the same ascending order, byte for byte
-/// (`canonical_key_bytes_are_pinned`), and no answer changed.
-const FILE_VERSION: u32 = 5;
+/// (`canonical_key_bytes_are_pinned`), and no answer changed. v6 keeps
+/// every byte of the layout and every key but changes the trailing
+/// checksum from byte-serial FNV-1a to the word-wise [`fold_words`], so a
+/// v5 file's checksum no longer matches and the version says why.
+const FILE_VERSION: u32 = 6;
 
 /// Transient-IO retry attempts after the first failure.
 const IO_RETRIES: u32 = 3;
@@ -224,15 +231,84 @@ fn quarantine(path: &Path) {
     let _ = std::fs::rename(path, &target);
 }
 
-/// FNV-1a 64-bit over `bytes` — the file checksum. Not cryptographic;
-/// guards against truncation and bit rot, not adversaries.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a's 64-bit offset basis and prime.
+const FOLD_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FOLD_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step taken over a little-endian word of up to 8 bytes (a
+/// shorter one is zero-padded): `(hash ^ word) · prime`. For a fixed word it
+/// is a bijection of `hash` (xor, then a multiply by an odd constant), and
+/// for a fixed `hash` a bijection of the word.
+fn fold_step(hash: u64, word: &[u8]) -> u64 {
+    let mut padded = [0u8; 8];
+    padded[..word.len()].copy_from_slice(word);
+    (hash ^ u64::from_le_bytes(padded)).wrapping_mul(FOLD_PRIME)
+}
+
+/// Folds `bytes` into `hash` a word at a time: each 32-byte block feeds
+/// four independent [`fold_step`] chains (word `i` of a block to chain
+/// `i`), so four multiplies are in flight at once; then the four chains,
+/// the words after the last whole block and the length fold into `hash`
+/// one after the other. Two inputs of one length that differ in one word
+/// (one flipped bit, say) always fold to different values: that word's
+/// step maps one chain value to two results, and every later step is a
+/// bijection of the value that differs. Not cryptographic: it guards
+/// against truncation and bit rot, not adversaries.
+fn fold_words(hash: u64, bytes: &[u8]) -> u64 {
+    let mut lanes = [hash; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fold_step(*lane, word);
+        }
     }
-    hash
+    let hash = lanes.iter().fold(hash, |h, lane| fold_step(h, &lane.to_le_bytes()));
+    let hash = blocks.remainder().chunks(8).fold(hash, fold_step);
+    fold_step(hash, &(bytes.len() as u64).to_le_bytes())
+}
+
+/// The file checksum: [`fold_words`] over everything before it.
+fn checksum(bytes: &[u8]) -> u64 {
+    fold_words(FOLD_BASIS, bytes)
+}
+
+/// The map's hasher: [`fold_words`] over the key, then a final avalanche
+/// (MurmurHash3's `fmix64`). The map picks buckets by the low bits of the
+/// hash and tells entries apart by its top ones, and a multiply chain
+/// leaves its low bits depending on the low bits of the input alone; the
+/// avalanche spreads every bit over both. Full-key equality still decides
+/// every lookup, so a collision costs time, never a wrong answer, and
+/// [`MAX_ENTRIES`] bounds that time for a file crafted to collide.
+#[derive(Clone, Copy, Default)]
+struct KeyHash;
+
+struct KeyHasher(u64);
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(FOLD_BASIS)
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fold_words(self.0, bytes);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(FOLD_PRIME);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
 }
 
 /// Bounds-checked little-endian reader over a cache file's payload.
@@ -313,7 +389,7 @@ fn decode_solution(c: &mut Cursor<'_>) -> Result<Solution, CacheFileError> {
 
 /// The memo-cache: canonical model key → [`Solution`].
 pub struct SolveCache {
-    inner: Mutex<HashMap<Vec<u8>, Solution>>,
+    inner: Mutex<HashMap<Vec<u8>, Solution, KeyHash>>,
     hits: AtomicU64,
     misses: AtomicU64,
     loads: AtomicU64,
@@ -331,7 +407,7 @@ impl SolveCache {
     /// one; standalone instances are mainly for tests and tools.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(HashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             loads: AtomicU64::new(0),
@@ -421,8 +497,8 @@ impl SolveCache {
             }
             entries.len() as u64
         };
-        let checksum = fnv1a64(&payload);
-        payload.extend_from_slice(&checksum.to_le_bytes());
+        let seal = checksum(&payload);
+        payload.extend_from_slice(&seal.to_le_bytes());
 
         // Unique temp name per writer: concurrent savers into the same
         // cache dir (two processes sharing `TAPACS_CACHE_DIR`, or two
@@ -460,8 +536,8 @@ impl SolveCache {
             return Err(CacheFileError::BadMagic);
         }
         let (content, tail) = bytes.split_at(bytes.len() - 8);
-        let checksum = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(content) != checksum {
+        let seal = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
+        if checksum(content) != seal {
             return Err(CacheFileError::BadChecksum);
         }
         let mut cursor = Cursor { bytes: content, pos: FILE_MAGIC.len() };
@@ -531,13 +607,28 @@ impl SolveCache {
     }
 }
 
+/// Bytes of one encoded term: the variable index, then the coefficient.
+const TERM_BYTES: usize = std::mem::size_of::<usize>() + 8;
+
+/// The length of [`canonical_key`]'s encoding, section by section, so the
+/// key is written into one allocation of exactly its size.
+fn canonical_key_len(backend: &str, model: &Model, config: &SolverConfig) -> usize {
+    // Backend, separator, `max_nodes`, then three `f64` settings.
+    let header = backend.len() + 1 + std::mem::size_of::<usize>() + 3 * 8;
+    let limit = if config.time_limit.is_some() { 1 + 16 } else { 1 };
+    let objective = 1 + 8 + TERM_BYTES * model.objective.len() + 1;
+    let vars = 17 * model.vars.len() + 1;
+    let rows: usize =
+        model.constraints.iter().map(|c| 1 + 8 + TERM_BYTES * c.terms.len() + 1).sum();
+    header + limit + objective + vars + rows
+}
+
 /// Canonical byte encoding of `(backend, config, model)`. Structurally
 /// identical models encode identically: the builders' labels are not even
 /// stored.
 fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
-    let mut key = Vec::with_capacity(
-        64 + backend.len() + 17 * model.num_vars() + 32 * model.num_constraints(),
-    );
+    let len = canonical_key_len(backend, model, config);
+    let mut key = Vec::with_capacity(len);
     key.extend_from_slice(backend.as_bytes());
     key.push(0xff);
 
@@ -596,6 +687,7 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
         }
         key.push(0xfc);
     }
+    debug_assert_eq!(key.len(), len, "canonical_key_len disagrees with the encoding");
     key
 }
 
@@ -604,22 +696,25 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
 /// error outcomes (infeasible models fail at the root LP) re-solve cheaply.
 pub struct CachingSolver {
     inner: Box<dyn Solver>,
+    /// The inner backend's [name](Solver::name), the head of every key.
+    backend: String,
 }
 
 impl CachingSolver {
     /// Wraps `inner` with memoization.
     pub fn new(inner: Box<dyn Solver>) -> Self {
-        Self { inner }
+        let backend = inner.name();
+        Self { inner, backend }
     }
 }
 
 impl Solver for CachingSolver {
     fn name(&self) -> String {
-        format!("cached({})", self.inner.name())
+        format!("cached({})", self.backend)
     }
 
     fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let key = canonical_key(&self.inner.name(), model, config);
+        let key = canonical_key(&self.backend, model, config);
         let cache = SolveCache::global();
         if let Some(hit) = cache.lookup(&key) {
             return Ok(hit);
@@ -635,6 +730,35 @@ impl Solver for CachingSolver {
     }
 }
 
+/// Answers `model` after the answer `options.solver()` returned failed its
+/// certificate while `options.cache` was set. That answer may be a stored
+/// entry — a damaged or foreign file can pass its checksum — which the map
+/// would serve on every later lookup and the next save would persist. So
+/// the entry goes, the model is solved once more with the cache bypassed,
+/// and a certified, non-degraded answer takes the entry's place.
+///
+/// A fresh answer that failed is dropped the same way, at the price of a
+/// second solve, which fails alike and returns its
+/// [`IlpError::Uncertified`].
+pub(crate) fn solve_past_rejected_answer(
+    model: &Model,
+    config: &SolverConfig,
+    options: &crate::SolverOptions,
+) -> Result<Solution, IlpError> {
+    // With the cache off the ladder reports the bare backend's name, the
+    // name `CachingSolver` keys on.
+    let solver = crate::SolverOptions { cache: false, ..options.clone() }.solver();
+    let key = canonical_key(&solver.name(), model, config);
+    let cache = SolveCache::global();
+    cache.inner.lock().unwrap().remove(&key);
+    let solution = solver.solve(model, config)?;
+    crate::certify(model, config, &solution)?;
+    if !solution.degraded {
+        cache.insert(key, solution.clone());
+    }
+    Ok(solution)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,6 +767,13 @@ mod tests {
     /// The cache is process-global and the test harness runs tests
     /// concurrently; serialize the tests that clear it or count deltas.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Byte-serial FNV-1a 64, the digest the key pin below is stated in.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
 
     fn model(scale: f64) -> Model {
         let mut m = Model::new("cache-test");
@@ -814,7 +945,7 @@ mod tests {
         // checksum artifact.
         let mut stale = good.clone();
         stale[FILE_MAGIC.len()] = FILE_VERSION as u8 + 1;
-        let seal = fnv1a64(&stale[..stale.len() - 8]).to_le_bytes();
+        let seal = checksum(&stale[..stale.len() - 8]).to_le_bytes();
         let len = stale.len();
         stale[len - 8..].copy_from_slice(&seal);
         expect_rejected(&stale, "stale version");

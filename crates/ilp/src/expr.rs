@@ -46,6 +46,12 @@ impl LinExpr {
         Self::default()
     }
 
+    /// The empty expression with room for `terms` terms, for a builder
+    /// that knows a row's length up front.
+    pub fn with_capacity(terms: usize) -> Self {
+        Self { terms: Vec::with_capacity(terms), constant: 0.0 }
+    }
+
     /// An expression consisting of a single constant.
     pub fn constant_term(k: f64) -> Self {
         Self { terms: Vec::new(), constant: k }

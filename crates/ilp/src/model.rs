@@ -184,6 +184,16 @@ impl Model {
         }
     }
 
+    /// An empty model with room for `vars` variables and `rows`
+    /// constraints, for a builder that knows its size up front.
+    pub fn with_capacity(name: impl Into<String>, vars: usize, rows: usize) -> Self {
+        Self {
+            vars: Vec::with_capacity(vars),
+            constraints: Vec::with_capacity(rows),
+            ..Self::new(name)
+        }
+    }
+
     /// The model's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
@@ -420,7 +430,9 @@ impl Model {
     /// Solves through a configurable [`crate::Solver`] backend — see
     /// [`crate::SolverOptions`] for backend/thread selection and caching.
     /// Every answer, fresh or replayed from the cache, is re-checked
-    /// against this model by [`crate::certify`] before it is returned.
+    /// against this model by [`crate::certify`] before it is returned. When
+    /// caching is on, an answer that fails is dropped from the cache and
+    /// the model is solved once more with the cache bypassed.
     ///
     /// # Errors
     ///
@@ -434,8 +446,13 @@ impl Model {
         self.check_finite()?;
         config.check()?;
         let solution = options.solver().solve(self, config)?;
-        crate::certify(self, config, &solution)?;
-        Ok(solution)
+        match crate::certify(self, config, &solution) {
+            Ok(()) => Ok(solution),
+            Err(_) if options.cache => {
+                crate::cache::solve_past_rejected_answer(self, config, options)
+            }
+            Err(why) => Err(why.into()),
+        }
     }
 }
 

@@ -8,6 +8,10 @@
 //! 2. A truncated or bit-flipped cache file is rejected with a typed
 //!    error — no panic, no partial merge — and solving afterwards produces
 //!    exactly the cold-cache results.
+//!
+//! Beside them, fixed cases: every bit flip and every truncation of one
+//! small file, a stale format version, and a stored answer that fails its
+//! certificate.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -15,7 +19,7 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 use tapacs_ilp::{
     CacheFileError, CachingSolver, LinExpr, Model, ParallelSolver, Sense, Solution, SolveCache,
-    Solver, SolverConfig,
+    Solver, SolverConfig, SolverOptions,
 };
 
 /// The cache under test is process-global and the harness runs proptest
@@ -167,19 +171,44 @@ proptest! {
     }
 }
 
-/// FNV-1a 64 — the cache file's trailing checksum, restated here so the
-/// test can re-seal a file it has edited.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+/// The cache file's trailing checksum, restated here so a test can re-seal
+/// a file it has edited: FNV-1a's `(h ^ w) · prime` step over little-endian
+/// `u64` words (a short last one zero-padded). Whole 32-byte blocks feed
+/// four chains, word `i % 4` to chain `i % 4`; then the chains, the words
+/// left and the length fold into one.
+fn checksum(bytes: &[u8]) -> u64 {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    let step = |h: u64, w: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        (h ^ u64::from_le_bytes(word)).wrapping_mul(0x100_0000_01b3)
+    };
+    let blocks = bytes.len() / 32 * 32;
+    let mut lanes = [BASIS; 4];
+    for (i, word) in bytes[..blocks].chunks(8).enumerate() {
+        lanes[i % 4] = step(lanes[i % 4], word);
+    }
+    let h = lanes.iter().fold(BASIS, |h, lane| step(h, &lane.to_le_bytes()));
+    let h = bytes[blocks..].chunks(8).fold(h, step);
+    step(h, &(bytes.len() as u64).to_le_bytes())
 }
 
-/// A well-formed file of the previous format version — written before
-/// wide-LP kit-off attempts restarted at their row-node budget — must be
-/// rejected as `BadVersion`, not merged: its model bytes are unchanged, so
-/// its keys would otherwise serve the old restart rule's equal-cut designs
-/// and make a warm sweep disagree with a cold one.
+/// Replaces the trailing checksum of an edited file with the right one.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let seal = checksum(&bytes[..body]).to_le_bytes();
+    bytes[body..].copy_from_slice(&seal);
+}
+
+/// `<path>.quarantined`, where a rejected file is moved.
+fn quarantine_of(path: &std::path::Path) -> PathBuf {
+    PathBuf::from(format!("{}.quarantined", path.display()))
+}
+
+/// A well-formed file of the previous format version — sealed with the
+/// byte-serial FNV-1a checksum that v6 replaced — must be rejected as
+/// `BadVersion`, not merged. The test re-seals the v5-labelled file with
+/// this build's checksum, so the version alone rejects it.
 #[test]
 fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
@@ -187,23 +216,100 @@ fn previous_version_file_is_rejected_as_stale() {
     cache.clear();
     let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
     solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
-    let path = tmp_file("stale-v4", 0);
+    let path = tmp_file("stale-v5", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
 
     // Header: 8-byte magic, then the little-endian u32 version.
     let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "this build writes format version 5");
-    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
-    let body = bytes.len() - 8;
-    let seal = fnv1a64(&bytes[..body]).to_le_bytes();
-    bytes[body..].copy_from_slice(&seal);
+    assert_eq!(bytes[8..12], 6u32.to_le_bytes(), "this build writes format version 6");
+    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    reseal(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
 
     let target = SolveCache::new();
-    let err = target.load_from(&path).expect_err("a v4 file must not load");
-    assert!(matches!(err, CacheFileError::BadVersion { found: 4, expected: 5 }), "{err}");
+    let err = target.load_from(&path).expect_err("a v5 file must not load");
+    assert!(matches!(err, CacheFileError::BadVersion { found: 5, expected: 6 }), "{err}");
     assert_eq!(target.stats().entries, 0, "rejection must not merge anything");
-    let quarantined = PathBuf::from(format!("{}.quarantined", path.display()));
+    let quarantined = quarantine_of(&path);
     assert!(quarantined.exists() && !path.exists(), "stale file is moved aside");
     let _ = std::fs::remove_file(&quarantined);
+}
+
+/// On a small file, every single-bit flip and every truncation is
+/// rejected: nothing is merged and the damaged file is quarantined.
+#[test]
+fn every_bit_flip_and_every_truncation_of_a_small_file_is_rejected() {
+    let path = tmp_file("exhaustive", 0);
+    {
+        let _serial = GLOBAL_CACHE.lock().unwrap();
+        let cache = SolveCache::global();
+        cache.clear();
+        let solver =
+            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
+        cache.save_to(&path).unwrap();
+    }
+    let good = std::fs::read(&path).unwrap();
+    assert_eq!(SolveCache::new().load_from(&path).unwrap(), 1, "the intact file loads");
+
+    let target = SolveCache::new();
+    let quarantined = quarantine_of(&path);
+    let reject = |damaged: &[u8], what: &str| {
+        std::fs::write(&path, damaged).unwrap();
+        let err = target.load_from(&path).expect_err(what);
+        assert!(!matches!(err, CacheFileError::Io(_)), "{what}: {err}");
+        assert_eq!((target.stats().entries, target.stats().loads), (0, 0), "{what} merged");
+        assert!(!path.exists(), "{what}: the file must be moved aside");
+        assert_eq!(std::fs::read(&quarantined).unwrap(), damaged, "{what}: quarantine");
+    };
+    for bit in 0..good.len() * 8 {
+        let mut flipped = good.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        reject(&flipped, &format!("bit {bit} flipped"));
+    }
+    for len in 0..good.len() {
+        reject(&good[..len], &format!("truncated to {len} bytes"));
+    }
+    let _ = std::fs::remove_file(&quarantined);
+}
+
+/// A stored answer that fails its certificate is dropped when served and
+/// replaced by a fresh solve's, instead of degrading the caller on every
+/// later lookup and being written back by the next save.
+#[test]
+fn an_entry_that_fails_its_certificate_is_replaced_by_a_fresh_answer() {
+    let _serial = GLOBAL_CACHE.lock().unwrap();
+    let cache = SolveCache::global();
+    cache.clear();
+    let model = knapsack(&[6, 10, 12], &[1, 2, 3], 5);
+    let config = SolverConfig::default();
+    let options = SolverOptions { threads: 1, ..SolverOptions::default() };
+    let cold = model.solve_with_options(&config, &options).unwrap();
+    let path = tmp_file("uncertified", 0);
+    assert_eq!(cache.save_to(&path).unwrap(), 1);
+    let good = std::fs::read(&path).unwrap();
+
+    // The entry ends with the values, one f64 per variable, before the
+    // checksum: make the last binary 0.5 and re-seal the file.
+    let mut bad = good.clone();
+    let last = bad.len() - 16;
+    bad[last..last + 8].copy_from_slice(&0.5f64.to_bits().to_le_bytes());
+    reseal(&mut bad);
+    std::fs::write(&path, &bad).unwrap();
+
+    cache.clear();
+    assert_eq!(cache.load_from(&path).unwrap(), 1, "the checksum holds");
+    let first = model.solve_with_options(&config, &options).unwrap();
+    assert_eq!(first, cold, "the cold answer, not the stored one");
+    assert!(!first.degraded);
+
+    let before = cache.stats();
+    let second = model.solve_with_options(&config, &options).unwrap();
+    let after = cache.stats();
+    assert_eq!(second, cold);
+    assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 0));
+    // The corrected entry is what the next save writes.
+    cache.save_to(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), good);
+    let _ = std::fs::remove_file(&path);
 }
