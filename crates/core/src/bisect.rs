@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 
 use tapacs_fpga::{ResourceKind, Resources};
 use tapacs_ilp::{
-    CancellationToken, IlpError, LinExpr, Model, Sense, SolveActivity, SolverConfig, SolverOptions,
-    VarId,
+    CancellationToken, CmpOp, IlpError, LinExpr, Model, Sense, SolveActivity, SolverConfig,
+    SolverOptions, VarId,
 };
 
 use crate::error::CompileError;
@@ -208,26 +208,52 @@ impl Split {
 
     /// The ILP and its side variables, one per item.
     ///
-    /// Every row is built term by term in ascending variable order (the
+    /// Every row is appended straight into the model's row block
+    /// ([`Model::add_terms`]) term by term in ascending variable order (the
     /// sides `x` first, then the cut indicators `y`), so each term is a
-    /// plain append to its row. The columns, the rows and each long row
-    /// (objective, capacity, balance) are sized up front to what they
-    /// receive, so none of them regrows.
+    /// plain push and no row allocates. The columns, the rows, their terms
+    /// and the objective are sized up front to exactly what they receive,
+    /// so none of them regrows.
     fn model(&self) -> (Model, Vec<VarId>) {
         let classes = self.pinned_symmetry_classes();
+        // Each item's amount of every resource kind, the capacity and
+        // balance rows' coefficients.
+        let amounts: Vec<[f64; ResourceKind::ALL.len()]> = self
+            .items
+            .iter()
+            .map(|item| ResourceKind::ALL.map(|kind| item.resources.get(kind) as f64))
+            .collect();
+        let free: Vec<usize> =
+            (0..self.items.len()).filter(|&i| self.items[i].pin.is_none()).collect();
+        // The balance pair, when its free load is positive: its kind's
+        // index, the balance and that load.
+        let balance = self.balance.as_ref().and_then(|balance| {
+            let k = ResourceKind::ALL.iter().position(|&kind| kind == balance.kind);
+            let k = k.expect("ALL lists every kind");
+            let free_total: f64 = free.iter().map(|&i| amounts[i][k]).sum();
+            (free_total > 0.0).then_some((k, balance, free_total))
+        });
+
         let pins = self.items.iter().filter(|item| item.pin.is_some()).count();
+        let sym_rows = classes.iter().map(|class| class.len() - 1).sum::<usize>();
         let rows = pins
             + 2 * self.edges.len()
             + 2 * ResourceKind::ALL.len()
-            + if self.balance.is_some() { 2 } else { 0 }
-            + classes.iter().map(|class| class.len() - 1).sum::<usize>();
+            + if balance.is_some() { 2 } else { 0 }
+            + sym_rows;
+        let terms = pins
+            + 6 * self.edges.len()
+            + 2 * amounts.iter().flatten().filter(|&&a| a != 0.0).count()
+            + balance
+                .map_or(0, |(k, _, _)| 2 * free.iter().filter(|&&i| amounts[i][k] != 0.0).count())
+            + 2 * sym_rows;
         let mut m =
-            Model::with_capacity("two-way-split", self.items.len() + self.edges.len(), rows);
+            Model::with_capacity("two-way-split", self.items.len() + self.edges.len(), rows, terms);
         let mut x = Vec::with_capacity(self.items.len());
         for item in &self.items {
             let v = m.binary("x");
             if let Some(high) = item.pin {
-                m.add_eq("pin", LinExpr::term(v, 1.0), if high { 1.0 } else { 0.0 });
+                m.add_terms("pin", [(v, 1.0)], CmpOp::Eq, if high { 1.0 } else { 0.0 });
             }
             x.push(v);
         }
@@ -238,57 +264,39 @@ impl Split {
             let y = m.continuous("y", 0.0, 1.0);
             // `y − x[from] + x[to] ≥ 0`, its terms in variable order.
             let cut_row = |from: usize, to: usize| {
-                let mut row = LinExpr::with_capacity(3);
                 if from < to {
-                    row.add_term(x[from], -1.0).add_term(x[to], 1.0);
+                    [(x[from], -1.0), (x[to], 1.0), (y, 1.0)]
                 } else {
-                    row.add_term(x[to], 1.0).add_term(x[from], -1.0);
+                    [(x[to], 1.0), (x[from], -1.0), (y, 1.0)]
                 }
-                row.add_term(y, 1.0);
-                row
             };
-            m.add_ge("c1", cut_row(a, b), 0.0);
-            m.add_ge("c2", cut_row(b, a), 0.0);
+            m.add_terms("c1", cut_row(a, b), CmpOp::Ge, 0.0);
+            m.add_terms("c2", cut_row(b, a), CmpOp::Ge, 0.0);
             objective.add_term(y, width as f64);
         }
 
-        // High-side load of the items at `of` (ascending): as an
-        // expression, and the most it can be.
-        let load = |of: &[usize], kind: ResourceKind| -> (LinExpr, f64) {
-            let amount = |i: usize| self.items[i].resources.get(kind) as f64;
-            let mut expr = LinExpr::with_capacity(of.iter().filter(|&&i| amount(i) != 0.0).count());
-            for &i in of {
-                expr.add_term(x[i], amount(i));
-            }
-            (expr, of.iter().map(|&i| amount(i)).sum())
-        };
-        let all: Vec<usize> = (0..self.items.len()).collect();
-        let free: Vec<usize> =
-            all.iter().copied().filter(|&i| self.items[i].pin.is_none()).collect();
-
-        // Resource thresholds per side, per kind (equation 1). The low
-        // side's load is `total − high load`.
-        for (k, kind) in ResourceKind::ALL.into_iter().enumerate() {
-            let (load_high, total) = load(&all, kind);
-            m.add_le("capH", load_high.clone(), self.high.rhs[k]);
-            m.add_ge("capL", load_high, total - self.low.rhs[k]);
+        // Resource thresholds per side, per kind (equation 1), over the
+        // high-side load of every item. The low side's load is
+        // `total − high load`.
+        for k in 0..ResourceKind::ALL.len() {
+            let load = || x.iter().zip(&amounts).map(|(&v, a)| (v, a[k]));
+            let total: f64 = amounts.iter().map(|a| a[k]).sum();
+            m.add_terms("capH", load(), CmpOp::Le, self.high.rhs[k]);
+            m.add_terms("capL", load(), CmpOp::Ge, total - self.low.rhs[k]);
         }
 
-        if let Some(balance) = &self.balance {
-            let (load_high, free_total) = load(&free, balance.kind);
-            if free_total > 0.0 {
-                let floor_high = free_total * balance.share_high * (1.0 - balance.slack);
-                let floor_low = free_total * balance.share_low * (1.0 - balance.slack);
-                m.add_ge("balH", load_high.clone(), floor_high);
-                m.add_le("balL", load_high, free_total - floor_low);
-            }
+        // The balance pair, over the high-side load of the free items.
+        if let Some((k, balance, free_total)) = balance {
+            let load = || free.iter().map(|&i| (x[i], amounts[i][k]));
+            let floor_high = free_total * balance.share_high * (1.0 - balance.slack);
+            let floor_low = free_total * balance.share_low * (1.0 - balance.slack);
+            m.add_terms("balH", load(), CmpOp::Ge, floor_high);
+            m.add_terms("balL", load(), CmpOp::Le, free_total - floor_low);
         }
 
         // Interchangeable items take the high side in position order.
         for pair in classes.iter().flat_map(|class| class.windows(2)) {
-            let mut row = LinExpr::term(x[pair[0]], 1.0);
-            row.add_term(x[pair[1]], -1.0);
-            m.add_ge("sym", row, 0.0);
+            m.add_terms("sym", [(x[pair[0]], 1.0), (x[pair[1]], -1.0)], CmpOp::Ge, 0.0);
         }
 
         m.set_objective(Sense::Minimize, objective);

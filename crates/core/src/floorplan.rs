@@ -23,6 +23,13 @@
 //!
 //! Free tasks the pins make interchangeable get symmetry rows (`bisect.rs`).
 //!
+//! The bisection's placement is then refined greedily (`refine_fpga`):
+//! single tasks move to the slot that lowers wirelength plus a congestion
+//! term most. Each input is computed once per call and each slot's
+//! congestion is refreshed only when a move touches it, yet every float a
+//! decision reads equals a from-scratch evaluation, so the refinement
+//! decides exactly as the recomputing version its tests keep.
+//!
 //! After placement, HBM *channel binding exploration* reassigns reader/
 //! writer channels so that each column's modules bind to that column's
 //! nearest channels, avoiding the lateral-routing congestion the paper
@@ -361,6 +368,10 @@ fn greedy_slots(
     Ok(())
 }
 
+/// Weight that makes ~1 percentage point of congestion comparable to
+/// rerouting a 512-bit FIFO across one extra hop.
+const KAPPA: f64 = 2.0e5;
+
 /// Congestion penalty used by refinement: quadratic past 50%, mirroring the
 /// timing model's shape.
 fn congestion(u: f64) -> f64 {
@@ -371,78 +382,105 @@ fn congestion(u: f64) -> f64 {
 /// Greedy refinement with the true equation-4 objective *plus* a congestion
 /// term: move one task to another slot when it lowers
 /// `Σ width × Manhattan + κ Σ congestion(slot)`.
+///
+/// Passes visit the tasks in order and move each to the allowed slot with
+/// room under the threshold whose move lowers the cost most (the first
+/// such slot in grid order on a tie, and only by more than `1e-9`). Each
+/// input is computed once, and every float a decision reads keeps the
+/// value a from-scratch evaluation gives:
+///
+/// * each task's in-set neighbours (task, FIFO width) and its AXI port
+///   width are gathered once per call. A wirelength is a sum of products
+///   of integers far below 2⁵³, so it is exact in any order;
+/// * each slot's congestion is kept and refreshed only for the two slots
+///   a move touches. Utilization is a pure function of (used, capacity);
+/// * the source slot's terms before and after the move are computed once
+///   per task, not once per candidate, and the fit test reads the
+///   candidate's after-move utilization the cost then uses. The cost
+///   delta keeps its operation order.
 fn refine_fpga(ctx: &FpgaCtx<'_>, tasks: &[TaskId], slot_of_task: &mut [SlotId]) {
-    // Weight that makes ~1 percentage point of congestion comparable to
-    // rerouting a 512-bit FIFO across one extra hop.
-    const KAPPA: f64 = 2.0e5;
     let (graph, device, cfg) = (ctx.graph, ctx.device, ctx.cfg);
-    let n_slots = device.num_slots();
+    let slots: Vec<SlotId> = device.slots().collect();
     let idx = |s: SlotId| s.row * device.cols() + s.col;
-    let mut used = vec![Resources::ZERO; n_slots];
+    let mut used = vec![Resources::ZERO; slots.len()];
     for &t in tasks {
         used[idx(slot_of_task[t.index()])] += graph.task(t).resources;
     }
-    let caps: Vec<Resources> = device.slots().map(|s| ctx.slot_capacity(s)).collect();
+    let caps: Vec<Resources> = slots.iter().map(|&s| ctx.slot_capacity(s)).collect();
+    let utilization = |k: usize, used: &Resources| used.utilization(&caps[k]).max();
+    let mut cong: Vec<f64> =
+        (0..slots.len()).map(|k| congestion(utilization(k, &used[k]))).collect();
+
+    // Each task's in-set neighbours, one entry per FIFO (self-loops left
+    // out), and its AXI port width (0 for a task without one).
     let mut in_set = vec![false; slot_of_task.len()];
     for &t in tasks {
         in_set[t.index()] = true;
     }
-
-    let wirelength = |t: TaskId, slot: SlotId, slot_of_task: &[SlotId]| -> f64 {
-        let mut c = 0.0;
+    let mut start = Vec::with_capacity(tasks.len() + 1);
+    let mut neighbours: Vec<(usize, f64)> = Vec::new();
+    let mut port = Vec::with_capacity(tasks.len());
+    start.push(0);
+    for &t in tasks {
         for &f in graph.out_fifos(t).iter().chain(graph.in_fifos(t)) {
             let fifo = graph.fifo(f);
             let other = if fifo.src == t { fifo.dst } else { fifo.src };
-            if other == t || !in_set[other.index()] {
-                continue;
+            if other != t && in_set[other.index()] {
+                neighbours.push((other.index(), fifo.width_bits as f64));
             }
-            c += fifo.width_bits as f64 * slot.manhattan(&slot_of_task[other.index()]) as f64;
+        }
+        start.push(neighbours.len());
+        port.push(match graph.task(t).kind {
+            TaskKind::HbmRead { port_width_bits, .. }
+            | TaskKind::HbmWrite { port_width_bits, .. } => port_width_bits as f64,
+            _ => 0.0,
+        });
+    }
+    let wirelength = |p: usize, slot: SlotId, slot_of_task: &[SlotId]| -> f64 {
+        let mut c = 0.0;
+        for &(other, width) in &neighbours[start[p]..start[p + 1]] {
+            c += width * slot.manhattan(&slot_of_task[other]) as f64;
         }
         // Memory adapters also route their AXI port to the HBM shoreline.
-        if let TaskKind::HbmRead { port_width_bits, .. }
-        | TaskKind::HbmWrite { port_width_bits, .. } = graph.task(t).kind
-        {
-            c += port_width_bits as f64 * slot.row.abs_diff(device.hbm_row()) as f64;
-        }
-        c
+        c + port[p] * slot.row.abs_diff(device.hbm_row()) as f64
     };
 
     for _ in 0..cfg.refine_passes {
         let mut improved = false;
-        for &t in tasks {
+        for (p, &t) in tasks.iter().enumerate() {
             let kind = &graph.task(t).kind;
-            let cur = slot_of_task[t.index()];
             let res = graph.task(t).resources;
-            let cur_wl = wirelength(t, cur, slot_of_task);
-            let mut best = cur;
+            let cur = slot_of_task[t.index()];
+            let c = idx(cur);
+            let cur_wl = wirelength(p, cur, slot_of_task);
+            let cong_cur_before = cong[c];
+            let cong_cur_after = congestion(utilization(c, &used[c].saturating_sub(&res)));
+            let mut best = c;
             let mut best_delta = -1e-9;
-            for cand in device.slots() {
-                if cand == cur || !slot_allowed(kind, cand, device) {
+            for (k, &cand) in slots.iter().enumerate() {
+                if k == c || !slot_allowed(kind, cand, device) {
                     continue;
                 }
-                let after_cand = used[idx(cand)] + res;
-                if !after_cand.fits_within(&caps[idx(cand)], cfg.slot_threshold) {
+                // `fits_within`'s test, on the utilization the cost reads.
+                let u_cand_after = utilization(k, &(used[k] + res));
+                let fits = u_cand_after <= cfg.slot_threshold;
+                if !fits {
                     continue;
                 }
-                let d_wl = wirelength(t, cand, slot_of_task) - cur_wl;
-                let u_cur_before = used[idx(cur)].utilization(&caps[idx(cur)]).max();
-                let u_cur_after =
-                    used[idx(cur)].saturating_sub(&res).utilization(&caps[idx(cur)]).max();
-                let u_cand_before = used[idx(cand)].utilization(&caps[idx(cand)]).max();
-                let u_cand_after = after_cand.utilization(&caps[idx(cand)]).max();
-                let d_cong = congestion(u_cur_after) + congestion(u_cand_after)
-                    - congestion(u_cur_before)
-                    - congestion(u_cand_before);
+                let d_wl = wirelength(p, cand, slot_of_task) - cur_wl;
+                let d_cong = cong_cur_after + congestion(u_cand_after) - cong_cur_before - cong[k];
                 let delta = d_wl + KAPPA * d_cong;
                 if delta < best_delta {
                     best_delta = delta;
-                    best = cand;
+                    best = k;
                 }
             }
-            if best != cur {
-                used[idx(cur)] -= res;
-                used[idx(best)] += res;
-                slot_of_task[t.index()] = best;
+            if best != c {
+                used[c] -= res;
+                used[best] += res;
+                cong[c] = congestion(utilization(c, &used[c]));
+                cong[best] = congestion(utilization(best, &used[best]));
+                slot_of_task[t.index()] = slots[best];
                 improved = true;
             }
         }
@@ -706,5 +744,169 @@ mod tests {
         let fp = floorplan(&g, &[0; 4], 1, &Device::u55c(), NO_NET, &FloorplanConfig::default())
             .unwrap();
         assert!(fp.runtime.as_secs_f64() < 30.0);
+    }
+
+    /// The refinement as first written, recomputing every input per
+    /// candidate: [`refine_fpga`] must decide exactly as this does.
+    fn refine_reference(ctx: &FpgaCtx<'_>, tasks: &[TaskId], slot_of_task: &mut [SlotId]) {
+        let (graph, device, cfg) = (ctx.graph, ctx.device, ctx.cfg);
+        let n_slots = device.num_slots();
+        let idx = |s: SlotId| s.row * device.cols() + s.col;
+        let mut used = vec![Resources::ZERO; n_slots];
+        for &t in tasks {
+            used[idx(slot_of_task[t.index()])] += graph.task(t).resources;
+        }
+        let caps: Vec<Resources> = device.slots().map(|s| ctx.slot_capacity(s)).collect();
+        let mut in_set = vec![false; slot_of_task.len()];
+        for &t in tasks {
+            in_set[t.index()] = true;
+        }
+
+        let wirelength = |t: TaskId, slot: SlotId, slot_of_task: &[SlotId]| -> f64 {
+            let mut c = 0.0;
+            for &f in graph.out_fifos(t).iter().chain(graph.in_fifos(t)) {
+                let fifo = graph.fifo(f);
+                let other = if fifo.src == t { fifo.dst } else { fifo.src };
+                if other == t || !in_set[other.index()] {
+                    continue;
+                }
+                c += fifo.width_bits as f64 * slot.manhattan(&slot_of_task[other.index()]) as f64;
+            }
+            // Memory adapters also route their AXI port to the HBM shoreline.
+            if let TaskKind::HbmRead { port_width_bits, .. }
+            | TaskKind::HbmWrite { port_width_bits, .. } = graph.task(t).kind
+            {
+                c += port_width_bits as f64 * slot.row.abs_diff(device.hbm_row()) as f64;
+            }
+            c
+        };
+
+        for _ in 0..cfg.refine_passes {
+            let mut improved = false;
+            for &t in tasks {
+                let kind = &graph.task(t).kind;
+                let cur = slot_of_task[t.index()];
+                let res = graph.task(t).resources;
+                let cur_wl = wirelength(t, cur, slot_of_task);
+                let mut best = cur;
+                let mut best_delta = -1e-9;
+                for cand in device.slots() {
+                    if cand == cur || !slot_allowed(kind, cand, device) {
+                        continue;
+                    }
+                    let after_cand = used[idx(cand)] + res;
+                    if !after_cand.fits_within(&caps[idx(cand)], cfg.slot_threshold) {
+                        continue;
+                    }
+                    let d_wl = wirelength(t, cand, slot_of_task) - cur_wl;
+                    let u_cur_before = used[idx(cur)].utilization(&caps[idx(cur)]).max();
+                    let u_cur_after =
+                        used[idx(cur)].saturating_sub(&res).utilization(&caps[idx(cur)]).max();
+                    let u_cand_before = used[idx(cand)].utilization(&caps[idx(cand)]).max();
+                    let u_cand_after = after_cand.utilization(&caps[idx(cand)]).max();
+                    let d_cong = congestion(u_cur_after) + congestion(u_cand_after)
+                        - congestion(u_cur_before)
+                        - congestion(u_cand_before);
+                    let delta = d_wl + KAPPA * d_cong;
+                    if delta < best_delta {
+                        best_delta = delta;
+                        best = cand;
+                    }
+                }
+                if best != cur {
+                    used[idx(cur)] -= res;
+                    used[idx(best)] += res;
+                    slot_of_task[t.index()] = best;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// A random small design for the refinement: `(kind, resources in
+    /// percent of the device's first slot, initial slot, in the set)` per
+    /// task and `(src, dst, width)` per FIFO, self-loops and FIFOs to
+    /// out-of-set tasks included.
+    type RandomTask = (u8, (u64, u64, u64, u64, u64), usize, u8);
+
+    fn random_design(
+        device: &Device,
+        tasks: &[RandomTask],
+        fifos: &[(usize, usize, u32)],
+    ) -> (TaskGraph, Vec<SlotId>, Vec<TaskId>) {
+        let base = device.slot_capacity(SlotId::new(0, 0));
+        let slots: Vec<SlotId> = device.slots().collect();
+        let mut g = TaskGraph::new("refine");
+        let mut slot_of_task = Vec::new();
+        let mut in_set = Vec::new();
+        for (i, &(kind, (lut, ff, bram, dsp, uram), slot, member)) in tasks.iter().enumerate() {
+            let r = Resources::new(
+                base.lut * lut / 100,
+                base.ff * ff / 100,
+                base.bram * bram / 100,
+                base.dsp * dsp / 100,
+                base.uram * uram / 100,
+            );
+            let port = [64, 128, 256, 512][i % 4];
+            let mut task = match kind {
+                0 => Task::hbm_read(format!("rd{i}"), r, 0, port, 1024),
+                1 => Task::hbm_write(format!("wr{i}"), r, 0, port, 1024),
+                _ => Task::compute(format!("pe{i}"), r),
+            };
+            if kind == 2 {
+                task.kind = TaskKind::NetSend;
+            }
+            let id = g.add_task(task);
+            slot_of_task.push(slots[slot % slots.len()]);
+            if member > 0 {
+                in_set.push(id);
+            }
+        }
+        for &(src, dst, width) in fifos {
+            let (src, dst) = (src % tasks.len(), dst % tasks.len());
+            g.add_fifo(Fifo::new("f", TaskId::from_index(src), TaskId::from_index(dst), width));
+        }
+        (g, slot_of_task, in_set)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The refinement moves every task exactly where the reference
+        /// does, on random small designs over the U55C, U280 and U250
+        /// grids, random thresholds, QSFP reservations and pass counts,
+        /// from random (also over-full) starting slots.
+        #[test]
+        fn refinement_decides_exactly_as_the_reference(
+            board in 0usize..3,
+            tasks in proptest::collection::vec(
+                (0u8..6, (0u64..30, 0u64..30, 0u64..30, 0u64..30, 0u64..30), 0usize..64, 0u8..4),
+                1..14,
+            ),
+            fifos in proptest::collection::vec((0usize..14, 0usize..14, 1u32..9), 0..24),
+            threshold in 40u32..101,
+            passes in 0usize..5,
+            reserve in 0u64..60,
+        ) {
+            let device = [Device::u55c(), Device::u280(), Device::u250()][board].clone();
+            let fifos: Vec<(usize, usize, u32)> =
+                fifos.into_iter().map(|(s, d, w)| (s, d, 32 * w)).collect();
+            let (g, start, in_set) = random_design(&device, &tasks, &fifos);
+            let corner = SlotId::new(device.rows() - 1, device.cols() - 1);
+            let reserved = device.slot_capacity(corner).scale(reserve as f64 / 100.0);
+            let cfg = FloorplanConfig {
+                slot_threshold: threshold as f64 / 100.0,
+                refine_passes: passes,
+                ..FloorplanConfig::default()
+            };
+            let ctx = FpgaCtx { graph: &g, device: &device, cfg: &cfg, reserved };
+            let (mut fast, mut reference) = (start.clone(), start);
+            refine_fpga(&ctx, &in_set, &mut fast);
+            refine_reference(&ctx, &in_set, &mut reference);
+            proptest::prop_assert_eq!(fast, reference);
+        }
     }
 }

@@ -436,6 +436,16 @@ fn greedy_multiway(
 
 /// KL-style refinement: single-task moves accepted when they reduce the
 /// true (topology + λ) communication cost and stay feasible.
+///
+/// Passes visit the tasks in id order and move each to the feasible FPGA
+/// whose move lowers the cost most (the lowest index on a tie, and only by
+/// more than `1e-9`), unless the move would strip its source below the
+/// balance floor. Each input is computed once per call, and every float a
+/// decision reads keeps the value a from-scratch evaluation gives: the
+/// per-kind totals behind the floor are integer sums, each task's
+/// neighbours (task, FIFO width) keep FIFO order (out, then in), and the
+/// distance table holds [`Cluster::dist`]'s own values, so a move's cost
+/// delta sums the same terms in the same order.
 fn refine(
     graph: &TaskGraph,
     cluster: &Cluster,
@@ -450,19 +460,44 @@ fn refine(
     }
     // Balance floor on the full graph's binding kind: moves must not
     // strip a device below its fair share.
+    let total = graph.total_resources();
     let binding = ResourceKind::ALL.into_iter().filter(|k| cap.get(*k) > 0).max_by(|a, b| {
-        let ta: u64 = graph.tasks().map(|(_, t)| t.resources.get(*a)).sum();
-        let tb: u64 = graph.tasks().map(|(_, t)| t.resources.get(*b)).sum();
-        let ra = ta as f64 / cap.get(*a) as f64;
-        let rb = tb as f64 / cap.get(*b) as f64;
+        let ra = total.get(*a) as f64 / cap.get(*a) as f64;
+        let rb = total.get(*b) as f64 / cap.get(*b) as f64;
         // total_cmp: ratios are finite here, but a NaN from degenerate
         // job input must not panic a batch worker.
         ra.total_cmp(&rb)
     });
-    let floor = binding.map(|k| {
-        let total: u64 = graph.tasks().map(|(_, t)| t.resources.get(k)).sum();
-        (k, total as f64 / n_fpgas as f64 * (1.0 - cfg.balance_slack))
-    });
+    let floor =
+        binding.map(|k| (k, total.get(k) as f64 / n_fpgas as f64 * (1.0 - cfg.balance_slack)));
+
+    // Each task's neighbours, one entry per FIFO (self-loops never cross),
+    // and the distance between every two FPGAs.
+    let mut start = Vec::with_capacity(graph.num_tasks() + 1);
+    let mut neighbours: Vec<(usize, f64)> = Vec::new();
+    start.push(0);
+    for task in graph.task_ids() {
+        for &f in graph.out_fifos(task).iter().chain(graph.in_fifos(task)) {
+            let fifo = graph.fifo(f);
+            let other = if fifo.src == task { fifo.dst } else { fifo.src };
+            if other != task {
+                neighbours.push((other.index(), fifo.width_bits as f64));
+            }
+        }
+        start.push(neighbours.len());
+    }
+    let dist: Vec<f64> = (0..n_fpgas * n_fpgas)
+        .map(|ab| cluster.dist(FpgaId(ab / n_fpgas), FpgaId(ab % n_fpgas)))
+        .collect();
+    // Change in equation-2 cost if task `t` moves from `from` to `to`.
+    let move_delta = |t: usize, from: usize, to: usize, assignment: &[usize]| {
+        let mut delta = 0.0;
+        for &(other, w) in &neighbours[start[t]..start[t + 1]] {
+            let o = assignment[other];
+            delta += w * (dist[to * n_fpgas + o] - dist[from * n_fpgas + o]);
+        }
+        delta
+    };
 
     for _ in 0..cfg.refine_passes {
         let mut improved = false;
@@ -483,7 +518,7 @@ fn refine(
                 if !(used[cand] + task.resources).fits_within(cap, cfg.threshold) {
                     continue;
                 }
-                let delta = move_delta(graph, cluster, assignment, id, cand);
+                let delta = move_delta(id.index(), cur, cand, assignment);
                 if delta < best_delta {
                     best_delta = delta;
                     best = cand;
@@ -500,29 +535,6 @@ fn refine(
             break;
         }
     }
-}
-
-/// Change in equation-2 cost if `task` moves to FPGA `to`.
-fn move_delta(
-    graph: &TaskGraph,
-    cluster: &Cluster,
-    assignment: &[usize],
-    task: TaskId,
-    to: usize,
-) -> f64 {
-    let from = assignment[task.index()];
-    let mut delta = 0.0;
-    for &f in graph.out_fifos(task).iter().chain(graph.in_fifos(task)) {
-        let fifo = graph.fifo(f);
-        let other = if fifo.src == task { fifo.dst } else { fifo.src };
-        if other == task {
-            continue; // self-loop never crosses
-        }
-        let o = assignment[other.index()];
-        let w = fifo.width_bits as f64;
-        delta += w * (cluster.dist(FpgaId(to), FpgaId(o)) - cluster.dist(FpgaId(from), FpgaId(o)));
-    }
-    delta
 }
 
 /// Greedy repair of threshold violations (can occur when projection from
@@ -789,5 +801,152 @@ mod tests {
         let p = partition(&g, &cluster(4), 4, &cfg).unwrap();
         assert!(t0.elapsed().as_secs() < 30, "partitioner too slow");
         assert!(p.used.iter().all(|u| !u.is_zero()));
+    }
+
+    /// The refinement as first written, recomputing every input per
+    /// candidate: [`refine`] must decide exactly as this does.
+    fn refine_reference(
+        graph: &TaskGraph,
+        cluster: &Cluster,
+        n_fpgas: usize,
+        cap: &Resources,
+        cfg: &PartitionConfig,
+        assignment: &mut [usize],
+    ) {
+        let mut used = vec![Resources::ZERO; n_fpgas];
+        for (id, t) in graph.tasks() {
+            used[assignment[id.index()]] += t.resources;
+        }
+        // Balance floor on the full graph's binding kind: moves must not
+        // strip a device below its fair share.
+        let binding = ResourceKind::ALL.into_iter().filter(|k| cap.get(*k) > 0).max_by(|a, b| {
+            let ta: u64 = graph.tasks().map(|(_, t)| t.resources.get(*a)).sum();
+            let tb: u64 = graph.tasks().map(|(_, t)| t.resources.get(*b)).sum();
+            let ra = ta as f64 / cap.get(*a) as f64;
+            let rb = tb as f64 / cap.get(*b) as f64;
+            // total_cmp: ratios are finite here, but a NaN from degenerate
+            // job input must not panic a batch worker.
+            ra.total_cmp(&rb)
+        });
+        let floor = binding.map(|k| {
+            let total: u64 = graph.tasks().map(|(_, t)| t.resources.get(k)).sum();
+            (k, total as f64 / n_fpgas as f64 * (1.0 - cfg.balance_slack))
+        });
+
+        for _ in 0..cfg.refine_passes {
+            let mut improved = false;
+            for (id, task) in graph.tasks() {
+                let cur = assignment[id.index()];
+                if let Some((k, f)) = floor {
+                    let after = used[cur].get(k).saturating_sub(task.resources.get(k));
+                    if task.resources.get(k) > 0 && (after as f64) < f {
+                        continue; // move would unbalance the source device
+                    }
+                }
+                let mut best = cur;
+                let mut best_delta = -1e-9;
+                for cand in 0..n_fpgas {
+                    if cand == cur {
+                        continue;
+                    }
+                    if !(used[cand] + task.resources).fits_within(cap, cfg.threshold) {
+                        continue;
+                    }
+                    let delta = move_delta_reference(graph, cluster, assignment, id, cand);
+                    if delta < best_delta {
+                        best_delta = delta;
+                        best = cand;
+                    }
+                }
+                if best != cur {
+                    used[cur] -= task.resources;
+                    used[best] += task.resources;
+                    assignment[id.index()] = best;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// Change in equation-2 cost if `task` moves to FPGA `to`.
+    fn move_delta_reference(
+        graph: &TaskGraph,
+        cluster: &Cluster,
+        assignment: &[usize],
+        task: TaskId,
+        to: usize,
+    ) -> f64 {
+        let from = assignment[task.index()];
+        let mut delta = 0.0;
+        for &f in graph.out_fifos(task).iter().chain(graph.in_fifos(task)) {
+            let fifo = graph.fifo(f);
+            let other = if fifo.src == task { fifo.dst } else { fifo.src };
+            if other == task {
+                continue; // self-loop never crosses
+            }
+            let o = assignment[other.index()];
+            let w = fifo.width_bits as f64;
+            delta +=
+                w * (cluster.dist(FpgaId(to), FpgaId(o)) - cluster.dist(FpgaId(from), FpgaId(o)));
+        }
+        delta
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The refinement moves every task exactly where the reference
+        /// does, on random graphs over random clusters (ring, chain, bus
+        /// and star nodes, one node or two, so that distances carry the
+        /// inter-node λ), random thresholds, balance slacks and pass
+        /// counts, from random (also infeasible) starting assignments.
+        #[test]
+        fn refinement_decides_exactly_as_the_reference(
+            tasks in proptest::collection::vec(
+                ((0u64..40, 0u64..40, 0u64..40, 0u64..40, 0u64..40), 0usize..8),
+                1..24,
+            ),
+            fifos in proptest::collection::vec((0usize..24, 0usize..24, 1u32..9), 0..40),
+            (topology, nodes, n_fpgas) in (0usize..4, 1usize..3, 2usize..7),
+            threshold in 30u32..101,
+            slack in 0u32..60,
+            passes in 0usize..5,
+        ) {
+            let topology =
+                [Topology::Ring, Topology::DaisyChain, Topology::Bus, Topology::Star][topology];
+            let per_node = n_fpgas.div_ceil(nodes);
+            let cluster = Cluster::with_nodes(Device::u55c(), vec![per_node; nodes], topology);
+            let cap = usable_capacity(&cluster, n_fpgas);
+            let mut g = TaskGraph::new("refine");
+            let mut start = Vec::new();
+            for (i, &((lut, ff, bram, dsp, uram), fpga)) in tasks.iter().enumerate() {
+                let r = Resources::new(
+                    cap.lut * lut / 100,
+                    cap.ff * ff / 100,
+                    cap.bram * bram / 100,
+                    cap.dsp * dsp / 100,
+                    cap.uram * uram / 100,
+                );
+                g.add_task(Task::compute(format!("t{i}"), r));
+                start.push(fpga % n_fpgas);
+            }
+            for &(src, dst, width) in &fifos {
+                let (src, dst) = (src % tasks.len(), dst % tasks.len());
+                g.add_fifo(Fifo::new("f", TaskId::from_index(src), TaskId::from_index(dst), 32 * width));
+            }
+            let cfg = PartitionConfig {
+                threshold: threshold as f64 / 100.0,
+                balance_slack: slack as f64 / 100.0,
+                refine_passes: passes,
+                ..PartitionConfig::default()
+            };
+            let (mut fast, mut reference) = (start.clone(), start);
+            refine(&g, &cluster, n_fpgas, &cap, &cfg, &mut fast);
+            refine_reference(&g, &cluster, n_fpgas, &cap, &cfg, &mut reference);
+            proptest::prop_assert_eq!(fast, reference);
+        }
     }
 }

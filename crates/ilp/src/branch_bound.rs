@@ -6,25 +6,22 @@
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::Model;
-use crate::presolve::{self, PresolveOutcome, PresolvedLp};
+use crate::presolve::{self, PresolvedLp};
 use crate::simplex::LpProblem;
 
 /// Presolves `model`'s LP (or wraps it untouched when disabled) and
 /// derives the reduced-space indices of the integral variables.
-pub(crate) fn presolved_root(
-    full_lp: &LpProblem,
+pub(crate) fn presolved_root<'a>(
+    full_lp: &LpProblem<'a>,
     integral: &[usize],
     enabled: bool,
-) -> Result<(PresolvedLp, Vec<usize>), IlpError> {
+) -> Result<(PresolvedLp<'a>, Vec<usize>), IlpError> {
     let mut is_int = vec![false; full_lp.n_vars];
     for &j in integral {
         is_int[j] = true;
     }
     let pre = if enabled {
-        match presolve::presolve(full_lp, &is_int) {
-            PresolveOutcome::Infeasible => return Err(IlpError::Infeasible),
-            PresolveOutcome::Reduced(p) => p,
-        }
+        presolve::presolve(full_lp, &is_int).ok_or(IlpError::Infeasible)?
     } else {
         PresolvedLp::identity(full_lp)
     };

@@ -618,8 +618,7 @@ fn canonical_key_len(backend: &str, model: &Model, config: &SolverConfig) -> usi
     let limit = if config.time_limit.is_some() { 1 + 16 } else { 1 };
     let objective = 1 + 8 + TERM_BYTES * model.objective.len() + 1;
     let vars = 17 * model.vars.len() + 1;
-    let rows: usize =
-        model.constraints.iter().map(|c| 1 + 8 + TERM_BYTES * c.terms.len() + 1).sum();
+    let rows = (1 + 8 + 1) * model.rows.len() + TERM_BYTES * model.rows.nnz();
     header + limit + objective + vars + rows
 }
 
@@ -675,14 +674,14 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
     }
     key.push(0xfd);
 
-    for constraint in &model.constraints {
-        key.push(match constraint.op {
+    for row in model.rows.iter() {
+        key.push(match row.op {
             CmpOp::Le => 0,
             CmpOp::Ge => 1,
             CmpOp::Eq => 2,
         });
-        key.extend_from_slice(&constraint.rhs.to_bits().to_le_bytes());
-        for &(var, coeff) in &constraint.terms {
+        key.extend_from_slice(&row.rhs.to_bits().to_le_bytes());
+        for &(var, coeff) in row.terms {
             push_term(&mut key, var, coeff);
         }
         key.push(0xfc);

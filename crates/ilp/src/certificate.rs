@@ -124,6 +124,39 @@ fn within(v: f64, lo: f64, hi: f64) -> bool {
     v >= lo && v <= hi
 }
 
+/// The point checks of [`certify`] at slack `tol`, in its order, which a
+/// NaN entry never passes; [`Model::is_feasible`] at its caller's `tol`.
+pub(crate) fn check_point(model: &Model, values: &[f64], tol: f64) -> Result<(), CertificateError> {
+    if values.len() != model.vars.len() {
+        return Err(CertificateError::WrongLength {
+            expected: model.vars.len(),
+            found: values.len(),
+        });
+    }
+    for (var, (v, &value)) in model.vars.iter().zip(values).enumerate() {
+        if !within(value, v.lower - tol, v.upper + tol) {
+            return Err(CertificateError::BoundViolated { var, value });
+        }
+        if matches!(v.kind, VarKind::Integer | VarKind::Binary)
+            && !within(value - value.round(), -tol, tol)
+        {
+            return Err(CertificateError::NotIntegral { var, value });
+        }
+    }
+    for (row, c) in model.rows.iter().enumerate() {
+        let activity = crate::expr::dot(c.terms, values);
+        let (lo, hi) = match c.op {
+            CmpOp::Le => (f64::NEG_INFINITY, c.rhs + tol),
+            CmpOp::Ge => (c.rhs - tol, f64::INFINITY),
+            CmpOp::Eq => (c.rhs - tol, c.rhs + tol),
+        };
+        if !within(activity, lo, hi) {
+            return Err(CertificateError::RowViolated { row, activity, rhs: c.rhs });
+        }
+    }
+    Ok(())
+}
+
 /// Re-checks `solution` against `model` as the caller built it: one value
 /// per variable, every value inside its bounds and integral where
 /// declared, every row's activity recomputed and compared with its
@@ -142,33 +175,7 @@ pub fn certify(
     solution: &Solution,
 ) -> Result<(), CertificateError> {
     let values = &solution.values[..];
-    if values.len() != model.vars.len() {
-        return Err(CertificateError::WrongLength {
-            expected: model.vars.len(),
-            found: values.len(),
-        });
-    }
-    for (var, (v, &value)) in model.vars.iter().zip(values).enumerate() {
-        if !within(value, v.lower - FEAS_TOL, v.upper + FEAS_TOL) {
-            return Err(CertificateError::BoundViolated { var, value });
-        }
-        if matches!(v.kind, VarKind::Integer | VarKind::Binary)
-            && !within(value - value.round(), -FEAS_TOL, FEAS_TOL)
-        {
-            return Err(CertificateError::NotIntegral { var, value });
-        }
-    }
-    for (row, c) in model.constraints.iter().enumerate() {
-        let activity = c.activity(values);
-        let (lo, hi) = match c.op {
-            CmpOp::Le => (f64::NEG_INFINITY, c.rhs + FEAS_TOL),
-            CmpOp::Ge => (c.rhs - FEAS_TOL, f64::INFINITY),
-            CmpOp::Eq => (c.rhs - FEAS_TOL, c.rhs + FEAS_TOL),
-        };
-        if !within(activity, lo, hi) {
-            return Err(CertificateError::RowViolated { row, activity, rhs: c.rhs });
-        }
-    }
+    check_point(model, values, FEAS_TOL)?;
 
     let recomputed = model.objective.eval(values);
     let scale = recomputed.abs().max(1.0);

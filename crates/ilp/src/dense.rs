@@ -1,9 +1,10 @@
 //! The dense-tableau simplex engine ([`LpEngine::Dense`](crate::LpEngine::Dense)).
 //!
-//! This is the original implementation, kept verbatim as the differential-
-//! testing oracle for the sparse revised engine: it maintains the full
-//! `B⁻¹A` tableau explicitly, refactorizes a basis by Gauss-Jordan
-//! elimination and updates every row on every pivot. All decision rules
+//! This is the original implementation, kept as the differential-testing
+//! oracle for the sparse revised engine: it lays the prepared CSC matrix
+//! out densely, maintains the full `B⁻¹A` tableau explicitly, refactorizes
+//! a basis by Gauss-Jordan elimination and updates every row on every
+//! pivot. All decision rules
 //! (pricing, ratio test, tie-breaks, the degenerate-pivot Bland guard) are
 //! shared with [`revised`](crate::revised) through the constants and
 //! helpers in [`simplex`](crate::simplex).
@@ -16,9 +17,10 @@
 
 use crate::cancel::CancellationToken;
 use crate::simplex::{
-    cold_statuses_for, CancelProbe, ColStatus, EngineCore, LpProblem, RunOutcome, Step,
-    DEGEN_BLAND_AFTER, PRICE_BAND, TOL,
+    cold_statuses_for, CancelProbe, ColStatus, EngineCore, RunOutcome, Step, DEGEN_BLAND_AFTER,
+    PRICE_BAND, TOL,
 };
+use crate::sparse::SparseLp;
 
 pub(crate) struct Tableau {
     m: usize,
@@ -48,45 +50,21 @@ pub(crate) struct Tableau {
 }
 
 impl Tableau {
-    pub(crate) fn build(lp: &LpProblem, lower: &[f64], upper: &[f64]) -> Tableau {
-        let m = lp.rows.len();
-        let n_struct = lp.n_vars;
-        let n = n_struct + m;
-
-        let mut lo = Vec::with_capacity(n);
-        let mut hi = Vec::with_capacity(n);
-        lo.extend_from_slice(lower);
-        hi.extend_from_slice(upper);
-        for row in &lp.rows {
-            let (l, u) = crate::sparse::logical_bounds(row.op);
-            lo.push(l);
-            hi.push(u);
-        }
-
+    /// The tableau of the prepared matrix `sp` under the structural bounds
+    /// `lower`/`upper`. A cell is `0 +` its CSC value (its scaled
+    /// coefficients summed in row order), as adding them one by one gives.
+    pub(crate) fn build(sp: &SparseLp, lower: &[f64], upper: &[f64]) -> Tableau {
+        let (m, n, n_struct) = (sp.m, sp.n, sp.n_struct);
         let mut coef = vec![0.0; (m + 1) * n];
-        let mut b = vec![0.0; m];
-        for (i, row) in lp.rows.iter().enumerate() {
-            // Row equilibration: scale each row so its largest coefficient
-            // is 1. Floorplanning rows mix unit cut indicators with
-            // ~1e6-LUT resource coefficients; without scaling, phase-1
-            // feasibility tests drown in roundoff. Scaling depends only on
-            // the row data, never on node bounds, so warm-started children
-            // see the identical matrix (and the sparse engine applies the
-            // exact same rule, so the engines price identical systems).
-            let scale = crate::sparse::row_scale(row);
-            for &(j, a) in &row.coeffs {
-                coef[i * n + j] += a * scale;
+        for j in 0..n {
+            let (rows, vals) = sp.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                coef[i as usize * n + j] += v;
             }
-            coef[i * n + n_struct + i] = 1.0;
-            b[i] = row.rhs * scale;
         }
-
-        // Objective in minimize direction.
-        let sign = if lp.minimize { 1.0 } else { -1.0 };
-        let mut cost = vec![0.0; n];
-        for j in 0..n_struct {
-            cost[j] = sign * lp.objective[j];
-        }
+        let lo = [lower, &sp.logical_lower].concat();
+        let hi = [upper, &sp.logical_upper].concat();
+        let (b, cost) = (sp.b.clone(), sp.cost.clone());
 
         Tableau {
             m,

@@ -40,6 +40,30 @@ pub(crate) fn dot(terms: &[(VarId, f64)], values: &[f64]) -> f64 {
     terms.iter().map(|(v, c)| c * values.get(v.index()).copied().unwrap_or(0.0)).sum()
 }
 
+/// [`LinExpr::add_term`] on the sorted row `terms[from..]`: an expression
+/// is the row from 0, and a model's row block merges into its open row.
+pub(crate) fn merge_term(terms: &mut Vec<(VarId, f64)>, from: usize, var: VarId, coeff: f64) {
+    if coeff == 0.0 {
+        return;
+    }
+    let row = &terms[from..];
+    let at = match row.last() {
+        Some(&(last, _)) if last >= var => row.binary_search_by_key(&var, |&(v, _)| v),
+        _ => Err(row.len()),
+    };
+    match at {
+        Ok(i) => {
+            terms[from + i].1 += coeff;
+            if negligible(terms[from + i].1) {
+                terms.remove(from + i);
+            }
+        }
+        // A fresh term starts from `0.0 + coeff`, which is `coeff`.
+        Err(i) if !negligible(coeff) => terms.insert(from + i, (var, coeff)),
+        Err(_) => {}
+    }
+}
+
 impl LinExpr {
     /// The empty expression (`0`).
     pub fn new() -> Self {
@@ -66,24 +90,7 @@ impl LinExpr {
 
     /// Adds `coeff · var` to the expression, merging with any existing term.
     pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
-        if coeff == 0.0 {
-            return self;
-        }
-        let at = match self.terms.last() {
-            Some(&(last, _)) if last >= var => self.terms.binary_search_by_key(&var, |&(v, _)| v),
-            _ => Err(self.terms.len()),
-        };
-        match at {
-            Ok(i) => {
-                self.terms[i].1 += coeff;
-                if negligible(self.terms[i].1) {
-                    self.terms.remove(i);
-                }
-            }
-            // A fresh term starts from `0.0 + coeff`, which is `coeff`.
-            Err(i) if !negligible(coeff) => self.terms.insert(i, (var, coeff)),
-            Err(_) => {}
-        }
+        merge_term(&mut self.terms, 0, var, coeff);
         self
     }
 
@@ -109,8 +116,8 @@ impl LinExpr {
     }
 
     /// The sorted terms, without the constant.
-    pub(crate) fn into_terms(self) -> Vec<(VarId, f64)> {
-        self.terms
+    pub(crate) fn terms(&self) -> &[(VarId, f64)] {
+        &self.terms
     }
 
     /// Number of variables with non-zero coefficient.

@@ -1,9 +1,16 @@
+//! The model a caller builds: variables, an objective, and every row in
+//! one compressed-sparse-row block ([`Rows`]: row starts, terms, operators
+//! and right-hand sides). [`LinExpr`] stays the builder; a finished
+//! expression is copied into the block, and [`Model::add_terms`] appends a
+//! row term by term without one. Everything downstream borrows the block.
+
+use std::borrow::Cow;
 use std::time::Duration;
 
 use crate::cancel::{effective_token, CancellationToken};
 use crate::error::IlpError;
-use crate::expr::{dot, LinExpr};
-use crate::simplex::{LpProblem, LpRow};
+use crate::expr::{merge_term, LinExpr};
+use crate::simplex::{LpProblem, LpRows};
 use crate::solution::Solution;
 
 /// Opaque handle to a model variable.
@@ -55,20 +62,77 @@ pub(crate) struct Variable {
     pub upper: f64,
 }
 
-/// One row `Σ aᵢ·xᵢ op rhs`. The builder expression's constant is already
-/// folded into `rhs`, so the terms carry none.
+/// A model's rows: row `i` is `terms[start[i]..start[i + 1]] op[i] rhs[i]`,
+/// its terms as the builder merged them (ascending variables, one term
+/// each) and the builder's constant folded into `rhs`.
 #[derive(Debug, Clone)]
-pub(crate) struct Constraint {
-    /// `(variable, coefficient)` in ascending variable order.
-    pub terms: Vec<(VarId, f64)>,
+pub(crate) struct Rows {
+    start: Vec<usize>,
+    terms: Vec<(VarId, f64)>,
+    op: Vec<CmpOp>,
+    rhs: Vec<f64>,
+}
+
+/// One row `Σ aᵢ·xᵢ op rhs` of a [`Rows`] block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    pub terms: &'a [(VarId, f64)],
     pub op: CmpOp,
     pub rhs: f64,
 }
 
-impl Constraint {
-    /// The row activity `Σ aᵢ·xᵢ` at a dense point.
-    pub fn activity(&self, values: &[f64]) -> f64 {
-        dot(&self.terms, values)
+impl Rows {
+    /// An empty block with room for `rows` rows of `terms` terms in all.
+    pub fn with_capacity(rows: usize, terms: usize) -> Rows {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        let (op, rhs) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        Rows { start, terms: Vec::with_capacity(terms), op, rhs }
+    }
+
+    pub fn len(&self) -> usize {
+        self.op.len()
+    }
+
+    pub fn nnz(&self) -> usize {
+        self.terms.len()
+    }
+
+    pub fn row(&self, i: usize) -> Row<'_> {
+        let terms = &self.terms[self.start[i]..self.start[i + 1]];
+        Row { terms, op: self.op[i], rhs: self.rhs[i] }
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> {
+        let ends = self.start.windows(2).zip(&self.op).zip(&self.rhs);
+        ends.map(|((s, &op), &rhs)| Row { terms: &self.terms[s[0]..s[1]], op, rhs })
+    }
+
+    pub fn push(&mut self, terms: &[(VarId, f64)], op: CmpOp, rhs: f64) {
+        self.terms.extend_from_slice(terms);
+        self.close(op, rhs);
+    }
+
+    /// Appends a row of `terms`, each merged in as [`LinExpr::add_term`]
+    /// merges it into an expression.
+    pub fn push_merged(
+        &mut self,
+        terms: impl IntoIterator<Item = (VarId, f64)>,
+        op: CmpOp,
+        rhs: f64,
+    ) {
+        let from = self.terms.len();
+        for (var, coeff) in terms {
+            merge_term(&mut self.terms, from, var, coeff);
+        }
+        self.close(op, rhs);
+    }
+
+    /// Ends the row whose terms were appended since the last one.
+    fn close(&mut self, op: CmpOp, rhs: f64) {
+        self.start.push(self.terms.len());
+        self.op.push(op);
+        self.rhs.push(rhs);
     }
 }
 
@@ -167,7 +231,7 @@ impl SolverConfig {
 pub struct Model {
     name: String,
     pub(crate) vars: Vec<Variable>,
-    pub(crate) constraints: Vec<Constraint>,
+    pub(crate) rows: Rows,
     pub(crate) objective: LinExpr,
     pub(crate) sense: Sense,
 }
@@ -178,18 +242,19 @@ impl Model {
         Self {
             name: name.into(),
             vars: Vec::new(),
-            constraints: Vec::new(),
+            rows: Rows::with_capacity(0, 0),
             objective: LinExpr::new(),
             sense: Sense::Minimize,
         }
     }
 
     /// An empty model with room for `vars` variables and `rows`
-    /// constraints, for a builder that knows its size up front.
-    pub fn with_capacity(name: impl Into<String>, vars: usize, rows: usize) -> Self {
+    /// constraints of `terms` terms in all, for a builder that knows its
+    /// size up front.
+    pub fn with_capacity(name: impl Into<String>, vars: usize, rows: usize, terms: usize) -> Self {
         Self {
             vars: Vec::with_capacity(vars),
-            constraints: Vec::with_capacity(rows),
+            rows: Rows::with_capacity(rows, terms),
             ..Self::new(name)
         }
     }
@@ -274,8 +339,22 @@ impl Model {
     /// Adds a constraint with an explicit operator. The expression's constant
     /// term is folded into the right-hand side.
     pub fn add_constraint(&mut self, _name: impl Into<String>, expr: LinExpr, op: CmpOp, rhs: f64) {
-        let rhs = rhs - expr.constant();
-        self.constraints.push(Constraint { terms: expr.into_terms(), op, rhs });
+        self.rows.push(expr.terms(), op, rhs - expr.constant());
+    }
+
+    /// Adds `Σ coeff·var op rhs` straight into the model's row block,
+    /// without building a [`LinExpr`]. The terms merge as
+    /// [`LinExpr::add_term`] merges them, so the row equals the one
+    /// [`Model::add_constraint`] adds for the expression of those terms;
+    /// terms in ascending variable order are plain appends.
+    pub fn add_terms(
+        &mut self,
+        _name: impl Into<String>,
+        terms: impl IntoIterator<Item = (VarId, f64)>,
+        op: CmpOp,
+        rhs: f64,
+    ) {
+        self.rows.push_merged(terms, op, rhs);
     }
 
     /// Sets the objective function and direction.
@@ -291,7 +370,7 @@ impl Model {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rows.len()
     }
 
     /// Indices of integer/binary variables.
@@ -305,62 +384,30 @@ impl Model {
     }
 
     /// Lowers the model to the internal LP representation used by the
-    /// simplex. Integrality is dropped; bounds are kept.
-    pub(crate) fn to_lp(&self) -> LpProblem {
+    /// simplex: the row block is borrowed, not copied. Integrality is
+    /// dropped; bounds are kept.
+    pub(crate) fn to_lp(&self) -> LpProblem<'_> {
         let n = self.vars.len();
         let mut objective = vec![0.0; n];
         for (v, c) in self.objective.iter() {
             objective[v.index()] = c;
         }
-        let minimize = matches!(self.sense, Sense::Minimize);
-        let rows = self
-            .constraints
-            .iter()
-            .map(|c| LpRow {
-                coeffs: c.terms.iter().map(|&(v, k)| (v.index(), k)).collect(),
-                op: c.op,
-                rhs: c.rhs,
-            })
-            .collect();
         LpProblem {
             n_vars: n,
             lower: self.vars.iter().map(|v| v.lower).collect(),
             upper: self.vars.iter().map(|v| v.upper).collect(),
-            rows,
+            rows: LpRows { block: Cow::Borrowed(&self.rows), reduction: None },
             objective,
-            minimize,
+            minimize: matches!(self.sense, Sense::Minimize),
             objective_offset: self.objective.constant(),
         }
     }
 
-    /// Checks whether a candidate point satisfies every constraint and bound
-    /// within `tol`.
+    /// Checks whether a candidate point satisfies every bound, integrality
+    /// and constraint within `tol`, by the same rules as
+    /// [`certify`](crate::certify): a NaN entry never passes.
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
-        if values.len() != self.vars.len() {
-            return false;
-        }
-        for (i, v) in self.vars.iter().enumerate() {
-            if values[i] < v.lower - tol || values[i] > v.upper + tol {
-                return false;
-            }
-            if matches!(v.kind, VarKind::Integer | VarKind::Binary)
-                && (values[i] - values[i].round()).abs() > tol
-            {
-                return false;
-            }
-        }
-        for c in &self.constraints {
-            let lhs = c.activity(values);
-            let ok = match c.op {
-                CmpOp::Le => lhs <= c.rhs + tol,
-                CmpOp::Ge => lhs >= c.rhs - tol,
-                CmpOp::Eq => (lhs - c.rhs).abs() <= tol,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
+        crate::certificate::check_point(self, values, tol).is_ok()
     }
 
     /// Rejects data no search can give a verdict on: a row or objective
@@ -372,7 +419,7 @@ impl Model {
     /// bound's row-activity proof) only see finite coefficients.
     fn check_finite(&self) -> Result<(), IlpError> {
         let invalid = |what: String| Err(IlpError::InvalidModel(what));
-        for (i, c) in self.constraints.iter().enumerate() {
+        for (i, c) in self.rows.iter().enumerate() {
             if c.rhs.is_nan() {
                 return invalid(format!("row {i} has a NaN right-hand side"));
             }
@@ -618,7 +665,7 @@ mod tests {
         let x = m.continuous("x", 0.0, 1.0);
         m.add_le("c", LinExpr::term(x, 1.0) + 1e10, 1e10);
         let point = [9.6e-7];
-        assert_eq!(m.constraints[0].activity(&point), 9.6e-7);
+        assert_eq!(crate::expr::dot(m.rows.row(0).terms, &point), 9.6e-7);
         assert!(m.is_feasible(&point, 1e-6));
         assert!(!m.is_feasible(&[1.1e-6], 1e-6));
         let answer = Solution {
@@ -630,6 +677,24 @@ mod tests {
             degraded: false,
         };
         crate::certify(&m, &SolverConfig::default(), &answer).unwrap();
+    }
+
+    /// A NaN entry is infeasible wherever it sits, also on a variable that
+    /// no row reads: `y` is only in the objective and `z` in nothing. The
+    /// bound and integrality checks used to compare with `<` and `>`, and
+    /// every comparison with NaN is false; they now share `certify`'s rule.
+    #[test]
+    fn a_nan_entry_is_never_feasible() {
+        let mut m = Model::new("nan");
+        let x = m.binary("x");
+        let y = m.continuous("y", 0.0, 1.0);
+        m.binary("z");
+        m.add_le("c", x.into(), 1.0);
+        m.set_objective(Sense::Maximize, x + y);
+        assert!(m.is_feasible(&[0.0, 0.5, 1.0], 1e-6));
+        assert!(!m.is_feasible(&[0.0, f64::NAN, 1.0], 1e-6));
+        assert!(!m.is_feasible(&[0.0, 0.5, f64::NAN], 1e-6));
+        assert!(!m.is_feasible(&[f64::NAN, 0.5, 1.0], 1e-6));
     }
 
     #[test]

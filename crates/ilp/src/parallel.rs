@@ -20,9 +20,10 @@
 //! functions of the node, so warm starts do not disturb the thread-count
 //! independence. Before any child LP, presolve's row-activity proof runs
 //! once more over the child's box, on the rows of the branched column
-//! only (a column → rows index built once per solve): a child it condemns
-//! is dropped without an LP, exactly as its `Infeasible` LP outcome would
-//! have dropped it, so the search visits the same nodes in the same order.
+//! only (its pattern in the prepared CSC matrix, each row read as a slice
+//! of the model's row block): a child it condemns is dropped without an
+//! LP, exactly as its `Infeasible` LP outcome would have dropped it, so
+//! the search visits the same nodes in the same order.
 //!
 //! An open node holds only what its expansion reads ([`Node`]). The
 //! branching column is a pure function of the LP point, so it is picked
@@ -66,7 +67,7 @@ use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
 use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta, PackedPoint};
 use crate::presolve::{activity_range, PresolvedLp};
-use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, FEAS_TOL};
+use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, TOL};
 use crate::solution::{Solution, SolveStatus};
 
 /// Frontier nodes expanded per synchronous round. Fixed (never derived from
@@ -226,17 +227,13 @@ struct SearchCtx<'a> {
     workers: usize,
     model: &'a Model,
     config: &'a SolverConfig,
-    full_lp: &'a LpProblem,
-    pre: &'a PresolvedLp,
-    /// One shared prepared form (sparse matrix for the default engine) for
-    /// the root and every node solve.
+    full_lp: &'a LpProblem<'a>,
+    pre: &'a PresolvedLp<'a>,
+    /// One shared prepared form (the CSC matrix) for the root and every
+    /// node solve.
     prep: &'a PreparedLp<'a>,
     integral: &'a [usize],
     red_integral: &'a [usize],
-    /// Column → rows index of `pre.lp`: the rows each reduced column
-    /// appears in, ascending. Built once per solve; the child range proof
-    /// ([`SearchCtx::range_infeasible`]) reads only the branched column's.
-    col_rows: Vec<Vec<usize>>,
     /// One token for the whole solve: the configured deadline fused with any
     /// caller-supplied cancellation, polled at round boundaries, before every
     /// child LP solve, and inside the simplex iteration loops. `None` when
@@ -270,9 +267,9 @@ impl SearchCtx<'_> {
         let (node_lo, node_hi) = (lower[j], upper[j]);
         (lower[j], upper[j]) = (lo, hi);
         let rows = &self.pre.lp.rows;
-        let condemned = self.col_rows[j].iter().any(|&i| {
-            let row = &rows[i];
-            activity_range(&row.coeffs, row.op, row.rhs, lower, upper).is_none()
+        let condemned = self.prep.sparse.col(j).0.iter().any(|&i| {
+            let (op, rhs, terms) = rows.row(i as usize);
+            activity_range(terms, op, rhs, lower, upper).is_none()
         });
         (lower[j], upper[j]) = (node_lo, node_hi);
         condemned
@@ -286,17 +283,6 @@ fn record_search(nodes: usize, candidates: u64) {
         a.record_bb_nodes(nodes as u64);
         a.record_candidate_nodes(candidates);
     });
-}
-
-/// The rows each column of `lp` appears in, ascending.
-fn column_rows(lp: &LpProblem) -> Vec<Vec<usize>> {
-    let mut index = vec![Vec::new(); lp.n_vars];
-    for (i, row) in lp.rows.iter().enumerate() {
-        for &(j, _) in &row.coeffs {
-            index[j].push(i);
-        }
-    }
-    index
 }
 
 /// Expands one node: either reports an integral candidate (offered to the
@@ -372,7 +358,7 @@ fn expand_children(
         // An empty child box is pruned with the same tolerance the solver's
         // own bound-sanity check uses, so the two paths cannot disagree on
         // which children exist.
-        if lo > hi + FEAS_TOL {
+        if lo > hi + TOL.feas {
             continue;
         }
         if ctx.range_infeasible(lower, upper, j, (lo, hi)) {
@@ -744,7 +730,6 @@ impl crate::Solver for ParallelSolver {
             prep: &prep,
             integral: &integral,
             red_integral: &red_integral,
-            col_rows: column_rows(&pre.lp),
             token,
         };
 

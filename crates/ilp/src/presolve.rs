@@ -18,12 +18,15 @@
 //!    integral variables the bound is already integral after pass 1's
 //!    rounding, so the fixing is MIP-safe.
 //!
-//! The result is a [`PresolvedLp`]: the reduced problem plus a postsolve
-//! map back to original variable ids. Reductions are counted into the
+//! The passes read the model's row block in place, and the result is a
+//! [`PresolvedLp`]: the reduced problem as a view of that block (a row
+//! mask, adjusted right-hand sides and a column map, see [`Reduction`])
+//! plus a postsolve map back to original variable ids. Reductions are
+//! counted into the
 //! process-wide [`SolveActivity`](crate::SolveActivity).
 
-use crate::model::CmpOp;
-use crate::simplex::{LpProblem, LpRow, TOL};
+use crate::model::{CmpOp, Rows};
+use crate::simplex::{LpProblem, LpRows, Reduction, TOL};
 
 /// Absolute slack used when *removing* a row as redundant — deliberately
 /// far tighter than the solver's feasibility tolerance so a removed row can
@@ -34,73 +37,102 @@ const INT_TOL: f64 = 1e-6;
 
 /// A presolved LP plus the map back to the original variable space.
 #[derive(Debug, Clone)]
-pub(crate) struct PresolvedLp {
+pub(crate) struct PresolvedLp<'a> {
     /// The reduced problem (columns renumbered densely over kept
     /// variables, rows substituted and filtered).
-    pub lp: LpProblem,
+    pub lp: LpProblem<'a>,
     /// Original variable index of each reduced column.
     pub kept: Vec<usize>,
     /// Fixed value per original variable (`None` for kept columns).
     fixed: Vec<Option<f64>>,
-    n_original: usize,
 }
 
-impl PresolvedLp {
+impl<'a> PresolvedLp<'a> {
     /// The no-op reduction (presolve disabled): every column kept.
-    pub fn identity(lp: &LpProblem) -> PresolvedLp {
-        PresolvedLp {
-            lp: lp.clone(),
-            kept: (0..lp.n_vars).collect(),
-            fixed: vec![None; lp.n_vars],
-            n_original: lp.n_vars,
-        }
+    pub fn identity(lp: &LpProblem<'a>) -> PresolvedLp<'a> {
+        PresolvedLp { lp: lp.clone(), kept: (0..lp.n_vars).collect(), fixed: vec![None; lp.n_vars] }
     }
 
     /// Maps a point of the reduced problem back to the original variable
     /// space, filling presolve-fixed variables with their fixed values.
     pub fn postsolve(&self, reduced: &[f64]) -> Vec<f64> {
         debug_assert_eq!(reduced.len(), self.kept.len());
-        let mut full = vec![0.0; self.n_original];
+        let mut full: Vec<f64> = self.fixed.iter().map(|v| v.unwrap_or(0.0)).collect();
         for (r, &orig) in self.kept.iter().enumerate() {
             full[orig] = reduced[r];
-        }
-        for (j, fix) in self.fixed.iter().enumerate() {
-            if let Some(v) = fix {
-                full[j] = *v;
-            }
         }
         full
     }
 }
 
-/// Result of presolving one model.
-pub(crate) enum PresolveOutcome {
-    /// The reductions proved the model infeasible.
-    Infeasible,
-    /// The reduced problem and its postsolve map.
-    Reduced(PresolvedLp),
+/// The passes' working state over a whole row block. A column fixed
+/// between two substitution sweeps is substituted at the next one:
+/// `fixed_in[j]` is that sweep's number (`usize::MAX` while `j` is free),
+/// and a term is live until then, a zero one never. So each row's live
+/// terms, and the order its right-hand side absorbs the fixed ones, are
+/// those of a row copy that drops terms as they are substituted.
+struct Work<'r> {
+    rows: &'r Rows,
+    alive: Vec<bool>,
+    rhs: Vec<f64>,
+    fixed: Vec<Option<f64>>,
+    fixed_in: Vec<usize>,
+    /// Sweeps run so far.
+    sweeps: usize,
 }
 
-struct WorkRow {
-    coeffs: Vec<(usize, f64)>,
-    op: CmpOp,
-    rhs: f64,
-    alive: bool,
+impl Work<'_> {
+    /// Row `i`'s live terms, in block order.
+    fn terms(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (fixed_in, sweeps) = (&self.fixed_in, self.sweeps);
+        let terms = self.rows.row(i).terms.iter().map(|&(v, a)| (v.index(), a));
+        terms.filter(move |&(j, a)| a != 0.0 && fixed_in[j] > sweeps)
+    }
+
+    /// Fixes column `j` at `v`, to be substituted at the next sweep.
+    fn fix(&mut self, j: usize, v: f64) {
+        self.fixed[j] = Some(v);
+        self.fixed_in[j] = self.sweeps + 1;
+    }
+
+    /// Substitutes the columns fixed since the last sweep into every live
+    /// row, in each row's term order.
+    fn sweep(&mut self) {
+        self.sweeps += 1;
+        for i in 0..self.rows.len() {
+            if !self.alive[i] {
+                continue;
+            }
+            for &(v, a) in self.rows.row(i).terms {
+                let j = v.index();
+                if a != 0.0 && self.fixed_in[j] == self.sweeps {
+                    self.rhs[i] -= a * self.fixed[j].expect("a column is fixed before its sweep");
+                }
+            }
+        }
+    }
 }
 
-/// Runs the presolve passes on `lp` to a fixpoint. `is_integral` flags the
+/// Runs the presolve passes on `lp` (a whole row block) to a fixpoint:
+/// the reduced problem and its postsolve map, or `None` when the
+/// reductions prove the model infeasible. `is_integral` flags the
 /// variables whose bounds must stay integral.
-pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome {
+pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<PresolvedLp<'a>> {
     debug_assert_eq!(is_integral.len(), lp.n_vars);
     let n = lp.n_vars;
+    debug_assert!(lp.rows.reduction.is_none(), "presolve reduces a whole block");
+    let block = &lp.rows.block;
+    let m = block.len();
     let mut lower = lp.lower.clone();
     let mut upper = lp.upper.clone();
-    let mut fixed: Vec<Option<f64>> = vec![None; n];
-    let mut rows: Vec<WorkRow> = lp
-        .rows
-        .iter()
-        .map(|r| WorkRow { coeffs: r.coeffs.clone(), op: r.op, rhs: r.rhs, alive: true })
-        .collect();
+    let mut w = Work {
+        rows: block,
+        alive: vec![true; m],
+        rhs: block.iter().map(|row| row.rhs).collect(),
+        fixed: vec![None; n],
+        fixed_in: vec![usize::MAX; n],
+        sweeps: 0,
+    };
 
     let mut rows_removed = 0u64;
     let mut cols_fixed = 0u64;
@@ -120,73 +152,56 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
         passes += 1;
 
         // Substitute fixed variables into every live row.
-        for row in rows.iter_mut().filter(|r| r.alive) {
-            row.coeffs.retain(|&(j, a)| {
-                if let Some(v) = fixed[j] {
-                    row.rhs -= a * v;
-                    false
-                } else {
-                    a != 0.0
-                }
-            });
-        }
+        w.sweep();
 
         // Row passes: empty, singleton, activity-based.
-        for row in rows.iter_mut().filter(|r| r.alive) {
-            if row.coeffs.is_empty() {
-                if activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper).is_none() {
-                    return PresolveOutcome::Infeasible;
-                }
-                row.alive = false;
-                rows_removed += 1;
-                changed = true;
+        for i in 0..m {
+            if !w.alive[i] {
                 continue;
             }
-            if row.coeffs.len() == 1 {
-                let (j, a) = row.coeffs[0];
-                let bound = row.rhs / a;
-                let tighten_upper = matches!(
-                    (row.op, a > 0.0),
-                    (CmpOp::Le, true) | (CmpOp::Ge, false) | (CmpOp::Eq, _)
-                );
-                let tighten_lower = matches!(
-                    (row.op, a > 0.0),
-                    (CmpOp::Ge, true) | (CmpOp::Le, false) | (CmpOp::Eq, _)
-                );
-                if tighten_upper && bound < upper[j] - REDUNDANT_TOL {
-                    upper[j] = bound;
-                    bounds_tightened += 1;
-                }
-                if tighten_lower && bound > lower[j] + REDUNDANT_TOL {
-                    lower[j] = bound;
-                    bounds_tightened += 1;
-                }
-                if is_integral[j] {
-                    round_integral_bounds(j, &mut lower, &mut upper);
-                }
-                row.alive = false;
-                rows_removed += 1;
-                changed = true;
-                continue;
-            }
-
-            let Some((min_act, max_act)) =
-                activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper)
-            else {
-                return PresolveOutcome::Infeasible;
+            let (op, rhs) = (block.row(i).op, w.rhs[i]);
+            let first_two = {
+                let mut live = w.terms(i);
+                (live.next(), live.next())
             };
-            let redundant = match row.op {
-                CmpOp::Le => max_act.is_finite() && max_act <= row.rhs + REDUNDANT_TOL,
-                CmpOp::Ge => min_act.is_finite() && min_act >= row.rhs - REDUNDANT_TOL,
-                CmpOp::Eq => {
-                    min_act.is_finite()
-                        && max_act.is_finite()
-                        && min_act >= row.rhs - REDUNDANT_TOL
-                        && max_act <= row.rhs + REDUNDANT_TOL
+            let remove = match first_two {
+                (None, _) => {
+                    activity_range(None, op, rhs, &lower, &upper)?;
+                    true
+                }
+                (Some((j, a)), None) => {
+                    let bound = rhs / a;
+                    let tighten_upper = matches!(
+                        (op, a > 0.0),
+                        (CmpOp::Le, true) | (CmpOp::Ge, false) | (CmpOp::Eq, _)
+                    );
+                    let tighten_lower = matches!(
+                        (op, a > 0.0),
+                        (CmpOp::Ge, true) | (CmpOp::Le, false) | (CmpOp::Eq, _)
+                    );
+                    if tighten_upper && bound < upper[j] - REDUNDANT_TOL {
+                        upper[j] = bound;
+                        bounds_tightened += 1;
+                    }
+                    if tighten_lower && bound > lower[j] + REDUNDANT_TOL {
+                        lower[j] = bound;
+                        bounds_tightened += 1;
+                    }
+                    if is_integral[j] {
+                        round_integral_bounds(j, &mut lower, &mut upper);
+                    }
+                    true
+                }
+                _ => {
+                    let (min_act, max_act) = activity_range(w.terms(i), op, rhs, &lower, &upper)?;
+                    // Redundant: no point of the box can break the row.
+                    (op == CmpOp::Ge || max_act.is_finite() && max_act <= rhs + REDUNDANT_TOL)
+                        && (op == CmpOp::Le
+                            || min_act.is_finite() && min_act >= rhs - REDUNDANT_TOL)
                 }
             };
-            if redundant {
-                row.alive = false;
+            if remove {
+                w.alive[i] = false;
                 rows_removed += 1;
                 changed = true;
             }
@@ -194,21 +209,21 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
 
         // Column passes: empty-interval detection, pinched-bound fixing.
         for j in 0..n {
-            if fixed[j].is_some() {
+            if w.fixed[j].is_some() {
                 continue;
             }
             if lower[j] > upper[j] + REDUNDANT_TOL {
-                return PresolveOutcome::Infeasible;
+                return None;
             }
             if upper[j] - lower[j] <= REDUNDANT_TOL {
                 let mut v = 0.5 * (lower[j] + upper[j]);
                 if is_integral[j] {
                     v = v.round();
                     if v < lower[j] - INT_TOL || v > upper[j] + INT_TOL {
-                        return PresolveOutcome::Infeasible;
+                        return None;
                     }
                 }
-                fixed[j] = Some(v);
+                w.fix(j, v);
                 cols_fixed += 1;
                 changed = true;
             }
@@ -217,44 +232,31 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
         // Dual fixing: per-column sign safety over the live rows.
         let mut dec_safe = vec![true; n];
         let mut inc_safe = vec![true; n];
-        for row in rows.iter().filter(|r| r.alive) {
-            for &(j, a) in &row.coeffs {
-                match row.op {
-                    CmpOp::Le => {
-                        if a < 0.0 {
-                            dec_safe[j] = false;
-                        }
-                        if a > 0.0 {
-                            inc_safe[j] = false;
-                        }
-                    }
-                    CmpOp::Ge => {
-                        if a > 0.0 {
-                            dec_safe[j] = false;
-                        }
-                        if a < 0.0 {
-                            inc_safe[j] = false;
-                        }
-                    }
-                    CmpOp::Eq => {
-                        dec_safe[j] = false;
-                        inc_safe[j] = false;
-                    }
-                }
+        for i in (0..m).filter(|&i| w.alive[i]) {
+            let op = block.row(i).op;
+            for (j, a) in w.terms(i) {
+                // Whether decreasing or increasing `j` can break the row.
+                let (dec, inc) = match op {
+                    CmpOp::Le => (a < 0.0, a > 0.0),
+                    CmpOp::Ge => (a > 0.0, a < 0.0),
+                    CmpOp::Eq => (true, true),
+                };
+                dec_safe[j] &= !dec;
+                inc_safe[j] &= !inc;
             }
         }
         let sign = if lp.minimize { 1.0 } else { -1.0 };
         for j in 0..n {
-            if fixed[j].is_some() {
+            if w.fixed[j].is_some() {
                 continue;
             }
             let c = sign * lp.objective[j];
             if c >= 0.0 && dec_safe[j] && lower[j].is_finite() {
-                fixed[j] = Some(lower[j]);
+                w.fix(j, lower[j]);
                 cols_fixed += 1;
                 changed = true;
             } else if c <= 0.0 && inc_safe[j] && upper[j].is_finite() {
-                fixed[j] = Some(upper[j]);
+                w.fix(j, upper[j]);
                 cols_fixed += 1;
                 changed = true;
             }
@@ -263,31 +265,23 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
 
     // Final substitution sweep (the loop may have capped out with fixes
     // from its last pass still unapplied).
-    for row in rows.iter_mut().filter(|r| r.alive) {
-        row.coeffs.retain(|&(j, a)| {
-            if let Some(v) = fixed[j] {
-                row.rhs -= a * v;
-                false
-            } else {
-                a != 0.0
-            }
-        });
-        if row.coeffs.is_empty() {
-            if activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper).is_none() {
-                return PresolveOutcome::Infeasible;
-            }
-            row.alive = false;
+    w.sweep();
+    for i in 0..m {
+        if w.alive[i] && w.terms(i).next().is_none() {
+            activity_range(None, block.row(i).op, w.rhs[i], &lower, &upper)?;
+            w.alive[i] = false;
             rows_removed += 1;
         }
     }
 
     crate::stats::record(|a| a.record_presolve(rows_removed, cols_fixed, bounds_tightened));
 
-    // Build the reduced problem over the kept columns.
+    // The reduced problem over the kept columns and rows.
+    let fixed = w.fixed;
     let kept: Vec<usize> = (0..n).filter(|&j| fixed[j].is_none()).collect();
-    let mut new_index = vec![usize::MAX; n];
+    let mut col = vec![usize::MAX; n];
     for (r, &orig) in kept.iter().enumerate() {
-        new_index[orig] = r;
+        col[orig] = r;
     }
     let mut offset = lp.objective_offset;
     for (j, fix) in fixed.iter().enumerate() {
@@ -295,24 +289,21 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
             offset += lp.objective[j] * v;
         }
     }
+    let rows: Vec<usize> = (0..m).filter(|&i| w.alive[i]).collect();
+    let rhs = rows.iter().map(|&i| w.rhs[i]).collect();
     let reduced = LpProblem {
         n_vars: kept.len(),
         lower: kept.iter().map(|&j| lower[j]).collect(),
         upper: kept.iter().map(|&j| upper[j]).collect(),
-        rows: rows
-            .iter()
-            .filter(|r| r.alive)
-            .map(|r| LpRow {
-                coeffs: r.coeffs.iter().map(|&(j, a)| (new_index[j], a)).collect(),
-                op: r.op,
-                rhs: r.rhs,
-            })
-            .collect(),
+        rows: LpRows {
+            block: lp.rows.block.clone(),
+            reduction: Some(Reduction { rows, rhs, col }),
+        },
         objective: kept.iter().map(|&j| lp.objective[j]).collect(),
         minimize: lp.minimize,
         objective_offset: offset,
     };
-    PresolveOutcome::Reduced(PresolvedLp { lp: reduced, kept, fixed, n_original: n })
+    Some(PresolvedLp { lp: reduced, kept, fixed })
 }
 
 /// The coefficient-wise activity range `[min, max]` of `Σ aⱼ·xⱼ` over the
@@ -336,7 +327,7 @@ pub(crate) fn presolve(lp: &LpProblem, is_integral: &[bool]) -> PresolveOutcome 
 /// would be condemned, while phase 1 sees a violation of 5e-10 in the
 /// scaled row and calls the LP feasible.
 pub(crate) fn activity_range(
-    coeffs: &[(usize, f64)],
+    terms: impl IntoIterator<Item = (usize, f64)>,
     op: CmpOp,
     rhs: f64,
     lower: &[f64],
@@ -345,7 +336,7 @@ pub(crate) fn activity_range(
     let mut min_act = 0.0f64;
     let mut max_act = 0.0f64;
     let mut peak = 0.0f64;
-    for &(j, a) in coeffs {
+    for (j, a) in terms {
         let (lo_c, hi_c) =
             if a > 0.0 { (a * lower[j], a * upper[j]) } else { (a * upper[j], a * lower[j]) };
         min_act += lo_c;
@@ -373,25 +364,27 @@ fn round_integral_bounds(j: usize, lower: &mut [f64], upper: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{LpEngine, LpOutcome, LpParity, PreparedLp};
+    use crate::simplex::{LpEngine, LpOutcome, LpParity, LpRow, PreparedLp};
 
-    fn base_lp(n: usize, rows: Vec<LpRow>, objective: Vec<f64>, minimize: bool) -> LpProblem {
+    fn base_lp(
+        n: usize,
+        rows: Vec<LpRow>,
+        objective: Vec<f64>,
+        minimize: bool,
+    ) -> LpProblem<'static> {
         LpProblem {
             n_vars: n,
             lower: vec![0.0; n],
             upper: vec![10.0; n],
-            rows,
+            rows: LpRows::owned(rows),
             objective,
             minimize,
             objective_offset: 0.0,
         }
     }
 
-    fn reduced(out: PresolveOutcome) -> PresolvedLp {
-        match out {
-            PresolveOutcome::Reduced(p) => p,
-            PresolveOutcome::Infeasible => panic!("unexpected infeasibility"),
-        }
+    fn reduced(out: Option<PresolvedLp<'_>>) -> PresolvedLp<'_> {
+        out.expect("unexpected infeasibility")
     }
 
     #[test]
@@ -439,7 +432,7 @@ mod tests {
             vec![1.0, 1.0],
             true,
         );
-        assert!(matches!(presolve(&lp, &[false, false]), PresolveOutcome::Infeasible));
+        assert!(presolve(&lp, &[false, false]).is_none());
     }
 
     #[test]
@@ -456,7 +449,7 @@ mod tests {
         );
         let p = reduced(presolve(&lp, &[false, false]));
         assert_eq!(p.lp.rows.len(), 1);
-        assert!(matches!(p.lp.rows[0].op, CmpOp::Eq));
+        assert!(matches!(p.lp.rows.row(0).0, CmpOp::Eq));
     }
 
     #[test]
@@ -521,7 +514,7 @@ mod tests {
         let mut lp = base_lp(1, vec![], vec![1.0], true);
         lp.lower[0] = 1.5;
         lp.upper[0] = 1.5;
-        assert!(matches!(presolve(&lp, &[true]), PresolveOutcome::Infeasible));
+        assert!(presolve(&lp, &[true]).is_none());
     }
 
     /// Fractional offsets for the random node boxes below: integral boxes,
@@ -585,13 +578,13 @@ mod tests {
                 .collect();
             let condemned = rows
                 .iter()
-                .any(|r| activity_range(&r.coeffs, r.op, r.rhs, &lower, &upper).is_none());
+                .any(|r| activity_range(r.coeffs.iter().copied(), r.op, r.rhs, &lower, &upper).is_none());
             if !condemned {
                 return Ok(());
             }
             let objective = costs[..n].iter().map(|&c| c as f64).collect();
             let problem = LpProblem { n_vars: n, lower: lower.clone(), upper: upper.clone(),
-                rows, objective, minimize: true, objective_offset: 0.0 };
+                rows: LpRows::owned(rows), objective, minimize: true, objective_offset: 0.0 };
             // The parent box: the child's with one column widened by one
             // bound, as `x ≤ k` / `x ≥ k` children are cut from a node.
             let (mut parent_lo, mut parent_hi) = (lower.clone(), upper.clone());
@@ -637,10 +630,10 @@ mod tests {
             LpRow { coeffs: vec![(0, -4000.0), (1, -2.0), (2, 1.0)], op: CmpOp::Ge, rhs: 0.0 };
         let (lower, upper) = (vec![0.0, 0.0, -1.0], vec![0.0, 2.0, -2e-6]);
         assert_eq!(
-            activity_range(&row.coeffs, row.op, row.rhs, &lower, &upper),
+            activity_range(row.coeffs.iter().copied(), row.op, row.rhs, &lower, &upper),
             Some((-5.0, -2e-6))
         );
-        let mut lp = base_lp(3, vec![row], vec![-3.0, 0.0, 3.0], true);
+        let mut lp = base_lp(3, vec![row.clone()], vec![-3.0, 0.0, 3.0], true);
         (lp.lower, lp.upper) = (lower, upper);
         for engine in [LpEngine::Sparse, LpEngine::Dense] {
             let out = PreparedLp::new(&lp, engine, LpParity::Fast)
@@ -649,7 +642,7 @@ mod tests {
         }
         // Missing by 1e-6 in the scaled row's units is condemned.
         let upper = vec![0.0, 2.0, -4000.0 * 1.01e-6];
-        assert_eq!(activity_range(&lp.rows[0].coeffs, CmpOp::Ge, 0.0, &lp.lower, &upper), None);
+        assert_eq!(activity_range(row.coeffs, CmpOp::Ge, 0.0, &lp.lower, &upper), None);
     }
 
     #[test]

@@ -1598,14 +1598,14 @@ impl EngineCore for Revised<'_> {
 mod tests {
     use super::*;
     use crate::model::CmpOp;
-    use crate::simplex::{Basis, LpProblem, LpRow, PreparedLp};
+    use crate::simplex::{Basis, LpProblem, LpRow, LpRows, PreparedLp};
 
-    fn prep(rows: Vec<LpRow>, n: usize, upper: f64) -> (LpProblem, SparseLp) {
+    fn prep(rows: Vec<LpRow>, n: usize, upper: f64) -> (LpProblem<'static>, SparseLp) {
         let lp = LpProblem {
             n_vars: n,
             lower: vec![0.0; n],
             upper: vec![upper; n],
-            rows,
+            rows: LpRows::owned(rows),
             objective: vec![1.0; n],
             minimize: true,
             objective_offset: 0.0,
@@ -1984,7 +1984,7 @@ mod tests {
             n_vars: 1,
             lower: vec![0.0],
             upper: vec![10.0],
-            rows: vec![LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 5.0 }],
+            rows: LpRows::owned(vec![LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 5.0 }]),
             objective: vec![-1.0],
             minimize: true,
             objective_offset: 0.0,
@@ -2015,9 +2015,9 @@ mod tests {
             n_vars: n,
             lower: vec![0.0; n],
             upper: vec![10.0; n],
-            rows: (0..n)
-                .map(|i| LpRow { coeffs: vec![(i, 1.0)], op: CmpOp::Le, rhs: 1.0 })
-                .collect(),
+            rows: LpRows::owned(
+                (0..n).map(|i| LpRow { coeffs: vec![(i, 1.0)], op: CmpOp::Le, rhs: 1.0 }).collect(),
+            ),
             objective: vec![-1.0; n],
             minimize: true,
             objective_offset: 0.0,
@@ -2192,16 +2192,16 @@ mod tests {
     /// `x2 ∈ [0, 3]`: its down child pins `x2` at 0, its up child leaves it
     /// movable in `[1, 3]`. Returns the LP, its matrix, the optimal basis
     /// and the branched column.
-    fn branched_knapsack() -> (LpProblem, SparseLp, Basis, usize) {
+    fn branched_knapsack() -> (LpProblem<'static>, SparseLp, Basis, usize) {
         let lp = LpProblem {
             n_vars: 3,
             lower: vec![0.0; 3],
             upper: vec![1.0, 1.0, 3.0],
-            rows: vec![LpRow {
+            rows: LpRows::owned(vec![LpRow {
                 coeffs: vec![(0, 10.0), (1, 20.0), (2, 30.0)],
                 op: CmpOp::Le,
                 rhs: 50.0,
-            }],
+            }]),
             objective: vec![60.0, 100.0, 120.0],
             minimize: false,
             objective_offset: 0.0,
@@ -2314,7 +2314,7 @@ mod tests {
     /// Two structurals over four rows, each with its largest entry in a row
     /// whose logical is basic too: the shape where the two elimination
     /// orders part. Returns the model and that basis (x0, x1, s0, s1).
-    fn structurals_over_basic_logicals() -> (LpProblem, SparseLp, Vec<ColStatus>) {
+    fn structurals_over_basic_logicals() -> (LpProblem<'static>, SparseLp, Vec<ColStatus>) {
         let (lp, sp) = prep(
             vec![
                 LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 10.0 },

@@ -40,8 +40,10 @@
 //! Iteration counts, warm-start hits and factorization work feed the
 //! process-wide [`SolveActivity`](crate::SolveActivity) counters.
 
+use std::borrow::Cow;
+
 use crate::cancel::CancellationToken;
-use crate::model::CmpOp;
+use crate::model::{CmpOp, Rows};
 use crate::sparse::SparseLp;
 use crate::stats;
 use crate::{dense, revised};
@@ -82,9 +84,6 @@ pub(crate) struct Tolerances {
 pub(crate) const TOL: Tolerances =
     Tolerances { feas: 1e-7, pivot: 1e-9, dual: 1e-7, refactor: 1e-8, infeasible: 1e-6 };
 
-/// Feasibility tolerance re-exported for the crate's bound checks.
-pub(crate) const FEAS_TOL: f64 = TOL.feas;
-
 /// Consecutive degenerate pivots (steps of zero length) tolerated before
 /// pricing switches to Bland's rule until the iterate moves again. Dantzig
 /// pricing can cycle on degenerate vertices (Beale's example) — without
@@ -103,7 +102,50 @@ pub(crate) const DEGEN_BLAND_AFTER: u32 = 40;
 /// above this band.
 pub(crate) const PRICE_BAND: f64 = 1e-9;
 
-/// One constraint row in sparse form.
+/// The constraint rows of an [`LpProblem`]: a model's row block, borrowed,
+/// whole or through presolve's [`Reduction`]. Reduced row `i` is block row
+/// `rows[i]` with its adjusted right-hand side, without its zero terms and
+/// its terms on fixed columns; the others keep block order, renumbered into
+/// the reduced columns.
+#[derive(Debug, Clone)]
+pub(crate) struct LpRows<'a> {
+    pub block: Cow<'a, Rows>,
+    pub reduction: Option<Reduction>,
+}
+
+/// What presolve keeps of a row block.
+#[derive(Debug, Clone)]
+pub(crate) struct Reduction {
+    /// Block index of each kept row, ascending.
+    pub rows: Vec<usize>,
+    /// Each kept row's right-hand side, its fixed columns substituted.
+    pub rhs: Vec<f64>,
+    /// Reduced index of each block column, `usize::MAX` for a fixed one.
+    pub col: Vec<usize>,
+}
+
+impl LpRows<'_> {
+    pub fn len(&self) -> usize {
+        self.reduction.as_ref().map_or(self.block.len(), |r| r.rows.len())
+    }
+
+    /// Row `i`: its operator, right-hand side and `(column, coefficient)`
+    /// terms in block order.
+    pub fn row(&self, i: usize) -> (CmpOp, f64, impl Iterator<Item = (usize, f64)> + Clone + '_) {
+        let (row, rhs, col) = match &self.reduction {
+            None => (self.block.row(i), None, None),
+            Some(r) => (self.block.row(r.rows[i]), Some(r.rhs[i]), Some(&r.col[..])),
+        };
+        let terms = row.terms.iter().filter_map(move |&(v, a)| match col {
+            None => Some((v.index(), a)),
+            Some(col) => (col[v.index()] != usize::MAX && a != 0.0).then(|| (col[v.index()], a)),
+        });
+        (row.op, rhs.unwrap_or(row.rhs), terms)
+    }
+}
+
+/// One row in sparse form, for tests that write an LP by hand.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct LpRow {
     pub coeffs: Vec<(usize, f64)>,
@@ -111,13 +153,27 @@ pub(crate) struct LpRow {
     pub rhs: f64,
 }
 
+#[cfg(test)]
+impl LpRows<'static> {
+    /// A whole view of a block holding `rows`, stored as written.
+    pub fn owned(rows: Vec<LpRow>) -> LpRows<'static> {
+        let nnz = rows.iter().map(|r| r.coeffs.len()).sum();
+        let mut block = Rows::with_capacity(rows.len(), nnz);
+        for r in rows {
+            let terms: Vec<_> = r.coeffs.iter().map(|&(j, a)| (crate::VarId(j), a)).collect();
+            block.push(&terms, r.op, r.rhs);
+        }
+        LpRows { block: Cow::Owned(block), reduction: None }
+    }
+}
+
 /// A bounded LP: `opt c·x + k` s.t. `rows`, `lower <= x <= upper`.
 #[derive(Debug, Clone)]
-pub(crate) struct LpProblem {
+pub(crate) struct LpProblem<'a> {
     pub n_vars: usize,
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
-    pub rows: Vec<LpRow>,
+    pub rows: LpRows<'a>,
     pub objective: Vec<f64>,
     pub minimize: bool,
     pub objective_offset: f64,
@@ -366,25 +422,23 @@ pub(crate) fn extract_outcome(
                     *v = upper[j];
                 }
             }
-            let objective = lp.objective_offset
-                + values.iter().zip(&lp.objective).map(|(x, c)| x * c).sum::<f64>();
+            let objective = crate::branch_bound::objective_of(lp, &values);
             LpOutcome::Optimal { values, objective, basis: Basis { status: status.to_vec() } }
         }
     }
 }
 
 /// An LP prepared for repeated node solves: the borrowed problem plus the
-/// engine-specific immutable state that every solve shares. For the sparse
-/// engine that is the scaled CSC matrix — built **once** per model, because
+/// scaled CSC matrix every solve shares — built **once** per model, because
 /// branch and bound only ever changes bounds, never the matrix. Nothing a
 /// solve computes outlives it: the two children of a branched node share
 /// one install ([`solve_children`](Self::solve_children)), and every other
 /// solve factorizes its own basis.
 pub(crate) struct PreparedLp<'a> {
-    pub lp: &'a LpProblem,
+    pub lp: &'a LpProblem<'a>,
     engine: LpEngine,
     parity: LpParity,
-    sparse: Option<SparseLp>,
+    pub sparse: SparseLp,
     /// Cooperative cancellation, polled inside every engine's pivot loops.
     cancel: Option<CancellationToken>,
 }
@@ -392,12 +446,8 @@ pub(crate) struct PreparedLp<'a> {
 impl<'a> PreparedLp<'a> {
     /// Prepares `lp` for `engine` under `parity`. The dense oracle ignores
     /// the parity switch — it *is* the exact reference arithmetic.
-    pub fn new(lp: &'a LpProblem, engine: LpEngine, parity: LpParity) -> PreparedLp<'a> {
-        let sparse = match engine {
-            LpEngine::Sparse => Some(SparseLp::build(lp)),
-            LpEngine::Dense => None,
-        };
-        PreparedLp { lp, engine, parity, sparse, cancel: None }
+    pub fn new(lp: &'a LpProblem<'a>, engine: LpEngine, parity: LpParity) -> PreparedLp<'a> {
+        PreparedLp { lp, engine, parity, sparse: SparseLp::build(lp), cancel: None }
     }
 
     /// Arms cooperative cancellation for every subsequent
@@ -449,16 +499,13 @@ impl<'a> PreparedLp<'a> {
         debug_assert_eq!(lower.len(), self.lp.n_vars);
         debug_assert_eq!(upper.len(), self.lp.n_vars);
         let cancel = self.cancel.as_ref();
-        match (self.engine, &self.sparse) {
-            (LpEngine::Dense, _) => drive(self.lp, lower, upper, warm, cancel, None, || {
-                dense::Tableau::build(self.lp, lower, upper)
+        match self.engine {
+            LpEngine::Dense => drive(self.lp, lower, upper, warm, cancel, None, || {
+                dense::Tableau::build(&self.sparse, lower, upper)
             }),
-            (LpEngine::Sparse, Some(sp)) => {
-                drive(self.lp, lower, upper, warm, cancel, sibling, || {
-                    revised::Revised::new(sp, lower, upper, self.parity, fast_kit)
-                })
-            }
-            (LpEngine::Sparse, None) => unreachable!("sparse engine always prepares a matrix"),
+            LpEngine::Sparse => drive(self.lp, lower, upper, warm, cancel, sibling, || {
+                revised::Revised::new(&self.sparse, lower, upper, self.parity, fast_kit)
+            }),
         }
     }
 
@@ -668,7 +715,8 @@ mod tests {
         rows: Vec<LpRow>,
         objective: Vec<f64>,
         minimize: bool,
-    ) -> LpProblem {
+    ) -> LpProblem<'static> {
+        let rows = LpRows::owned(rows);
         LpProblem { n_vars: n, lower, upper, rows, objective, minimize, objective_offset: 0.0 }
     }
 
@@ -988,7 +1036,7 @@ mod tests {
     }
 
     /// The knapsack LP the warm-start tests below share.
-    fn knapsack_lp() -> LpProblem {
+    fn knapsack_lp() -> LpProblem<'static> {
         lp(
             3,
             vec![0.0; 3],

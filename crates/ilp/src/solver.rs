@@ -90,10 +90,10 @@ pub(crate) fn greedy_repair(
     // Total violation across constraints (bounds are kept by construction).
     let violation = |vals: &[f64]| -> f64 {
         model
-            .constraints
+            .rows
             .iter()
             .map(|c| {
-                let lhs = c.activity(vals);
+                let lhs = crate::expr::dot(c.terms, vals);
                 match c.op {
                     crate::CmpOp::Le => (lhs - c.rhs).max(0.0),
                     crate::CmpOp::Ge => (c.rhs - lhs).max(0.0),

@@ -4,16 +4,18 @@
 //! matrix, so the scaled column-major matrix, the scaled right-hand side
 //! and the minimize-direction costs are built **once** per model
 //! ([`SparseLp::build`], held by `PreparedLp`) and shared by every node
-//! solve. The dense oracle engine uses the same [`row_scale`] /
-//! [`logical_bounds`] rules, so both engines price numerically identical
-//! systems.
+//! solve. They are built straight from the model's row block, through
+//! presolve's view of it: the one copy of the matrix a solve makes. The
+//! range proof reads its pattern as the column → rows index, and the dense
+//! oracle engine lays its tableau out from it, so both engines price
+//! numerically identical systems.
 
 use crate::model::CmpOp;
-use crate::simplex::{LpProblem, LpRow};
+use crate::simplex::LpProblem;
 
 /// The bounds of the logical (slack) column a row operator induces:
 /// `<=` → `[0, ∞)`, `>=` → `(-∞, 0]`, `==` → `[0, 0]`.
-pub(crate) fn logical_bounds(op: CmpOp) -> (f64, f64) {
+fn logical_bounds(op: CmpOp) -> (f64, f64) {
     match op {
         CmpOp::Le => (0.0, f64::INFINITY),
         CmpOp::Ge => (f64::NEG_INFINITY, 0.0),
@@ -22,11 +24,13 @@ pub(crate) fn logical_bounds(op: CmpOp) -> (f64, f64) {
 }
 
 /// Row-equilibration factor: scale a row so its largest coefficient
-/// magnitude is 1 (rows already at or below 1 are left alone). Depends
+/// magnitude is 1 (rows already at or below 1 are left alone). Floorplanning
+/// rows mix unit cut indicators with ~1e6-LUT resource coefficients;
+/// without scaling, phase-1 feasibility tests drown in roundoff. Depends
 /// only on the row data, never on node bounds, so warm-started children
 /// see the identical matrix.
-pub(crate) fn row_scale(row: &LpRow) -> f64 {
-    let peak = row.coeffs.iter().fold(0.0f64, |a, &(_, c)| a.max(c.abs()));
+pub(crate) fn row_scale(coeffs: impl IntoIterator<Item = f64>) -> f64 {
+    let peak = coeffs.into_iter().fold(0.0f64, |a, c| a.max(c.abs()));
     if peak > 1.0 {
         1.0 / peak
     } else {
@@ -62,7 +66,8 @@ pub(crate) struct SparseLp {
 impl SparseLp {
     /// Builds the CSC form of `lp`, applying the same row scaling and
     /// duplicate-coefficient summation (in the same order) as the dense
-    /// tableau builder.
+    /// tableau builder: within a column, entries keep row order, and the
+    /// duplicates of one cell sum in the order their row stores them.
     pub fn build(lp: &LpProblem) -> SparseLp {
         let m = lp.rows.len();
         let n_struct = lp.n_vars;
@@ -75,14 +80,15 @@ impl SparseLp {
         let mut b = Vec::with_capacity(m);
         let mut logical_lower = Vec::with_capacity(m);
         let mut logical_upper = Vec::with_capacity(m);
-        for (i, row) in lp.rows.iter().enumerate() {
-            let scale = row_scale(row);
-            for &(j, a) in &row.coeffs {
+        for i in 0..m {
+            let (op, rhs, terms) = lp.rows.row(i);
+            let scale = row_scale(terms.clone().map(|(_, a)| a));
+            for (j, a) in terms {
                 debug_assert!(j < n_struct, "coefficient column out of range");
                 trips.push((j as u32, i as u32, a * scale));
             }
-            b.push(row.rhs * scale);
-            let (l, u) = logical_bounds(row.op);
+            b.push(rhs * scale);
+            let (l, u) = logical_bounds(op);
             logical_lower.push(l);
             logical_upper.push(u);
         }
@@ -128,7 +134,8 @@ impl SparseLp {
         SparseLp { m, n_struct, n, col_ptr, row_ix, val, b, cost, logical_lower, logical_upper }
     }
 
-    /// The `(rows, values)` slices of column `j` (structural or logical).
+    /// The `(rows, values)` slices of column `j` (structural or logical);
+    /// the rows ascend.
     pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
         let (s, e) = (self.col_ptr[j] as usize, self.col_ptr[j + 1] as usize);
         (&self.row_ix[s..e], &self.val[s..e])
@@ -138,17 +145,18 @@ impl SparseLp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplex::{LpRow, LpRows};
 
     fn row(coeffs: Vec<(usize, f64)>, op: CmpOp, rhs: f64) -> LpRow {
         LpRow { coeffs, op, rhs }
     }
 
-    fn problem(rows: Vec<LpRow>, n: usize) -> LpProblem {
+    fn problem(rows: Vec<LpRow>, n: usize) -> LpProblem<'static> {
         LpProblem {
             n_vars: n,
             lower: vec![0.0; n],
             upper: vec![1.0; n],
-            rows,
+            rows: LpRows::owned(rows),
             objective: vec![1.0; n],
             minimize: true,
             objective_offset: 0.0,
