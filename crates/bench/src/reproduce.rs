@@ -578,8 +578,9 @@ pub fn ablation() -> Result<String, Box<dyn std::error::Error>> {
 /// (presolve + warm-started bounded simplex) against cold-start node
 /// solves, by simplex iterations (cache disabled so every solve runs), then
 /// the memo-cache on a repeated compile and the activity report of that
-/// design. Whether intra-solve threads pay is the repo benchmark's
-/// repeated `par2.*` measurement, not a single-shot wall here.
+/// design. Whether compile threads (the bisection's concurrent halves, the
+/// batch queue) pay is the repo benchmark's repeated `par2.*`
+/// measurement, not a single-shot wall here.
 ///
 /// # Errors
 ///

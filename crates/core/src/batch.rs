@@ -7,8 +7,7 @@
 //! one shared work queue:
 //!
 //! * jobs are pulled off a deterministic atomic queue by scoped worker
-//!   threads (the same `std::thread::scope` sharding the parallel
-//!   branch-and-bound backend uses), so the sweep's wall-clock approaches
+//!   threads (`std::thread::scope`), so the sweep's wall-clock approaches
 //!   the longest single job instead of the sum;
 //! * every job shares the process-wide [`SolveCache`], so a bisection ILP
 //!   solved for one design answers instantly for every structurally
@@ -369,13 +368,13 @@ impl BatchCompiler {
 
     /// Compiles one job under its own scoped activity handle.
     /// `solver_share` is the slice of the machine this job's *internal*
-    /// solver parallelism may claim (cores / batch workers): with both the
-    /// queue and the per-job parallel branch and bound defaulting to "all
-    /// cores", an evaluation sweep would otherwise run `workers × cores`
-    /// runnable threads. The cap only applies to auto (`threads == 0`)
-    /// solver options — an explicit pin is respected — and cannot change
-    /// any result: the parallel backend is bit-identical for every thread
-    /// count.
+    /// parallelism — its concurrent bisection halves — may claim (cores /
+    /// batch workers): with both the queue and the per-job recursion
+    /// defaulting to "all cores", an evaluation sweep would otherwise run
+    /// `workers × cores` runnable threads. The cap only applies to auto
+    /// (`threads == 0`) solver options — an explicit pin is respected — and
+    /// cannot change any result: the recursion's merge is the sequential
+    /// one for every thread count.
     fn run_job(
         &self,
         job: &CompileJob,

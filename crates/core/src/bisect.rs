@@ -27,10 +27,11 @@
 //!   waits for a tie-break objective (ROADMAP item 2).
 //! * [`Level`] is what a caller adds: how a group of targets halves, which
 //!   group is a leaf, and the [`Split`] for a set of items. [`bisect`]
-//!   recurses over it; under [`SolverOptions::parallel_recursion`] the two
-//!   halves of a split — independent subproblems — run concurrently, the
-//!   paper's divide-and-conquer scalability argument applied to compile
-//!   time.
+//!   recurses over it; the two halves of a split — independent
+//!   subproblems — run concurrently down to the depth
+//!   [`SolverOptions::parallel_recursion_at`] allows under the thread cap,
+//!   the paper's divide-and-conquer scalability argument applied to
+//!   compile time.
 //! * [`SplitLog`] records what the splits of one stage cost and whether any
 //!   of them was answered by something other than the ILP's own result.
 
@@ -469,11 +470,11 @@ pub(crate) type Placed<L> = Vec<(<L as Level>::Item, <L as Level>::Leaf)>;
 /// until every group is a leaf. Returns `(item, leaf)` pairs, low half
 /// first at every depth.
 ///
-/// The two halves of a split are independent subproblems; under
-/// [`SolverOptions::parallel_recursion`] the low half runs on a scoped
-/// worker thread while this thread descends into the high half. Merging is
-/// a deterministic concatenation, so the result is identical to the
-/// sequential recursion.
+/// The two halves of a split are independent subproblems; where
+/// [`SolverOptions::parallel_recursion_at`] allows it for `depth`, the low
+/// half runs on a scoped worker thread while this thread descends into the
+/// high half. Merging is a deterministic concatenation, so the result is
+/// identical to the sequential recursion.
 fn bisect<L: Level>(
     level: &L,
     setup: &SolveSetup<'_>,
@@ -505,7 +506,7 @@ fn bisect<L: Level>(
     };
     let (low_items, high_items) = (half(false), half(true));
 
-    let concurrent = setup.solver.parallel_recursion()
+    let concurrent = setup.solver.parallel_recursion_at(depth)
         && level.leaf(&low).is_none()
         && level.leaf(&high).is_none()
         && !low_items.is_empty()

@@ -191,9 +191,10 @@ fn explore_frontier_identical_across_threads_and_grid_orders() {
         );
     }
 
-    // Solver threads: pricing, dual ratio tests and refactorization
-    // triggers are pure functions of the node, never of timing. Cache off,
-    // so each count is a live solve rather than a replay of the first.
+    // Solver threads run the bisection's halves concurrently; pricing, dual
+    // ratio tests and refactorization triggers are pure functions of the
+    // node, never of timing. Cache off, so each count is a live solve
+    // rather than a replay of the first.
     for threads in [1usize, 2, 4] {
         let mut cfg = demo_config();
         cfg.base.solver.threads = threads;

@@ -788,8 +788,7 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver =
-            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         let cfg = SolverConfig::default();
 
         let first = solver.solve(&model(1.0), &cfg).unwrap();
@@ -846,8 +845,7 @@ mod tests {
     fn clear_resets_counters() {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
-        let solver =
-            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         solver.solve(&model(1.0), &SolverConfig::default()).unwrap();
         cache.clear();
         let stats = cache.stats();

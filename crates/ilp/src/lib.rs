@@ -10,9 +10,9 @@
 //! solver under a time limit.
 //!
 //! Solving is pluggable through the [`Solver`] trait: the branch and bound
-//! ([`ParallelSolver`], deterministic for any thread count — it expands the
-//! open-node frontier in fixed-width rounds, on a worker pool when given
-//! more than one thread) and a greedy [`HeuristicSolver`] used as a
+//! ([`ParallelSolver`], deterministic and single-threaded — it expands the
+//! open-node frontier in fixed-width rounds on the calling thread) and a
+//! greedy [`HeuristicSolver`] used as a
 //! warm-start incumbent and as the degradation fallback. [`SolverOptions`]
 //! selects a backend (and the process-wide [`SolveCache`] memoization) and
 //! is what the TAPA-CS compiler threads through its configuration structs.

@@ -452,10 +452,10 @@ impl Model {
         self.solve_with(&SolverConfig::default())
     }
 
-    /// Solves with an explicit configuration: the branch and bound on one
-    /// thread under otherwise default [`crate::SolverOptions`], without the
-    /// heuristic incumbent seed, the memo cache or the degradation ladder.
-    /// Same search, point for point, as the compiler's multi-threaded solves.
+    /// Solves with an explicit configuration: the branch and bound under
+    /// otherwise default [`crate::SolverOptions`], without the heuristic
+    /// incumbent seed, the memo cache or the degradation ladder. Same
+    /// search, point for point, as the compiler's solves.
     ///
     /// If the model has no integer variables this is a single simplex solve.
     ///
@@ -465,7 +465,6 @@ impl Model {
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, IlpError> {
         let options = crate::SolverOptions {
             backend: crate::SolverBackend::Parallel,
-            threads: 1,
             warm_start: false,
             cache: false,
             degrade: false,
@@ -475,7 +474,7 @@ impl Model {
     }
 
     /// Solves through a configurable [`crate::Solver`] backend — see
-    /// [`crate::SolverOptions`] for backend/thread selection and caching.
+    /// [`crate::SolverOptions`] for backend selection and caching.
     /// Every answer, fresh or replayed from the cache, is re-checked
     /// against this model by [`crate::certify`] before it is returned. When
     /// caching is on, an answer that fails is dropped from the cache and

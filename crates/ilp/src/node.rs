@@ -3,13 +3,13 @@
 //! A search over thousands of nodes used to clone the full `lower`/`upper`
 //! vectors into every node. Since a branching step changes exactly one
 //! bound, nodes now store a [`BoundDelta`] chained to the parent through an
-//! [`Arc`] — resolving a node's bounds is one copy of the root vectors plus
-//! one walk up the (depth-length) chain, and sibling subtrees share their
-//! prefix. Only nodes that will branch hold a chain link: a node whose LP
+//! [`Rc`] (a search runs on one thread) — resolving a node's bounds is one
+//! copy of the root vectors plus one walk up the (depth-length) chain, and
+//! sibling subtrees share their prefix. Only nodes that will branch hold a chain link: a node whose LP
 //! point is integral is never branched on, so it keeps neither a chain nor
 //! a basis, just its point packed by [`PackedPoint`].
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One branching decision: `var`'s lower (or upper) bound moved to `value`.
 #[derive(Debug, Clone, Copy)]
@@ -25,18 +25,18 @@ pub(crate) struct BoundDelta {
 #[derive(Debug)]
 pub(crate) struct BoundChain {
     delta: Option<BoundDelta>,
-    parent: Option<Arc<BoundChain>>,
+    parent: Option<Rc<BoundChain>>,
 }
 
 impl BoundChain {
     /// The root node's (empty) chain.
-    pub fn root() -> Arc<BoundChain> {
-        Arc::new(BoundChain { delta: None, parent: None })
+    pub fn root() -> Rc<BoundChain> {
+        Rc::new(BoundChain { delta: None, parent: None })
     }
 
     /// A child chain extending `parent` with one more tightened bound.
-    pub fn child(parent: &Arc<BoundChain>, delta: BoundDelta) -> Arc<BoundChain> {
-        Arc::new(BoundChain { delta: Some(delta), parent: Some(Arc::clone(parent)) })
+    pub fn child(parent: &Rc<BoundChain>, delta: BoundDelta) -> Rc<BoundChain> {
+        Rc::new(BoundChain { delta: Some(delta), parent: Some(Rc::clone(parent)) })
     }
 
     /// Materializes this node's bounds into the reusable scratch buffers:
@@ -75,9 +75,8 @@ impl BoundChain {
 /// *different* optimal vertices whose denser bases and perturbed branching
 /// values grow exactly those trees. On big searches (thousands to hundreds
 /// of thousands of nodes) the kit's per-child pivot savings dwarf that
-/// effect. The driver counts nodes deterministically and
-/// thread-invariantly, so the cutover never depends on timing or the
-/// worker count.
+/// effect. The driver counts nodes deterministically, so the cutover never
+/// depends on timing.
 pub(crate) const FAST_KIT_AFTER_NODES: usize = 384;
 
 /// The kit-off attempt's budget in row-nodes: expanded nodes times the
@@ -93,8 +92,7 @@ pub(crate) const FAST_KIT_ROW_NODES: usize = FAST_KIT_AFTER_NODES * 128;
 /// The expanded-node count at which a kit-off attempt over an LP of `rows`
 /// presolved rows is abandoned for a kit-on restart:
 /// `min(FAST_KIT_AFTER_NODES, FAST_KIT_ROW_NODES / rows)`, never below 1.
-/// A pure function of the model, so the restart stays deterministic and
-/// thread-invariant.
+/// A pure function of the model, so the restart stays deterministic.
 pub(crate) fn kit_restart_after(rows: usize) -> usize {
     FAST_KIT_AFTER_NODES.min(FAST_KIT_ROW_NODES / rows.max(1)).max(1)
 }

@@ -1,29 +1,25 @@
 //! Deterministic round-based branch and bound — the crate's one search
 //! driver.
 //!
-//! The search runs in synchronous rounds: every round pops the best (up to)
-//! [`BATCH`] open nodes off the frontier, expands them concurrently on a
-//! [`std::thread::scope`] worker pool, then merges candidates and children
-//! back in slot order. The batch size is a *constant*, independent of the
-//! worker count, so the exploration trace — and therefore the returned
-//! solution — is bit-identical for any `threads` value. Workers share the
-//! incumbent through a mutex; updates use a total order (exact objective
-//! comparison, ties broken by lexicographically smaller point), so the final
-//! incumbent is the minimum over the candidate set no matter how worker
-//! updates interleave.
+//! The search runs in synchronous rounds on the calling thread: every round
+//! pops the best (up to) [`BATCH`] open nodes off the frontier, expands the
+//! round's leader, then every follower the leader's incumbent does not bar,
+//! and pushes the surviving children back in slot order. The incumbent is
+//! the minimum of a total order on candidates (exact objective comparison,
+//! ties broken by the lexicographically smaller point), so which of several
+//! equal-objective points comes back is a function of the candidate set
+//! alone.
 //!
 //! Node solves are incremental: one root presolve (see
 //! [`crate::presolve`]), sparse [`BoundChain`] deltas instead of cloned
 //! bound vectors, and child LPs warm-started from the parent [`Basis`] so
 //! they typically re-solve in a handful of pivots instead of running both
-//! simplex phases from scratch. Both the chain and the basis are pure
-//! functions of the node, so warm starts do not disturb the thread-count
-//! independence. Before any child LP, presolve's row-activity proof runs
-//! once more over the child's box, on the rows of the branched column
-//! only (its pattern in the prepared CSC matrix, each row read as a slice
-//! of the model's row block): a child it condemns is dropped without an
-//! LP, exactly as its `Infeasible` LP outcome would have dropped it, so
-//! the search visits the same nodes in the same order.
+//! simplex phases from scratch. Before any child LP, presolve's
+//! row-activity proof runs once more over the child's box, on the rows of
+//! the branched column only (its pattern in the prepared CSC matrix, each
+//! row read as a slice of the model's row block): a child it condemns is
+//! dropped without an LP, exactly as its `Infeasible` LP outcome would have
+//! dropped it, so the search visits the same nodes in the same order.
 //!
 //! An open node holds only what its expansion reads ([`Node`]). The
 //! branching column is a pure function of the LP point, so it is picked
@@ -34,30 +30,35 @@
 //! bisection relaxations most open nodes are integral, and the frontier is
 //! what bounds the search's memory.
 //!
-//! Only wall-clock expiry ([`SolverConfig::time_limit`]) can break this
-//! determinism, because the cut-off point then depends on machine speed.
-//! Every branch-and-bound solver has that caveat; TAPA-CS's bisection ILPs
-//! close well inside their budgets.
+//! Only wall-clock expiry ([`SolverConfig::time_limit`]) can make two runs
+//! of one model differ, because the cut-off point then depends on machine
+//! speed. Every branch-and-bound solver has that caveat; TAPA-CS's
+//! bisection ILPs close well inside their budgets.
 //!
-//! # Efficiency tradeoff
+//! # Round order
+//!
+//! The round order — the width ramp, the leader first, one bar for the
+//! followers, the merge in slot order — is kept for bit-identity alone:
+//! which of several equal-objective points a search returns decides the
+//! design, so another order would move designs, and persisted solve-cache
+//! entries would disagree with fresh solves. Nothing else constrains it (a
+//! search never runs on more than one thread), so a different order —
+//! best-first with dives, pseudo-cost branching — may replace it once
+//! equal-objective ties no longer decide the design (ROADMAP items 2 and
+//! 3).
 //!
 //! Round-based exploration does speculative work pure best-first would
-//! prune — the classic parallel branch-and-bound efficiency < 1. The
-//! leader-follower round (the best node expands first and its incumbent
-//! bars dominated followers) and the width ramp bound the overhead.
-//! Measured at one thread against the best-first driver this one replaced
+//! prune. The leader-follower round (the best node expands first and its
+//! incumbent bars dominated followers) and the width ramp bound that
+//! overhead. Measured against the best-first driver this one replaced
 //! (README, "Solver backends", has the table): the same node count to
 //! 0.02 % on the knn benchmark workload, 6 % fewer on cnn, 2.35× more on
 //! the stencil DSE grid, whose bound plateaus make the FIFO `seq` tie order
 //! and follower speculation expensive (ROADMAP item 3 keeps that open).
-//! A best-first shortcut at `threads == 1` is deliberately ruled out: it
-//! would make `threads: 1` and `threads: N` explore different traces,
-//! breaking the bit-identical-results guarantee the compiler's determinism
-//! tests pin.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::branch_bound::{
     cancel_error, granularity_tightener, objective_of, presolved_root, round_repair,
@@ -70,8 +71,8 @@ use crate::presolve::{activity_range, PresolvedLp};
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, TOL};
 use crate::solution::{Solution, SolveStatus};
 
-/// Frontier nodes expanded per synchronous round. Fixed (never derived from
-/// the worker count) so the search is deterministic across thread counts.
+/// Frontier nodes expanded per synchronous round, once the width ramp
+/// reaches it (see the module doc's "Round order").
 const BATCH: usize = 4;
 
 /// An open node, holding only what its expansion reads. `seq` is the
@@ -98,7 +99,7 @@ enum NodeState {
 /// A fractional node's branching state: its LP point is not kept.
 struct Branch {
     /// Sparse bound state (deltas back to the presolved root).
-    chain: Arc<BoundChain>,
+    chain: Rc<BoundChain>,
     /// This node's optimal basis — its children's warm start.
     basis: Box<Basis>,
     /// The branching column ([`most_fractional`]) in *reduced* space.
@@ -115,7 +116,7 @@ impl Node {
         objective: f64,
         relax: &[f64],
         basis: Basis,
-        chain: impl FnOnce() -> Arc<BoundChain>,
+        chain: impl FnOnce() -> Rc<BoundChain>,
     ) -> Node {
         let state = match most_fractional(relax, ctx.red_integral, ctx.config.int_tol) {
             Some(var) => NodeState::Branch(Branch {
@@ -157,12 +158,11 @@ impl Ord for Node {
     }
 }
 
-/// Outcome of expanding one batch slot. Pure function of the node (modulo
-/// deadline expiry), so slots can be computed on any worker without
-/// affecting the result.
+/// Outcome of expanding one batch slot: a pure function of the node
+/// (modulo deadline expiry).
 enum Expansion {
     /// The node's relaxation was integral: a candidate incumbent (already
-    /// offered to the shared incumbent by the worker).
+    /// offered to the incumbent).
     Candidate,
     /// The node's relaxation was integral to `int_tol`, but its rounded
     /// point fails the model's own rows at `1e-6` (the LP point was feasible
@@ -178,7 +178,7 @@ enum Expansion {
     Unbounded,
 }
 
-/// The shared incumbent: minimize-direction objective plus full-space point.
+/// The incumbent: minimize-direction objective plus full-space point.
 struct Incumbent {
     obj: f64,
     values: Vec<f64>,
@@ -187,7 +187,8 @@ struct Incumbent {
 /// Deterministic total order on candidates: exact objective comparison
 /// first, then lexicographic comparison of the value vectors. Using exact
 /// (not tolerance-based) comparison keeps the order transitive, so the
-/// final incumbent is the set minimum regardless of update interleaving.
+/// final incumbent is the set minimum regardless of the order candidates
+/// are offered in: it picks the returned point among equal objectives.
 fn precedes(obj_a: f64, vals_a: &[f64], obj_b: f64, vals_b: &[f64]) -> bool {
     match obj_a.total_cmp(&obj_b) {
         Ordering::Less => true,
@@ -205,26 +206,19 @@ fn precedes(obj_a: f64, vals_a: &[f64], obj_b: f64, vals_b: &[f64]) -> bool {
     }
 }
 
-/// Offers a candidate to the shared incumbent, keeping the order minimum.
-fn offer(shared: &Mutex<Option<Incumbent>>, obj: f64, values: &[f64]) {
-    let mut guard = shared.lock().unwrap();
-    let replace = match &*guard {
-        Some(cur) => precedes(obj, values, cur.obj, &cur.values),
-        None => true,
-    };
-    if replace {
-        *guard = Some(Incumbent { obj, values: values.to_vec() });
+/// Offers a candidate to the incumbent, keeping the order minimum.
+fn offer(incumbent: &mut Option<Incumbent>, obj: f64, values: &[f64]) {
+    if incumbent.as_ref().is_none_or(|cur| precedes(obj, values, cur.obj, &cur.values)) {
+        *incumbent = Some(Incumbent { obj, values: values.to_vec() });
     }
 }
 
 /// Everything the attempts and expansion slots of one solve share: built
 /// once in [`ParallelSolver::solve`](crate::Solver::solve), read-only from
-/// then on (workers borrow it).
+/// then on.
 struct SearchCtx<'a> {
     /// The solver's own flags: incumbent seed, LP warm starts, engine, parity.
     solver: &'a ParallelSolver,
-    /// [`ParallelSolver::threads`] with `0` resolved.
-    workers: usize,
     model: &'a Model,
     config: &'a SolverConfig,
     full_lp: &'a LpProblem<'a>,
@@ -286,16 +280,17 @@ fn record_search(nodes: usize, candidates: u64) {
 }
 
 /// Expands one node: either reports an integral candidate (offered to the
-/// shared incumbent, or [`Expansion::Unresolved`] when its rounded point is
+/// incumbent, or [`Expansion::Unresolved`] when its rounded point is
 /// infeasible) or returns the branched children. No bound pruning
 /// happens here — children are pruned against the incumbent
 /// deterministically at merge time; infeasible children are simply absent
-/// ([`expand_children`]). `kit` is the attempt's fast-kit verdict (constant per attempt, so every slot prices
-/// identically); `lo_buf`/`hi_buf` are per-worker scratch buffers.
+/// ([`expand_children`]). `kit` is the attempt's fast-kit verdict (constant
+/// per attempt, so every slot prices identically); `lo_buf`/`hi_buf` are
+/// the search's scratch buffers.
 fn expand_node(
     ctx: &SearchCtx<'_>,
     kit: bool,
-    incumbent: &Mutex<Option<Incumbent>>,
+    incumbent: &mut Option<Incumbent>,
     node: &Node,
     lo_buf: &mut Vec<f64>,
     hi_buf: &mut Vec<f64>,
@@ -427,14 +422,14 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     // repair walk (the [`crate::HeuristicSolver`] heuristic) when
     // [`ParallelSolver::warm_start`] is on and rounding alone is infeasible.
     // Candidates live in the *original* variable space (postsolved).
-    let incumbent: Mutex<Option<Incumbent>> = Mutex::new(None);
+    let mut incumbent: Option<Incumbent> = None;
     let full_relax = ctx.pre.postsolve(&root_relax);
     let mut seed = round_repair(ctx.model, &full_relax, ctx.integral);
     if seed.is_none() && ctx.solver.warm_start {
         seed = crate::solver::greedy_repair(ctx.model, ctx.full_lp, &full_relax, ctx.integral);
     }
     if let Some(point) = seed {
-        offer(&incumbent, ctx.to_min(objective_of(ctx.full_lp, &point)), &point);
+        offer(&mut incumbent, ctx.to_min(objective_of(ctx.full_lp, &point)), &point);
     }
 
     let tighten = granularity_tightener(config.objective_granularity);
@@ -447,8 +442,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     // good, since nothing can branch them closed.
     let mut unresolved: Option<f64> = None;
 
-    // Main-thread scratch bound buffers (leader + single-worker rounds);
-    // spawned workers carry their own pair per chunk.
+    // Scratch bound buffers, reused by every expansion of the attempt.
     let mut lo_buf: Vec<f64> = Vec::with_capacity(lp.n_vars);
     let mut hi_buf: Vec<f64> = Vec::with_capacity(lp.n_vars);
 
@@ -458,16 +452,15 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     let mut round = 0u32;
 
     loop {
-        // Batch width ramps 1 → 2 → … → BATCH by round index (a pure
-        // function of the model, so still thread-count independent): easy
+        // Batch width ramps 1 → 2 → … → BATCH by round index: easy
         // instances finish with near-best-first work, deep searches reach
-        // full parallel width within a few rounds.
+        // full width within a few rounds.
         let width = BATCH.min(1usize << round.min(31));
         round += 1;
         // Deterministic batch pop: best-first until the batch is full or the
         // frontier top cannot beat the incumbent (heap order makes every
         // remaining node dominated too).
-        let inc_obj = incumbent.lock().unwrap().as_ref().map(|i| i.obj);
+        let inc_obj = incumbent.as_ref().map(|i| i.obj);
         let mut batch: Vec<Node> = Vec::with_capacity(width);
         let mut gap_closed = false;
         while batch.len() < width {
@@ -511,62 +504,25 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         // the one pure best-first would expand next) expands first, and any
         // incumbent it produces sharpens the bar for the rest of the round,
         // so followers that best-first pruning would never have touched are
-        // skipped instead of speculatively expanded. Both the bar and the
-        // survivor set are pure functions of the model, keeping the trace
-        // thread-count independent.
-        let mut results: Vec<Option<Expansion>> = Vec::new();
-        results.resize_with(batch.len(), || None);
-        results[0] = Some(expand_node(ctx, kit, &incumbent, &batch[0], &mut lo_buf, &mut hi_buf));
-        let bar = incumbent.lock().unwrap().as_ref().map(|i| i.obj);
-        let survives = |node: &Node| {
-            bar.is_none_or(|io| {
+        // skipped instead of speculatively expanded. The bar is read once,
+        // after the leader: a follower's own candidate bars no later
+        // follower of its round.
+        let mut results = Vec::with_capacity(batch.len());
+        results.push(expand_node(ctx, kit, &mut incumbent, &batch[0], &mut lo_buf, &mut hi_buf));
+        let bar = incumbent.as_ref().map(|i| i.obj);
+        for node in &batch[1..] {
+            let survives = bar.is_none_or(|io| {
                 tighten(node.bound) < io - config.mip_gap.max(1e-12) * io.abs().max(1.0)
-            })
-        };
-        let expand_chunk = |nodes: &[Node],
-                            slots: &mut [Option<Expansion>],
-                            lo: &mut Vec<f64>,
-                            hi: &mut Vec<f64>| {
-            for (node, slot) in nodes.iter().zip(slots) {
-                if survives(node) {
-                    *slot = Some(expand_node(ctx, kit, &incumbent, node, lo, hi));
-                }
-            }
-        };
-        let followers = batch.len() - 1;
-        let active = ctx.workers.min(followers);
-        if active <= 1 {
-            expand_chunk(&batch[1..], &mut results[1..], &mut lo_buf, &mut hi_buf);
-        } else {
-            let chunk = followers.div_ceil(active);
-            // Per-job activity scopes are thread-local: hand the caller's
-            // scope to every spawned worker so batch-level attribution
-            // survives the internal parallelism.
-            let scope = crate::stats::SolveActivity::current_scope();
-            std::thread::scope(|s| {
-                let mut pairs: Vec<(&[Node], &mut [Option<Expansion>])> =
-                    batch[1..].chunks(chunk).zip(results[1..].chunks_mut(chunk)).collect();
-                let (first_nodes, first_slots) = pairs.remove(0);
-                for (nodes_chunk, slots_chunk) in pairs {
-                    let (expand_chunk, scope) = (&expand_chunk, scope.clone());
-                    s.spawn(move || {
-                        crate::stats::SolveActivity::scoped_opt(scope, || {
-                            // One scratch pair per worker chunk, reused
-                            // across its nodes.
-                            let (mut lo, mut hi) = (Vec::new(), Vec::new());
-                            expand_chunk(nodes_chunk, slots_chunk, &mut lo, &mut hi);
-                        });
-                    });
-                }
-                expand_chunk(first_nodes, first_slots, &mut lo_buf, &mut hi_buf);
             });
+            if survives {
+                results.push(expand_node(ctx, kit, &mut incumbent, node, &mut lo_buf, &mut hi_buf));
+            }
         }
 
         // Deterministic merge: the incumbent now holds the round's order
-        // minimum (workers offered candidates under the mutex); children are
-        // pruned against it and pushed in slot order.
-        let merged_obj = incumbent.lock().unwrap().as_ref().map(|i| i.obj);
-        for expansion in results.into_iter().flatten() {
+        // minimum; children are pruned against it and pushed in slot order.
+        let merged_obj = incumbent.as_ref().map(|i| i.obj);
+        for expansion in results {
             match expansion {
                 Expansion::Unbounded => return Err(IlpError::Unbounded),
                 Expansion::Candidate => {}
@@ -607,7 +563,6 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         return Err(IlpError::Cancelled);
     }
 
-    let incumbent = incumbent.into_inner().unwrap();
     // An unresolved bound the incumbent dominates is closed exactly as the
     // batch pop would have closed it; any other keeps the search open.
     let unresolved = unresolved.filter(|&b| {
@@ -653,15 +608,11 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
 /// search behind [`crate::SolverBackend::Parallel`] and [`Model::solve`].
 ///
 /// *Value-deterministic*: for a given model and configuration the returned
-/// point is identical for every `threads` value, including 1 — a fixed
-/// per-round batch keeps the exploration trace independent of the worker
-/// count (see the module source for details). At `threads: 1` no thread is
-/// ever spawned.
+/// point, tree and LP work are the same on every run. The search runs on
+/// the calling thread and spawns none; compile-time parallelism lives in
+/// the bisection recursion and the batch queue.
 #[derive(Debug, Clone)]
 pub struct ParallelSolver {
-    /// Worker threads per solve. `0` means
-    /// [`std::thread::available_parallelism`].
-    pub threads: usize,
     /// Seed the incumbent with [`crate::HeuristicSolver`]'s point before
     /// the search starts.
     pub warm_start: bool,
@@ -678,7 +629,6 @@ pub struct ParallelSolver {
 impl Default for ParallelSolver {
     fn default() -> Self {
         Self {
-            threads: 0,
             warm_start: true,
             presolve: true,
             warm_lp: true,
@@ -722,7 +672,6 @@ impl crate::Solver for ParallelSolver {
         prep.set_cancel(token.clone());
         let ctx = SearchCtx {
             solver: self,
-            workers: crate::solver::resolve_threads(self.threads),
             model,
             config,
             full_lp: &full_lp,
@@ -743,10 +692,10 @@ impl crate::Solver for ParallelSolver {
         // more than 128 rows, whose kit-off nodes cost proportionally more.
         // The trigger is the expanded-node count at a round boundary against
         // the presolved row count — a pure function of the model, so the
-        // restart decision and the restarted trajectory are deterministic
-        // and thread-count invariant. The restarted attempt reads nothing
-        // of the abandoned one, so the restart point decides only *whether*
-        // a search restarts, never what a restarted search returns.
+        // restart decision and the restarted trajectory are deterministic.
+        // The restarted attempt reads nothing of the abandoned one, so the
+        // restart point decides only *whether* a search restarts, never what
+        // a restarted search returns.
         match search_once(&ctx, false)? {
             Some(sol) => Ok(sol),
             None => {
@@ -758,6 +707,8 @@ impl crate::Solver for ParallelSolver {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::{LinExpr, Sense, SolveStatus, Solver, SolverConfig};
 
@@ -778,32 +729,19 @@ mod tests {
     }
 
     /// The convenience path *is* the production driver: `Model::solve_with`
-    /// runs this search at one thread, so it returns the bit-identical
-    /// point and tree as an explicit four-thread solve.
+    /// runs this search, so it returns the bit-identical point and tree as
+    /// an explicit solve.
     #[test]
     fn model_solve_with_runs_this_driver() {
         let m = knapsack(12);
         let cfg = SolverConfig::default();
         let convenience = m.solve_with(&cfg).unwrap();
-        let par = ParallelSolver { threads: 4, warm_start: false, ..Default::default() }
-            .solve(&m, &cfg)
-            .unwrap();
+        let par =
+            ParallelSolver { warm_start: false, ..Default::default() }.solve(&m, &cfg).unwrap();
         assert_eq!(convenience.values, par.values);
         assert_eq!(convenience.objective.to_bits(), par.objective.to_bits());
         assert_eq!(convenience.nodes_explored, par.nodes_explored);
         assert!(par.nodes_explored > 0, "the knapsack must actually branch");
-    }
-
-    #[test]
-    fn identical_values_across_thread_counts() {
-        let m = knapsack(14);
-        let cfg = SolverConfig::default();
-        let one = ParallelSolver { threads: 1, ..Default::default() }.solve(&m, &cfg).unwrap();
-        for threads in [2, 3, 8] {
-            let t = ParallelSolver { threads, ..Default::default() }.solve(&m, &cfg).unwrap();
-            assert_eq!(one.values, t.values, "threads={threads} diverged");
-            assert_eq!(one.nodes_explored, t.nodes_explored);
-        }
     }
 
     /// A kit-off attempt over a wide LP is abandoned at its row-node
@@ -833,24 +771,21 @@ mod tests {
         let rows = pre.lp.rows.len();
         let budget = kit_restart_after(rows);
         assert!(budget < crate::node::FAST_KIT_AFTER_NODES, "{rows} presolved rows");
-        for threads in [1, 4] {
-            let handle = Arc::new(crate::SolveActivity::default());
-            let sol = crate::SolveActivity::scoped(&handle, || {
-                ParallelSolver {
-                    threads,
-                    lp_engine: LpEngine::Sparse,
-                    lp_parity: LpParity::Fast,
-                    ..Default::default()
-                }
-                .solve(&m, &SolverConfig::default())
-            })
-            .unwrap();
-            let abandoned = handle.snapshot().bb_nodes - sol.nodes_explored as u64;
-            assert!(
-                (budget as u64..budget as u64 + BATCH as u64).contains(&abandoned),
-                "threads={threads}: abandoned {abandoned} nodes, budget {budget} ({rows} rows)"
-            );
-        }
+        let handle = Arc::new(crate::SolveActivity::default());
+        let sol = crate::SolveActivity::scoped(&handle, || {
+            ParallelSolver {
+                lp_engine: LpEngine::Sparse,
+                lp_parity: LpParity::Fast,
+                ..Default::default()
+            }
+            .solve(&m, &SolverConfig::default())
+        })
+        .unwrap();
+        let abandoned = handle.snapshot().bb_nodes - sol.nodes_explored as u64;
+        assert!(
+            (budget as u64..budget as u64 + BATCH as u64).contains(&abandoned),
+            "abandoned {abandoned} nodes, budget {budget} ({rows} rows)"
+        );
     }
 
     /// A frontier of tens of thousands of open nodes pays this per node
@@ -889,36 +824,22 @@ mod tests {
     }
 
     /// Integral LP points are stored as packed candidates (no basis, no
-    /// chain), and the search that reads them back is the same at every
-    /// thread count: point, objective bits, tree and LP work.
+    /// chain), and the search that reads them back proves the optimum.
     #[test]
-    fn plateau_candidates_are_stored_packed_and_thread_invariant() {
+    fn plateau_candidates_are_stored_packed() {
         let m = plateau_bisection(14);
         let config = SolverConfig { objective_granularity: 32.0, ..SolverConfig::default() };
-        let mut runs = Vec::new();
-        for threads in [1, 2, 4] {
-            let handle = Arc::new(crate::SolveActivity::default());
-            let sol = crate::SolveActivity::scoped(&handle, || {
-                ParallelSolver { threads, warm_start: false, ..Default::default() }
-                    .solve(&m, &config)
-            })
-            .unwrap();
-            assert_eq!(sol.status, SolveStatus::Optimal);
-            assert!(!sol.degraded);
-            crate::certify(&m, &config, &sol).unwrap();
-            let stats = handle.snapshot();
-            assert!(stats.candidate_nodes > 0, "threads={threads}: no candidate node ({stats:?})");
-            runs.push((threads, sol, stats));
-        }
-        let (_, one, one_stats) = &runs[0];
-        assert!(one.nodes_explored > 20, "the plateau must branch: {}", one.nodes_explored);
-        for (threads, sol, stats) in &runs[1..] {
-            assert_eq!(sol.values, one.values, "threads={threads}");
-            assert_eq!(sol.objective.to_bits(), one.objective.to_bits(), "threads={threads}");
-            assert_eq!(sol.nodes_explored, one.nodes_explored, "threads={threads}");
-            assert_eq!(stats.lp_solves, one_stats.lp_solves, "threads={threads}");
-            assert_eq!(stats.candidate_nodes, one_stats.candidate_nodes, "threads={threads}");
-        }
+        let handle = Arc::new(crate::SolveActivity::default());
+        let sol = crate::SolveActivity::scoped(&handle, || {
+            ParallelSolver { warm_start: false, ..Default::default() }.solve(&m, &config)
+        })
+        .unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert!(!sol.degraded);
+        crate::certify(&m, &config, &sol).unwrap();
+        let stats = handle.snapshot();
+        assert!(stats.candidate_nodes > 0, "no candidate node ({stats:?})");
+        assert!(sol.nodes_explored > 20, "the plateau must branch: {}", sol.nodes_explored);
     }
 
     /// `c·x + y ≥ r` with `x` binary and `y ∈ [0, 10]`, minimizing

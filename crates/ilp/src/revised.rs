@@ -13,9 +13,9 @@
 //! replay the oracle, eliminate the basic logicals first: each claims its
 //! own row for free, and the factor keeps at most one eta per basic
 //! structural. After [`REFACTOR_UPDATES`] update etas the chain is
-//! refactorized from scratch (a deterministic trigger, so parallel drivers
-//! replay identical arithmetic), which also re-snaps the basic values and
-//! sheds accumulated drift.
+//! refactorized from scratch (a deterministic trigger, so every run of a
+//! search replays identical arithmetic), which also re-snaps the basic
+//! values and sheds accumulated drift.
 //!
 //! The payoff is asymptotic: a branch-and-bound child whose basis is
 //! mostly logical columns factorizes in O(nnz of the structural basics)
@@ -81,9 +81,8 @@ const DEVEX_RESET_ABOVE: f64 = 1e8;
 /// tree growth). Devex only pays on *long* solves, where dividing out the
 /// column norm cuts the iteration count several-fold. Counting the solve's
 /// own iterations is the cheapest deterministic proxy for "this solve is
-/// long": the threshold is a pure function of the node (never of threads
-/// or timing), so thread-count invariance and DSE signature stability are
-/// untouched. Crossing it is counted in
+/// long": the threshold is a pure function of the node (never of timing),
+/// so run-to-run determinism and DSE signature stability are untouched. Crossing it is counted in
 /// [`SolveStats::pricing_switches`](crate::SolveStats).
 pub(crate) const HYBRID_DEVEX_AFTER: u64 = 48;
 
@@ -580,7 +579,7 @@ impl<'a> Revised<'a> {
     /// refactorization alike. Its different roundoff can perturb float
     /// ties and with them the vertex trajectory, which a kit-on search no
     /// longer promises to replay; every choice stays a pure function of
-    /// the node, so thread-count invariance is untouched.
+    /// the node, so the search stays deterministic.
     fn refactorize(&mut self) -> bool {
         if !self.factorize() {
             return false;
@@ -801,7 +800,7 @@ impl<'a> Revised<'a> {
     /// [`SolveStats::partial_pricing_refreshes`](crate::SolveStats).
     ///
     /// The cursor advances deterministically with the pivot sequence
-    /// (never with thread count or timing), so the choice remains a pure
+    /// (never with timing), so the choice remains a pure
     /// function of the node. Bland mode bypasses sectioning: its
     /// anti-cycling guarantee needs the full ascending-index scan.
     fn choose_entering_devex(&mut self, use_cost: bool, bland: bool) -> Option<(usize, f64)> {
@@ -840,7 +839,7 @@ impl<'a> Revised<'a> {
     /// near-degenerate floorplanning LPs. The scan itself is the same
     /// deterministic ascending-index pass as the Dantzig rule, with strict
     /// `>` so ties keep the lowest index: the choice is a pure function of
-    /// the node, never of thread count or timing.
+    /// the node, never of timing.
     fn devex_scan(
         &self,
         from: usize,
@@ -1289,8 +1288,7 @@ impl<'a> Revised<'a> {
     /// infeasible, proved by phase 1 with its established tolerances), on
     /// any numerically suspect pivot, or past the iteration cap. Every
     /// choice here is a pure function of the installed floats, so the
-    /// stopping decision — like the pivots themselves — is deterministic
-    /// across thread counts.
+    /// stopping decision — like the pivots themselves — is deterministic.
     fn dual_repair(&mut self) {
         let m = self.sp.m;
         let cap = (4 * m + 100) as u64;

@@ -250,7 +250,7 @@ pub enum LpEngine {
 /// rows); smaller searches replay the exact trajectory bit for bit. Fast
 /// mode stays fully deterministic: every entering/leaving choice is a pure
 /// function of the node's model and bounds, so results are bit-identical
-/// across worker-thread counts. Correctness of the answers does
+/// from run to run. Correctness of the answers does
 /// not rest on replay: every solution returned through
 /// [`Model::solve_with_options`](crate::Model::solve_with_options) is
 /// re-checked against the original model by [`certify`](crate::certify).
@@ -473,8 +473,8 @@ impl<'a> PreparedLp<'a> {
     /// different — and typically denser — optimal vertices grow exactly
     /// those trees. Only once a search has proven big do the kit's
     /// per-solve savings amortize. The flag is a pure function of the
-    /// node's position in the search order and the LP's width, so
-    /// thread-count invariance is untouched. Exact parity ignores it
+    /// node's position in the search order and the LP's width, so the
+    /// search stays deterministic. Exact parity ignores it
     /// entirely.
     pub(crate) fn solve_node(
         &self,

@@ -2,12 +2,13 @@
 //!
 //! TAPA-CS solves one small ILP per bipartition level; the two-level
 //! floorplanner produces many of them, and the recursion makes sibling
-//! subproblems independent. The [`Solver`] trait decouples *what* is solved
-//! ([`Model`] + [`SolverConfig`]) from *how*:
+//! subproblems independent, so the compiler may solve them on concurrent
+//! threads (see [`SolverOptions::threads`]); each solve itself runs on one
+//! thread. The [`Solver`] trait decouples *what* is solved ([`Model`] +
+//! [`SolverConfig`]) from *how*:
 //!
 //! * [`crate::ParallelSolver`] — the branch and bound: deterministic
-//!   round-based frontier expansion, on a worker pool when given more than
-//!   one thread.
+//!   round-based frontier expansion.
 //! * [`HeuristicSolver`] — greedy LP rounding with first-fit repair; fast,
 //!   feasibility-only. The branch and bound uses its point as a warm-start
 //!   incumbent.
@@ -215,9 +216,12 @@ pub enum SolverBackend {
 pub struct SolverOptions {
     /// Backend to run.
     pub backend: SolverBackend,
-    /// Worker threads for the parallel backend and for concurrent
-    /// bipartition recursion. `0` means
-    /// [`std::thread::available_parallelism`].
+    /// The most threads one floorplanning stage may run its bipartition
+    /// recursion on: the two halves of a split descend concurrently while
+    /// the threads so far, doubled, stay within this cap (see
+    /// [`SolverOptions::parallel_recursion_at`]). Each ILP solve runs on one
+    /// thread. `0` means [`std::thread::available_parallelism`]; `1` keeps
+    /// the whole recursion on the calling thread.
     pub threads: usize,
     /// Warm-start branch and bound with [`HeuristicSolver`]'s point.
     pub warm_start: bool,
@@ -268,20 +272,28 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 }
 
 impl SolverOptions {
-    /// The parallel backend with an explicit worker count.
+    /// The parallel backend with an explicit thread cap.
     pub fn parallel(threads: usize) -> Self {
         Self { backend: SolverBackend::Parallel, threads, ..Self::default() }
     }
 
-    /// Worker count with `0` resolved to the machine's parallelism.
+    /// Thread cap with `0` resolved to the machine's parallelism.
     pub fn resolved_threads(&self) -> usize {
         resolve_threads(self.threads)
     }
 
-    /// Whether callers should also run *independent subproblems* (the two
-    /// halves of a bipartition) concurrently.
-    pub fn parallel_recursion(&self) -> bool {
-        matches!(self.backend, SolverBackend::Parallel) && self.resolved_threads() > 1
+    /// Whether the two halves of a bipartition split at recursion depth
+    /// `depth` (the root split is 0) should descend concurrently. A
+    /// recursion that fans out at every depth up to `d` runs `2 << d`
+    /// threads, so it fans out only while that stays within
+    /// [`resolved_threads`](Self::resolved_threads): 2–3 threads split the
+    /// root only, 4–7 the first two depths, and so on.
+    pub fn parallel_recursion_at(&self, depth: usize) -> bool {
+        matches!(self.backend, SolverBackend::Parallel)
+            && u32::try_from(depth)
+                .ok()
+                .and_then(|d| self.resolved_threads().checked_shr(d))
+                .is_some_and(|share| share >= 2)
     }
 
     /// Builds the configured backend, wrapped in the memo cache when
@@ -295,7 +307,6 @@ impl SolverOptions {
         let heuristic = HeuristicSolver { lp_engine: self.lp_engine, lp_parity: self.lp_parity };
         let base: Box<dyn Solver> = match self.backend {
             SolverBackend::Parallel => Box::new(crate::ParallelSolver {
-                threads: self.threads,
                 warm_start: self.warm_start,
                 presolve: self.presolve,
                 warm_lp: self.warm_lp,
@@ -400,7 +411,7 @@ mod tests {
     fn warm_started_search_matches_cold() {
         let m = cover_model();
         let cfg = SolverConfig::default();
-        let search = |warm_start| ParallelSolver { threads: 1, warm_start, ..Default::default() };
+        let search = |warm_start| ParallelSolver { warm_start, ..Default::default() };
         let cold = search(false).solve(&m, &cfg).unwrap();
         let warm = search(true).solve(&m, &cfg).unwrap();
         assert!((cold.objective - warm.objective).abs() < 1e-6);
@@ -422,6 +433,25 @@ mod tests {
     fn resolved_threads_never_zero() {
         assert!(SolverOptions::default().resolved_threads() >= 1);
         assert_eq!(SolverOptions::parallel(3).resolved_threads(), 3);
+    }
+
+    /// The bisection fans out at depth `d` only while `2 << d` threads fit
+    /// under the cap, so it never runs more threads than `threads` allows.
+    #[test]
+    fn parallel_recursion_fans_out_within_the_thread_cap() {
+        for (threads, fanned) in [(1, 0), (2, 1), (3, 1), (4, 2), (8, 3)] {
+            let options = SolverOptions::parallel(threads);
+            let depths: Vec<usize> =
+                (0..70).filter(|&d| options.parallel_recursion_at(d)).collect();
+            assert_eq!(depths, (0..fanned).collect::<Vec<_>>(), "threads={threads}");
+            assert!(1 << fanned <= threads, "threads={threads}: {} concurrent halves", 1 << fanned);
+        }
+        let heuristic =
+            SolverOptions { backend: SolverBackend::Heuristic, threads: 8, ..Default::default() };
+        assert!(
+            !heuristic.parallel_recursion_at(0),
+            "only the exact backend recurses concurrently"
+        );
     }
 
     /// The solve cache keys on `Solver::name()`: the two parity modes run

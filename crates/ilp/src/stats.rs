@@ -14,9 +14,9 @@
 //! counters), so recording is additionally **scoped**: a caller installs a
 //! per-job [`SolveActivity`] handle with [`SolveActivity::scoped`], every
 //! solve recorded inside the closure feeds the handle *and* the global
-//! collector, and code that fans work out to threads re-installs
-//! [`SolveActivity::current_scope`] on each worker so the attribution
-//! survives the crate's internal parallelism.
+//! collector, and code that fans work out to threads (the compiler's
+//! concurrent bisection halves) re-installs [`SolveActivity::current_scope`]
+//! on each worker so the attribution survives that parallelism.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,7 +64,7 @@ pub struct SolveStats {
     /// Hybrid-pricing switches under fast parity (the default): node solves
     /// that outgrew the banded-Dantzig opening and switched to devex
     /// pricing mid-solve. A pure function of each node's iteration count,
-    /// so the total is identical across worker-thread counts.
+    /// so the total repeats exactly from run to run.
     pub pricing_switches: u64,
     /// Partial-pricing wrap-arounds under fast parity: rotating
     /// section scans that exhausted the candidate list and restarted from
@@ -74,8 +74,7 @@ pub struct SolveStats {
     /// factorizing: the second child of a branched node restores the
     /// node's basis the first child installed. Every install is exactly
     /// one of `lu_factorizations` / `memo_sibling_hits`, so the two always
-    /// sum to installs, and each is a function of the search alone (the
-    /// same at every thread count).
+    /// sum to installs, and each is a function of the search alone.
     pub memo_sibling_hits: u64,
     /// Branch-and-bound nodes expanded across all searches, attempts
     /// abandoned by the kit restart included. The fast-parity node-tree
@@ -86,13 +85,12 @@ pub struct SolveStats {
     /// the row (presolve's own infeasibility proof, run on the rows of the
     /// branched column). Each would have been an `Infeasible` LP solve, so
     /// the drop saves exactly that solve and moves no search decision; a
-    /// function of the search alone, the same at every thread count.
+    /// function of the search alone.
     pub range_pruned: u64,
     /// Integral LP points pushed onto a branch-and-bound frontier, the
     /// root included: open nodes that hold a packed candidate point
     /// instead of a basis and a bound chain. Attempts abandoned by the kit
-    /// restart count too; a function of the search alone, the same at
-    /// every thread count.
+    /// restart count too; a function of the search alone.
     pub candidate_nodes: u64,
     /// Models run through [`presolve`](crate::SolverOptions::presolve).
     pub presolve_runs: u64,
@@ -269,10 +267,11 @@ impl SolveActivity {
     /// feeds `handle` in addition to [`SolveActivity::global`]. Scopes
     /// nest; the previous handle is restored when `f` returns (or panics).
     ///
-    /// Code inside the `tapacs_ilp` solvers that spawns worker threads
-    /// re-installs [`SolveActivity::current_scope`] on each worker, so a
-    /// scope installed around a whole compile captures the solves of the
-    /// parallel branch and bound too.
+    /// A solve runs on the thread that calls it, so it feeds the scope
+    /// installed there. Callers that spawn threads of their own (the
+    /// compiler's concurrent bisection halves) re-install
+    /// [`SolveActivity::current_scope`] on each worker, so a scope installed
+    /// around a whole compile captures every solve of it.
     pub fn scoped<R>(handle: &Arc<SolveActivity>, f: impl FnOnce() -> R) -> R {
         Self::scoped_opt(Some(Arc::clone(handle)), f)
     }

@@ -66,7 +66,7 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         let ms = models(&items, &caps);
         let originals = solve_all(&solver, &ms);
 
@@ -108,7 +108,7 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         let ms = models(&items, &caps);
         let originals = solve_all(&solver, &ms);
 
@@ -214,7 +214,7 @@ fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
     let cache = SolveCache::global();
     cache.clear();
-    let solver = CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+    let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
     solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
     let path = tmp_file("stale-v5", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
@@ -244,8 +244,7 @@ fn every_bit_flip_and_every_truncation_of_a_small_file_is_rejected() {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver =
-            CachingSolver::new(Box::new(ParallelSolver { threads: 1, ..Default::default() }));
+        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
         cache.save_to(&path).unwrap();
     }

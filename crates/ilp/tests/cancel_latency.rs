@@ -67,7 +67,6 @@ fn chunky_lp(n: usize, rows: usize) -> Model {
 
 fn solver(parity: LpParity) -> ParallelSolver {
     ParallelSolver {
-        threads: 1,
         warm_start: true,
         presolve: false,
         warm_lp: true,

@@ -42,7 +42,6 @@ fn default_parity_is_fast_and_exact_is_opt_in() {
     };
     assert_eq!(SolverOptions::default(), options);
     let parallel = ParallelSolver {
-        threads: 0,
         warm_start: true,
         presolve: true,
         warm_lp: true,

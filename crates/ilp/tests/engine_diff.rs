@@ -54,7 +54,6 @@ fn verdict(
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
     let solver = ParallelSolver {
-        threads: 1,
         warm_start: true,
         presolve,
         warm_lp,

@@ -59,14 +59,8 @@ fn verdict(
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver = ParallelSolver {
-        threads: 1,
-        warm_start: true,
-        presolve,
-        warm_lp,
-        lp_engine,
-        lp_parity: parity,
-    };
+    let solver =
+        ParallelSolver { warm_start: true, presolve, warm_lp, lp_engine, lp_parity: parity };
     let config = SolverConfig::default();
     match solver.solve(model, &config) {
         Ok(sol) => {

@@ -5,16 +5,16 @@
 //! 2. A MIP optimum never beats its own LP relaxation bound.
 //! 3. For generated-feasible knapsacks, the solver never reports infeasible.
 //! 4. Optimal binary solutions match exhaustive enumeration on small
-//!    instances — at 1 and 4 threads, heuristic incumbent seed on and off.
-//! 5. The branch and bound returns bit-identical points and trees across
-//!    thread counts.
+//!    instances, heuristic incumbent seed on and off.
+//! 5. A second solve of one model returns the bit-identical point, tree
+//!    and LP-engine counters.
 //! 6. The LP-engine toggles are semantically invisible: presolve-on vs
 //!    presolve-off and warm-started vs cold-started node solves agree on
 //!    the objective, and every returned point (postsolved back from the
 //!    reduced space) is feasible in the *original* variable space.
 //! 7. Children dropped before their LP by the row-activity proof
 //!    (`SolveStats::range_pruned`) leave the optimum where exhaustive
-//!    enumeration puts it, and their count is thread-invariant.
+//!    enumeration puts it.
 
 use std::sync::Arc;
 
@@ -25,16 +25,16 @@ use tapacs_ilp::{
 };
 
 /// The branch and bound in the configurations the enumeration-oracle tests
-/// sweep: 1 and 4 threads, with and without the heuristic incumbent seed.
+/// sweep: with and without the heuristic incumbent seed.
 fn driver_sweep() -> Vec<(String, ParallelSolver)> {
-    let mut sweep = Vec::new();
-    for threads in [1, 4] {
-        for warm_start in [false, true] {
-            let solver = ParallelSolver { threads, warm_start, ..Default::default() };
-            sweep.push((format!("threads={threads} warm_start={warm_start}"), solver));
-        }
-    }
-    sweep
+    [false, true]
+        .map(|warm_start| {
+            (
+                format!("warm_start={warm_start}"),
+                ParallelSolver { warm_start, ..Default::default() },
+            )
+        })
+        .into()
 }
 
 /// A random ≤-only knapsack-like model: always feasible (all-zeros works).
@@ -80,16 +80,15 @@ fn presolve_rich_model(values: &[u32], weights: &[u32], cap: u32, bound: u32) ->
     m
 }
 
-/// Solves `m` with the fast-parity parallel backend at `threads` threads
-/// under a scoped stats collector, returning the solution plus the
-/// counters the run recorded (pricing switches, partial-pricing
-/// refreshes, branch-and-bound nodes, iterations).
-fn solve_fast_with_stats(m: &Model, threads: usize) -> (tapacs_ilp::Solution, SolveStats) {
+/// Solves `m` with the fast-parity branch and bound under a scoped stats
+/// collector, returning the solution plus the counters the run recorded
+/// (pricing switches, partial-pricing refreshes, branch-and-bound nodes,
+/// iterations).
+fn solve_fast_with_stats(m: &Model) -> (tapacs_ilp::Solution, SolveStats) {
     let handle = Arc::new(SolveActivity::default());
     let sol = SolveActivity::scoped(&handle, || {
         // Engine and parity pinned: the kit lives in the sparse engine.
         ParallelSolver {
-            threads,
             lp_engine: LpEngine::Sparse,
             lp_parity: LpParity::Fast,
             ..Default::default()
@@ -100,75 +99,47 @@ fn solve_fast_with_stats(m: &Model, threads: usize) -> (tapacs_ilp::Solution, So
     (sol, handle.snapshot())
 }
 
+/// The bits of a solution's point, so two solves compare exactly.
+fn point_bits(sol: &tapacs_ilp::Solution) -> Vec<u64> {
+    sol.values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// The fast-parity kit decisions — the hybrid pricing switch, the
-/// partial-pricing cursor and the kit-restart cutover — are pure
-/// functions of the node, never of thread count or timing. A big
+/// partial-pricing cursor, the kit-restart cutover and the sibling
+/// restores — are pure functions of the node, never of timing. A big
 /// symmetric tree (2·Σx ≤ odd cap forces every relaxation fractional)
 /// drives the search well past the kit-restart threshold, so the
-/// abandoned-attempt node count, the restarted tree, every pricing
-/// counter, the pivots, the factorizations and the restored sibling
-/// installs must come back identical at 1, 2 and 4 threads.
+/// abandoned attempt's nodes are recorded beside the restarted tree,
+/// siblings restore each other's installs, and a second solve of the same
+/// model returns the same point bit for bit with every counter equal.
 #[test]
-fn fast_kit_restart_is_thread_invariant_on_a_big_tree() {
+fn fast_kit_restart_repeats_bit_for_bit_on_a_big_tree() {
     let n = 15;
     let mut m = Model::new("sym");
     let vars: Vec<_> = (0..n).map(|i| m.binary(format!("x{i}"))).collect();
     m.add_le("cap", LinExpr::sum(vars.iter().map(|&x| LinExpr::term(x, 2.0))), n as f64);
     m.set_objective(Sense::Maximize, LinExpr::sum(vars.iter().map(|&x| LinExpr::term(x, 1.0))));
 
-    let (one, stats_one) = solve_fast_with_stats(&m, 1);
+    let (first, stats) = solve_fast_with_stats(&m);
     assert!(
-        stats_one.bb_nodes > one.nodes_explored as u64,
+        stats.bb_nodes > first.nodes_explored as u64,
         "the abandoned first attempt must have recorded its nodes \
          (bb_nodes {} vs final tree {})",
-        stats_one.bb_nodes,
-        one.nodes_explored
+        stats.bb_nodes,
+        first.nodes_explored
     );
-    for threads in [2usize, 4] {
-        let (t, stats_t) = solve_fast_with_stats(&m, threads);
-        assert_eq!(one.values, t.values, "threads={threads} diverged on the point");
-        assert_eq!(one.nodes_explored, t.nodes_explored, "threads={threads} tree size");
-        assert_eq!(stats_one.bb_nodes, stats_t.bb_nodes, "threads={threads} recorded nodes");
-        assert_eq!(
-            stats_one.pricing_switches, stats_t.pricing_switches,
-            "threads={threads} pricing switches"
-        );
-        assert_eq!(
-            stats_one.partial_pricing_refreshes, stats_t.partial_pricing_refreshes,
-            "threads={threads} partial-pricing refreshes"
-        );
-        assert_eq!(
-            stats_one.simplex_iterations, stats_t.simplex_iterations,
-            "threads={threads} iterations"
-        );
-        // Basis installs under the kit-on one-FTRAN recompute, each kind on
-        // its own: whether a child restores its sibling's install depends
-        // only on the node it belongs to, never on which worker ran it.
-        assert_eq!(
-            stats_one.lu_factorizations, stats_t.lu_factorizations,
-            "threads={threads} factorizations"
-        );
-        assert_eq!(
-            stats_one.memo_sibling_hits, stats_t.memo_sibling_hits,
-            "threads={threads} restored sibling installs"
-        );
-        assert!(stats_t.memo_sibling_hits > 0, "threads={threads}: siblings share installs");
-        assert_eq!(
-            stats_one.refactor_triggers, stats_t.refactor_triggers,
-            "threads={threads} mid-solve refactorizations"
-        );
-        assert_eq!(
-            stats_one.range_pruned, stats_t.range_pruned,
-            "threads={threads} range-pruned children"
-        );
-    }
+    assert!(stats.memo_sibling_hits > 0, "siblings share installs ({stats:?})");
+    let (second, stats_again) = solve_fast_with_stats(&m);
+    assert_eq!(point_bits(&first), point_bits(&second), "the point diverged");
+    assert_eq!(first.objective.to_bits(), second.objective.to_bits());
+    assert_eq!(first.nodes_explored, second.nodes_explored, "tree size");
+    assert_eq!(stats, stats_again, "LP-engine counters");
 }
 
 /// A tight knapsack: every item weighs about half the capacity, so a
 /// child that forces a second item in overloads the capacity row and is
 /// dropped before its LP by the row-activity proof. The optimum still
-/// equals exhaustive enumeration on every driver configuration, with one
-/// `range_pruned` count at every thread count.
+/// equals exhaustive enumeration on every driver configuration.
 #[test]
 fn tight_knapsack_range_prunes_children_and_keeps_the_optimum() {
     let weights = [45, 46, 47, 48, 49, 51, 52, 53];
@@ -176,7 +147,6 @@ fn tight_knapsack_range_prunes_children_and_keeps_the_optimum() {
     let cap = 100;
     let (m, _) = knapsack_model(&values, &weights, cap);
     let best = exhaustive_knapsack(&values, &weights, cap);
-    let mut pruned = Vec::new();
     for (name, solver) in driver_sweep() {
         let handle = Arc::new(SolveActivity::default());
         let sol = SolveActivity::scoped(&handle, || solver.solve(&m, &SolverConfig::default()))
@@ -185,13 +155,6 @@ fn tight_knapsack_range_prunes_children_and_keeps_the_optimum() {
         assert_eq!(sol.objective, best as f64, "{name}: solver vs exhaustive");
         let stats = handle.snapshot();
         assert!(stats.range_pruned > 0, "{name}: no child was range-pruned ({stats:?})");
-        pruned.push((solver.warm_start, stats.range_pruned));
-    }
-    // The sweep runs 1 then 4 threads per seed setting: equal counts.
-    for warm_start in [false, true] {
-        let counts: Vec<u64> =
-            pruned.iter().filter(|(w, _)| *w == warm_start).map(|&(_, n)| n).collect();
-        assert!(counts.windows(2).all(|w| w[0] == w[1]), "warm_start={warm_start}: {counts:?}");
     }
 }
 
@@ -292,42 +255,30 @@ proptest! {
     }
 
     #[test]
-    fn fast_parity_pricing_decisions_are_thread_invariant(
+    fn fast_parity_pricing_decisions_repeat(
         items in prop::collection::vec((1u32..50, 1u32..30), 1..10),
         cap in 1u32..100,
     ) {
         // The hybrid-pricing switch, the partial-pricing cursor, the
         // kit-restart cutover and the sibling restores must be pure
-        // functions of the node: random models at 1, 2 and 4 threads agree
-        // on every pricing and install counter
+        // functions of the node: two solves of a random model agree on the
+        // point and on every pricing and install counter
         // (most instances never trip the switch — the counters must then
         // be identically zero, not merely close).
         let values: Vec<u32> = items.iter().map(|(v, _)| *v).collect();
         let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
         let (m, _) = knapsack_model(&values, &weights, cap);
 
-        let (one, stats_one) = solve_fast_with_stats(&m, 1);
-        for threads in [2usize, 4] {
-            let (t, stats_t) = solve_fast_with_stats(&m, threads);
-            prop_assert_eq!(&one.values, &t.values, "threads={} point diverged", threads);
-            prop_assert_eq!(one.nodes_explored, t.nodes_explored);
-            prop_assert_eq!(stats_one.bb_nodes, stats_t.bb_nodes);
-            prop_assert_eq!(stats_one.pricing_switches, stats_t.pricing_switches,
-                "threads={} pricing switches diverged", threads);
-            prop_assert_eq!(stats_one.partial_pricing_refreshes,
-                stats_t.partial_pricing_refreshes);
-            prop_assert_eq!(stats_one.simplex_iterations, stats_t.simplex_iterations,
-                "threads={} iteration counts diverged", threads);
-            prop_assert_eq!(stats_one.lu_factorizations, stats_t.lu_factorizations);
-            prop_assert_eq!(stats_one.memo_sibling_hits, stats_t.memo_sibling_hits);
-            prop_assert_eq!(stats_one.range_pruned, stats_t.range_pruned,
-                "threads={} range-pruned children diverged", threads);
-        }
+        let (first, stats) = solve_fast_with_stats(&m);
+        let (second, stats_again) = solve_fast_with_stats(&m);
+        prop_assert_eq!(point_bits(&first), point_bits(&second), "point diverged");
+        prop_assert_eq!(first.nodes_explored, second.nodes_explored);
+        prop_assert_eq!(stats, stats_again, "LP-engine counters diverged");
     }
 
     /// The independent certificate accepts every answer of every LP
-    /// configuration — both engines, both parities, inline and on spawned
-    /// workers — on both random model families of this file.
+    /// configuration — both engines, both parities — on both random model
+    /// families of this file.
     #[test]
     fn certificate_accepts_every_engine_and_parity(
         items in prop::collection::vec((1u32..50, 1u32..30), 2..9),
@@ -343,36 +294,12 @@ proptest! {
         ] {
             for lp_engine in [LpEngine::Sparse, LpEngine::Dense] {
                 for lp_parity in [LpParity::Fast, LpParity::Exact] {
-                    for threads in [1, 2] {
-                        let solver =
-                            ParallelSolver { threads, lp_engine, lp_parity, ..Default::default() };
-                        let sol = solver.solve(&m, &cfg).expect("all-zeros is feasible");
-                        let verdict = certify(&m, &cfg, &sol);
-                        prop_assert!(verdict.is_ok(),
-                            "threads={threads} {lp_engine:?}/{lp_parity:?}: {verdict:?}");
-                    }
+                    let solver = ParallelSolver { lp_engine, lp_parity, ..Default::default() };
+                    let sol = solver.solve(&m, &cfg).expect("all-zeros is feasible");
+                    let verdict = certify(&m, &cfg, &sol);
+                    prop_assert!(verdict.is_ok(), "{lp_engine:?}/{lp_parity:?}: {verdict:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_backend_is_value_deterministic_across_threads(
-        items in prop::collection::vec((1u32..50, 1u32..30), 1..10),
-        cap in 1u32..100,
-    ) {
-        let values: Vec<u32> = items.iter().map(|(v, _)| *v).collect();
-        let weights: Vec<u32> = items.iter().map(|(_, w)| *w).collect();
-        let (m, _) = knapsack_model(&values, &weights, cap);
-        let cfg = SolverConfig::default();
-
-        // Defaults: presolve and LP warm starts ON — the determinism
-        // guarantee must survive the incremental node solves.
-        let one = ParallelSolver { threads: 1, ..Default::default() }.solve(&m, &cfg).unwrap();
-        for threads in [2usize, 4] {
-            let t = ParallelSolver { threads, ..Default::default() }.solve(&m, &cfg).unwrap();
-            prop_assert_eq!(&one.values, &t.values, "threads={} diverged", threads);
-            prop_assert_eq!(one.nodes_explored, t.nodes_explored);
         }
     }
 
@@ -388,7 +315,7 @@ proptest! {
         let cfg = SolverConfig::default();
 
         let engine = |presolve, warm_lp| {
-            ParallelSolver { threads: 1, presolve, warm_lp, ..Default::default() }
+            ParallelSolver { presolve, warm_lp, ..Default::default() }
         };
         let engines: Vec<(&str, ParallelSolver)> = vec![
             ("presolve+warm", engine(true, true)),
@@ -430,7 +357,7 @@ proptest! {
         };
         let m = build();
         let cfg = SolverConfig::default();
-        let engine = |presolve| ParallelSolver { threads: 1, presolve, ..Default::default() };
+        let engine = |presolve| ParallelSolver { presolve, ..Default::default() };
         let with = engine(true).solve(&m, &cfg);
         let without = engine(false).solve(&m, &cfg);
         match (&with, &without) {

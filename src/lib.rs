@@ -12,8 +12,8 @@
 //!
 //! ## Crates
 //!
-//! * [`ilp`] — LP/MIP solver (simplex + one deterministic, thread-count
-//!   invariant branch and bound and a greedy heuristic behind the
+//! * [`ilp`] — LP/MIP solver (simplex + one deterministic, single-threaded
+//!   branch and bound and a greedy heuristic behind the
 //!   [`Solver`] trait, with a process-wide solve memo-cache).
 //! * [`fpga`] — device models, slot grids, HBM, the virtual place-and-route
 //!   timing model.
