@@ -10,10 +10,18 @@
 //! recorded. A change that moves one of them on purpose (a new row in the
 //! split model, a new search rule) updates the pin here and says so in
 //! CHANGES.md.
+//!
+//! A second pin holds the solver's work on the same sweep: the full
+//! `SolveStats` delta of a cold run on one batch worker and one solver
+//! thread. With two batch workers the count moves from run to run
+//! (concurrent jobs can both miss one cache key and both solve it), so
+//! only the serial sweep is pinned.
+
+use std::sync::Mutex;
 
 use tapacs_apps::suite::{self, Benchmark};
-use tapacs_core::dse::explore;
-use tapacs_ilp::SolveCache;
+use tapacs_core::dse::{explore, DseConfig};
+use tapacs_ilp::{SolveActivity, SolveCache, SolveStats};
 
 /// The smoke sweep's frontier signature.
 const SIGNATURE: &str = "F1/T0.700/S0.900=4072c00000000000/3fd6eb80ba9e5122/0;\
@@ -25,11 +33,22 @@ const FILE_BYTES: usize = 235_677;
 /// The file's trailing checksum word, little-endian.
 const CHECKSUM: u64 = 0x631a_1aab_78d9_a7f8;
 
-#[test]
-fn dse_smoke_sweep_answers_and_cache_bytes_are_pinned() {
+/// Both tests clear and fill the process-wide solve cache and read the
+/// process-wide solver counters; they run one at a time.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+/// The smoke sweep with ILP limits that cannot bind.
+fn smoke_grid() -> DseConfig {
     let mut config = suite::dse_grid(Benchmark::Stencil, true);
     config.base.partition.time_limit_s = 600.0;
     config.base.floorplan.time_limit_s = 600.0;
+    config
+}
+
+#[test]
+fn dse_smoke_sweep_answers_and_cache_bytes_are_pinned() {
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let config = smoke_grid();
     let cache = SolveCache::global();
     cache.clear();
     let report = explore(&config);
@@ -44,4 +63,38 @@ fn dse_smoke_sweep_answers_and_cache_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     let seal = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
     assert_eq!((bytes.len(), seal), (FILE_BYTES, CHECKSUM), "seal {seal:#018x}");
+}
+
+#[test]
+fn dse_smoke_sweep_solver_counters_are_pinned() {
+    let _globals = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut config = smoke_grid();
+    config.threads = 1;
+    config.base.solver.threads = 1;
+    SolveCache::global().clear();
+    let before = SolveActivity::global().snapshot();
+    let report = explore(&config);
+    let work = SolveActivity::global().snapshot().since(&before);
+    assert_eq!(report.degraded(), 0, "an ILP limit bound: {}", report.render_table());
+    let pinned = SolveStats {
+        lp_solves: 466,
+        simplex_iterations: 4_810,
+        phase1_iterations: 1_744,
+        warm_attempts: 449,
+        warm_hits: 449,
+        lu_factorizations: 248,
+        lu_fill_nnz: 322_451,
+        eta_updates: 4_787,
+        eta_nnz: 163_367,
+        memo_sibling_hits: 218,
+        bb_nodes: 258,
+        range_pruned: 13,
+        candidate_nodes: 28,
+        presolve_runs: 17,
+        presolve_rows_removed: 272,
+        presolve_cols_fixed: 66,
+        presolve_bounds_tightened: 66,
+        ..SolveStats::default()
+    };
+    assert_eq!(work, pinned);
 }

@@ -70,6 +70,7 @@ use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta, Pa
 use crate::presolve::{activity_range, PresolvedLp};
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, TOL};
 use crate::solution::{Solution, SolveStatus};
+use crate::stats::{self, SolveStats};
 
 /// Frontier nodes expanded per synchronous round, once the width ramp
 /// reaches it (see the module doc's "Round order").
@@ -273,9 +274,10 @@ impl SearchCtx<'_> {
 /// Adds one search attempt's expanded and candidate node counts to the
 /// activity counters.
 fn record_search(nodes: usize, candidates: u64) {
-    crate::stats::record(|a| {
-        a.record_bb_nodes(nodes as u64);
-        a.record_candidate_nodes(candidates);
+    stats::record(&SolveStats {
+        bb_nodes: nodes as u64,
+        candidate_nodes: candidates,
+        ..SolveStats::default()
     });
 }
 
@@ -324,11 +326,10 @@ fn expand_node(
 ///
 /// A child never reaches an LP when its box is empty or when presolve's
 /// row-activity proof condemns one of `j`'s rows over that box
-/// ([`SearchCtx::range_infeasible`], counted in
-/// [`SolveStats::range_pruned`](crate::SolveStats::range_pruned)). Either
-/// way its LP would have come back [`LpOutcome::Infeasible`], which pushes
-/// nothing, so dropping it changes no node, `seq` or incumbent of the
-/// search; only the LP work counters move.
+/// ([`SearchCtx::range_infeasible`], counted in [`SolveStats::range_pruned`]).
+/// Either way its LP would have come back [`LpOutcome::Infeasible`], which
+/// pushes nothing, so dropping it changes no node, `seq` or incumbent of
+/// the search; only the LP work counters move.
 ///
 /// `lower`/`upper` are reusable scratch buffers; they come back holding the
 /// *node's* bounds (every per-child tweak is restored).
@@ -364,7 +365,7 @@ fn expand_children(
         boxes.push((lo, hi));
     }
     if range_pruned > 0 {
-        crate::stats::record(|a| a.record_range_pruned(range_pruned));
+        stats::record(&SolveStats { range_pruned, ..SolveStats::default() });
     }
     // Honor the token before *every* child LP solve, not only at round
     // boundaries: a deep dive must not overshoot the deadline by a subtree.

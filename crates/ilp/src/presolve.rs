@@ -27,6 +27,7 @@
 
 use crate::model::{CmpOp, Rows};
 use crate::simplex::{LpProblem, LpRows, Reduction, TOL};
+use crate::stats::{self, SolveStats};
 
 /// Absolute slack used when *removing* a row as redundant — deliberately
 /// far tighter than the solver's feasibility tolerance so a removed row can
@@ -134,9 +135,7 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
         sweeps: 0,
     };
 
-    let mut rows_removed = 0u64;
-    let mut cols_fixed = 0u64;
-    let mut bounds_tightened = 0u64;
+    let mut work = SolveStats { presolve_runs: 1, ..SolveStats::default() };
 
     // Integral variables start with inward-rounded bounds.
     for j in 0..n {
@@ -181,11 +180,11 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
                     );
                     if tighten_upper && bound < upper[j] - REDUNDANT_TOL {
                         upper[j] = bound;
-                        bounds_tightened += 1;
+                        work.presolve_bounds_tightened += 1;
                     }
                     if tighten_lower && bound > lower[j] + REDUNDANT_TOL {
                         lower[j] = bound;
-                        bounds_tightened += 1;
+                        work.presolve_bounds_tightened += 1;
                     }
                     if is_integral[j] {
                         round_integral_bounds(j, &mut lower, &mut upper);
@@ -202,7 +201,7 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
             };
             if remove {
                 w.alive[i] = false;
-                rows_removed += 1;
+                work.presolve_rows_removed += 1;
                 changed = true;
             }
         }
@@ -224,7 +223,7 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
                     }
                 }
                 w.fix(j, v);
-                cols_fixed += 1;
+                work.presolve_cols_fixed += 1;
                 changed = true;
             }
         }
@@ -253,11 +252,11 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
             let c = sign * lp.objective[j];
             if c >= 0.0 && dec_safe[j] && lower[j].is_finite() {
                 w.fix(j, lower[j]);
-                cols_fixed += 1;
+                work.presolve_cols_fixed += 1;
                 changed = true;
             } else if c <= 0.0 && inc_safe[j] && upper[j].is_finite() {
                 w.fix(j, upper[j]);
-                cols_fixed += 1;
+                work.presolve_cols_fixed += 1;
                 changed = true;
             }
         }
@@ -270,11 +269,11 @@ pub(crate) fn presolve<'a>(lp: &LpProblem<'a>, is_integral: &[bool]) -> Option<P
         if w.alive[i] && w.terms(i).next().is_none() {
             activity_range(None, block.row(i).op, w.rhs[i], &lower, &upper)?;
             w.alive[i] = false;
-            rows_removed += 1;
+            work.presolve_rows_removed += 1;
         }
     }
 
-    crate::stats::record(|a| a.record_presolve(rows_removed, cols_fixed, bounds_tightened));
+    stats::record(&work);
 
     // The reduced problem over the kept columns and rows.
     let fixed = w.fixed;

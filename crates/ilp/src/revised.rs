@@ -30,6 +30,7 @@ use crate::simplex::{
     DEGEN_BLAND_AFTER, PRICE_BAND, TOL,
 };
 use crate::sparse::SparseLp;
+use crate::stats::SolveStats;
 
 /// Update etas tolerated before a deterministic mid-solve refactorization
 /// (exact parity).
@@ -64,7 +65,7 @@ pub(crate) const FAST_REFACTOR_UPDATES: usize = 64;
 pub(crate) const FAST_REFACTOR_FILL_MIN: usize = 1024;
 
 /// Devex reference weight above which the whole framework resets to unit
-/// weights (and [`SolveStats::devex_resets`](crate::SolveStats) counts
+/// weights (and [`SolveStats::devex_resets`] counts
 /// one). Growing weights mean the reference framework has drifted too far
 /// from the current basis for the steepest-edge approximation to hold.
 const DEVEX_RESET_ABOVE: f64 = 1e8;
@@ -83,7 +84,7 @@ const DEVEX_RESET_ABOVE: f64 = 1e8;
 /// own iterations is the cheapest deterministic proxy for "this solve is
 /// long": the threshold is a pure function of the node (never of timing),
 /// so run-to-run determinism and DSE signature stability are untouched. Crossing it is counted in
-/// [`SolveStats::pricing_switches`](crate::SolveStats).
+/// [`SolveStats::pricing_switches`].
 pub(crate) const HYBRID_DEVEX_AFTER: u64 = 48;
 
 /// Number of rotating sections the candidate list is divided into once
@@ -236,20 +237,10 @@ pub(crate) struct Revised<'a> {
     /// the fast-parity dual repair, whose iterations would otherwise run
     /// outside any deadline check.
     cancel: CancelProbe,
-    // Factorization counters, flushed once per solve by the driver.
-    lu_factorizations: u64,
-    lu_fill_nnz: u64,
-    eta_updates: u64,
-    eta_nnz: u64,
-    refactor_triggers: u64,
-    refactor_fill_triggers: u64,
-    devex_resets: u64,
-    ft_replacements: u64,
-    pricing_switches: u64,
-    partial_refreshes: u64,
-    /// Installs served by [`restore`](Self::restore) instead of a
-    /// factorization (reported as `memo_sibling_hits`).
-    restores: u64,
+    /// Factorization counters, flushed once per solve by the driver. An
+    /// install served by [`restore`](Self::restore) instead of a
+    /// factorization counts as `memo_sibling_hits`.
+    counts: SolveStats,
     /// Eta-file passes spent recomputing basic values in
     /// [`refactorize`](Self::refactorize): one per kit-on install, one plus
     /// one per nonzero nonbasic column in the oracle order.
@@ -342,17 +333,7 @@ impl<'a> Revised<'a> {
             phase1_iters: 0,
             phase2_iters: 0,
             cancel: CancelProbe::default(),
-            lu_factorizations: 0,
-            lu_fill_nnz: 0,
-            eta_updates: 0,
-            eta_nnz: 0,
-            refactor_triggers: 0,
-            refactor_fill_triggers: 0,
-            devex_resets: 0,
-            ft_replacements: 0,
-            pricing_switches: 0,
-            partial_refreshes: 0,
-            restores: 0,
+            counts: SolveStats::default(),
             xb_ftrans: 0,
         }
     }
@@ -506,7 +487,7 @@ impl<'a> Revised<'a> {
         self.factor_etas = 0;
         self.saved = false;
         self.used.fill(false);
-        self.lu_factorizations += 1;
+        self.counts.lu_factorizations += 1;
         let (n_struct, n) = (self.sp.n_struct, self.sp.n);
         let (first, then) =
             if self.logicals_first() { (n_struct..n, 0..n_struct) } else { (0..n, 0..0) };
@@ -539,7 +520,7 @@ impl<'a> Revised<'a> {
             }
             self.used[best_r] = true;
             self.basis[best_r] = j;
-            self.lu_fill_nnz += self.push_eta(best_r);
+            self.counts.lu_fill_nnz += self.push_eta(best_r);
             self.clear_w();
         }
         if n_basic != m {
@@ -641,7 +622,7 @@ impl<'a> Revised<'a> {
     /// saved basis: an install reads the bounds of nonbasic columns only,
     /// so the only traces `j`'s bounds leave are the bounds themselves and
     /// `j`'s membership in `cands`. The counters restart as a new engine's
-    /// would, with the restore counted in `restores`.
+    /// would, with the restore counted in `memo_sibling_hits`.
     pub(crate) fn restore(&mut self, j: usize, lo: f64, hi: f64) {
         debug_assert!(self.saved && self.saved_status[j] == ColStatus::Basic);
         self.x.copy_from_slice(&self.saved_x);
@@ -671,17 +652,7 @@ impl<'a> Revised<'a> {
             Err(at) if moves => self.cands.insert(at, j as u32),
             _ => {}
         }
-        self.lu_factorizations = 0;
-        self.lu_fill_nnz = 0;
-        self.eta_updates = 0;
-        self.eta_nnz = 0;
-        self.refactor_triggers = 0;
-        self.refactor_fill_triggers = 0;
-        self.devex_resets = 0;
-        self.ft_replacements = 0;
-        self.pricing_switches = 0;
-        self.partial_refreshes = 0;
-        self.restores = 1;
+        self.counts = SolveStats { memo_sibling_hits: 1, ..SolveStats::default() };
         self.xb_ftrans = 0;
     }
 
@@ -715,9 +686,9 @@ impl<'a> Revised<'a> {
             if self.update_fill() <= fill_budget {
                 return true;
             }
-            self.refactor_fill_triggers += 1;
+            self.counts.refactor_fill_triggers += 1;
         }
-        self.refactor_triggers += 1;
+        self.counts.refactor_triggers += 1;
         self.refactorize()
     }
 
@@ -797,7 +768,7 @@ impl<'a> Revised<'a> {
     /// list without finding an improving column does it declare optimality
     /// (`None`) — the termination proof is still full-width. Wrapping the
     /// cursor back to the start counts one
-    /// [`SolveStats::partial_pricing_refreshes`](crate::SolveStats).
+    /// [`SolveStats::partial_pricing_refreshes`].
     ///
     /// The cursor advances deterministically with the pivot sequence
     /// (never with timing), so the choice remains a pure
@@ -816,7 +787,7 @@ impl<'a> Revised<'a> {
             let found = self.devex_scan(start, end, use_cost, false);
             scanned += end - start;
             let next = if end >= ncand {
-                self.partial_refreshes += 1;
+                self.counts.partial_pricing_refreshes += 1;
                 0
             } else {
                 end
@@ -906,7 +877,7 @@ impl<'a> Revised<'a> {
         let gamma = (self.devex[enter] / (alpha * alpha)).max(1.0);
         if gamma > DEVEX_RESET_ABOVE {
             self.devex.fill(1.0);
-            self.devex_resets += 1;
+            self.counts.devex_resets += 1;
         } else {
             self.devex[leaving] = gamma;
         }
@@ -1071,11 +1042,11 @@ impl<'a> Revised<'a> {
     fn pivot_basis(&mut self, r: usize, enter: usize) {
         self.basis[r] = enter;
         self.status[enter] = ColStatus::Basic;
-        self.eta_updates += 1;
+        self.counts.eta_updates += 1;
         if self.devex_active && self.try_replace_eta(r) {
-            self.ft_replacements += 1;
+            self.counts.ft_replacements += 1;
         } else {
-            self.eta_nnz += self.push_eta(r);
+            self.counts.eta_nnz += self.push_eta(r);
         }
         self.clear_w();
     }
@@ -1129,7 +1100,7 @@ impl<'a> Revised<'a> {
         self.eta_row.truncate(s);
         self.eta_val.truncate(s);
         self.w[pos] = composed_pivot;
-        self.eta_nnz += self.push_eta(pos);
+        self.counts.eta_nnz += self.push_eta(pos);
         true
     }
 
@@ -1153,7 +1124,7 @@ impl<'a> Revised<'a> {
             && self.phase1_iters + self.phase2_iters >= HYBRID_DEVEX_AFTER
         {
             self.devex_active = true;
-            self.pricing_switches += 1;
+            self.counts.pricing_switches += 1;
             self.devex.fill(1.0);
             self.price_cursor = 0;
         }
@@ -1575,20 +1546,8 @@ impl EngineCore for Revised<'_> {
         (&self.x, &self.status)
     }
 
-    fn lu_totals(&self) -> Option<[u64; 11]> {
-        Some([
-            self.lu_factorizations,
-            self.lu_fill_nnz,
-            self.eta_updates,
-            self.eta_nnz,
-            self.refactor_triggers,
-            self.refactor_fill_triggers,
-            self.devex_resets,
-            self.ft_replacements,
-            self.pricing_switches,
-            self.partial_refreshes,
-            self.restores,
-        ])
+    fn lu_totals(&self) -> SolveStats {
+        self.counts
     }
 }
 
@@ -1630,7 +1589,7 @@ mod tests {
         assert_eq!(e.n_etas(), 0);
         assert_eq!(e.eta_row.len(), 0);
         assert_eq!(e.basis, vec![2, 3]);
-        assert_eq!(e.lu_totals().unwrap()[1], 0, "no fill for logical columns");
+        assert_eq!(e.lu_totals().lu_fill_nnz, 0, "no fill for logical columns");
     }
 
     /// Both elimination orders factorize a basis whose logical's row a
@@ -1787,7 +1746,7 @@ mod tests {
             e.devex_active = parity == LpParity::Fast;
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
-            let factorizations_before = e.lu_factorizations;
+            let factorizations_before = e.counts.lu_factorizations;
             // Fake a long update chain by scattering the scratch directly (a
             // 0.5 pivot keeps every eta non-identity, so they are actually
             // stored): the trigger must refactorize.
@@ -1800,11 +1759,11 @@ mod tests {
             }
             e.save_install();
             assert!(e.refactor_if_due());
-            assert_eq!(e.refactor_triggers, 1, "{parity:?}");
-            assert_eq!(e.refactor_fill_triggers, 0, "{parity:?}: count trigger, not fill");
+            assert_eq!(e.counts.refactor_triggers, 1, "{parity:?}");
+            assert_eq!(e.counts.refactor_fill_triggers, 0, "{parity:?}: count trigger, not fill");
             // A rebuild factorizes (and counts) afresh, and its new factor
             // prefix leaves nothing for a sibling to restore.
-            assert_eq!(e.lu_factorizations, factorizations_before + 1, "{parity:?}");
+            assert_eq!(e.counts.lu_factorizations, factorizations_before + 1, "{parity:?}");
             assert!(!e.can_restore(), "{parity:?}: a refactorization drops the saved install");
             assert_eq!(e.n_etas() - e.factor_etas, 0, "{parity:?}: update chain reset");
         }
@@ -1834,7 +1793,7 @@ mod tests {
         }
         assert!(e.refactor_if_due());
         assert_eq!(e.n_etas() - e.factor_etas, 0, "{parity:?}: update chain reset");
-        (e.refactor_triggers, e.refactor_fill_triggers, e.lu_factorizations)
+        (e.counts.refactor_triggers, e.counts.refactor_fill_triggers, e.counts.lu_factorizations)
     }
 
     /// The dead path ISSUE 7 fixes: an update chain of few-but-dense etas
@@ -2032,15 +1991,15 @@ mod tests {
             }
             if kit {
                 assert!(e.devex_active, "the hybrid switch must have tripped");
-                assert_eq!(e.pricing_switches, 1, "the switch fires exactly once per solve");
+                assert_eq!(e.counts.pricing_switches, 1, "the switch fires exactly once per solve");
                 assert!(
-                    e.partial_refreshes >= 1,
+                    e.counts.partial_pricing_refreshes >= 1,
                     "a 200-candidate list sections; the cursor must have wrapped"
                 );
             } else {
                 assert!(!e.devex_active, "kit withheld: no devex");
-                assert_eq!(e.pricing_switches, 0, "kit withheld: no switch");
-                assert_eq!(e.partial_refreshes, 0);
+                assert_eq!(e.counts.pricing_switches, 0, "kit withheld: no switch");
+                assert_eq!(e.counts.partial_pricing_refreshes, 0);
             }
         }
     }
@@ -2072,8 +2031,8 @@ mod tests {
         // framework reset.
         e.w[0] = 0.5;
         e.devex_update(0, 0);
-        assert_eq!(e.devex_resets, 0, "no spurious devex reset after a flip");
-        assert_eq!(e.lu_totals().unwrap()[6], 0, "reported counter agrees");
+        assert_eq!(e.counts.devex_resets, 0, "no spurious devex reset after a flip");
+        assert_eq!(e.lu_totals().devex_resets, 0, "reported counter agrees");
         assert_eq!(e.devex[1], 4.0, "leaving column inherits γ, no reset path taken");
     }
 
@@ -2176,14 +2135,15 @@ mod tests {
         // hit and nothing else.
         let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
         assert!(e.install(&warm.status));
-        assert_eq!((e.lu_factorizations, e.restores), (1, 0));
+        assert_eq!((e.counts.lu_factorizations, e.counts.memo_sibling_hits), (1, 0));
         e.save_install();
         assert!(matches!(e.run(), RunOutcome::Optimal));
         assert!(e.can_restore());
         e.restore(j, 1.0, 3.0);
-        let lu = e.lu_totals().unwrap();
-        assert_eq!((lu[0], lu[10]), (0, 1), "reported counters agree");
-        assert_eq!(lu.iter().sum::<u64>(), 1, "a restore counts nothing but itself");
+        let lu = e.lu_totals();
+        assert_eq!((lu.lu_factorizations, lu.memo_sibling_hits), (0, 1), "reported counters agree");
+        let restore = SolveStats { memo_sibling_hits: 1, ..SolveStats::default() };
+        assert_eq!(lu, restore, "a restore counts nothing but itself");
     }
 
     /// A maximize knapsack whose LP optimum leaves `x2 = 2/3` basic, with
@@ -2230,7 +2190,7 @@ mod tests {
         devex_active: bool,
         price_cursor: usize,
         degen_streak: u32,
-        counters: [u64; 11],
+        counters: SolveStats,
         iters: (u64, u64),
     }
 
@@ -2248,7 +2208,7 @@ mod tests {
             devex_active: e.devex_active,
             price_cursor: e.price_cursor,
             degen_streak: e.degen_streak,
-            counters: e.lu_totals().unwrap(),
+            counters: e.lu_totals(),
             iters: e.iters(),
         }
     }
@@ -2279,10 +2239,8 @@ mod tests {
                 let (lower, upper) = with_box(second);
                 let mut fresh = Revised::new(&sp, &lower, &upper, parity, kit);
                 assert!(fresh.install(&warm.status));
-                let mut counters = [0u64; 11];
-                counters[10] = 1;
                 let mut expect = install_bits(&fresh);
-                expect.counters = counters;
+                expect.counters = SolveStats { memo_sibling_hits: 1, ..SolveStats::default() };
                 drop(fresh);
 
                 let (lower, upper) = with_box(first);
@@ -2365,7 +2323,7 @@ mod tests {
         let factor = |kit: bool| {
             let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
             assert!(e.install(&statuses), "kit={kit}");
-            (e.n_etas(), e.lu_fill_nnz)
+            (e.n_etas(), e.counts.lu_fill_nnz)
         };
         let (etas_on, fill_on) = factor(true);
         let (etas_off, fill_off) = factor(false);

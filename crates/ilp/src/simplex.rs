@@ -3,14 +3,14 @@
 //!
 //! Two interchangeable engines solve the LP relaxations:
 //!
-//! * [`revised`](crate::revised) (default) — a revised simplex over the
+//! * [`revised`] (default) — a revised simplex over the
 //!   sparse CSC matrix built once per model by [`SparseLp`]. Each solve
 //!   factorizes its starting basis with a sparse product-form elimination
 //!   (logical columns claim rows with empty etas, so a mostly-slack
 //!   floorplan basis factorizes in O(nnz of the structural basics)),
 //!   appends one eta per pivot, and refactorizes on a deterministic
 //!   update-count trigger. Iteration cost is O(nnz), not O(m·n).
-//! * [`dense`](crate::dense) — the original dense-tableau implementation,
+//! * [`dense`] — the original dense-tableau implementation,
 //!   kept behind [`LpEngine::Dense`] as the differential-testing oracle
 //!   for the sparse path.
 //!
@@ -45,7 +45,7 @@ use std::borrow::Cow;
 use crate::cancel::CancellationToken;
 use crate::model::{CmpOp, Rows};
 use crate::sparse::SparseLp;
-use crate::stats;
+use crate::stats::{self, SolveStats};
 use crate::{dense, revised};
 
 /// The numerical tolerances every simplex decision goes through, unified
@@ -365,11 +365,10 @@ pub(crate) trait EngineCore {
     fn can_restore(&self) -> bool {
         false
     }
-    /// Factorization counters accumulated by this engine instance, in
-    /// [`SolveActivity::record_lu`](crate::stats) argument order; `None`
-    /// for engines without a factorization (dense).
-    fn lu_totals(&self) -> Option<[u64; 11]> {
-        None
+    /// Factorization counters accumulated by this engine instance; all
+    /// zero for engines without a factorization (dense).
+    fn lu_totals(&self) -> SolveStats {
+        SolveStats::default()
     }
 }
 
@@ -585,11 +584,11 @@ pub(crate) fn solve(
 
 /// The warm/cold orchestration both engines run under.
 ///
-/// The warm-hit counter is recorded *here*, structurally after a completed
-/// warm run and nowhere else — the refactorization-failure and stall
-/// fallbacks can no longer overcount hits the way the per-engine
-/// bookkeeping once did ([`SolverActivityReport`](crate::SolveStats) reads
-/// these counters).
+/// The solve's [`SolveStats`] are recorded *here*, once per solve, and the
+/// warm hit structurally after a completed warm run and nowhere else — the
+/// refactorization-failure and stall fallbacks can no longer overcount hits
+/// the way the per-engine bookkeeping once did (`reproduce solvers` reports
+/// these counters through `core::report::SolverActivityReport`).
 ///
 /// `sibling` carries one install of `warm` between the children of a
 /// branched node ([`PreparedLp::solve_children`]). An engine found there
@@ -619,21 +618,20 @@ fn drive<E: EngineCore>(
         e
     };
 
+    // The solve's counters, recorded once on whichever path it leaves by.
     // Pivots burned by a stalled warm attempt still count towards the
     // solve's iteration total, so the warm-vs-cold comparisons stay honest
     // exactly where warm starting performs worst. Factorization work is
-    // likewise accumulated across attempts and flushed once per solve.
-    let (mut wasted_p1, mut wasted_p2) = (0u64, 0u64);
-    let mut lu = [0u64; 11];
-    let add_lu = |e: &E, lu: &mut [u64; 11]| {
-        if let Some(t) = e.lu_totals() {
-            for (acc, v) in lu.iter_mut().zip(t) {
-                *acc += v;
-            }
-        }
+    // likewise accumulated across attempts.
+    let mut work = SolveStats { lp_solves: 1, ..SolveStats::default() };
+    let add_run = |work: &mut SolveStats, e: &E| {
+        let (p1, p2) = e.iters();
+        let run =
+            SolveStats { simplex_iterations: p1 + p2, phase1_iterations: p1, ..e.lu_totals() };
+        *work = work.merged(&run);
     };
     if let Some(basis) = warm {
-        stats::record(|a| a.record_warm_attempt());
+        work.warm_attempts = 1;
         let kept = sibling.as_mut().and_then(|s| s.take());
         let restored = kept.is_some();
         let mut e = kept.unwrap_or_else(&mut make);
@@ -642,29 +640,17 @@ fn drive<E: EngineCore>(
                 e.save_install();
             }
             let out = e.run();
-            add_lu(&e, &mut lu);
+            add_run(&mut work, &e);
             if matches!(out, RunOutcome::Cancelled) {
                 // No cold fallback: the caller asked the solve to stop.
                 // The attempt stays counted without a hit (nothing was
                 // completed), but the burned pivots are still recorded.
-                let (p1, p2) = e.iters();
-                stats::record(|a| {
-                    a.record_lp_solve(p1, p2);
-                    if lu.iter().any(|&v| v != 0) {
-                        a.record_lu(&lu);
-                    }
-                });
+                stats::record(&work);
                 return LpOutcome::Cancelled;
             }
             if !matches!(out, RunOutcome::Stalled) {
-                let (p1, p2) = e.iters();
-                stats::record(|a| {
-                    a.record_warm_hit();
-                    a.record_lp_solve(p1, p2);
-                    if lu.iter().any(|&v| v != 0) {
-                        a.record_lu(&lu);
-                    }
-                });
+                work.warm_hits = 1;
+                stats::record(&work);
                 let (x, status) = e.solution();
                 let out = extract_outcome(lp, lower, upper, x, status, out);
                 if let Some(slot) = sibling.filter(|_| e.can_restore()) {
@@ -672,11 +658,8 @@ fn drive<E: EngineCore>(
                 }
                 return out;
             }
-            let (p1, p2) = e.iters();
-            wasted_p1 = p1;
-            wasted_p2 = p2;
         } else {
-            add_lu(&e, &mut lu);
+            add_run(&mut work, &e);
         }
         // Refactorization failed or the solve stalled: fall through to a
         // cold start. The attempt stays counted without a hit.
@@ -687,14 +670,8 @@ fn drive<E: EngineCore>(
     let installed = e.install(&cold);
     debug_assert!(installed, "the all-logical basis always refactorizes");
     let out = e.run();
-    add_lu(&e, &mut lu);
-    let (p1, p2) = e.iters();
-    stats::record(|a| {
-        a.record_lp_solve(p1 + wasted_p1, p2 + wasted_p2);
-        if lu.iter().any(|&v| v != 0) {
-            a.record_lu(&lu);
-        }
-    });
+    add_run(&mut work, &e);
+    stats::record(&work);
     // A stalled cold solve signals numerical trouble; treat as infeasible
     // (same convention as the original two-phase implementation).
     let out = if matches!(out, RunOutcome::Stalled) { RunOutcome::Infeasible } else { out };

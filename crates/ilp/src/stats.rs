@@ -17,89 +17,156 @@
 //! collector, and code that fans work out to threads (the compiler's
 //! concurrent bisection halves) re-installs [`SolveActivity::current_scope`]
 //! on each worker so the attribution survives that parallelism.
+//!
+//! Every counter is declared once, in the `counters!` table below, which
+//! generates the [`SolveStats`] field, the [`SolveActivity`] atomic and the
+//! whole-table operations (`snapshot`, `clear`, `merged`, `since`). Adding a
+//! counter is one table line plus its record site: the code that counts the
+//! event sets the field on the [`SolveStats`] delta it passes to [`record`]
+//! (once per solve or search, never per pivot). A counter shown by
+//! `reproduce solvers` also needs its line in
+//! `core::report::SolverActivityReport::render_table`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Immutable snapshot of [`SolveActivity`] counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub struct SolveStats {
+/// Generates [`SolveStats`], [`SolveActivity`] and every operation that
+/// walks all counters from one list of documented counter names.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Immutable snapshot of [`SolveActivity`] counters, and the delta one
+        /// solve or search records into them.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+        pub struct SolveStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// The process-wide counter set behind [`SolveStats`].
+        #[derive(Debug, Default)]
+        pub struct SolveActivity {
+            $($name: AtomicU64,)*
+        }
+
+        impl SolveStats {
+            /// Counter-wise sum `self + other`, for folding per-job handles
+            /// into a batch-level total.
+            #[must_use]
+            pub fn merged(&self, other: &SolveStats) -> SolveStats {
+                SolveStats { $($name: self.$name + other.$name,)* }
+            }
+
+            /// Counter-wise difference `self - earlier` (saturating), for
+            /// measuring one compile between two snapshots.
+            #[must_use]
+            pub fn since(&self, earlier: &SolveStats) -> SolveStats {
+                SolveStats { $($name: self.$name.saturating_sub(earlier.$name),)* }
+            }
+
+            /// Every counter by name, in table order.
+            #[cfg(test)]
+            fn fields_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+                vec![$((stringify!($name), &mut self.$name),)*]
+            }
+        }
+
+        impl SolveActivity {
+            /// Current counters.
+            pub fn snapshot(&self) -> SolveStats {
+                SolveStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+
+            /// Zeroes every counter (benchmarks call this between timed runs).
+            pub fn clear(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+
+            /// Adds `delta`'s nonzero counters.
+            fn add(&self, delta: &SolveStats) {
+                $(if delta.$name != 0 {
+                    self.$name.fetch_add(delta.$name, Ordering::Relaxed);
+                })*
+            }
+        }
+    };
+}
+
+counters! {
     /// Simplex runs (one per LP relaxation solved; cache hits don't count).
-    pub lp_solves: u64,
+    lp_solves,
     /// Total simplex iterations (phase 1 + phase 2 pivots and bound flips).
-    pub simplex_iterations: u64,
+    simplex_iterations,
     /// The phase-1 (feasibility restoration) share of the iterations.
-    pub phase1_iterations: u64,
+    phase1_iterations,
     /// LP solves that were offered a parent basis to warm-start from.
-    pub warm_attempts: u64,
+    warm_attempts,
     /// Warm starts that held: the basis refactorized cleanly and the solve
     /// finished from it without falling back to a cold start.
-    pub warm_hits: u64,
+    warm_hits,
     /// Basis factorizations computed by the sparse revised simplex (one
     /// per installed basis, plus every mid-solve refactorization).
-    pub lu_factorizations: u64,
+    lu_factorizations,
     /// Total nonzeros stored across factorization etas — the fill-in the
     /// eliminations generated on top of the basis columns themselves.
-    pub lu_fill_nnz: u64,
+    lu_fill_nnz,
     /// Product-form (eta) basis updates appended by simplex pivots.
-    pub eta_updates: u64,
+    eta_updates,
     /// Total nonzeros across update etas (`eta_nnz / eta_updates` is the
     /// mean eta length).
-    pub eta_nnz: u64,
+    eta_nnz,
     /// Mid-solve refactorizations forced by the deterministic trigger
     /// (update-eta chain longer than the refactor interval, or eta fill
     /// past the parity mode's `eta_nnz` budget).
-    pub refactor_triggers: u64,
+    refactor_triggers,
     /// The subset of [`refactor_triggers`](SolveStats::refactor_triggers)
     /// caused by eta-file fill rather than update count.
-    pub refactor_fill_triggers: u64,
+    refactor_fill_triggers,
     /// Devex reference-framework resets under fast parity
     /// (weights regrown past the stability ceiling and re-primed to 1).
-    pub devex_resets: u64,
+    devex_resets,
     /// Forrest–Tomlin-style eta replacements under fast parity:
     /// pivots whose update eta *composed into* the previous same-row eta
     /// instead of appending, keeping the eta file from growing.
-    pub ft_replacements: u64,
+    ft_replacements,
     /// Hybrid-pricing switches under fast parity (the default): node solves
     /// that outgrew the banded-Dantzig opening and switched to devex
     /// pricing mid-solve. A pure function of each node's iteration count,
     /// so the total repeats exactly from run to run.
-    pub pricing_switches: u64,
+    pricing_switches,
     /// Partial-pricing wrap-arounds under fast parity: rotating
     /// section scans that exhausted the candidate list and restarted from
     /// the front (each wrap is one full-width pricing pass).
-    pub partial_pricing_refreshes: u64,
+    partial_pricing_refreshes,
     /// Basis installs served by restoring a sibling's install instead of
     /// factorizing: the second child of a branched node restores the
     /// node's basis the first child installed. Every install is exactly
     /// one of `lu_factorizations` / `memo_sibling_hits`, so the two always
     /// sum to installs, and each is a function of the search alone.
-    pub memo_sibling_hits: u64,
+    memo_sibling_hits,
     /// Branch-and-bound nodes expanded across all searches, attempts
     /// abandoned by the kit restart included. The fast-parity node-tree
     /// guard compares this between parity modes.
-    pub bb_nodes: u64,
+    bb_nodes,
     /// Branched children dropped before their LP because one row's
     /// coefficient-wise activity range over the child's box cannot meet
     /// the row (presolve's own infeasibility proof, run on the rows of the
     /// branched column). Each would have been an `Infeasible` LP solve, so
     /// the drop saves exactly that solve and moves no search decision; a
     /// function of the search alone.
-    pub range_pruned: u64,
+    range_pruned,
     /// Integral LP points pushed onto a branch-and-bound frontier, the
     /// root included: open nodes that hold a packed candidate point
     /// instead of a basis and a bound chain. Attempts abandoned by the kit
     /// restart count too; a function of the search alone.
-    pub candidate_nodes: u64,
+    candidate_nodes,
     /// Models run through [`presolve`](crate::SolverOptions::presolve).
-    pub presolve_runs: u64,
+    presolve_runs,
     /// Constraint rows removed as empty, singleton or redundant.
-    pub presolve_rows_removed: u64,
+    presolve_rows_removed,
     /// Variables fixed (empty domain interval or duality fixing).
-    pub presolve_cols_fixed: u64,
+    presolve_cols_fixed,
     /// Variable bounds tightened by singleton rows.
-    pub presolve_bounds_tightened: u64,
+    presolve_bounds_tightened,
 }
 
 impl SolveStats {
@@ -121,108 +188,6 @@ impl SolveStats {
             self.simplex_iterations as f64 / self.lp_solves as f64
         }
     }
-
-    /// Counter-wise sum `self + other`, for folding per-job handles into a
-    /// batch-level total.
-    #[must_use]
-    pub fn merged(&self, other: &SolveStats) -> SolveStats {
-        SolveStats {
-            lp_solves: self.lp_solves + other.lp_solves,
-            simplex_iterations: self.simplex_iterations + other.simplex_iterations,
-            phase1_iterations: self.phase1_iterations + other.phase1_iterations,
-            warm_attempts: self.warm_attempts + other.warm_attempts,
-            warm_hits: self.warm_hits + other.warm_hits,
-            lu_factorizations: self.lu_factorizations + other.lu_factorizations,
-            lu_fill_nnz: self.lu_fill_nnz + other.lu_fill_nnz,
-            eta_updates: self.eta_updates + other.eta_updates,
-            eta_nnz: self.eta_nnz + other.eta_nnz,
-            refactor_triggers: self.refactor_triggers + other.refactor_triggers,
-            refactor_fill_triggers: self.refactor_fill_triggers + other.refactor_fill_triggers,
-            devex_resets: self.devex_resets + other.devex_resets,
-            ft_replacements: self.ft_replacements + other.ft_replacements,
-            pricing_switches: self.pricing_switches + other.pricing_switches,
-            partial_pricing_refreshes: self.partial_pricing_refreshes
-                + other.partial_pricing_refreshes,
-            memo_sibling_hits: self.memo_sibling_hits + other.memo_sibling_hits,
-            bb_nodes: self.bb_nodes + other.bb_nodes,
-            range_pruned: self.range_pruned + other.range_pruned,
-            candidate_nodes: self.candidate_nodes + other.candidate_nodes,
-            presolve_runs: self.presolve_runs + other.presolve_runs,
-            presolve_rows_removed: self.presolve_rows_removed + other.presolve_rows_removed,
-            presolve_cols_fixed: self.presolve_cols_fixed + other.presolve_cols_fixed,
-            presolve_bounds_tightened: self.presolve_bounds_tightened
-                + other.presolve_bounds_tightened,
-        }
-    }
-
-    /// Counter-wise difference `self - earlier` (saturating), for measuring
-    /// one compile between two snapshots.
-    #[must_use]
-    pub fn since(&self, earlier: &SolveStats) -> SolveStats {
-        SolveStats {
-            lp_solves: self.lp_solves.saturating_sub(earlier.lp_solves),
-            simplex_iterations: self.simplex_iterations.saturating_sub(earlier.simplex_iterations),
-            phase1_iterations: self.phase1_iterations.saturating_sub(earlier.phase1_iterations),
-            warm_attempts: self.warm_attempts.saturating_sub(earlier.warm_attempts),
-            warm_hits: self.warm_hits.saturating_sub(earlier.warm_hits),
-            lu_factorizations: self.lu_factorizations.saturating_sub(earlier.lu_factorizations),
-            lu_fill_nnz: self.lu_fill_nnz.saturating_sub(earlier.lu_fill_nnz),
-            eta_updates: self.eta_updates.saturating_sub(earlier.eta_updates),
-            eta_nnz: self.eta_nnz.saturating_sub(earlier.eta_nnz),
-            refactor_triggers: self.refactor_triggers.saturating_sub(earlier.refactor_triggers),
-            refactor_fill_triggers: self
-                .refactor_fill_triggers
-                .saturating_sub(earlier.refactor_fill_triggers),
-            devex_resets: self.devex_resets.saturating_sub(earlier.devex_resets),
-            ft_replacements: self.ft_replacements.saturating_sub(earlier.ft_replacements),
-            pricing_switches: self.pricing_switches.saturating_sub(earlier.pricing_switches),
-            partial_pricing_refreshes: self
-                .partial_pricing_refreshes
-                .saturating_sub(earlier.partial_pricing_refreshes),
-            memo_sibling_hits: self.memo_sibling_hits.saturating_sub(earlier.memo_sibling_hits),
-            bb_nodes: self.bb_nodes.saturating_sub(earlier.bb_nodes),
-            range_pruned: self.range_pruned.saturating_sub(earlier.range_pruned),
-            candidate_nodes: self.candidate_nodes.saturating_sub(earlier.candidate_nodes),
-            presolve_runs: self.presolve_runs.saturating_sub(earlier.presolve_runs),
-            presolve_rows_removed: self
-                .presolve_rows_removed
-                .saturating_sub(earlier.presolve_rows_removed),
-            presolve_cols_fixed: self
-                .presolve_cols_fixed
-                .saturating_sub(earlier.presolve_cols_fixed),
-            presolve_bounds_tightened: self
-                .presolve_bounds_tightened
-                .saturating_sub(earlier.presolve_bounds_tightened),
-        }
-    }
-}
-
-/// The process-wide counter set behind [`SolveStats`].
-#[derive(Debug, Default)]
-pub struct SolveActivity {
-    lp_solves: AtomicU64,
-    simplex_iterations: AtomicU64,
-    phase1_iterations: AtomicU64,
-    warm_attempts: AtomicU64,
-    warm_hits: AtomicU64,
-    lu_factorizations: AtomicU64,
-    lu_fill_nnz: AtomicU64,
-    eta_updates: AtomicU64,
-    eta_nnz: AtomicU64,
-    refactor_triggers: AtomicU64,
-    refactor_fill_triggers: AtomicU64,
-    devex_resets: AtomicU64,
-    ft_replacements: AtomicU64,
-    pricing_switches: AtomicU64,
-    partial_pricing_refreshes: AtomicU64,
-    memo_sibling_hits: AtomicU64,
-    bb_nodes: AtomicU64,
-    range_pruned: AtomicU64,
-    candidate_nodes: AtomicU64,
-    presolve_runs: AtomicU64,
-    presolve_rows_removed: AtomicU64,
-    presolve_cols_fixed: AtomicU64,
-    presolve_bounds_tightened: AtomicU64,
 }
 
 thread_local! {
@@ -240,17 +205,18 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Records one event into the global collector and, when present, the
-/// scoped per-job handle. The indirection is what lets concurrent batch
-/// jobs keep separate counters while `reproduce solvers`-style snapshot
-/// deltas on the global collector keep working unchanged. The scope is
-/// read by reference inside a single TLS access — this runs 1-3 times per
-/// LP solve, so no per-event `Arc` clone.
-pub(crate) fn record(f: impl Fn(&SolveActivity)) {
-    f(SolveActivity::global());
+/// Records one solve's or search's counters into the global collector and,
+/// when present, the scoped per-job handle. The indirection is what lets
+/// concurrent batch jobs keep separate counters while `reproduce
+/// solvers`-style snapshot deltas on the global collector keep working
+/// unchanged. Only nonzero counters cost an atomic add, and the scope is
+/// read by reference inside a single TLS access, with no per-call `Arc`
+/// clone.
+pub(crate) fn record(delta: &SolveStats) {
+    SolveActivity::global().add(delta);
     SCOPE.with(|s| {
         if let Some(scope) = s.borrow().as_deref() {
-            f(scope);
+            scope.add(delta);
         }
     });
 }
@@ -288,124 +254,6 @@ impl SolveActivity {
     /// The per-job handle installed on this thread, if any.
     pub fn current_scope() -> Option<Arc<SolveActivity>> {
         SCOPE.with(|s| s.borrow().clone())
-    }
-
-    /// Current counters.
-    pub fn snapshot(&self) -> SolveStats {
-        SolveStats {
-            lp_solves: self.lp_solves.load(Ordering::Relaxed),
-            simplex_iterations: self.simplex_iterations.load(Ordering::Relaxed),
-            phase1_iterations: self.phase1_iterations.load(Ordering::Relaxed),
-            warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            lu_factorizations: self.lu_factorizations.load(Ordering::Relaxed),
-            lu_fill_nnz: self.lu_fill_nnz.load(Ordering::Relaxed),
-            eta_updates: self.eta_updates.load(Ordering::Relaxed),
-            eta_nnz: self.eta_nnz.load(Ordering::Relaxed),
-            refactor_triggers: self.refactor_triggers.load(Ordering::Relaxed),
-            refactor_fill_triggers: self.refactor_fill_triggers.load(Ordering::Relaxed),
-            devex_resets: self.devex_resets.load(Ordering::Relaxed),
-            ft_replacements: self.ft_replacements.load(Ordering::Relaxed),
-            pricing_switches: self.pricing_switches.load(Ordering::Relaxed),
-            partial_pricing_refreshes: self.partial_pricing_refreshes.load(Ordering::Relaxed),
-            memo_sibling_hits: self.memo_sibling_hits.load(Ordering::Relaxed),
-            bb_nodes: self.bb_nodes.load(Ordering::Relaxed),
-            range_pruned: self.range_pruned.load(Ordering::Relaxed),
-            candidate_nodes: self.candidate_nodes.load(Ordering::Relaxed),
-            presolve_runs: self.presolve_runs.load(Ordering::Relaxed),
-            presolve_rows_removed: self.presolve_rows_removed.load(Ordering::Relaxed),
-            presolve_cols_fixed: self.presolve_cols_fixed.load(Ordering::Relaxed),
-            presolve_bounds_tightened: self.presolve_bounds_tightened.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter (benchmarks call this between timed runs).
-    pub fn clear(&self) {
-        self.lp_solves.store(0, Ordering::Relaxed);
-        self.simplex_iterations.store(0, Ordering::Relaxed);
-        self.phase1_iterations.store(0, Ordering::Relaxed);
-        self.warm_attempts.store(0, Ordering::Relaxed);
-        self.warm_hits.store(0, Ordering::Relaxed);
-        self.lu_factorizations.store(0, Ordering::Relaxed);
-        self.lu_fill_nnz.store(0, Ordering::Relaxed);
-        self.eta_updates.store(0, Ordering::Relaxed);
-        self.eta_nnz.store(0, Ordering::Relaxed);
-        self.refactor_triggers.store(0, Ordering::Relaxed);
-        self.refactor_fill_triggers.store(0, Ordering::Relaxed);
-        self.devex_resets.store(0, Ordering::Relaxed);
-        self.ft_replacements.store(0, Ordering::Relaxed);
-        self.pricing_switches.store(0, Ordering::Relaxed);
-        self.partial_pricing_refreshes.store(0, Ordering::Relaxed);
-        self.memo_sibling_hits.store(0, Ordering::Relaxed);
-        self.bb_nodes.store(0, Ordering::Relaxed);
-        self.range_pruned.store(0, Ordering::Relaxed);
-        self.candidate_nodes.store(0, Ordering::Relaxed);
-        self.presolve_runs.store(0, Ordering::Relaxed);
-        self.presolve_rows_removed.store(0, Ordering::Relaxed);
-        self.presolve_cols_fixed.store(0, Ordering::Relaxed);
-        self.presolve_bounds_tightened.store(0, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_lp_solve(&self, phase1_iters: u64, phase2_iters: u64) {
-        self.lp_solves.fetch_add(1, Ordering::Relaxed);
-        self.simplex_iterations.fetch_add(phase1_iters + phase2_iters, Ordering::Relaxed);
-        self.phase1_iterations.fetch_add(phase1_iters, Ordering::Relaxed);
-    }
-
-    /// Flushes the factorization counters one sparse solve accumulated
-    /// locally (one call per solve, not per pivot — the engine batches).
-    /// The array matches [`EngineCore::lu_totals`](crate::simplex) order:
-    /// factorizations, fill_nnz, eta_updates, eta_nnz, refactor_triggers,
-    /// refactor_fill_triggers, devex_resets, ft_replacements,
-    /// pricing_switches, partial_pricing_refreshes, memo_sibling_hits.
-    pub(crate) fn record_lu(&self, lu: &[u64; 11]) {
-        self.lu_factorizations.fetch_add(lu[0], Ordering::Relaxed);
-        self.lu_fill_nnz.fetch_add(lu[1], Ordering::Relaxed);
-        self.eta_updates.fetch_add(lu[2], Ordering::Relaxed);
-        self.eta_nnz.fetch_add(lu[3], Ordering::Relaxed);
-        self.refactor_triggers.fetch_add(lu[4], Ordering::Relaxed);
-        self.refactor_fill_triggers.fetch_add(lu[5], Ordering::Relaxed);
-        self.devex_resets.fetch_add(lu[6], Ordering::Relaxed);
-        self.ft_replacements.fetch_add(lu[7], Ordering::Relaxed);
-        self.pricing_switches.fetch_add(lu[8], Ordering::Relaxed);
-        self.partial_pricing_refreshes.fetch_add(lu[9], Ordering::Relaxed);
-        self.memo_sibling_hits.fetch_add(lu[10], Ordering::Relaxed);
-    }
-
-    /// Adds one finished branch-and-bound search's expanded-node count
-    /// (recorded once per search by both B&B drivers).
-    pub(crate) fn record_bb_nodes(&self, nodes: u64) {
-        self.bb_nodes.fetch_add(nodes, Ordering::Relaxed);
-    }
-
-    /// Adds one expansion's range-pruned children.
-    pub(crate) fn record_range_pruned(&self, children: u64) {
-        self.range_pruned.fetch_add(children, Ordering::Relaxed);
-    }
-
-    /// Adds one search attempt's candidate nodes.
-    pub(crate) fn record_candidate_nodes(&self, nodes: u64) {
-        self.candidate_nodes.fetch_add(nodes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_warm_attempt(&self) {
-        self.warm_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_presolve(
-        &self,
-        rows_removed: u64,
-        cols_fixed: u64,
-        bounds_tightened: u64,
-    ) {
-        self.presolve_runs.fetch_add(1, Ordering::Relaxed);
-        self.presolve_rows_removed.fetch_add(rows_removed, Ordering::Relaxed);
-        self.presolve_cols_fixed.fetch_add(cols_fixed, Ordering::Relaxed);
-        self.presolve_bounds_tightened.fetch_add(bounds_tightened, Ordering::Relaxed);
     }
 }
 
@@ -446,16 +294,40 @@ mod tests {
         assert_eq!(m.warm_hits, 5);
     }
 
+    /// A delta whose counter `i`, in table order, holds `base + i`: every
+    /// counter nonzero and distinct from its neighbours.
+    fn distinct(base: u64) -> SolveStats {
+        let mut s = SolveStats::default();
+        for (i, (_, v)) in s.fields_mut().into_iter().enumerate() {
+            *v = base + i as u64;
+        }
+        s
+    }
+
+    /// Every counter of `s` by name, in table order.
+    fn fields(mut s: SolveStats) -> Vec<(&'static str, u64)> {
+        s.fields_mut().into_iter().map(|(name, v)| (name, *v)).collect()
+    }
+
+    fn warm_attempt() -> SolveStats {
+        SolveStats { warm_attempts: 1, ..Default::default() }
+    }
+
     #[test]
     fn scoped_handle_sees_only_its_own_records() {
         let job = Arc::new(SolveActivity::default());
         let global_before = SolveActivity::global().snapshot();
         SolveActivity::scoped(&job, || {
-            record(|a| a.record_lp_solve(2, 3));
-            record(|a| a.record_warm_attempt());
+            record(&SolveStats {
+                lp_solves: 1,
+                simplex_iterations: 5,
+                phase1_iterations: 2,
+                ..Default::default()
+            });
+            record(&warm_attempt());
         });
         // Recorded outside the scope: global only.
-        record(|a| a.record_lp_solve(1, 1));
+        record(&SolveStats { lp_solves: 1, simplex_iterations: 2, ..Default::default() });
         let seen = job.snapshot();
         assert_eq!(seen.lp_solves, 1);
         assert_eq!(seen.simplex_iterations, 5);
@@ -471,10 +343,10 @@ mod tests {
         let outer = Arc::new(SolveActivity::default());
         let inner = Arc::new(SolveActivity::default());
         SolveActivity::scoped(&outer, || {
-            record(|a| a.record_warm_attempt());
-            SolveActivity::scoped(&inner, || record(|a| a.record_warm_attempt()));
+            record(&warm_attempt());
+            SolveActivity::scoped(&inner, || record(&warm_attempt()));
             // Restored: this lands on `outer` again.
-            record(|a| a.record_warm_attempt());
+            record(&warm_attempt());
             assert!(SolveActivity::current_scope().is_some());
         });
         assert!(SolveActivity::current_scope().is_none());
@@ -482,101 +354,55 @@ mod tests {
         assert_eq!(inner.snapshot().warm_attempts, 1);
     }
 
+    /// Every counter of the table goes through record → snapshot → merged →
+    /// since → clear. A record inside a scope feeds both the scoped handle
+    /// and the global collector. The global one is shared with the tests
+    /// running alongside, so it is checked as a lower bound, and `clear` is
+    /// checked on the handle, which runs the same generated code.
     #[test]
     fn activity_counters_round_trip() {
-        let act = SolveActivity::default();
-        act.record_lp_solve(5, 7);
-        act.record_warm_attempt();
-        act.record_warm_hit();
-        act.record_presolve(2, 1, 3);
-        act.record_lu(&[2, 17, 4, 9, 1, 1, 3, 6, 2, 5, 4]);
-        act.record_bb_nodes(13);
-        act.record_range_pruned(6);
-        act.record_candidate_nodes(11);
-        let s = act.snapshot();
-        assert_eq!(s.lp_solves, 1);
-        assert_eq!(s.simplex_iterations, 12);
-        assert_eq!(s.phase1_iterations, 5);
-        assert!((s.warm_hit_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(s.presolve_rows_removed, 2);
-        assert_eq!(s.lu_factorizations, 2);
-        assert_eq!(s.lu_fill_nnz, 17);
-        assert_eq!(s.eta_updates, 4);
-        assert_eq!(s.eta_nnz, 9);
-        assert_eq!(s.refactor_triggers, 1);
-        assert_eq!(s.refactor_fill_triggers, 1);
-        assert_eq!(s.devex_resets, 3);
-        assert_eq!(s.ft_replacements, 6);
-        assert_eq!(s.pricing_switches, 2);
-        assert_eq!(s.partial_pricing_refreshes, 5);
-        assert_eq!(s.memo_sibling_hits, 4);
-        assert_eq!(s.bb_nodes, 13);
-        assert_eq!(s.range_pruned, 6);
-        assert_eq!(s.candidate_nodes, 11);
-        act.clear();
-        assert_eq!(act.snapshot(), SolveStats::default());
+        let job = Arc::new(SolveActivity::default());
+        let (first, second) = (distinct(1), distinct(100));
+        let global_before = SolveActivity::global().snapshot();
+        SolveActivity::scoped(&job, || {
+            record(&first);
+            record(&second);
+        });
+        let global = SolveActivity::global().snapshot().since(&global_before);
+        let both = fields(job.snapshot());
+        for (i, (name, v)) in both.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(*v, (1 + i) + (100 + i), "{name}: scoped record → snapshot");
+        }
+        for ((name, g), (_, v)) in fields(global).into_iter().zip(&both) {
+            assert!(g >= *v, "{name}: global record → snapshot ({g} < {v})");
+        }
+        assert_eq!(job.snapshot(), first.merged(&second), "snapshot = merged deltas");
+        assert_eq!(job.snapshot().since(&first), second, "snapshot − first = second");
+        let (hits, attempts) =
+            (first.warm_hits + second.warm_hits, first.warm_attempts + second.warm_attempts);
+        assert!((job.snapshot().warm_hit_rate() - hits as f64 / attempts as f64).abs() < 1e-12);
+        job.clear();
+        for (name, v) in fields(job.snapshot()) {
+            assert_eq!(v, 0, "{name}: clear");
+        }
+        // An empty delta records nothing.
+        SolveActivity::scoped(&job, || record(&SolveStats::default()));
+        assert_eq!(job.snapshot(), SolveStats::default());
+        // A warm attempt that hits reads as a rate of 1.
+        SolveActivity::scoped(&job, || record(&SolveStats { warm_hits: 1, ..warm_attempt() }));
+        assert!((job.snapshot().warm_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn lu_counters_merge_and_subtract() {
-        let a = SolveStats {
-            lu_factorizations: 5,
-            lu_fill_nnz: 40,
-            eta_updates: 9,
-            eta_nnz: 27,
-            refactor_triggers: 2,
-            refactor_fill_triggers: 1,
-            devex_resets: 4,
-            ft_replacements: 8,
-            pricing_switches: 6,
-            partial_pricing_refreshes: 10,
-            memo_sibling_hits: 7,
-            bb_nodes: 20,
-            range_pruned: 9,
-            candidate_nodes: 15,
-            ..Default::default()
-        };
-        let b = SolveStats {
-            lu_factorizations: 2,
-            lu_fill_nnz: 10,
-            eta_updates: 4,
-            eta_nnz: 12,
-            refactor_triggers: 1,
-            refactor_fill_triggers: 1,
-            devex_resets: 1,
-            ft_replacements: 3,
-            pricing_switches: 2,
-            partial_pricing_refreshes: 4,
-            memo_sibling_hits: 5,
-            bb_nodes: 8,
-            range_pruned: 3,
-            candidate_nodes: 4,
-            ..Default::default()
-        };
-        let m = a.merged(&b);
-        assert_eq!(m.lu_factorizations, 7);
-        assert_eq!(m.eta_nnz, 39);
-        assert_eq!(m.refactor_fill_triggers, 2);
-        assert_eq!(m.devex_resets, 5);
-        assert_eq!(m.ft_replacements, 11);
-        assert_eq!(m.pricing_switches, 8);
-        assert_eq!(m.partial_pricing_refreshes, 14);
-        assert_eq!(m.memo_sibling_hits, 12);
-        assert_eq!(m.bb_nodes, 28);
-        assert_eq!(m.range_pruned, 12);
-        assert_eq!(m.candidate_nodes, 19);
-        let d = a.since(&b);
-        assert_eq!(d.lu_factorizations, 3);
-        assert_eq!(d.lu_fill_nnz, 30);
-        assert_eq!(d.refactor_triggers, 1);
-        assert_eq!(d.refactor_fill_triggers, 0);
-        assert_eq!(d.devex_resets, 3);
-        assert_eq!(d.ft_replacements, 5);
-        assert_eq!(d.pricing_switches, 4);
-        assert_eq!(d.partial_pricing_refreshes, 6);
-        assert_eq!(d.memo_sibling_hits, 2);
-        assert_eq!(d.bb_nodes, 12);
-        assert_eq!(d.range_pruned, 6);
-        assert_eq!(d.candidate_nodes, 11);
+        let (a, b) = (distinct(50), distinct(7));
+        let (m, d, back) = (fields(a.merged(&b)), fields(a.since(&b)), fields(b.since(&a)));
+        for (i, (name, _)) in fields(a).into_iter().enumerate() {
+            assert_eq!(m[i].1, 57 + 2 * i as u64, "{name}: merged");
+            assert_eq!(d[i].1, 43, "{name}: since");
+            assert_eq!(back[i].1, 0, "{name}: since saturates");
+        }
+        assert_eq!(a.merged(&b).since(&b), a, "since undoes merged");
     }
 }

@@ -9,20 +9,16 @@
 //! dual warm-re-solve loops once ran to completion before noticing a
 //! deadline.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use tapacs_ilp::{
     CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense,
-    SolveActivity, Solver, SolverConfig,
+    SolveActivity, SolveStats, Solver, SolverConfig,
 };
 
 /// The probe window: engines may run at most this many pivots between
 /// token polls (mirrors `simplex::CANCEL_CHECK_EVERY`).
 const PROBE_WINDOW: u64 = 64;
-
-/// The activity counters are process-global; serialize the tests that
-/// measure deltas against them.
-static ACTIVITY: Mutex<()> = Mutex::new(());
 
 /// A dense pure LP that takes well over one probe window of pivots: `n`
 /// box-bounded variables under `rows` covering ≥-constraints with varied
@@ -65,6 +61,14 @@ fn chunky_lp(n: usize, rows: usize) -> Model {
     m
 }
 
+/// Runs `f` under a fresh scoped activity handle and returns its result
+/// with the solver work it recorded.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, SolveStats) {
+    let handle = Arc::new(SolveActivity::default());
+    let out = SolveActivity::scoped(&handle, f);
+    (out, handle.snapshot())
+}
+
 fn solver(parity: LpParity) -> ParallelSolver {
     ParallelSolver {
         warm_start: true,
@@ -77,8 +81,6 @@ fn solver(parity: LpParity) -> ParallelSolver {
 
 #[test]
 fn tripped_token_stops_both_parities_within_one_probe_window() {
-    let _serial = ACTIVITY.lock().unwrap_or_else(|e| e.into_inner());
-    let activity = SolveActivity::global();
     let model = chunky_lp(120, 300);
 
     for parity in [LpParity::Exact, LpParity::Fast] {
@@ -86,9 +88,8 @@ fn tripped_token_stops_both_parities_within_one_probe_window() {
 
         // Baseline: the uncancelled solve must be big enough that the
         // latency bound below means something.
-        let before = activity.snapshot();
-        s.solve(&model, &SolverConfig::default()).expect("chunky LP is feasible");
-        let base = activity.snapshot().since(&before);
+        let (solved, base) = counted(|| s.solve(&model, &SolverConfig::default()));
+        solved.expect("chunky LP is feasible");
         // `simplex_iterations` is the phase-1 + phase-2 total already.
         let base_pivots = base.simplex_iterations;
         assert!(
@@ -102,10 +103,9 @@ fn tripped_token_stops_both_parities_within_one_probe_window() {
         let token = CancellationToken::new();
         token.cancel();
         let config = SolverConfig { cancel: Some(token), ..SolverConfig::default() };
-        let before = activity.snapshot();
-        let err = s.solve(&model, &config).expect_err("cancelled solve must not succeed");
+        let (stopped_solve, stopped) = counted(|| s.solve(&model, &config));
+        let err = stopped_solve.expect_err("cancelled solve must not succeed");
         assert!(matches!(err, IlpError::Cancelled), "want Cancelled, got {err:?}");
-        let stopped = activity.snapshot().since(&before);
         let burned = stopped.simplex_iterations;
         assert!(
             burned <= PROBE_WINDOW,
@@ -117,7 +117,6 @@ fn tripped_token_stops_both_parities_within_one_probe_window() {
 
 #[test]
 fn mid_solve_cancel_aborts_from_another_thread() {
-    let _serial = ACTIVITY.lock().unwrap_or_else(|e| e.into_inner());
     // An integer model with enough branching to outlive the cancel signal
     // in any build profile; the exact timing doesn't matter — the solve
     // must return (quickly) with either the cancel error or, if it won the
