@@ -35,7 +35,6 @@
 //! * [`SplitLog`] records what the splits of one stage cost and whether any
 //!   of them was answered by something other than the ILP's own result.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -174,7 +173,7 @@ impl Split {
         if self.items.iter().all(|item| item.pin.is_none()) {
             return Vec::new();
         }
-        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         enum Neighbour {
             Pinned(bool),
             Free(usize),
@@ -183,27 +182,48 @@ impl Split {
             Some(high) => Neighbour::Pinned(high),
             None => Neighbour::Free(i),
         };
-        let mut around = vec![Vec::new(); self.items.len()];
+        // Every item's (neighbour, width) pairs in one list, item `i`'s at
+        // `start[i]..start[i + 1]`.
+        let n = self.items.len();
+        let mut start = vec![0usize; n + 1];
+        for &(a, b, _) in &self.edges {
+            start[a + 1] += 1;
+            start[b + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut around = vec![(Neighbour::Pinned(false), 0u64); start[n]];
         for &(a, b, width) in &self.edges {
-            around[a].push((neighbour(b), width));
-            around[b].push((neighbour(a), width));
+            around[next[a]] = (neighbour(b), width);
+            next[a] += 1;
+            around[next[b]] = (neighbour(a), width);
+            next[b] += 1;
         }
 
-        let mut class_of = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        for (i, mut seen) in around.into_iter().enumerate() {
-            let pinned_neighbour = seen.iter().any(|(n, _)| matches!(n, Neighbour::Pinned(_)));
-            if self.items[i].pin.is_some() || !pinned_neighbour {
-                continue;
-            }
-            seen.sort_unstable();
-            let class = *class_of.entry((self.items[i].resources, seen)).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[class].push(i);
+        let mut members: Vec<usize> = (0..n)
+            .filter(|&i| {
+                let seen = &around[start[i]..start[i + 1]];
+                let pinned_neighbour = seen.iter().any(|(n, _)| matches!(n, Neighbour::Pinned(_)));
+                self.items[i].pin.is_none() && pinned_neighbour
+            })
+            .collect();
+        for &i in &members {
+            around[start[i]..start[i + 1]].sort_unstable();
         }
-        classes.retain(|class| class.len() > 1);
+        // Equal keys sort next to each other, each class ascending.
+        let key = |i: usize| {
+            let r = self.items[i].resources;
+            ((r.lut, r.ff, r.bram, r.dsp, r.uram), &around[start[i]..start[i + 1]])
+        };
+        members.sort_unstable_by(|&i, &j| key(i).cmp(&key(j)).then(i.cmp(&j)));
+        let mut classes: Vec<Vec<usize>> = members
+            .chunk_by(|&i, &j| key(i) == key(j))
+            .filter(|class| class.len() > 1)
+            .map(<[usize]>::to_vec)
+            .collect();
+        classes.sort_unstable_by_key(|class| class[0]);
         classes
     }
 
@@ -688,6 +708,99 @@ mod tests {
         let mut hub = fan_out(&[false], &[(10, &[]), (10, &[]), (10, &[])]);
         hub.edges = vec![(3, 1, 32), (3, 2, 32)];
         assert_eq!(classes(hub), none, "no pinned neighbour");
+    }
+
+    /// The classes as one `Vec` per item and a map keyed by (resources,
+    /// neighbour list): what `pinned_symmetry_classes` must return, in the
+    /// same order.
+    fn pinned_symmetry_classes_reference(split: &Split) -> Vec<Vec<usize>> {
+        if split.items.iter().all(|item| item.pin.is_none()) {
+            return Vec::new();
+        }
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        enum Neighbour {
+            Pinned(bool),
+            Free(usize),
+        }
+        let neighbour = |i: usize| match split.items[i].pin {
+            Some(high) => Neighbour::Pinned(high),
+            None => Neighbour::Free(i),
+        };
+        let mut around = vec![Vec::new(); split.items.len()];
+        for &(a, b, width) in &split.edges {
+            around[a].push((neighbour(b), width));
+            around[b].push((neighbour(a), width));
+        }
+
+        let mut class_of = std::collections::HashMap::new();
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (i, mut seen) in around.into_iter().enumerate() {
+            let pinned_neighbour = seen.iter().any(|(n, _)| matches!(n, Neighbour::Pinned(_)));
+            if split.items[i].pin.is_some() || !pinned_neighbour {
+                continue;
+            }
+            seen.sort_unstable();
+            let class = *class_of.entry((split.items[i].resources, seen)).or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[class].push(i);
+        }
+        classes.retain(|class| class.len() > 1);
+        classes
+    }
+
+    /// Random splits with pins, equal resource vectors and repeated
+    /// widths, so classes form, merge and split: the classes and their
+    /// order equal the reference's.
+    #[test]
+    fn symmetry_classes_equal_the_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut formed = 0;
+        for case in 0..500 {
+            // A few pins, then free items wired to one or two pins each,
+            // and a few edges between any two items.
+            let pins = 1 + next(3);
+            let n = pins + 2 + next(10);
+            let items: Vec<Item> = (0..n)
+                .map(|i| {
+                    if i < pins {
+                        pinned(10, next(2) == 0)
+                    } else {
+                        free(10 + 10 * next(2) as u64)
+                    }
+                })
+                .collect();
+            let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+            for i in pins..n {
+                for _ in 0..1 + next(2) {
+                    edges.push((next(pins), i, [32, 64][next(2)]));
+                }
+            }
+            for _ in 0..next(3) {
+                let (a, b) = (next(n), next(n));
+                if a != b {
+                    edges.push((a, b, 32));
+                }
+            }
+            let split = Split {
+                items,
+                edges,
+                low: Side::exact(lut(1000)),
+                high: Side::exact(lut(1000)),
+                balance: None,
+            };
+            let classes = split.pinned_symmetry_classes();
+            assert_eq!(classes, pinned_symmetry_classes_reference(&split), "case {case}");
+            formed += classes.len();
+        }
+        assert!(formed > 100, "{formed} classes");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use tapacs_graph::TaskGraph;
-use tapacs_ilp::CacheStats;
+use tapacs_ilp::{CacheStats, SolveStats};
 use tapacs_net::Cluster;
 
 use crate::batch::{BatchCompiler, BatchReport, CompileJob};
@@ -276,6 +276,9 @@ pub struct DseReport {
     /// [`load_from`](tapacs_ilp::SolveCache::load_from) — cross-process
     /// hits show up here).
     pub cache: CacheStats,
+    /// LP-engine work of the sweep: every job's scoped counters, merged
+    /// (see [`BatchReport::engine`]).
+    pub engine: SolveStats,
 }
 
 impl DseReport {
@@ -479,6 +482,7 @@ pub(crate) fn report_from_outcomes(
     threads: usize,
     wall: Duration,
     cache: CacheStats,
+    engine: SolveStats,
 ) -> DseReport {
     // Degraded points are masked out of the frontier computation entirely:
     // they neither join it nor dominate a clean point (their scores are
@@ -486,7 +490,7 @@ pub(crate) fn report_from_outcomes(
     let scores: Vec<Option<DseScore>> =
         outcomes.iter().map(|o| if o.degraded { None } else { o.score }).collect();
     let frontier = pareto_frontier(&scores);
-    DseReport { name, outcomes, frontier, threads, wall, cache }
+    DseReport { name, outcomes, frontier, threads, wall, cache, engine }
 }
 
 /// Compiles every grid point of `config` as one shared batch sweep, scores
@@ -495,7 +499,14 @@ pub(crate) fn report_from_outcomes(
 pub fn explore(config: &DseConfig) -> DseReport {
     let indices: Vec<usize> = (0..config.num_points()).collect();
     let (outcomes, report) = compile_indexed(config, &indices, None);
-    report_from_outcomes(config.name.clone(), outcomes, report.threads, report.wall, report.cache)
+    report_from_outcomes(
+        config.name.clone(),
+        outcomes,
+        report.threads,
+        report.wall,
+        report.cache,
+        report.engine,
+    )
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use tapacs_ilp::{CacheStats, SolveCache};
+use tapacs_ilp::{CacheStats, SolveCache, SolveStats};
 
 use crate::dse::{compile_indexed, report_from_outcomes, DseConfig, DseOutcome, DseReport};
 
@@ -133,6 +133,8 @@ pub struct RungOutcome {
     /// Solve-cache lookup delta attributed to this rung (resume hits show
     /// up here from rung 1 on).
     pub cache: CacheStats,
+    /// LP-engine work of the rung's batch (its jobs' merged counters).
+    pub engine: SolveStats,
     /// Wall-clock of the whole rung.
     pub wall: Duration,
 }
@@ -332,6 +334,7 @@ fn run_rung_in_process(grid: &DseConfig, spec: &RungSpec, survivors: &[usize]) -
         outcomes: survivors.iter().copied().zip(outcomes).collect(),
         threads: report.threads,
         cache: SolveCache::global().stats().since(&before),
+        engine: report.engine,
         wall: t0.elapsed(),
     }
 }
@@ -442,6 +445,7 @@ where
                 outcomes: Vec::new(),
                 threads: 1,
                 cache: CacheStats::default(),
+                engine: SolveStats::default(),
                 wall: Duration::ZERO,
             },
             Vec::new(),
@@ -454,6 +458,7 @@ where
         final_out.threads,
         final_out.wall,
         final_out.cache,
+        final_out.engine,
     );
 
     SearchReport {

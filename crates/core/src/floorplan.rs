@@ -131,9 +131,38 @@ struct FpgaCtx<'a> {
     cfg: &'a FloorplanConfig,
     /// Networking-IP footprint reserved in the QSFP corner slot.
     reserved: Resources,
+    /// Each graph task's position in the FPGA's task list (`usize::MAX`
+    /// off the FPGA).
+    position: Vec<usize>,
+    /// How many tasks the FPGA holds.
+    n_tasks: usize,
+    /// The FIFOs with both ends on the FPGA, in graph order, as
+    /// `(src position, dst position, width)`: every split's edges, built
+    /// once.
+    fifos: Vec<(usize, usize, u64)>,
 }
 
-impl FpgaCtx<'_> {
+impl<'a> FpgaCtx<'a> {
+    /// The context of the FPGA holding `tasks`.
+    fn new(
+        graph: &'a TaskGraph,
+        device: &'a Device,
+        cfg: &'a FloorplanConfig,
+        reserved: Resources,
+        tasks: &[TaskId],
+    ) -> Self {
+        let mut position = vec![usize::MAX; graph.num_tasks()];
+        for (i, t) in tasks.iter().enumerate() {
+            position[t.index()] = i;
+        }
+        let fifos = graph
+            .fifos()
+            .map(|(_, f)| (position[f.src.index()], position[f.dst.index()], f.width_bits as u64))
+            .filter(|&(a, b, _)| a != usize::MAX && b != usize::MAX)
+            .collect();
+        FpgaCtx { graph, device, cfg, reserved, position, n_tasks: tasks.len(), fifos }
+    }
+
     fn qsfp_slot(&self) -> SlotId {
         SlotId::new(self.device.rows() - 1, self.device.cols() - 1)
     }
@@ -194,7 +223,7 @@ pub fn floorplan(
             continue;
         }
         let reserved = reserved_qsfp.get(fpga).copied().unwrap_or(Resources::ZERO);
-        let ctx = FpgaCtx { graph, device, cfg, reserved };
+        let ctx = FpgaCtx::new(graph, device, cfg, reserved, &tasks);
         let full = Region { row_lo: 0, row_hi: device.rows(), col_lo: 0, col_hi: device.cols() };
         match log.attempt(&ctx, &setup, &tasks, full)? {
             Some(pairs) => {
@@ -303,9 +332,9 @@ impl Level for FpgaCtx<'_> {
             })
         });
         let edges = local_edges(
-            graph.num_tasks(),
-            tasks.iter().map(|t| t.index()),
-            graph.fifos().map(|(_, f)| (f.src.index(), f.dst.index(), f.width_bits as u64)),
+            self.n_tasks,
+            tasks.iter().map(|t| self.position[t.index()]),
+            self.fifos.iter().copied(),
         );
         let split =
             Split { items, edges, low: Side::exact(cap_low), high: Side::exact(cap_high), balance };
@@ -518,14 +547,14 @@ pub fn floorplan_naive(
 
     for fpga in 0..n_fpgas {
         let reserved = reserved_qsfp.get(fpga).copied().unwrap_or(Resources::ZERO);
-        let ctx = FpgaCtx { graph, device, cfg, reserved };
+        let mut order: Vec<TaskId> =
+            graph.task_ids().filter(|t| assignment[t.index()] == fpga).collect();
+        let ctx = FpgaCtx::new(graph, device, cfg, reserved, &order);
         let slots: Vec<SlotId> = device.slots().collect();
         let caps: Vec<Resources> = slots.iter().map(|&s| ctx.slot_capacity(s)).collect();
         let idx = |s: SlotId| s.row * device.cols() + s.col;
         // Pinned (memory/network) tasks place first: even Vitis routes AXI
         // ports to their shoreline before general logic.
-        let mut order: Vec<TaskId> =
-            graph.task_ids().filter(|t| assignment[t.index()] == fpga).collect();
         order.sort_by_key(|t| {
             let kind = &graph.task(*t).kind;
             (!(kind.is_memory() || kind.is_network()), t.index())
@@ -902,7 +931,7 @@ mod tests {
                 refine_passes: passes,
                 ..FloorplanConfig::default()
             };
-            let ctx = FpgaCtx { graph: &g, device: &device, cfg: &cfg, reserved };
+            let ctx = FpgaCtx::new(&g, &device, &cfg, reserved, &in_set);
             let (mut fast, mut reference) = (start.clone(), start);
             refine_fpga(&ctx, &in_set, &mut fast);
             refine_reference(&ctx, &in_set, &mut reference);

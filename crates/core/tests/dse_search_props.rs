@@ -23,7 +23,7 @@ use tapacs_core::dse::search::{
 use tapacs_core::dse::{self, pareto_frontier, DseConfig, DseOutcome, DseScore};
 use tapacs_fpga::{Device, Resources};
 use tapacs_graph::{Fifo, Task, TaskGraph};
-use tapacs_ilp::CacheStats;
+use tapacs_ilp::{CacheStats, SolveStats};
 use tapacs_net::{Cluster, Topology};
 
 /// Small integer-derived scores: exact comparisons, plenty of ties.
@@ -82,6 +82,7 @@ fn synthetic_rung(survivors: &[usize], outcome_of: impl Fn(usize) -> DseOutcome)
         outcomes: survivors.iter().map(|&i| (i, outcome_of(i))).collect(),
         threads: 1,
         cache: CacheStats::default(),
+        engine: SolveStats::default(),
         wall: Duration::ZERO,
     }
 }

@@ -23,6 +23,16 @@
 //! iteration, and never touches an O(m·n) tableau. On the floorplanning
 //! workloads this replaces ~8M flops of per-node Gauss-Jordan with a few
 //! thousand.
+//!
+//! On wide LPs the two eta-file passes are most of a solve, and both are
+//! written for the machine without changing a bit of their results. FTRAN
+//! marks the rows an eta writes in its touched-row bitmap with one OR per
+//! bitmap word, precomputed per eta, instead of one per row. BTRAN is a
+//! chain of serial dot products: it starts the dots of the two etas below
+//! the one it is finishing early, each up to its first term that reads a
+//! pivot row still to be written (positions `push_eta` finds once per
+//! eta), so up to three add chains overlap while every dot still sums its
+//! own terms in its own order.
 
 use crate::cancel::CancellationToken;
 use crate::simplex::{
@@ -116,6 +126,9 @@ struct RevScratch {
     eta_ptr: Vec<u32>,
     eta_row: Vec<u32>,
     eta_val: Vec<f64>,
+    eta_lead: Vec<[u32; 2]>,
+    eta_mark_ptr: Vec<u32>,
+    eta_marks: Vec<(u32, u64)>,
     w: Vec<f64>,
     touched: Vec<u32>,
     mark: Vec<u64>,
@@ -142,6 +155,29 @@ fn mark_row(mark: &mut [u64], r: u32) {
     mark[(r >> 6) as usize] |= 1 << (r & 63);
 }
 
+/// Continues `K` serial dot products with `y` over their next `n` terms
+/// each: dot `k` adds `vals[i] · y[rows[i]]` for `i` in
+/// `next[k]..next[k] + n`, in order, to `acc[k]`. The `K` add chains are
+/// independent, so they overlap.
+#[inline(always)]
+fn dots<const K: usize>(
+    mut acc: [f64; K],
+    next: [usize; K],
+    n: usize,
+    rows: &[u32],
+    vals: &[f64],
+    y: &[f64],
+) -> [f64; K] {
+    let rows = next.map(|s| &rows[s..s + n]);
+    let vals = next.map(|s| &vals[s..s + n]);
+    for i in 0..n {
+        for k in 0..K {
+            acc[k] += vals[k][i] * y[rows[k][i] as usize];
+        }
+    }
+    acc
+}
+
 /// A column with bounds `[lo, hi]` can move, so pricing scans it: its
 /// span is not below the pivot tolerance (`span <= pivot` → pinned; an
 /// ill-posed NaN span counts as movable).
@@ -165,11 +201,23 @@ pub(crate) struct Revised<'a> {
     /// reciprocal pivot `eta_inv[e]` and off-pivot entries
     /// `eta_row/eta_val[eta_ptr[e]..eta_ptr[e+1]]`. Entries
     /// `0..factor_etas` come from the factorization, the rest are updates.
+    /// Each eta's rows are ascending (it is built from `touched`).
     eta_pos: Vec<u32>,
     eta_inv: Vec<f64>,
     eta_ptr: Vec<u32>,
     eta_row: Vec<u32>,
     eta_val: Vec<f64>,
+    /// `eta_lead[e][k]`: where in `eta_row` eta `e`'s pivot row appears
+    /// among eta `e − 1 − k`'s rows (that eta's end when it does not), i.e.
+    /// the end of the terms of that eta's BTRAN dot that read nothing eta
+    /// `e` writes (see [`btran`](Self::btran)); `0` when there is no eta
+    /// `e − 1 − k`. Set by [`push_eta`](Self::push_eta) once per eta.
+    eta_lead: Vec<[u32; 2]>,
+    /// Eta `e`'s rows as touched-row bitmap words, `(word, bits)` ascending,
+    /// at `eta_marks[eta_mark_ptr[e]..eta_mark_ptr[e + 1]]`: FTRAN marks an
+    /// applied eta's rows with one OR per word instead of one per row.
+    eta_mark_ptr: Vec<u32>,
+    eta_marks: Vec<(u32, u64)>,
     factor_etas: usize,
     /// FTRAN scratch (kept all-zero between uses) and the rows it touched.
     w: Vec<f64>,
@@ -275,6 +323,10 @@ impl<'a> Revised<'a> {
         sc.eta_ptr.push(0);
         sc.eta_row.clear();
         sc.eta_val.clear();
+        sc.eta_lead.clear();
+        sc.eta_mark_ptr.clear();
+        sc.eta_mark_ptr.push(0);
+        sc.eta_marks.clear();
         sc.w.clear();
         sc.w.resize(m, 0.0);
         sc.touched.clear();
@@ -310,6 +362,9 @@ impl<'a> Revised<'a> {
             eta_ptr: std::mem::take(&mut sc.eta_ptr),
             eta_row: std::mem::take(&mut sc.eta_row),
             eta_val: std::mem::take(&mut sc.eta_val),
+            eta_lead: std::mem::take(&mut sc.eta_lead),
+            eta_mark_ptr: std::mem::take(&mut sc.eta_mark_ptr),
+            eta_marks: std::mem::take(&mut sc.eta_marks),
             factor_etas: 0,
             w: std::mem::take(&mut sc.w),
             touched: std::mem::take(&mut sc.touched),
@@ -365,9 +420,10 @@ impl<'a> Revised<'a> {
     /// superset of the nonzeros: a row can cancel to exactly zero) once
     /// each, ascending — the scan order the ratio test and the
     /// factorization's pivot search rely on for dense-oracle-identical
-    /// tie-breaking. Every write sets its row's bit in `self.mark` without
-    /// a branch on the value, and `touched` is gathered from the set bits:
-    /// O(m/64) words instead of a sort.
+    /// tie-breaking. Each applied eta ORs its precomputed bitmap words
+    /// (`eta_marks`) into `self.mark`, one per word its rows span, so the
+    /// per-row update loop writes `w` alone; `touched` is gathered from the
+    /// set bits: O(m/64) words instead of a sort.
     fn ftran_col(&mut self, j: usize) {
         let (w, mark) = (&mut self.w, &mut self.mark);
         let (rows, vals) = self.sp.col(j);
@@ -383,9 +439,12 @@ impl<'a> Revised<'a> {
             }
             let t = wp * self.eta_inv[e];
             w[pos] = t;
+            let (ms, me) = (self.eta_mark_ptr[e] as usize, self.eta_mark_ptr[e + 1] as usize);
+            for &(word, bits) in &self.eta_marks[ms..me] {
+                mark[word as usize] |= bits;
+            }
             let (s, e) = (self.eta_ptr[e] as usize, self.eta_ptr[e + 1] as usize);
             for (&r, &val) in self.eta_row[s..e].iter().zip(&self.eta_val[s..e]) {
-                mark_row(mark, r);
                 w[r as usize] -= val * t;
             }
         }
@@ -413,26 +472,74 @@ impl<'a> Revised<'a> {
     }
 
     /// Applies the transposed eta file in reverse to `self.y`: `y ← B⁻ᵀy`.
+    ///
+    /// Each eta's dot product is one serial chain of adds, so one eta at a
+    /// time runs at the latency of an add per term. The two etas below the
+    /// one being finished start their dots early, each up to its first term
+    /// that reads the pivot row of an eta above it still unapplied
+    /// (`eta_lead`, decided in `push_eta`): up to three chains run side by
+    /// side, each in its own accumulator and its own term order. Every dot
+    /// sums the terms the one-at-a-time loop sums, in its order, so `y`
+    /// comes out bit for bit the same.
     fn btran(&mut self) {
         let y = &mut self.y[..];
-        for e in (0..self.eta_pos.len()).rev() {
-            let (s, t) = (self.eta_ptr[e] as usize, self.eta_ptr[e + 1] as usize);
-            let mut dot = 0.0;
-            for (&r, &val) in self.eta_row[s..t].iter().zip(&self.eta_val[s..t]) {
-                dot += val * y[r as usize];
+        let (rows, vals) = (&self.eta_row[..], &self.eta_val[..]);
+        let Some(mut a) = self.eta_pos.len().checked_sub(1) else { return };
+        // Eta `a` is being finished, `a − 1` and `a − 2` are started early:
+        // each one's dot so far and its next term (`0`, with no room to
+        // run, for an eta below the first).
+        let start = |e: usize| self.eta_ptr[e] as usize;
+        let (mut dot_a, mut next_a) = (0.0, start(a));
+        let (mut dot_b, mut next_b) = (0.0, a.checked_sub(1).map_or(0, start));
+        let (mut dot_c, mut next_c) = (0.0, a.checked_sub(2).map_or(0, start));
+        loop {
+            let end_a = start(a + 1);
+            if next_a < end_a {
+                let [end_b, end_c] = self.eta_lead[a].map(|end| end as usize);
+                // Eta `a − 2` waits for the pivot rows of `a` and `a − 1`.
+                let end_c = a.checked_sub(1).map_or(0, |b| end_c.min(self.eta_lead[b][0] as usize));
+                let n = (end_a - next_a).min(end_b - next_b).min(end_c - next_c);
+                if n > 0 {
+                    [dot_a, dot_b, dot_c] =
+                        dots([dot_a, dot_b, dot_c], [next_a, next_b, next_c], n, rows, vals, y);
+                    (next_a, next_b, next_c) = (next_a + n, next_b + n, next_c + n);
+                }
+                let n = (end_a - next_a).min(end_b - next_b);
+                if n > 0 {
+                    [dot_a, dot_b] = dots([dot_a, dot_b], [next_a, next_b], n, rows, vals, y);
+                    (next_a, next_b) = (next_a + n, next_b + n);
+                }
+                let n = (end_a - next_a).min(end_c - next_c);
+                if n > 0 {
+                    [dot_a, dot_c] = dots([dot_a, dot_c], [next_a, next_c], n, rows, vals, y);
+                    (next_a, next_c) = (next_a + n, next_c + n);
+                }
+                [dot_a] = dots([dot_a], [next_a], end_a - next_a, rows, vals, y);
             }
-            let pos = self.eta_pos[e] as usize;
-            y[pos] = (y[pos] - dot) * self.eta_inv[e];
+            let pos = self.eta_pos[a] as usize;
+            y[pos] = (y[pos] - dot_a) * self.eta_inv[a];
+            if a == 0 {
+                return;
+            }
+            a -= 1;
+            (dot_a, next_a) = (dot_b, next_b);
+            (dot_b, next_b) = (dot_c, next_c);
+            (dot_c, next_c) = (0.0, a.checked_sub(2).map_or(0, start));
         }
     }
 
     /// Appends an eta built from the current `self.w` pivoting on `pos`,
     /// returning its off-pivot nonzero count. Entries at or below the
     /// pivot tolerance are dropped — the same per-row skip the dense
-    /// engine's `eliminate` applies.
+    /// engine's `eliminate` applies. Its rows follow `touched`, ascending:
+    /// the same pass folds them into FTRAN's bitmap words (`eta_marks`), and
+    /// one binary search in each of the two previous etas finds how much of
+    /// it BTRAN may reduce beside this one (`eta_lead`).
     fn push_eta(&mut self, pos: usize) -> u64 {
         let inv = 1.0 / self.w[pos];
         let before = self.eta_row.len();
+        // The bitmap word being filled: `(index, bits)`.
+        let mut word = (0, 0u64);
         for &rr in &self.touched {
             let r = rr as usize;
             if r == pos {
@@ -442,7 +549,15 @@ impl<'a> Revised<'a> {
             if v.abs() > TOL.pivot {
                 self.eta_row.push(rr);
                 self.eta_val.push(v);
+                if rr >> 6 != word.0 && word.1 != 0 {
+                    self.eta_marks.push(word);
+                    word.1 = 0;
+                }
+                word = (rr >> 6, word.1 | 1 << (rr & 63));
             }
+        }
+        if word.1 != 0 {
+            self.eta_marks.push(word);
         }
         let fill = (self.eta_row.len() - before) as u64;
         if fill == 0 && inv == 1.0 {
@@ -454,9 +569,19 @@ impl<'a> Revised<'a> {
             // m etas to one per structural basic.
             return 0;
         }
+        let n = self.eta_pos.len();
+        let lead = [1, 2].map(|back| {
+            n.checked_sub(back).map_or(0, |prev| {
+                let (start, end) = (self.eta_ptr[prev], self.eta_ptr[prev + 1]);
+                let prev_rows = &self.eta_row[start as usize..end as usize];
+                prev_rows.binary_search(&(pos as u32)).map_or(end, |i| start + i as u32)
+            })
+        });
         self.eta_pos.push(pos as u32);
         self.eta_inv.push(inv);
         self.eta_ptr.push(self.eta_row.len() as u32);
+        self.eta_lead.push(lead);
+        self.eta_mark_ptr.push(self.eta_marks.len() as u32);
         fill
     }
 
@@ -484,6 +609,9 @@ impl<'a> Revised<'a> {
         self.eta_ptr.push(0);
         self.eta_row.clear();
         self.eta_val.clear();
+        self.eta_lead.clear();
+        self.eta_mark_ptr.truncate(1);
+        self.eta_marks.clear();
         self.factor_etas = 0;
         self.saved = false;
         self.used.fill(false);
@@ -635,6 +763,9 @@ impl<'a> Revised<'a> {
         self.eta_ptr.truncate(fe + 1);
         self.eta_row.truncate(cut);
         self.eta_val.truncate(cut);
+        self.eta_lead.truncate(fe);
+        self.eta_mark_ptr.truncate(fe + 1);
+        self.eta_marks.truncate(self.eta_mark_ptr[fe] as usize);
         self.devex.fill(1.0);
         self.devex_active = false;
         self.price_cursor = 0;
@@ -1099,6 +1230,9 @@ impl<'a> Revised<'a> {
         self.eta_ptr.pop();
         self.eta_row.truncate(s);
         self.eta_val.truncate(s);
+        self.eta_lead.pop();
+        self.eta_mark_ptr.pop();
+        self.eta_marks.truncate(self.eta_mark_ptr[last] as usize);
         self.w[pos] = composed_pivot;
         self.counts.eta_nnz += self.push_eta(pos);
         true
@@ -1450,6 +1584,9 @@ impl Drop for Revised<'_> {
             eta_ptr: std::mem::take(&mut self.eta_ptr),
             eta_row: std::mem::take(&mut self.eta_row),
             eta_val: std::mem::take(&mut self.eta_val),
+            eta_lead: std::mem::take(&mut self.eta_lead),
+            eta_mark_ptr: std::mem::take(&mut self.eta_mark_ptr),
+            eta_marks: std::mem::take(&mut self.eta_marks),
             w: std::mem::take(&mut self.w),
             touched: std::mem::take(&mut self.touched),
             mark: std::mem::take(&mut self.mark),
@@ -1728,6 +1865,150 @@ mod tests {
             for _ in 0..3 {
                 check(&mut e, next(sp.n));
             }
+        }
+    }
+
+    /// BTRAN as one serial dot product per eta, newest eta first: the
+    /// arithmetic `btran` must reproduce bit for bit.
+    fn btran_reference(e: &Revised, y: &mut [f64]) {
+        for k in (0..e.eta_pos.len()).rev() {
+            let (s, t) = (e.eta_ptr[k] as usize, e.eta_ptr[k + 1] as usize);
+            let mut dot = 0.0;
+            for (&r, &val) in e.eta_row[s..t].iter().zip(&e.eta_val[s..t]) {
+                dot += val * y[r as usize];
+            }
+            let pos = e.eta_pos[k] as usize;
+            y[pos] = (y[pos] - dot) * e.eta_inv[k];
+        }
+    }
+
+    /// `btran` equals the sequential reference bit for bit over a factor
+    /// prefix and random update etas: consecutive etas on one row, a pair
+    /// whose later pivot row the earlier eta reads, a Forrest–Tomlin
+    /// composition and a `restore` truncation followed by new etas. The
+    /// values carry roundoff (no power-of-two entries), so any reordering
+    /// of a dot product's terms shows in the bits.
+    #[test]
+    fn btran_equals_the_sequential_reference_bit_for_bit() {
+        let (m, k) = (70usize, 12usize);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let value = move |next: &mut dyn FnMut(usize) -> usize| {
+            let v = (next(2_000) as f64 - 1_000.0) / 37.0;
+            if v == 0.0 {
+                0.3
+            } else {
+                v
+            }
+        };
+        // Structural j has its diagonal on row j and entries below it only,
+        // so the basis of structurals 0..k plus the logicals of rows k..m is
+        // triangular and nonsingular.
+        let mut rows: Vec<LpRow> =
+            (0..m).map(|_| LpRow { coeffs: Vec::new(), op: CmpOp::Le, rhs: 1.0 }).collect();
+        for j in 0..k {
+            rows[j].coeffs.push((j, 2.0 + (j % 3) as f64 / 7.0));
+            for _ in 0..6 {
+                let r = j + 1 + next(m - j - 1);
+                if rows[r].coeffs.iter().all(|&(c, _)| c != j) {
+                    let v = value(&mut next);
+                    rows[r].coeffs.push((j, v));
+                }
+            }
+        }
+        let (lp, sp) = prep(rows, k, 1.0);
+        let mut statuses = vec![ColStatus::AtLower; sp.n];
+        statuses[..k].fill(ColStatus::Basic);
+        statuses[k + k..].fill(ColStatus::Basic);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, false);
+        assert!(e.install(&statuses));
+        e.save_install();
+        assert!(e.factor_etas > 0, "a factor prefix to keep across the restore");
+
+        let check = |e: &mut Revised, next: &mut dyn FnMut(usize) -> usize| {
+            for (i, y) in e.y.iter_mut().enumerate() {
+                *y =
+                    if next(4) == 0 { 0.0 } else { (next(1_000) as f64 - 500.0) / 13.0 + i as f64 };
+            }
+            let mut reference = e.y.clone();
+            btran_reference(e, &mut reference);
+            e.btran();
+            for (r, (&got, &want)) in e.y.iter().zip(&reference).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "row {r}: {got} vs {want}");
+            }
+        };
+        // Scatters `pivot` on `pos` and `entries` into `w` with `touched`
+        // ascending, as FTRAN leaves them.
+        let scatter = |e: &mut Revised, pos: usize, pivot: f64, entries: &[(usize, f64)]| {
+            e.w[pos] = pivot;
+            for &(r, v) in entries {
+                e.w[r] = v;
+            }
+            e.touched.clear();
+            e.touched.push(pos as u32);
+            e.touched.extend(entries.iter().map(|&(r, _)| r as u32));
+            e.touched.sort_unstable();
+        };
+        let random_entries = |pos: usize, next: &mut dyn FnMut(usize) -> usize| {
+            let mut entries: Vec<(usize, f64)> = Vec::new();
+            for _ in 0..next(20) {
+                let r = next(m);
+                if r != pos && entries.iter().all(|&(q, _)| q != r) {
+                    let v = (next(2_000) as f64 - 1_000.0) / 29.0;
+                    entries.push((r, if v == 0.0 { 0.7 } else { v }));
+                }
+            }
+            entries
+        };
+        let push = |e: &mut Revised, pos: usize, entries: &[(usize, f64)]| {
+            scatter(e, pos, 1.5 + pos as f64 / 11.0, entries);
+            e.push_eta(pos);
+            e.clear_w();
+        };
+        check(&mut e, &mut next);
+
+        // Consecutive etas on one row, then a dependent pair: the later
+        // eta pivots on row 9, which the earlier one reads.
+        push(&mut e, 4, &[(1, 0.3), (9, -1.7), (30, 2.9)]);
+        push(&mut e, 4, &[(2, 1.1), (31, -0.9)]);
+        push(&mut e, 20, &[(9, 0.6), (40, 1.3)]);
+        push(&mut e, 9, &[(20, -2.3), (41, 0.8)]);
+        let n = e.n_etas();
+        let lead = |k: usize, back: usize| e.eta_lead[k][back] - e.eta_ptr[k - 1 - back];
+        assert_eq!([lead(n - 3, 0), lead(n - 2, 0), lead(n - 1, 0)], [3, 2, 0]);
+        assert_eq!(lead(n - 1, 1), 2, "row 9 is in neither eta on row 4");
+        check(&mut e, &mut next);
+        for _ in 0..40 {
+            let pos = next(m);
+            let entries = random_entries(pos, &mut next);
+            push(&mut e, pos, &entries);
+            check(&mut e, &mut next);
+        }
+
+        // A composition replaces the newest eta in place.
+        let pos = e.eta_pos[e.n_etas() - 1] as usize;
+        let entries = random_entries(pos, &mut next);
+        let before = e.n_etas();
+        scatter(&mut e, pos, 0.9, &entries);
+        assert!(e.try_replace_eta(pos));
+        e.clear_w();
+        assert_eq!(e.n_etas(), before);
+        check(&mut e, &mut next);
+
+        // A restore drops every update eta; new ones follow the prefix.
+        e.restore(0, 0.0, 1.0);
+        assert_eq!(e.n_etas(), e.factor_etas);
+        check(&mut e, &mut next);
+        for _ in 0..20 {
+            let pos = next(m);
+            let entries = random_entries(pos, &mut next);
+            push(&mut e, pos, &entries);
+            check(&mut e, &mut next);
         }
     }
 

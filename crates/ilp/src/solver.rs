@@ -74,6 +74,13 @@ pub(crate) fn solve_lp(
 ///
 /// The branch and bound calls this on its *already solved* root relaxation
 /// to seed the incumbent, so the warm start costs no extra LP solve.
+///
+/// Cost: each row's violation is kept, and a candidate step re-evaluates
+/// only the rows of its own column. A step that lowers none of them cannot
+/// lower the total (rounded addition is monotone), so it is skipped
+/// unsummed; any other is re-summed over all rows in row order, the same
+/// float the whole-model sum would give. A walk that fails on a wide split
+/// thus costs little more than one pass over its rows per step.
 pub(crate) fn greedy_repair(
     model: &Model,
     lp: &crate::simplex::LpProblem,
@@ -88,23 +95,23 @@ pub(crate) fn greedy_repair(
         return Some(point);
     }
 
-    // Total violation across constraints (bounds are kept by construction).
-    let violation = |vals: &[f64]| -> f64 {
-        model
-            .rows
-            .iter()
-            .map(|c| {
-                let lhs = crate::expr::dot(c.terms, vals);
-                match c.op {
-                    crate::CmpOp::Le => (lhs - c.rhs).max(0.0),
-                    crate::CmpOp::Ge => (c.rhs - lhs).max(0.0),
-                    crate::CmpOp::Eq => (lhs - c.rhs).abs(),
-                }
-            })
-            .sum()
+    // One row's violation (bounds are kept by construction).
+    let violation = |i: usize, vals: &[f64]| -> f64 {
+        let row = model.rows.row(i);
+        let lhs = crate::expr::dot(row.terms, vals);
+        match row.op {
+            crate::CmpOp::Le => (lhs - row.rhs).max(0.0),
+            crate::CmpOp::Ge => (row.rhs - lhs).max(0.0),
+            crate::CmpOp::Eq => (lhs - row.rhs).abs(),
+        }
     };
+    let mut sc = REPAIR_SCRATCH.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    sc.row_violation.clear();
+    sc.row_violation.extend((0..model.rows.len()).map(|i| violation(i, &point)));
+    column_rows(model, &mut sc);
+    let RepairScratch { row_violation, col_start, col_rows, trial, .. } = &mut sc;
 
-    let mut current = violation(&point);
+    let mut current: f64 = row_violation.iter().sum();
     for _ in 0..4 * model.num_vars().max(4) {
         if current <= 1e-9 {
             break;
@@ -113,6 +120,7 @@ pub(crate) fn greedy_repair(
         // violation reduction wins (strict improvement required).
         let mut best: Option<(usize, f64, f64)> = None;
         for &j in integral {
+            let rows = &col_rows[col_start[j]..col_start[j + 1]];
             for step in [-1.0, 1.0] {
                 let candidate = point[j] + step;
                 if candidate < lp.lower[j] - 1e-9 || candidate > lp.upper[j] + 1e-9 {
@@ -120,8 +128,19 @@ pub(crate) fn greedy_repair(
                 }
                 let prev = point[j];
                 point[j] = candidate;
-                let v = violation(&point);
+                trial.clear();
+                trial.extend(rows.iter().map(|&i| (i, violation(i, &point))));
                 point[j] = prev;
+                if !trial.iter().any(|&(i, v)| v < row_violation[i]) {
+                    continue;
+                }
+                for (i, v) in trial.iter_mut() {
+                    std::mem::swap(&mut row_violation[*i], v);
+                }
+                let v: f64 = row_violation.iter().sum();
+                for &(i, old) in trial.iter() {
+                    row_violation[i] = old;
+                }
                 if v + 1e-12 < current && best.is_none_or(|(_, _, bv)| v < bv) {
                     best = Some((j, candidate, v));
                 }
@@ -129,9 +148,70 @@ pub(crate) fn greedy_repair(
         }
         let Some((j, value, v)) = best else { break };
         point[j] = value;
+        for &i in &col_rows[col_start[j]..col_start[j + 1]] {
+            row_violation[i] = violation(i, &point);
+        }
         current = v;
     }
+    REPAIR_SCRATCH.with(|c| *c.borrow_mut() = sc);
     model.is_feasible(&point, 1e-6).then_some(point)
+}
+
+/// The repair walk's buffers, kept per thread between calls: a search
+/// runs the walk at every root, and fresh buffers each time would only
+/// churn the allocator.
+#[derive(Default)]
+struct RepairScratch {
+    /// Each row's violation at the current point.
+    row_violation: Vec<f64>,
+    /// Variable `j`'s rows, once each and ascending:
+    /// `col_rows[col_start[j]..col_start[j + 1]]`.
+    col_start: Vec<usize>,
+    col_rows: Vec<usize>,
+    /// [`column_rows`]' cursor per variable: the last row counted, then
+    /// the next free slot in `col_rows`.
+    last_row: Vec<usize>,
+    /// A candidate's rows and their violations after its step.
+    trial: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    static REPAIR_SCRATCH: std::cell::RefCell<RepairScratch> =
+        std::cell::RefCell::new(RepairScratch::default());
+}
+
+/// Fills `sc.col_start` and `sc.col_rows` with the rows each variable
+/// appears in, once each and ascending.
+fn column_rows(model: &Model, sc: &mut RepairScratch) {
+    let n = model.num_vars();
+    let RepairScratch { col_start: start, col_rows: rows, last_row: last, .. } = sc;
+    start.clear();
+    start.resize(n + 1, 0);
+    last.clear();
+    last.resize(n, usize::MAX);
+    for (i, row) in model.rows.iter().enumerate() {
+        for &(v, _) in row.terms {
+            if std::mem::replace(&mut last[v.index()], i) != i {
+                start[v.index() + 1] += 1;
+            }
+        }
+    }
+    for j in 0..n {
+        start[j + 1] += start[j];
+    }
+    rows.clear();
+    rows.resize(start[n], 0);
+    // `last` now tracks each variable's next free slot.
+    last.copy_from_slice(&start[..n]);
+    for (i, row) in model.rows.iter().enumerate() {
+        for &(v, _) in row.terms {
+            let at = &mut last[v.index()];
+            if *at == start[v.index()] || rows[*at - 1] != i {
+                rows[*at] = i;
+                *at += 1;
+            }
+        }
+    }
 }
 
 /// The LP half of a backend's [`Solver::name`] — and so of the solve-cache
@@ -381,7 +461,7 @@ impl Solver for DegradingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParallelSolver, Sense};
+    use crate::{CmpOp, ParallelSolver, Sense, VarId};
 
     fn cover_model() -> Model {
         // min x+y+z s.t. x+y>=1, y+z>=1, x+z>=1 (vertex cover of a triangle,
@@ -534,6 +614,130 @@ mod tests {
             assert!(degraded);
             assert_eq!(lu > 0, factorizes, "{lp_engine:?} via DegradingSolver");
         }
+    }
+
+    /// The repair walk as one full violation sum per candidate: the answer
+    /// `greedy_repair` must reproduce bit for bit.
+    fn greedy_repair_reference(
+        model: &Model,
+        lp: &crate::simplex::LpProblem,
+        relax: &[f64],
+        integral: &[usize],
+    ) -> Option<Vec<f64>> {
+        let mut point = relax.to_vec();
+        for &j in integral {
+            point[j] = point[j].round().clamp(lp.lower[j], lp.upper[j]);
+        }
+        if model.is_feasible(&point, 1e-6) {
+            return Some(point);
+        }
+        let violation = |vals: &[f64]| -> f64 {
+            model
+                .rows
+                .iter()
+                .map(|c| {
+                    let lhs = crate::expr::dot(c.terms, vals);
+                    match c.op {
+                        CmpOp::Le => (lhs - c.rhs).max(0.0),
+                        CmpOp::Ge => (c.rhs - lhs).max(0.0),
+                        CmpOp::Eq => (lhs - c.rhs).abs(),
+                    }
+                })
+                .sum()
+        };
+        let mut current = violation(&point);
+        for _ in 0..4 * model.num_vars().max(4) {
+            if current <= 1e-9 {
+                break;
+            }
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &j in integral {
+                for step in [-1.0, 1.0] {
+                    let candidate = point[j] + step;
+                    if candidate < lp.lower[j] - 1e-9 || candidate > lp.upper[j] + 1e-9 {
+                        continue;
+                    }
+                    let prev = point[j];
+                    point[j] = candidate;
+                    let v = violation(&point);
+                    point[j] = prev;
+                    if v + 1e-12 < current && best.is_none_or(|(_, _, bv)| v < bv) {
+                        best = Some((j, candidate, v));
+                    }
+                }
+            }
+            let Some((j, value, v)) = best else { break };
+            point[j] = value;
+            current = v;
+        }
+        model.is_feasible(&point, 1e-6).then_some(point)
+    }
+
+    /// `greedy_repair` returns what the reference walk returns, down to the
+    /// bits of every coordinate, on random models: integer, binary and
+    /// continuous columns, `≤`/`≥`/`=` rows with roundoff-prone
+    /// coefficients, rows that list one variable twice, and walks that
+    /// finish, stall or never start.
+    #[test]
+    fn greedy_repair_walks_exactly_as_the_reference() {
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let coeffs = [1.0, -1.0, 2.0, 0.5, 0.1, -0.3, 3.0, -2.5, 0.7];
+        let ops = [CmpOp::Le, CmpOp::Ge, CmpOp::Eq];
+        let (mut rounded_ok, mut walked_ok, mut stalled) = (0, 0, 0);
+        for case in 0..600 {
+            let mut m = Model::new("repair");
+            let n = 2 + next(10);
+            let vars: Vec<_> = (0..n)
+                .map(|_| match next(4) {
+                    0 => m.binary("b"),
+                    1 => m.continuous("c", 0.0, 3.0),
+                    _ => m.integer("i", 0.0, (1 + next(5)) as f64),
+                })
+                .collect();
+            for _ in 0..1 + next(9) {
+                let mut terms: Vec<(VarId, f64)> = Vec::new();
+                for _ in 0..1 + next(4) {
+                    terms.push((vars[next(n)], coeffs[next(coeffs.len())]));
+                }
+                if next(3) != 0 {
+                    // Builder rows hold each variable once, ascending.
+                    terms.sort_by_key(|&(v, _)| v.index());
+                    terms.dedup_by_key(|&mut (v, _)| v);
+                }
+                let rhs = (next(60) as f64 - 10.0) / 10.0;
+                m.rows.push(&terms, ops[next(ops.len())], rhs);
+            }
+            let lp = m.to_lp();
+            let relax: Vec<f64> = (0..n)
+                .map(|j| lp.lower[j] + (lp.upper[j] - lp.lower[j]) * next(1_000) as f64 / 999.0)
+                .collect();
+            let integral = m.integral_vars();
+            let got = greedy_repair(&m, &lp, &relax, &integral);
+            let want = greedy_repair_reference(&m, &lp, &relax, &integral);
+            let bits = |p: &Option<Vec<f64>>| {
+                p.as_ref().map(|p| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            let mut rounded = relax.clone();
+            for &j in &integral {
+                rounded[j] = rounded[j].round().clamp(lp.lower[j], lp.upper[j]);
+            }
+            match want {
+                None => stalled += 1,
+                Some(p) if p == rounded => rounded_ok += 1,
+                Some(_) => walked_ok += 1,
+            }
+        }
+        assert!(
+            rounded_ok > 20 && walked_ok > 20 && stalled > 20,
+            "{rounded_ok} rounded, {walked_ok} walked, {stalled} stalled"
+        );
     }
 
     /// An exact rung that always exhausts its budget.
