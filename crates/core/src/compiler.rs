@@ -77,9 +77,10 @@ pub struct CompilerConfig {
     /// accept higher utilization than the multi-FPGA partitioner, paying
     /// frequency instead).
     pub single_fpga_threshold: f64,
-    /// ILP solver backend/threads/caching, applied to *both* floorplanning
-    /// stages by [`Compiler::compile`] (call [`partition`] / [`floorplan`]
-    /// directly with per-stage [`SolverOptions`] for finer control).
+    /// ILP solver options (threads, caching, degradation), applied to
+    /// *both* floorplanning stages by [`Compiler::compile`] (call
+    /// [`partition`] / [`floorplan`] directly with per-stage
+    /// [`SolverOptions`] for finer control).
     pub solver: SolverOptions,
 }
 

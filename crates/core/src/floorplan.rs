@@ -59,8 +59,8 @@ pub struct FloorplanConfig {
     pub refine_passes: usize,
     /// Balance slack for *unpinned* load across region halves.
     pub balance_slack: f64,
-    /// Solver backend, worker-thread count and caching for the region
-    /// split ILPs (also gates the concurrent recursion over the halves).
+    /// Solver options (worker-thread count, caching, degradation) for the
+    /// region split ILPs (also gates the concurrent recursion over the halves).
     pub solver: SolverOptions,
     /// Job-level cancellation token threaded into every region-split
     /// solve; see [`crate::partition::PartitionConfig::cancel`] for the

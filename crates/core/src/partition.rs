@@ -52,8 +52,8 @@ pub struct PartitionConfig {
     /// `(1 - slack) × fair_share` of the binding resource ("ensuring the
     /// compute-load between the multiple FPGAs is balanced", §4.1).
     pub balance_slack: f64,
-    /// Solver backend, worker-thread count and caching for the bisection
-    /// ILPs (also gates the concurrent recursion over the two halves).
+    /// Solver options (worker-thread count, caching, degradation) for the
+    /// bisection ILPs (also gates the concurrent recursion over the two halves).
     pub solver: SolverOptions,
     /// Job-level cancellation token threaded into every bisection solve.
     /// The batch engine installs one per [`crate::batch::CompileJob`]

@@ -1,7 +1,7 @@
 //! Search-independent pieces of branch and bound — root presolve wiring,
 //! objective-granularity tightening, the rounding heuristic, cancel-error
 //! mapping — plus the unit tests of the whole search through
-//! [`Model::solve`]. The driver itself is [`crate::ParallelSolver`].
+//! [`Model::solve`]. The driver itself is [`crate::parallel::search`].
 
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;

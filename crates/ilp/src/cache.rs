@@ -5,12 +5,15 @@
 //! produces structurally identical subproblems across sweep points. Caching
 //! `canonical model → solution` turns those repeats into hash lookups.
 //!
-//! Keys are the full canonical byte encoding of the model (variables,
-//! constraints, objective), the budget-relevant [`SolverConfig`] fields and
-//! the backend [name](crate::Solver::name) — not a lossy hash — so a hit
-//! can never return the solution of a different model. Backends are part of
-//! the key because two exact solvers may legitimately return different
-//! (equally optimal) points, and replaying the wrong one would break the
+//! [`Model::solve_with_options`] is the one caller: it looks a solve up,
+//! and stores what its search answered. Keys are the full canonical byte
+//! encoding of the model (variables, constraints, objective), the
+//! budget-relevant [`SolverConfig`] fields and a head naming the
+//! [`SolverOptions`](crate::SolverOptions) that can change the answer
+//! (`SolverOptions::cache_key_head`) — not a lossy hash — so a hit can
+//! never return the solution of a different model. The options are part of
+//! the key because two of them may legitimately return different (equally
+//! optimal) points, and replaying the wrong one would break the
 //! determinism guarantee.
 //!
 //! # Persistence
@@ -35,8 +38,8 @@
 //! original — so the evidence survives for inspection, the next
 //! [`SolveCache::save_to`] writes a fresh valid file, and the sweep simply
 //! runs cold. Degraded solutions (see [`Solution::degraded`]) are never
-//! inserted: a fallback point must not masquerade as the exact backend's
-//! answer on the next warm run. A stored answer that fails its certificate
+//! inserted: a fallback point must not masquerade as the search's answer
+//! on the next warm run. A stored answer that fails its certificate
 //! when served is dropped and solved afresh, so one bad entry costs one
 //! re-solve, not a degraded answer on every later lookup.
 
@@ -46,10 +49,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::IlpError;
 use crate::model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
 use crate::solution::{Solution, SolveStatus};
-use crate::solver::Solver;
 
 /// Entries kept at most; inserts beyond this are dropped (the floorplanning
 /// workloads stay far below it, this only bounds pathological sweeps).
@@ -415,13 +416,13 @@ impl SolveCache {
         }
     }
 
-    /// The process-wide cache used by [`CachingSolver`].
+    /// The process-wide cache [`Model::solve_with_options`] uses.
     pub fn global() -> &'static SolveCache {
         static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
         GLOBAL.get_or_init(SolveCache::new)
     }
 
-    fn lookup(&self, key: &[u8]) -> Option<Solution> {
+    pub(crate) fn lookup(&self, key: &[u8]) -> Option<Solution> {
         let found = self.inner.lock().unwrap().get(key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -430,11 +431,15 @@ impl SolveCache {
         found
     }
 
-    fn insert(&self, key: Vec<u8>, solution: Solution) {
+    pub(crate) fn insert(&self, key: Vec<u8>, solution: Solution) {
         let mut guard = self.inner.lock().unwrap();
         if guard.len() < MAX_ENTRIES {
             guard.insert(key, solution);
         }
+    }
+
+    pub(crate) fn remove(&self, key: &[u8]) {
+        self.inner.lock().unwrap().remove(key);
     }
 
     /// Current counters.
@@ -475,7 +480,7 @@ impl SolveCache {
     /// Transient IO failures are retried with a short deterministic
     /// backoff (see the module's *Robustness* notes); entries flagged
     /// [`Solution::degraded`] never reach the map (see
-    /// [`CachingSolver`]) so they are never persisted either.
+    /// [`Model::solve_with_options`]) so they are never persisted either.
     ///
     /// # Errors
     ///
@@ -612,9 +617,9 @@ const TERM_BYTES: usize = std::mem::size_of::<usize>() + 8;
 
 /// The length of [`canonical_key`]'s encoding, section by section, so the
 /// key is written into one allocation of exactly its size.
-fn canonical_key_len(backend: &str, model: &Model, config: &SolverConfig) -> usize {
-    // Backend, separator, `max_nodes`, then three `f64` settings.
-    let header = backend.len() + 1 + std::mem::size_of::<usize>() + 3 * 8;
+fn canonical_key_len(head: &str, model: &Model, config: &SolverConfig) -> usize {
+    // Head, separator, `max_nodes`, then three `f64` settings.
+    let header = head.len() + 1 + std::mem::size_of::<usize>() + 3 * 8;
     let limit = if config.time_limit.is_some() { 1 + 16 } else { 1 };
     let objective = 1 + 8 + TERM_BYTES * model.objective.len() + 1;
     let vars = 17 * model.vars.len() + 1;
@@ -622,13 +627,13 @@ fn canonical_key_len(backend: &str, model: &Model, config: &SolverConfig) -> usi
     header + limit + objective + vars + rows
 }
 
-/// Canonical byte encoding of `(backend, config, model)`. Structurally
-/// identical models encode identically: the builders' labels are not even
-/// stored.
-fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
-    let len = canonical_key_len(backend, model, config);
+/// Canonical byte encoding of `(head, config, model)`, `head` being
+/// `SolverOptions::cache_key_head`. Structurally identical models encode
+/// identically: the builders' labels are not even stored.
+pub(crate) fn canonical_key(head: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
+    let len = canonical_key_len(head, model, config);
     let mut key = Vec::with_capacity(len);
-    key.extend_from_slice(backend.as_bytes());
+    key.extend_from_slice(head.as_bytes());
     key.push(0xff);
 
     // Budget-relevant config: a tighter budget may return a different
@@ -690,78 +695,10 @@ fn canonical_key(backend: &str, model: &Model, config: &SolverConfig) -> Vec<u8>
     key
 }
 
-/// Decorator that memoizes an inner backend in the
-/// [global cache](SolveCache::global). Only successful solves are stored;
-/// error outcomes (infeasible models fail at the root LP) re-solve cheaply.
-pub struct CachingSolver {
-    inner: Box<dyn Solver>,
-    /// The inner backend's [name](Solver::name), the head of every key.
-    backend: String,
-}
-
-impl CachingSolver {
-    /// Wraps `inner` with memoization.
-    pub fn new(inner: Box<dyn Solver>) -> Self {
-        let backend = inner.name();
-        Self { inner, backend }
-    }
-}
-
-impl Solver for CachingSolver {
-    fn name(&self) -> String {
-        format!("cached({})", self.backend)
-    }
-
-    fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let key = canonical_key(&self.backend, model, config);
-        let cache = SolveCache::global();
-        if let Some(hit) = cache.lookup(&key) {
-            return Ok(hit);
-        }
-        let solution = self.inner.solve(model, config)?;
-        // A degraded (budget-truncated) point is whatever the clock allowed,
-        // not a function of the model — replaying it on a later run would
-        // freeze an accident of timing into the cache.
-        if !solution.degraded {
-            cache.insert(key, solution.clone());
-        }
-        Ok(solution)
-    }
-}
-
-/// Answers `model` after the answer `options.solver()` returned failed its
-/// certificate while `options.cache` was set. That answer may be a stored
-/// entry — a damaged or foreign file can pass its checksum — which the map
-/// would serve on every later lookup and the next save would persist. So
-/// the entry goes, the model is solved once more with the cache bypassed,
-/// and a certified, non-degraded answer takes the entry's place.
-///
-/// A fresh answer that failed is dropped the same way, at the price of a
-/// second solve, which fails alike and returns its
-/// [`IlpError::Uncertified`].
-pub(crate) fn solve_past_rejected_answer(
-    model: &Model,
-    config: &SolverConfig,
-    options: &crate::SolverOptions,
-) -> Result<Solution, IlpError> {
-    // With the cache off the ladder reports the bare backend's name, the
-    // name `CachingSolver` keys on.
-    let solver = crate::SolverOptions { cache: false, ..options.clone() }.solver();
-    let key = canonical_key(&solver.name(), model, config);
-    let cache = SolveCache::global();
-    cache.inner.lock().unwrap().remove(&key);
-    let solution = solver.solve(model, config)?;
-    crate::certify(model, config, &solution)?;
-    if !solution.degraded {
-        cache.insert(key, solution.clone());
-    }
-    Ok(solution)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ParallelSolver, Sense};
+    use crate::{Sense, SolverOptions};
 
     /// The cache is process-global and the test harness runs tests
     /// concurrently; serialize the tests that clear it or count deltas.
@@ -788,10 +725,10 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
+        let options = SolverOptions { degrade: false, ..SolverOptions::default() };
         let cfg = SolverConfig::default();
 
-        let first = solver.solve(&model(1.0), &cfg).unwrap();
+        let first = model(1.0).solve_with_options(&cfg, &options).unwrap();
         let before = cache.stats();
         // Same structure, different diagnostic names: must hit.
         let mut renamed = Model::new("other-name");
@@ -799,12 +736,49 @@ mod tests {
         let y = renamed.integer("b", 0.0, 9.0);
         renamed.add_le("k", 2.0 * x + 3.0 * y, 12.0);
         renamed.set_objective(Sense::Maximize, 5.0 * x + 4.0 * y);
-        let second = solver.solve(&renamed, &cfg).unwrap();
+        let second = renamed.solve_with_options(&cfg, &options).unwrap();
         let after = cache.stats();
 
         assert_eq!(first.values, second.values);
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.entries, before.entries);
+    }
+
+    /// A degraded answer never reaches the cache, with the cache and the
+    /// degradation ladder both on. A zero budget cancels the search at its
+    /// root, so the ladder answers a model whose root relaxation is
+    /// fractional (`b = 2/3`). The full-budget solve after it must search,
+    /// not replay, and its exact answer is the one entry the pair adds.
+    /// (Other unit tests run degraded solves concurrently, so lookups are
+    /// counted through this thread's activity, not the global counters.)
+    #[test]
+    fn a_degraded_answer_never_reaches_the_cache() {
+        use crate::stats::SolveActivity;
+        use std::sync::Arc;
+        let _guard = TEST_LOCK.lock().unwrap();
+        let cache = SolveCache::global();
+        let mut m = Model::new("must-branch");
+        let [a, b, c] = [m.binary("a"), m.binary("b"), m.binary("c")];
+        m.add_le("cap", 2.0 * a + 3.0 * b + c, 5.0);
+        m.set_objective(Sense::Maximize, 5.0 * a + 4.0 * b + 3.0 * c);
+        let options = SolverOptions::default();
+        assert!(options.cache && options.degrade);
+
+        let entries = cache.stats().entries;
+        let zero = SolverConfig::with_time_limit(std::time::Duration::ZERO);
+        let fallback = m.solve_with_options(&zero, &options).unwrap();
+        assert!(fallback.degraded, "{fallback:?}");
+        assert_eq!(cache.stats().entries, entries, "the degraded answer was stored");
+
+        let scope = Arc::new(SolveActivity::default());
+        let full = SolveActivity::scoped(&scope, || {
+            m.solve_with_options(&SolverConfig::default(), &options)
+        })
+        .unwrap();
+        assert!(!full.degraded, "{full:?}");
+        assert_eq!(full.objective, 9.0);
+        assert!(scope.snapshot().bb_nodes > 0, "the full-budget solve searched");
+        assert_eq!(cache.stats().entries, entries + 1, "the exact answer is stored");
     }
 
     #[test]
@@ -845,8 +819,8 @@ mod tests {
     fn clear_resets_counters() {
         let _guard = TEST_LOCK.lock().unwrap();
         let cache = SolveCache::global();
-        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
-        solver.solve(&model(1.0), &SolverConfig::default()).unwrap();
+        let options = SolverOptions { degrade: false, ..SolverOptions::default() };
+        model(1.0).solve_with_options(&SolverConfig::default(), &options).unwrap();
         cache.clear();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));

@@ -9,16 +9,16 @@
 //! a wall-clock deadline so large instances behave like a commercial
 //! solver under a time limit.
 //!
-//! Solving is pluggable through the [`Solver`] trait: the branch and bound
-//! ([`ParallelSolver`], deterministic and single-threaded — it expands the
-//! open-node frontier in fixed-width rounds on the calling thread) and a
-//! greedy [`HeuristicSolver`] used as a
-//! warm-start incumbent and as the degradation fallback. [`SolverOptions`]
-//! selects a backend (and the process-wide [`SolveCache`] memoization) and
-//! is what the TAPA-CS compiler threads through its configuration structs.
-//! Whatever path produced it, every answer returned by
-//! [`Model::solve_with_options`] is re-checked against the original model
-//! by [`certify`].
+//! Every solve goes through one entry point, [`Model::solve_with_options`],
+//! which reads [`SolverOptions`] (what the TAPA-CS compiler threads through
+//! its configuration structs) directly: a lookup in the process-wide
+//! [`SolveCache`], the branch and bound (deterministic and single-threaded
+//! — it expands the open-node frontier in fixed-width rounds on the calling
+//! thread), and, when that search runs out of budget with no incumbent, a
+//! greedy LP-rounding heuristic as the degradation fallback (the same walk
+//! seeds the search's incumbent). Whatever path produced it, every answer
+//! is re-checked against the original model by [`certify`], and only a
+//! certified, non-degraded answer of the search is stored in the cache.
 //!
 //! Node solves are *incremental*: each model is presolved once at the root
 //! (bound tightening, row removal, fixed columns, dual fixing), nodes
@@ -73,7 +73,7 @@ mod solver;
 mod sparse;
 mod stats;
 
-pub use cache::{CacheFileError, CacheStats, CachingSolver, SolveCache, SOLVE_CACHE_FILE};
+pub use cache::{CacheFileError, CacheStats, SolveCache, SOLVE_CACHE_FILE};
 pub use cancel::CancellationToken;
 pub use certificate::{certify, CertificateError};
 pub use error::IlpError;
@@ -82,8 +82,7 @@ pub use fault::{
     fault_fires, fault_registry, install_faults, FaultKind, FaultRegistry, INJECTED_PANIC_MARKER,
 };
 pub use model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
-pub use parallel::ParallelSolver;
 pub use simplex::{LpEngine, LpParity};
 pub use solution::{Solution, SolveStatus};
-pub use solver::{DegradingSolver, HeuristicSolver, Solver, SolverBackend, SolverOptions};
+pub use solver::{SolverBackend, SolverOptions};
 pub use stats::{SolveActivity, SolveStats};

@@ -7,11 +7,13 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
+use crate::cache::{canonical_key, SolveCache};
 use crate::cancel::{effective_token, CancellationToken};
 use crate::error::IlpError;
 use crate::expr::{merge_term, LinExpr};
 use crate::simplex::{LpProblem, LpRows};
 use crate::solution::Solution;
+use crate::solver::{heuristic, solve_lp, SolverOptions};
 
 /// Opaque handle to a model variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -453,9 +455,14 @@ impl Model {
     }
 
     /// Solves with an explicit configuration: the branch and bound under
-    /// otherwise default [`crate::SolverOptions`], without the heuristic
-    /// incumbent seed, the memo cache or the degradation ladder. Same
-    /// search, point for point, as the compiler's solves.
+    /// otherwise default [`SolverOptions`], without the memo cache or the
+    /// degradation ladder, and without the heuristic incumbent seed
+    /// ([`SolverOptions::warm_start`]) that the compiler's solves run with.
+    /// So it runs the compiler's search code, but not always the
+    /// compiler's search: where rounding the root relaxation is infeasible,
+    /// the compiler's solve starts from the seed's incumbent, which can
+    /// prune other nodes, return another point among equal objectives, and
+    /// turn an out-of-budget [`IlpError::NoIncumbent`] into a seeded answer.
     ///
     /// If the model has no integer variables this is a single simplex solve.
     ///
@@ -463,42 +470,83 @@ impl Model {
     ///
     /// See [`Model::solve`].
     pub fn solve_with(&self, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let options = crate::SolverOptions {
-            backend: crate::SolverBackend::Parallel,
-            warm_start: false,
-            cache: false,
-            degrade: false,
-            ..crate::SolverOptions::default()
-        };
+        let options =
+            SolverOptions { warm_start: false, cache: false, degrade: false, ..Default::default() };
         self.solve_with_options(config, &options)
     }
 
-    /// Solves through a configurable [`crate::Solver`] backend — see
-    /// [`crate::SolverOptions`] for backend selection and caching.
-    /// Every answer, fresh or replayed from the cache, is re-checked
-    /// against this model by [`crate::certify`] before it is returned. When
-    /// caching is on, an answer that fails is dropped from the cache and
-    /// the model is solved once more with the cache bypassed.
+    /// Solves under `config`'s budget with `options` — the one solve path,
+    /// which the compiler and every `Model::solve*` run, in this order:
+    ///
+    /// 1. the model's data and `config` are checked (see [`Model::solve`]);
+    /// 2. with [`SolverOptions::cache`], a stored answer for the same model,
+    ///    budget and options is returned if it passes [`crate::certify`];
+    ///    one that fails is dropped from the cache and the model is solved
+    ///    afresh, so a damaged entry costs one solve, not a degraded answer
+    ///    on every later lookup;
+    /// 3. a model without integer variables is one simplex solve; any other
+    ///    runs the branch and bound;
+    /// 4. when that search spends its budget with no incumbent
+    ///    ([`IlpError::NoIncumbent`]) and [`SolverOptions::degrade`] is set,
+    ///    the root relaxation rounded and repaired by a greedy first-fit
+    ///    walk answers instead, marked [`Solution::degraded`]; an external
+    ///    cancel still returns [`IlpError::Cancelled`];
+    /// 5. the answer is checked by [`crate::certify`];
+    /// 6. with [`SolverOptions::cache`], a certified answer that is not
+    ///    degraded — so the search's, never the ladder's — is stored. A
+    ///    degraded point is whatever the clock allowed, not a function of
+    ///    the model, so it never is.
     ///
     /// # Errors
     ///
     /// See [`Model::solve`]; additionally [`IlpError::Uncertified`] when
-    /// the backend's answer fails the certificate.
+    /// the answer fails the certificate, and [`IlpError::Cancelled`] when
+    /// `config.cancel` was tripped.
     pub fn solve_with_options(
         &self,
         config: &SolverConfig,
-        options: &crate::SolverOptions,
+        options: &SolverOptions,
     ) -> Result<Solution, IlpError> {
         self.check_finite()?;
         config.check()?;
-        let solution = options.solver().solve(self, config)?;
-        match crate::certify(self, config, &solution) {
-            Ok(()) => Ok(solution),
-            Err(_) if options.cache => {
-                crate::cache::solve_past_rejected_answer(self, config, options)
+        let cache = SolveCache::global();
+        let key = options.cache.then(|| canonical_key(&options.cache_key_head(), self, config));
+        if let Some(key) = &key {
+            if let Some(hit) = cache.lookup(key) {
+                // A damaged or foreign file can pass its checksum; its
+                // entry would be served on every later lookup and persisted
+                // by the next save.
+                if crate::certify(self, config, &hit).is_ok() {
+                    return Ok(hit);
+                }
+                cache.remove(key);
             }
-            Err(why) => Err(why.into()),
         }
+        let integral = self.integral_vars();
+        let searched = if integral.is_empty() {
+            solve_lp(self, options.lp_engine, options.lp_parity, config.deadline_token())
+        } else {
+            crate::parallel::search(self, config, options, &integral)
+        };
+        let solution = match searched {
+            Err(IlpError::NoIncumbent) if options.degrade => {
+                if config.cancel.as_ref().is_some_and(CancellationToken::cancelled_externally) {
+                    return Err(IlpError::Cancelled);
+                }
+                // The heuristic's own status stays truthful (it may even
+                // prove optimality at the root); `degraded` alone records
+                // that the ladder produced this point.
+                Solution { degraded: true, ..heuristic(self, &integral, options)? }
+            }
+            searched => searched?,
+        };
+        crate::certify(self, config, &solution)?;
+        // Every ladder answer is degraded, and so is a search's
+        // budget-truncated incumbent: neither is stored.
+        if let Some(key) = key.filter(|_| !solution.degraded) {
+            cache.insert(key, solution.clone());
+        }
+        Ok(solution)
     }
 }
 
@@ -552,7 +600,7 @@ mod tests {
             let y = m.continuous("y", 0.0, 4.0);
             m.set_objective(Sense::Maximize, x + y);
             build(&mut m, x, y);
-            let options = crate::SolverOptions::default();
+            let options = SolverOptions::default();
             for got in [m.solve(), m.solve_with_options(&SolverConfig::default(), &options)] {
                 assert!(matches!(got, Err(IlpError::InvalidModel(_))), "{name}: {got:?}");
             }
@@ -590,7 +638,7 @@ mod tests {
                 SolverConfig { objective_granularity: f64::INFINITY, ..Default::default() },
             ),
         ];
-        let options = crate::SolverOptions::default();
+        let options = SolverOptions::default();
         for (field, config) in bad {
             for got in [m.solve_with(&config), m.solve_with_options(&config, &options)] {
                 match got {
@@ -623,7 +671,7 @@ mod tests {
         m.set_objective(Sense::Maximize, 5.0 * a + 4.0 * b + 3.0 * c);
         let config = SolverConfig { int_tol: 0.4, ..Default::default() };
         assert_eq!(m.solve_with(&config).unwrap_err(), IlpError::NoIncumbent);
-        let sol = m.solve_with_options(&config, &crate::SolverOptions::default()).unwrap();
+        let sol = m.solve_with_options(&config, &SolverOptions::default()).unwrap();
         assert_eq!(sol.status, SolveStatus::Feasible, "{sol:?}");
         assert!(sol.degraded, "{sol:?}");
         assert_eq!(sol.objective, 7.0);

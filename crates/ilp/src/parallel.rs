@@ -1,5 +1,6 @@
-//! Deterministic round-based branch and bound — the crate's one search
-//! driver.
+//! Deterministic round-based branch and bound ([`search`]) — the crate's
+//! one search driver, which [`Model::solve_with_options`] runs on every
+//! model with integral variables.
 //!
 //! The search runs in synchronous rounds on the calling thread: every round
 //! pops the best (up to) [`BATCH`] open nodes off the frontier, expands the
@@ -51,7 +52,7 @@
 //! prune. The leader-follower round (the best node expands first and its
 //! incumbent bars dominated followers) and the width ramp bound that
 //! overhead. Measured against the best-first driver this one replaced
-//! (README, "Solver backends", has the table): the same node count to
+//! (README, "The solver", has the table): the same node count to
 //! 0.02 % on the knn benchmark workload, 6 % fewer on cnn, 2.35× more on
 //! the stencil DSE grid, whose bound plateaus make the FIFO `seq` tie order
 //! and follower speculation expensive (ROADMAP item 3 keeps that open).
@@ -70,6 +71,7 @@ use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta, Pa
 use crate::presolve::{activity_range, PresolvedLp};
 use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, TOL};
 use crate::solution::{Solution, SolveStatus};
+use crate::solver::SolverOptions;
 use crate::stats::{self, SolveStats};
 
 /// Frontier nodes expanded per synchronous round, once the width ramp
@@ -215,11 +217,10 @@ fn offer(incumbent: &mut Option<Incumbent>, obj: f64, values: &[f64]) {
 }
 
 /// Everything the attempts and expansion slots of one solve share: built
-/// once in [`ParallelSolver::solve`](crate::Solver::solve), read-only from
-/// then on.
+/// once in [`search`], read-only from then on.
 struct SearchCtx<'a> {
-    /// The solver's own flags: incumbent seed, LP warm starts, engine, parity.
-    solver: &'a ParallelSolver,
+    /// The caller's options: incumbent seed, LP warm starts, engine, parity.
+    options: &'a SolverOptions,
     model: &'a Model,
     config: &'a SolverConfig,
     full_lp: &'a LpProblem<'a>,
@@ -321,7 +322,7 @@ fn expand_node(
 /// Solves the two branching children of a fractional node on its column
 /// `j = branch.var` at LP value `v = branch.value`: `j <= floor(v)` and
 /// `j >= ceil(v)`, warm-started from the node's basis unless
-/// [`ParallelSolver::warm_lp`] is off. Both come from one install of that
+/// [`SolverOptions::warm_lp`] is off. Both come from one install of that
 /// basis ([`PreparedLp::solve_children`]).
 ///
 /// A child never reaches an LP when its box is empty or when presolve's
@@ -341,7 +342,7 @@ fn expand_children(
     upper: &mut Vec<f64>,
 ) -> Expansion {
     let lp = &ctx.pre.lp;
-    let warm = if ctx.solver.warm_lp { Some(branch.basis.as_ref()) } else { None };
+    let warm = if ctx.options.warm_lp { Some(branch.basis.as_ref()) } else { None };
     branch.chain.resolve(&lp.lower, &lp.upper, lower, upper);
     let (j, branch_value) = (branch.var, branch.value);
     let (node_lo, node_hi) = (lower[j], upper[j]);
@@ -396,8 +397,8 @@ fn expand_children(
 fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpError> {
     let (config, lp) = (ctx.config, &ctx.pre.lp);
     let restart_eligible = !kit
-        && ctx.solver.lp_parity == LpParity::Fast
-        && matches!(ctx.solver.lp_engine, LpEngine::Sparse);
+        && ctx.options.lp_parity == LpParity::Fast
+        && matches!(ctx.options.lp_engine, LpEngine::Sparse);
     let restart_after = kit_restart_after(lp.rows.len());
 
     // The root is node zero of the search: the kit verdict covers it too,
@@ -420,13 +421,13 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
 
     // Seed the incumbent from the already-solved root relaxation, at zero
     // extra LP solves: plain rounding, escalated to the greedy first-fit
-    // repair walk (the [`crate::HeuristicSolver`] heuristic) when
-    // [`ParallelSolver::warm_start`] is on and rounding alone is infeasible.
+    // repair walk (the one the degradation ladder's last rung runs) when
+    // [`SolverOptions::warm_start`] is on and rounding alone is infeasible.
     // Candidates live in the *original* variable space (postsolved).
     let mut incumbent: Option<Incumbent> = None;
     let full_relax = ctx.pre.postsolve(&root_relax);
     let mut seed = round_repair(ctx.model, &full_relax, ctx.integral);
-    if seed.is_none() && ctx.solver.warm_start {
+    if seed.is_none() && ctx.options.warm_start {
         seed = crate::solver::greedy_repair(ctx.model, ctx.full_lp, &full_relax, ctx.integral);
     }
     if let Some(point) = seed {
@@ -605,103 +606,55 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
     }
 }
 
-/// Round-based branch and bound over the simplex LP relaxation — the exact
-/// search behind [`crate::SolverBackend::Parallel`] and [`Model::solve`].
+/// Round-based branch and bound over the simplex LP relaxation of `model`,
+/// whose integral variables are `integral` (not empty) — the search
+/// [`Model::solve_with_options`] runs, with `options`' incumbent seed,
+/// presolve, LP warm starts, engine and parity.
 ///
-/// *Value-deterministic*: for a given model and configuration the returned
-/// point, tree and LP work are the same on every run. The search runs on
-/// the calling thread and spawns none; compile-time parallelism lives in
-/// the bisection recursion and the batch queue.
-#[derive(Debug, Clone)]
-pub struct ParallelSolver {
-    /// Seed the incumbent with [`crate::HeuristicSolver`]'s point before
-    /// the search starts.
-    pub warm_start: bool,
-    /// Run the root presolve (see [`crate::SolverOptions::presolve`]).
-    pub presolve: bool,
-    /// Warm-start child LPs from the parent basis.
-    pub warm_lp: bool,
-    /// Which simplex engine runs the node LP relaxations.
-    pub lp_engine: LpEngine,
-    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
-    pub lp_parity: LpParity,
-}
+/// *Value-deterministic*: for a given model, configuration and options the
+/// returned point, tree and LP work are the same on every run. The search
+/// runs on the calling thread and spawns none; compile-time parallelism
+/// lives in the bisection recursion and the batch queue.
+pub(crate) fn search(
+    model: &Model,
+    config: &SolverConfig,
+    options: &SolverOptions,
+    integral: &[usize],
+) -> Result<Solution, IlpError> {
+    let full_lp = model.to_lp();
+    let token = config.deadline_token();
+    let (pre, red_integral) = presolved_root(&full_lp, integral, options.presolve)?;
+    let mut prep = PreparedLp::new(&pre.lp, options.lp_engine, options.lp_parity);
+    prep.set_cancel(token.clone());
+    let ctx = SearchCtx {
+        options,
+        model,
+        config,
+        full_lp: &full_lp,
+        pre: &pre,
+        prep: &prep,
+        integral,
+        red_integral: &red_integral,
+        token,
+    };
 
-impl Default for ParallelSolver {
-    fn default() -> Self {
-        Self {
-            warm_start: true,
-            presolve: true,
-            warm_lp: true,
-            lp_engine: LpEngine::Sparse,
-            lp_parity: LpParity::Fast,
-        }
-    }
-}
-
-impl crate::Solver for ParallelSolver {
-    fn name(&self) -> String {
-        let mut name = String::from("parallel");
-        if self.warm_start {
-            name.push_str("+warm");
-        }
-        if !self.presolve {
-            name.push_str("-nopresolve");
-        }
-        if !self.warm_lp {
-            name.push_str("-coldlp");
-        }
-        name.push_str(crate::solver::lp_name_suffix(self.lp_engine, self.lp_parity));
-        name
-    }
-
-    fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError> {
-        let integral = model.integral_vars();
-        if integral.is_empty() {
-            // Honor the configured engine even on the pure-LP fast path.
-            return crate::solver::solve_lp(
-                model,
-                self.lp_engine,
-                self.lp_parity,
-                config.deadline_token(),
-            );
-        }
-        let full_lp = model.to_lp();
-        let token = config.deadline_token();
-        let (pre, red_integral) = presolved_root(&full_lp, &integral, self.presolve)?;
-        let mut prep = PreparedLp::new(&pre.lp, self.lp_engine, self.lp_parity);
-        prep.set_cancel(token.clone());
-        let ctx = SearchCtx {
-            solver: self,
-            model,
-            config,
-            full_lp: &full_lp,
-            pre: &pre,
-            prep: &prep,
-            integral: &integral,
-            red_integral: &red_integral,
-            token,
-        };
-
-        // Fast-parity kit restart (see [`kit_restart_after`]): the first
-        // attempt runs with the kit off — bit-exact replay of the exact
-        // trajectory, which is the fastest regime for small trees. If the
-        // tree reaches the restart point the search has proven big, the
-        // attempt is abandoned and the whole search restarts with the kit on
-        // from the root, where its per-solve savings repay the redone nodes
-        // many times over. The restart point is 384 nodes, fewer on LPs of
-        // more than 128 rows, whose kit-off nodes cost proportionally more.
-        // The trigger is the expanded-node count at a round boundary against
-        // the presolved row count — a pure function of the model, so the
-        // restart decision and the restarted trajectory are deterministic.
-        // The restarted attempt reads nothing of the abandoned one, so the
-        // restart point decides only *whether* a search restarts, never what
-        // a restarted search returns.
-        match search_once(&ctx, false)? {
-            Some(sol) => Ok(sol),
-            None => {
-                Ok(search_once(&ctx, true)?.expect("a kit-enabled search never requests a restart"))
-            }
+    // Fast-parity kit restart (see [`kit_restart_after`]): the first
+    // attempt runs with the kit off — bit-exact replay of the exact
+    // trajectory, which is the fastest regime for small trees. If the tree
+    // reaches the restart point the search has proven big, the attempt is
+    // abandoned and the whole search restarts with the kit on from the
+    // root, where its per-solve savings repay the redone nodes many times
+    // over. The restart point is 384 nodes, fewer on LPs of more than 128
+    // rows, whose kit-off nodes cost proportionally more. The trigger is
+    // the expanded-node count at a round boundary against the presolved row
+    // count — a pure function of the model, so the restart decision and the
+    // restarted trajectory are deterministic. The restarted attempt reads
+    // nothing of the abandoned one, so the restart point decides only
+    // *whether* a search restarts, never what a restarted search returns.
+    match search_once(&ctx, false)? {
+        Some(sol) => Ok(sol),
+        None => {
+            Ok(search_once(&ctx, true)?.expect("a kit-enabled search never requests a restart"))
         }
     }
 }
@@ -711,7 +664,12 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::{LinExpr, Sense, SolveStatus, Solver, SolverConfig};
+    use crate::{LinExpr, Sense, SolveStatus, SolverConfig};
+
+    /// The branch and bound alone: no memo cache, no degradation ladder.
+    fn search_only() -> SolverOptions {
+        SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
+    }
 
     fn knapsack(n: usize) -> Model {
         let mut m = Model::new("pk");
@@ -730,15 +688,16 @@ mod tests {
     }
 
     /// The convenience path *is* the production driver: `Model::solve_with`
-    /// runs this search, so it returns the bit-identical point and tree as
-    /// an explicit solve.
+    /// runs [`search`] with the incumbent seed off, so it returns the
+    /// bit-identical point and tree as a direct call of the driver with the
+    /// seed off.
     #[test]
     fn model_solve_with_runs_this_driver() {
         let m = knapsack(12);
         let cfg = SolverConfig::default();
         let convenience = m.solve_with(&cfg).unwrap();
-        let par =
-            ParallelSolver { warm_start: false, ..Default::default() }.solve(&m, &cfg).unwrap();
+        let options = SolverOptions { warm_start: false, ..SolverOptions::default() };
+        let par = search(&m, &cfg, &options, &m.integral_vars()).unwrap();
         assert_eq!(convenience.values, par.values);
         assert_eq!(convenience.objective.to_bits(), par.objective.to_bits());
         assert_eq!(convenience.nodes_explored, par.nodes_explored);
@@ -773,13 +732,13 @@ mod tests {
         let budget = kit_restart_after(rows);
         assert!(budget < crate::node::FAST_KIT_AFTER_NODES, "{rows} presolved rows");
         let handle = Arc::new(crate::SolveActivity::default());
+        let options = SolverOptions {
+            lp_engine: LpEngine::Sparse,
+            lp_parity: LpParity::Fast,
+            ..search_only()
+        };
         let sol = crate::SolveActivity::scoped(&handle, || {
-            ParallelSolver {
-                lp_engine: LpEngine::Sparse,
-                lp_parity: LpParity::Fast,
-                ..Default::default()
-            }
-            .solve(&m, &SolverConfig::default())
+            m.solve_with_options(&SolverConfig::default(), &options)
         })
         .unwrap();
         let abandoned = handle.snapshot().bb_nodes - sol.nodes_explored as u64;
@@ -831,10 +790,9 @@ mod tests {
         let m = plateau_bisection(14);
         let config = SolverConfig { objective_granularity: 32.0, ..SolverConfig::default() };
         let handle = Arc::new(crate::SolveActivity::default());
-        let sol = crate::SolveActivity::scoped(&handle, || {
-            ParallelSolver { warm_start: false, ..Default::default() }.solve(&m, &config)
-        })
-        .unwrap();
+        let options = SolverOptions { warm_start: false, ..search_only() };
+        let sol = crate::SolveActivity::scoped(&handle, || m.solve_with_options(&config, &options))
+            .unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(!sol.degraded);
         crate::certify(&m, &config, &sol).unwrap();
@@ -861,7 +819,7 @@ mod tests {
             m.set_objective(Sense::Minimize, c * x + 10.0 * y);
             let config = SolverConfig::default();
             assert_eq!(m.solve_with(&config).unwrap_err(), IlpError::NoIncumbent, "c={c} r={r}");
-            let sol = m.solve_with_options(&config, &crate::SolverOptions::default()).unwrap();
+            let sol = m.solve_with_options(&config, &SolverOptions::default()).unwrap();
             assert_eq!(sol.status, SolveStatus::Feasible, "c={c} r={r}: {sol:?}");
             assert!(sol.degraded, "c={c} r={r}: {sol:?}");
             assert_eq!(sol.values, [1.0, 0.0], "the heuristic seed");
@@ -874,7 +832,7 @@ mod tests {
         let mut m = Model::new("lp");
         let x = m.continuous("x", 0.0, 4.0);
         m.set_objective(Sense::Maximize, 3.0 * x);
-        let sol = ParallelSolver::default().solve(&m, &SolverConfig::default()).unwrap();
+        let sol = m.solve_with_options(&SolverConfig::default(), &search_only()).unwrap();
         assert!((sol.objective - 12.0).abs() < 1e-7);
     }
 
@@ -884,6 +842,6 @@ mod tests {
         let x = m.binary("x");
         m.add_ge("c", LinExpr::term(x, 1.0), 2.0);
         m.set_objective(Sense::Minimize, x.into());
-        assert!(ParallelSolver::default().solve(&m, &SolverConfig::default()).is_err());
+        assert!(m.solve_with_options(&SolverConfig::default(), &search_only()).is_err());
     }
 }

@@ -1161,19 +1161,10 @@ mod tests {
     fn engine_from_env_defaults_to_sparse() {
         // The defaults are constants whatever the process environment
         // holds: the sparse engine on the fast parity, for the branch and
-        // bound and for the heuristic `SolverOptions` builds.
-        let parallel = crate::ParallelSolver::default();
-        assert_eq!((parallel.lp_engine, parallel.lp_parity), (LpEngine::Sparse, LpParity::Fast));
-        let heuristic = crate::SolverOptions {
-            backend: crate::SolverBackend::Heuristic,
-            cache: false,
-            degrade: false,
-            ..crate::SolverOptions::default()
-        }
-        .solver();
-        let sparse_fast =
-            crate::HeuristicSolver { lp_engine: LpEngine::Sparse, lp_parity: LpParity::Fast };
-        assert_eq!(heuristic.name(), crate::Solver::name(&sparse_fast));
+        // bound and for the degradation ladder's heuristic rung alike.
+        let options = crate::SolverOptions::default();
+        assert_eq!((options.lp_engine, options.lp_parity), (LpEngine::Sparse, LpParity::Fast));
+        assert_eq!(options.cache_key_head(), "parallel+warm");
     }
 
     /// A column with one finite bound can end past it by roundoff: here

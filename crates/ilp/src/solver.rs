@@ -1,50 +1,25 @@
-//! Pluggable solver backends.
+//! The options of the one solve path, and the pieces it shares.
 //!
 //! TAPA-CS solves one small ILP per bipartition level; the two-level
 //! floorplanner produces many of them, and the recursion makes sibling
 //! subproblems independent, so the compiler may solve them on concurrent
 //! threads (see [`SolverOptions::threads`]); each solve itself runs on one
-//! thread. The [`Solver`] trait decouples *what* is solved ([`Model`] +
-//! [`SolverConfig`]) from *how*:
-//!
-//! * [`crate::ParallelSolver`] — the branch and bound: deterministic
-//!   round-based frontier expansion.
-//! * [`HeuristicSolver`] — greedy LP rounding with first-fit repair; fast,
-//!   feasibility-only. The branch and bound uses its point as a warm-start
-//!   incumbent.
-//!
-//! [`SolverOptions`] is the caller-facing selection knob.
+//! thread. Every solve goes through [`Model::solve_with_options`], which
+//! reads [`SolverOptions`] directly: the branch and bound
+//! ([`crate::parallel::search`]), the memo cache ([`crate::SolveCache`])
+//! and the degradation ladder, whose last rung is [`heuristic`]: greedy LP
+//! rounding with first-fit repair ([`greedy_repair`]), which the branch and
+//! bound also runs on its root relaxation to seed its incumbent.
 
 use crate::branch_bound::cancel_error;
-use crate::cache::CachingSolver;
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
-use crate::model::{Model, SolverConfig};
+use crate::model::Model;
 use crate::simplex::{self, LpEngine, LpOutcome, LpParity};
 use crate::solution::{Solution, SolveStatus};
 
-/// A mixed-integer solve strategy.
-///
-/// Implementations must be deterministic for a fixed model and
-/// configuration: TAPA-CS requires reproducible floorplans, and the
-/// [solve cache](crate::SolveCache) replays stored solutions.
-pub trait Solver: Send + Sync {
-    /// Stable backend identifier; part of the solve-cache key, so two
-    /// backends that may return different (equally optimal) points must
-    /// report different names.
-    fn name(&self) -> String;
-
-    /// Solves `model` under `config`'s budget.
-    ///
-    /// # Errors
-    ///
-    /// [`IlpError::Infeasible`], [`IlpError::Unbounded`] or
-    /// [`IlpError::NoIncumbent`] per the outcome of the search.
-    fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError>;
-}
-
-/// Single LP solve for models without integer variables — shared shortcut
-/// for every backend.
+/// Single LP solve for models without integer variables: the pure-LP
+/// shortcut of [`Model::solve_with_options`] and of [`heuristic`].
 pub(crate) fn solve_lp(
     model: &Model,
     engine: LpEngine,
@@ -214,87 +189,63 @@ fn column_rows(model: &Model, sc: &mut RepairScratch) {
     }
 }
 
-/// The LP half of a backend's [`Solver::name`] — and so of the solve-cache
-/// key. The default pair (sparse engine, fast parity) is unsuffixed; the
-/// oracle engine and the oracle-replay parity each add a suffix, so an
-/// answer computed under either can never be served under the default's
-/// name.
-pub(crate) fn lp_name_suffix(engine: LpEngine, parity: LpParity) -> &'static str {
-    match (engine, parity) {
-        (LpEngine::Sparse, LpParity::Fast) => "",
-        (LpEngine::Dense, LpParity::Fast) => "-denselp",
-        (LpEngine::Sparse, LpParity::Exact) => "-exactlp",
-        (LpEngine::Dense, LpParity::Exact) => "-denselp-exactlp",
-    }
-}
-
-/// Greedy LP-rounding + first-fit repair, packaged as a [`Solver`].
+/// The degradation ladder's last rung: the root LP relaxation, rounded and
+/// repaired by [`greedy_repair`], on `options`' LP engine and parity.
 ///
-/// Returns a *feasible* point fast (status [`SolveStatus::Feasible`], with
-/// the root LP objective as `best_bound`) or [`IlpError::NoIncumbent`] when
-/// the repair walk stalls. The branch and bound calls the same heuristic
-/// internally for its warm start.
-#[derive(Debug, Clone, Copy)]
-pub struct HeuristicSolver {
-    /// Which simplex engine solves the root relaxation.
-    pub lp_engine: LpEngine,
-    /// Arithmetic contract of the sparse engine (see [`LpParity`]).
-    pub lp_parity: LpParity,
+/// Returns a *feasible* point (status [`SolveStatus::Feasible`], with the
+/// root LP objective as `best_bound`; [`SolveStatus::Optimal`] when the
+/// point meets that bound) or [`IlpError::NoIncumbent`] when the repair
+/// walk stalls. A model without integral variables (`integral` empty) is
+/// one LP solve. Deliberately token-free: the rung runs after the search
+/// spent its budget, so it must stay usable past an expired deadline.
+pub(crate) fn heuristic(
+    model: &Model,
+    integral: &[usize],
+    options: &SolverOptions,
+) -> Result<Solution, IlpError> {
+    let (engine, parity) = (options.lp_engine, options.lp_parity);
+    if integral.is_empty() {
+        return solve_lp(model, engine, parity, None);
+    }
+    let lp = model.to_lp();
+    let (relax, root_obj) = match simplex::solve(&lp, engine, parity, None) {
+        LpOutcome::Optimal { values, objective, .. } => (values, objective),
+        LpOutcome::Infeasible => return Err(IlpError::Infeasible),
+        LpOutcome::Unbounded => return Err(IlpError::Unbounded),
+        // Unreachable without a token; grouped with "no point found".
+        LpOutcome::Cancelled => return Err(IlpError::NoIncumbent),
+    };
+    let Some(values) = greedy_repair(model, &lp, &relax, integral) else {
+        return Err(IlpError::NoIncumbent);
+    };
+    let objective = model.objective.eval(&values);
+    let proven = (objective - root_obj).abs() <= 1e-9 * objective.abs().max(1.0);
+    Ok(Solution {
+        status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
+        objective,
+        values,
+        nodes_explored: 0,
+        best_bound: root_obj,
+        degraded: false,
+    })
 }
 
-impl Solver for HeuristicSolver {
-    fn name(&self) -> String {
-        format!("heuristic{}", lp_name_suffix(self.lp_engine, self.lp_parity))
-    }
-
-    fn solve(&self, model: &Model, _config: &SolverConfig) -> Result<Solution, IlpError> {
-        let integral = model.integral_vars();
-        if integral.is_empty() {
-            // Deliberately token-free: the heuristic is the degradation
-            // ladder's last rung, so it must stay usable after a deadline
-            // has already expired.
-            return solve_lp(model, self.lp_engine, self.lp_parity, None);
-        }
-        let lp = model.to_lp();
-        let (relax, root_obj) = match simplex::solve(&lp, self.lp_engine, self.lp_parity, None) {
-            LpOutcome::Optimal { values, objective, .. } => (values, objective),
-            LpOutcome::Infeasible => return Err(IlpError::Infeasible),
-            LpOutcome::Unbounded => return Err(IlpError::Unbounded),
-            // Unreachable without a token; grouped with "no point found".
-            LpOutcome::Cancelled => return Err(IlpError::NoIncumbent),
-        };
-        let Some(values) = greedy_repair(model, &lp, &relax, &integral) else {
-            return Err(IlpError::NoIncumbent);
-        };
-        let objective = model.objective.eval(&values);
-        let proven = (objective - root_obj).abs() <= 1e-9 * objective.abs().max(1.0);
-        Ok(Solution {
-            status: if proven { SolveStatus::Optimal } else { SolveStatus::Feasible },
-            objective,
-            values,
-            nodes_explored: 0,
-            best_bound: root_obj,
-            degraded: false,
-        })
-    }
-}
-
-/// Which [`Solver`] implementation to run.
+/// Which search answers a solve. The branch and bound is the only one; the
+/// enum stays because the benchmark harness prints and compares
+/// [`SolverOptions::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum SolverBackend {
-    /// [`crate::ParallelSolver`]: deterministic branch and bound, exact.
+    /// The deterministic round-based branch and bound.
     Parallel,
-    /// [`HeuristicSolver`]: greedy feasibility only (no optimality).
-    Heuristic,
 }
 
-/// Backend selection threaded through the TAPA-CS configuration structs
-/// (`PartitionConfig` / `FloorplanConfig` / `CompilerConfig` in the core
-/// crate). The fields are the whole surface: no environment variable
-/// overrides [`SolverOptions::default`].
+/// What [`Model::solve_with_options`] runs, threaded through the TAPA-CS
+/// configuration structs (`PartitionConfig` / `FloorplanConfig` /
+/// `CompilerConfig` in the core crate). The fields are the whole surface:
+/// no environment variable overrides [`SolverOptions::default`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SolverOptions {
-    /// Backend to run.
+    /// The search to run; the branch and bound is the only one.
     pub backend: SolverBackend,
     /// The most threads one floorplanning stage may run its bipartition
     /// recursion on: the two halves of a split descend concurrently while
@@ -303,7 +254,9 @@ pub struct SolverOptions {
     /// thread. `0` means [`std::thread::available_parallelism`]; `1` keeps
     /// the whole recursion on the calling thread.
     pub threads: usize,
-    /// Warm-start branch and bound with [`HeuristicSolver`]'s point.
+    /// Seed the branch and bound's incumbent with the greedy first-fit
+    /// repair walk's point when rounding the root relaxation alone is
+    /// infeasible.
     pub warm_start: bool,
     /// Memoize solves in the process-wide [`crate::SolveCache`].
     pub cache: bool,
@@ -319,7 +272,8 @@ pub struct SolverOptions {
     /// the caller asks for the [`LpParity::Exact`] oracle replay.
     pub lp_parity: LpParity,
     /// Graceful-degradation ladder: when the exact search times out with no
-    /// incumbent, fall back to [`HeuristicSolver`] and mark the solution
+    /// incumbent, fall back to the root relaxation rounded and repaired by
+    /// the greedy first-fit walk, and mark the solution
     /// [`Solution::degraded`] instead of failing the solve. External
     /// cancellation still aborts. `false` makes budget exhaustion fail the
     /// solve.
@@ -352,11 +306,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 }
 
 impl SolverOptions {
-    /// The parallel backend with an explicit thread cap.
-    pub fn parallel(threads: usize) -> Self {
-        Self { backend: SolverBackend::Parallel, threads, ..Self::default() }
-    }
-
     /// Thread cap with `0` resolved to the machine's parallelism.
     pub fn resolved_threads(&self) -> usize {
         resolve_threads(self.threads)
@@ -369,99 +318,45 @@ impl SolverOptions {
     /// [`resolved_threads`](Self::resolved_threads): 2–3 threads split the
     /// root only, 4–7 the first two depths, and so on.
     pub fn parallel_recursion_at(&self, depth: usize) -> bool {
-        matches!(self.backend, SolverBackend::Parallel)
-            && u32::try_from(depth)
-                .ok()
-                .and_then(|d| self.resolved_threads().checked_shr(d))
-                .is_some_and(|share| share >= 2)
+        u32::try_from(depth)
+            .ok()
+            .and_then(|d| self.resolved_threads().checked_shr(d))
+            .is_some_and(|share| share >= 2)
     }
 
-    /// Builds the configured backend, wrapped in the memo cache when
-    /// [`SolverOptions::cache`] is set and in the degradation ladder when
-    /// [`SolverOptions::degrade`] is set.
-    ///
-    /// The [`DegradingSolver`] wraps *outside* the cache: cache keys stay a
-    /// pure function of the exact backend, and degraded fallback points are
-    /// never memoized as if they were that backend's answer.
-    pub fn solver(&self) -> Box<dyn Solver> {
-        let heuristic = HeuristicSolver { lp_engine: self.lp_engine, lp_parity: self.lp_parity };
-        let base: Box<dyn Solver> = match self.backend {
-            SolverBackend::Parallel => Box::new(crate::ParallelSolver {
-                warm_start: self.warm_start,
-                presolve: self.presolve,
-                warm_lp: self.warm_lp,
-                lp_engine: self.lp_engine,
-                lp_parity: self.lp_parity,
-            }),
-            SolverBackend::Heuristic => Box::new(heuristic),
-        };
-        let cached: Box<dyn Solver> =
-            if self.cache { Box::new(CachingSolver::new(base)) } else { base };
-        // Wrapping the heuristic in itself would be pointless.
-        if self.degrade && !matches!(self.backend, SolverBackend::Heuristic) {
-            Box::new(DegradingSolver::new(cached, heuristic))
-        } else {
-            cached
+    /// The head of every solve-cache key: the options that can change which
+    /// point a search returns. Two option sets that may return different
+    /// (equally optimal) points must give different heads. The default
+    /// pair (sparse engine, fast parity) is unsuffixed; the oracle engine
+    /// and the oracle-replay parity each add a suffix, so an answer computed
+    /// under either is never served under the default's head. Persisted
+    /// cache files hold these bytes, so a head may not change without a
+    /// `FILE_VERSION` bump in `cache.rs`.
+    pub(crate) fn cache_key_head(&self) -> String {
+        let mut head = String::from("parallel");
+        if self.warm_start {
+            head.push_str("+warm");
         }
-    }
-}
-
-/// The graceful-degradation ladder, packaged as a [`Solver`] wrapper.
-///
-/// Delegates to the inner solver; when that search exhausts its budget with
-/// *no incumbent at all* ([`IlpError::NoIncumbent`]), it retries with
-/// [`HeuristicSolver`] and marks the fallback point
-/// [`Solution::degraded`] — a timed-out sweep job then reports "degraded"
-/// instead of "failed". Cancellation semantics are preserved: an externally
-/// cancelled solve aborts with [`IlpError::Cancelled`] and never falls back,
-/// because the caller asked for *no* answer, not a cheaper one.
-///
-/// Always wrap this *outside* [`CachingSolver`]: the cache keys on the inner
-/// backend's name, and degraded points must never be memoized (see
-/// [`SolverOptions::solver`]).
-pub struct DegradingSolver {
-    inner: Box<dyn Solver>,
-    fallback: HeuristicSolver,
-}
-
-impl DegradingSolver {
-    /// Wraps `inner` in the degradation ladder, with `fallback` as the
-    /// rung below it (configured with the same LP engine and parity).
-    pub fn new(inner: Box<dyn Solver>, fallback: HeuristicSolver) -> Self {
-        Self { inner, fallback }
-    }
-}
-
-impl Solver for DegradingSolver {
-    fn name(&self) -> String {
-        // Transparent for reporting: the ladder does not change what the
-        // backend computes on the non-degraded path. (It must not feed a
-        // CachingSolver, so this name is never a cache key.)
-        self.inner.name()
-    }
-
-    fn solve(&self, model: &Model, config: &SolverConfig) -> Result<Solution, IlpError> {
-        match self.inner.solve(model, config) {
-            Err(IlpError::NoIncumbent) => {
-                if config.cancel.as_ref().is_some_and(CancellationToken::cancelled_externally) {
-                    return Err(IlpError::Cancelled);
-                }
-                // The heuristic's own status is kept truthful (it may even
-                // prove optimality at the root); `degraded` alone records
-                // that the ladder produced this point.
-                let mut fallback = self.fallback.solve(model, config)?;
-                fallback.degraded = true;
-                Ok(fallback)
-            }
-            other => other,
+        if !self.presolve {
+            head.push_str("-nopresolve");
         }
+        if !self.warm_lp {
+            head.push_str("-coldlp");
+        }
+        head.push_str(match (self.lp_engine, self.lp_parity) {
+            (LpEngine::Sparse, LpParity::Fast) => "",
+            (LpEngine::Dense, LpParity::Fast) => "-denselp",
+            (LpEngine::Sparse, LpParity::Exact) => "-exactlp",
+            (LpEngine::Dense, LpParity::Exact) => "-denselp-exactlp",
+        });
+        head
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CmpOp, ParallelSolver, Sense, VarId};
+    use crate::{CmpOp, Sense, SolverConfig, VarId};
 
     fn cover_model() -> Model {
         // min x+y+z s.t. x+y>=1, y+z>=1, x+z>=1 (vertex cover of a triangle,
@@ -477,11 +372,15 @@ mod tests {
         m
     }
 
+    /// The branch and bound alone: no memo cache, no degradation ladder.
+    fn search_only() -> SolverOptions {
+        SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
+    }
+
     #[test]
     fn heuristic_finds_feasible_point() {
         let m = cover_model();
-        let heuristic = HeuristicSolver { lp_engine: LpEngine::Sparse, lp_parity: LpParity::Fast };
-        let sol = heuristic.solve(&m, &SolverConfig::default()).unwrap();
+        let sol = heuristic(&m, &m.integral_vars(), &SolverOptions::default()).unwrap();
         assert!(m.is_feasible(&sol.values, 1e-6));
         // Bound comes from the LP root: 1.5 <= heuristic objective.
         assert!(sol.best_bound <= sol.objective + 1e-9);
@@ -491,9 +390,9 @@ mod tests {
     fn warm_started_search_matches_cold() {
         let m = cover_model();
         let cfg = SolverConfig::default();
-        let search = |warm_start| ParallelSolver { warm_start, ..Default::default() };
-        let cold = search(false).solve(&m, &cfg).unwrap();
-        let warm = search(true).solve(&m, &cfg).unwrap();
+        let search = |warm_start| SolverOptions { warm_start, ..search_only() };
+        let cold = m.solve_with_options(&cfg, &search(false)).unwrap();
+        let warm = m.solve_with_options(&cfg, &search(true)).unwrap();
         assert!((cold.objective - warm.objective).abs() < 1e-6);
         assert!((cold.objective - 2.0).abs() < 1e-6);
     }
@@ -502,17 +401,16 @@ mod tests {
     fn options_build_every_backend() {
         let m = cover_model();
         let cfg = SolverConfig::default();
-        for backend in [SolverBackend::Parallel, SolverBackend::Heuristic] {
-            let options = SolverOptions { backend, cache: false, ..SolverOptions::default() };
-            let sol = options.solver().solve(&m, &cfg).unwrap();
-            assert!(m.is_feasible(&sol.values, 1e-6), "{backend:?}");
-        }
+        let backend = SolverBackend::Parallel;
+        let options = SolverOptions { backend, cache: false, ..SolverOptions::default() };
+        let sol = m.solve_with_options(&cfg, &options).unwrap();
+        assert!(m.is_feasible(&sol.values, 1e-6), "{backend:?}");
     }
 
     #[test]
     fn resolved_threads_never_zero() {
         assert!(SolverOptions::default().resolved_threads() >= 1);
-        assert_eq!(SolverOptions::parallel(3).resolved_threads(), 3);
+        assert_eq!(SolverOptions { threads: 3, ..Default::default() }.resolved_threads(), 3);
     }
 
     /// The bisection fans out at depth `d` only while `2 << d` threads fit
@@ -520,99 +418,105 @@ mod tests {
     #[test]
     fn parallel_recursion_fans_out_within_the_thread_cap() {
         for (threads, fanned) in [(1, 0), (2, 1), (3, 1), (4, 2), (8, 3)] {
-            let options = SolverOptions::parallel(threads);
+            let options = SolverOptions { threads, ..Default::default() };
             let depths: Vec<usize> =
                 (0..70).filter(|&d| options.parallel_recursion_at(d)).collect();
             assert_eq!(depths, (0..fanned).collect::<Vec<_>>(), "threads={threads}");
             assert!(1 << fanned <= threads, "threads={threads}: {} concurrent halves", 1 << fanned);
         }
-        let heuristic =
-            SolverOptions { backend: SolverBackend::Heuristic, threads: 8, ..Default::default() };
-        assert!(
-            !heuristic.parallel_recursion_at(0),
-            "only the exact backend recurses concurrently"
-        );
     }
 
-    /// The solve cache keys on `Solver::name()`: the two parity modes run
-    /// different pivot sequences under a budget, so their names — and hence
-    /// their cache keys — must never collide. The default (sparse + fast)
-    /// is the unsuffixed name; the oracle modes carry the suffixes.
+    /// The solve cache's keys open with [`SolverOptions::cache_key_head`],
+    /// and persisted files hold those bytes, so every combination of the
+    /// options that can change the answer keeps the head it has always had
+    /// (the backend name the keys were written under). The two parity modes
+    /// run different pivot sequences under a budget, so their heads must
+    /// never collide: the default (sparse + fast) is unsuffixed, the oracle
+    /// modes carry the suffixes. Options that cannot change the answer
+    /// (`threads`, `cache`, `degrade`) leave the head alone.
     #[test]
     fn parity_modes_produce_distinct_solver_names() {
-        let names = |engine, parity| -> [String; 2] {
-            [
-                ParallelSolver { lp_engine: engine, lp_parity: parity, ..Default::default() }
-                    .name(),
-                HeuristicSolver { lp_engine: engine, lp_parity: parity }.name(),
-            ]
-        };
-        let defaults = names(LpEngine::Sparse, LpParity::Fast);
-        assert_eq!(defaults[1], "heuristic");
-        for default in &defaults {
-            assert!(
-                !default.contains("exactlp") && !default.contains("denselp"),
-                "default name stays unsuffixed: {default}"
-            );
-        }
-        for (engine, parity, suffix) in [
-            (LpEngine::Sparse, LpParity::Exact, "-exactlp"),
-            (LpEngine::Dense, LpParity::Fast, "-denselp"),
-            (LpEngine::Dense, LpParity::Exact, "-denselp-exactlp"),
-        ] {
-            for (default, oracle) in defaults.iter().zip(names(engine, parity)) {
-                assert_eq!(oracle, format!("{default}{suffix}"), "oracle mode is the suffix");
+        use LpEngine::{Dense, Sparse};
+        use LpParity::{Exact, Fast};
+        #[rustfmt::skip]
+        let table = [
+            // warm_start, presolve, warm_lp, engine, parity: head
+            (true, true, true, Sparse, Fast, "parallel+warm"),
+            (true, true, true, Dense, Fast, "parallel+warm-denselp"),
+            (true, true, true, Sparse, Exact, "parallel+warm-exactlp"),
+            (true, true, true, Dense, Exact, "parallel+warm-denselp-exactlp"),
+            (true, true, false, Sparse, Fast, "parallel+warm-coldlp"),
+            (true, true, false, Dense, Fast, "parallel+warm-coldlp-denselp"),
+            (true, true, false, Sparse, Exact, "parallel+warm-coldlp-exactlp"),
+            (true, true, false, Dense, Exact, "parallel+warm-coldlp-denselp-exactlp"),
+            (true, false, true, Sparse, Fast, "parallel+warm-nopresolve"),
+            (true, false, true, Dense, Fast, "parallel+warm-nopresolve-denselp"),
+            (true, false, true, Sparse, Exact, "parallel+warm-nopresolve-exactlp"),
+            (true, false, true, Dense, Exact, "parallel+warm-nopresolve-denselp-exactlp"),
+            (true, false, false, Sparse, Fast, "parallel+warm-nopresolve-coldlp"),
+            (true, false, false, Dense, Fast, "parallel+warm-nopresolve-coldlp-denselp"),
+            (true, false, false, Sparse, Exact, "parallel+warm-nopresolve-coldlp-exactlp"),
+            (true, false, false, Dense, Exact, "parallel+warm-nopresolve-coldlp-denselp-exactlp"),
+            (false, true, true, Sparse, Fast, "parallel"),
+            (false, true, true, Dense, Fast, "parallel-denselp"),
+            (false, true, true, Sparse, Exact, "parallel-exactlp"),
+            (false, true, true, Dense, Exact, "parallel-denselp-exactlp"),
+            (false, true, false, Sparse, Fast, "parallel-coldlp"),
+            (false, true, false, Dense, Fast, "parallel-coldlp-denselp"),
+            (false, true, false, Sparse, Exact, "parallel-coldlp-exactlp"),
+            (false, true, false, Dense, Exact, "parallel-coldlp-denselp-exactlp"),
+            (false, false, true, Sparse, Fast, "parallel-nopresolve"),
+            (false, false, true, Dense, Fast, "parallel-nopresolve-denselp"),
+            (false, false, true, Sparse, Exact, "parallel-nopresolve-exactlp"),
+            (false, false, true, Dense, Exact, "parallel-nopresolve-denselp-exactlp"),
+            (false, false, false, Sparse, Fast, "parallel-nopresolve-coldlp"),
+            (false, false, false, Dense, Fast, "parallel-nopresolve-coldlp-denselp"),
+            (false, false, false, Sparse, Exact, "parallel-nopresolve-coldlp-exactlp"),
+            (false, false, false, Dense, Exact, "parallel-nopresolve-coldlp-denselp-exactlp"),
+        ];
+        let mut heads = std::collections::HashSet::new();
+        for (warm_start, presolve, warm_lp, lp_engine, lp_parity, want) in table {
+            let options = SolverOptions {
+                warm_start,
+                presolve,
+                warm_lp,
+                lp_engine,
+                lp_parity,
+                ..search_only()
+            };
+            assert_eq!(options.cache_key_head(), want);
+            assert!(heads.insert(want), "{want} twice");
+            for other in [
+                SolverOptions { threads: 3, ..options.clone() },
+                SolverOptions { cache: true, degrade: true, ..options.clone() },
+            ] {
+                assert_eq!(other.cache_key_head(), want, "{other:?}");
             }
         }
-        // Through SolverOptions (the compiler's path) the suffix survives
-        // the caching wrapper, so disk entries split by parity too — for
-        // the heuristic backend as well.
-        for backend in [SolverBackend::Parallel, SolverBackend::Heuristic] {
-            let opts =
-                |parity| SolverOptions { backend, lp_parity: parity, ..SolverOptions::default() };
-            assert_ne!(
-                opts(LpParity::Exact).solver().name(),
-                opts(LpParity::Fast).solver().name(),
-                "{backend:?}"
-            );
-        }
+        assert_eq!(SolverOptions::default().cache_key_head(), "parallel+warm");
     }
 
-    /// The last rung of the ladder must run the engine the caller asked
-    /// for, not whatever the environment says: a dense-engine fallback
-    /// records no factorization work, a sparse one does — both as the
-    /// `Heuristic` backend built by `SolverOptions::solver()` and as the
-    /// rung `DegradingSolver` falls to.
+    /// The last rung of the ladder runs the engine the caller asked for,
+    /// not whatever the environment says: a dense-engine fallback records
+    /// no factorization work, a sparse one does. A zero budget stops the
+    /// search at its root with no incumbent, so the ladder answers; the
+    /// dense search records no factorization either, so a count on the
+    /// dense side could only come from a rung on the wrong engine.
     #[test]
     fn heuristic_rung_honours_the_callers_lp_engine() {
         use crate::stats::SolveActivity;
         use std::sync::Arc;
         let m = cover_model();
-        let cfg = SolverConfig::default();
-        let factorizations = |solver: &dyn Solver| {
-            let scope = Arc::new(SolveActivity::default());
-            let sol = SolveActivity::scoped(&scope, || solver.solve(&m, &cfg)).unwrap();
-            assert!(m.is_feasible(&sol.values, 1e-6));
-            (sol.degraded, scope.snapshot().lu_factorizations)
-        };
+        let zero = SolverConfig::with_time_limit(std::time::Duration::ZERO);
         for (lp_engine, factorizes) in [(LpEngine::Sparse, true), (LpEngine::Dense, false)] {
-            let options = SolverOptions {
-                backend: SolverBackend::Heuristic,
-                cache: false,
-                lp_engine,
-                ..SolverOptions::default()
-            };
-            let (degraded, lu) = factorizations(options.solver().as_ref());
-            assert!(!degraded);
-            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via SolverOptions");
-
-            let ladder = DegradingSolver::new(
-                Box::new(FailingSolver),
-                HeuristicSolver { lp_engine, lp_parity: LpParity::Fast },
-            );
-            let (degraded, lu) = factorizations(&ladder);
-            assert!(degraded);
-            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via DegradingSolver");
+            let options = SolverOptions { lp_engine, degrade: true, ..search_only() };
+            let scope = Arc::new(SolveActivity::default());
+            let sol =
+                SolveActivity::scoped(&scope, || m.solve_with_options(&zero, &options)).unwrap();
+            assert!(m.is_feasible(&sol.values, 1e-6));
+            assert!(sol.degraded, "{lp_engine:?}: {sol:?}");
+            let lu = scope.snapshot().lu_factorizations;
+            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via the ladder");
         }
     }
 
@@ -738,18 +642,5 @@ mod tests {
             rounded_ok > 20 && walked_ok > 20 && stalled > 20,
             "{rounded_ok} rounded, {walked_ok} walked, {stalled} stalled"
         );
-    }
-
-    /// An exact rung that always exhausts its budget.
-    struct FailingSolver;
-
-    impl Solver for FailingSolver {
-        fn name(&self) -> String {
-            "failing".into()
-        }
-
-        fn solve(&self, _: &Model, _: &SolverConfig) -> Result<Solution, IlpError> {
-            Err(IlpError::NoIncumbent)
-        }
     }
 }

@@ -18,8 +18,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    CacheFileError, CachingSolver, LinExpr, Model, ParallelSolver, Sense, Solution, SolveCache,
-    Solver, SolverConfig, SolverOptions,
+    CacheFileError, LinExpr, Model, Sense, Solution, SolveCache, SolverConfig, SolverOptions,
 };
 
 /// The cache under test is process-global and the harness runs proptest
@@ -49,9 +48,15 @@ fn models(items: &[(u32, u32)], caps: &[u32]) -> Vec<Model> {
     caps.iter().map(|&cap| knapsack(&values, &weights, cap)).collect()
 }
 
-fn solve_all(solver: &CachingSolver, models: &[Model]) -> Vec<Solution> {
+/// Solves every model through the global cache (the degradation ladder
+/// off, so every answer is the search's).
+fn solve_all(models: &[Model]) -> Vec<Solution> {
     let cfg = SolverConfig::default();
-    models.iter().map(|m| solver.solve(m, &cfg).expect("all-zeros is feasible")).collect()
+    let options = SolverOptions { degrade: false, ..SolverOptions::default() };
+    models
+        .iter()
+        .map(|m| m.solve_with_options(&cfg, &options).expect("all-zeros is feasible"))
+        .collect()
 }
 
 proptest! {
@@ -66,9 +71,8 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         let ms = models(&items, &caps);
-        let originals = solve_all(&solver, &ms);
+        let originals = solve_all(&ms);
 
         let path = tmp_file("roundtrip", case);
         let written = cache.save_to(&path).unwrap();
@@ -81,7 +85,7 @@ proptest! {
         let loaded = cache.load_from(&path).unwrap();
         prop_assert_eq!(loaded, written);
         let before = cache.stats();
-        let replayed = solve_all(&solver, &ms);
+        let replayed = solve_all(&ms);
         let after = cache.stats();
         prop_assert_eq!(&replayed, &originals, "reloaded cache must replay bit-identically");
         prop_assert_eq!(after.hits - before.hits, ms.len() as u64,
@@ -108,9 +112,8 @@ proptest! {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
         let ms = models(&items, &caps);
-        let originals = solve_all(&solver, &ms);
+        let originals = solve_all(&ms);
 
         let path = tmp_file("corrupt", case);
         cache.save_to(&path).unwrap();
@@ -143,7 +146,7 @@ proptest! {
         prop_assert_eq!(stats.loads, 0);
 
         // Solving after the rejection equals the cold-cache run exactly.
-        let cold = solve_all(&solver, &ms);
+        let cold = solve_all(&ms);
         prop_assert_eq!(&cold, &originals, "post-rejection solves must match the cold run");
 
         // The rejected file was quarantined — moved to `<name>.quarantined`
@@ -214,8 +217,7 @@ fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
     let cache = SolveCache::global();
     cache.clear();
-    let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
-    solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
+    solve_all(&[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
     let path = tmp_file("stale-v5", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
 
@@ -244,8 +246,7 @@ fn every_bit_flip_and_every_truncation_of_a_small_file_is_rejected() {
         let _serial = GLOBAL_CACHE.lock().unwrap();
         let cache = SolveCache::global();
         cache.clear();
-        let solver = CachingSolver::new(Box::new(ParallelSolver::default()));
-        solve_all(&solver, &[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
+        solve_all(&[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
         cache.save_to(&path).unwrap();
     }
     let good = std::fs::read(&path).unwrap();

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use tapacs_ilp::{
-    CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense,
-    SolveActivity, SolveStats, Solver, SolverConfig,
+    CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolveActivity,
+    SolveStats, SolverConfig, SolverOptions,
 };
 
 /// The probe window: engines may run at most this many pivots between
@@ -69,13 +69,18 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, SolveStats) {
     (out, handle.snapshot())
 }
 
-fn solver(parity: LpParity) -> ParallelSolver {
-    ParallelSolver {
+/// The branch and bound alone (no memo cache, no degradation ladder) on
+/// the sparse engine at `parity`, presolve off.
+fn solver(parity: LpParity) -> SolverOptions {
+    SolverOptions {
         warm_start: true,
         presolve: false,
         warm_lp: true,
         lp_engine: LpEngine::Sparse,
         lp_parity: parity,
+        cache: false,
+        degrade: false,
+        ..SolverOptions::default()
     }
 }
 
@@ -88,7 +93,7 @@ fn tripped_token_stops_both_parities_within_one_probe_window() {
 
         // Baseline: the uncancelled solve must be big enough that the
         // latency bound below means something.
-        let (solved, base) = counted(|| s.solve(&model, &SolverConfig::default()));
+        let (solved, base) = counted(|| model.solve_with_options(&SolverConfig::default(), &s));
         solved.expect("chunky LP is feasible");
         // `simplex_iterations` is the phase-1 + phase-2 total already.
         let base_pivots = base.simplex_iterations;
@@ -103,7 +108,7 @@ fn tripped_token_stops_both_parities_within_one_probe_window() {
         let token = CancellationToken::new();
         token.cancel();
         let config = SolverConfig { cancel: Some(token), ..SolverConfig::default() };
-        let (stopped_solve, stopped) = counted(|| s.solve(&model, &config));
+        let (stopped_solve, stopped) = counted(|| model.solve_with_options(&config, &s));
         let err = stopped_solve.expect_err("cancelled solve must not succeed");
         assert!(matches!(err, IlpError::Cancelled), "want Cancelled, got {err:?}");
         let burned = stopped.simplex_iterations;
@@ -141,7 +146,7 @@ fn mid_solve_cancel_aborts_from_another_thread() {
         std::thread::sleep(std::time::Duration::from_millis(5));
         token.cancel();
     });
-    let result = solver(LpParity::Fast).solve(&m, &config);
+    let result = m.solve_with_options(&config, &solver(LpParity::Fast));
     canceller.join().expect("canceller thread");
     match result {
         Err(IlpError::Cancelled) | Ok(_) => {}

@@ -7,8 +7,7 @@
 //! environment, which no test sharing the binary could race with.
 
 use tapacs_ilp::{
-    fault_fires, fault_registry, FaultKind, LpEngine, LpParity, ParallelSolver, SolverBackend,
-    SolverOptions,
+    fault_fires, fault_registry, FaultKind, LpEngine, LpParity, SolverBackend, SolverOptions,
 };
 
 #[test]
@@ -41,14 +40,6 @@ fn default_parity_is_fast_and_exact_is_opt_in() {
         degrade: true,
     };
     assert_eq!(SolverOptions::default(), options);
-    let parallel = ParallelSolver {
-        warm_start: true,
-        presolve: true,
-        warm_lp: true,
-        lp_engine: LpEngine::Sparse,
-        lp_parity: LpParity::Fast,
-    };
-    assert_eq!(format!("{:?}", ParallelSolver::default()), format!("{parallel:?}"));
 
     assert!(fault_registry().is_none(), "the environment armed a fault registry");
     assert!(!fault_fires(FaultKind::Panic, "probe"));

@@ -8,12 +8,12 @@
 //! must be feasible in the original model.
 //!
 //! The engines are constructed explicitly through
-//! [`ParallelSolver::lp_engine`] (which keeps the suite safe under
+//! [`SolverOptions::lp_engine`] (which keeps the suite safe under
 //! parallel test threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, Solver, SolverConfig,
+    IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolverConfig, SolverOptions,
 };
 
 /// A random bounded model: `nb` binaries plus `nc` box-bounded continuous
@@ -53,14 +53,17 @@ fn verdict(
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver = ParallelSolver {
+    let options = SolverOptions {
         warm_start: true,
         presolve,
         warm_lp,
         lp_engine: engine,
         lp_parity: LpParity::Exact,
+        cache: false,
+        degrade: false,
+        ..SolverOptions::default()
     };
-    match solver.solve(model, &SolverConfig::default()) {
+    match model.solve_with_options(&SolverConfig::default(), &options) {
         Ok(sol) => {
             assert!(
                 model.is_feasible(&sol.values, 1e-6),

@@ -7,17 +7,17 @@
 //! parities agree on the solve *status*, and — when optimal — on the
 //! objective to 1e-6, under every combination of engine, presolve and
 //! node-LP warm starting, and every answer passes the independent
-//! [`certify`] check against the original model. Random bounded models
-//! probe that contract here, for full branch-and-bound solves and for pure
-//! LPs (no integral variables).
+//! [`tapacs_ilp::certify`] check against the original model, which the
+//! solve path runs on every answer. Random bounded models probe that
+//! contract here, for full branch-and-bound solves and for pure LPs (no
+//! integral variables).
 //!
-//! Parities are pinned explicitly through [`ParallelSolver::lp_parity`]
+//! Parities are pinned explicitly through [`SolverOptions::lp_parity`]
 //! (which keeps the suite safe under parallel test threads).
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, Solver,
-    SolverConfig,
+    IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolverConfig, SolverOptions,
 };
 
 /// A random bounded model: `nb` binaries plus box-bounded continuous
@@ -59,19 +59,24 @@ fn verdict(
     presolve: bool,
     warm_lp: bool,
 ) -> Result<f64, &'static str> {
-    let solver =
-        ParallelSolver { warm_start: true, presolve, warm_lp, lp_engine, lp_parity: parity };
+    let options = SolverOptions {
+        warm_start: true,
+        presolve,
+        warm_lp,
+        lp_engine,
+        lp_parity: parity,
+        cache: false,
+        degrade: false,
+        ..SolverOptions::default()
+    };
     let config = SolverConfig::default();
-    match solver.solve(model, &config) {
-        Ok(sol) => {
-            if let Err(why) = certify(model, &config, &sol) {
-                panic!(
-                    "uncertified answer from engine={lp_engine:?} parity={parity:?} \
-                     presolve={presolve} warm={warm_lp}: {why}"
-                );
-            }
-            Ok(sol.objective)
-        }
+    // The solve path certifies every answer against the model itself.
+    match model.solve_with_options(&config, &options) {
+        Ok(sol) => Ok(sol.objective),
+        Err(IlpError::Uncertified(why)) => panic!(
+            "uncertified answer from engine={lp_engine:?} parity={parity:?} \
+             presolve={presolve} warm={warm_lp}: {why}"
+        ),
         Err(IlpError::Infeasible) => Err("infeasible"),
         Err(other) => panic!("unexpected solver error: {other:?}"),
     }

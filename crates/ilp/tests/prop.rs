@@ -20,19 +20,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    certify, IlpError, LinExpr, LpEngine, LpParity, Model, ParallelSolver, Sense, SolveActivity,
-    SolveStats, Solver, SolverConfig,
+    certify, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolveActivity, SolveStats,
+    SolverConfig, SolverOptions,
 };
+
+/// The branch and bound alone, with default toggles: no memo cache, no
+/// degradation ladder.
+fn search_only() -> SolverOptions {
+    SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
+}
 
 /// The branch and bound in the configurations the enumeration-oracle tests
 /// sweep: with and without the heuristic incumbent seed.
-fn driver_sweep() -> Vec<(String, ParallelSolver)> {
+fn driver_sweep() -> Vec<(String, SolverOptions)> {
     [false, true]
         .map(|warm_start| {
-            (
-                format!("warm_start={warm_start}"),
-                ParallelSolver { warm_start, ..Default::default() },
-            )
+            (format!("warm_start={warm_start}"), SolverOptions { warm_start, ..search_only() })
         })
         .into()
 }
@@ -88,12 +91,12 @@ fn solve_fast_with_stats(m: &Model) -> (tapacs_ilp::Solution, SolveStats) {
     let handle = Arc::new(SolveActivity::default());
     let sol = SolveActivity::scoped(&handle, || {
         // Engine and parity pinned: the kit lives in the sparse engine.
-        ParallelSolver {
+        let options = SolverOptions {
             lp_engine: LpEngine::Sparse,
             lp_parity: LpParity::Fast,
-            ..Default::default()
-        }
-        .solve(m, &SolverConfig::default())
+            ..search_only()
+        };
+        m.solve_with_options(&SolverConfig::default(), &options)
     })
     .expect("fast-parity solve must succeed");
     (sol, handle.snapshot())
@@ -149,8 +152,10 @@ fn tight_knapsack_range_prunes_children_and_keeps_the_optimum() {
     let best = exhaustive_knapsack(&values, &weights, cap);
     for (name, solver) in driver_sweep() {
         let handle = Arc::new(SolveActivity::default());
-        let sol = SolveActivity::scoped(&handle, || solver.solve(&m, &SolverConfig::default()))
-            .expect("all-zeros is feasible");
+        let sol = SolveActivity::scoped(&handle, || {
+            m.solve_with_options(&SolverConfig::default(), &solver)
+        })
+        .expect("all-zeros is feasible");
         assert!(m.is_feasible(&sol.values, 1e-6), "{name} returned an infeasible point");
         assert_eq!(sol.objective, best as f64, "{name}: solver vs exhaustive");
         let stats = handle.snapshot();
@@ -172,7 +177,7 @@ proptest! {
 
         let best = exhaustive_knapsack(&values, &weights, cap);
         for (name, solver) in driver_sweep() {
-            let sol = solver.solve(&m, &SolverConfig::default())
+            let sol = m.solve_with_options(&SolverConfig::default(), &solver)
                 .expect("all-zeros is always feasible");
             prop_assert!(m.is_feasible(&sol.values, 1e-6), "{name} returned infeasible point");
             prop_assert!((sol.objective - best as f64).abs() < 1e-6,
@@ -230,7 +235,7 @@ proptest! {
         m.add_eq("bal", load, half as f64);
         m.set_objective(Sense::Minimize, LinExpr::new());
         for (name, solver) in driver_sweep() {
-            match solver.solve(&m, &SolverConfig::default()) {
+            match m.solve_with_options(&SolverConfig::default(), &solver) {
                 Ok(sol) => {
                     prop_assert!(m.is_feasible(&sol.values, 1e-6), "{name}");
                     let got: f64 = vars.iter().zip(&sizes)
@@ -294,8 +299,8 @@ proptest! {
         ] {
             for lp_engine in [LpEngine::Sparse, LpEngine::Dense] {
                 for lp_parity in [LpParity::Fast, LpParity::Exact] {
-                    let solver = ParallelSolver { lp_engine, lp_parity, ..Default::default() };
-                    let sol = solver.solve(&m, &cfg).expect("all-zeros is feasible");
+                    let options = SolverOptions { lp_engine, lp_parity, ..search_only() };
+                    let sol = m.solve_with_options(&cfg, &options).expect("all-zeros is feasible");
                     let verdict = certify(&m, &cfg, &sol);
                     prop_assert!(verdict.is_ok(), "{lp_engine:?}/{lp_parity:?}: {verdict:?}");
                 }
@@ -314,22 +319,20 @@ proptest! {
         let m = presolve_rich_model(&values, &weights, cap, bound);
         let cfg = SolverConfig::default();
 
-        let engine = |presolve, warm_lp| {
-            ParallelSolver { presolve, warm_lp, ..Default::default() }
-        };
-        let engines: Vec<(&str, ParallelSolver)> = vec![
+        let engine = |presolve, warm_lp| SolverOptions { presolve, warm_lp, ..search_only() };
+        let engines: Vec<(&str, SolverOptions)> = vec![
             ("presolve+warm", engine(true, true)),
             ("presolve+cold", engine(true, false)),
             ("raw+warm", engine(false, true)),
             ("raw+cold", engine(false, false)),
         ];
-        let reference = engines[0].1.solve(&m, &cfg).expect("all-zeros is feasible");
+        let reference = m.solve_with_options(&cfg, &engines[0].1).expect("all-zeros is feasible");
         // Postsolve correctness: the returned point lives in the original
         // variable space and satisfies the original model.
         prop_assert_eq!(reference.values.len(), m.num_vars());
         prop_assert!(m.is_feasible(&reference.values, 1e-6));
-        for (name, solver) in &engines[1..] {
-            let sol = solver.solve(&m, &cfg)
+        for (name, options) in &engines[1..] {
+            let sol = m.solve_with_options(&cfg, options)
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"));
             prop_assert!(m.is_feasible(&sol.values, 1e-6),
                 "{name} returned a point infeasible in original space");
@@ -357,9 +360,9 @@ proptest! {
         };
         let m = build();
         let cfg = SolverConfig::default();
-        let engine = |presolve| ParallelSolver { presolve, ..Default::default() };
-        let with = engine(true).solve(&m, &cfg);
-        let without = engine(false).solve(&m, &cfg);
+        let engine = |presolve| SolverOptions { presolve, ..search_only() };
+        let with = m.solve_with_options(&cfg, &engine(true));
+        let without = m.solve_with_options(&cfg, &engine(false));
         match (&with, &without) {
             (Ok(a), Ok(b)) => prop_assert!((a.objective - b.objective).abs() < 1e-6),
             (Err(IlpError::Infeasible), Err(IlpError::Infeasible)) => {}

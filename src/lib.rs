@@ -13,8 +13,9 @@
 //! ## Crates
 //!
 //! * [`ilp`] — LP/MIP solver (simplex + one deterministic, single-threaded
-//!   branch and bound and a greedy heuristic behind the
-//!   [`Solver`] trait, with a process-wide solve memo-cache).
+//!   branch and bound with a greedy-heuristic fallback, behind one entry
+//!   point, `Model::solve_with_options`, with a process-wide solve
+//!   memo-cache).
 //! * [`fpga`] — device models, slot grids, HBM, the virtual place-and-route
 //!   timing model.
 //! * [`net`] — network topologies, transfer protocols, the AlveoLink model.
@@ -33,9 +34,9 @@ pub use tapacs_ilp as ilp;
 pub use tapacs_net as net;
 pub use tapacs_sim as sim;
 
-// The solver-selection and batch-compile surface, re-exported at the
-// root: these are the types callers touch to pick a backend, pin a thread
+// The solver-options and batch-compile surface, re-exported at the root:
+// these are the types callers touch to set solver options, pin a thread
 // count, inspect the solve cache, or compile a multi-design sweep without
 // digging into the crate hierarchy.
 pub use tapacs_core::{BatchCompiler, CompileJob, SolverActivityReport};
-pub use tapacs_ilp::{SolveCache, Solver, SolverBackend, SolverOptions};
+pub use tapacs_ilp::{SolveCache, SolverBackend, SolverOptions};
