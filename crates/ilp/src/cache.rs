@@ -37,11 +37,8 @@
 //! stale is *quarantined* — renamed to `<name>.quarantined` next to the
 //! original — so the evidence survives for inspection, the next
 //! [`SolveCache::save_to`] writes a fresh valid file, and the sweep simply
-//! runs cold. Degraded solutions (see [`Solution::degraded`]) are never
-//! inserted: a fallback point must not masquerade as the search's answer
-//! on the next warm run. A stored answer that fails its certificate
-//! when served is dropped and solved afresh, so one bad entry costs one
-//! re-solve, not a degraded answer on every later lookup.
+//! runs cold. What is stored and when a stored answer is served is
+//! decided by [`Model::solve_with_options`]; see its doc.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};

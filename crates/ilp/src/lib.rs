@@ -11,14 +11,9 @@
 //!
 //! Every solve goes through one entry point, [`Model::solve_with_options`],
 //! which reads [`SolverOptions`] (what the TAPA-CS compiler threads through
-//! its configuration structs) directly: a lookup in the process-wide
-//! [`SolveCache`], the branch and bound (deterministic and single-threaded
-//! — it expands the open-node frontier in fixed-width rounds on the calling
-//! thread), and, when that search runs out of budget with no incumbent, a
-//! greedy LP-rounding heuristic as the degradation fallback (the same walk
-//! seeds the search's incumbent). Whatever path produced it, every answer
-//! is re-checked against the original model by [`certify`], and only a
-//! certified, non-degraded answer of the search is stored in the cache.
+//! its configuration structs); its doc lists the steps of a solve in order.
+//! The branch and bound is deterministic and single-threaded: it expands
+//! the open-node frontier in fixed-width rounds on the calling thread.
 //!
 //! Node solves are *incremental*: each model is presolved once at the root
 //! (bound tightening, row removal, fixed columns, dual fixing), nodes

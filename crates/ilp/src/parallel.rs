@@ -664,12 +664,8 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::solver::search_only;
     use crate::{LinExpr, Sense, SolveStatus, SolverConfig};
-
-    /// The branch and bound alone: no memo cache, no degradation ladder.
-    fn search_only() -> SolverOptions {
-        SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
-    }
 
     fn knapsack(n: usize) -> Model {
         let mut m = Model::new("pk");

@@ -5,11 +5,10 @@
 //! subproblems independent, so the compiler may solve them on concurrent
 //! threads (see [`SolverOptions::threads`]); each solve itself runs on one
 //! thread. Every solve goes through [`Model::solve_with_options`], which
-//! reads [`SolverOptions`] directly: the branch and bound
-//! ([`crate::parallel::search`]), the memo cache ([`crate::SolveCache`])
-//! and the degradation ladder, whose last rung is [`heuristic`]: greedy LP
-//! rounding with first-fit repair ([`greedy_repair`]), which the branch and
-//! bound also runs on its root relaxation to seed its incumbent.
+//! reads [`SolverOptions`] directly. This module holds the degradation
+//! fallback, [`heuristic`]: greedy LP rounding with first-fit repair
+//! ([`greedy_repair`]), which the branch and bound also runs on its root
+//! relaxation to seed its incumbent.
 
 use crate::branch_bound::cancel_error;
 use crate::cancel::CancellationToken;
@@ -353,6 +352,12 @@ impl SolverOptions {
     }
 }
 
+/// The branch and bound alone: no memo cache, no degradation ladder.
+#[cfg(test)]
+pub(crate) fn search_only() -> SolverOptions {
+    SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,11 +375,6 @@ mod tests {
         m.add_ge("c", x + z, 1.0);
         m.set_objective(Sense::Minimize, x + y + z);
         m
-    }
-
-    /// The branch and bound alone: no memo cache, no degradation ladder.
-    fn search_only() -> SolverOptions {
-        SolverOptions { cache: false, degrade: false, ..SolverOptions::default() }
     }
 
     #[test]
@@ -499,24 +499,30 @@ mod tests {
     /// The last rung of the ladder runs the engine the caller asked for,
     /// not whatever the environment says: a dense-engine fallback records
     /// no factorization work, a sparse one does. A zero budget stops the
-    /// search at its root with no incumbent, so the ladder answers; the
-    /// dense search records no factorization either, so a count on the
-    /// dense side could only come from a rung on the wrong engine.
+    /// search at its root with no incumbent, so the ladder answers. The
+    /// sparse search factorizes its root basis before it sees the spent
+    /// budget, so the same solve without the ladder is run too, and only
+    /// the factorizations beyond it count as the fallback's.
     #[test]
     fn heuristic_rung_honours_the_callers_lp_engine() {
         use crate::stats::SolveActivity;
         use std::sync::Arc;
         let m = cover_model();
         let zero = SolverConfig::with_time_limit(std::time::Duration::ZERO);
-        for (lp_engine, factorizes) in [(LpEngine::Sparse, true), (LpEngine::Dense, false)] {
-            let options = SolverOptions { lp_engine, degrade: true, ..search_only() };
+        let factorizations = |options: &SolverOptions| {
             let scope = Arc::new(SolveActivity::default());
-            let sol =
-                SolveActivity::scoped(&scope, || m.solve_with_options(&zero, &options)).unwrap();
+            let answer = SolveActivity::scoped(&scope, || m.solve_with_options(&zero, options));
+            (answer, scope.snapshot().lu_factorizations)
+        };
+        for (lp_engine, factorizes) in [(LpEngine::Sparse, true), (LpEngine::Dense, false)] {
+            let search = SolverOptions { lp_engine, ..search_only() };
+            let (searched, search_lu) = factorizations(&search);
+            assert!(matches!(searched, Err(IlpError::NoIncumbent)), "{lp_engine:?}: {searched:?}");
+            let (answer, ladder_lu) = factorizations(&SolverOptions { degrade: true, ..search });
+            let sol = answer.unwrap();
             assert!(m.is_feasible(&sol.values, 1e-6));
             assert!(sol.degraded, "{lp_engine:?}: {sol:?}");
-            let lu = scope.snapshot().lu_factorizations;
-            assert_eq!(lu > 0, factorizes, "{lp_engine:?} via the ladder");
+            assert_eq!(ladder_lu > search_lu, factorizes, "{lp_engine:?} via the ladder");
         }
     }
 
