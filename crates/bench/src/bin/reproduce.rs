@@ -7,7 +7,14 @@
 //! cargo run --release -p tapacs-bench --bin reproduce -- list   # known names
 //! cargo run --release -p tapacs-bench --bin reproduce -- batch --smoke
 //! cargo run --release -p tapacs-bench --bin reproduce -- dse --smoke --cache-dir .tapacs-cache
+//! cargo run --release -p tapacs-bench --bin reproduce -- dse-search --smoke
 //! ```
+//!
+//! With no argument it runs `quick`. `dse` and `dse-search` persist the
+//! solve cache into `--cache-dir`, else `TAPACS_CACHE_DIR`, else an
+//! ephemeral temp dir that is removed on exit, error exits included.
+//! `crates/bench/tests/smoke.rs` drives each of these paths through the
+//! binary.
 //!
 //! Compile time and quality of result are measured by the repo benchmark
 //! (`benchmarks/`, `BENCHMARK.json`), not here.
@@ -29,14 +36,9 @@ const FLAGGED: &[Flagged] = &[
     }),
     ("dse", "[--smoke] [--cache-dir <dir>]", run_dse),
     ("dse-search", "[--smoke] [--grid <spec>] [--cache-dir <dir>]", run_dse_search),
-    ("faults", "[--smoke]", |args| {
-        print!("{}", r::faults(smoke_flag("faults", args)?)?);
-        Ok(())
-    }),
 ];
 
-/// The one flag of `batch` (the sharded multi-design batch-compile demo)
-/// and `faults` (the deterministic fault-injection chaos sweep).
+/// The one flag of `batch` (the sharded multi-design batch-compile demo).
 fn smoke_flag(command: &str, args: &[String]) -> Result<bool, BoxError> {
     match args.iter().find(|arg| *arg != "--smoke") {
         Some(other) => Err(format!("unknown {command} option: {other}").into()),
@@ -125,7 +127,6 @@ fn main() -> Result<(), BoxError> {
             }
             println!("{}", r::batch(false)?);
             println!("{}", r::dse(false, None)?);
-            println!("{}", r::faults(false)?);
         } else if let Some((_, _, render)) = r::EXPERIMENTS.iter().find(|row| row.0 == w) {
             print!("{}", render()?);
         } else if let Some((name, usage, _)) = FLAGGED.iter().find(|f| f.0 == w) {

@@ -17,7 +17,7 @@ use crate::reproduce::CacheDir;
 
 type BoxError = Box<dyn std::error::Error>;
 
-/// The ladder tuning per named grid. Small CI grids get budgets no point
+/// The ladder tuning per named grid. Small smoke grids get budgets no point
 /// can exhaust (the run asserts bit-identity with the exhaustive sweep,
 /// and a deadline trip is machine-speed dependent); the generated 10k
 /// grid gets real truncating budgets — that is where the wall-clock win
@@ -162,8 +162,8 @@ fn ensure_none_degraded(what: &str, report: &dse::DseReport) -> Result<(), BoxEr
     }
 }
 
-/// The printable frontier signature: verbatim for the small CI grids
-/// (the tests and the CI job compare these lines across runs), condensed
+/// The printable frontier signature: verbatim for the small smoke grids
+/// (the smoke tests compare these lines across runs), condensed
 /// to an FNV-1a digest + token count for wide generated grids, where the
 /// full signature runs to hundreds of kilobytes. The digest is the same
 /// cross-run comparison key — equal digests for equal signatures.

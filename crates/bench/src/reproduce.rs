@@ -49,7 +49,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// ILP time limit (seconds) of the experiments whose verdict compares
-/// counters or designs between runs (`solvers`, `batch`, `faults`): such a
+/// counters or designs between runs (`solvers`, `batch`): such a
 /// comparison only means something when no solve is cut off by its
 /// wall-clock deadline, so the limit is one no solve of theirs reaches
 /// (the benchmark harness's; the cold-engine knn/F4 compile of `solvers`
@@ -677,8 +677,8 @@ pub fn solvers() -> Result<String, Box<dyn std::error::Error>> {
 /// (1 worker), on the sharded queue at ≥2 workers, and at a third worker
 /// count — and reports the wall-clock speedup, the cross-design
 /// solve-cache hit rate and whether all three runs produced bit-identical
-/// designs. `smoke` shrinks the sweep to one flow so CI can run it in
-/// seconds.
+/// designs. `smoke` shrinks the sweep to one flow so the smoke tests can
+/// run it in seconds.
 ///
 /// # Errors
 ///
@@ -845,7 +845,7 @@ pub fn batch(smoke: bool) -> Result<String, Box<dyn std::error::Error>> {
 /// A DSE experiment's persistence directory, resolved `--cache-dir` flag →
 /// `TAPACS_CACHE_DIR` → an ephemeral per-process temp dir. The ephemeral
 /// one still proves the disk round trip; it just cannot span runs, and
-/// [`CacheDir::finish`] removes it again.
+/// dropping the `CacheDir` removes it again, on error exits too.
 pub(crate) struct CacheDir {
     /// The resolved directory (created by [`CacheDir::resolve`]).
     pub(crate) dir: std::path::PathBuf,
@@ -892,14 +892,22 @@ impl CacheDir {
         })
     }
 
-    /// Removes an ephemeral directory, noting in `log` how to keep one.
-    pub(crate) fn finish(self, log: &mut String) {
+    /// Notes in `log` that an ephemeral directory goes with this run, and
+    /// how to keep one.
+    pub(crate) fn finish(&self, log: &mut String) {
         if self.source == "ephemeral" {
-            let _ = std::fs::remove_dir_all(&self.dir);
             let _ = writeln!(
                 log,
                 "(ephemeral cache dir removed; pass --cache-dir or set TAPACS_CACHE_DIR to persist across runs)"
             );
+        }
+    }
+}
+
+impl Drop for CacheDir {
+    fn drop(&mut self) {
+        if self.source == "ephemeral" {
+            let _ = std::fs::remove_dir_all(&self.dir);
         }
     }
 }
@@ -912,7 +920,9 @@ impl CacheDir {
 /// cache and proves (a) a warm-start hit rate and (b) a bit-identical
 /// frontier. With a `cache_dir` (or `TAPACS_CACHE_DIR`) that already holds
 /// a cache file, even the *first* sweep starts warm — the cross-process
-/// payoff CI exercises by running this twice against a shared directory.
+/// payoff `dse_second_run_against_persisted_cache_starts_warm`
+/// (`crates/bench/tests/smoke.rs`) checks by running this twice against
+/// one directory.
 ///
 /// # Errors
 ///
@@ -981,327 +991,6 @@ pub fn dse(
         )
         .into());
     }
-    Ok(s)
-}
-
-/// Chaos experiment (`reproduce faults`): arms the deterministic
-/// fault-injection registry with one fixed seeded spec — a worker panic, a
-/// solver timeout, (full mode) a stage failure, and transient cache IO
-/// faults — and proves the pipeline's fault-tolerance contract end to end:
-///
-/// * the sweep **completes** at 1/2/4 workers despite every injected fault;
-/// * every job's outcome (clean / degraded / failed / panicked) matches the
-///   registry's pure prediction ([`tapacs_ilp::FaultRegistry::selects`]),
-///   so the accounting is exact, not approximate;
-/// * non-faulted jobs are **bit-identical** to a fault-free reference run;
-/// * the whole faulted sweep — including the heuristic-fallback designs —
-///   is bit-identical across worker counts;
-/// * the persistent solve cache survives the injected IO faults through
-///   bounded retry, and a corrupt cache file is quarantined (not deleted)
-///   before the next save writes a clean one.
-///
-/// `smoke` shrinks the sweep to one flow so CI can run it in seconds.
-///
-/// # Errors
-///
-/// Any violated contract — accounting mismatch, determinism violation,
-/// cache corruption — is an error, never a table footnote.
-pub fn faults(smoke: bool) -> Result<String, Box<dyn std::error::Error>> {
-    use std::sync::Arc;
-    use tapacs_core::{BatchCompiler, BatchOutcome, CompileJob, CompiledDesign};
-    use tapacs_ilp::{install_faults, FaultKind, FaultRegistry, SolveCache, INJECTED_PANIC_MARKER};
-
-    // Disarm on every exit path: a chaos experiment must never leave the
-    // process-wide registry armed (or the panic hook filtered) for
-    // whatever runs next.
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            install_faults(None);
-            let _ = std::panic::take_hook();
-        }
-    }
-    let _disarm = Disarm;
-
-    // Injected panics are caught by the batch workers, but the default
-    // panic hook would still spray their backtraces over the report.
-    // Silence exactly those; organic panics keep the default treatment.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.contains(INJECTED_PANIC_MARKER));
-        if !injected {
-            default_hook(info);
-        }
-    }));
-
-    // The fixed seeded spec (the `FaultRegistry::parse` grammar): cnn/F2 panics
-    // mid-compile, every pagerank job's ILP deadline is forced to zero
-    // (the degradation ladder takes over), stencil-i64/F4 fails at its
-    // first stage (full mode only — smoke has no F4 jobs), and the first
-    // two cache save/load attempts each return an injected IO error that
-    // the bounded retry must outlive.
-    const SPEC: &str =
-        "42:panic@cnn/F2;timeout@pagerank;stage@stencil-i64/F4;cacheio@save*2;cacheio@load*2";
-    let arm = || -> Result<(), Box<dyn std::error::Error>> {
-        // A fresh registry per run: the transient cacheio budgets must
-        // start full each time, and per-run probe sequences stay identical.
-        install_faults(Some(Arc::new(
-            FaultRegistry::parse(SPEC).map_err(|e| format!("fault spec: {e}"))?,
-        )));
-        Ok(())
-    };
-
-    let nets = data::snap_networks();
-    // Generous organic budgets (same reasoning as `batch`): only the
-    // *injected* timeout may expire a deadline, so every other solve is
-    // exact and bit-identical across worker counts.
-    let config = non_binding_config();
-
-    let flows: &[Flow] = if smoke {
-        &[Flow::TapaCs { n_fpgas: 2 }]
-    } else {
-        &[Flow::TapaCs { n_fpgas: 2 }, Flow::TapaCs { n_fpgas: 4 }]
-    };
-    let mut jobs: Vec<CompileJob> = Vec::new();
-    for &flow in flows {
-        let n = flow.n_fpgas();
-        let label = flow.label();
-        let mut push = |name: String, graph: tapacs_graph::TaskGraph| {
-            jobs.push(
-                CompileJob::new(name, graph, flow)
-                    .on_cluster(suite::paper_cluster(n))
-                    .with_config(config.clone()),
-            );
-        };
-        push(format!("stencil-i64/{label}"), stencil::build(&stencil::StencilConfig::paper(64, n)));
-        push(format!("cnn/{label}"), cnn::build(&cnn::CnnConfig { rows: 13, cols: 4, n_fpgas: n }));
-        push(
-            format!("pagerank-{}/{label}", nets[0].name),
-            pagerank::build(&pagerank::PageRankConfig::paper(nets[0], n)),
-        );
-        push(
-            format!("knn/{label}"),
-            knn::build(&knn::KnnConfig {
-                n_points: 1_000_000,
-                dims: 2,
-                k: 10,
-                n_fpgas: n,
-                port_width_bits: 512,
-                buffer_bytes: 128 * 1024,
-                blue_per_fpga: 6,
-            }),
-        );
-    }
-
-    // Pure prediction of every job's outcome from the spec alone, before
-    // anything runs. The precedence mirrors the probe order in the batch
-    // worker: stage faults return before the compile starts, panic faults
-    // fire inside it, and an injected timeout merely degrades.
-    #[derive(Clone, Copy, PartialEq, Debug)]
-    enum Expect {
-        Clean,
-        Degraded,
-        Failed,
-        Panicked,
-    }
-    let registry = FaultRegistry::parse(SPEC).map_err(|e| format!("fault spec: {e}"))?;
-    let expected: Vec<Expect> = jobs
-        .iter()
-        .map(|j| {
-            if registry.selects(FaultKind::Stage, &j.name) {
-                Expect::Failed
-            } else if registry.selects(FaultKind::Panic, &j.name) {
-                Expect::Panicked
-            } else if registry.selects(FaultKind::Timeout, &j.name) {
-                Expect::Degraded
-            } else {
-                Expect::Clean
-            }
-        })
-        .collect();
-
-    let cache = SolveCache::global();
-
-    // Fault-free reference run: the bit-identity baseline.
-    install_faults(None);
-    cache.clear();
-    let reference = BatchCompiler::new(suite::paper_cluster(1)).threads(1).compile(jobs.clone());
-    for (result, job) in reference.results.iter().zip(&reference.report.jobs) {
-        if let Err(e) = result {
-            return Err(format!("fault-free reference: {} failed: {e}", job.name).into());
-        }
-        let what = format!("fault-free reference: {}", job.name);
-        ensure_limit_did_not_bind(&what, job.degraded, job.wall)?;
-    }
-
-    // The faulted sweep at each worker count.
-    let worker_counts = [1usize, 2, 4];
-    let mut outcomes: Vec<BatchOutcome> = Vec::new();
-    for &threads in &worker_counts {
-        arm()?;
-        cache.clear();
-        outcomes.push(
-            BatchCompiler::new(suite::paper_cluster(1)).threads(threads).compile(jobs.clone()),
-        );
-    }
-
-    // Exact accounting: observed outcome == predicted outcome, per job,
-    // at every worker count; degraded designs must carry the flag.
-    for (outcome, &requested) in outcomes.iter().zip(&worker_counts) {
-        for ((job, result), &want) in
-            outcome.report.jobs.iter().zip(&outcome.results).zip(&expected)
-        {
-            let got = if job.panicked {
-                Expect::Panicked
-            } else if job.failed {
-                Expect::Failed
-            } else if job.degraded {
-                Expect::Degraded
-            } else {
-                Expect::Clean
-            };
-            if got != want {
-                return Err(format!(
-                    "fault accounting mismatch at {requested} worker(s): {} predicted {want:?}, observed {got:?}",
-                    job.name
-                )
-                .into());
-            }
-            if want == Expect::Degraded {
-                match result {
-                    Ok(d) if d.degraded => {}
-                    Ok(_) => {
-                        return Err(format!(
-                            "{}: degraded job's design does not carry the degraded flag",
-                            job.name
-                        )
-                        .into())
-                    }
-                    Err(e) => {
-                        return Err(format!(
-                            "{}: expected a degraded design, got an error: {e}",
-                            job.name
-                        )
-                        .into())
-                    }
-                }
-            }
-        }
-    }
-
-    let same = |a: &CompiledDesign, b: &CompiledDesign| {
-        a.placement.fpga_of_task == b.placement.fpga_of_task
-            && a.slot_of_task == b.slot_of_task
-            && a.timing.freq_mhz == b.timing.freq_mhz
-    };
-    // Non-faulted jobs: bit-identical to the fault-free reference.
-    for (outcome, &requested) in outcomes.iter().zip(&worker_counts) {
-        for (i, result) in outcome.results.iter().enumerate() {
-            if expected[i] != Expect::Clean {
-                continue;
-            }
-            match (result, &reference.results[i]) {
-                (Ok(a), Ok(b)) if same(a, b) => {}
-                _ => {
-                    return Err(format!(
-                        "DETERMINISM VIOLATION: non-faulted job {} diverged from the fault-free reference at {requested} worker(s)",
-                        jobs[i].name
-                    )
-                    .into())
-                }
-            }
-        }
-    }
-    // The entire faulted sweep — heuristic-fallback designs included — is
-    // identical across worker counts (the fallback is deterministic too).
-    for outcome in &outcomes[1..] {
-        for (i, (a, b)) in outcomes[0].results.iter().zip(&outcome.results).enumerate() {
-            match (a, b) {
-                (Ok(a), Ok(b)) if same(a, b) => {}
-                (Err(_), Err(_)) => {}
-                _ => {
-                    return Err(format!(
-                        "faulted sweep diverged across worker counts at {}",
-                        jobs[i].name
-                    )
-                    .into())
-                }
-            }
-        }
-    }
-
-    // Cache IO leg: save through two injected save faults (the bounded
-    // retry outlives the transient budget), reload through two injected
-    // load faults, then corrupt the file on purpose and watch it get
-    // quarantined before a fresh save writes a clean one.
-    arm()?;
-    let dir = std::env::temp_dir().join(format!("tapacs-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let file = SolveCache::file_in(&dir);
-    let stored =
-        cache.save_to(&file).map_err(|e| format!("save despite transient IO faults: {e}"))?;
-    cache.clear();
-    let loaded =
-        cache.load_from(&file).map_err(|e| format!("load despite transient IO faults: {e}"))?;
-    if loaded != stored {
-        return Err(
-            format!("cache round trip lost entries: stored {stored}, loaded {loaded}").into()
-        );
-    }
-    std::fs::write(&file, b"deliberately not a cache file")?;
-    let rejected = cache.load_from(&file);
-    let quarantined = {
-        let mut t = file.as_os_str().to_os_string();
-        t.push(".quarantined");
-        std::path::PathBuf::from(t)
-    };
-    if rejected.is_ok() {
-        return Err("corrupt cache file was not rejected".into());
-    }
-    if !quarantined.exists() || file.exists() {
-        return Err("corrupt cache file was not quarantined".into());
-    }
-    let restored = cache.save_to(&file).map_err(|e| format!("save after quarantine: {e}"))?;
-    cache.clear();
-    let reloaded = cache.load_from(&file).map_err(|e| format!("load after quarantine: {e}"))?;
-    if reloaded != restored {
-        return Err(format!(
-            "post-quarantine round trip lost entries: stored {restored}, loaded {reloaded}"
-        )
-        .into());
-    }
-    let _ = std::fs::remove_file(&file);
-    let _ = std::fs::remove_file(&quarantined);
-    let _ = std::fs::remove_dir(&dir);
-
-    // Every contract above returned an error on violation, so the report
-    // below states facts, not hopes.
-    let mut counts = [0usize; 4];
-    for e in &expected {
-        counts[*e as usize] += 1;
-    }
-    let [clean, degraded, failed, panicked] = counts;
-    let mut s =
-        format!("Fault-injection chaos sweep (seed {})\nspec: {}\n\n", registry.seed(), SPEC);
-    s.push_str(&outcomes[0].report.render_table());
-    let _ = writeln!(
-        s,
-        "\naccounting (predicted == observed at 1/2/4 workers): {clean} clean, {degraded} degraded, {} failed ({panicked} panicked, {failed} stage-failed)",
-        failed + panicked,
-    );
-    let _ = writeln!(s, "non-faulted jobs bit-identical to the fault-free reference: yes");
-    let _ = writeln!(s, "faulted sweep bit-identical across 1/2/4 workers: yes");
-    let _ = writeln!(
-        s,
-        "solve cache: {stored} entries saved through 2 injected save faults, {loaded} reloaded through 2 injected load faults"
-    );
-    let _ = writeln!(
-        s,
-        "corrupt cache file quarantined; fresh save + reload: {restored} stored / {reloaded} loaded"
-    );
     Ok(s)
 }
 

@@ -1,6 +1,8 @@
-//! Smoke test for the `reproduce` paper-table path: `quick()` renders the
-//! static tables without touching the full compile/simulate matrix, so CI
-//! exercises the binary's default mode cheaply.
+//! Smoke tests for the `reproduce` binary: its default `quick` mode (the
+//! static tables, without the full compile/simulate matrix), `list`,
+//! `batch --smoke`, and the DSE experiments' three cache-dir sources
+//! (`--cache-dir`, `TAPACS_CACHE_DIR`, an ephemeral dir under `TMPDIR`
+//! that is removed on every exit).
 
 use std::process::Command;
 use std::sync::Mutex;
@@ -8,8 +10,8 @@ use std::sync::Mutex;
 use tapacs_bench::reproduce as r;
 
 /// `batch`, `dse` and `dse-search` all clear and snapshot the process-global
-/// solve cache / LP-engine counters; run them serially so none pollutes the
-/// numbers another reports.
+/// solve cache / LP-engine counters; run them serially, in process or
+/// spawned, so none pollutes the numbers or the cores another uses.
 static GLOBAL_COUNTERS: Mutex<()> = Mutex::new(());
 
 /// A `reproduce dse` sweep in which an ILP limit bound reports degraded
@@ -18,6 +20,34 @@ static GLOBAL_COUNTERS: Mutex<()> = Mutex::new(());
 /// violation. (`dse-search` returns this as its own error.)
 fn assert_no_point_degraded(out: &str) {
     assert!(out.contains(", 0 degraded, "), "an ILP limit bound (degraded DSE point): {out}");
+}
+
+/// A fresh, empty directory for a spawned `reproduce` to use as `TMPDIR`,
+/// where its ephemeral cache dir goes when `TAPACS_CACHE_DIR` is unset.
+fn fresh_tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tapacs-tmpdir-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `reproduce <args>` with `TAPACS_CACHE_DIR` removed and `TMPDIR` set to
+/// `tmpdir`, so any cache dir it resolves is the ephemeral one.
+fn run_ephemeral(args: &[&str], tmpdir: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .env_remove("TAPACS_CACHE_DIR")
+        .env("TMPDIR", tmpdir)
+        .output()
+        .expect("reproduce binary must run")
+}
+
+/// Asserts that `dir` holds nothing (no ephemeral cache dir survived), then
+/// removes it.
+fn assert_left_empty(dir: &std::path::Path) {
+    let left: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "reproduce left {left:?} behind in its TMPDIR");
+    let _ = std::fs::remove_dir(dir);
 }
 
 #[test]
@@ -41,6 +71,11 @@ fn quick_renders_the_static_tables() {
     }
     // Deterministic: two renders agree (CI reruns must not flake).
     assert_eq!(out, r::quick());
+    // The binary with no argument runs `quick`.
+    let bin =
+        Command::new(env!("CARGO_BIN_EXE_reproduce")).output().expect("reproduce binary must run");
+    assert!(bin.status.success(), "reproduce exited with {:?}", bin.status);
+    assert_eq!(String::from_utf8(bin.stdout).unwrap(), format!("{out}\n"));
 }
 
 #[test]
@@ -51,7 +86,7 @@ fn list_subcommand_prints_every_experiment() {
         .expect("reproduce binary must run");
     assert!(out.status.success(), "list exited with {:?}", out.status);
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let flagged = ["quick", "all", "batch", "dse", "dse-search", "faults"];
+    let flagged = ["quick", "all", "batch", "dse", "dse-search"];
     for name in r::EXPERIMENTS.iter().map(|row| row.0).chain(flagged) {
         assert!(stdout.lines().any(|l| l == name), "`reproduce list` output is missing {name:?}");
     }
@@ -80,7 +115,12 @@ fn every_static_experiment_name_dispatches() {
 #[test]
 fn batch_smoke_reports_speedup_and_determinism() {
     let _serial = GLOBAL_COUNTERS.lock().unwrap();
-    let out = r::batch(true).expect("smoke batch must compile the sweep");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["batch", "--smoke"])
+        .output()
+        .expect("reproduce binary must run");
+    assert!(out.status.success(), "batch failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = String::from_utf8(out.stdout).unwrap();
     assert!(out.contains("sharded queue"), "{out}");
     assert!(out.contains("cross-design solve-cache hit rate"), "{out}");
     assert!(out.contains("bit-identical designs"), "{out}");
@@ -105,6 +145,8 @@ fn dse_is_listed_and_smoke_runs_in_process() {
 /// The acceptance path: a second `reproduce dse --smoke` against a
 /// persisted cache dir must start warm (>0% hit rate before any solve of
 /// its own is cached) and reproduce the first run's frontier bit for bit.
+/// The first run names the dir with `--cache-dir`, the second through
+/// `TAPACS_CACHE_DIR`.
 #[test]
 fn dse_second_run_against_persisted_cache_starts_warm() {
     // Serialize against the compile-heavy in-process tests: on a loaded
@@ -114,19 +156,24 @@ fn dse_second_run_against_persisted_cache_starts_warm() {
     let _serial = GLOBAL_COUNTERS.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("tapacs-dse-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let run = || {
-        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-            .args(["dse", "--smoke", "--cache-dir", dir.to_str().unwrap()])
-            .output()
-            .expect("reproduce binary must run");
+    let run = |command: &mut Command| {
+        let out = command.output().expect("reproduce binary must run");
         assert!(out.status.success(), "dse failed: {}", String::from_utf8_lossy(&out.stderr));
         String::from_utf8(out.stdout).unwrap()
     };
-    let first = run();
-    let second = run();
+    let first = run(Command::new(env!("CARGO_BIN_EXE_reproduce")).args([
+        "dse",
+        "--smoke",
+        "--cache-dir",
+        dir.to_str().unwrap(),
+    ]));
+    let second = run(Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["dse", "--smoke"])
+        .env("TAPACS_CACHE_DIR", &dir));
     assert_no_point_degraded(&first);
     assert_no_point_degraded(&second);
     assert!(first.contains("disk warm start: no (cold cache)"), "{first}");
+    assert!(second.contains("(TAPACS_CACHE_DIR)"), "{second}");
     assert!(second.contains("disk warm start: yes"), "{second}");
     assert!(
         !second.contains("starting solve-cache hit rate: 0.0%"),
@@ -142,6 +189,36 @@ fn dse_second_run_against_persisted_cache_starts_warm() {
     };
     assert_eq!(signature(&first), signature(&second), "frontier diverged across processes");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With neither `--cache-dir` nor `TAPACS_CACHE_DIR`, `reproduce dse
+/// --smoke` still proves its disk round trip in an ephemeral dir under
+/// `TMPDIR`, and removes that dir before it exits.
+#[test]
+fn dse_smoke_without_a_cache_dir_runs_in_an_ephemeral_one() {
+    let _serial = GLOBAL_COUNTERS.lock().unwrap();
+    let tmpdir = fresh_tmpdir("dse");
+    let out = run_ephemeral(&["dse", "--smoke"], &tmpdir);
+    assert!(out.status.success(), "dse failed: {}", String::from_utf8_lossy(&out.stderr));
+    let out = String::from_utf8(out.stdout).unwrap();
+    assert_no_point_degraded(&out);
+    assert!(out.contains("(ephemeral)"), "{out}");
+    assert!(out.contains("disk warm start: no (cold cache)"), "{out}");
+    assert!(out.contains("bit-identical Pareto frontier across both sweeps: yes"), "{out}");
+    assert!(out.contains("ephemeral cache dir removed"), "{out}");
+    assert_left_empty(&tmpdir);
+}
+
+/// An experiment that fails after resolving its ephemeral cache dir (here
+/// `dse-search` on an unknown grid) removes the dir on the way out.
+#[test]
+fn failed_dse_search_leaves_no_ephemeral_cache_dir() {
+    let tmpdir = fresh_tmpdir("dse-search-bogus");
+    let out = run_ephemeral(&["dse-search", "--grid", "bogus"], &tmpdir);
+    assert!(!out.status.success(), "an unknown grid must fail");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown dse-search grid: bogus"), "stderr: {stderr}");
+    assert_left_empty(&tmpdir);
 }
 
 /// The in-process path: `dse_search` on the smoke grid renders the

@@ -404,24 +404,6 @@ impl BatchCompiler {
         }
         let compiler = Compiler::with_config(cluster.clone(), config);
         let t0 = Instant::now();
-        // Injected stage failure: the job fails per-job, like any organic
-        // stage error, without running the pipeline.
-        if fault_fires(FaultKind::Stage, &job.name) {
-            let report = JobReport {
-                name: job.name.clone(),
-                flow: job.flow,
-                wall: t0.elapsed(),
-                timings: Vec::new(),
-                failed_stage: Some(Stage::Partition),
-                failed: true,
-                panicked: false,
-                degraded: false,
-                budget_expired: false,
-                engine: activity.snapshot(),
-            };
-            let err = CompileError::Solver(format!("injected stage fault: {}", job.name));
-            return (Err(err), report);
-        }
         // Panic isolation: a panic anywhere in the pipeline (organic or
         // injected) is caught at the job boundary, attributed to the stage
         // that was executing, and converted into this job's error — the

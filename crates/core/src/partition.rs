@@ -13,7 +13,7 @@
 //! ILP-based partitioners at this scale:
 //!
 //! 1. **coarsen** by heavy-edge matching until at most
-//!    [`PartitionConfig::coarsen_to`] supernodes remain (the 493-module CNN
+//!    `COARSEN_TO` (96) supernodes remain (the 493-module CNN
 //!    grid shrinks to under a hundred),
 //! 2. **recursive two-way ILP bisection** over device index ranges — the
 //!    crate's one split-and-recurse (`bisect.rs`), the same model and
@@ -37,6 +37,9 @@ use crate::bisect::{
 use crate::error::CompileError;
 use crate::report::LevelSolveStats;
 
+/// Coarsening target: maximum supernodes handed to the ILP.
+const COARSEN_TO: usize = 96;
+
 /// Tuning knobs for the inter-FPGA partitioner.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PartitionConfig {
@@ -44,8 +47,6 @@ pub struct PartitionConfig {
     pub threshold: f64,
     /// ILP wall-clock budget per bisection level.
     pub time_limit_s: f64,
-    /// Coarsening target: maximum supernodes handed to the ILP.
-    pub coarsen_to: usize,
     /// Refinement sweeps over the full graph.
     pub refine_passes: usize,
     /// Compute-load balance slack: each device group must carry at least
@@ -71,7 +72,6 @@ impl Default for PartitionConfig {
         Self {
             threshold: 0.7,
             time_limit_s: 10.0,
-            coarsen_to: 96,
             refine_passes: 4,
             balance_slack: 0.35,
             solver: SolverOptions::default(),
@@ -167,7 +167,7 @@ pub fn partition(
     }
 
     // --- 1. Coarsen -------------------------------------------------------
-    let coarse = Coarse::build(graph, cfg.coarsen_to, &cap, cfg.threshold);
+    let coarse = Coarse::build(graph, COARSEN_TO, &cap, cfg.threshold);
 
     // --- 2. Recursive bisection over the device range ----------------------
     // Loose balance gives the ILP freedom, but a lopsided upper-level split

@@ -2,14 +2,16 @@
 //!
 //! Random fault-injection specs over shuffled batches must uphold the
 //! robustness contract whatever the spec says:
-//! 1. Panicked jobs are isolated to a typed [`CompileError::WorkerPanicked`]
-//!    and every *non-faulted* job's design is bit-identical to a
-//!    fault-free reference run.
+//! 1. Panicked jobs are isolated to a typed [`CompileError::WorkerPanicked`],
+//!    every *non-faulted* job's design is bit-identical to a fault-free
+//!    reference run, and the whole faulted batch, degraded designs
+//!    included, is identical across batch worker counts.
 //! 2. Injected solver timeouts degrade (heuristic fallback, flagged) —
 //!    they never abort the sweep.
 //! 3. The persistent solve-cache file is never corrupted by injected save
 //!    faults: a save either succeeds (and round-trips) or fails leaving
-//!    the previous file byte-identical.
+//!    the previous file byte-identical. Injected load faults are retried
+//!    the same way, and an exhausted retry leaves the file in place.
 //! 4. Degraded points never enter a DSE Pareto frontier, and a faulted
 //!    exploration is deterministic run-to-run.
 //!
@@ -19,13 +21,16 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
+use tapacs_apps::{data, pagerank, suite};
 use tapacs_core::dse::explore;
 use tapacs_core::{
     BatchCompiler, CompileError, CompileJob, CompiledDesign, CompilerConfig, DseConfig, Flow,
 };
 use tapacs_fpga::{Device, Resources};
 use tapacs_graph::{Fifo, Task, TaskGraph};
-use tapacs_ilp::{install_faults, FaultRegistry, SolveCache, INJECTED_PANIC_MARKER};
+use tapacs_ilp::{
+    install_faults, CacheFileError, FaultRegistry, SolveCache, INJECTED_PANIC_MARKER,
+};
 use tapacs_net::{Cluster, Topology};
 
 static GLOBAL_FAULTS: Mutex<()> = Mutex::new(());
@@ -148,7 +153,29 @@ proptest! {
             arm(&spec);
         }
         SolveCache::global().clear();
-        let faulted = batch().threads(threads).compile(jobs);
+        let faulted = batch().threads(threads).compile(jobs.clone());
+        // The same faulted batch at one worker: every slot, heuristic
+        // fallback designs included, must match the `threads` run.
+        if any_faults {
+            arm(&spec);
+        }
+        SolveCache::global().clear();
+        let serial = batch().threads(1).compile(jobs);
+        for (pos, (a, b)) in faulted.report.jobs.iter().zip(&serial.report.jobs).enumerate() {
+            prop_assert_eq!(
+                (a.panicked, a.failed, a.degraded),
+                (b.panicked, b.failed, b.degraded),
+                "{}'s flags differ between {} worker(s) and 1", a.name, threads
+            );
+            match (&faulted.results[pos], &serial.results[pos]) {
+                (Ok(x), Ok(y)) => prop_assert!(
+                    same(x, y),
+                    "{}'s design differs between {} worker(s) and 1", a.name, threads
+                ),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(false, "{} compiles at one worker count only", a.name),
+            }
+        }
 
         for (pos, &i) in idx.iter().enumerate() {
             let job = &faulted.report.jobs[pos];
@@ -204,7 +231,9 @@ proptest! {
 
     /// Contract 3: an injected-save-fault budget either lets the bounded
     /// retry through (file round-trips) or exhausts it (previous file is
-    /// byte-identical — the temp-write + atomic-rename never half-writes).
+    /// byte-identical — the temp-write + atomic-rename never half-writes);
+    /// the same budget of load faults is outlived or leaves the file in
+    /// place.
     #[test]
     fn cache_file_never_corrupted_by_injected_save_faults(
         budget in 0u32..6,
@@ -245,6 +274,29 @@ proptest! {
         }
         cache.clear();
         prop_assert_eq!(cache.load_from(&path).unwrap(), entries);
+
+        // Load leg: the same budget of injected read faults. The bounded
+        // retry outlives up to 3; past that the load fails with the IO
+        // error and leaves the file where it is (only a corrupt or stale
+        // file is quarantined), so it loads cleanly once disarmed.
+        cache.clear();
+        arm(&format!("7:cacheio@load*{budget}"));
+        let loaded = cache.load_from(&path);
+        install_faults(None);
+        if budget <= 3 {
+            prop_assert!(
+                matches!(loaded, Ok(n) if n == entries),
+                "a retried load must return all {entries} entries, got {loaded:?}"
+            );
+        } else {
+            prop_assert!(
+                matches!(loaded, Err(CacheFileError::Io(_))),
+                "budget {budget} must exhaust the load retries, got {loaded:?}"
+            );
+            prop_assert!(path.exists(), "an IO failure must not quarantine the file");
+            cache.clear();
+            prop_assert_eq!(cache.load_from(&path).unwrap(), entries);
+        }
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -291,6 +343,48 @@ fn injected_panic_is_typed_and_isolated() {
         };
         assert!(!a.degraded && !b.degraded, "survivor {i}: an ILP limit bound");
         assert!(same(a, b), "survivor {i} diverged from the fault-free reference");
+    }
+}
+
+/// Contract 2 on a design whose ILP must search: an injected timeout on
+/// PageRank over the first SNAP network at F2 degrades the design and the
+/// job (which still compiles, not failed), where the same compile without
+/// the fault is clean.
+#[test]
+fn injected_timeout_degrades_a_searching_design() {
+    let _serial = GLOBAL_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let _disarm = Disarm;
+
+    let net = data::snap_networks()[0];
+    let flow = Flow::TapaCs { n_fpgas: 2 };
+    let job = CompileJob::new(
+        format!("pagerank-{}/{}", net.name, flow.label()),
+        pagerank::build(&pagerank::PageRankConfig::paper(net, 2)),
+        flow,
+    )
+    .on_cluster(suite::paper_cluster(2))
+    .with_config(unbound_config());
+    let compile = || {
+        SolveCache::global().clear();
+        BatchCompiler::new(suite::paper_cluster(1)).threads(1).compile(vec![job.clone()])
+    };
+
+    install_faults(None);
+    let clean = compile();
+    let report = &clean.report.jobs[0];
+    assert!(report.wall.as_secs_f64() < LIMIT_S, "the clean compile reached one ILP's limit");
+    assert!(!report.failed && !report.degraded, "the fault-free compile must be clean");
+    assert!(matches!(&clean.results[0], Ok(d) if !d.degraded));
+
+    arm("3:timeout@pagerank");
+    let faulted = compile();
+    install_faults(None);
+    let report = &faulted.report.jobs[0];
+    assert!(!report.failed, "an injected timeout must degrade, not fail");
+    assert!(report.degraded, "the job must be reported degraded");
+    match &faulted.results[0] {
+        Ok(d) => assert!(d.degraded, "the design must carry the degraded flag"),
+        Err(e) => panic!("the timed-out job must still compile: {e}"),
     }
 }
 

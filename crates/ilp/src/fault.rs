@@ -1,14 +1,13 @@
-//! Seeded, deterministic fault injection for chaos testing.
+//! Seeded, deterministic fault injection for the robustness tests.
 //!
 //! [`install_faults`] arms a process-wide registry, parsed from
 //! `<seed>:<spec>(;<spec>)*` by [`FaultRegistry::parse`], that the
 //! pipeline consults at well-defined *sites* (a batch job about to
-//! compile, a pipeline stage about to run, a cache file about to be read
-//! or written). Each spec is:
+//! compile, a cache file about to be read or written). Each spec is:
 //!
 //! ```text
 //! <kind><selector>[*<count>]
-//! kind     := panic | timeout | stage | cacheio
+//! kind     := panic | timeout | cacheio
 //! selector := @<substr>     exact substring match on the site key
 //!           | %<permille>   fires when fnv(seed, kind, site) % 1000 < permille
 //! count    := transient budget — the fault fires only the first N times
@@ -22,10 +21,9 @@
 //!
 //! Selection is a pure function of `(seed, kind, site key)` — never of
 //! thread interleaving or wall clock — so a faulted sweep is bit-identical
-//! across batch worker counts and an experiment can *predict* exactly
-//! which jobs will fault (see [`FaultRegistry::selects`]). The
-//! transient budget is the one piece of mutable state; it is keyed per
-//! `(spec, site)` so its draining is also schedule-independent.
+//! across batch worker counts. The transient budget is the one piece of
+//! mutable state; it is keyed per `(spec, site)` so its draining is also
+//! schedule-independent.
 //!
 //! Until a registry is installed every probe is a single atomic load —
 //! the machinery compiles in but costs nothing in production.
@@ -42,8 +40,6 @@ pub enum FaultKind {
     /// Force the matched job's ILP time limit to zero (deterministic
     /// deadline expiry → the degradation ladder takes over).
     Timeout,
-    /// Fail the matched pipeline stage with an injected `CompileError`.
-    Stage,
     /// Return an IO error from the persistent-cache load/save path.
     CacheIo,
 }
@@ -53,7 +49,6 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Timeout => "timeout",
-            FaultKind::Stage => "stage",
             FaultKind::CacheIo => "cacheio",
         }
     }
@@ -129,7 +124,6 @@ impl FaultRegistry {
         let kind = match &raw[..sel_at] {
             "panic" => FaultKind::Panic,
             "timeout" => FaultKind::Timeout,
-            "stage" => FaultKind::Stage,
             "cacheio" => FaultKind::CacheIo,
             other => return Err(format!("unknown fault kind `{other}` in `{raw}`")),
         };
@@ -161,11 +155,6 @@ impl FaultRegistry {
         Ok(FaultSpec { kind, selector, transient })
     }
 
-    /// The seed the registry was armed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn matching_spec(&self, kind: FaultKind, site: &str) -> Option<usize> {
         self.specs.iter().position(|s| {
             s.kind == kind
@@ -177,9 +166,10 @@ impl FaultRegistry {
     }
 
     /// Pure selection: would *some* probe at this site ever fire? Ignores
-    /// transient budgets — experiments use this to predict which sites are
-    /// faulted without consuming the budget.
-    pub fn selects(&self, kind: FaultKind, site: &str) -> bool {
+    /// transient budgets, so the tests below can check selection without
+    /// consuming a budget.
+    #[cfg(test)]
+    fn selects(&self, kind: FaultKind, site: &str) -> bool {
         self.matching_spec(kind, site).is_some()
     }
 
@@ -237,11 +227,9 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let r = FaultRegistry::parse("42:panic@knn;timeout%250;cacheio@load*2;stage@F4").unwrap();
-        assert_eq!(r.seed(), 42);
+        let r = FaultRegistry::parse("42:panic@knn;timeout%250;cacheio@load*2").unwrap();
         assert!(r.selects(FaultKind::Panic, "knn/F2"));
         assert!(!r.selects(FaultKind::Panic, "pagerank/F2"));
-        assert!(r.selects(FaultKind::Stage, "sorter/F4"));
         assert!(r.selects(FaultKind::CacheIo, "load"));
         assert!(!r.selects(FaultKind::CacheIo, "save"));
     }
@@ -251,6 +239,7 @@ mod tests {
         assert!(FaultRegistry::parse("no-colon").is_err());
         assert!(FaultRegistry::parse("x:panic@a").is_err());
         assert!(FaultRegistry::parse("1:frobnicate@a").is_err());
+        assert!(FaultRegistry::parse("1:stage%500").is_err());
         assert!(FaultRegistry::parse("1:panic").is_err());
         assert!(FaultRegistry::parse("1:panic@").is_err());
         assert!(FaultRegistry::parse("1:timeout%1500").is_err());
