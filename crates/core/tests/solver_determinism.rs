@@ -1,11 +1,14 @@
-//! End-to-end determinism of the compiler under the parallel solver
-//! backend: `compile()` must produce identical output for
-//! `SolverOptions { threads: 1 }` and the default (all-cores) options, on
+//! End-to-end determinism of the compiler across thread counts:
+//! `compile()` must produce identical output for
+//! `SolverOptions { threads: 1 }`, which keeps the whole bisection
+//! recursion on the calling thread, and the default (all-cores) options,
+//! under which the two halves of a split descend concurrently. Checked on
 //! a synthetic chain and on bundled apps.
 //!
-//! This is the hard requirement behind making the parallel branch and
-//! bound's exploration trace independent of the worker count — a flaky
-//! floorplan would make every paper table nondeterministic.
+//! Every ILP solve runs on one thread, so what this pins is that the
+//! concurrent halves return the same pairs in the same order as the
+//! sequential recursion — a flaky floorplan would make every paper table
+//! nondeterministic.
 
 use tapacs_apps::suite::{build_for, default_param, paper_cluster, Benchmark};
 use tapacs_core::{CompiledDesign, Compiler, CompilerConfig, Flow, SolverBackend, SolverOptions};

@@ -159,17 +159,19 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// to the entry encoding; old files are then rejected as stale instead of
 /// being misparsed. v2 added the [`Solution::degraded`] byte; v3 changes no
 /// byte of the layout but marks the renaming of the backends inside the
-/// keys (the unsuffixed name now means sparse + fast parity, the oracle
-/// modes carry `-exactlp`/`-denselp`), so a v2 file's exact-mode answers
-/// are rejected instead of being served under the new default's name. v4
+/// keys (the unsuffixed name came to mean the default LP arithmetic, and
+/// the oracle modes of the time got suffixed names), so a v2 file's
+/// oracle-mode answers are rejected instead of being served under the new
+/// default's name. Those modes and their suffixes have since gone without
+/// a bump: no file could hold a default key that meant anything else. v4
 /// changes no byte either: kit-on solves switched to the logicals-first
 /// factorization order, whose different roundoff can return another
 /// equal-cut design for the same model bytes, so a v3 file's answers would
 /// make a warm sweep disagree with a cold one. v5 changes no byte either:
 /// kit-off attempts over LPs of more than 128 rows restart with the kit on
 /// sooner, so a split that used to finish kit-off may now answer kit-on
-/// with another equal-cut design. The rule is the suffixes' rule: a change
-/// of LP arithmetic gets its own keys. Storing expressions and rows as
+/// with another equal-cut design. The rule: a change of LP arithmetic gets
+/// its own keys. Storing expressions and rows as
 /// sorted term vectors instead of maps did not bump it: the key is written
 /// from the same terms in the same ascending order, byte for byte
 /// (`canonical_key_bytes_are_pinned`), and no answer changed. v6 keeps
@@ -930,6 +932,12 @@ mod tests {
         std::fs::write(&path, &good).unwrap();
         assert_eq!(target.load_from(&path).unwrap(), 2);
         let _ = std::fs::remove_file(&path);
+        // Each rejection moved the bad file aside; the last one is still
+        // there.
+        let mut quarantined = path.into_os_string();
+        quarantined.push(".quarantined");
+        assert!(Path::new(&quarantined).exists(), "a rejected file is quarantined");
+        std::fs::remove_file(&quarantined).unwrap();
     }
 
     #[test]

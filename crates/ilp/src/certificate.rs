@@ -1,8 +1,8 @@
 //! Independent certificate for returned solutions.
 //!
 //! The solver stack between a [`Model`] and its [`Solution`] is deep —
-//! presolve, two LP engines, two parity contracts, warm starts, a dual
-//! repair, a memo cache that can replay answers from disk. [`certify`]
+//! presolve, a sparse engine that runs the kit on big searches, warm
+//! starts, a dual repair, a memo cache that can replay answers from disk. [`certify`]
 //! trusts none of it: it re-checks the answer against the **original,
 //! un-presolved** model with nothing but the model's own rows and the
 //! declared [`SolverConfig`], in one O(nnz) pass that allocates nothing.

@@ -1,26 +1,85 @@
-//! The dense-tableau simplex engine ([`LpEngine::Dense`](crate::LpEngine::Dense)).
+//! The dense-tableau simplex: the test build's oracle for the sparse
+//! revised engine, and the differential tests that read it.
 //!
-//! This is the original implementation, kept as the differential-testing
-//! oracle for the sparse revised engine: it lays the prepared CSC matrix
+//! This is the original implementation. It lays the prepared CSC matrix
 //! out densely, maintains the full `B⁻¹A` tableau explicitly, refactorizes
 //! a basis by Gauss-Jordan elimination and updates every row on every
-//! pivot. All decision rules
-//! (pricing, ratio test, tie-breaks, the degenerate-pivot Bland guard) are
-//! shared with [`revised`](crate::revised) through the constants and
-//! helpers in [`simplex`](crate::simplex).
+//! pivot. All decision rules (pricing, ratio test, tie-breaks, the
+//! degenerate-pivot Bland guard) are shared with
+//! [`revised`](crate::revised) through the constants and helpers in
+//! [`simplex`](crate::simplex), so a kit-off sparse solve replays this
+//! one: the same pivot rows, bit-identical basic values, the same
+//! branch-and-bound node tree. It has no fast path — devex pricing,
+//! Forrest–Tomlin eta replacement and the dual-simplex warm re-solve live
+//! only in the sparse engine.
 //!
-//! The [`LpParity`](crate::LpParity) switch does not reach this engine: the
-//! dense tableau *is* the exact reference that
-//! [`LpParity::Exact`](crate::LpParity::Exact) replays, so it has no fast path — devex pricing, Forrest–Tomlin eta
-//! replacement and the dual-simplex warm re-solve live only in the sparse
-//! engine.
+//! [`oracle`] routes every LP a closure solves on its thread here, search
+//! included; [`Way`] names the three arithmetics the tests compare.
+
+use std::cell::Cell;
 
 use crate::cancel::CancellationToken;
 use crate::simplex::{
-    cold_statuses_for, CancelProbe, ColStatus, EngineCore, RunOutcome, Step, DEGEN_BLAND_AFTER,
-    PRICE_BAND, TOL,
+    cold_statuses_for, Basis, CancelProbe, ColStatus, EngineCore, LpOutcome, PreparedLp,
+    RunOutcome, Step, DEGEN_BLAND_AFTER, PRICE_BAND, TOL,
 };
 use crate::sparse::SparseLp;
+
+thread_local! {
+    /// Set while [`oracle`] runs on this thread.
+    static ORACLE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every LP solve on this thread answered by the dense
+/// tableau instead of the sparse engine; the kit flag is then moot.
+pub(crate) fn oracle<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ORACLE.set(self.0);
+        }
+    }
+    let _restore = Restore(ORACLE.replace(true));
+    f()
+}
+
+/// An [`oracle`] call is running on this thread.
+pub(crate) fn in_oracle() -> bool {
+    ORACLE.get()
+}
+
+/// The three LP arithmetics the differential tests compare: the sparse
+/// engine with the kit off and on, and the dense oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Way {
+    KitOff,
+    KitOn,
+    Oracle,
+}
+
+impl Way {
+    pub(crate) const ALL: [Way; 3] = [Way::KitOff, Way::KitOn, Way::Oracle];
+
+    /// Runs `f` this way, handing it the kit flag to pass on.
+    pub(crate) fn run<T>(self, f: impl FnOnce(bool) -> T) -> T {
+        match self {
+            Way::KitOff => f(false),
+            Way::KitOn => f(true),
+            Way::Oracle => oracle(|| f(false)),
+        }
+    }
+
+    /// [`PreparedLp::solve_node`] this way.
+    pub(crate) fn solve(
+        self,
+        prep: &PreparedLp,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+    ) -> LpOutcome {
+        self.run(|kit| prep.solve_node(lower, upper, warm, kit))
+    }
+}
 
 pub(crate) struct Tableau {
     m: usize,
@@ -50,6 +109,11 @@ pub(crate) struct Tableau {
 }
 
 impl Tableau {
+    /// The column basic in each row.
+    pub(crate) fn basis(&self) -> &[usize] {
+        &self.basis
+    }
+
     /// The tableau of the prepared matrix `sp` under the structural bounds
     /// `lower`/`upper`. A cell is `0 +` its CSC value (its scaled
     /// coefficients summed in row order), as adding them one by one gives.
@@ -520,5 +584,266 @@ impl EngineCore for Tableau {
 
     fn solution(&self) -> (&[f64], &[ColStatus]) {
         (&self.x, &self.status)
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::solver::search_only;
+    use crate::{
+        certify, IlpError, LinExpr, Model, Sense, SolveActivity, SolveStats, SolverConfig,
+    };
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// Random rows: coefficients, right-hand side, and `≤` (else `≥`).
+    type RandomRows = Vec<(Vec<i32>, i32, bool)>;
+
+    /// A random bounded model: `nb` binaries plus box-bounded continuous
+    /// variables, a handful of random ≤/≥ rows, and a dense objective. Every
+    /// variable carries finite bounds, so no solve can be unbounded — the
+    /// only legal statuses are optimal and infeasible.
+    fn random_model(
+        obj: &[i32],
+        rows: &[(Vec<i32>, i32, bool)],
+        nb: usize,
+        maximize: bool,
+    ) -> Model {
+        let mut m = Model::new("oracle-diff");
+        let vars: Vec<_> = (0..obj.len())
+            .map(|j| if j < nb { m.binary("b") } else { m.continuous("x", -3.0, 7.0) })
+            .collect();
+        for (coeffs, rhs, is_le) in rows {
+            let expr =
+                LinExpr::sum(vars.iter().zip(coeffs).map(|(&v, &c)| LinExpr::term(v, c as f64)));
+            if *is_le {
+                m.add_le("r", expr, *rhs as f64);
+            } else {
+                m.add_ge("r", expr, *rhs as f64);
+            }
+        }
+        let objective =
+            LinExpr::sum(vars.iter().zip(obj).map(|(&v, &c)| LinExpr::term(v, c as f64)));
+        m.set_objective(if maximize { Sense::Maximize } else { Sense::Minimize }, objective);
+        m
+    }
+
+    /// The proptest strategy of [`random_model`]'s inputs with `n_max - 1`
+    /// columns at most.
+    fn model_inputs(
+        n_max: usize,
+        rows_max: usize,
+    ) -> impl Strategy<Value = (Vec<i32>, RandomRows, bool)> {
+        (
+            prop::collection::vec(-9i32..10, 2..n_max),
+            prop::collection::vec(
+                (prop::collection::vec(-5i32..6, n_max..n_max + 1), -10i32..20, any::<bool>()),
+                1..rows_max,
+            ),
+            any::<bool>(),
+        )
+            .prop_map(|(obj, rows, maximize)| {
+                let n = obj.len();
+                let rows =
+                    rows.into_iter().map(|(c, rhs, le)| (c[..n].to_vec(), rhs, le)).collect();
+                (obj, rows, maximize)
+            })
+    }
+
+    type Verdict = Result<f64, &'static str>;
+
+    /// An LP outcome as a comparable verdict: `Ok(objective)` or
+    /// `Err("infeasible")`.
+    fn lp_verdict(out: LpOutcome) -> Verdict {
+        match out {
+            LpOutcome::Optimal { objective, .. } => Ok(objective),
+            LpOutcome::Infeasible => Err("infeasible"),
+            other => panic!("a bounded LP solved to {other:?}"),
+        }
+    }
+
+    /// A model solve as a comparable verdict, its answer certified first.
+    /// Any error but infeasibility fails the test.
+    fn verdict(model: &Model, solved: Result<crate::Solution, IlpError>) -> Verdict {
+        match solved {
+            Ok(sol) => {
+                certify(model, &SolverConfig::default(), &sol).expect("certified answer");
+                Ok(sol.objective)
+            }
+            Err(IlpError::Infeasible) => Err("infeasible"),
+            Err(other) => panic!("unexpected solver error: {other:?}"),
+        }
+    }
+
+    /// Same status, and the same objective to 1e-6 when optimal.
+    fn agree(a: &Verdict, b: &Verdict) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => (a - b).abs() <= 1e-6,
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
+    }
+
+    /// The optimum of a [`random_model`] by exhaustive enumeration over its
+    /// `nb` binaries, each fixing's LP solved by the oracle.
+    fn enumerated(model: &Model, nb: usize) -> Verdict {
+        let lp = model.to_lp();
+        let prep = PreparedLp::new(&lp);
+        let mut best: Option<f64> = None;
+        for fixing in 0..1u32 << nb {
+            let (mut lower, mut upper) = (lp.lower.clone(), lp.upper.clone());
+            for j in 0..nb {
+                (lower[j], upper[j]) = (f64::from(fixing >> j & 1), f64::from(fixing >> j & 1));
+            }
+            if let Ok(obj) = lp_verdict(Way::Oracle.solve(&prep, &lower, &upper, None)) {
+                let better = |b: f64| if lp.minimize { obj < b } else { obj > b };
+                if best.is_none_or(better) {
+                    best = Some(obj);
+                }
+            }
+        }
+        best.ok_or("infeasible")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The default solve, and the same search with every LP on the
+        /// oracle, return the enumerated optimum under every combination
+        /// of presolve and node-LP warm starting.
+        #[test]
+        fn engines_agree_on_random_bounded_models(
+            (obj, rows, maximize) in model_inputs(7, 5),
+            nb in 0usize..4,
+        ) {
+            let nb = nb.min(obj.len());
+            let model = random_model(&obj, &rows, nb, maximize);
+            let want = enumerated(&model, nb);
+            for on_oracle in [false, true] {
+                for presolve in [true, false] {
+                    for warm_lp in [true, false] {
+                        let options = crate::SolverOptions { presolve, warm_lp, ..search_only() };
+                        let solve = || model.solve_with_options(&SolverConfig::default(), &options);
+                        let got = verdict(&model, if on_oracle { oracle(solve) } else { solve() });
+                        prop_assert!(
+                            agree(&want, &got),
+                            "enumerated {want:?} vs {got:?} (oracle={on_oracle} \
+                             presolve={presolve} warm={warm_lp})"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// A search with the kit off and one with the kit on from its root
+        /// return the enumerated optimum under every combination of
+        /// presolve and node-LP warm starting.
+        #[test]
+        fn parities_agree_on_random_bounded_models(
+            (obj, rows, maximize) in model_inputs(7, 5),
+            nb in 1usize..4,
+        ) {
+            let nb = nb.min(obj.len());
+            let model = random_model(&obj, &rows, nb, maximize);
+            let want = enumerated(&model, nb);
+            for kit in [false, true] {
+                for presolve in [true, false] {
+                    for warm_lp in [true, false] {
+                        let options = crate::SolverOptions { presolve, warm_lp, ..search_only() };
+                        let config = SolverConfig::default();
+                        let solved = crate::parallel::attempt(&model, &config, &options, kit)
+                            .map(|sol| sol.expect("a tree of at most 15 nodes never restarts"));
+                        let got = verdict(&model, solved);
+                        prop_assert!(
+                            agree(&want, &got),
+                            "enumerated {want:?} vs {got:?} (kit={kit} presolve={presolve} \
+                             warm={warm_lp})"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Pure LPs, cold, all three ways — and through the public pure-LP
+        /// path, which runs the kit and certifies its answer.
+        #[test]
+        fn parities_agree_on_pure_lps((obj, rows, maximize) in model_inputs(6, 4)) {
+            let model = random_model(&obj, &rows, 0, maximize);
+            let lp = model.to_lp();
+            let prep = PreparedLp::new(&lp);
+            let want = lp_verdict(Way::Oracle.solve(&prep, &lp.lower, &lp.upper, None));
+            for way in [Way::KitOff, Way::KitOn] {
+                let got = lp_verdict(way.solve(&prep, &lp.lower, &lp.upper, None));
+                prop_assert!(agree(&want, &got), "oracle {want:?} vs {way:?} {got:?}");
+            }
+            let public = verdict(&model, model.solve_with_options(&SolverConfig::default(), &search_only()));
+            prop_assert!(agree(&want, &public), "oracle {want:?} vs the public path {public:?}");
+        }
+
+        /// Pure LPs re-solved warm from each way's own optimal basis after
+        /// a branch-like tightening of one column: all three ways land on
+        /// the oracle's cold verdict for the tightened box.
+        #[test]
+        fn engines_agree_on_pure_lps((obj, rows, maximize) in model_inputs(6, 4)) {
+            let model = random_model(&obj, &rows, 0, maximize);
+            let lp = model.to_lp();
+            let prep = PreparedLp::new(&lp);
+            let mut upper = lp.upper.clone();
+            upper[0] = 2.0;
+            let want = lp_verdict(Way::Oracle.solve(&prep, &lp.lower, &upper, None));
+            for way in Way::ALL {
+                let LpOutcome::Optimal { basis, .. } = way.solve(&prep, &lp.lower, &lp.upper, None)
+                else {
+                    continue;
+                };
+                let got = lp_verdict(way.solve(&prep, &lp.lower, &upper, Some(&basis)));
+                prop_assert!(agree(&want, &got), "oracle {want:?} vs warm {way:?} {got:?}");
+            }
+        }
+    }
+
+    /// A kit-off search replays the oracle's: on random knapsack-like
+    /// models the sparse engine and the oracle expand the same nodes with
+    /// the same LP solves and pivots, and return the same objective.
+    #[test]
+    fn kit_off_search_matches_the_dense_oracle_node_for_node() {
+        let mut state = 0x6a09_e667_f3bc_c909u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as i32
+        };
+        let config = SolverConfig::default();
+        let mut branched = 0;
+        for case in 0..120 {
+            let n = 5 + next(5) as usize;
+            let obj: Vec<i32> = (0..n).map(|_| 1 + next(9)).collect();
+            let rows: Vec<_> = (0..1 + next(4))
+                .map(|_| {
+                    let coeffs: Vec<i32> = (0..n).map(|_| next(8) - 1).collect();
+                    let rhs = coeffs.iter().filter(|&&c| c > 0).sum::<i32>() / 2 + next(3);
+                    (coeffs, rhs, true)
+                })
+                .collect();
+            let model = random_model(&obj, &rows, n - next(2) as usize, true);
+            let counted = |on_oracle: bool| {
+                let scope = Arc::new(SolveActivity::default());
+                let search = || crate::parallel::attempt(&model, &config, &search_only(), false);
+                let out = SolveActivity::scoped(&scope, || {
+                    if on_oracle {
+                        oracle(search)
+                    } else {
+                        search()
+                    }
+                });
+                let work = |s: SolveStats| (s.lp_solves, s.bb_nodes, s.simplex_iterations);
+                (out.map(|sol| sol.map(|s| s.objective.to_bits())), work(scope.snapshot()))
+            };
+            let sparse = counted(false);
+            assert_eq!(sparse, counted(true), "case {case}: (answer, (LP solves, nodes, pivots))");
+            branched += usize::from(sparse.1 .1 > 1);
+        }
+        assert!(branched > 60, "{branched} of 120 searches branched");
     }
 }

@@ -4,7 +4,7 @@
 //! floorplanner as integer linear programs (the paper solves them with
 //! python-MIP or Gurobi). This crate is the reproduction's solver substrate:
 //! a sparse revised two-phase primal simplex for the LP relaxation (with a
-//! dense-tableau oracle behind [`LpEngine::Dense`]) and a round-based
+//! dense-tableau oracle in the test build) and a round-based
 //! branch-and-bound search for integrality, with an anytime incumbent and
 //! a wall-clock deadline so large instances behave like a commercial
 //! solver under a time limit.
@@ -53,6 +53,7 @@ mod branch_bound;
 mod cache;
 mod cancel;
 mod certificate;
+#[cfg(test)]
 mod dense;
 mod error;
 mod expr;
@@ -77,7 +78,6 @@ pub use fault::{
     fault_fires, fault_registry, install_faults, FaultKind, FaultRegistry, INJECTED_PANIC_MARKER,
 };
 pub use model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
-pub use simplex::{LpEngine, LpParity};
 pub use solution::{Solution, SolveStatus};
-pub use solver::{SolverBackend, SolverOptions};
+pub use solver::{LpEngine, LpParity, SolverBackend, SolverOptions};
 pub use stats::{SolveActivity, SolveStats};

@@ -524,7 +524,7 @@ impl Model {
         }
         let integral = self.integral_vars();
         let searched = if integral.is_empty() {
-            solve_lp(self, options.lp_engine, options.lp_parity, config.deadline_token())
+            solve_lp(self, config.deadline_token())
         } else {
             crate::parallel::search(self, config, options, &integral)
         };
@@ -536,7 +536,7 @@ impl Model {
                 // The heuristic's own status stays truthful (it may even
                 // prove optimality at the root); `degraded` alone records
                 // that the ladder produced this point.
-                Solution { degraded: true, ..heuristic(self, &integral, options)? }
+                Solution { degraded: true, ..heuristic(self, &integral)? }
             }
             searched => searched?,
         };

@@ -66,12 +66,12 @@ impl BoundChain {
     }
 }
 
-/// The fast-parity kit — dual repair, the one-FTRAN basis install, the
+/// The fast kit — dual repair, the one-FTRAN basis install, the
 /// logicals-first factorization order and the hybrid devex switch —
 /// engages only once a search has expanded this many nodes (counted at
 /// round boundaries; the root solve is node zero), or fewer on wide LPs
 /// (see [`FAST_KIT_ROW_NODES`]). Small trees — a few hundred nodes — are
-/// fastest replaying the exact trajectory bit for bit: the kit reaches
+/// fastest replaying the dense oracle's trajectory bit for bit: the kit reaches
 /// *different* optimal vertices whose denser bases and perturbed branching
 /// values grow exactly those trees. On big searches (thousands to hundreds
 /// of thousands of nodes) the kit's per-child pivot savings dwarf that

@@ -69,7 +69,7 @@ use crate::error::IlpError;
 use crate::model::{Model, SolverConfig};
 use crate::node::{kit_restart_after, most_fractional, BoundChain, BoundDelta, PackedPoint};
 use crate::presolve::{activity_range, PresolvedLp};
-use crate::simplex::{Basis, LpEngine, LpOutcome, LpParity, LpProblem, PreparedLp, TOL};
+use crate::simplex::{Basis, LpOutcome, LpProblem, PreparedLp, TOL};
 use crate::solution::{Solution, SolveStatus};
 use crate::solver::SolverOptions;
 use crate::stats::{self, SolveStats};
@@ -217,9 +217,9 @@ fn offer(incumbent: &mut Option<Incumbent>, obj: f64, values: &[f64]) {
 }
 
 /// Everything the attempts and expansion slots of one solve share: built
-/// once in [`search`], read-only from then on.
+/// once in [`with_search_ctx`], read-only from then on.
 struct SearchCtx<'a> {
-    /// The caller's options: incumbent seed, LP warm starts, engine, parity.
+    /// The caller's options: incumbent seed and LP warm starts.
     options: &'a SolverOptions,
     model: &'a Model,
     config: &'a SolverConfig,
@@ -390,19 +390,16 @@ fn expand_children(
     Expansion::Children { children, timed_out: false }
 }
 
-/// One round-synchronous attempt with the fast-parity kit on or off.
+/// One round-synchronous attempt with the fast kit on or off.
 /// Returns `Ok(None)` when the kit is off and the tree reached
 /// [`kit_restart_after`] for the presolved LP's row count — the caller
 /// restarts with `kit: true`.
 fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpError> {
     let (config, lp) = (ctx.config, &ctx.pre.lp);
-    let restart_eligible = !kit
-        && ctx.options.lp_parity == LpParity::Fast
-        && matches!(ctx.options.lp_engine, LpEngine::Sparse);
     let restart_after = kit_restart_after(lp.rows.len());
 
     // The root is node zero of the search: the kit verdict covers it too,
-    // so a small tree replays the exact trajectory from its very first
+    // so a small tree replays the oracle's trajectory from its very first
     // solve and a restarted search prices its root with the full kit.
     let (root, root_relax) = match ctx.prep.solve_node(&lp.lower, &lp.upper, None, kit) {
         LpOutcome::Optimal { values, objective, basis } => {
@@ -488,7 +485,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
         }
         best_open_bound = batch[0].bound;
         nodes += batch.len();
-        if restart_eligible && nodes >= restart_after {
+        if !kit && nodes >= restart_after {
             // The abandoned attempt's nodes still count as explored work.
             record_search(nodes, candidates);
             return Ok(None);
@@ -609,7 +606,7 @@ fn search_once(ctx: &SearchCtx<'_>, kit: bool) -> Result<Option<Solution>, IlpEr
 /// Round-based branch and bound over the simplex LP relaxation of `model`,
 /// whose integral variables are `integral` (not empty) — the search
 /// [`Model::solve_with_options`] runs, with `options`' incumbent seed,
-/// presolve, LP warm starts, engine and parity.
+/// presolve and LP warm starts.
 ///
 /// *Value-deterministic*: for a given model, configuration and options the
 /// returned point, tree and LP work are the same on every run. The search
@@ -621,26 +618,9 @@ pub(crate) fn search(
     options: &SolverOptions,
     integral: &[usize],
 ) -> Result<Solution, IlpError> {
-    let full_lp = model.to_lp();
-    let token = config.deadline_token();
-    let (pre, red_integral) = presolved_root(&full_lp, integral, options.presolve)?;
-    let mut prep = PreparedLp::new(&pre.lp, options.lp_engine, options.lp_parity);
-    prep.set_cancel(token.clone());
-    let ctx = SearchCtx {
-        options,
-        model,
-        config,
-        full_lp: &full_lp,
-        pre: &pre,
-        prep: &prep,
-        integral,
-        red_integral: &red_integral,
-        token,
-    };
-
-    // Fast-parity kit restart (see [`kit_restart_after`]): the first
-    // attempt runs with the kit off — bit-exact replay of the exact
-    // trajectory, which is the fastest regime for small trees. If the tree
+    // Kit restart (see [`kit_restart_after`]): the first attempt runs with
+    // the kit off — bit-exact replay of the dense oracle's trajectory,
+    // which is the fastest regime for small trees. If the tree
     // reaches the restart point the search has proven big, the attempt is
     // abandoned and the whole search restarts with the kit on from the
     // root, where its per-solve savings repay the redone nodes many times
@@ -651,12 +631,48 @@ pub(crate) fn search(
     // restarted trajectory are deterministic. The restarted attempt reads
     // nothing of the abandoned one, so the restart point decides only
     // *whether* a search restarts, never what a restarted search returns.
-    match search_once(&ctx, false)? {
+    with_search_ctx(model, config, options, integral, |ctx| match search_once(ctx, false)? {
         Some(sol) => Ok(sol),
-        None => {
-            Ok(search_once(&ctx, true)?.expect("a kit-enabled search never requests a restart"))
-        }
-    }
+        None => Ok(search_once(ctx, true)?.expect("a kit-enabled search never requests a restart")),
+    })
+}
+
+/// One attempt of [`search`] with the kit on or off from its root: `None`
+/// where a kit-off attempt reaches its restart point.
+#[cfg(test)]
+pub(crate) fn attempt(
+    model: &Model,
+    config: &SolverConfig,
+    options: &SolverOptions,
+    kit: bool,
+) -> Result<Option<Solution>, IlpError> {
+    with_search_ctx(model, config, options, &model.integral_vars(), |ctx| search_once(ctx, kit))
+}
+
+/// Builds what every attempt of one search shares and runs `attempts` on it.
+fn with_search_ctx<T>(
+    model: &Model,
+    config: &SolverConfig,
+    options: &SolverOptions,
+    integral: &[usize],
+    attempts: impl FnOnce(&SearchCtx<'_>) -> Result<T, IlpError>,
+) -> Result<T, IlpError> {
+    let full_lp = model.to_lp();
+    let token = config.deadline_token();
+    let (pre, red_integral) = presolved_root(&full_lp, integral, options.presolve)?;
+    let mut prep = PreparedLp::new(&pre.lp);
+    prep.set_cancel(token.clone());
+    attempts(&SearchCtx {
+        options,
+        model,
+        config,
+        full_lp: &full_lp,
+        pre: &pre,
+        prep: &prep,
+        integral,
+        red_integral: &red_integral,
+        token,
+    })
 }
 
 #[cfg(test)]
@@ -728,13 +744,8 @@ mod tests {
         let budget = kit_restart_after(rows);
         assert!(budget < crate::node::FAST_KIT_AFTER_NODES, "{rows} presolved rows");
         let handle = Arc::new(crate::SolveActivity::default());
-        let options = SolverOptions {
-            lp_engine: LpEngine::Sparse,
-            lp_parity: LpParity::Fast,
-            ..search_only()
-        };
         let sol = crate::SolveActivity::scoped(&handle, || {
-            m.solve_with_options(&SolverConfig::default(), &options)
+            m.solve_with_options(&SolverConfig::default(), &search_only())
         })
         .unwrap();
         let abandoned = handle.snapshot().bb_nodes - sol.nodes_explored as u64;

@@ -363,7 +363,8 @@ fn round_integral_bounds(j: usize, lower: &mut [f64], upper: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{LpEngine, LpOutcome, LpParity, LpRow, PreparedLp};
+    use crate::dense::Way;
+    use crate::simplex::{LpOutcome, LpRow, PreparedLp};
 
     fn base_lp(
         n: usize,
@@ -526,7 +527,7 @@ mod tests {
 
         /// Whenever [`activity_range`] condemns a row over a node box, the
         /// LP on that box is infeasible by the engines' own verdict: sparse
-        /// fast (kit on and off), sparse exact and dense, cold and warm
+        /// kit on and off, and the dense oracle, cold and warm
         /// from the basis of a parent box that differs in one column's
         /// bound, as a branched child does. Models are small with integer
         /// coefficients and ≤, ≥ and = rows; a quarter of the rows carry
@@ -593,23 +594,17 @@ mod tests {
             } else {
                 parent_lo[j] -= widen as f64;
             }
-            let configs = [
-                (LpEngine::Sparse, LpParity::Fast, false),
-                (LpEngine::Sparse, LpParity::Fast, true),
-                (LpEngine::Sparse, LpParity::Exact, false),
-                (LpEngine::Dense, LpParity::Exact, false),
-            ];
-            for (engine, parity, kit) in configs {
-                let prep = PreparedLp::new(&problem, engine, parity);
-                let parent = match prep.solve_node(&parent_lo, &parent_hi, None, kit) {
+            let prep = PreparedLp::new(&problem);
+            for way in Way::ALL {
+                let parent = match way.solve(&prep, &parent_lo, &parent_hi, None) {
                     LpOutcome::Optimal { basis, .. } => Some(basis),
                     _ => None,
                 };
                 for warm in [None, parent.as_ref()] {
-                    let out = prep.solve_node(&lower, &upper, warm, kit);
+                    let out = way.solve(&prep, &lower, &upper, warm);
                     proptest::prop_assert!(
                         matches!(out, LpOutcome::Infeasible),
-                        "{engine:?}/{parity:?} kit={kit} warm={}: condemned box \
+                        "{way:?} warm={}: condemned box \
                          [{lower:?}, {upper:?}] solved {out:?} on {problem:?}",
                         warm.is_some()
                     );
@@ -634,10 +629,10 @@ mod tests {
         );
         let mut lp = base_lp(3, vec![row.clone()], vec![-3.0, 0.0, 3.0], true);
         (lp.lower, lp.upper) = (lower, upper);
-        for engine in [LpEngine::Sparse, LpEngine::Dense] {
-            let out = PreparedLp::new(&lp, engine, LpParity::Fast)
-                .solve_node(&lp.lower, &lp.upper, None, false);
-            assert!(matches!(out, LpOutcome::Optimal { .. }), "{engine:?}: {out:?}");
+        let prep = PreparedLp::new(&lp);
+        for way in [Way::KitOff, Way::Oracle] {
+            let out = way.solve(&prep, &lp.lower, &lp.upper, None);
+            assert!(matches!(out, LpOutcome::Optimal { .. }), "{way:?}: {out:?}");
         }
         // Missing by 1e-6 in the scaled row's units is condemned.
         let upper = vec![0.0, 2.0, -4000.0 * 1.01e-6];

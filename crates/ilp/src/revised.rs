@@ -6,13 +6,13 @@
 //! such that applying them in order (FTRAN) computes `B⁻¹v` and applying
 //! them transposed in reverse (BTRAN) computes `B⁻ᵀv`. Installing a basis
 //! factorizes it by sparse elimination with partial pivoting, and every
-//! simplex pivot appends one more eta. Kit-off solves (exact parity, and
-//! fast parity's root and small trees) process the basic columns in
-//! ascending index exactly like the dense oracle's Gauss-Jordan, so both
-//! engines claim the same pivot rows. Kit-on solves, which no longer
-//! replay the oracle, eliminate the basic logicals first: each claims its
-//! own row for free, and the factor keeps at most one eta per basic
-//! structural. After [`REFACTOR_UPDATES`] update etas the chain is
+//! simplex pivot appends one more eta. Kit-off solves (a search's root
+//! and its first attempt, up to the kit-restart point) process the basic
+//! columns in ascending index exactly like the test-only dense oracle's
+//! Gauss-Jordan, so both claim the same pivot rows. Kit-on solves, which
+//! no longer replay the oracle, eliminate the basic logicals first: each
+//! claims its own row for free, and the factor keeps at most one eta per
+//! basic structural. After [`REFACTOR_UPDATES`] update etas the chain is
 //! refactorized from scratch (a deterministic trigger, so every run of a
 //! search replays identical arithmetic), which also re-snaps the basic
 //! values and sheds accumulated drift.
@@ -36,19 +36,19 @@
 
 use crate::cancel::CancellationToken;
 use crate::simplex::{
-    cold_statuses_for, CancelProbe, ColStatus, EngineCore, LpParity, RunOutcome, Step,
-    DEGEN_BLAND_AFTER, PRICE_BAND, TOL,
+    cold_statuses_for, CancelProbe, ColStatus, EngineCore, RunOutcome, Step, DEGEN_BLAND_AFTER,
+    PRICE_BAND, TOL,
 };
 use crate::sparse::SparseLp;
 use crate::stats::SolveStats;
 
 /// Update etas tolerated before a deterministic mid-solve refactorization
-/// (exact parity).
+/// (kit-off solves, and kit-on solves before the hybrid switch).
 ///
 /// Refactorizing re-snaps the basic values from a fresh factorization, which
 /// sheds the drift the dense oracle's tableau keeps accumulating — so any
 /// solve that trips this limit stops being decision-for-decision identical
-/// to the oracle. In exact mode the limit is therefore a pure
+/// to the oracle. Kit off, the limit is therefore a pure
 /// anti-pathology backstop, set well above the longest solve in the
 /// reproduction workloads (their update chains stay under a few hundred
 /// etas); typical branch-and-bound node solves re-install after a handful
@@ -56,20 +56,20 @@ use crate::stats::SolveStats;
 pub(crate) const REFACTOR_UPDATES: usize = 1024;
 
 /// Update-eta *fill* (off-pivot nonzeros past the factor prefix) tolerated
-/// before a mid-solve refactorization in exact parity. Like
+/// before a mid-solve refactorization on a kit-off solve. Like
 /// [`REFACTOR_UPDATES`] this is an anti-pathology backstop — it exists so a
 /// chain of few-but-dense etas (which the update-count trigger never sees)
 /// cannot grow FTRAN/BTRAN cost without bound — sized so no bundled
 /// workload ever trips it.
 pub(crate) const REFACTOR_FILL: usize = 1 << 20;
 
-/// Update etas tolerated under fast parity before refactorizing. Fast mode
-/// is free to re-snap basic values mid-solve, so it refactorizes early and
-/// often: a short eta file is what keeps FTRAN/BTRAN per-iteration cost
-/// flat over a long solve.
+/// Update etas tolerated by a kit-on solve past the hybrid switch before
+/// refactorizing. It is free to re-snap basic values mid-solve, so it
+/// refactorizes early and often: a short eta file is what keeps
+/// FTRAN/BTRAN per-iteration cost flat over a long solve.
 pub(crate) const FAST_REFACTOR_UPDATES: usize = 64;
 
-/// Minimum fast-parity update-fill budget; the effective budget is
+/// Minimum kit-on update-fill budget; the effective budget is
 /// `max(this, 4 × (factor fill + m))`, i.e. refactorize once the update
 /// etas carry a few times the factorization's own weight.
 pub(crate) const FAST_REFACTOR_FILL_MIN: usize = 1024;
@@ -81,12 +81,12 @@ pub(crate) const FAST_REFACTOR_FILL_MIN: usize = 1024;
 const DEVEX_RESET_ABOVE: f64 = 1e8;
 
 /// Iterations (phase 1 + phase 2 pivots, dual-repair pivots included)
-/// after which a fast-parity solve abandons the banded-Dantzig opening and
+/// after which a kit-on solve abandons the banded-Dantzig opening and
 /// switches to devex pricing for the rest of the solve.
 ///
 /// The hybrid exists because the two rules win in different regimes: the
-/// banded-Dantzig rule reproduces the exact-mode vertex trajectory, so the
-/// branch-and-bound tree stays the small tree the exact engine grows —
+/// banded-Dantzig rule reproduces the kit-off vertex trajectory, so the
+/// branch-and-bound tree stays the small tree the kit-off search grows —
 /// which is everything on apps whose node solves finish in a handful of
 /// pivots (pagerank/F4 regressed 3× under always-devex purely through
 /// tree growth). Devex only pays on *long* solves, where dividing out the
@@ -235,20 +235,16 @@ pub(crate) struct Revised<'a> {
     cands: Vec<u32>,
     /// Basic-value recompute scratch (avoids a per-install allocation).
     rhs: Vec<f64>,
-    /// Devex reference weights, one per column (fast parity only; empty in
-    /// exact mode). Reset to the unit framework at every basis install.
+    /// Devex reference weights, one per column (kit-on solves only; empty
+    /// kit off). Reset to the unit framework at every basis install.
     devex: Vec<f64>,
-    /// Reduced-cost scratch for the dual simplex (fast parity only; empty
-    /// in exact mode). Holds `d_j = c_j − y·A_j` per candidate column.
+    /// Reduced-cost scratch for the dual simplex (kit-on solves only;
+    /// empty kit off). Holds `d_j = c_j − y·A_j` per candidate column.
     dual_d: Vec<f64>,
-    /// Pivot-row scratch for the dual simplex (fast parity only; empty in
-    /// exact mode). Holds `α_j = ρ·A_j` from the current pivot's entering
+    /// Pivot-row scratch for the dual simplex (kit-on solves only; empty
+    /// kit off). Holds `α_j = ρ·A_j` from the current pivot's entering
     /// scan, reused by the rank-one reduced-cost update after the pivot.
     dual_alpha: Vec<f64>,
-    /// Arithmetic-parity contract this solve runs under (see
-    /// [`LpParity`]): exact replays the dense oracle bit for bit, fast
-    /// unlocks devex pricing, eta replacement and eager refactorization.
-    parity: LpParity,
     /// The point, statuses and row assignment an install computed, kept by
     /// `save_install` for [`restore`](Self::restore).
     saved_x: Vec<f64>,
@@ -266,15 +262,14 @@ pub(crate) struct Revised<'a> {
     /// ([`crate::node::kit_restart_after`]: 384 nodes, fewer on LPs of more
     /// than 128 rows) and the search restarted: on small trees the kit's
     /// different optimal vertices are denser and grow the tree, so a small
-    /// search is fastest replaying the exact trajectory bit for bit. On
-    /// large trees the per-solve savings dominate. Exact parity ignores
-    /// the flag entirely.
+    /// search is fastest replaying the oracle's trajectory bit for bit. On
+    /// large trees the per-solve savings dominate.
     kit_allowed: bool,
-    /// The fast machinery is engaged for this solve (fast parity, after
+    /// The fast machinery is engaged for this solve (a kit-on solve, after
     /// the hybrid threshold [`HYBRID_DEVEX_AFTER`] trips): devex pricing,
     /// partial pricing, Forrest–Tomlin replacement and the eager
     /// refactorization budgets. Until then the solve prices with the
-    /// exact-mode rule and the devex weights stay at their unit reference.
+    /// kit-off rule and the devex weights stay at their unit reference.
     devex_active: bool,
     /// Rotating partial-pricing cursor into `cands` (devex scans only).
     price_cursor: usize,
@@ -282,7 +277,7 @@ pub(crate) struct Revised<'a> {
     phase1_iters: u64,
     phase2_iters: u64,
     /// Cooperative cancellation, polled in every pivot loop — including
-    /// the fast-parity dual repair, whose iterations would otherwise run
+    /// the kit's dual repair, whose iterations would otherwise run
     /// outside any deadline check.
     cancel: CancelProbe,
     /// Factorization counters, flushed once per solve by the driver. An
@@ -300,7 +295,6 @@ impl<'a> Revised<'a> {
         sp: &'a SparseLp,
         lower: &[f64],
         upper: &[f64],
-        parity: LpParity,
         kit_allowed: bool,
     ) -> Revised<'a> {
         let (m, n) = (sp.m, sp.n);
@@ -339,7 +333,7 @@ impl<'a> Revised<'a> {
         sc.devex.clear();
         sc.dual_d.clear();
         sc.dual_alpha.clear();
-        if parity == LpParity::Fast {
+        if kit_allowed {
             sc.devex.resize(n, 1.0);
             sc.dual_d.resize(n, 0.0);
             sc.dual_alpha.resize(n, 0.0);
@@ -376,7 +370,6 @@ impl<'a> Revised<'a> {
             devex: std::mem::take(&mut sc.devex),
             dual_d: std::mem::take(&mut sc.dual_d),
             dual_alpha: std::mem::take(&mut sc.dual_alpha),
-            parity,
             saved_x: std::mem::take(&mut sc.saved_x),
             saved_status: std::mem::take(&mut sc.saved_status),
             saved_basis: std::mem::take(&mut sc.saved_basis),
@@ -586,8 +579,8 @@ impl<'a> Revised<'a> {
     }
 
     /// Factorizes the basic set of `self.status` into a fresh eta file:
-    /// basic columns in the solve's elimination order (see
-    /// [`logicals_first`](Self::logicals_first)), each FTRANed through the
+    /// basic columns in the solve's elimination order, fixed for its
+    /// lifetime by `kit_allowed`, each FTRANed through the
     /// etas built so far, claiming the unclaimed row with the largest
     /// magnitude (ties to the smallest row index, floor `TOL.refactor`).
     /// Kit-off solves eliminate in ascending index — the same order and
@@ -618,7 +611,7 @@ impl<'a> Revised<'a> {
         self.counts.lu_factorizations += 1;
         let (n_struct, n) = (self.sp.n_struct, self.sp.n);
         let (first, then) =
-            if self.logicals_first() { (n_struct..n, 0..n_struct) } else { (0..n, 0..0) };
+            if self.kit_allowed { (n_struct..n, 0..n_struct) } else { (0..n, 0..0) };
         let mut n_basic = 0usize;
         for j in first.chain(then) {
             if self.status[j] != ColStatus::Basic {
@@ -658,26 +651,11 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// The fast kit is engaged for this solve: fast parity, on a search
-    /// the drivers have judged big (see `kit_allowed`).
-    fn kit_on(&self) -> bool {
-        self.parity == LpParity::Fast && self.kit_allowed
-    }
-
-    /// This solve's factorizations eliminate the basic logicals before the
-    /// basic structurals ([`factorize`](Self::factorize)). Kit-on solves
-    /// only: they no longer promise to replay the oracle, while kit-off
-    /// solves keep its ascending order bit for bit. The order is fixed for
-    /// the solve's lifetime.
-    fn logicals_first(&self) -> bool {
-        self.kit_on()
-    }
-
     /// Refactorizes the current basis and recomputes the basic values from
     /// the (unchanged) nonbasic point:
-    /// `x_B = B⁻¹b − Σ_nonbasic (B⁻¹A_j)·x_j`. Kit-off solves (exact
-    /// parity, and the fast-parity root, first attempt and small trees)
-    /// run the subtraction over *transformed* columns in ascending index —
+    /// `x_B = B⁻¹b − Σ_nonbasic (B⁻¹A_j)·x_j`. Kit-off solves (a search's
+    /// root, its first attempt and small trees) run the subtraction over
+    /// *transformed* columns in ascending index —
     /// the exact operation order of the dense oracle's install — so the
     /// two engines start a warm solve from bit-identical basic values, at
     /// the price of a full eta-file pass per nonzero nonbasic column.
@@ -696,7 +674,7 @@ impl<'a> Revised<'a> {
         let mut rhs = std::mem::take(&mut self.rhs);
         rhs.clear();
         rhs.extend_from_slice(&self.sp.b);
-        if self.kit_on() {
+        if self.kit_allowed {
             for j in 0..self.sp.n {
                 if self.status[j] == ColStatus::Basic {
                     continue;
@@ -795,7 +773,7 @@ impl<'a> Revised<'a> {
     }
 
     /// Runs the deterministic refactorization triggers: rebuild the eta
-    /// file once the update chain outgrows the parity mode's update-count
+    /// file once the update chain outgrows the solve's update-count
     /// budget *or* its fill (`eta_nnz`) budget — few-but-dense etas grow
     /// FTRAN/BTRAN cost just as surely as many sparse ones, and the count
     /// trigger alone never sees them. `false` means the (previously valid)
@@ -806,7 +784,7 @@ impl<'a> Revised<'a> {
         // fast machinery (post-switch only): budget *timing* changes when
         // roundoff is reset, which perturbs float ties and with them the
         // whole downstream vertex trajectory — pre-switch solves keep the
-        // exact-mode schedule, which is what keeps their trees small.
+        // kit-off schedule, which is what keeps their trees small.
         let (update_limit, fill_budget) = if self.devex_active {
             let factor_nnz = self.eta_ptr.get(self.factor_etas).copied().unwrap_or(0) as usize;
             (FAST_REFACTOR_UPDATES, (4 * (factor_nnz + self.sp.m)).max(FAST_REFACTOR_FILL_MIN))
@@ -890,7 +868,7 @@ impl<'a> Revised<'a> {
         best
     }
 
-    /// Fast-parity pricing once the hybrid threshold has tripped: devex
+    /// Kit-on pricing once the hybrid threshold has tripped: devex
     /// over a *partially priced* candidate list. The list is divided into
     /// [`PARTIAL_SECTIONS`] rotating sections; each call scans sections
     /// starting at the rotating cursor and returns the best candidate of
@@ -1238,10 +1216,10 @@ impl<'a> Revised<'a> {
         true
     }
 
-    /// The hybrid switch: a kit-on solve opens with the exact-mode
+    /// The hybrid switch: a kit-on solve opens with the kit-off
     /// decision rules — banded-Dantzig pricing, the oracle's
     /// refactorization budgets, plain eta appends — so that it follows
-    /// the exact engine's vertex path (up to the dual repair and the
+    /// the kit-off vertex path (up to the dual repair and the
     /// install's roundoff) and keeps branch-and-bound trees small. Only
     /// once its own pivot count — phase 1, phase 2 and dual-repair pivots
     /// combined — crosses [`HYBRID_DEVEX_AFTER`] has the solve proven
@@ -1253,7 +1231,7 @@ impl<'a> Revised<'a> {
     /// thread layout. Switching re-references the devex framework to the
     /// switch vertex (unit weights).
     fn maybe_switch_pricing(&mut self) {
-        if self.kit_on()
+        if self.kit_allowed
             && !self.devex_active
             && self.phase1_iters + self.phase2_iters >= HYBRID_DEVEX_AFTER
         {
@@ -1377,7 +1355,7 @@ impl<'a> Revised<'a> {
         }
     }
 
-    /// Fast-parity dual simplex repair. A branch-and-bound child differs
+    /// The kit's dual simplex repair. A branch-and-bound child differs
     /// from its parent only in one tightened variable bound, so the
     /// parent's optimal basis stays *dual* feasible (reduced costs never
     /// involve bounds) while a handful of basics drift out of range; the
@@ -1665,7 +1643,7 @@ impl EngineCore for Revised<'_> {
     }
 
     fn run(&mut self) -> RunOutcome {
-        if self.kit_on() {
+        if self.kit_allowed {
             self.dual_repair();
         }
         match self.phase1() {
@@ -1718,7 +1696,7 @@ mod tests {
             2,
             10.0,
         );
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, false);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         // All-logical basis: every column claims its own row with an
@@ -1749,7 +1727,7 @@ mod tests {
         statuses[..3].fill(ColStatus::Basic);
         let mut assignments = Vec::new();
         for kit in [false, true] {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             assert!(e.install(&statuses), "kit={kit}");
             // FTRAN of basis column i must reproduce the unit vector of the
             // row that column claimed.
@@ -1803,7 +1781,7 @@ mod tests {
             }
         }
         let (lp, sp) = prep(rows, 6, 1.0);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, true);
         let push = |e: &mut Revised, pos: usize, pivot: f64, entries: &[(usize, f64)]| {
             e.touched.clear();
             e.w[pos] = pivot;
@@ -1925,7 +1903,7 @@ mod tests {
         let mut statuses = vec![ColStatus::AtLower; sp.n];
         statuses[..k].fill(ColStatus::Basic);
         statuses[k + k..].fill(ColStatus::Basic);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, false);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, false);
         assert!(e.install(&statuses));
         e.save_install();
         assert!(e.factor_etas > 0, "a factor prefix to keep across the restore");
@@ -2015,16 +1993,14 @@ mod tests {
     #[test]
     fn refactor_trigger_fires_deterministically() {
         // A solve long enough to exceed REFACTOR_UPDATES pivots would
-        // refactorize; here just drive the trigger path directly — in both
-        // parity modes (fast trips its tighter update budget).
-        for (parity, limit) in
-            [(LpParity::Exact, REFACTOR_UPDATES), (LpParity::Fast, FAST_REFACTOR_UPDATES)]
-        {
+        // refactorize; here just drive the trigger path directly — kit off
+        // and kit on (past the switch it trips its tighter update budget).
+        for (kit, limit) in [(false, REFACTOR_UPDATES), (true, FAST_REFACTOR_UPDATES)] {
             let (lp, sp) =
                 prep(vec![LpRow { coeffs: vec![(0, 0.5)], op: CmpOp::Le, rhs: 5.0 }], 1, 10.0);
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             // The eager fast budget only engages post-switch.
-            e.devex_active = parity == LpParity::Fast;
+            e.devex_active = kit;
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
             let factorizations_before = e.counts.lu_factorizations;
@@ -2040,26 +2016,26 @@ mod tests {
             }
             e.save_install();
             assert!(e.refactor_if_due());
-            assert_eq!(e.counts.refactor_triggers, 1, "{parity:?}");
-            assert_eq!(e.counts.refactor_fill_triggers, 0, "{parity:?}: count trigger, not fill");
+            assert_eq!(e.counts.refactor_triggers, 1, "kit={kit}");
+            assert_eq!(e.counts.refactor_fill_triggers, 0, "kit={kit}: count trigger, not fill");
             // A rebuild factorizes (and counts) afresh, and its new factor
             // prefix leaves nothing for a sibling to restore.
-            assert_eq!(e.counts.lu_factorizations, factorizations_before + 1, "{parity:?}");
-            assert!(!e.can_restore(), "{parity:?}: a refactorization drops the saved install");
-            assert_eq!(e.n_etas() - e.factor_etas, 0, "{parity:?}: update chain reset");
+            assert_eq!(e.counts.lu_factorizations, factorizations_before + 1, "kit={kit}");
+            assert!(!e.can_restore(), "kit={kit}: a refactorization drops the saved install");
+            assert_eq!(e.n_etas() - e.factor_etas, 0, "kit={kit}: update chain reset");
         }
     }
 
     /// Fabricates an update chain of `count` etas, each with `m - 10`
     /// off-pivot entries, on a fresh engine over an `m`-row model, then runs
-    /// the trigger. Shared by the fill-trigger tests of both parity modes.
-    fn force_fill_refactor(m: usize, parity: LpParity, count: usize) -> (u64, u64, u64) {
+    /// the trigger. Shared by the kit-off and kit-on fill-trigger tests.
+    fn force_fill_refactor(m: usize, kit: bool, count: usize) -> (u64, u64, u64) {
         let rows: Vec<LpRow> =
             (0..m).map(|_| LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 1e9 }).collect();
         let (lp, sp) = prep(rows, 1, 10.0);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
-        // Fast-mode budgets only engage once the hybrid switch has tripped.
-        e.devex_active = parity == LpParity::Fast;
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
+        // Kit-on budgets only engage once the hybrid switch has tripped.
+        e.devex_active = kit;
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         let fill_per_eta = m - 10;
@@ -2073,20 +2049,19 @@ mod tests {
             e.clear_w();
         }
         assert!(e.refactor_if_due());
-        assert_eq!(e.n_etas() - e.factor_etas, 0, "{parity:?}: update chain reset");
+        assert_eq!(e.n_etas() - e.factor_etas, 0, "kit={kit}: update chain reset");
         (e.counts.refactor_triggers, e.counts.refactor_fill_triggers, e.counts.lu_factorizations)
     }
 
     /// The dead path ISSUE 7 fixes: an update chain of few-but-dense etas
     /// never trips the update-count trigger, so before the `eta_nnz` budget
-    /// existed it grew FTRAN/BTRAN cost without bound. Both parity modes
-    /// must now refactorize on fill alone (exact far later than fast — its
+    /// existed it grew FTRAN/BTRAN cost without bound. Kit-off and kit-on
+    /// solves must now refactorize on fill alone (kit-off far later — its
     /// budget is a pure backstop).
     #[test]
     fn fill_trigger_forces_midsolve_refactorization_exact() {
         // 1019 etas × 1030 nnz ≈ 1.05M > REFACTOR_FILL, updates < 1024.
-        let (triggers, fill_triggers, factorizations) =
-            force_fill_refactor(1040, LpParity::Exact, 1019);
+        let (triggers, fill_triggers, factorizations) = force_fill_refactor(1040, false, 1019);
         assert_eq!(triggers, 1);
         assert_eq!(fill_triggers, 1, "fill, not update count, must have fired");
         assert_eq!(factorizations, 2, "install + forced refactorization");
@@ -2096,7 +2071,7 @@ mod tests {
     fn fill_trigger_forces_midsolve_refactorization_fast() {
         // Budget for m=40, empty factor prefix: max(1024, 4·40) = 1024;
         // 35 etas × 30 nnz = 1050 > 1024, updates < 64.
-        let (triggers, fill_triggers, factorizations) = force_fill_refactor(40, LpParity::Fast, 35);
+        let (triggers, fill_triggers, factorizations) = force_fill_refactor(40, true, 35);
         assert_eq!(triggers, 1);
         assert_eq!(fill_triggers, 1, "fill, not update count, must have fired");
         assert_eq!(factorizations, 2, "install + forced refactorization");
@@ -2117,7 +2092,7 @@ mod tests {
             1,
             10.0,
         );
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         assert_eq!(e.n_etas(), 0, "all-logical basis: empty factor prefix");
@@ -2146,10 +2121,10 @@ mod tests {
     }
 
     /// A different pivot row must *not* replace (the algebra only holds for
-    /// a common pivot row), and exact parity never replaces at all.
+    /// a common pivot row), and a kit-off solve never replaces at all.
     #[test]
     fn ft_replacement_requires_same_row_and_fast_parity() {
-        for parity in [LpParity::Exact, LpParity::Fast] {
+        for kit in [false, true] {
             let (lp, sp) = prep(
                 vec![
                     LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 1.0 },
@@ -2158,29 +2133,29 @@ mod tests {
                 1,
                 10.0,
             );
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
             for pos in [0usize, 1] {
                 e.touched.clear();
                 e.w[pos] = 0.5;
                 e.touched.push(pos as u32);
-                if parity == LpParity::Fast && pos == 1 {
+                if kit && pos == 1 {
                     // Different pivot row: composition must refuse.
                     assert!(!e.try_replace_eta(pos));
                 }
                 e.push_eta(pos);
                 e.clear_w();
             }
-            assert_eq!(e.n_etas(), 2, "{parity:?}: both etas appended");
+            assert_eq!(e.n_etas(), 2, "kit={kit}: both etas appended");
         }
     }
 
     /// The branch-and-bound warm-start shape: a parent-optimal basis whose
     /// basic value violates a *tightened child bound* stays dual feasible,
-    /// so fast parity must repair it with dual pivots alone — zero phase-1
-    /// iterations — while exact parity reaches the same vertex through the
-    /// composite phases.
+    /// so a kit-on solve must repair it with dual pivots alone — zero
+    /// phase-1 iterations — while a kit-off solve reaches the same vertex
+    /// through the composite phases.
     #[test]
     fn dual_repair_fixes_tightened_bound_without_phase1() {
         // min x0 + x1  s.t.  x0 + x1 ≥ 4,  0 ≤ x ≤ 10. Parent optimum:
@@ -2194,21 +2169,21 @@ mod tests {
         // Child branch: x0 ≤ 3 makes the parent basis primal infeasible
         // (x0 = 4 > 3) but leaves every reduced cost dual feasible.
         lp.upper[0] = 3.0;
-        for parity in [LpParity::Fast, LpParity::Exact] {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, true);
+        for kit in [true, false] {
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             assert!(e.install(&parent));
-            assert_eq!(e.x[0], 4.0, "{parity:?}: warm basic value precedes repair");
-            assert!(matches!(e.run(), RunOutcome::Optimal), "{parity:?}");
+            assert_eq!(e.x[0], 4.0, "kit={kit}: warm basic value precedes repair");
+            assert!(matches!(e.run(), RunOutcome::Optimal), "kit={kit}");
             let obj: f64 = (0..sp.n).map(|j| sp.cost[j] * e.x[j]).sum();
-            assert!((obj - 4.0).abs() < 1e-9, "{parity:?}: objective {obj}");
-            if parity == LpParity::Fast {
+            assert!((obj - 4.0).abs() < 1e-9, "kit={kit}: objective {obj}");
+            if kit {
                 // One dual pivot: x1 enters, x0 leaves exactly at its new
                 // upper bound. Phase 1 never ran.
                 assert_eq!(e.phase1_iters, 0, "dual repair must skip phase 1");
                 assert!(e.phase2_iters >= 1);
                 assert_eq!((e.x[0], e.x[1]), (3.0, 1.0));
             } else {
-                assert!(e.dual_d.is_empty(), "exact parity allocates no dual scratch");
+                assert!(e.dual_d.is_empty(), "a kit-off solve allocates no dual scratch");
             }
         }
     }
@@ -2228,7 +2203,7 @@ mod tests {
             objective_offset: 0.0,
         };
         let sp = SparseLp::build(&lp);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         // Cold logical basis prices d₀ = −1 at lower: run() must fall
@@ -2238,7 +2213,7 @@ mod tests {
         assert!(e.phase2_iters >= 1, "the primal phase performed the pivot");
     }
 
-    /// A fast-parity solve long enough to cross [`HYBRID_DEVEX_AFTER`]
+    /// A kit-on solve long enough to cross [`HYBRID_DEVEX_AFTER`]
     /// must switch to devex pricing exactly once, and a candidate list
     /// wider than one partial-pricing section must wrap its rotating
     /// cursor. With the kit withheld (`kit_allowed = false`) the same
@@ -2262,7 +2237,7 @@ mod tests {
         };
         let sp = SparseLp::build(&lp);
         for kit in [true, false] {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             let cold = e.cold_statuses();
             assert!(e.install(&cold));
             assert!(matches!(e.run(), RunOutcome::Optimal), "kit={kit}");
@@ -2294,7 +2269,7 @@ mod tests {
     fn flip_reprimes_devex_weight_without_spurious_reset() {
         let (lp, sp) =
             prep(vec![LpRow { coeffs: vec![(0, 1.0)], op: CmpOp::Le, rhs: 8.0 }], 1, 10.0);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, true);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         e.devex_active = true;
@@ -2354,7 +2329,7 @@ mod tests {
             ColStatus::Basic,
         ];
         let install = |kit: bool| {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             assert!(e.install(&statuses), "kit={kit}");
             (e.x.clone(), e.xb_ftrans)
         };
@@ -2368,10 +2343,6 @@ mod tests {
         // The basics actually moved off zero, so the comparison is not
         // vacuous: 2·x0 + x1 = 30 − 7.5, x0 + 3·x1 = 40 − 16.25.
         assert!((x_on[0] - 8.75).abs() < 1e-9 && (x_on[1] - 5.0).abs() < 1e-9, "{x_on:?}");
-        // Exact parity ignores the kit flag and keeps the oracle order.
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, true);
-        assert!(e.install(&statuses));
-        assert_eq!(e.xb_ftrans, 3);
     }
 
     /// Every install increments exactly one of `lu_factorizations` (a
@@ -2382,7 +2353,7 @@ mod tests {
     #[test]
     fn memo_hit_accounting_sums_to_installs() {
         let (lp, sp, warm, j) = branched_knapsack();
-        let prep = PreparedLp::new(&lp, crate::LpEngine::Sparse, LpParity::Fast);
+        let prep = PreparedLp::new(&lp);
         let boxes = [(0.0, 0.0), (1.0, 3.0)];
         let count = |children: bool| {
             let scope = std::sync::Arc::new(crate::SolveActivity::default());
@@ -2414,7 +2385,7 @@ mod tests {
         assert_eq!(count(true), (1, 1), "two children: one factorization, one restore");
         // On one engine: the install counts a factorization, the restore a
         // hit and nothing else.
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, true);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, true);
         assert!(e.install(&warm.status));
         assert_eq!((e.counts.lu_factorizations, e.counts.memo_sibling_hits), (1, 0));
         e.save_install();
@@ -2446,7 +2417,7 @@ mod tests {
             objective_offset: 0.0,
         };
         let sp = SparseLp::build(&lp);
-        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Exact, false);
+        let mut e = Revised::new(&sp, &lp.lower, &lp.upper, false);
         let cold = e.cold_statuses();
         assert!(e.install(&cold));
         assert!(matches!(e.run(), RunOutcome::Optimal));
@@ -2501,8 +2472,8 @@ mod tests {
     /// pricing state, including what a long first child leaves. Both
     /// orders of the two children, so each box is restored into once; the
     /// down box (`lo == hi`) drops the branched column from `cands`, the up
-    /// box puts it back. Every parity and kit setting, because the kit
-    /// changes the elimination order and the basic-value recompute.
+    /// box puts it back. Kit off and on, because the kit changes the
+    /// elimination order and the basic-value recompute.
     #[test]
     fn restore_equals_a_fresh_install_under_the_siblings_bounds() {
         let (lp, sp, warm, j) = branched_knapsack();
@@ -2513,34 +2484,32 @@ mod tests {
             (lower[j], upper[j]) = (lo, hi);
             (lower, upper)
         };
-        for (parity, kit) in
-            [(LpParity::Exact, true), (LpParity::Fast, false), (LpParity::Fast, true)]
-        {
+        for kit in [false, true] {
             for (first, second) in [(down, up), (up, down)] {
                 let (lower, upper) = with_box(second);
-                let mut fresh = Revised::new(&sp, &lower, &upper, parity, kit);
+                let mut fresh = Revised::new(&sp, &lower, &upper, kit);
                 assert!(fresh.install(&warm.status));
                 let mut expect = install_bits(&fresh);
                 expect.counters = SolveStats { memo_sibling_hits: 1, ..SolveStats::default() };
                 drop(fresh);
 
                 let (lower, upper) = with_box(first);
-                let mut e = Revised::new(&sp, &lower, &upper, parity, kit);
+                let mut e = Revised::new(&sp, &lower, &upper, kit);
                 assert!(e.install(&warm.status));
                 e.save_install();
                 assert!(matches!(e.run(), RunOutcome::Optimal));
                 let (p1, p2) = e.iters();
-                assert!(p1 + p2 > 0, "{parity:?} kit={kit}: the first child must pivot");
+                assert!(p1 + p2 > 0, "kit={kit}: the first child must pivot");
                 assert!(e.can_restore());
                 // What a long first child leaves behind: this one is too
                 // short to switch to devex pricing or to stall.
-                if parity == LpParity::Fast {
+                if kit {
                     e.devex_active = true;
                     e.devex[0] = 5.0;
                 }
                 (e.price_cursor, e.degen_streak) = (3, 2);
                 e.restore(j, second.0, second.1);
-                let what = format!("{parity:?} kit={kit} first={first:?}");
+                let what = format!("kit={kit} first={first:?}");
                 assert_eq!(install_bits(&e), expect, "{what}");
                 let movable = second.1 > second.0;
                 assert_eq!(e.cands.contains(&(j as u32)), movable, "{what}");
@@ -2602,7 +2571,7 @@ mod tests {
         let (lp, sp, statuses) = structurals_over_basic_logicals();
         let k = statuses[..sp.n_struct].iter().filter(|&&s| s == ColStatus::Basic).count();
         let factor = |kit: bool| {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, LpParity::Fast, kit);
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
             assert!(e.install(&statuses), "kit={kit}");
             (e.n_etas(), e.counts.lu_fill_nnz)
         };
@@ -2613,19 +2582,24 @@ mod tests {
         assert!(fill_on < fill_off, "fill: kit-on {fill_on}, kit-off {fill_off}");
     }
 
-    /// Kit-off fast parity keeps the oracle's elimination order: its factor
-    /// equals exact parity's bit for bit, which is what lets small trees
-    /// replay the exact search.
+    /// A kit-off install keeps the dense oracle's elimination order: it
+    /// claims the rows the oracle's Gauss-Jordan claims and starts from
+    /// the oracle's basic values bit for bit, which is what lets small
+    /// trees replay the oracle's search. A kit-on install claims other
+    /// rows on this basis.
     #[test]
     fn kit_off_factor_equals_exact_parity_bit_for_bit() {
         let (lp, sp, statuses) = structurals_over_basic_logicals();
-        let factor = |parity: LpParity, kit: bool| {
-            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, parity, kit);
-            assert!(e.install(&statuses), "{parity:?} kit={kit}");
-            factor_bits(&e)
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut oracle = crate::dense::Tableau::build(&sp, &lp.lower, &lp.upper);
+        assert!(oracle.install(&statuses));
+        let want = (oracle.basis().to_vec(), bits(oracle.solution().0));
+        let install = |kit: bool| {
+            let mut e = Revised::new(&sp, &lp.lower, &lp.upper, kit);
+            assert!(e.install(&statuses), "kit={kit}");
+            (e.basis.clone(), bits(&e.x))
         };
-        let exact = factor(LpParity::Exact, true);
-        assert_eq!(factor(LpParity::Fast, false), exact);
-        assert_ne!(factor(LpParity::Fast, true), exact, "the orders part on this basis");
+        assert_eq!(install(false), want);
+        assert_ne!(install(true).0, want.0, "the orders part on this basis");
     }
 }

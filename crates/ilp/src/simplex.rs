@@ -1,30 +1,27 @@
-//! Bounded-variable primal simplex: engine dispatch, shared types and the
-//! warm-start orchestration.
+//! Bounded-variable primal simplex: shared types and the warm-start
+//! orchestration.
 //!
-//! Two interchangeable engines solve the LP relaxations:
+//! One engine solves the LP relaxations: [`revised`], a revised simplex
+//! over the sparse CSC matrix built once per model by [`SparseLp`]. Each
+//! solve factorizes its starting basis with a sparse product-form
+//! elimination (logical columns claim rows with empty etas, so a
+//! mostly-slack floorplan basis factorizes in O(nnz of the structural
+//! basics)), appends one eta per pivot, and refactorizes on a
+//! deterministic update-count trigger. Iteration cost is O(nnz), not
+//! O(m·n).
 //!
-//! * [`revised`] (default) — a revised simplex over the
-//!   sparse CSC matrix built once per model by [`SparseLp`]. Each solve
-//!   factorizes its starting basis with a sparse product-form elimination
-//!   (logical columns claim rows with empty etas, so a mostly-slack
-//!   floorplan basis factorizes in O(nnz of the structural basics)),
-//!   appends one eta per pivot, and refactorizes on a deterministic
-//!   update-count trigger. Iteration cost is O(nnz), not O(m·n).
-//! * [`dense`] — the original dense-tableau implementation,
-//!   kept behind [`LpEngine::Dense`] as the differential-testing oracle
-//!   for the sparse path.
-//!
-//! Both engines share every numerical decision rule — the [`Tolerances`]
-//! set, Dantzig pricing with Bland fallback, the anti-cycling guard that
-//! forces Bland's rule after [`DEGEN_BLAND_AFTER`] consecutive degenerate
-//! pivots, the bounded-variable ratio test and its tie-breaks — so they
-//! agree on verdicts and, under the opt-in [`LpParity::Exact`] oracle mode,
-//! on the entire branch-and-bound node tree. The default
-//! [`LpParity::Fast`] keeps that replay only for searches below the
-//! kit-restart threshold; past it the sparse engine repairs children with
-//! the dual simplex and reorders arithmetic, and the answers are vouched
-//! for by [`certify`](crate::certify) instead of by replay. Two properties
-//! matter for branch and bound:
+//! The test build keeps a second engine, the original dense tableau
+//! (`dense.rs`), as the differential-testing oracle. Both share every
+//! numerical decision rule — the [`Tolerances`] set, Dantzig pricing with
+//! Bland fallback, the anti-cycling guard that forces Bland's rule after
+//! [`DEGEN_BLAND_AFTER`] consecutive degenerate pivots, the
+//! bounded-variable ratio test and its tie-breaks — so a kit-off sparse
+//! solve replays the oracle's and a kit-off search grows the oracle's
+//! node tree. Searches run kit-off up to the kit-restart point; past it
+//! the sparse engine repairs children with the dual simplex and reorders
+//! arithmetic, and the answers are vouched for by
+//! [`certify`](crate::certify) instead of by replay. Two properties matter
+//! for branch and bound:
 //!
 //! * **Bounds are handled natively in the ratio test.** Finite lower/upper
 //!   bounds never materialize as extra constraint rows or split/shifted
@@ -44,9 +41,9 @@ use std::borrow::Cow;
 
 use crate::cancel::CancellationToken;
 use crate::model::{CmpOp, Rows};
+use crate::revised;
 use crate::sparse::SparseLp;
 use crate::stats::{self, SolveStats};
-use crate::{dense, revised};
 
 /// The numerical tolerances every simplex decision goes through, unified
 /// here so the two engines (and the warm and cold paths inside each) can
@@ -80,7 +77,7 @@ pub(crate) struct Tolerances {
     pub infeasible: f64,
 }
 
-/// The one tolerance set both engines use.
+/// The one tolerance set every simplex path uses.
 pub(crate) const TOL: Tolerances =
     Tolerances { feas: 1e-7, pivot: 1e-9, dual: 1e-7, refactor: 1e-8, infeasible: 1e-6 };
 
@@ -218,57 +215,6 @@ pub(crate) enum LpOutcome {
     Cancelled,
 }
 
-/// Which simplex implementation solves the LP relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum LpEngine {
-    /// Sparse revised simplex with product-form basis updates (default).
-    Sparse,
-    /// Dense-tableau simplex — the original engine, kept as the
-    /// differential-testing oracle.
-    Dense,
-}
-
-/// Arithmetic-parity contract of the sparse engine against the dense
-/// tableau oracle.
-///
-/// [`LpParity::Fast`] is what every solve runs unless told otherwise. It
-/// holds the sparse engine to a bounded-objective contract (agreement with
-/// the oracle to `1e-6`) rather than bit equality, which is what permits:
-///
-/// * a **dual-simplex repair** of warm-started branch-and-bound children
-///   in place of re-running phase 1;
-/// * **devex pricing** (a reference-framework steepest-edge approximation)
-///   in place of the banded Dantzig rule on long solves;
-/// * **Forrest–Tomlin-style eta replacement** — consecutive pivots on the
-///   same row compose into one eta instead of appending, so the eta file
-///   stops growing monotonically;
-/// * **fill-triggered mid-solve refactorization** (`eta_nnz` budget, not
-///   just update count) with a single-FTRAN basic-value recompute.
-///
-/// That kit engages only once a search has reached the kit-restart point
-/// (384 expanded nodes, or `384 × 128 / rows` on LPs of more than 128
-/// rows); smaller searches replay the exact trajectory bit for bit. Fast
-/// mode stays fully deterministic: every entering/leaving choice is a pure
-/// function of the node's model and bounds, so results are bit-identical
-/// from run to run. Correctness of the answers does
-/// not rest on replay: every solution returned through
-/// [`Model::solve_with_options`](crate::Model::solve_with_options) is
-/// re-checked against the original model by [`certify`](crate::certify).
-///
-/// [`LpParity::Exact`] is the opt-in oracle mode: every sparse solve
-/// replays the dense tableau's Gauss-Jordan operation for operation — same
-/// pivot rows, bit-identical basic values, identical branch-and-bound node
-/// trees. The cross-engine differential tests and the CI solve-count
-/// assertions select it explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum LpParity {
-    /// Bit-identical oracle replay (opt-in).
-    Exact,
-    /// Reordered arithmetic, bounded objective tolerance vs the oracle
-    /// (default).
-    Fast,
-}
-
 /// How one simplex run ended (engine-internal verdict).
 pub(crate) enum RunOutcome {
     Optimal,
@@ -283,7 +229,7 @@ pub(crate) enum RunOutcome {
 /// How many inner simplex iterations may pass between polls of the
 /// cancellation token. Bounds worst-case cancel latency to
 /// `CANCEL_CHECK_EVERY × one-pivot cost` in *every* engine loop — phase 1,
-/// phase 2, devex pricing refreshes, and the fast-parity dual repair all
+/// phase 2, devex pricing refreshes, and the kit's dual repair all
 /// count against the same budget.
 pub(crate) const CANCEL_CHECK_EVERY: u64 = 64;
 
@@ -318,7 +264,7 @@ impl CancelProbe {
     }
 }
 
-/// One ratio-test result, shared by both engines.
+/// One ratio-test result, shared by the sparse engine and the dense oracle.
 pub(crate) enum Step {
     /// The entering column travels to its opposite bound; no basis change.
     Flip { delta: f64 },
@@ -337,9 +283,10 @@ impl Step {
     }
 }
 
-/// What [`drive`] needs from an engine: install a basis, run the two
-/// phases, and expose the solution state. `drive` constructs a fresh engine
-/// per installation attempt; only a sibling's restored install
+/// What [`drive`] needs from an engine (the sparse engine, or the dense
+/// oracle in tests): install a basis, run the two phases, and expose the
+/// solution state. `drive` constructs a fresh engine per installation
+/// attempt; only a sibling's restored install
 /// ([`PreparedLp::solve_children`]) runs an engine twice.
 pub(crate) trait EngineCore {
     /// The all-logical starting basis for the current bounds.
@@ -435,18 +382,15 @@ pub(crate) fn extract_outcome(
 /// solve factorizes its own basis.
 pub(crate) struct PreparedLp<'a> {
     pub lp: &'a LpProblem<'a>,
-    engine: LpEngine,
-    parity: LpParity,
     pub sparse: SparseLp,
     /// Cooperative cancellation, polled inside every engine's pivot loops.
     cancel: Option<CancellationToken>,
 }
 
 impl<'a> PreparedLp<'a> {
-    /// Prepares `lp` for `engine` under `parity`. The dense oracle ignores
-    /// the parity switch — it *is* the exact reference arithmetic.
-    pub fn new(lp: &'a LpProblem<'a>, engine: LpEngine, parity: LpParity) -> PreparedLp<'a> {
-        PreparedLp { lp, engine, parity, sparse: SparseLp::build(lp), cancel: None }
+    /// Prepares `lp` for repeated solves.
+    pub fn new(lp: &'a LpProblem<'a>) -> PreparedLp<'a> {
+        PreparedLp { lp, sparse: SparseLp::build(lp), cancel: None }
     }
 
     /// Arms cooperative cancellation for every subsequent
@@ -463,18 +407,17 @@ impl<'a> PreparedLp<'a> {
     }
 
     /// [`solve_warm`](Self::solve_warm) with the branch-and-bound drivers'
-    /// per-node control over the fast-parity kit (dual repair, the
+    /// per-node control over the fast kit (dual repair, the
     /// one-FTRAN basis install, the logicals-first factorization order and
     /// the hybrid devex switch). The drivers pass `fast_kit: false` for the
     /// root and the opening stretch of a search (a node ordinal below
     /// [`crate::node::kit_restart_after`] of the LP's row count): small
-    /// searches are already fast under the exact trajectory, and the kit's
+    /// searches are already fast on the oracle's trajectory, and the kit's
     /// different — and typically denser — optimal vertices grow exactly
     /// those trees. Only once a search has proven big do the kit's
     /// per-solve savings amortize. The flag is a pure function of the
     /// node's position in the search order and the LP's width, so the
-    /// search stays deterministic. Exact parity ignores it
-    /// entirely.
+    /// search stays deterministic.
     pub(crate) fn solve_node(
         &self,
         lower: &[f64],
@@ -485,8 +428,9 @@ impl<'a> PreparedLp<'a> {
         self.solve_with(lower, upper, warm, fast_kit, None)
     }
 
-    /// [`solve_node`](Self::solve_node) with `drive`'s sibling slot, which
-    /// only the sparse engine fills.
+    /// [`solve_node`](Self::solve_node) with `drive`'s sibling slot. Under
+    /// `dense::oracle` (tests only) the dense
+    /// tableau solves instead, ignoring the kit and the slot.
     fn solve_with<'s>(
         &'s self,
         lower: &[f64],
@@ -498,14 +442,15 @@ impl<'a> PreparedLp<'a> {
         debug_assert_eq!(lower.len(), self.lp.n_vars);
         debug_assert_eq!(upper.len(), self.lp.n_vars);
         let cancel = self.cancel.as_ref();
-        match self.engine {
-            LpEngine::Dense => drive(self.lp, lower, upper, warm, cancel, None, || {
-                dense::Tableau::build(&self.sparse, lower, upper)
-            }),
-            LpEngine::Sparse => drive(self.lp, lower, upper, warm, cancel, sibling, || {
-                revised::Revised::new(&self.sparse, lower, upper, self.parity, fast_kit)
-            }),
+        #[cfg(test)]
+        if crate::dense::in_oracle() {
+            return drive(self.lp, lower, upper, warm, cancel, None, || {
+                crate::dense::Tableau::build(&self.sparse, lower, upper)
+            });
         }
+        drive(self.lp, lower, upper, warm, cancel, sibling, || {
+            revised::Revised::new(&self.sparse, lower, upper, fast_kit)
+        })
     }
 
     /// Solves the children of a node branched on column `j`, in `boxes`
@@ -520,15 +465,14 @@ impl<'a> PreparedLp<'a> {
     /// unbounded child ends it too. `lower`/`upper` come back holding the
     /// node's bounds.
     ///
-    /// On the sparse engine, with `warm` given and `j` basic in it, the
-    /// node's basis is installed once: the first child that needs it
+    /// With `warm` given and `j` basic in it, the node's basis is installed
+    /// once: the first child that needs it
     /// installs it, and the next restores that install
     /// ([`Revised::restore`](revised::Revised::restore)) instead of
     /// factorizing the same basis again. `j` is fractional at the node, so
     /// it is basic there, and the children's installs differ only in its
     /// bounds. A child whose solve refactorized or stalled leaves nothing
-    /// to restore, and the next one installs afresh. The dense oracle
-    /// installs once per child.
+    /// to restore, and the next one installs afresh.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_children(
         &self,
@@ -569,20 +513,15 @@ impl<'a> PreparedLp<'a> {
     }
 }
 
-/// Solves `lp` with its stored bounds, cold, on the given engine/parity.
-/// One-off entry point; repeated node solves go through [`PreparedLp`].
-pub(crate) fn solve(
-    lp: &LpProblem,
-    engine: LpEngine,
-    parity: LpParity,
-    cancel: Option<CancellationToken>,
-) -> LpOutcome {
-    let mut prep = PreparedLp::new(lp, engine, parity);
+/// Solves `lp` with its stored bounds, cold, kit on. One-off entry point;
+/// repeated node solves go through [`PreparedLp`].
+pub(crate) fn solve(lp: &LpProblem, cancel: Option<CancellationToken>) -> LpOutcome {
+    let mut prep = PreparedLp::new(lp);
     prep.set_cancel(cancel);
     prep.solve_warm(&lp.lower, &lp.upper, None)
 }
 
-/// The warm/cold orchestration both engines run under.
+/// The warm/cold orchestration every engine runs under.
 ///
 /// The solve's [`SolveStats`] are recorded *here*, once per solve, and the
 /// warm hit structurally after a completed warm run and nowhere else — the
@@ -682,6 +621,7 @@ fn drive<E: EngineCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::Way;
     use crate::stats::{SolveActivity, SolveStats};
     use std::sync::Arc;
 
@@ -711,24 +651,12 @@ mod tests {
         }
     }
 
-    /// Every engine/parity combination worth differential coverage: the
-    /// sparse engine in both parity modes plus the dense oracle (which is
-    /// always exact).
-    const CONFIGS: [(LpEngine, LpParity); 3] = [
-        (LpEngine::Sparse, LpParity::Exact),
-        (LpEngine::Sparse, LpParity::Fast),
-        (LpEngine::Dense, LpParity::Exact),
-    ];
-
-    /// Runs a solve on each engine/parity configuration, so every test
-    /// below exercises the sparse default, its fast-parity variant *and*
-    /// the dense oracle.
-    fn on_both(f: impl Fn(LpEngine, LpParity) -> LpOutcome) -> Vec<LpOutcome> {
-        CONFIGS.into_iter().map(|(e, p)| f(e, p)).collect()
-    }
-
-    fn solve_on(p: &LpProblem, engine: LpEngine, parity: LpParity) -> LpOutcome {
-        PreparedLp::new(p, engine, parity).solve_warm(&p.lower, &p.upper, None)
+    /// Cold solves of `p` under `lower`/`upper` every [`Way`], so every
+    /// test below exercises the sparse engine kit off and kit on *and* the
+    /// dense oracle.
+    fn every_way(p: &LpProblem, lower: &[f64], upper: &[f64]) -> [LpOutcome; 3] {
+        let prep = PreparedLp::new(p);
+        Way::ALL.map(|way| way.solve(&prep, lower, upper, None))
     }
 
     #[test]
@@ -746,7 +674,7 @@ mod tests {
             vec![3.0, 5.0],
             false,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj - 36.0).abs() < 1e-6);
             assert!((x[0] - 2.0).abs() < 1e-6);
@@ -768,7 +696,7 @@ mod tests {
             vec![1.0, 1.0],
             true,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj - 2.0).abs() < 1e-6);
             assert!((x[0] - 1.0).abs() < 1e-6);
@@ -790,7 +718,7 @@ mod tests {
             vec![1.0],
             true,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             assert!(matches!(out, LpOutcome::Infeasible));
         }
     }
@@ -799,7 +727,7 @@ mod tests {
     fn unbounded_detected() {
         // max x with no constraints.
         let p = lp(1, vec![0.0], vec![f64::INFINITY], vec![], vec![1.0], false);
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             assert!(matches!(out, LpOutcome::Unbounded));
         }
     }
@@ -809,7 +737,7 @@ mod tests {
         // max x + y with 1 <= x <= 3, 0 <= y <= 2 → 5, with no constraint
         // rows at all: pure bound flips.
         let p = lp(2, vec![1.0, 0.0], vec![3.0, 2.0], vec![], vec![1.0, 1.0], false);
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj - 5.0).abs() < 1e-6);
             assert!((x[0] - 3.0).abs() < 1e-6);
@@ -821,7 +749,7 @@ mod tests {
     fn negative_lower_bound_shift() {
         // min x with -5 <= x <= 5 → -5.
         let p = lp(1, vec![-5.0], vec![5.0], vec![], vec![1.0], true);
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj + 5.0).abs() < 1e-6);
             assert!((x[0] + 5.0).abs() < 1e-6);
@@ -839,7 +767,7 @@ mod tests {
             vec![1.0],
             true,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj + 10.0).abs() < 1e-6);
             assert!((x[0] + 10.0).abs() < 1e-6);
@@ -850,7 +778,7 @@ mod tests {
     fn flipped_variable_upper_only() {
         // max x with x <= 7, lower unbounded → 7.
         let p = lp(1, vec![f64::NEG_INFINITY], vec![7.0], vec![], vec![1.0], false);
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj - 7.0).abs() < 1e-6);
             assert!((x[0] - 7.0).abs() < 1e-6);
@@ -868,7 +796,7 @@ mod tests {
             vec![0.0, 1.0],
             true,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((obj - 2.0).abs() < 1e-6, "objective {obj}, x {x:?}");
         }
@@ -889,7 +817,7 @@ mod tests {
             vec![4.0, 2.0, 1.0],
             false,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (_, obj) = optimal(out);
             assert!(obj > 0.0);
         }
@@ -922,17 +850,19 @@ mod tests {
             vec![-0.75, 150.0, -0.02, 6.0],
             true,
         );
-        for (engine, parity) in CONFIGS {
+        for way in Way::ALL {
             let scope = Arc::new(SolveActivity::default());
-            let out = SolveActivity::scoped(&scope, || solve_on(&p, engine, parity));
+            let out = SolveActivity::scoped(&scope, || {
+                way.solve(&PreparedLp::new(&p), &p.lower, &p.upper, None)
+            });
             let (x, obj) = optimal(out);
-            assert!((obj + 0.05).abs() < 1e-6, "{engine:?}: objective {obj}");
-            assert!((x[0] - 0.04).abs() < 1e-6, "{engine:?}: x {x:?}");
-            assert!((x[2] - 1.0).abs() < 1e-6, "{engine:?}: x {x:?}");
+            assert!((obj + 0.05).abs() < 1e-6, "{way:?}: objective {obj}");
+            assert!((x[0] - 0.04).abs() < 1e-6, "{way:?}: x {x:?}");
+            assert!((x[2] - 1.0).abs() < 1e-6, "{way:?}: x {x:?}");
             // Far below the iteration cap (~51k for this size): the guard
             // broke the cycle instead of the cap breaking the solve.
             let iters = scope.snapshot().simplex_iterations;
-            assert!(iters < 200, "{engine:?}: took {iters} iterations");
+            assert!(iters < 200, "{way:?}: took {iters} iterations");
         }
     }
 
@@ -953,9 +883,9 @@ mod tests {
             true,
         );
         let mut verdicts = Vec::new();
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
-            let cold = prep.solve_warm(&p.lower, &p.upper, None);
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
+            let cold = way.solve(&prep, &p.lower, &p.upper, None);
             let basis = match &cold {
                 LpOutcome::Optimal { basis, .. } => Some(basis.clone()),
                 _ => None,
@@ -964,7 +894,7 @@ mod tests {
             // Warm path: re-solve from the cold basis (when one exists)
             // and from the all-nonbasic "foreign" basis.
             if let Some(b) = basis {
-                let warm = prep.solve_warm(&p.lower, &p.upper, Some(&b));
+                let warm = way.solve(&prep, &p.lower, &p.upper, Some(&b));
                 verdicts.push(matches!(warm, LpOutcome::Optimal { .. }));
             }
         }
@@ -988,7 +918,7 @@ mod tests {
             vec![1.0, 0.0],
             true,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!(obj.abs() < 1e-6);
             assert!((x[1] - 2.0).abs() < 1e-6);
@@ -998,7 +928,7 @@ mod tests {
     #[test]
     fn bound_override_tightens() {
         let p = lp(1, vec![0.0], vec![10.0], vec![], vec![1.0], false);
-        for out in on_both(|e, pa| PreparedLp::new(&p, e, pa).solve_warm(&[0.0], &[3.0], None)) {
+        for out in every_way(&p, &[0.0], &[3.0]) {
             let (_, obj) = optimal(out);
             assert!((obj - 3.0).abs() < 1e-6);
         }
@@ -1007,7 +937,7 @@ mod tests {
     #[test]
     fn empty_box_is_infeasible() {
         let p = lp(1, vec![0.0], vec![10.0], vec![], vec![1.0], false);
-        for out in on_both(|e, pa| PreparedLp::new(&p, e, pa).solve_warm(&[5.0], &[4.0], None)) {
+        for out in every_way(&p, &[5.0], &[4.0]) {
             assert!(matches!(out, LpOutcome::Infeasible));
         }
     }
@@ -1027,15 +957,15 @@ mod tests {
     #[test]
     fn warm_start_matches_cold_after_bound_change() {
         let p = knapsack_lp();
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
-            let basis = optimal_basis(prep.solve_warm(&p.lower, &p.upper, None));
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
+            let basis = optimal_basis(way.solve(&prep, &p.lower, &p.upper, None));
             // Branch x2 down to 0 (the branching move the B&B performs).
             let lower = vec![0.0; 3];
             let upper = vec![1.0, 1.0, 0.0];
-            let (wx, wobj) = optimal(prep.solve_warm(&lower, &upper, Some(&basis)));
-            let (cx, cobj) = optimal(prep.solve_warm(&lower, &upper, None));
-            assert!((wobj - cobj).abs() < 1e-6, "{engine:?}: warm {wobj} vs cold {cobj}");
+            let (wx, wobj) = optimal(way.solve(&prep, &lower, &upper, Some(&basis)));
+            let (cx, cobj) = optimal(way.solve(&prep, &lower, &upper, None));
+            assert!((wobj - cobj).abs() < 1e-6, "{way:?}: warm {wobj} vs cold {cobj}");
             assert!(wx[2].abs() < 1e-9 && cx[2].abs() < 1e-9);
         }
     }
@@ -1043,12 +973,12 @@ mod tests {
     #[test]
     fn warm_start_same_bounds_reproduces_optimum() {
         let p = knapsack_lp();
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
-            let out = prep.solve_warm(&p.lower, &p.upper, None);
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
+            let out = way.solve(&prep, &p.lower, &p.upper, None);
             let basis = optimal_basis(out.clone());
             let (_, cold_obj) = optimal(out);
-            let (_, warm_obj) = optimal(prep.solve_warm(&p.lower, &p.upper, Some(&basis)));
+            let (_, warm_obj) = optimal(way.solve(&prep, &p.lower, &p.upper, Some(&basis)));
             assert!((warm_obj - cold_obj).abs() < 1e-9);
         }
     }
@@ -1056,15 +986,15 @@ mod tests {
     #[test]
     fn invalid_warm_basis_falls_back_to_cold() {
         let p = knapsack_lp();
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
             // Wrong length: refactorization must reject it and cold-solve.
             let bogus = Basis { status: vec![ColStatus::AtLower; 2] };
-            let (_, obj) = optimal(prep.solve_warm(&p.lower, &p.upper, Some(&bogus)));
+            let (_, obj) = optimal(way.solve(&prep, &p.lower, &p.upper, Some(&bogus)));
             // No basic columns at all: also rejected.
             let none_basic = Basis { status: vec![ColStatus::AtLower; 4] };
-            let (_, obj2) = optimal(prep.solve_warm(&p.lower, &p.upper, Some(&none_basic)));
-            let (_, cold) = optimal(prep.solve_warm(&p.lower, &p.upper, None));
+            let (_, obj2) = optimal(way.solve(&prep, &p.lower, &p.upper, Some(&none_basic)));
+            let (_, cold) = optimal(way.solve(&prep, &p.lower, &p.upper, None));
             assert!((obj - cold).abs() < 1e-9);
             assert!((obj2 - cold).abs() < 1e-9);
         }
@@ -1089,25 +1019,25 @@ mod tests {
         );
         let singular =
             Basis { status: vec![ColStatus::AtLower, ColStatus::Basic, ColStatus::AtLower] };
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
             let scope = Arc::new(SolveActivity::default());
             let out = SolveActivity::scoped(&scope, || {
-                prep.solve_warm(&p.lower, &p.upper, Some(&singular))
+                way.solve(&prep, &p.lower, &p.upper, Some(&singular))
             });
             let (_, obj) = optimal(out);
-            assert!((obj - 5.0).abs() < 1e-6, "{engine:?}: objective {obj}");
+            assert!((obj - 5.0).abs() < 1e-6, "{way:?}: objective {obj}");
             let seen = scope.snapshot();
-            assert_eq!(seen.warm_attempts, 1, "{engine:?}: attempts");
-            assert_eq!(seen.warm_hits, 0, "{engine:?}: fallback must not count a hit");
-            assert_eq!(seen.lp_solves, 1, "{engine:?}: one solve, counted once");
+            assert_eq!(seen.warm_attempts, 1, "{way:?}: attempts");
+            assert_eq!(seen.warm_hits, 0, "{way:?}: fallback must not count a hit");
+            assert_eq!(seen.lp_solves, 1, "{way:?}: one solve, counted once");
         }
     }
 
     #[test]
     fn sparse_engine_records_factorization_work() {
         let p = knapsack_lp();
-        let prep = PreparedLp::new(&p, LpEngine::Sparse, LpParity::Exact);
+        let prep = PreparedLp::new(&p);
         let scope = Arc::new(SolveActivity::default());
         let basis = SolveActivity::scoped(&scope, || {
             optimal_basis(prep.solve_warm(&p.lower, &p.upper, None))
@@ -1131,10 +1061,10 @@ mod tests {
             vec![1.0, 1.0],
             true,
         );
-        for (engine, parity) in CONFIGS {
-            let prep = PreparedLp::new(&p, engine, parity);
-            let basis = optimal_basis(prep.solve_warm(&p.lower, &p.upper, None));
-            let out = prep.solve_warm(&[0.0, 0.0], &[0.0, 0.0], Some(&basis));
+        for way in Way::ALL {
+            let prep = PreparedLp::new(&p);
+            let basis = optimal_basis(way.solve(&prep, &p.lower, &p.upper, None));
+            let out = way.solve(&prep, &[0.0, 0.0], &[0.0, 0.0], Some(&basis));
             assert!(matches!(out, LpOutcome::Infeasible));
         }
     }
@@ -1150,7 +1080,7 @@ mod tests {
             vec![1.0, 1.0],
             false,
         );
-        for out in on_both(|e, pa| solve_on(&p, e, pa)) {
+        for out in every_way(&p, &p.lower, &p.upper) {
             let (x, obj) = optimal(out);
             assert!((x[0] - 2.0).abs() < 1e-9);
             assert!((obj - 6.0).abs() < 1e-6);
@@ -1160,10 +1090,12 @@ mod tests {
     #[test]
     fn engine_from_env_defaults_to_sparse() {
         // The defaults are constants whatever the process environment
-        // holds: the sparse engine on the fast parity, for the branch and
-        // bound and for the degradation ladder's heuristic rung alike.
+        // holds: the LP engine and parity at their only values, for the
+        // branch and bound and for the degradation ladder's heuristic rung
+        // alike.
         let options = crate::SolverOptions::default();
-        assert_eq!((options.lp_engine, options.lp_parity), (LpEngine::Sparse, LpParity::Fast));
+        let default_lp = (crate::LpEngine::Sparse, crate::LpParity::Fast);
+        assert_eq!((options.lp_engine, options.lp_parity), default_lp);
         assert_eq!(options.cache_key_head(), "parallel+warm");
     }
 
@@ -1183,6 +1115,35 @@ mod tests {
         assert_eq!(sol.value(x).to_bits(), 0.0f64.to_bits());
         assert_eq!((sol.value(y), sol.value(z)), (1.0, 1.0));
         assert!((sol.objective - 2.0).abs() < 1e-12);
+    }
+
+    /// A tripped token stops a kit-off solve within one probe window
+    /// ([`CANCEL_CHECK_EVERY`] pivots) where the uncancelled solve pivots
+    /// for several windows. `tests/cancel_latency.rs` pins the same bound
+    /// for the kit-on public pure-LP path.
+    #[test]
+    fn tripped_token_stops_a_kit_off_solve_within_one_probe_window() {
+        // max Σ x over 200 columns, each under `0.5·x_i ≤ 0.5`: every
+        // column enters once and pivots.
+        let n = 200;
+        let rows = (0..n).map(|i| LpRow { coeffs: vec![(i, 0.5)], op: CmpOp::Le, rhs: 0.5 });
+        let p = lp(n, vec![0.0; n], vec![10.0; n], rows.collect(), vec![1.0; n], false);
+        let pivots = |cancel: Option<CancellationToken>| {
+            let mut prep = PreparedLp::new(&p);
+            prep.set_cancel(cancel);
+            let scope = Arc::new(SolveActivity::default());
+            let out =
+                SolveActivity::scoped(&scope, || prep.solve_node(&p.lower, &p.upper, None, false));
+            (out, scope.snapshot().simplex_iterations)
+        };
+        let (solved, base) = pivots(None);
+        assert!(matches!(solved, LpOutcome::Optimal { .. }), "{solved:?}");
+        assert!(base > 2 * CANCEL_CHECK_EVERY, "baseline of {base} pivots");
+        let token = CancellationToken::new();
+        token.cancel();
+        let (stopped, burned) = pivots(Some(token));
+        assert!(matches!(stopped, LpOutcome::Cancelled), "{stopped:?}");
+        assert!(burned <= CANCEL_CHECK_EVERY, "{burned} pivots burned, baseline {base}");
     }
 
     /// What a solve returned, floats as bit patterns.
@@ -1259,7 +1220,7 @@ mod tests {
         /// `solve_children` returns what one `solve_node` call per child
         /// returns — value bits, objective bits and bases — on random
         /// bounded LPs branched at their optimum on the most fractional
-        /// basic column, on every engine and parity, kit on and off.
+        /// basic column, every [`Way`].
         #[test]
         fn solve_children_matches_independent_solves(
             n in 2usize..8,
@@ -1283,12 +1244,12 @@ mod tests {
                 costs[..n].iter().map(|&c| c as f64).collect(),
                 false,
             );
-            for (engine, parity) in CONFIGS {
-                let prep = PreparedLp::new(&p, engine, parity);
+            for way in Way::ALL {
+                let prep = PreparedLp::new(&p);
                 let LpOutcome::Optimal { values, basis, .. } =
-                    prep.solve_warm(&p.lower, &p.upper, None)
+                    way.solve(&prep, &p.lower, &p.upper, None)
                 else {
-                    panic!("{engine:?}: a ≤-only LP with x = 0 feasible and bounded x");
+                    panic!("{way:?}: a ≤-only LP with x = 0 feasible and bounded x");
                 };
                 let fractional = |j: &usize| (values[*j] - values[*j].round()).abs() > 1e-6;
                 let Some(j) = (0..n).filter(fractional).max_by(|&a, &b| {
@@ -1300,11 +1261,10 @@ mod tests {
                 proptest::prop_assert_eq!(basis.status[j], ColStatus::Basic);
                 let v = values[j];
                 let boxes = [(p.lower[j], v.floor()), (v.ceil(), p.upper[j])];
-                for kit in [false, true] {
-                    let (together, apart) = children_both_ways(&prep, &basis, kit, j, &boxes);
-                    assert_same_solves(&together, &apart);
-                    proptest::prop_assert_eq!(apart.memo_sibling_hits, 0);
-                }
+                let (together, apart) =
+                    way.run(|kit| children_both_ways(&prep, &basis, kit, j, &boxes));
+                assert_same_solves(&together, &apart);
+                proptest::prop_assert_eq!(apart.memo_sibling_hits, 0);
             }
         }
     }
@@ -1315,7 +1275,7 @@ mod tests {
     /// solves', and the outcomes still agree. The warm basis is the optimum
     /// of `max Σ x` over 150 columns; the children minimize `Σ x` from it,
     /// a solve long enough (well past 112 pivots) to trip the hybrid switch
-    /// and then the fast-parity update-count trigger.
+    /// and then the kit-on update-count trigger.
     #[test]
     fn solve_children_installs_afresh_after_a_mid_solve_refactorization() {
         let n = 150;
@@ -1327,15 +1287,15 @@ mod tests {
         let mut objective = vec![1.0; n];
         objective[0] = 0.5;
         let parent = lp(n, vec![0.0; n], vec![10.0; n], rows, objective, false);
-        let basis =
-            optimal_basis(PreparedLp::new(&parent, LpEngine::Sparse, LpParity::Exact).solve_warm(
-                &parent.lower,
-                &parent.upper,
-                None,
-            ));
+        let basis = optimal_basis(PreparedLp::new(&parent).solve_node(
+            &parent.lower,
+            &parent.upper,
+            None,
+            false,
+        ));
         assert_eq!(basis.status[0], ColStatus::Basic, "x0 = 0.5 is basic");
         let children = LpProblem { objective: vec![1.0; n], minimize: true, ..parent };
-        let prep = PreparedLp::new(&children, LpEngine::Sparse, LpParity::Fast);
+        let prep = PreparedLp::new(&children);
         let boxes = [(0.0, 0.0), (1.0, 10.0)];
         let (together, apart) = children_both_ways(&prep, &basis, true, 0, &boxes);
         assert!(together.refactor_triggers > 0, "the first child must refactorize: {together:?}");

@@ -14,19 +14,17 @@ use crate::branch_bound::cancel_error;
 use crate::cancel::CancellationToken;
 use crate::error::IlpError;
 use crate::model::Model;
-use crate::simplex::{self, LpEngine, LpOutcome, LpParity};
+use crate::simplex::{self, LpOutcome};
 use crate::solution::{Solution, SolveStatus};
 
 /// Single LP solve for models without integer variables: the pure-LP
 /// shortcut of [`Model::solve_with_options`] and of [`heuristic`].
 pub(crate) fn solve_lp(
     model: &Model,
-    engine: LpEngine,
-    parity: LpParity,
     cancel: Option<CancellationToken>,
 ) -> Result<Solution, IlpError> {
     let lp = model.to_lp();
-    match simplex::solve(&lp, engine, parity, cancel.clone()) {
+    match simplex::solve(&lp, cancel.clone()) {
         LpOutcome::Optimal { values, objective, .. } => Ok(Solution {
             status: SolveStatus::Optimal,
             objective,
@@ -189,7 +187,7 @@ fn column_rows(model: &Model, sc: &mut RepairScratch) {
 }
 
 /// The degradation ladder's last rung: the root LP relaxation, rounded and
-/// repaired by [`greedy_repair`], on `options`' LP engine and parity.
+/// repaired by [`greedy_repair`].
 ///
 /// Returns a *feasible* point (status [`SolveStatus::Feasible`], with the
 /// root LP objective as `best_bound`; [`SolveStatus::Optimal`] when the
@@ -197,17 +195,12 @@ fn column_rows(model: &Model, sc: &mut RepairScratch) {
 /// walk stalls. A model without integral variables (`integral` empty) is
 /// one LP solve. Deliberately token-free: the rung runs after the search
 /// spent its budget, so it must stay usable past an expired deadline.
-pub(crate) fn heuristic(
-    model: &Model,
-    integral: &[usize],
-    options: &SolverOptions,
-) -> Result<Solution, IlpError> {
-    let (engine, parity) = (options.lp_engine, options.lp_parity);
+pub(crate) fn heuristic(model: &Model, integral: &[usize]) -> Result<Solution, IlpError> {
     if integral.is_empty() {
-        return solve_lp(model, engine, parity, None);
+        return solve_lp(model, None);
     }
     let lp = model.to_lp();
-    let (relax, root_obj) = match simplex::solve(&lp, engine, parity, None) {
+    let (relax, root_obj) = match simplex::solve(&lp, None) {
         LpOutcome::Optimal { values, objective, .. } => (values, objective),
         LpOutcome::Infeasible => return Err(IlpError::Infeasible),
         LpOutcome::Unbounded => return Err(IlpError::Unbounded),
@@ -238,6 +231,26 @@ pub enum SolverBackend {
     Parallel,
 }
 
+/// Which simplex engine solves the LP relaxations. The sparse revised
+/// simplex is the only one; the enum stays because the benchmark harness
+/// prints [`SolverOptions::lp_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum LpEngine {
+    /// Sparse revised simplex with product-form basis updates.
+    Sparse,
+}
+
+/// The LP arithmetic contract. There is one: a search replays the dense
+/// oracle's arithmetic (kept in the test build) up to the kit-restart
+/// point and runs the fast kit past it, and every answer is certified. The
+/// enum stays because the benchmark harness prints
+/// [`SolverOptions::lp_parity`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum LpParity {
+    /// Kit-off replay below the restart point, the kit past it.
+    Fast,
+}
+
 /// What [`Model::solve_with_options`] runs, threaded through the TAPA-CS
 /// configuration structs (`PartitionConfig` / `FloorplanConfig` /
 /// `CompilerConfig` in the core crate). The fields are the whole surface:
@@ -265,10 +278,9 @@ pub struct SolverOptions {
     /// Warm-start every child LP from its parent's simplex basis instead
     /// of re-running phase 1 + phase 2 from scratch.
     pub warm_lp: bool,
-    /// Which simplex engine runs the LP relaxations (see [`LpEngine`]).
+    /// The simplex engine; [`LpEngine::Sparse`] is its only value.
     pub lp_engine: LpEngine,
-    /// Arithmetic contract of the sparse engine: [`LpParity::Fast`] unless
-    /// the caller asks for the [`LpParity::Exact`] oracle replay.
+    /// The LP arithmetic contract; [`LpParity::Fast`] is its only value.
     pub lp_parity: LpParity,
     /// Graceful-degradation ladder: when the exact search times out with no
     /// incumbent, fall back to the root relaxation rounded and repaired by
@@ -325,11 +337,8 @@ impl SolverOptions {
 
     /// The head of every solve-cache key: the options that can change which
     /// point a search returns. Two option sets that may return different
-    /// (equally optimal) points must give different heads. The default
-    /// pair (sparse engine, fast parity) is unsuffixed; the oracle engine
-    /// and the oracle-replay parity each add a suffix, so an answer computed
-    /// under either is never served under the default's head. Persisted
-    /// cache files hold these bytes, so a head may not change without a
+    /// (equally optimal) points must give different heads. Persisted cache
+    /// files hold these bytes, so a head may not change without a
     /// `FILE_VERSION` bump in `cache.rs`.
     pub(crate) fn cache_key_head(&self) -> String {
         let mut head = String::from("parallel");
@@ -342,12 +351,6 @@ impl SolverOptions {
         if !self.warm_lp {
             head.push_str("-coldlp");
         }
-        head.push_str(match (self.lp_engine, self.lp_parity) {
-            (LpEngine::Sparse, LpParity::Fast) => "",
-            (LpEngine::Dense, LpParity::Fast) => "-denselp",
-            (LpEngine::Sparse, LpParity::Exact) => "-exactlp",
-            (LpEngine::Dense, LpParity::Exact) => "-denselp-exactlp",
-        });
         head
     }
 }
@@ -380,7 +383,7 @@ mod tests {
     #[test]
     fn heuristic_finds_feasible_point() {
         let m = cover_model();
-        let sol = heuristic(&m, &m.integral_vars(), &SolverOptions::default()).unwrap();
+        let sol = heuristic(&m, &m.integral_vars()).unwrap();
         assert!(m.is_feasible(&sol.values, 1e-6));
         // Bound comes from the LP root: 1.5 <= heuristic objective.
         assert!(sol.best_bound <= sol.objective + 1e-9);
@@ -429,61 +432,26 @@ mod tests {
     /// The solve cache's keys open with [`SolverOptions::cache_key_head`],
     /// and persisted files hold those bytes, so every combination of the
     /// options that can change the answer keeps the head it has always had
-    /// (the backend name the keys were written under). The two parity modes
-    /// run different pivot sequences under a budget, so their heads must
-    /// never collide: the default (sparse + fast) is unsuffixed, the oracle
-    /// modes carry the suffixes. Options that cannot change the answer
-    /// (`threads`, `cache`, `degrade`) leave the head alone.
+    /// (the backend name the keys were written under), each distinct.
+    /// Options that cannot change the answer (`threads`, `cache`,
+    /// `degrade`) leave the head alone.
     #[test]
     fn parity_modes_produce_distinct_solver_names() {
-        use LpEngine::{Dense, Sparse};
-        use LpParity::{Exact, Fast};
         #[rustfmt::skip]
         let table = [
-            // warm_start, presolve, warm_lp, engine, parity: head
-            (true, true, true, Sparse, Fast, "parallel+warm"),
-            (true, true, true, Dense, Fast, "parallel+warm-denselp"),
-            (true, true, true, Sparse, Exact, "parallel+warm-exactlp"),
-            (true, true, true, Dense, Exact, "parallel+warm-denselp-exactlp"),
-            (true, true, false, Sparse, Fast, "parallel+warm-coldlp"),
-            (true, true, false, Dense, Fast, "parallel+warm-coldlp-denselp"),
-            (true, true, false, Sparse, Exact, "parallel+warm-coldlp-exactlp"),
-            (true, true, false, Dense, Exact, "parallel+warm-coldlp-denselp-exactlp"),
-            (true, false, true, Sparse, Fast, "parallel+warm-nopresolve"),
-            (true, false, true, Dense, Fast, "parallel+warm-nopresolve-denselp"),
-            (true, false, true, Sparse, Exact, "parallel+warm-nopresolve-exactlp"),
-            (true, false, true, Dense, Exact, "parallel+warm-nopresolve-denselp-exactlp"),
-            (true, false, false, Sparse, Fast, "parallel+warm-nopresolve-coldlp"),
-            (true, false, false, Dense, Fast, "parallel+warm-nopresolve-coldlp-denselp"),
-            (true, false, false, Sparse, Exact, "parallel+warm-nopresolve-coldlp-exactlp"),
-            (true, false, false, Dense, Exact, "parallel+warm-nopresolve-coldlp-denselp-exactlp"),
-            (false, true, true, Sparse, Fast, "parallel"),
-            (false, true, true, Dense, Fast, "parallel-denselp"),
-            (false, true, true, Sparse, Exact, "parallel-exactlp"),
-            (false, true, true, Dense, Exact, "parallel-denselp-exactlp"),
-            (false, true, false, Sparse, Fast, "parallel-coldlp"),
-            (false, true, false, Dense, Fast, "parallel-coldlp-denselp"),
-            (false, true, false, Sparse, Exact, "parallel-coldlp-exactlp"),
-            (false, true, false, Dense, Exact, "parallel-coldlp-denselp-exactlp"),
-            (false, false, true, Sparse, Fast, "parallel-nopresolve"),
-            (false, false, true, Dense, Fast, "parallel-nopresolve-denselp"),
-            (false, false, true, Sparse, Exact, "parallel-nopresolve-exactlp"),
-            (false, false, true, Dense, Exact, "parallel-nopresolve-denselp-exactlp"),
-            (false, false, false, Sparse, Fast, "parallel-nopresolve-coldlp"),
-            (false, false, false, Dense, Fast, "parallel-nopresolve-coldlp-denselp"),
-            (false, false, false, Sparse, Exact, "parallel-nopresolve-coldlp-exactlp"),
-            (false, false, false, Dense, Exact, "parallel-nopresolve-coldlp-denselp-exactlp"),
+            // warm_start, presolve, warm_lp: head
+            (true, true, true, "parallel+warm"),
+            (true, true, false, "parallel+warm-coldlp"),
+            (true, false, true, "parallel+warm-nopresolve"),
+            (true, false, false, "parallel+warm-nopresolve-coldlp"),
+            (false, true, true, "parallel"),
+            (false, true, false, "parallel-coldlp"),
+            (false, false, true, "parallel-nopresolve"),
+            (false, false, false, "parallel-nopresolve-coldlp"),
         ];
         let mut heads = std::collections::HashSet::new();
-        for (warm_start, presolve, warm_lp, lp_engine, lp_parity, want) in table {
-            let options = SolverOptions {
-                warm_start,
-                presolve,
-                warm_lp,
-                lp_engine,
-                lp_parity,
-                ..search_only()
-            };
+        for (warm_start, presolve, warm_lp, want) in table {
+            let options = SolverOptions { warm_start, presolve, warm_lp, ..search_only() };
             assert_eq!(options.cache_key_head(), want);
             assert!(heads.insert(want), "{want} twice");
             for other in [
@@ -496,33 +464,36 @@ mod tests {
         assert_eq!(SolverOptions::default().cache_key_head(), "parallel+warm");
     }
 
-    /// The last rung of the ladder runs the engine the caller asked for,
-    /// not whatever the environment says: a dense-engine fallback records
-    /// no factorization work, a sparse one does. A zero budget stops the
-    /// search at its root with no incumbent, so the ladder answers. The
-    /// sparse search factorizes its root basis before it sees the spent
-    /// budget, so the same solve without the ladder is run too, and only
-    /// the factorizations beyond it count as the fallback's.
+    /// The last rung of the ladder runs its LP on whatever engine the
+    /// thread's solves run on: under the dense oracle the fallback records
+    /// no factorization work, on the sparse engine it does. A zero budget
+    /// stops the search at its root with no incumbent, so the ladder
+    /// answers. The sparse search factorizes its root basis before it sees
+    /// the spent budget, so the same solve without the ladder is run too,
+    /// and only the factorizations beyond it count as the fallback's.
     #[test]
     fn heuristic_rung_honours_the_callers_lp_engine() {
+        use crate::dense::Way;
         use crate::stats::SolveActivity;
         use std::sync::Arc;
         let m = cover_model();
         let zero = SolverConfig::with_time_limit(std::time::Duration::ZERO);
-        let factorizations = |options: &SolverOptions| {
+        let factorizations = |way: Way, options: &SolverOptions| {
             let scope = Arc::new(SolveActivity::default());
-            let answer = SolveActivity::scoped(&scope, || m.solve_with_options(&zero, options));
+            let answer =
+                SolveActivity::scoped(&scope, || way.run(|_| m.solve_with_options(&zero, options)));
             (answer, scope.snapshot().lu_factorizations)
         };
-        for (lp_engine, factorizes) in [(LpEngine::Sparse, true), (LpEngine::Dense, false)] {
-            let search = SolverOptions { lp_engine, ..search_only() };
-            let (searched, search_lu) = factorizations(&search);
-            assert!(matches!(searched, Err(IlpError::NoIncumbent)), "{lp_engine:?}: {searched:?}");
-            let (answer, ladder_lu) = factorizations(&SolverOptions { degrade: true, ..search });
+        for (way, factorizes) in [(Way::KitOff, true), (Way::Oracle, false)] {
+            let search = search_only();
+            let (searched, search_lu) = factorizations(way, &search);
+            assert!(matches!(searched, Err(IlpError::NoIncumbent)), "{way:?}: {searched:?}");
+            let ladder = SolverOptions { degrade: true, ..search };
+            let (answer, ladder_lu) = factorizations(way, &ladder);
             let sol = answer.unwrap();
             assert!(m.is_feasible(&sol.values, 1e-6));
-            assert!(sol.degraded, "{lp_engine:?}: {sol:?}");
-            assert_eq!(ladder_lu > search_lu, factorizes, "{lp_engine:?} via the ladder");
+            assert!(sol.degraded, "{way:?}: {sol:?}");
+            assert_eq!(ladder_lu > search_lu, factorizes, "{way:?} via the ladder");
         }
     }
 

@@ -116,24 +116,24 @@ counters! {
     eta_nnz,
     /// Mid-solve refactorizations forced by the deterministic trigger
     /// (update-eta chain longer than the refactor interval, or eta fill
-    /// past the parity mode's `eta_nnz` budget).
+    /// past the solve's `eta_nnz` budget).
     refactor_triggers,
     /// The subset of [`refactor_triggers`](SolveStats::refactor_triggers)
     /// caused by eta-file fill rather than update count.
     refactor_fill_triggers,
-    /// Devex reference-framework resets under fast parity
-    /// (weights regrown past the stability ceiling and re-primed to 1).
+    /// Devex reference-framework resets on kit-on solves (weights regrown
+    /// past the stability ceiling and re-primed to 1).
     devex_resets,
-    /// Forrest–Tomlin-style eta replacements under fast parity:
+    /// Forrest–Tomlin-style eta replacements on kit-on solves:
     /// pivots whose update eta *composed into* the previous same-row eta
     /// instead of appending, keeping the eta file from growing.
     ft_replacements,
-    /// Hybrid-pricing switches under fast parity (the default): node solves
+    /// Hybrid-pricing switches on kit-on solves: node solves
     /// that outgrew the banded-Dantzig opening and switched to devex
     /// pricing mid-solve. A pure function of each node's iteration count,
     /// so the total repeats exactly from run to run.
     pricing_switches,
-    /// Partial-pricing wrap-arounds under fast parity: rotating
+    /// Partial-pricing wrap-arounds on kit-on solves: rotating
     /// section scans that exhausted the candidate list and restarted from
     /// the front (each wrap is one full-width pricing pass).
     partial_pricing_refreshes,
@@ -144,8 +144,7 @@ counters! {
     /// sum to installs, and each is a function of the search alone.
     memo_sibling_hits,
     /// Branch-and-bound nodes expanded across all searches, attempts
-    /// abandoned by the kit restart included. The fast-parity node-tree
-    /// guard compares this between parity modes.
+    /// abandoned by the kit restart included.
     bb_nodes,
     /// Branched children dropped before their LP because one row's
     /// coefficient-wise activity range over the child's box cannot meet

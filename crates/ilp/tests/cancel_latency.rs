@@ -1,19 +1,19 @@
-//! Worst-case cooperative-cancellation latency, pinned for both LP
-//! parities.
+//! Worst-case cooperative-cancellation latency of the public pure-LP path.
 //!
-//! Every engine loop — phase 1, phase 2, and the fast-parity devex /
+//! Every engine loop — phase 1, phase 2, and the kit's devex /
 //! dual-repair paths — polls its cancel probe (`simplex::CancelProbe`) at
 //! least once per `CANCEL_CHECK_EVERY` (64) pivots. A tripped token must
 //! therefore stop a solve within one probe window, no matter how long the
-//! uncancelled solve runs. The fast parity is the regression target: its
-//! dual warm-re-solve loops once ran to completion before noticing a
-//! deadline.
+//! uncancelled solve runs. The kit is the regression target: its dual
+//! warm-re-solve loops once ran to completion before noticing a deadline.
+//! A pure LP solves with the kit on; the same bound for a kit-off solve is
+//! a unit test in `src/simplex.rs`.
 
 use std::sync::Arc;
 
 use tapacs_ilp::{
-    CancellationToken, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolveActivity,
-    SolveStats, SolverConfig, SolverOptions,
+    CancellationToken, IlpError, LinExpr, Model, Sense, SolveActivity, SolveStats, SolverConfig,
+    SolverOptions,
 };
 
 /// The probe window: engines may run at most this many pivots between
@@ -69,15 +69,13 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, SolveStats) {
     (out, handle.snapshot())
 }
 
-/// The branch and bound alone (no memo cache, no degradation ladder) on
-/// the sparse engine at `parity`, presolve off.
-fn solver(parity: LpParity) -> SolverOptions {
+/// The branch and bound alone (no memo cache, no degradation ladder),
+/// presolve off.
+fn solver() -> SolverOptions {
     SolverOptions {
         warm_start: true,
         presolve: false,
         warm_lp: true,
-        lp_engine: LpEngine::Sparse,
-        lp_parity: parity,
         cache: false,
         degrade: false,
         ..SolverOptions::default()
@@ -87,37 +85,34 @@ fn solver(parity: LpParity) -> SolverOptions {
 #[test]
 fn tripped_token_stops_both_parities_within_one_probe_window() {
     let model = chunky_lp(120, 300);
+    let s = solver();
 
-    for parity in [LpParity::Exact, LpParity::Fast] {
-        let s = solver(parity);
+    // Baseline: the uncancelled solve must be big enough that the latency
+    // bound below means something.
+    let (solved, base) = counted(|| model.solve_with_options(&SolverConfig::default(), &s));
+    solved.expect("chunky LP is feasible");
+    // `simplex_iterations` is the phase-1 + phase-2 total already.
+    let base_pivots = base.simplex_iterations;
+    assert!(
+        base_pivots > PROBE_WINDOW,
+        "baseline too small to exercise the bound ({base_pivots} pivots)"
+    );
 
-        // Baseline: the uncancelled solve must be big enough that the
-        // latency bound below means something.
-        let (solved, base) = counted(|| model.solve_with_options(&SolverConfig::default(), &s));
-        solved.expect("chunky LP is feasible");
-        // `simplex_iterations` is the phase-1 + phase-2 total already.
-        let base_pivots = base.simplex_iterations;
-        assert!(
-            base_pivots > PROBE_WINDOW,
-            "baseline too small to exercise the bound ({base_pivots} pivots, parity {parity:?})"
-        );
-
-        // A pre-cancelled token: the solve must abort with the typed error
-        // after at most one probe window of burned pivots (the engines
-        // record pivots even for cancelled runs).
-        let token = CancellationToken::new();
-        token.cancel();
-        let config = SolverConfig { cancel: Some(token), ..SolverConfig::default() };
-        let (stopped_solve, stopped) = counted(|| model.solve_with_options(&config, &s));
-        let err = stopped_solve.expect_err("cancelled solve must not succeed");
-        assert!(matches!(err, IlpError::Cancelled), "want Cancelled, got {err:?}");
-        let burned = stopped.simplex_iterations;
-        assert!(
-            burned <= PROBE_WINDOW,
-            "cancel latency blew the probe window: {burned} pivots burned \
-             (limit {PROBE_WINDOW}, parity {parity:?}, baseline {base_pivots})"
-        );
-    }
+    // A pre-cancelled token: the solve must abort with the typed error
+    // after at most one probe window of burned pivots (the engines record
+    // pivots even for cancelled runs).
+    let token = CancellationToken::new();
+    token.cancel();
+    let config = SolverConfig { cancel: Some(token), ..SolverConfig::default() };
+    let (stopped_solve, stopped) = counted(|| model.solve_with_options(&config, &s));
+    let err = stopped_solve.expect_err("cancelled solve must not succeed");
+    assert!(matches!(err, IlpError::Cancelled), "want Cancelled, got {err:?}");
+    let burned = stopped.simplex_iterations;
+    assert!(
+        burned <= PROBE_WINDOW,
+        "cancel latency blew the probe window: {burned} pivots burned \
+         (limit {PROBE_WINDOW}, baseline {base_pivots})"
+    );
 }
 
 #[test]
@@ -146,7 +141,7 @@ fn mid_solve_cancel_aborts_from_another_thread() {
         std::thread::sleep(std::time::Duration::from_millis(5));
         token.cancel();
     });
-    let result = m.solve_with_options(&config, &solver(LpParity::Fast));
+    let result = m.solve_with_options(&config, &solver());
     canceller.join().expect("canceller thread");
     match result {
         Err(IlpError::Cancelled) | Ok(_) => {}

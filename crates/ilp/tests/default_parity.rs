@@ -1,7 +1,7 @@
-//! The defaults are constants: the sparse engine on the fast parity, and no
-//! process environment variable moves them. The dense engine, `exact`
-//! parity and every other option are opt-in through the typed fields, and
-//! faults are armed only by `install_faults`.
+//! The defaults are constants, and no process environment variable moves
+//! them: every option is set through the typed fields of
+//! `SolverOptions`, where `lp_engine` and `lp_parity` each have one value,
+//! and faults are armed only by `install_faults`.
 //!
 //! This file holds exactly one test on purpose: it edits the process
 //! environment, which no test sharing the binary could race with.

@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tapacs_ilp::{
-    certify, IlpError, LinExpr, LpEngine, LpParity, Model, Sense, SolveActivity, SolveStats,
-    SolverConfig, SolverOptions,
+    certify, IlpError, LinExpr, Model, Sense, SolveActivity, SolveStats, SolverConfig,
+    SolverOptions,
 };
 
 /// The branch and bound alone, with default toggles: no memo cache, no
@@ -83,22 +83,16 @@ fn presolve_rich_model(values: &[u32], weights: &[u32], cap: u32, bound: u32) ->
     m
 }
 
-/// Solves `m` with the fast-parity branch and bound under a scoped stats
+/// Solves `m` with the branch and bound under a scoped stats
 /// collector, returning the solution plus the counters the run recorded
 /// (pricing switches, partial-pricing refreshes, branch-and-bound nodes,
 /// iterations).
 fn solve_fast_with_stats(m: &Model) -> (tapacs_ilp::Solution, SolveStats) {
     let handle = Arc::new(SolveActivity::default());
     let sol = SolveActivity::scoped(&handle, || {
-        // Engine and parity pinned: the kit lives in the sparse engine.
-        let options = SolverOptions {
-            lp_engine: LpEngine::Sparse,
-            lp_parity: LpParity::Fast,
-            ..search_only()
-        };
-        m.solve_with_options(&SolverConfig::default(), &options)
+        m.solve_with_options(&SolverConfig::default(), &search_only())
     })
-    .expect("fast-parity solve must succeed");
+    .expect("the solve must succeed");
     (sol, handle.snapshot())
 }
 
@@ -107,7 +101,7 @@ fn point_bits(sol: &tapacs_ilp::Solution) -> Vec<u64> {
     sol.values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The fast-parity kit decisions — the hybrid pricing switch, the
+/// The kit decisions — the hybrid pricing switch, the
 /// partial-pricing cursor, the kit-restart cutover and the sibling
 /// restores — are pure functions of the node, never of timing. A big
 /// symmetric tree (2·Σx ≤ odd cap forces every relaxation fractional)
@@ -281,9 +275,9 @@ proptest! {
         prop_assert_eq!(stats, stats_again, "LP-engine counters diverged");
     }
 
-    /// The independent certificate accepts every answer of every LP
-    /// configuration — both engines, both parities — on both random model
-    /// families of this file.
+    /// The independent certificate accepts every answer of the LP
+    /// arithmetic on both random model families of this file. (The dense
+    /// oracle's answers are certified by the unit tests in `src/dense.rs`.)
     #[test]
     fn certificate_accepts_every_engine_and_parity(
         items in prop::collection::vec((1u32..50, 1u32..30), 2..9),
@@ -297,14 +291,9 @@ proptest! {
             knapsack_model(&values, &weights, cap).0,
             presolve_rich_model(&values, &weights, cap, bound),
         ] {
-            for lp_engine in [LpEngine::Sparse, LpEngine::Dense] {
-                for lp_parity in [LpParity::Fast, LpParity::Exact] {
-                    let options = SolverOptions { lp_engine, lp_parity, ..search_only() };
-                    let sol = m.solve_with_options(&cfg, &options).expect("all-zeros is feasible");
-                    let verdict = certify(&m, &cfg, &sol);
-                    prop_assert!(verdict.is_ok(), "{lp_engine:?}/{lp_parity:?}: {verdict:?}");
-                }
-            }
+            let sol = m.solve_with_options(&cfg, &search_only()).expect("all-zeros is feasible");
+            let verdict = certify(&m, &cfg, &sol);
+            prop_assert!(verdict.is_ok(), "{verdict:?}");
         }
     }
 
