@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 
 use tapacs_fpga::{ResourceKind, Resources};
 use tapacs_ilp::{
-    CancellationToken, CmpOp, IlpError, LinExpr, Model, Sense, SolveActivity, SolverConfig,
-    SolverOptions, VarId,
+    CancellationToken, CanonicalKey, CmpOp, IlpError, KeyShape, KeyWriter, Model, Sense,
+    SolveActivity, SolverConfig, SolverOptions, VarKind,
 };
 
 use crate::error::CompileError;
@@ -227,101 +227,113 @@ impl Split {
         classes
     }
 
-    /// The ILP and its side variables, one per item.
+    /// The split's ILP as its canonical solve-cache key, written straight
+    /// from the items, edges, sides, balance and symmetry classes without
+    /// building the model; [`Model::solve_canonical`] builds the model from
+    /// the key only to solve a miss. The bytes are
+    /// those of the model the tests' `reference_model` builds (and the
+    /// compiler built until the key replaced it), so cached answers and
+    /// persisted files carry over.
     ///
-    /// Every row is appended straight into the model's row block
-    /// ([`Model::add_terms`]) term by term in ascending variable order (the
-    /// sides `x` first, then the cut indicators `y`), so each term is a
-    /// plain push and no row allocates. The columns, the rows, their terms
-    /// and the objective are sized up front to exactly what they receive,
-    /// so none of them regrows.
-    fn model(&self) -> (Model, Vec<VarId>) {
+    /// Variable `i` is item `i`'s side `x_i` (binary), variable `n + e`
+    /// edge `e`'s cut indicator `y_e ∈ [0, 1]`. The objective is
+    /// `Σ width_e · y_e`; the rows, in order: a pin row per pinned item, the
+    /// cut pair `y_e ≥ ±(x_a − x_b)` per edge, a `capH`/`capL` pair per
+    /// resource kind, the balance pair and the symmetry rows. Every row's
+    /// terms arrive in ascending variable order, and the key's shape is
+    /// counted exactly, so nothing regrows.
+    fn key(
+        &self,
+        config: &SolverConfig,
+        options: &SolverOptions,
+    ) -> Result<CanonicalKey, IlpError> {
+        let n = self.items.len();
         let classes = self.pinned_symmetry_classes();
-        // Each item's amount of every resource kind, the capacity and
-        // balance rows' coefficients.
-        let amounts: Vec<[f64; ResourceKind::ALL.len()]> = self
+        // Each item's amount of `kind`, the coefficient of its side in
+        // `kind`'s capacity and balance rows.
+        let load = |kind: ResourceKind| {
+            self.items.iter().enumerate().map(move |(i, item)| (i, item.resources.get(kind) as f64))
+        };
+        let free_load = |kind| load(kind).filter(|&(i, _)| self.items[i].pin.is_none());
+        let nonzero: usize = self
             .items
             .iter()
-            .map(|item| ResourceKind::ALL.map(|kind| item.resources.get(kind) as f64))
-            .collect();
-        let free: Vec<usize> =
-            (0..self.items.len()).filter(|&i| self.items[i].pin.is_none()).collect();
-        // The balance pair, when its free load is positive: its kind's
-        // index, the balance and that load.
+            .map(|item| {
+                ResourceKind::ALL.iter().filter(|&&kind| item.resources.get(kind) != 0).count()
+            })
+            .sum();
+        // The balance pair, when its free load is positive: the balance
+        // and that load.
         let balance = self.balance.as_ref().and_then(|balance| {
-            let k = ResourceKind::ALL.iter().position(|&kind| kind == balance.kind);
-            let k = k.expect("ALL lists every kind");
-            let free_total: f64 = free.iter().map(|&i| amounts[i][k]).sum();
-            (free_total > 0.0).then_some((k, balance, free_total))
+            let free_total: f64 = free_load(balance.kind).map(|(_, amount)| amount).sum();
+            (free_total > 0.0).then_some((balance, free_total))
         });
 
         let pins = self.items.iter().filter(|item| item.pin.is_some()).count();
         let sym_rows = classes.iter().map(|class| class.len() - 1).sum::<usize>();
-        let rows = pins
-            + 2 * self.edges.len()
-            + 2 * ResourceKind::ALL.len()
-            + if balance.is_some() { 2 } else { 0 }
-            + sym_rows;
-        let terms = pins
-            + 6 * self.edges.len()
-            + 2 * amounts.iter().flatten().filter(|&&a| a != 0.0).count()
-            + balance
-                .map_or(0, |(k, _, _)| 2 * free.iter().filter(|&&i| amounts[i][k] != 0.0).count())
-            + 2 * sym_rows;
-        let mut m =
-            Model::with_capacity("two-way-split", self.items.len() + self.edges.len(), rows, terms);
-        let mut x = Vec::with_capacity(self.items.len());
-        for item in &self.items {
-            let v = m.binary("x");
-            if let Some(high) = item.pin {
-                m.add_terms("pin", [(v, 1.0)], CmpOp::Eq, if high { 1.0 } else { 0.0 });
-            }
-            x.push(v);
-        }
+        let shape = KeyShape {
+            vars: n + self.edges.len(),
+            objective_terms: self.edges.iter().filter(|&&(_, _, w)| w != 0).count(),
+            rows: pins
+                + 2 * self.edges.len()
+                + 2 * ResourceKind::ALL.len()
+                + if balance.is_some() { 2 } else { 0 }
+                + sym_rows,
+            row_terms: pins
+                + 6 * self.edges.len()
+                + 2 * nonzero
+                + balance.map_or(0, |(balance, _)| {
+                    2 * free_load(balance.kind).filter(|&(_, amount)| amount != 0.0).count()
+                })
+                + 2 * sym_rows,
+        };
+        let mut key = KeyWriter::new(config, options, shape);
+        let y = |e: usize| n + e;
+        let widths = self.edges.iter().enumerate().map(|(e, &(_, _, width))| (y(e), width as f64));
+        key.objective(Sense::Minimize, 0.0, widths);
+        key.vars(VarKind::Binary, 0.0, 1.0, n);
+        key.vars(VarKind::Continuous, 0.0, 1.0, self.edges.len());
 
-        let mut objective =
-            LinExpr::with_capacity(self.edges.iter().filter(|&&(_, _, w)| w != 0).count());
-        for &(a, b, width) in &self.edges {
-            let y = m.continuous("y", 0.0, 1.0);
+        for (i, item) in self.items.iter().enumerate() {
+            if let Some(high) = item.pin {
+                key.row([(i, 1.0)], CmpOp::Eq, if high { 1.0 } else { 0.0 });
+            }
+        }
+        for (e, &(a, b, _)) in self.edges.iter().enumerate() {
             // `y − x[from] + x[to] ≥ 0`, its terms in variable order.
             let cut_row = |from: usize, to: usize| {
                 if from < to {
-                    [(x[from], -1.0), (x[to], 1.0), (y, 1.0)]
+                    [(from, -1.0), (to, 1.0), (y(e), 1.0)]
                 } else {
-                    [(x[to], 1.0), (x[from], -1.0), (y, 1.0)]
+                    [(to, 1.0), (from, -1.0), (y(e), 1.0)]
                 }
             };
-            m.add_terms("c1", cut_row(a, b), CmpOp::Ge, 0.0);
-            m.add_terms("c2", cut_row(b, a), CmpOp::Ge, 0.0);
-            objective.add_term(y, width as f64);
+            key.row(cut_row(a, b), CmpOp::Ge, 0.0);
+            key.row(cut_row(b, a), CmpOp::Ge, 0.0);
         }
 
         // Resource thresholds per side, per kind (equation 1), over the
         // high-side load of every item. The low side's load is
         // `total − high load`.
-        for k in 0..ResourceKind::ALL.len() {
-            let load = || x.iter().zip(&amounts).map(|(&v, a)| (v, a[k]));
-            let total: f64 = amounts.iter().map(|a| a[k]).sum();
-            m.add_terms("capH", load(), CmpOp::Le, self.high.rhs[k]);
-            m.add_terms("capL", load(), CmpOp::Ge, total - self.low.rhs[k]);
+        for (k, kind) in ResourceKind::ALL.into_iter().enumerate() {
+            let total: f64 = load(kind).map(|(_, amount)| amount).sum();
+            key.row(load(kind), CmpOp::Le, self.high.rhs[k]);
+            key.repeat_row(CmpOp::Ge, total - self.low.rhs[k]);
         }
 
         // The balance pair, over the high-side load of the free items.
-        if let Some((k, balance, free_total)) = balance {
-            let load = || free.iter().map(|&i| (x[i], amounts[i][k]));
+        if let Some((balance, free_total)) = balance {
             let floor_high = free_total * balance.share_high * (1.0 - balance.slack);
             let floor_low = free_total * balance.share_low * (1.0 - balance.slack);
-            m.add_terms("balH", load(), CmpOp::Ge, floor_high);
-            m.add_terms("balL", load(), CmpOp::Le, free_total - floor_low);
+            key.row(free_load(balance.kind), CmpOp::Ge, floor_high);
+            key.repeat_row(CmpOp::Le, free_total - floor_low);
         }
 
         // Interchangeable items take the high side in position order.
         for pair in classes.iter().flat_map(|class| class.windows(2)) {
-            m.add_terms("sym", [(x[pair[0]], 1.0), (x[pair[1]], -1.0)], CmpOp::Ge, 0.0);
+            key.row([(pair[0], 1.0), (pair[1], -1.0)], CmpOp::Ge, 0.0);
         }
-
-        m.set_objective(Sense::Minimize, objective);
-        (m, x)
+        key.finish()
     }
 
     /// Solves the split: `true` = high side, `None` when not even the greedy
@@ -339,19 +351,25 @@ impl Split {
         setup: &SolveSetup<'_>,
         log: &SplitLog,
     ) -> Result<Option<Vec<bool>>, CompileError> {
-        let (model, x) = self.model();
         // The compiler rejects a NaN or negative limit before its first
         // stage; one past what a `Duration` holds (+∞, 1e30) is no limit.
         let time_limit = Duration::try_from_secs_f64(setup.time_limit_s).ok();
         let mut config = SolverConfig { time_limit, ..SolverConfig::default() };
         config.objective_granularity = self.objective_granularity() as f64;
         config.cancel = setup.cancel.clone();
-        match model.solve_with_options(&config, setup.solver) {
+        let key = self.key(&config, setup.solver);
+        #[cfg(test)]
+        tests::check_key(self, &config, setup.solver, &key);
+        let solved = key.and_then(|key| Model::solve_canonical(key, &config, setup.solver));
+        match solved {
             Ok(solution) => {
                 if solution.degraded {
                     log.mark_degraded();
                 }
-                Ok(Some(x.iter().map(|&v| solution.is_set(v)).collect()))
+                // The sides are variables `0..n`, read as `Solution::is_set`
+                // reads a binary.
+                let sides = &solution.values[..self.items.len()];
+                Ok(Some(sides.iter().map(|v| v.round() >= 0.5).collect()))
             }
             Err(
                 err @ (IlpError::Infeasible | IlpError::NoIncumbent | IlpError::Uncertified(_)),
@@ -557,8 +575,146 @@ mod tests {
     use std::ops::Range;
 
     use proptest::prelude::*;
+    use tapacs_ilp::{LinExpr, VarId};
 
     use super::*;
+
+    /// The split's ILP built as a [`Model`], and its side variables, one
+    /// per item: the model [`Split::key`] writes the key of, row by row
+    /// through [`Model::add_terms`].
+    fn reference_model(split: &Split) -> (Model, Vec<VarId>) {
+        let classes = split.pinned_symmetry_classes();
+        // Each item's amount of every resource kind, the capacity and
+        // balance rows' coefficients.
+        let amounts: Vec<[f64; ResourceKind::ALL.len()]> = split
+            .items
+            .iter()
+            .map(|item| ResourceKind::ALL.map(|kind| item.resources.get(kind) as f64))
+            .collect();
+        let free: Vec<usize> =
+            (0..split.items.len()).filter(|&i| split.items[i].pin.is_none()).collect();
+        // The balance pair, when its free load is positive: its kind's
+        // index, the balance and that load.
+        let balance = split.balance.as_ref().and_then(|balance| {
+            let k = ResourceKind::ALL.iter().position(|&kind| kind == balance.kind);
+            let k = k.expect("ALL lists every kind");
+            let free_total: f64 = free.iter().map(|&i| amounts[i][k]).sum();
+            (free_total > 0.0).then_some((k, balance, free_total))
+        });
+
+        let pins = split.items.iter().filter(|item| item.pin.is_some()).count();
+        let sym_rows = classes.iter().map(|class| class.len() - 1).sum::<usize>();
+        let rows = pins
+            + 2 * split.edges.len()
+            + 2 * ResourceKind::ALL.len()
+            + if balance.is_some() { 2 } else { 0 }
+            + sym_rows;
+        let terms = pins
+            + 6 * split.edges.len()
+            + 2 * amounts.iter().flatten().filter(|&&a| a != 0.0).count()
+            + balance
+                .map_or(0, |(k, _, _)| 2 * free.iter().filter(|&&i| amounts[i][k] != 0.0).count())
+            + 2 * sym_rows;
+        let mut m = Model::with_capacity(
+            "two-way-split",
+            split.items.len() + split.edges.len(),
+            rows,
+            terms,
+        );
+        let mut x = Vec::with_capacity(split.items.len());
+        for item in &split.items {
+            let v = m.binary("x");
+            if let Some(high) = item.pin {
+                m.add_terms("pin", [(v, 1.0)], CmpOp::Eq, if high { 1.0 } else { 0.0 });
+            }
+            x.push(v);
+        }
+
+        let mut objective =
+            LinExpr::with_capacity(split.edges.iter().filter(|&&(_, _, w)| w != 0).count());
+        for &(a, b, width) in &split.edges {
+            let y = m.continuous("y", 0.0, 1.0);
+            // `y − x[from] + x[to] ≥ 0`, its terms in variable order.
+            let cut_row = |from: usize, to: usize| {
+                if from < to {
+                    [(x[from], -1.0), (x[to], 1.0), (y, 1.0)]
+                } else {
+                    [(x[to], 1.0), (x[from], -1.0), (y, 1.0)]
+                }
+            };
+            m.add_terms("c1", cut_row(a, b), CmpOp::Ge, 0.0);
+            m.add_terms("c2", cut_row(b, a), CmpOp::Ge, 0.0);
+            objective.add_term(y, width as f64);
+        }
+
+        // Resource thresholds per side, per kind (equation 1), over the
+        // high-side load of every item. The low side's load is
+        // `total − high load`.
+        for k in 0..ResourceKind::ALL.len() {
+            let load = || x.iter().zip(&amounts).map(|(&v, a)| (v, a[k]));
+            let total: f64 = amounts.iter().map(|a| a[k]).sum();
+            m.add_terms("capH", load(), CmpOp::Le, split.high.rhs[k]);
+            m.add_terms("capL", load(), CmpOp::Ge, total - split.low.rhs[k]);
+        }
+
+        // The balance pair, over the high-side load of the free items.
+        if let Some((k, balance, free_total)) = balance {
+            let load = || free.iter().map(|&i| (x[i], amounts[i][k]));
+            let floor_high = free_total * balance.share_high * (1.0 - balance.slack);
+            let floor_low = free_total * balance.share_low * (1.0 - balance.slack);
+            m.add_terms("balH", load(), CmpOp::Ge, floor_high);
+            m.add_terms("balL", load(), CmpOp::Le, free_total - floor_low);
+        }
+
+        // Interchangeable items take the high side in position order.
+        for pair in classes.iter().flat_map(|class| class.windows(2)) {
+            m.add_terms("sym", [(x[pair[0]], 1.0), (x[pair[1]], -1.0)], CmpOp::Ge, 0.0);
+        }
+
+        m.set_objective(Sense::Minimize, objective);
+        (m, x)
+    }
+
+    thread_local! {
+        /// Splits whose key [`check_key`] compared with the reference
+        /// model's on this thread.
+        static KEYS_CHECKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Every split a test build solves: its key is the reference model's,
+    /// and the key's bytes alone read back as that model.
+    pub(super) fn check_key(
+        split: &Split,
+        config: &SolverConfig,
+        options: &SolverOptions,
+        key: &Result<CanonicalKey, IlpError>,
+    ) {
+        if let Ok(key) = key {
+            assert_key_is_the_reference_models(split, config, options, key);
+            KEYS_CHECKED.with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    fn assert_key_is_the_reference_models(
+        split: &Split,
+        config: &SolverConfig,
+        options: &SolverOptions,
+        key: &CanonicalKey,
+    ) {
+        let (reference, _) = reference_model(split);
+        let bytes = key.as_bytes();
+        assert!(bytes == reference.canonical_key(config, options), "the key left the model");
+        let decoded = Model::from_canonical(bytes).expect("a split key reads back");
+        assert_eq!(structure(&decoded), structure(&reference), "the key reads as another model");
+    }
+
+    /// A model's variables, rows and objective as its `Debug` shows them,
+    /// without its name.
+    fn structure(model: &Model) -> String {
+        let shown = format!("{model:?}");
+        let (_, parts) = shown.split_once(", vars: ").expect("the name is shown before the vars");
+        parts.to_owned()
+    }
 
     fn lut(n: u64) -> Resources {
         Resources::new(n, 0, 0, 0, 0)
@@ -632,7 +788,7 @@ mod tests {
             high: Side::exact(lut(100)),
             balance: even(ResourceKind::Lut, 0.0),
         };
-        let (model, _) = split.model();
+        let (model, _) = reference_model(&split);
         assert!(model.is_feasible(&[0.0, 1.0, 1.0, 0.0, 0.0], 1e-9));
         // 3|3 overall, but 1|3 of the free load.
         assert!(!model.is_feasible(&[0.0, 1.0, 1.0, 1.0, 0.0], 1e-9));
@@ -650,7 +806,7 @@ mod tests {
             high: Side::exact(lut(40)),
             balance: None,
         };
-        let (model, x) = split.model();
+        let (model, x) = reference_model(&split);
         assert_eq!(x.len(), 2);
         assert_eq!(model.num_vars(), 2 + 2, "one y per surviving edge");
         // Two rows per edge and a capH/capL pair per resource kind.
@@ -822,7 +978,7 @@ mod tests {
             balance: None,
         };
         assert!(split.pinned_symmetry_classes().is_empty());
-        let (model, _) = split.model();
+        let (model, _) = reference_model(&split);
         assert_eq!(model.num_constraints(), 2 * 3 + 2 * ResourceKind::ALL.len());
     }
 
@@ -831,7 +987,7 @@ mod tests {
         for k in 2..=5 {
             let split = fan_out(&[false], &vec![(10, &[(0, 32)][..]); k]);
             assert_eq!(split.pinned_symmetry_classes(), vec![(1..=k).collect::<Vec<_>>()]);
-            let (model, x) = split.model();
+            let (model, x) = reference_model(&split);
             let rows_without = 1 + 2 * k + 2 * ResourceKind::ALL.len();
             assert_eq!(model.num_constraints(), rows_without + k - 1, "k = {k}");
             // x, then one y per edge, which is cut exactly when its
@@ -927,7 +1083,7 @@ mod tests {
             };
             prop_assert!(!split.pinned_symmetry_classes().is_empty(), "no class to order");
 
-            let (model, _) = split.model();
+            let (model, _) = reference_model(&split);
             let mut config = SolverConfig::with_time_limit(Duration::from_secs(600));
             config.objective_granularity = split.objective_granularity() as f64;
             let ilp = match model.solve_with_options(&config, &options(1)) {
@@ -1090,5 +1246,156 @@ mod tests {
         log.greedy_stand_in();
         let (stats, degraded) = log.finish();
         assert!(degraded && stats.is_empty());
+    }
+
+    /// The configuration a split is keyed under, with its lattice.
+    fn key_config(split: &Split) -> SolverConfig {
+        let config = SolverConfig::with_time_limit(Duration::from_secs(600));
+        SolverConfig { objective_granularity: split.objective_granularity() as f64, ..config }
+    }
+
+    fn assert_keys_match(split: &Split) {
+        let config = key_config(split);
+        for options in [SolverOptions::default(), options(1)] {
+            let key = split.key(&config, &options).expect("finite split data");
+            assert_key_is_the_reference_models(split, &config, &options, &key);
+        }
+    }
+
+    /// Resources drawn from a few vectors, some of them zero in every
+    /// kind, so symmetry classes form and amounts are zero.
+    fn resources_of(pick: u8) -> Resources {
+        match pick % 4 {
+            0 => Resources::new(100, 200, 0, 0, 0),
+            1 => Resources::new(100, 200, 2, 1, 0),
+            2 => Resources::ZERO,
+            _ => Resources::new(300, 0, 1, 0, 4),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The key the split writes is the canonical key of the model it
+        /// stands for, byte for byte: pins on either side, balance on, off
+        /// or over a kind the free items do not use, symmetry classes,
+        /// zero-width edges, zero resource amounts, a single item.
+        #[test]
+        fn split_keys_are_the_reference_models_keys(
+            items in prop::collection::vec((any::<u8>(), 0u8..4), 1..10),
+            edges in prop::collection::vec((0usize..10, 0usize..10, 0u64..3), 0..16),
+            caps in (0u64..2000, 0u64..2000),
+            balance in (0usize..6, 1u64..100, 0u64..60),
+        ) {
+            let items: Vec<Item> = items
+                .iter()
+                .map(|&(pick, pin)| Item {
+                    resources: resources_of(pick),
+                    pin: [None, None, Some(false), Some(true)][usize::from(pin)],
+                })
+                .collect();
+            let n = items.len();
+            let edges = edges
+                .iter()
+                .map(|&(a, b, width)| (a % n, b % n, 32 * width))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let share_high = balance.1 as f64 / 100.0;
+            let split = Split {
+                items,
+                edges,
+                low: Side::exact(Resources::new(caps.0, caps.1, 3, 2, 4)),
+                high: Side::exact(Resources::new(caps.1, caps.0, 2, 3, 4)),
+                balance: ResourceKind::ALL.get(balance.0).map(|&kind| Balance {
+                    kind,
+                    share_low: 1.0 - share_high,
+                    share_high,
+                    slack: balance.2 as f64 / 100.0,
+                }),
+            };
+            assert_keys_match(&split);
+        }
+    }
+
+    /// The proptest's corners, each on its own: one item, a balance over
+    /// free items that carry none of its kind, zero-width edges only, an
+    /// item with no resources at all, pins on both sides with a class.
+    #[test]
+    fn split_keys_match_at_the_corners() {
+        let single = Split {
+            items: vec![free(10)],
+            edges: Vec::new(),
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: even(ResourceKind::Lut, 0.2),
+        };
+        let mut no_free_load = fan_out(&[false, true], &[(10, &[(0, 32)]), (10, &[(0, 32)])]);
+        no_free_load.balance = even(ResourceKind::Dsp, 0.1);
+        let mut zero_widths = fan_out(&[true], &[(10, &[(0, 0)]), (20, &[(0, 0)])]);
+        zero_widths.balance = even(ResourceKind::Lut, 0.3);
+        let empty_item = Split {
+            items: vec![free(10), Item { resources: Resources::ZERO, pin: None }, pinned(5, true)],
+            edges: vec![(0, 1, 64), (1, 2, 32)],
+            low: Side::exact(lut(40)),
+            high: Side::exact(lut(40)),
+            balance: even(ResourceKind::Lut, 0.0),
+        };
+        assert!(!no_free_load.pinned_symmetry_classes().is_empty());
+        for split in [single, no_free_load, zero_widths, empty_item] {
+            assert_keys_match(&split);
+        }
+    }
+
+    /// Every split the bundled apps produce on one to four FPGAs is checked
+    /// by [`check_key`] on its way to the solver. A zero ILP budget keeps
+    /// the compiles quick; which splits come up depends on the answers, so
+    /// these are the splits of the budget-bound compiles.
+    #[test]
+    fn every_bundled_app_split_writes_its_reference_models_key() {
+        use tapacs_apps::suite::paper_cluster;
+        use tapacs_apps::{cnn, data, knn, pagerank, stencil};
+
+        use crate::{Compiler, CompilerConfig, Flow};
+        let before = KEYS_CHECKED.get();
+        for n_fpgas in 1..=4 {
+            // `suite::build_for` at `suite::default_param`, built here: the
+            // suite's `Flow` is another build of this crate's.
+            let net = data::snap_networks()[0];
+            let graphs = [
+                stencil::build(&stencil::StencilConfig::paper(64, n_fpgas)),
+                pagerank::build(&pagerank::PageRankConfig::paper(net, n_fpgas)),
+                knn::build(&knn::KnnConfig::paper(4_000_000, 8, n_fpgas)),
+                cnn::build(&cnn::CnnConfig::paper(n_fpgas, false)),
+            ];
+            for graph in graphs {
+                let flow = Flow::TapaCs { n_fpgas };
+                let mut config = CompilerConfig::default();
+                config.solver.cache = false;
+                config.solver.threads = 1;
+                config.partition.time_limit_s = 0.0;
+                config.floorplan.time_limit_s = 0.0;
+                let _ = Compiler::with_config(paper_cluster(n_fpgas), config).compile(&graph, flow);
+            }
+        }
+        let checked = KEYS_CHECKED.get() - before;
+        assert!(checked > 100, "{checked} split keys checked");
+    }
+
+    /// Data the solver would reject is rejected on the key path too, with
+    /// the same error.
+    #[test]
+    fn non_finite_split_data_is_an_invalid_model() {
+        let mut split = fan_out(&[false], &[(10, &[(0, 32)]), (10, &[(0, 32)])]);
+        split.high.rhs[0] = f64::NAN;
+        let config = key_config(&split);
+        let got = split.key(&config, &options(1));
+        assert!(matches!(got, Err(IlpError::InvalidModel(_))), "{got:?}");
+        split.high.rhs[0] = 100.0;
+        split.balance = even(ResourceKind::Lut, f64::NAN);
+        let got = split.key(&config, &options(1));
+        assert!(matches!(got, Err(IlpError::InvalidModel(_))), "{got:?}");
+        let log = SplitLog::default();
+        let setup = SolveSetup { time_limit_s: 600.0, solver: &options(1), cancel: &None };
+        assert!(matches!(split.solve(&setup, &log), Err(CompileError::Solver(_))));
     }
 }

@@ -5,13 +5,15 @@
 //! produces structurally identical subproblems across sweep points. Caching
 //! `canonical model → solution` turns those repeats into hash lookups.
 //!
-//! [`Model::solve_with_options`] is the one caller: it looks a solve up,
-//! and stores what its search answered. Keys are the full canonical byte
-//! encoding of the model (variables, constraints, objective), the
-//! budget-relevant [`SolverConfig`] fields and a head naming the
-//! [`SolverOptions`](crate::SolverOptions) that can change the answer
-//! (`SolverOptions::cache_key_head`) — not a lossy hash — so a hit can
-//! never return the solution of a different model. The options are part of
+//! [`Model::solve_with_options`] and [`Model::solve_canonical`] are the
+//! callers: they look a solve up, and store what its search answered.
+//! Keys are the full canonical byte encoding of the model (variables,
+//! constraints, objective), the budget-relevant [`SolverConfig`] fields and
+//! a head naming the [`SolverOptions`](crate::SolverOptions) that can
+//! change the answer (`SolverOptions::cache_key_head`) — not a lossy hash —
+//! so a hit can never return the solution of a different model. The layout
+//! is [`crate::key`]'s; a caller that knows its model can write the key
+//! without building the model ([`crate::KeyWriter`]). The options are part of
 //! the key because two of them may legitimately return different (equally
 //! optimal) points, and replaying the wrong one would break the
 //! determinism guarantee.
@@ -38,7 +40,10 @@
 //! original — so the evidence survives for inspection, the next
 //! [`SolveCache::save_to`] writes a fresh valid file, and the sweep simply
 //! runs cold. What is stored and when a stored answer is served is
-//! decided by [`Model::solve_with_options`]; see its doc.
+//! decided by [`Model::solve_with_options`]; see its doc. Each entry keeps
+//! whether its answer has passed [`crate::certify`] since it was stored:
+//! a fresh answer has, a loaded one is certified on its first hit, so a
+//! repeated hit is the key and one lookup.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -46,7 +51,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
+use crate::key::{CanonicalKey, KeyShape, KeyWriter};
+use crate::model::{Model, SolverConfig};
 use crate::solution::{Solution, SolveStatus};
 
 /// Entries kept at most; inserts beyond this are dropped (the floorplanning
@@ -387,9 +393,29 @@ fn decode_solution(c: &mut Cursor<'_>) -> Result<Solution, CacheFileError> {
     Ok(Solution { status, objective, best_bound, nodes_explored, values, degraded })
 }
 
+/// A stored answer, and whether it has passed [`crate::certify`] since it
+/// was stored: a fresh answer is certified before it is inserted, a loaded
+/// one on its first hit.
+struct Entry {
+    solution: Solution,
+    certified: bool,
+}
+
+/// What a lookup found: the stored answer and its certified mark.
+pub(crate) struct Hit {
+    pub solution: Solution,
+    pub certified: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Hits whose answer this thread certified, for tests that count them.
+    pub(crate) static HIT_CERTIFICATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The memo-cache: canonical model key → [`Solution`].
 pub struct SolveCache {
-    inner: Mutex<HashMap<Vec<u8>, Solution, KeyHash>>,
+    inner: Mutex<HashMap<Vec<u8>, Entry, KeyHash>>,
     hits: AtomicU64,
     misses: AtomicU64,
     loads: AtomicU64,
@@ -421,8 +447,13 @@ impl SolveCache {
         GLOBAL.get_or_init(SolveCache::new)
     }
 
-    pub(crate) fn lookup(&self, key: &[u8]) -> Option<Solution> {
-        let found = self.inner.lock().unwrap().get(key).cloned();
+    pub(crate) fn lookup(&self, key: &[u8]) -> Option<Hit> {
+        let found = self
+            .inner
+            .lock()
+            .unwrap()
+            .get(key)
+            .map(|entry| Hit { solution: entry.solution.clone(), certified: entry.certified });
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -430,10 +461,19 @@ impl SolveCache {
         found
     }
 
+    /// Stores a certified answer.
     pub(crate) fn insert(&self, key: Vec<u8>, solution: Solution) {
         let mut guard = self.inner.lock().unwrap();
         if guard.len() < MAX_ENTRIES {
-            guard.insert(key, solution);
+            guard.insert(key, Entry { solution, certified: true });
+        }
+    }
+
+    /// Marks `key`'s entry certified, if it still holds `solution` (a load
+    /// may have replaced it since the lookup).
+    pub(crate) fn mark_certified(&self, key: &[u8], solution: &Solution) {
+        if let Some(entry) = self.inner.lock().unwrap().get_mut(key) {
+            entry.certified |= entry.solution == *solution;
         }
     }
 
@@ -491,13 +531,13 @@ impl SolveCache {
         payload.extend_from_slice(&FILE_VERSION.to_le_bytes());
         let written = {
             let guard = self.inner.lock().unwrap();
-            let mut entries: Vec<(&Vec<u8>, &Solution)> = guard.iter().collect();
+            let mut entries: Vec<(&Vec<u8>, &Entry)> = guard.iter().collect();
             entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
             payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (key, solution) in &entries {
+            for (key, entry) in &entries {
                 payload.extend_from_slice(&(key.len() as u64).to_le_bytes());
                 payload.extend_from_slice(key);
-                encode_solution(&mut payload, solution);
+                encode_solution(&mut payload, &entry.solution);
             }
             entries.len() as u64
         };
@@ -565,9 +605,22 @@ impl SolveCache {
         Ok(entries)
     }
 
+    /// Every stored entry, sorted by key: the canonical key
+    /// ([`crate::DecodedKey::parse`] reads it) and the stored answer. For
+    /// tools that audit or replay a cache file.
+    pub fn entries(&self) -> Vec<(Vec<u8>, Solution)> {
+        let guard = self.inner.lock().unwrap();
+        let mut entries: Vec<(Vec<u8>, Solution)> =
+            guard.iter().map(|(key, entry)| (key.clone(), entry.solution.clone())).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
     /// Parses `path` and merges its entries into this cache, returning how
     /// many were merged (also added to [`CacheStats::loads`]). Lookup
     /// counters (`hits`/`misses`) are untouched — loading is not a lookup.
+    /// A merged entry is certified on its first hit, like any answer read
+    /// from outside the process.
     ///
     /// The whole file is validated (magic, version, checksum, bounds)
     /// *before* anything is merged: a rejected file leaves the cache
@@ -602,7 +655,7 @@ impl SolveCache {
             if guard.len() >= MAX_ENTRIES {
                 break;
             }
-            guard.insert(key, solution);
+            guard.insert(key, Entry { solution, certified: false });
             merged += 1;
         }
         drop(guard);
@@ -611,87 +664,32 @@ impl SolveCache {
     }
 }
 
-/// Bytes of one encoded term: the variable index, then the coefficient.
-const TERM_BYTES: usize = std::mem::size_of::<usize>() + 8;
-
-/// The length of [`canonical_key`]'s encoding, section by section, so the
-/// key is written into one allocation of exactly its size.
-fn canonical_key_len(head: &str, model: &Model, config: &SolverConfig) -> usize {
-    // Head, separator, `max_nodes`, then three `f64` settings.
-    let header = head.len() + 1 + std::mem::size_of::<usize>() + 3 * 8;
-    let limit = if config.time_limit.is_some() { 1 + 16 } else { 1 };
-    let objective = 1 + 8 + TERM_BYTES * model.objective.len() + 1;
-    let vars = 17 * model.vars.len() + 1;
-    let rows = (1 + 8 + 1) * model.rows.len() + TERM_BYTES * model.rows.nnz();
-    header + limit + objective + vars + rows
+/// Canonical byte encoding of `(head, config, model)`, `head` being
+/// `SolverOptions::cache_key_head`, in the layout of [`crate::key`]:
+/// every section is written from the model's own vectors, as stored.
+/// Structurally identical models encode identically: the builders' labels
+/// are not even stored.
+pub(crate) fn canonical_key(head: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
+    model_key(head, model, config).into_bytes()
 }
 
-/// Canonical byte encoding of `(head, config, model)`, `head` being
-/// `SolverOptions::cache_key_head`. Structurally identical models encode
-/// identically: the builders' labels are not even stored.
-pub(crate) fn canonical_key(head: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
-    let len = canonical_key_len(head, model, config);
-    let mut key = Vec::with_capacity(len);
-    key.extend_from_slice(head.as_bytes());
-    key.push(0xff);
-
-    // Budget-relevant config: a tighter budget may return a different
-    // (anytime) incumbent, so it must not share entries.
-    key.extend_from_slice(&config.max_nodes.to_le_bytes());
-    key.extend_from_slice(&config.int_tol.to_bits().to_le_bytes());
-    key.extend_from_slice(&config.mip_gap.to_bits().to_le_bytes());
-    // Granularity changes which nodes prune, hence which anytime incumbent
-    // a budgeted solve returns — different lattices must not share entries.
-    key.extend_from_slice(&config.objective_granularity.to_bits().to_le_bytes());
-    match config.time_limit {
-        Some(limit) => {
-            key.push(1);
-            key.extend_from_slice(&limit.as_nanos().to_le_bytes());
-        }
-        None => key.push(0),
-    }
-
-    key.push(match model.sense {
-        Sense::Minimize => 0,
-        Sense::Maximize => 1,
-    });
-    // Terms are encoded in ascending variable order, the order in which
-    // expressions and rows keep them.
-    let push_term = |key: &mut Vec<u8>, var: VarId, coeff: f64| {
-        key.extend_from_slice(&var.index().to_le_bytes());
-        key.extend_from_slice(&coeff.to_bits().to_le_bytes());
+/// [`canonical_key`] with where its sections are.
+pub(crate) fn model_key(head: &str, model: &Model, config: &SolverConfig) -> CanonicalKey {
+    let shape = KeyShape {
+        vars: model.vars.len(),
+        objective_terms: model.objective.len(),
+        rows: model.rows.len(),
+        row_terms: model.rows.nnz(),
     };
-    key.extend_from_slice(&model.objective.constant().to_bits().to_le_bytes());
-    for (var, coeff) in model.objective.iter() {
-        push_term(&mut key, var, coeff);
-    }
-    key.push(0xfe);
-
+    let mut key = KeyWriter::with_head(head, config, shape);
+    key.objective_sorted(model.sense, model.objective.constant(), model.objective.terms());
     for var in &model.vars {
-        key.push(match var.kind {
-            VarKind::Continuous => 0,
-            VarKind::Integer => 1,
-            VarKind::Binary => 2,
-        });
-        key.extend_from_slice(&var.lower.to_bits().to_le_bytes());
-        key.extend_from_slice(&var.upper.to_bits().to_le_bytes());
+        key.vars(var.kind, var.lower, var.upper, 1);
     }
-    key.push(0xfd);
-
     for row in model.rows.iter() {
-        key.push(match row.op {
-            CmpOp::Le => 0,
-            CmpOp::Ge => 1,
-            CmpOp::Eq => 2,
-        });
-        key.extend_from_slice(&row.rhs.to_bits().to_le_bytes());
-        for &(var, coeff) in row.terms {
-            push_term(&mut key, var, coeff);
-        }
-        key.push(0xfc);
+        key.row_sorted(row.terms, row.op, row.rhs);
     }
-    debug_assert_eq!(key.len(), len, "canonical_key_len disagrees with the encoding");
-    key
+    key.into_key()
 }
 
 #[cfg(test)]
@@ -778,6 +776,45 @@ mod tests {
         assert_eq!(full.objective, 9.0);
         assert!(scope.snapshot().bb_nodes > 0, "the full-budget solve searched");
         assert_eq!(cache.stats().entries, entries + 1, "the exact answer is stored");
+    }
+
+    /// A cache entry is certified once: a fresh answer before it is
+    /// stored, a loaded one on its first hit, on either solve path. A
+    /// repeated hit runs no certificate. (The count is this thread's.)
+    #[test]
+    fn an_entry_is_certified_once() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        let cache = SolveCache::global();
+        cache.clear();
+        let certificates = || HIT_CERTIFICATES.with(std::cell::Cell::get);
+        let options = SolverOptions { degrade: false, ..SolverOptions::default() };
+        let config = SolverConfig::default();
+        let m = model(3.0);
+        let fresh = m.solve_with_options(&config, &options).unwrap();
+        let before = certificates();
+        assert_eq!(m.solve_with_options(&config, &options).unwrap(), fresh);
+        assert_eq!(certificates(), before, "a fresh answer is certified before it is stored");
+
+        let path = tmp_file("certify-once");
+        cache.save_to(&path).unwrap();
+        for by_key in [false, true] {
+            cache.clear();
+            cache.load_from(&path).unwrap();
+            let solve = || match by_key {
+                true => {
+                    let key = model_key(options.cache_key_head(), &m, &config);
+                    Model::solve_canonical(key, &config, &options)
+                }
+                false => m.solve_with_options(&config, &options),
+            };
+            let first = certificates();
+            assert_eq!(solve().unwrap(), fresh);
+            assert_eq!(certificates(), first + 1, "the first hit of a loaded entry");
+            assert_eq!(solve().unwrap(), fresh);
+            assert_eq!(certificates(), first + 1, "a repeated hit");
+            assert_eq!((cache.stats().hits, cache.stats().misses), (2, 0));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

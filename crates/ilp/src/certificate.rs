@@ -7,13 +7,17 @@
 //! un-presolved** model with nothing but the model's own rows and the
 //! declared [`SolverConfig`], in one O(nnz) pass that allocates nothing.
 //! [`Model::solve_with_options`](crate::Model::solve_with_options) runs it
-//! on every answer it returns, fresh or cached, which is what lets the
-//! default LP path reorder arithmetic instead of replaying the dense
-//! oracle bit for bit.
+//! on every fresh answer before returning or storing it, and on every
+//! solve-cache entry once: an entry loaded from a file is certified on its
+//! first hit, against the model its key holds, which the certificate reads
+//! in place without building it. That is what lets the default LP path
+//! reorder arithmetic instead of replaying the dense oracle bit for bit.
 
 use std::fmt;
 
 use crate::branch_bound::granularity_tightener;
+use crate::expr::{dot, dot_iter};
+use crate::key::KeyView;
 use crate::model::{CmpOp, Model, Sense, SolverConfig, VarKind};
 use crate::solution::{Solution, SolveStatus};
 
@@ -124,34 +128,85 @@ fn within(v: f64, lo: f64, hi: f64) -> bool {
     v >= lo && v <= hi
 }
 
+/// What [`certify`] reads of a model: a [`Model`], or a canonical key read
+/// in place ([`KeyView`]), which audits a stored answer without building
+/// the model. Both sum a row's activity and the objective in term order,
+/// so both give one verdict on one model.
+pub(crate) trait Audited {
+    /// Every variable's kind and bounds, in index order.
+    fn var_bounds(&self) -> impl ExactSizeIterator<Item = (VarKind, f64, f64)>;
+    /// Every row's operator, right-hand side and activity at `values`.
+    fn activities(&self, values: &[f64]) -> impl Iterator<Item = (CmpOp, f64, f64)>;
+    /// The objective at `values`, its constant included.
+    fn objective_at(&self, values: &[f64]) -> f64;
+    fn sense(&self) -> Sense;
+}
+
+impl Audited for Model {
+    fn var_bounds(&self) -> impl ExactSizeIterator<Item = (VarKind, f64, f64)> {
+        self.vars.iter().map(|v| (v.kind, v.lower, v.upper))
+    }
+
+    fn activities(&self, values: &[f64]) -> impl Iterator<Item = (CmpOp, f64, f64)> {
+        self.rows.iter().map(move |row| (row.op, row.rhs, dot(row.terms, values)))
+    }
+
+    fn objective_at(&self, values: &[f64]) -> f64 {
+        self.objective.eval(values)
+    }
+
+    fn sense(&self) -> Sense {
+        self.sense
+    }
+}
+
+impl Audited for KeyView<'_> {
+    fn var_bounds(&self) -> impl ExactSizeIterator<Item = (VarKind, f64, f64)> {
+        self.vars()
+    }
+
+    fn activities(&self, values: &[f64]) -> impl Iterator<Item = (CmpOp, f64, f64)> {
+        self.rows().map(move |(op, rhs, terms)| (op, rhs, dot_iter(terms, values)))
+    }
+
+    fn objective_at(&self, values: &[f64]) -> f64 {
+        self.constant() + dot_iter(self.objective(), values)
+    }
+
+    fn sense(&self) -> Sense {
+        KeyView::sense(self)
+    }
+}
+
 /// The point checks of [`certify`] at slack `tol`, in its order, which a
 /// NaN entry never passes; [`Model::is_feasible`] at its caller's `tol`.
-pub(crate) fn check_point(model: &Model, values: &[f64], tol: f64) -> Result<(), CertificateError> {
-    if values.len() != model.vars.len() {
-        return Err(CertificateError::WrongLength {
-            expected: model.vars.len(),
-            found: values.len(),
-        });
+pub(crate) fn check_point(
+    model: &impl Audited,
+    values: &[f64],
+    tol: f64,
+) -> Result<(), CertificateError> {
+    let vars = model.var_bounds();
+    if values.len() != vars.len() {
+        return Err(CertificateError::WrongLength { expected: vars.len(), found: values.len() });
     }
-    for (var, (v, &value)) in model.vars.iter().zip(values).enumerate() {
-        if !within(value, v.lower - tol, v.upper + tol) {
+    for (var, ((kind, lower, upper), &value)) in vars.zip(values).enumerate() {
+        if !within(value, lower - tol, upper + tol) {
             return Err(CertificateError::BoundViolated { var, value });
         }
-        if matches!(v.kind, VarKind::Integer | VarKind::Binary)
+        if matches!(kind, VarKind::Integer | VarKind::Binary)
             && !within(value - value.round(), -tol, tol)
         {
             return Err(CertificateError::NotIntegral { var, value });
         }
     }
-    for (row, c) in model.rows.iter().enumerate() {
-        let activity = crate::expr::dot(c.terms, values);
-        let (lo, hi) = match c.op {
-            CmpOp::Le => (f64::NEG_INFINITY, c.rhs + tol),
-            CmpOp::Ge => (c.rhs - tol, f64::INFINITY),
-            CmpOp::Eq => (c.rhs - tol, c.rhs + tol),
+    for (row, (op, rhs, activity)) in model.activities(values).enumerate() {
+        let (lo, hi) = match op {
+            CmpOp::Le => (f64::NEG_INFINITY, rhs + tol),
+            CmpOp::Ge => (rhs - tol, f64::INFINITY),
+            CmpOp::Eq => (rhs - tol, rhs + tol),
         };
         if !within(activity, lo, hi) {
-            return Err(CertificateError::RowViolated { row, activity, rhs: c.rhs });
+            return Err(CertificateError::RowViolated { row, activity, rhs });
         }
     }
     Ok(())
@@ -174,10 +229,19 @@ pub fn certify(
     config: &SolverConfig,
     solution: &Solution,
 ) -> Result<(), CertificateError> {
+    audit(model, config, solution)
+}
+
+/// [`certify`] against what [`Audited`] reads.
+pub(crate) fn audit(
+    model: &impl Audited,
+    config: &SolverConfig,
+    solution: &Solution,
+) -> Result<(), CertificateError> {
     let values = &solution.values[..];
     check_point(model, values, FEAS_TOL)?;
 
-    let recomputed = model.objective.eval(values);
+    let recomputed = model.objective_at(values);
     let scale = recomputed.abs().max(1.0);
     if !within(solution.objective - recomputed, -OBJ_TOL * scale, OBJ_TOL * scale) {
         return Err(CertificateError::ObjectiveMismatch {
@@ -188,7 +252,7 @@ pub fn certify(
 
     // The optimality claim, in minimize direction (sign flips preserve the
     // lattice). Rounding onto the lattice may only ever raise the bound.
-    let to_min = |v: f64| if matches!(model.sense, Sense::Minimize) { v } else { -v };
+    let to_min = |v: f64| if matches!(model.sense(), Sense::Minimize) { v } else { -v };
     let objective = to_min(recomputed);
     let raw_bound = to_min(solution.best_bound);
     let bound = raw_bound.max(granularity_tightener(config.objective_granularity)(raw_bound));

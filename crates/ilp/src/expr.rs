@@ -31,13 +31,18 @@ pub struct LinExpr {
 }
 
 /// Whether an accumulated coefficient is dropped from its expression.
-fn negligible(c: f64) -> bool {
+pub(crate) fn negligible(c: f64) -> bool {
     c.abs() < 1e-300
 }
 
 /// `Σ cᵢ·values[xᵢ]` over sorted terms, a missing value reading as 0.
 pub(crate) fn dot(terms: &[(VarId, f64)], values: &[f64]) -> f64 {
-    terms.iter().map(|(v, c)| c * values.get(v.index()).copied().unwrap_or(0.0)).sum()
+    dot_iter(terms.iter().copied(), values)
+}
+
+/// [`dot`] over terms from an iterator, summed in its order.
+pub(crate) fn dot_iter(terms: impl Iterator<Item = (VarId, f64)>, values: &[f64]) -> f64 {
+    terms.map(|(v, c)| c * values.get(v.index()).copied().unwrap_or(0.0)).sum()
 }
 
 /// [`LinExpr::add_term`] on the sorted row `terms[from..]`: an expression
@@ -74,6 +79,13 @@ impl LinExpr {
     /// that knows a row's length up front.
     pub fn with_capacity(terms: usize) -> Self {
         Self { terms: Vec::with_capacity(terms), constant: 0.0 }
+    }
+
+    /// The expression of `terms`, already in strictly ascending variable
+    /// order, and `constant`, taken as given.
+    pub(crate) fn from_sorted(terms: Vec<(VarId, f64)>, constant: f64) -> Self {
+        debug_assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "terms out of order");
+        Self { terms, constant }
     }
 
     /// An expression consisting of a single constant.

@@ -9,9 +9,14 @@
 //! a wall-clock deadline so large instances behave like a commercial
 //! solver under a time limit.
 //!
-//! Every solve goes through one entry point, [`Model::solve_with_options`],
-//! which reads [`SolverOptions`] (what the TAPA-CS compiler threads through
-//! its configuration structs); its doc lists the steps of a solve in order.
+//! Every solve runs one sequence of steps, which
+//! [`Model::solve_with_options`]'s doc lists in order; it reads
+//! [`SolverOptions`] (what the TAPA-CS compiler threads through its
+//! configuration structs). A caller that knows its model's structure writes
+//! the model's solve-cache key instead ([`KeyWriter`]) and solves that
+//! ([`Model::solve_canonical`]): a cache hit then builds no model, and a
+//! miss builds it from the key. [`Model::from_canonical`] reads a key's
+//! model back from its bytes alone, for tools that read a cache file.
 //! The branch and bound is deterministic and single-threaded: it expands
 //! the open-node frontier in fixed-width rounds on the calling thread.
 //!
@@ -58,6 +63,7 @@ mod dense;
 mod error;
 mod expr;
 mod fault;
+mod key;
 mod model;
 mod node;
 mod parallel;
@@ -77,6 +83,7 @@ pub use expr::LinExpr;
 pub use fault::{
     fault_fires, fault_registry, install_faults, FaultKind, FaultRegistry, INJECTED_PANIC_MARKER,
 };
+pub use key::{CanonicalKey, DecodedKey, KeyError, KeyShape, KeyWriter};
 pub use model::{CmpOp, Model, Sense, SolverConfig, VarId, VarKind};
 pub use solution::{Solution, SolveStatus};
 pub use solver::{LpEngine, LpParity, SolverBackend, SolverOptions};

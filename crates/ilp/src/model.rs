@@ -7,10 +7,12 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use crate::cache::{canonical_key, SolveCache};
+use crate::cache::{model_key, Hit, SolveCache};
 use crate::cancel::{effective_token, CancellationToken};
+use crate::certificate::audit;
 use crate::error::IlpError;
 use crate::expr::{merge_term, LinExpr};
+use crate::key::CanonicalKey;
 use crate::simplex::{LpProblem, LpRows};
 use crate::solution::Solution;
 use crate::solver::{heuristic, solve_lp, SolverOptions};
@@ -130,8 +132,13 @@ impl Rows {
         self.close(op, rhs);
     }
 
+    /// Appends a term to the open row, as given.
+    pub(crate) fn push_term(&mut self, var: VarId, coeff: f64) {
+        self.terms.push((var, coeff));
+    }
+
     /// Ends the row whose terms were appended since the last one.
-    fn close(&mut self, op: CmpOp, rhs: f64) {
+    pub(crate) fn close(&mut self, op: CmpOp, rhs: f64) {
         self.start.push(self.terms.len());
         self.op.push(op);
         self.rhs.push(rhs);
@@ -261,6 +268,16 @@ impl Model {
         }
     }
 
+    /// A model of these parts, as [`Model::from_canonical`] reads them.
+    pub(crate) fn from_parts(
+        vars: Vec<Variable>,
+        rows: Rows,
+        objective: LinExpr,
+        sense: Sense,
+    ) -> Self {
+        Self { name: "canonical".into(), vars, rows, objective, sense }
+    }
+
     /// The model's diagnostic name.
     pub fn name(&self) -> &str {
         &self.name
@@ -279,20 +296,8 @@ impl Model {
         lower: f64,
         upper: f64,
     ) -> Result<VarId, IlpError> {
-        if lower.is_nan() || upper.is_nan() {
-            return Err(IlpError::InvalidModel("NaN variable bound".into()));
-        }
-        if lower > upper {
-            return Err(IlpError::InvalidModel(format!(
-                "variable {:?} has lower bound {lower} > upper bound {upper}",
-                name.into()
-            )));
-        }
-        if lower == f64::INFINITY || upper == f64::NEG_INFINITY {
-            return Err(IlpError::InvalidModel(format!(
-                "variable {:?} has no real value in [{lower}, {upper}]",
-                name.into()
-            )));
+        if let Err(why) = crate::key::check_bounds(lower, upper) {
+            return Err(IlpError::InvalidModel(format!("variable {:?} {why}", name.into())));
         }
         let id = VarId(self.vars.len());
         self.vars.push(Variable { kind, lower, upper });
@@ -475,15 +480,18 @@ impl Model {
         self.solve_with_options(config, &options)
     }
 
-    /// Solves under `config`'s budget with `options` — the one solve path,
-    /// which the compiler and every `Model::solve*` run, in this order:
+    /// Solves under `config`'s budget with `options`. Every `Model::solve*`
+    /// runs these steps, in this order, and so does the compiler, which
+    /// solves its splits by key ([`Model::solve_canonical`]):
     ///
     /// 1. the model's data and `config` are checked (see [`Model::solve`]);
     /// 2. with [`SolverOptions::cache`], a stored answer for the same model,
-    ///    budget and options is returned if it passes [`crate::certify`];
-    ///    one that fails is dropped from the cache and the model is solved
-    ///    afresh, so a damaged entry costs one solve, not a degraded answer
-    ///    on every later lookup;
+    ///    budget and options is returned. An entry is checked by
+    ///    [`crate::certify`] once: a fresh answer before it is stored (step
+    ///    6), an entry loaded from a file on its first hit. One that fails
+    ///    is dropped from the cache and the model is solved afresh, so a
+    ///    damaged entry costs one solve, not a degraded answer on every
+    ///    later lookup;
     /// 3. a model without integer variables is one simplex solve; any other
     ///    runs the branch and bound;
     /// 4. when that search spends its budget with no incumbent
@@ -497,6 +505,8 @@ impl Model {
     ///    degraded point is whatever the clock allowed, not a function of
     ///    the model, so it never is.
     ///
+    /// [`Model::solve_canonical`] runs steps 2–6 through the same code.
+    ///
     /// # Errors
     ///
     /// See [`Model::solve`]; additionally [`IlpError::Uncertified`] when
@@ -508,20 +518,45 @@ impl Model {
         options: &SolverOptions,
     ) -> Result<Solution, IlpError> {
         self.check_finite()?;
-        config.check()?;
-        let cache = SolveCache::global();
-        let key = options.cache.then(|| canonical_key(&options.cache_key_head(), self, config));
-        if let Some(key) = &key {
-            if let Some(hit) = cache.lookup(key) {
-                // A damaged or foreign file can pass its checksum; its
-                // entry would be served on every later lookup and persisted
-                // by the next save.
-                if crate::certify(self, config, &hit).is_ok() {
-                    return Ok(hit);
-                }
-                cache.remove(key);
-            }
-        }
+        let key = options.cache.then(|| model_key(options.cache_key_head(), self, config));
+        solve_keyed(Some(self), key, config, options)
+    }
+
+    /// [`Model::solve_with_options`] for the model `key` holds, `key` having
+    /// been written under `config` and `options` ([`crate::KeyWriter`]),
+    /// whose [`finish`](crate::KeyWriter::finish) checked the model's data
+    /// (step 1). A cache hit on an entry certified before is the key and
+    /// one lookup: the model is built from the key only to solve a miss,
+    /// and read in place to certify an entry for the first time.
+    ///
+    /// # Errors
+    ///
+    /// See [`Model::solve_with_options`].
+    pub fn solve_canonical(
+        key: CanonicalKey,
+        config: &SolverConfig,
+        options: &SolverOptions,
+    ) -> Result<Solution, IlpError> {
+        debug_assert!(
+            {
+                let mut header = Vec::new();
+                crate::key::write_header(&mut header, options.cache_key_head(), config);
+                key.as_bytes().starts_with(&header)
+            },
+            "the key was written under other options or another config"
+        );
+        debug_assert!(key.reads_as_written(), "the key reads back as another model");
+        solve_keyed(None, Some(key), config, options)
+    }
+
+    /// Steps 3–6: the search's answer (or the ladder's), certified, and
+    /// stored under `key` when there is one and the answer is not degraded.
+    fn answer(
+        &self,
+        config: &SolverConfig,
+        options: &SolverOptions,
+        key: Option<Vec<u8>>,
+    ) -> Result<Solution, IlpError> {
         let integral = self.integral_vars();
         let searched = if integral.is_empty() {
             solve_lp(self, config.deadline_token())
@@ -544,10 +579,54 @@ impl Model {
         // Every ladder answer is degraded, and so is a search's
         // budget-truncated incumbent: neither is stored.
         if let Some(key) = key.filter(|_| !solution.degraded) {
-            cache.insert(key, solution.clone());
+            SolveCache::global().insert(key, solution.clone());
         }
         Ok(solution)
     }
+}
+
+/// Steps 2–6 of [`Model::solve_with_options`] for the model `built`, or
+/// else the model `key` holds; `key` is the model's when there is one, and
+/// there is one at least with [`SolverOptions::cache`].
+fn solve_keyed(
+    built: Option<&Model>,
+    key: Option<CanonicalKey>,
+    config: &SolverConfig,
+    options: &SolverOptions,
+) -> Result<Solution, IlpError> {
+    config.check()?;
+    if let Some(key) = key.as_ref().filter(|_| options.cache) {
+        let cache = SolveCache::global();
+        if let Some(Hit { solution, certified }) = cache.lookup(key.as_bytes()) {
+            if certified {
+                return Ok(solution);
+            }
+            #[cfg(test)]
+            crate::cache::HIT_CERTIFICATES.with(|n| n.set(n.get() + 1));
+            // A damaged or foreign file can pass its checksum; its entry
+            // would be served on every later lookup and persisted by the
+            // next save.
+            let verdict = match built {
+                Some(model) => audit(model, config, &solution),
+                None => audit(&key.view(), config, &solution),
+            };
+            if verdict.is_ok() {
+                cache.mark_certified(key.as_bytes(), &solution);
+                return Ok(solution);
+            }
+            cache.remove(key.as_bytes());
+        }
+    }
+    let from_key;
+    let model = match (built, &key) {
+        (Some(model), _) => model,
+        (None, Some(key)) => {
+            from_key = key.view().model();
+            &from_key
+        }
+        (None, None) => unreachable!("a solve has its model or the model's key"),
+    };
+    model.answer(config, options, key.filter(|_| options.cache).map(CanonicalKey::into_bytes))
 }
 
 #[cfg(test)]

@@ -340,18 +340,31 @@ impl SolverOptions {
     /// (equally optimal) points must give different heads. Persisted cache
     /// files hold these bytes, so a head may not change without a
     /// `FILE_VERSION` bump in `cache.rs`.
-    pub(crate) fn cache_key_head(&self) -> String {
-        let mut head = String::from("parallel");
-        if self.warm_start {
-            head.push_str("+warm");
+    pub(crate) fn cache_key_head(&self) -> &'static str {
+        match (self.warm_start, self.presolve, self.warm_lp) {
+            (true, true, true) => "parallel+warm",
+            (true, true, false) => "parallel+warm-coldlp",
+            (true, false, true) => "parallel+warm-nopresolve",
+            (true, false, false) => "parallel+warm-nopresolve-coldlp",
+            (false, true, true) => "parallel",
+            (false, true, false) => "parallel-coldlp",
+            (false, false, true) => "parallel-nopresolve",
+            (false, false, false) => "parallel-nopresolve-coldlp",
         }
-        if !self.presolve {
-            head.push_str("-nopresolve");
-        }
-        if !self.warm_lp {
-            head.push_str("-coldlp");
-        }
-        head
+    }
+
+    /// The default options with the answer-changing switches a
+    /// [`cache_key_head`](Self::cache_key_head) names; `None` for a head no
+    /// options write.
+    pub(crate) fn from_cache_key_head(head: &[u8]) -> Option<SolverOptions> {
+        (0..8u8)
+            .map(|bits| SolverOptions {
+                warm_start: bits & 1 != 0,
+                presolve: bits & 2 != 0,
+                warm_lp: bits & 4 != 0,
+                ..SolverOptions::default()
+            })
+            .find(|options| options.cache_key_head().as_bytes() == head)
     }
 }
 
