@@ -5,10 +5,12 @@
 //! produces structurally identical subproblems across sweep points. Caching
 //! `canonical model → solution` turns those repeats into hash lookups.
 //!
-//! [`Model::solve_with_options`] and [`Model::solve_canonical`] are the
+//! [`Model::solve_with_options`](crate::Model::solve_with_options) and
+//! [`Model::solve_canonical`](crate::Model::solve_canonical) are the
 //! callers: they look a solve up, and store what its search answered.
 //! Keys are the full canonical byte encoding of the model (variables,
-//! constraints, objective), the budget-relevant [`SolverConfig`] fields and
+//! constraints, objective), the budget-relevant
+//! [`SolverConfig`](crate::SolverConfig) fields and
 //! a head naming the [`SolverOptions`](crate::SolverOptions) that can
 //! change the answer (`SolverOptions::cache_key_head`) — not a lossy hash —
 //! so a hit can never return the solution of a different model. The layout
@@ -40,10 +42,11 @@
 //! original — so the evidence survives for inspection, the next
 //! [`SolveCache::save_to`] writes a fresh valid file, and the sweep simply
 //! runs cold. What is stored and when a stored answer is served is
-//! decided by [`Model::solve_with_options`]; see its doc. Each entry keeps
-//! whether its answer has passed [`crate::certify`] since it was stored:
-//! a fresh answer has, a loaded one is certified on its first hit, so a
-//! repeated hit is the key and one lookup.
+//! decided by [`Model::solve_with_options`](crate::Model::solve_with_options);
+//! see its doc. Each entry keeps whether its answer has passed
+//! [`crate::certify`] since it was stored: a fresh answer has, a loaded one
+//! is certified on its first hit, so a repeated hit is the key and one
+//! lookup.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -51,8 +54,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::key::{CanonicalKey, KeyShape, KeyWriter};
-use crate::model::{Model, SolverConfig};
 use crate::solution::{Solution, SolveStatus};
 
 /// Entries kept at most; inserts beyond this are dropped (the floorplanning
@@ -441,7 +442,8 @@ impl SolveCache {
         }
     }
 
-    /// The process-wide cache [`Model::solve_with_options`] uses.
+    /// The process-wide cache
+    /// [`Model::solve_with_options`](crate::Model::solve_with_options) uses.
     pub fn global() -> &'static SolveCache {
         static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
         GLOBAL.get_or_init(SolveCache::new)
@@ -519,7 +521,8 @@ impl SolveCache {
     /// Transient IO failures are retried with a short deterministic
     /// backoff (see the module's *Robustness* notes); entries flagged
     /// [`Solution::degraded`] never reach the map (see
-    /// [`Model::solve_with_options`]) so they are never persisted either.
+    /// [`Model::solve_with_options`](crate::Model::solve_with_options)) so
+    /// they are never persisted either.
     ///
     /// # Errors
     ///
@@ -664,37 +667,11 @@ impl SolveCache {
     }
 }
 
-/// Canonical byte encoding of `(head, config, model)`, `head` being
-/// `SolverOptions::cache_key_head`, in the layout of [`crate::key`]:
-/// every section is written from the model's own vectors, as stored.
-/// Structurally identical models encode identically: the builders' labels
-/// are not even stored.
-pub(crate) fn canonical_key(head: &str, model: &Model, config: &SolverConfig) -> Vec<u8> {
-    model_key(head, model, config).into_bytes()
-}
-
-/// [`canonical_key`] with where its sections are.
-pub(crate) fn model_key(head: &str, model: &Model, config: &SolverConfig) -> CanonicalKey {
-    let shape = KeyShape {
-        vars: model.vars.len(),
-        objective_terms: model.objective.len(),
-        rows: model.rows.len(),
-        row_terms: model.rows.nnz(),
-    };
-    let mut key = KeyWriter::with_head(head, config, shape);
-    key.objective_sorted(model.sense, model.objective.constant(), model.objective.terms());
-    for var in &model.vars {
-        key.vars(var.kind, var.lower, var.upper, 1);
-    }
-    for row in model.rows.iter() {
-        key.row_sorted(row.terms, row.op, row.rhs);
-    }
-    key.into_key()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::model_key;
+    use crate::model::{Model, SolverConfig};
     use crate::{Sense, SolverOptions};
 
     /// The cache is process-global and the test harness runs tests
@@ -819,15 +796,15 @@ mod tests {
 
     #[test]
     fn different_models_do_not_collide() {
-        let a = canonical_key("seq", &model(1.0), &SolverConfig::default());
-        let b = canonical_key("seq", &model(2.0), &SolverConfig::default());
+        let a = model_key("seq", &model(1.0), &SolverConfig::default()).into_bytes();
+        let b = model_key("seq", &model(2.0), &SolverConfig::default()).into_bytes();
         assert_ne!(a, b);
-        let c = canonical_key("par", &model(1.0), &SolverConfig::default());
+        let c = model_key("par", &model(1.0), &SolverConfig::default()).into_bytes();
         assert_ne!(a, c);
         // Different objective lattices may prune to different anytime
         // incumbents under a budget — they must not share entries either.
         let gran = SolverConfig { objective_granularity: 64.0, ..SolverConfig::default() };
-        let d = canonical_key("seq", &model(1.0), &gran);
+        let d = model_key("seq", &model(1.0), &gran).into_bytes();
         assert_ne!(a, d);
     }
 
@@ -847,7 +824,7 @@ mod tests {
         m.add_ge("g", 1.25 * y + 3.0 * x + 2.0 - z + 0.75 * y, 4.0);
         m.add_le("l", x + y, 6.0);
         m.set_objective(Sense::Maximize, 4.0 * z + 5.0 * x - y + 1.5);
-        let key = canonical_key("seq", &m, &SolverConfig::default());
+        let key = model_key("seq", &m, &SolverConfig::default()).into_bytes();
         assert_eq!((key.len(), fnv1a64(&key)), (321, 16_875_555_773_097_714_251));
     }
 
@@ -892,7 +869,7 @@ mod tests {
         for i in 0..n {
             let m = model(1.0 + i as f64);
             let sol = m.solve().unwrap();
-            cache.insert(canonical_key("seq", &m, &SolverConfig::default()), sol);
+            cache.insert(model_key("seq", &m, &SolverConfig::default()).into_bytes(), sol);
         }
         cache
     }

@@ -255,14 +255,10 @@ impl KeyWriter {
             merge_term(&mut self.terms, 0, VarId(var), coeff);
         }
         let merged = std::mem::take(&mut self.terms);
-        self.write_sorted(&merged);
-        self.terms = merged;
-    }
-
-    fn write_sorted(&mut self, terms: &[(VarId, f64)]) {
-        for &(var, coeff) in terms {
+        for &(var, coeff) in &merged {
             self.push_term(var.0, coeff);
         }
+        self.terms = merged;
     }
 
     fn write_objective_head(&mut self, sense: Sense, constant: f64) {
@@ -298,14 +294,6 @@ impl KeyWriter {
         self.write_objective_head(sense, constant);
         let from = self.key.len();
         self.write_terms(terms);
-        self.close_objective(from);
-    }
-
-    /// The objective section from terms already merged, written as given.
-    pub(crate) fn objective_sorted(&mut self, sense: Sense, constant: f64, terms: &[(VarId, f64)]) {
-        self.write_objective_head(sense, constant);
-        let from = self.key.len();
-        self.write_sorted(terms);
         self.close_objective(from);
     }
 
@@ -374,14 +362,6 @@ impl KeyWriter {
         self.write_row_head(op, rhs);
         let from = self.key.len();
         self.key.extend_from_within(terms);
-        self.close_row(from);
-    }
-
-    /// The next row from terms already merged, written as given.
-    pub(crate) fn row_sorted(&mut self, terms: &[(VarId, f64)], op: CmpOp, rhs: f64) {
-        self.write_row_head(op, rhs);
-        let from = self.key.len();
-        self.write_sorted(terms);
         self.close_row(from);
     }
 
@@ -559,8 +539,34 @@ impl Model {
     /// The canonical key of this model solved under `config` with
     /// `options`: what the solve cache stores its answer under.
     pub fn canonical_key(&self, config: &SolverConfig, options: &SolverOptions) -> Vec<u8> {
-        crate::cache::canonical_key(options.cache_key_head(), self, config)
+        model_key(options.cache_key_head(), self, config).into_bytes()
     }
+}
+
+/// The canonical key of `(head, config, model)`, `head` being
+/// `SolverOptions::cache_key_head`, written from the model's own terms.
+/// They are merged already, so they go into the key as they are, except
+/// for a term that scaling left at a zero or negligible coefficient, which
+/// no row merges in. Structurally identical models encode identically: the
+/// builders' labels are not even stored.
+pub(crate) fn model_key(head: &str, model: &Model, config: &SolverConfig) -> CanonicalKey {
+    let terms = |terms: &[(VarId, f64)]| terms.iter().filter(|&&(_, c)| !negligible(c)).count();
+    let shape = KeyShape {
+        vars: model.vars.len(),
+        objective_terms: terms(model.objective.terms()),
+        rows: model.rows.len(),
+        row_terms: model.rows.iter().map(|row| terms(row.terms)).sum(),
+    };
+    let mut key = KeyWriter::with_head(head, config, shape);
+    let objective = model.objective.iter().map(|(var, coeff)| (var.0, coeff));
+    key.objective(model.sense, model.objective.constant(), objective);
+    for var in &model.vars {
+        key.vars(var.kind, var.lower, var.upper, 1);
+    }
+    for row in model.rows.iter() {
+        key.row(row.terms.iter().map(|&(var, coeff)| (var.0, coeff)), row.op, row.rhs);
+    }
+    key.into_key()
 }
 
 fn word(key: &[u8], at: usize, section: &'static str) -> Result<[u8; 8], KeyError> {
@@ -986,12 +992,13 @@ mod tests {
             let key = key_of(&m, &config);
             let decoded = Model::from_canonical(&key).unwrap();
             assert_eq!(key_of(&decoded, &config), key, "{n} variables");
-            let written =
-                crate::cache::model_key(SolverOptions::default().cache_key_head(), &m, &config);
+            let written = model_key(SolverOptions::default().cache_key_head(), &m, &config);
             assert!(written.reads_as_written(), "{n} variables");
             assert_eq!(decoded.num_constraints(), m.num_constraints(), "{n} variables");
             for (a, b) in decoded.rows.iter().zip(m.rows.iter()) {
-                assert_eq!((a.terms, a.op, a.rhs.to_bits()), (b.terms, b.op, b.rhs.to_bits()));
+                // The key holds the model's terms, less the one scaled to zero.
+                let terms: Vec<_> = b.terms.iter().copied().filter(|&(_, c)| c != 0.0).collect();
+                assert_eq!((a.terms, a.op, a.rhs.to_bits()), (&terms[..], b.op, b.rhs.to_bits()));
             }
         }
     }
@@ -1068,7 +1075,7 @@ mod tests {
     #[test]
     fn a_written_key_certifies_as_its_model_does() {
         let (m, config) = golden();
-        let key = crate::cache::model_key("seq", &m, &config);
+        let key = model_key("seq", &m, &config);
         let point = |values: Vec<f64>, objective| Solution {
             status: SolveStatus::Feasible,
             objective,

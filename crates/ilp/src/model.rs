@@ -7,12 +7,12 @@
 use std::borrow::Cow;
 use std::time::Duration;
 
-use crate::cache::{model_key, Hit, SolveCache};
+use crate::cache::{Hit, SolveCache};
 use crate::cancel::{effective_token, CancellationToken};
 use crate::certificate::audit;
 use crate::error::IlpError;
 use crate::expr::{merge_term, LinExpr};
-use crate::key::CanonicalKey;
+use crate::key::{model_key, CanonicalKey};
 use crate::simplex::{LpProblem, LpRows};
 use crate::solution::Solution;
 use crate::solver::{heuristic, solve_lp, SolverOptions};
@@ -96,10 +96,6 @@ impl Rows {
 
     pub fn len(&self) -> usize {
         self.op.len()
-    }
-
-    pub fn nnz(&self) -> usize {
-        self.terms.len()
     }
 
     pub fn row(&self, i: usize) -> Row<'_> {
