@@ -184,8 +184,12 @@ const FILE_MAGIC: &[u8; 8] = b"TAPACSSC";
 /// (`canonical_key_bytes_are_pinned`), and no answer changed. v6 keeps
 /// every byte of the layout and every key but changes the trailing
 /// checksum from byte-serial FNV-1a to the word-wise [`fold_words`], so a
-/// v5 file's checksum no longer matches and the version says why.
-const FILE_VERSION: u32 = 6;
+/// v5 file's checksum no longer matches and the version says why. v7
+/// changes the key layout: a count before the objective's terms, the
+/// variables, the rows and each row's terms replaces the sections' closing
+/// tags, so a key reads in one forward pass ([`crate::key`]). Every key
+/// moves; no answer does.
+const FILE_VERSION: u32 = 7;
 
 /// Transient-IO retry attempts after the first failure.
 const IO_RETRIES: u32 = 3;
@@ -825,7 +829,7 @@ mod tests {
         m.add_le("l", x + y, 6.0);
         m.set_objective(Sense::Maximize, 4.0 * z + 5.0 * x - y + 1.5);
         let key = model_key("seq", &m, &SolverConfig::default()).into_bytes();
-        assert_eq!((key.len(), fnv1a64(&key)), (321, 16_875_555_773_097_714_251));
+        assert_eq!((key.len(), fnv1a64(&key)), (364, 6_172_642_434_881_291_833));
     }
 
     #[test]

@@ -1,37 +1,36 @@
 //! The canonical key: a model's complete byte encoding, written section by
-//! section and read back.
+//! section and read back in one forward pass.
 //!
 //! The solve cache is keyed by these bytes ([`crate::SolveCache`]), and a
 //! key holds the whole model, so a caller that knows its model's structure
-//! can write the key without building the [`Model`] ([`KeyWriter`]). The
-//! writer hands over where it put each section ([`CanonicalKey`]), so a
-//! solve reads the model from its key without parsing it: to build it for
-//! a cache miss, or to certify a stored answer once.
-//! [`Model::from_canonical`] and [`DecodedKey::parse`] read a key from its
-//! bytes alone, for tools that read a cache file.
+//! can write the key without building the [`Model`] ([`KeyWriter`]). A
+//! solve reads the model of a key it wrote without checking it again
+//! ([`CanonicalKey`]): to build it for a cache miss, or to certify a stored
+//! answer once. [`DecodedKey::parse`] checks a key from outside and reads
+//! it, for tools that read a cache file.
 //!
 //! # Layout
 //!
-//! Sections follow each other with no lengths; integers and `f64` bits are
-//! little-endian, a variable index is a `usize`:
+//! Integers and `f64` bits are little-endian; a count and a variable index
+//! are `usize`s. Each count comes before what it counts, so the reader
+//! finds every section from the counts before it:
 //!
 //! * header: the options head ([`SolverOptions`]' answer-changing
-//!   switches), `0xff`, `max_nodes`, the bits of `int_tol`, `mip_gap` and
-//!   `objective_granularity`, then `0` for no time limit or `1` and the
-//!   limit in nanoseconds (`u128`);
+//!   switches, in ASCII), `0xff`, `max_nodes`, the bits of `int_tol`,
+//!   `mip_gap` and `objective_granularity`, then `0` for no time limit or
+//!   `1` and the limit in nanoseconds (`u128`);
 //! * objective: the sense (`0` minimize, `1` maximize), the constant's
-//!   bits, one (index, coefficient bits) pair per term, `0xfe`;
-//! * vars: per variable its kind (`0` continuous, `1` integer, `2` binary)
-//!   and the bits of its bounds, then `0xfd`;
-//! * rows: per row its operator (`0` ≤, `1` ≥, `2` =), the right-hand
-//!   side's bits, its terms as in the objective, `0xfc`.
+//!   bits, the term count, then one (index, coefficient bits) pair per
+//!   term;
+//! * vars: the variable count, then per variable its kind (`0` continuous,
+//!   `1` integer, `2` binary) and the bits of its bounds;
+//! * rows: the row count, then per row its operator (`0` ≤, `1` ≥, `2` =),
+//!   the right-hand side's bits, the term count and the terms as in the
+//!   objective.
 //!
-//! Terms are in strictly ascending variable order. A section's closing
-//! byte can also open a term whose index ends in that byte, so where a
-//! section ends is decided by what follows it: the reader keeps every
-//! reading that still parses and takes the first that reaches the end of
-//! the key. Every reading that does re-encodes to the same bytes, but
-//! only the writer knows which one it wrote.
+//! Terms are in strictly ascending variable order, none with a zero or
+//! negligible coefficient, and the key ends with its last row: one model
+//! has one key, and one key holds one model.
 
 use std::ops::Range;
 use std::time::Duration;
@@ -42,14 +41,16 @@ use crate::model::{CmpOp, Model, Rows, Sense, SolverConfig, VarId, VarKind, Vari
 use crate::solver::SolverOptions;
 
 const HEAD_END: u8 = 0xff;
-const OBJECTIVE_END: u8 = 0xfe;
-const VARS_END: u8 = 0xfd;
-const ROW_END: u8 = 0xfc;
 
+/// Bytes of a count, of `max_nodes` and of a variable index.
+const WORD: usize = std::mem::size_of::<usize>();
 /// Bytes of one encoded term: the variable index, then the coefficient.
-const TERM_BYTES: usize = std::mem::size_of::<usize>() + 8;
+const TERM_BYTES: usize = WORD + 8;
 /// Bytes of one encoded variable: its kind and two bounds.
 const VAR_BYTES: usize = 1 + 16;
+/// Bytes of a row before its terms: its operator, right-hand side and term
+/// count.
+const ROW_HEAD_BYTES: usize = 1 + 8 + WORD;
 
 /// What a key's model sections hold, counted up front so that the key is
 /// written into one allocation of exactly its size. Term counts are after
@@ -70,57 +71,33 @@ impl KeyShape {
     /// The key's length in bytes under a head of `head` bytes and `config`.
     fn len(&self, head: usize, config: &SolverConfig) -> usize {
         // Head, separator, `max_nodes`, then three `f64` settings.
-        let header = head + 1 + std::mem::size_of::<usize>() + 3 * 8;
+        let header = head + 1 + WORD + 3 * 8;
         let limit = if config.time_limit.is_some() { 1 + 16 } else { 1 };
-        let objective = 1 + 8 + TERM_BYTES * self.objective_terms + 1;
-        let vars = VAR_BYTES * self.vars + 1;
-        let rows = (1 + 8 + 1) * self.rows + TERM_BYTES * self.row_terms;
+        let objective = 1 + 8 + WORD + TERM_BYTES * self.objective_terms;
+        let vars = WORD + VAR_BYTES * self.vars;
+        let rows = WORD + ROW_HEAD_BYTES * self.rows + TERM_BYTES * self.row_terms;
         header + limit + objective + vars + rows
     }
 }
 
-/// Where a key's model sections are: what its writer knows as it writes
-/// them, and what its reader finds.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Layout {
-    sense: Sense,
-    constant: f64,
-    /// The objective's terms.
-    objective: Range<usize>,
-    /// The variables' records.
-    vars: Range<usize>,
-    /// Where each row starts; a row ends where the next starts, the last
-    /// at the end of the key.
-    rows: Vec<usize>,
-}
-
-/// A canonical key as [`KeyWriter::finish`] wrote it: its bytes, and where
-/// its sections are, so that its model is read without parsing the bytes.
+/// A canonical key as [`KeyWriter::finish`] wrote it, which checked its
+/// data on the way: a solve reads its model without checking it again.
 #[derive(Debug, Clone)]
-pub struct CanonicalKey {
-    bytes: Vec<u8>,
-    layout: Layout,
-}
+pub struct CanonicalKey(Vec<u8>);
 
 impl CanonicalKey {
     /// The key's bytes: what the solve cache stores its answer under.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.0
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+        self.0
     }
 
-    /// The model, read where the writer put it.
+    /// The model, read where the counts say.
     pub(crate) fn view(&self) -> KeyView<'_> {
-        KeyView { key: &self.bytes, layout: &self.layout }
-    }
-
-    /// The layout the reader finds in the bytes: the writer's own, unless
-    /// the reader misreads a key whose closing tags collide with terms.
-    pub(crate) fn reads_as_written(&self) -> bool {
-        read(&self.bytes).is_ok_and(|(_, _, layout)| layout == self.layout)
+        read(&self.0).map(|(_, _, view)| view).expect("a written key reads")
     }
 }
 
@@ -140,10 +117,10 @@ enum Section {
 /// terms add up to, `vars` is [`Model::add_var`] repeated and `row` is
 /// [`Model::add_terms`], whose merge rules it keeps (a zero coefficient is
 /// dropped, a repeated variable accumulates, terms come out ascending).
-/// Data that [`Model::solve_with_options`] would reject — a non-finite
-/// coefficient or constant, a NaN right-hand side, bounds that hold no
-/// value — makes [`finish`](Self::finish) return
-/// [`IlpError::InvalidModel`].
+/// Each count is written when what it counts is. Data that
+/// [`Model::solve_with_options`] would reject — a non-finite coefficient or
+/// constant, a NaN right-hand side, bounds that hold no value — makes
+/// [`finish`](Self::finish) return [`IlpError::InvalidModel`].
 ///
 /// # Panics
 ///
@@ -152,14 +129,16 @@ pub struct KeyWriter {
     key: Vec<u8>,
     section: Section,
     vars: usize,
+    rows: usize,
+    /// Where the open section's count goes: the vars' or the rows'.
+    count_at: usize,
     /// The row being merged.
     terms: Vec<(VarId, f64)>,
     /// The first datum no search can take, described.
     invalid: Option<String>,
-    /// Where the last row's terms are in `key`.
+    /// Where the last row's term count and terms are in `key`.
     last_terms: Range<usize>,
     len: usize,
-    layout: Layout,
 }
 
 impl KeyWriter {
@@ -178,17 +157,12 @@ impl KeyWriter {
             key,
             section: Section::Objective,
             vars: 0,
+            rows: 0,
+            count_at: 0,
             terms: Vec::new(),
             invalid: None,
             last_terms: 0..0,
             len,
-            layout: Layout {
-                sense: Sense::Minimize,
-                constant: 0.0,
-                objective: 0..0,
-                vars: 0..0,
-                rows: Vec::with_capacity(shape.rows),
-            },
         }
     }
 
@@ -198,9 +172,23 @@ impl KeyWriter {
         }
     }
 
+    /// Writes a count that [`patch_count`](Self::patch_count) sets once
+    /// what it counts is written, and returns where it is.
+    fn open_count(&mut self) -> usize {
+        self.key.extend_from_slice(&0usize.to_le_bytes());
+        self.key.len() - WORD
+    }
+
+    fn patch_count(&mut self, at: usize, count: usize) {
+        self.key[at..at + WORD].copy_from_slice(&count.to_le_bytes());
+    }
+
     fn enter(&mut self, section: Section) {
         match (self.section, section) {
-            (Section::Vars, Section::Rows) => self.key.push(VARS_END),
+            (Section::Vars, Section::Rows) => {
+                self.patch_count(self.count_at, self.vars);
+                self.count_at = self.open_count();
+            }
             (from, to) if from == to && from != Section::Objective => {}
             (from, to) => panic!("key section {to:?} written after {from:?}"),
         }
@@ -210,7 +198,7 @@ impl KeyWriter {
     /// Writes one term, noting a coefficient no search can take.
     fn push_term(&mut self, var: usize, coeff: f64) {
         if !coeff.is_finite() {
-            let rows = self.layout.rows.len();
+            let rows = self.rows;
             self.invalid(|| match rows {
                 0 => format!("objective has coefficient {coeff} on variable {var}"),
                 row => format!("row {} has coefficient {coeff} on variable {var}", row - 1),
@@ -220,11 +208,12 @@ impl KeyWriter {
         self.key.extend_from_slice(&coeff.to_bits().to_le_bytes());
     }
 
-    /// Writes `terms` as [`merge_term`] merges them into an empty row.
-    /// Terms in ascending variable order go straight into the key; the
-    /// first one out of order sends what is written and the rest through
-    /// the scratch row.
+    /// Writes the count of `terms`, then `terms` as [`merge_term`] merges
+    /// them into an empty row. Terms in ascending variable order go
+    /// straight into the key; the first one out of order sends what is
+    /// written and the rest through the scratch row.
     fn write_terms(&mut self, terms: impl IntoIterator<Item = (usize, f64)>) {
+        let count_at = self.open_count();
         let from = self.key.len();
         let mut last = None;
         let mut terms = terms.into_iter();
@@ -233,7 +222,8 @@ impl KeyWriter {
                 continue;
             }
             if last.is_some_and(|last| var <= last) {
-                return self.merge_rest(from, [(var, coeff)].into_iter().chain(terms));
+                self.merge_rest(from, [(var, coeff)].into_iter().chain(terms));
+                break;
             }
             // A fresh term enters its row only when not negligible.
             if !negligible(coeff) {
@@ -241,6 +231,7 @@ impl KeyWriter {
                 last = Some(var);
             }
         }
+        self.patch_count(count_at, (self.key.len() - from) / TERM_BYTES);
     }
 
     /// The rest of [`write_terms`](Self::write_terms) from its first term
@@ -249,7 +240,7 @@ impl KeyWriter {
     #[cold]
     fn merge_rest(&mut self, from: usize, rest: impl Iterator<Item = (usize, f64)>) {
         self.terms.clear();
-        self.terms.extend(read_terms(&self.key, from..self.key.len()));
+        self.terms.extend(read_terms(&self.key[from..]));
         self.key.truncate(from);
         for (var, coeff) in rest {
             merge_term(&mut self.terms, 0, VarId(var), coeff);
@@ -261,7 +252,14 @@ impl KeyWriter {
         self.terms = merged;
     }
 
-    fn write_objective_head(&mut self, sense: Sense, constant: f64) {
+    /// The objective section: `sense`, `constant` and the terms over
+    /// variable indices.
+    pub fn objective(
+        &mut self,
+        sense: Sense,
+        constant: f64,
+        terms: impl IntoIterator<Item = (usize, f64)>,
+    ) {
         assert_eq!(self.section, Section::Objective, "a key has one objective section");
         self.section = Section::Vars;
         self.key.push(match sense {
@@ -272,29 +270,8 @@ impl KeyWriter {
         if !constant.is_finite() {
             self.invalid(|| format!("objective has constant {constant}"));
         }
-        self.layout.sense = sense;
-        self.layout.constant = constant;
-    }
-
-    /// Ends the objective whose terms start at `from`.
-    fn close_objective(&mut self, from: usize) {
-        self.layout.objective = from..self.key.len();
-        self.key.push(OBJECTIVE_END);
-        self.layout.vars = self.key.len()..self.key.len();
-    }
-
-    /// The objective section: `sense`, `constant` and the terms over
-    /// variable indices.
-    pub fn objective(
-        &mut self,
-        sense: Sense,
-        constant: f64,
-        terms: impl IntoIterator<Item = (usize, f64)>,
-    ) {
-        self.write_objective_head(sense, constant);
-        let from = self.key.len();
         self.write_terms(terms);
-        self.close_objective(from);
+        self.count_at = self.open_count();
     }
 
     /// The next `count` variables, each of `kind` in `[lower, upper]`,
@@ -320,26 +297,21 @@ impl KeyWriter {
         for _ in 0..count {
             self.key.extend_from_slice(&record);
         }
-        self.layout.vars.end = self.key.len();
     }
 
     fn write_row_head(&mut self, op: CmpOp, rhs: f64) {
-        if self.section != Section::Rows {
-            self.enter(Section::Rows);
-        }
-        let row = self.layout.rows.len();
-        self.layout.rows.push(self.key.len());
+        self.enter(Section::Rows);
+        let row = self.rows;
+        self.rows += 1;
         if rhs.is_nan() {
             self.invalid(|| format!("row {row} has a NaN right-hand side"));
         }
-        self.key.push(op_byte(op));
+        self.key.push(match op {
+            CmpOp::Le => 0,
+            CmpOp::Ge => 1,
+            CmpOp::Eq => 2,
+        });
         self.key.extend_from_slice(&rhs.to_bits().to_le_bytes());
-    }
-
-    /// Ends the row whose terms start at `from`.
-    fn close_row(&mut self, from: usize) {
-        self.last_terms = from..self.key.len();
-        self.key.push(ROW_END);
     }
 
     /// The next row, `Σ coeff·var op rhs` over variable indices.
@@ -347,7 +319,7 @@ impl KeyWriter {
         self.write_row_head(op, rhs);
         let from = self.key.len();
         self.write_terms(terms);
-        self.close_row(from);
+        self.last_terms = from..self.key.len();
     }
 
     /// The next row over the terms of the row before it, copied rather
@@ -357,19 +329,17 @@ impl KeyWriter {
     ///
     /// When no row was written before.
     pub fn repeat_row(&mut self, op: CmpOp, rhs: f64) {
-        assert!(!self.layout.rows.is_empty(), "no row to repeat");
-        let terms = self.last_terms.clone();
+        assert!(self.rows > 0, "no row to repeat");
         self.write_row_head(op, rhs);
-        let from = self.key.len();
-        self.key.extend_from_within(terms);
-        self.close_row(from);
+        self.key.extend_from_within(self.last_terms.clone());
     }
 
     /// The key, whatever data it holds.
     pub(crate) fn into_key(mut self) -> CanonicalKey {
         self.enter(Section::Rows);
+        self.patch_count(self.count_at, self.rows);
         debug_assert_eq!(self.key.len(), self.len, "the key's shape disagrees with its sections");
-        CanonicalKey { bytes: self.key, layout: self.layout }
+        CanonicalKey(self.key)
     }
 
     /// The finished key.
@@ -387,14 +357,6 @@ impl KeyWriter {
             Some(what) => Err(IlpError::InvalidModel(what)),
             None => Ok(self.into_key()),
         }
-    }
-}
-
-fn op_byte(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Le => 0,
-        CmpOp::Ge => 1,
-        CmpOp::Eq => 2,
     }
 }
 
@@ -436,10 +398,12 @@ pub(crate) fn check_bounds(lower: f64, upper: f64) -> Result<(), String> {
 /// Why a byte string is not a canonical key. Reading one never panics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeyError {
-    /// The key ends inside the named section.
+    /// The key ends inside the named section, or a count there holds more
+    /// than the rest of the key.
     Truncated(&'static str),
-    /// The byte at `at` should be a kind, an operator, a sense or a section
-    /// tag, and is `found`.
+    /// The byte at `at` should be a kind, an operator, a sense or the
+    /// time-limit flag, or the key should have ended before it; it is
+    /// `found`.
     BadTag {
         /// Offset in the key.
         at: usize,
@@ -458,9 +422,10 @@ pub enum KeyError {
         /// The index read.
         var: usize,
     },
-    /// A value no model holds: a coefficient or constant that is not
-    /// finite, a NaN right-hand side, bounds that hold no value, a time
-    /// limit past `Duration`, or an unknown options head.
+    /// A value no model holds: a coefficient that is not finite or is
+    /// negligible, a constant that is not finite, a NaN right-hand side,
+    /// bounds that hold no value, a time limit past `Duration`, or an
+    /// unknown options head.
     BadValue(String),
 }
 
@@ -500,42 +465,61 @@ pub struct DecodedKey {
 }
 
 impl DecodedKey {
-    /// Reads `key`.
+    /// Checks and reads `key` in one forward pass. Rows, terms, bounds and
+    /// the objective come back exactly as the key's model held them, so
+    /// every LP of its search is the same.
     ///
     /// # Errors
     ///
-    /// [`KeyError`] when `key` is not a canonical key or its head names no
-    /// options.
+    /// [`KeyError`] when `key` is not a canonical key: truncated, a count
+    /// past its end, a bad kind, operator or sense, a term out of range or
+    /// out of order, trailing bytes, a value no model holds, or a head that
+    /// names no options.
     pub fn parse(key: &[u8]) -> Result<DecodedKey, KeyError> {
-        let (head, config, layout) = read(key)?;
+        let (head, config, view) = read(key)?;
         let options = SolverOptions::from_cache_key_head(head).ok_or_else(|| {
             let head = String::from_utf8_lossy(head);
             KeyError::BadValue(format!("unknown options head {head:?}"))
         })?;
-        let model = KeyView { key, layout: &layout }.model();
-        Ok(DecodedKey { model, config, options })
+        if !view.constant.is_finite() {
+            return Err(KeyError::BadValue(format!("objective constant {}", view.constant)));
+        }
+        let vars = view.vars.len() / VAR_BYTES;
+        check_terms(&key[view.objective.clone()], vars)?;
+        for (var, at) in view.vars.clone().step_by(VAR_BYTES).enumerate() {
+            if key[at] > 2 {
+                return Err(KeyError::BadTag { at, found: key[at] });
+            }
+            check_bounds(float_at(key, at + 1), float_at(key, at + 9))
+                .map_err(|why| KeyError::BadValue(format!("variable {var} {why}")))?;
+        }
+        let mut rows = Rows::with_capacity(view.rows, view.row_terms());
+        let mut cursor = Cursor { key, at: view.rows_at };
+        for row in 0..view.rows {
+            let at = cursor.at;
+            let op = cursor.byte("rows")?;
+            if op > 2 {
+                return Err(KeyError::BadTag { at, found: op });
+            }
+            let rhs = cursor.float("rows")?;
+            if rhs.is_nan() {
+                return Err(KeyError::BadValue(format!("row {row} has a NaN right-hand side")));
+            }
+            let terms = &key[cursor.items(TERM_BYTES, "rows")?];
+            check_terms(terms, vars)?;
+            for (var, coeff) in read_terms(terms) {
+                rows.push_term(var, coeff);
+            }
+            rows.close(op_of(op), rhs);
+        }
+        if let Some(&found) = key.get(cursor.at) {
+            return Err(KeyError::BadTag { at: cursor.at, found });
+        }
+        Ok(DecodedKey { model: view.model_of(rows), config, options })
     }
 }
 
 impl Model {
-    /// The model a canonical key holds, the inverse of the key
-    /// [`Model::solve_with_options`] stores its answer under; the key's
-    /// header is read and checked, not returned ([`DecodedKey::parse`]
-    /// returns it). Rows, terms, bounds and the objective come back exactly
-    /// as the key's model held them, so every LP of its search is the
-    /// same. For tools that read a cache file: a solve reads the model of
-    /// a key it wrote where the writer put it ([`CanonicalKey`]).
-    ///
-    /// # Errors
-    ///
-    /// [`KeyError`] for bytes that are not a canonical key: truncated, a
-    /// bad tag, a term out of range or out of order, trailing bytes, or a
-    /// value no model holds.
-    pub fn from_canonical(key: &[u8]) -> Result<Model, KeyError> {
-        let (_, _, layout) = read(key)?;
-        Ok(KeyView { key, layout: &layout }.model())
-    }
-
     /// The canonical key of this model solved under `config` with
     /// `options`: what the solve cache stores its answer under.
     pub fn canonical_key(&self, config: &SolverConfig, options: &SolverOptions) -> Vec<u8> {
@@ -569,104 +553,119 @@ pub(crate) fn model_key(head: &str, model: &Model, config: &SolverConfig) -> Can
     key.into_key()
 }
 
-fn word(key: &[u8], at: usize, section: &'static str) -> Result<[u8; 8], KeyError> {
-    let bytes = key.get(at..at + 8).ok_or(KeyError::Truncated(section))?;
-    Ok(bytes.try_into().expect("8-byte slice"))
+/// The `usize` at `at` of bytes known to hold it.
+fn usize_at(key: &[u8], at: usize) -> usize {
+    usize::from_le_bytes(key[at..at + WORD].try_into().expect("a usize's bytes"))
 }
 
-fn float(key: &[u8], at: usize, section: &'static str) -> Result<f64, KeyError> {
-    word(key, at, section).map(|w| f64::from_bits(u64::from_le_bytes(w)))
-}
-
-fn byte(key: &[u8], at: usize, section: &'static str) -> Result<u8, KeyError> {
-    key.get(at).copied().ok_or(KeyError::Truncated(section))
-}
-
-/// The `f64` at `at` of bytes already checked.
+/// The `f64` at `at` of bytes known to hold it.
 fn float_at(key: &[u8], at: usize) -> f64 {
-    f64::from_bits(u64::from_le_bytes(key[at..at + 8].try_into().expect("8-byte slice")))
+    f64::from_le_bytes(key[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// The term at `at`: its variable, above `prev` and below `vars`, and a
-/// finite coefficient.
-fn term(
-    key: &[u8],
-    at: usize,
-    prev: Option<usize>,
-    vars: usize,
-    section: &'static str,
-) -> Result<(usize, f64), KeyError> {
-    let var = u64::from_le_bytes(word(key, at, section)?);
-    let coeff = float(key, at + 8, section)?;
-    let var = usize::try_from(var).unwrap_or(usize::MAX);
-    if var >= vars {
-        return Err(KeyError::VarOutOfRange { var, vars });
+fn op_of(b: u8) -> CmpOp {
+    match b {
+        0 => CmpOp::Le,
+        1 => CmpOp::Ge,
+        _ => CmpOp::Eq,
     }
-    if prev.is_some_and(|prev| var <= prev) {
-        return Err(KeyError::TermsOutOfOrder { var });
-    }
-    if !coeff.is_finite() {
-        return Err(KeyError::BadValue(format!("coefficient {coeff} on variable {var}")));
-    }
-    Ok((var, coeff))
 }
 
-/// The terms from `at` on, as one reading parses them: calls `end(q)` at
-/// every offset `q` where the section could close (a `tag` byte at a term
-/// boundary) and stops where no term parses; an error when that offset
-/// could not close the section either.
-fn scan_terms(
-    key: &[u8],
-    mut at: usize,
-    vars: usize,
-    tag: u8,
-    section: &'static str,
-    mut end: impl FnMut(usize),
-) -> Result<(), (usize, KeyError)> {
+fn kind_of(b: u8) -> VarKind {
+    match b {
+        0 => VarKind::Continuous,
+        1 => VarKind::Integer,
+        _ => VarKind::Binary,
+    }
+}
+
+/// The terms in `bytes`.
+fn read_terms(bytes: &[u8]) -> impl ExactSizeIterator<Item = (VarId, f64)> + '_ {
+    bytes.chunks_exact(TERM_BYTES).map(|term| (VarId(usize_at(term, 0)), float_at(term, WORD)))
+}
+
+/// Checks the terms in `bytes` of a model of `vars` variables: each on a
+/// variable in range and above the one before it, with a coefficient that a
+/// merged row keeps.
+fn check_terms(bytes: &[u8], vars: usize) -> Result<(), KeyError> {
     let mut prev = None;
-    loop {
-        let closes = key.get(at) == Some(&tag);
-        if closes {
-            end(at);
+    for (VarId(var), coeff) in read_terms(bytes) {
+        if var >= vars {
+            return Err(KeyError::VarOutOfRange { var, vars });
         }
-        match term(key, at, prev, vars, section) {
-            Ok((var, _)) => {
-                prev = Some(var);
-                at += TERM_BYTES;
-            }
-            Err(_) if closes => return Ok(()),
-            Err(e) => return Err((at, e)),
+        if prev.is_some_and(|prev| var <= prev) {
+            return Err(KeyError::TermsOutOfOrder { var });
         }
+        if !coeff.is_finite() || negligible(coeff) {
+            return Err(KeyError::BadValue(format!("coefficient {coeff} on variable {var}")));
+        }
+        prev = Some(var);
+    }
+    Ok(())
+}
+
+/// A forward read of a key's bytes.
+struct Cursor<'a> {
+    key: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    /// Steps over the next `n` bytes, in the named section, and returns
+    /// where they are.
+    fn take(&mut self, n: usize, section: &'static str) -> Result<Range<usize>, KeyError> {
+        if n > self.key.len() - self.at {
+            return Err(KeyError::Truncated(section));
+        }
+        self.at += n;
+        Ok(self.at - n..self.at)
+    }
+
+    fn byte(&mut self, section: &'static str) -> Result<u8, KeyError> {
+        self.take(1, section).map(|at| self.key[at.start])
+    }
+
+    fn float(&mut self, section: &'static str) -> Result<f64, KeyError> {
+        self.take(8, section).map(|at| float_at(self.key, at.start))
+    }
+
+    fn word(&mut self, section: &'static str) -> Result<usize, KeyError> {
+        self.take(WORD, section).map(|at| usize_at(self.key, at.start))
+    }
+
+    /// A count of items of at least `bytes` bytes each that the rest of the
+    /// key can hold.
+    fn count(&mut self, bytes: usize, section: &'static str) -> Result<usize, KeyError> {
+        let count = self.word(section)?;
+        if count > (self.key.len() - self.at) / bytes {
+            return Err(KeyError::Truncated(section));
+        }
+        Ok(count)
+    }
+
+    /// A count of items of `bytes` bytes each, then the items: where they
+    /// are.
+    fn items(&mut self, bytes: usize, section: &'static str) -> Result<Range<usize>, KeyError> {
+        let count = self.count(bytes, section)?;
+        self.take(count * bytes, section)
     }
 }
 
-/// The terms in the byte range `at`, checked before.
-fn read_terms(key: &[u8], at: Range<usize>) -> impl ExactSizeIterator<Item = (VarId, f64)> + '_ {
-    key[at].chunks_exact(TERM_BYTES).map(|term| {
-        let (index, bits) = term.split_at(TERM_BYTES - 8);
-        let var = usize::from_le_bytes(index.try_into().expect("a usize's bytes"));
-        (VarId(var), f64::from_bits(u64::from_le_bytes(bits.try_into().expect("8-byte slice"))))
-    })
-}
-
-/// The header: the head's bytes, the config, and where the objective
-/// section starts.
-fn decode_header(key: &[u8]) -> Result<(&[u8], SolverConfig, usize), KeyError> {
-    let head_len = key.iter().position(|&b| b == HEAD_END).ok_or(KeyError::Truncated("header"))?;
-    let mut at = head_len + 1;
-    let max_nodes = u64::from_le_bytes(word(key, at, "header")?);
-    let max_nodes = usize::try_from(max_nodes)
-        .map_err(|_| KeyError::BadValue(format!("max_nodes {max_nodes}")))?;
-    let int_tol = float(key, at + 8, "header")?;
-    let mip_gap = float(key, at + 16, "header")?;
-    let objective_granularity = float(key, at + 24, "header")?;
-    at += 32;
-    let time_limit = match byte(key, at, "header")? {
+/// Reads `key`'s header and finds its sections by their counts, without
+/// checking the data in them.
+fn read(key: &[u8]) -> Result<(&[u8], SolverConfig, KeyView<'_>), KeyError> {
+    let head = key.iter().position(|&b| b == HEAD_END).ok_or(KeyError::Truncated("header"))?;
+    let mut cursor = Cursor { key, at: head + 1 };
+    let max_nodes = cursor.word("header")?;
+    let int_tol = cursor.float("header")?;
+    let mip_gap = cursor.float("header")?;
+    let objective_granularity = cursor.float("header")?;
+    let at = cursor.at;
+    let time_limit = match cursor.byte("header")? {
         0 => None,
         1 => {
-            let nanos = key.get(at + 1..at + 17).ok_or(KeyError::Truncated("header"))?;
+            let nanos = &key[cursor.take(16, "header")?];
             let nanos = u128::from_le_bytes(nanos.try_into().expect("16-byte slice"));
-            at += 16;
             let secs = u64::try_from(nanos / 1_000_000_000)
                 .map_err(|_| KeyError::BadValue(format!("time limit of {nanos} ns")))?;
             Some(Duration::new(secs, (nanos % 1_000_000_000) as u32))
@@ -681,185 +680,56 @@ fn decode_header(key: &[u8]) -> Result<(&[u8], SolverConfig, usize), KeyError> {
         objective_granularity,
         cancel: None,
     };
-    Ok((&key[..head_len], config, at + 1))
-}
-
-fn kind_of(b: u8) -> VarKind {
-    match b {
-        0 => VarKind::Continuous,
-        1 => VarKind::Integer,
-        _ => VarKind::Binary,
-    }
-}
-
-/// The vars section from `at`: the byte range of its records.
-fn scan_vars(key: &[u8], from: usize) -> Result<Range<usize>, KeyError> {
-    let mut at = from;
-    loop {
-        match byte(key, at, "vars")? {
-            VARS_END => return Ok(from..at),
-            0..=2 => {}
-            found => return Err(KeyError::BadTag { at, found }),
-        }
-        let lower = float(key, at + 1, "vars")?;
-        let upper = float(key, at + 9, "vars")?;
-        if let Err(why) = check_bounds(lower, upper) {
-            let var = (at - from) / VAR_BYTES;
-            return Err(KeyError::BadValue(format!("variable {var} {why}")));
-        }
-        at += VAR_BYTES;
-    }
-}
-
-/// The operator and right-hand side of the row at `at`.
-fn row_head(key: &[u8], at: usize) -> Result<(), KeyError> {
-    match byte(key, at, "rows")? {
-        0..=2 => {}
-        found => return Err(KeyError::BadTag { at, found }),
-    }
-    if float(key, at + 1, "rows")?.is_nan() {
-        return Err(KeyError::BadValue("a NaN right-hand side".into()));
-    }
-    Ok(())
-}
-
-/// Where each row of the rows section from `from` starts, over `vars`
-/// variables. Under 253 variables no term opens with [`ROW_END`], so each
-/// row closes at the first one.
-///
-/// Otherwise readings branch where a row could close early (a [`ROW_END`]
-/// byte that also opens a term), and the first reading that ends exactly at
-/// the end of the key is taken. The row starts still to scan are kept in
-/// ascending order, each reached from the first row that could end there,
-/// so no start is scanned twice.
-fn row_starts(key: &[u8], from: usize, vars: usize) -> Result<Vec<usize>, KeyError> {
-    let mut starts = Vec::new();
-    if vars <= usize::from(ROW_END) {
-        let mut at = from;
-        while at < key.len() {
-            starts.push(at);
-            row_head(key, at)?;
-            at += 9;
-            let mut prev = None;
-            while byte(key, at, "rows")? != ROW_END {
-                prev = Some(term(key, at, prev, vars, "rows")?.0);
-                at += TERM_BYTES;
-            }
-            at += 1;
-        }
-        return Ok(starts);
-    }
-    if from == key.len() {
-        return Ok(starts);
-    }
-    // Row starts to scan, ascending from `next`, each with the index in
-    // `scanned` of the row that ends there.
-    let mut pending: Vec<(usize, usize)> = vec![(from, usize::MAX)];
-    let mut scanned: Vec<(usize, usize)> = Vec::new();
-    let mut next = 0;
-    // The error of the reading that got furthest.
-    let mut furthest: Option<(usize, KeyError)> = None;
-    while let Some(&(start, reached_from)) = pending.get(next) {
-        next += 1;
-        let this = scanned.len();
-        scanned.push((start, reached_from));
-        let mut complete = false;
-        let scan = row_head(key, start).map_err(|e| (start, e)).and_then(|()| {
-            scan_terms(key, start + 9, vars, ROW_END, "rows", |end| {
-                let after = end + 1;
-                complete |= after == key.len();
-                let queued = &pending[next..];
-                if let Err(at) = queued.binary_search_by_key(&after, |&(p, _)| p) {
-                    pending.insert(next + at, (after, this));
-                }
-            })
-        });
-        if complete {
-            let mut row = this;
-            while row != usize::MAX {
-                starts.push(scanned[row].0);
-                row = scanned[row].1;
-            }
-            starts.reverse();
-            return Ok(starts);
-        }
-        if let Err((at, e)) = scan {
-            if furthest.as_ref().is_none_or(|(was, _)| at >= *was) {
-                furthest = Some((at, e));
-            }
-        }
-    }
-    Err(furthest.map_or(KeyError::Truncated("rows"), |(_, e)| e))
-}
-
-/// Reads and checks `key`: its options head, its budget settings and
-/// where its model's sections are.
-///
-/// Where the objective section ends is known only once the variable count
-/// is, so each offset where it could end is tried in turn.
-fn read(key: &[u8]) -> Result<(&[u8], SolverConfig, Layout), KeyError> {
-    let (head, config, at) = decode_header(key)?;
-    let sense = match byte(key, at, "objective")? {
+    let at = cursor.at;
+    let sense = match cursor.byte("objective")? {
         0 => Sense::Minimize,
         1 => Sense::Maximize,
         found => return Err(KeyError::BadTag { at, found }),
     };
-    let constant = float(key, at + 1, "objective")?;
-    if !constant.is_finite() {
-        return Err(KeyError::BadValue(format!("objective constant {constant}")));
-    }
-    let terms_at = at + 9;
-    let mut ends = Vec::with_capacity(1);
-    let scan =
-        scan_terms(key, terms_at, usize::MAX, OBJECTIVE_END, "objective", |end| ends.push(end));
-    let mut error = scan.err().map(|(_, e)| e);
-    for end in ends {
-        let reading = scan_vars(key, end + 1).and_then(|vars| {
-            let n = vars.len() / VAR_BYTES;
-            let objective = terms_at..end;
-            if let Some((var, _)) = read_terms(key, objective.clone()).last() {
-                if var.0 >= n {
-                    return Err(KeyError::VarOutOfRange { var: var.0, vars: n });
-                }
-            }
-            let rows = row_starts(key, vars.end + 1, n)?;
-            Ok(Layout { sense, constant, objective, vars, rows })
-        });
-        match reading {
-            Ok(layout) => return Ok((head, config, layout)),
-            Err(e) => error = Some(e),
-        }
-    }
-    Err(error.unwrap_or(KeyError::Truncated("objective")))
+    let constant = cursor.float("objective")?;
+    let objective = cursor.items(TERM_BYTES, "objective")?;
+    let vars = cursor.items(VAR_BYTES, "vars")?;
+    let rows = cursor.count(ROW_HEAD_BYTES, "rows")?;
+    let view = KeyView { key, sense, constant, objective, vars, rows, rows_at: cursor.at };
+    Ok((&key[..head], config, view))
 }
 
-/// A key's model left in its bytes, read where its [`Layout`] says.
+/// A key's model left in its bytes, found by its counts: of a key that was
+/// written ([`CanonicalKey`]) or checked ([`DecodedKey::parse`]).
 /// [`KeyView::model`] builds the model; [`crate::certificate`] also audits
 /// an answer against the view directly.
 pub(crate) struct KeyView<'a> {
     key: &'a [u8],
-    layout: &'a Layout,
+    sense: Sense,
+    constant: f64,
+    /// The objective's terms.
+    objective: Range<usize>,
+    /// The variables' records.
+    vars: Range<usize>,
+    rows: usize,
+    /// Where the first row starts.
+    rows_at: usize,
 }
 
 impl KeyView<'_> {
     pub fn sense(&self) -> Sense {
-        self.layout.sense
+        self.sense
     }
 
     pub fn constant(&self) -> f64 {
-        self.layout.constant
+        self.constant
     }
 
     /// Every variable's kind and bounds, in index order.
     pub fn vars(&self) -> impl ExactSizeIterator<Item = (VarKind, f64, f64)> + '_ {
-        self.key[self.layout.vars.clone()]
+        self.key[self.vars.clone()]
             .chunks_exact(VAR_BYTES)
             .map(|record| (kind_of(record[0]), float_at(record, 1), float_at(record, 9)))
     }
 
     /// The objective's terms.
     pub fn objective(&self) -> impl ExactSizeIterator<Item = (VarId, f64)> + '_ {
-        read_terms(self.key, self.layout.objective.clone())
+        read_terms(&self.key[self.objective.clone()])
     }
 
     /// Every row: its operator, right-hand side and terms.
@@ -867,34 +737,38 @@ impl KeyView<'_> {
         &self,
     ) -> impl Iterator<Item = (CmpOp, f64, impl ExactSizeIterator<Item = (VarId, f64)> + '_)> + '_
     {
-        let starts = &self.layout.rows;
-        let ends = starts.iter().skip(1).map(|&start| start - 1).chain([self.key.len() - 1]);
-        starts.iter().zip(ends).map(|(&start, end)| {
-            let op = match self.key[start] {
-                0 => CmpOp::Le,
-                1 => CmpOp::Ge,
-                _ => CmpOp::Eq,
-            };
-            (op, float_at(self.key, start + 1), read_terms(self.key, start + 9..end))
+        let mut at = self.rows_at;
+        (0..self.rows).map(move |_| {
+            let row = at;
+            at += ROW_HEAD_BYTES + TERM_BYTES * usize_at(self.key, row + 9);
+            let terms = read_terms(&self.key[row + ROW_HEAD_BYTES..at]);
+            (op_of(self.key[row]), float_at(self.key, row + 1), terms)
         })
+    }
+
+    /// Row terms over all rows, if the rows end where the key does.
+    fn row_terms(&self) -> usize {
+        (self.key.len() - self.rows_at - ROW_HEAD_BYTES * self.rows) / TERM_BYTES
+    }
+
+    /// The model of these variables and objective over `rows`.
+    fn model_of(&self, rows: Rows) -> Model {
+        let vars =
+            self.vars().map(|(kind, lower, upper)| Variable { kind, lower, upper }).collect();
+        let objective = LinExpr::from_sorted(self.objective().collect(), self.constant);
+        Model::from_parts(vars, rows, objective, self.sense)
     }
 
     /// The model, rows and terms exactly as the key holds them.
     pub fn model(&self) -> Model {
-        let vars =
-            self.vars().map(|(kind, lower, upper)| Variable { kind, lower, upper }).collect();
-        let starts = &self.layout.rows;
-        let row_bytes = self.key.len() - starts.first().copied().unwrap_or(self.key.len());
-        let row_terms = (row_bytes - 10 * starts.len()) / TERM_BYTES;
-        let mut rows = Rows::with_capacity(starts.len(), row_terms);
+        let mut rows = Rows::with_capacity(self.rows, self.row_terms());
         for (op, rhs, terms) in self.rows() {
             for (var, coeff) in terms {
                 rows.push_term(var, coeff);
             }
             rows.close(op, rhs);
         }
-        let objective = LinExpr::from_sorted(self.objective().collect(), self.constant());
-        Model::from_parts(vars, rows, objective, self.sense())
+        self.model_of(rows)
     }
 }
 
@@ -902,6 +776,7 @@ impl KeyView<'_> {
 mod tests {
     use super::*;
     use crate::solution::{Solution, SolveStatus};
+    use proptest::prelude::*;
 
     /// Every section and both ends of every kind: a binary, a general
     /// integer and a continuous variable, all three operators, a constant,
@@ -931,7 +806,7 @@ mod tests {
         assert_eq!(decoded.config.time_limit, config.time_limit);
         assert_eq!(decoded.config.objective_granularity, 0.5);
         assert_eq!(decoded.options.cache_key_head(), SolverOptions::default().cache_key_head());
-        let model = Model::from_canonical(&key).unwrap();
+        let model = decoded.model;
         assert_eq!((model.num_vars(), model.num_constraints()), (3, 3));
         let row = model.rows.row(1);
         assert_eq!(row.op, CmpOp::Ge);
@@ -946,19 +821,23 @@ mod tests {
         assert_eq!(decoded.model.canonical_key(&decoded.config, &decoded.options), key);
     }
 
-    /// A model of `n` variables whose terms sit on the indices whose low
-    /// byte is a section's closing tag (252 = `0xfc`, 254 = `0xfe`, and
-    /// their 256-steps), rows of every operator over a zero right-hand
-    /// side after them, and a zero coefficient: every place where a tag
-    /// could be read as the start of a term, or a term as a tag.
-    fn ambiguous(n: usize, seed: u64) -> Model {
+    /// A deterministic stream of draws below each bound.
+    fn draws(seed: u64) -> impl FnMut(usize) -> usize {
         let mut state = seed | 1;
-        let mut next = move |bound: usize| {
+        move |bound: usize| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             (state % bound as u64) as usize
-        };
+        }
+    }
+
+    /// A model of `n` variables whose terms sit on the indices whose low
+    /// byte is `0xfc` or `0xfe` (and their 256-steps), rows of every
+    /// operator over a zero right-hand side after them, and a zero
+    /// coefficient: index bytes that equal the bytes around them.
+    fn ambiguous(n: usize, seed: u64) -> Model {
+        let mut next = draws(seed);
         let mut m = Model::new("ambiguous");
         let vars: Vec<VarId> = (0..n).map(|_| m.binary("x")).collect();
         let tagged: Vec<usize> =
@@ -985,15 +864,15 @@ mod tests {
     }
 
     #[test]
-    fn keys_of_more_than_252_variables_decode_where_tags_and_terms_collide() {
+    fn keys_of_hundreds_of_variables_round_trip() {
         let config = SolverConfig::default();
         for (n, seed) in [(300, 1), (600, 2), (900, 3), (253, 4), (252, 5)] {
             let m = ambiguous(n, seed);
             let key = key_of(&m, &config);
-            let decoded = Model::from_canonical(&key).unwrap();
+            let decoded = DecodedKey::parse(&key).unwrap().model;
             assert_eq!(key_of(&decoded, &config), key, "{n} variables");
             let written = model_key(SolverOptions::default().cache_key_head(), &m, &config);
-            assert!(written.reads_as_written(), "{n} variables");
+            assert_eq!(key_of(&written.view().model(), &config), key, "{n} variables");
             assert_eq!(decoded.num_constraints(), m.num_constraints(), "{n} variables");
             for (a, b) in decoded.rows.iter().zip(m.rows.iter()) {
                 // The key holds the model's terms, less the one scaled to zero.
@@ -1003,71 +882,161 @@ mod tests {
         }
     }
 
-    /// Where each section of `key` closes: the head's end, the objective's,
-    /// the vars' and the last row's.
-    fn section_ends(model: &Model, key: &[u8]) -> [usize; 4] {
+    /// Where the counts of `key` are: the objective's terms, the
+    /// variables and the rows.
+    fn counts(model: &Model, key: &[u8]) -> [usize; 3] {
         let head = key.iter().position(|&b| b == HEAD_END).unwrap();
-        let objective = head + 1 + 32 + 17 + 9 + TERM_BYTES * model.objective.len();
-        let vars = objective + 1 + VAR_BYTES * model.num_vars();
-        [head, objective, vars, key.len() - 1]
+        let objective = head + 1 + WORD + 24 + 17 + 9;
+        let vars = objective + WORD + TERM_BYTES * model.objective.len();
+        [objective, vars, vars + WORD + VAR_BYTES * model.num_vars()]
     }
 
     #[test]
     fn malformed_keys_are_typed_errors() {
         let (m, config) = golden();
         let key = key_of(&m, &config);
-        let ends = section_ends(&m, &key);
-        assert_eq!(
-            ends.map(|at| key[at]),
-            [HEAD_END, OBJECTIVE_END, VARS_END, ROW_END],
-            "the test's own offsets"
-        );
-        let decode = |bytes: &[u8]| Model::from_canonical(bytes).map(|m| m.num_constraints());
+        let [objective, vars, rows] = counts(&m, &key);
+        assert_eq!([objective, vars, rows].map(|at| usize_at(&key, at)), [3; 3], "the offsets");
+        let decode = |bytes: &[u8]| DecodedKey::parse(bytes).map(|d| d.model.num_constraints());
 
-        // Cut short: before each section closes, inside the header, a
-        // term and a variable record, and one byte short of the last row.
-        for end in ends {
-            assert!(matches!(decode(&key[..end]), Err(KeyError::Truncated(_))), "at {end}");
+        // Cut short anywhere, also right after a row, where a key of
+        // closing tags read as a model of fewer rows.
+        let long_key = key_of(&ambiguous(300, 1), &SolverConfig::default());
+        for whole in [&key, &long_key] {
+            for len in 0..whole.len() {
+                assert!(decode(&whole[..len]).is_err(), "cut to {len} of {}", whole.len());
+            }
         }
-        for cut in [ends[0] + 5, ends[0] + 40, ends[1] - 3, ends[1] + 5, ends[3] - 4] {
+        for cut in [objective - 20, objective + 3, vars, rows + WORD + 9, key.len() - 4] {
             assert!(matches!(decode(&key[..cut]), Err(KeyError::Truncated(_))), "at {cut}");
         }
+        // A count past the key's end, in each section and in a row.
+        let first_row = rows + WORD;
+        for (at, section) in
+            [(objective, "objective"), (vars, "vars"), (rows, "rows"), (first_row + 9, "rows")]
+        {
+            let mut bad = key.clone();
+            bad[at..at + WORD].copy_from_slice(&usize::MAX.to_le_bytes());
+            assert_eq!(decode(&bad), Err(KeyError::Truncated(section)), "at {at}");
+        }
 
-        // A bad tag where the vars section closes, and a bad operator.
-        let mut bad = key.clone();
-        bad[ends[2]] = 7;
-        assert_eq!(decode(&bad), Err(KeyError::BadTag { at: ends[2], found: 7 }));
-        let mut bad = key.clone();
-        bad[ends[2] + 1] = 3;
-        assert_eq!(decode(&bad), Err(KeyError::BadTag { at: ends[2] + 1, found: 3 }));
+        // A bad time-limit flag, sense, kind and operator.
+        let flag = objective - 9 - 17;
+        for (at, found) in [(flag, 2), (objective - 9, 2), (vars + WORD, 3), (first_row, 3)] {
+            let mut bad = key.clone();
+            bad[at] = found;
+            assert_eq!(decode(&bad), Err(KeyError::BadTag { at, found }), "at {at}");
+        }
 
         // Row 0 is `x − 0.5·y + 2·z = 3`: its terms start after its
-        // operator and right-hand side.
-        let term = |t: usize| ends[2] + 1 + 9 + t * TERM_BYTES;
-        let mut bad = key.clone();
-        bad[term(1)..term(1) + 8].copy_from_slice(&3usize.to_le_bytes());
-        assert_eq!(decode(&bad), Err(KeyError::VarOutOfRange { var: 3, vars: 3 }));
-        let mut bad = key.clone();
-        bad[term(1)..term(1) + 8].copy_from_slice(&0usize.to_le_bytes());
-        assert_eq!(decode(&bad), Err(KeyError::TermsOutOfOrder { var: 0 }));
-        let mut bad = key.clone();
-        bad[term(0) + 8..term(1)].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(matches!(decode(&bad), Err(KeyError::BadValue(_))), "{:?}", decode(&bad));
+        // operator, right-hand side and term count.
+        let term = |t: usize| first_row + ROW_HEAD_BYTES + t * TERM_BYTES;
+        let with = |at: usize, bytes: [u8; 8]| {
+            let mut bad = key.clone();
+            bad[at..at + 8].copy_from_slice(&bytes);
+            bad
+        };
+        let out_of_range = with(term(1), 3usize.to_le_bytes());
+        assert_eq!(decode(&out_of_range), Err(KeyError::VarOutOfRange { var: 3, vars: 3 }));
+        let out_of_order = with(term(1), 0usize.to_le_bytes());
+        assert_eq!(decode(&out_of_order), Err(KeyError::TermsOutOfOrder { var: 0 }));
+        // Values no model holds: a coefficient no merged row keeps, a
+        // non-finite constant, bounds that hold no value, a NaN right-hand
+        // side.
+        let mut bad_values: Vec<(usize, f64)> = [f64::NAN, f64::INFINITY, 0.0, -0.0, 1e-301]
+            .into_iter()
+            .map(|coeff| (term(0) + WORD, coeff))
+            .collect();
+        bad_values.extend([
+            (objective - 8, f64::NEG_INFINITY),
+            (vars + WORD + 1, f64::NAN),
+            (vars + WORD + 1, 2.0),
+            (first_row + 1, f64::NAN),
+        ]);
+        for (at, value) in bad_values {
+            let bad = with(at, value.to_le_bytes());
+            assert!(matches!(decode(&bad), Err(KeyError::BadValue(_))), "{value} at {at}");
+        }
 
         // Bytes after the last row.
         for tail in [&[0u8][..], &[2, 0, 0], &[0xfc; 12]] {
             let mut long = key.clone();
             long.extend_from_slice(tail);
-            assert!(decode(&long).is_err(), "{tail:?}");
+            let at = key.len();
+            assert_eq!(decode(&long), Err(KeyError::BadTag { at, found: tail[0] }), "{tail:?}");
         }
         // A head no options write.
         let mut foreign = b"serial".to_vec();
-        foreign.extend_from_slice(&key[ends[0]..]);
-        assert!(Model::from_canonical(&foreign).is_ok(), "the model does not read the head");
+        foreign.extend_from_slice(&key[objective - 9 - 17 - 24 - WORD - 1..]);
         assert!(matches!(DecodedKey::parse(&foreign), Err(KeyError::BadValue(_))));
         // The error reads as an invalid model on the solve path.
         let err: IlpError = KeyError::Truncated("rows").into();
         assert!(matches!(err, IlpError::InvalidModel(_)), "{err:?}");
+    }
+
+    /// A small model drawn from `seed`: every kind, sense and operator,
+    /// infinite bounds and right-hand sides, rows without terms, and
+    /// coefficients that scaling leaves at zero or negligible.
+    fn random_model(seed: u64) -> Model {
+        let mut next = draws(seed);
+        let mut m = Model::new("random");
+        let vars: Vec<VarId> = (0..1 + next(5))
+            .map(|_| match next(3) {
+                0 => m.binary("b"),
+                1 => m.integer("i", -3.0, [4.0, f64::INFINITY][next(2)]),
+                _ => m.continuous("c", [f64::NEG_INFINITY, 0.0][next(2)], 2.5),
+            })
+            .collect();
+        let scales = [1.0, -0.5, 3.0, 0.0, 1e-155];
+        let expr = |next: &mut dyn FnMut(usize) -> usize| {
+            let mut e = LinExpr::constant_term([0.0, 1.5][next(2)]);
+            for &v in &vars {
+                if next(2) == 0 {
+                    e.add_term(v, [1.0, -2.0, 0.25, 1e-150][next(4)]);
+                }
+            }
+            e * scales[next(scales.len())]
+        };
+        let sense = [Sense::Minimize, Sense::Maximize][next(2)];
+        let objective = expr(&mut next);
+        m.set_objective(sense, objective);
+        for _ in 0..next(5) {
+            let row = expr(&mut next);
+            let op = [CmpOp::Le, CmpOp::Ge, CmpOp::Eq][next(3)];
+            m.add_constraint("r", row, op, [0.0, -1.0, f64::INFINITY][next(3)]);
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// A key changed in one byte, or cut short, is a typed error or the
+        /// key of the model it reads as: the reader accepts nothing the
+        /// writer would not write.
+        #[test]
+        fn a_changed_or_cut_key_is_an_error_or_its_models_key(
+            seed in any::<u64>(),
+            limit in any::<bool>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            cut in any::<bool>(),
+        ) {
+            let config = SolverConfig {
+                time_limit: limit.then_some(Duration::from_millis(1500)),
+                ..SolverConfig::default()
+            };
+            let mut key = key_of(&random_model(seed), &config);
+            let at = at % key.len();
+            if cut {
+                key.truncate(at);
+            } else {
+                key[at] = byte;
+            }
+            if let Ok(decoded) = DecodedKey::parse(&key) {
+                prop_assert!(decoded.model.canonical_key(&decoded.config, &decoded.options) == key);
+            }
+        }
     }
 
     /// The certificate reads a written key in place exactly as it reads the

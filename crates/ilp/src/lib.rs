@@ -15,8 +15,9 @@
 //! configuration structs). A caller that knows its model's structure writes
 //! the model's solve-cache key instead ([`KeyWriter`]) and solves that
 //! ([`Model::solve_canonical`]): a cache hit then builds no model, and a
-//! miss builds it from the key. [`Model::from_canonical`] reads a key's
-//! model back from its bytes alone, for tools that read a cache file.
+//! miss builds it from the key. [`DecodedKey::parse`] checks a key and
+//! reads its model and settings back from its bytes alone, for tools that
+//! read a cache file.
 //! The branch and bound is deterministic and single-threaded: it expands
 //! the open-node frontier in fixed-width rounds on the calling thread.
 //!

@@ -264,7 +264,7 @@ impl Model {
         }
     }
 
-    /// A model of these parts, as [`Model::from_canonical`] reads them.
+    /// A model of these parts, as a canonical key's reader reads them.
     pub(crate) fn from_parts(
         vars: Vec<Variable>,
         rows: Rows,
@@ -541,7 +541,6 @@ impl Model {
             },
             "the key was written under other options or another config"
         );
-        debug_assert!(key.reads_as_written(), "the key reads back as another model");
         solve_keyed(None, Some(key), config, options)
     }
 

@@ -208,29 +208,29 @@ fn quarantine_of(path: &std::path::Path) -> PathBuf {
     PathBuf::from(format!("{}.quarantined", path.display()))
 }
 
-/// A well-formed file of the previous format version — sealed with the
-/// byte-serial FNV-1a checksum that v6 replaced — must be rejected as
-/// `BadVersion`, not merged. The test re-seals the v5-labelled file with
-/// this build's checksum, so the version alone rejects it.
+/// A well-formed file of the previous format version — its keys closed
+/// by the section tags that v7's counts replaced — must be rejected as
+/// `BadVersion`, not merged. The test re-seals the v6-labelled file, so
+/// the version alone rejects it.
 #[test]
 fn previous_version_file_is_rejected_as_stale() {
     let _serial = GLOBAL_CACHE.lock().unwrap();
     let cache = SolveCache::global();
     cache.clear();
     solve_all(&[knapsack(&[6, 10, 12], &[1, 2, 3], 5)]);
-    let path = tmp_file("stale-v5", 0);
+    let path = tmp_file("stale-v6", 0);
     assert_eq!(cache.save_to(&path).unwrap(), 1);
 
     // Header: 8-byte magic, then the little-endian u32 version.
     let mut bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 6u32.to_le_bytes(), "this build writes format version 6");
-    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 7u32.to_le_bytes(), "this build writes format version 7");
+    bytes[8..12].copy_from_slice(&6u32.to_le_bytes());
     reseal(&mut bytes);
     std::fs::write(&path, &bytes).unwrap();
 
     let target = SolveCache::new();
-    let err = target.load_from(&path).expect_err("a v5 file must not load");
-    assert!(matches!(err, CacheFileError::BadVersion { found: 5, expected: 6 }), "{err}");
+    let err = target.load_from(&path).expect_err("a v6 file must not load");
+    assert!(matches!(err, CacheFileError::BadVersion { found: 6, expected: 7 }), "{err}");
     assert_eq!(target.stats().entries, 0, "rejection must not merge anything");
     let quarantined = quarantine_of(&path);
     assert!(quarantined.exists() && !path.exists(), "stale file is moved aside");
